@@ -998,8 +998,8 @@ fn serve_workload(
     shed: bool,
     rec: &mut BenchRecord,
 ) -> bool {
-    use octopus_bench::serve_load::{self, ServeLoadConfig, ServeTarget};
-    use octopus_core::serve::{AdmissionConfig, OctopusService, ShardedService};
+    use octopus_bench::serve_load::{self, ServeLoadConfig};
+    use octopus_core::serve::{AdmissionConfig, OctopusService, QueryService, ShardedService};
     use octopus_core::QueryBudget;
     use std::time::Duration;
     println!(
@@ -1037,7 +1037,7 @@ fn serve_workload(
         queue_caps: [2, 2, 2],
     };
     let t0 = Instant::now();
-    let target = match shards {
+    let service: Box<dyn QueryService> = match shards {
         None => {
             let engine = Octopus::open_or_build(net.graph.clone(), net.model.clone(), config, &dir)
                 .expect("epoch 0 builds")
@@ -1046,7 +1046,7 @@ fn serve_workload(
             if shed {
                 service = service.with_admission(admission);
             }
-            ServeTarget::Single(Box::new(service))
+            Box::new(service)
         }
         Some(k) => {
             let union = octopus_bench::workloads::disjoint_copies(&net, k);
@@ -1063,7 +1063,7 @@ fn serve_workload(
             if shed {
                 service = service.with_admission(admission);
             }
-            ServeTarget::Sharded(Box::new(service))
+            Box::new(service)
         }
     };
     let t_epoch0 = t0.elapsed();
@@ -1072,7 +1072,7 @@ fn serve_workload(
         "workload: {} researchers, {} edges ×{} shard(s); epoch 0 built in {}",
         net.graph.node_count(),
         net.graph.edge_count(),
-        target.shard_count(),
+        service.shard_count(),
         fmt_duration(t_epoch0)
     );
     let cfg = ServeLoadConfig {
@@ -1087,7 +1087,7 @@ fn serve_workload(
         },
         ..Default::default()
     };
-    let report = serve_load::run(target, &net, &cfg);
+    let report = serve_load::run(service.as_ref(), &net, &cfg);
     std::fs::remove_dir_all(&dir).ok();
     for op in &report.per_op {
         rec.op(
@@ -1290,7 +1290,7 @@ fn ingest_workload(
     shards: Option<usize>,
     rec: &mut BenchRecord,
 ) -> bool {
-    use octopus_bench::serve_load::{percentile, MixPools, ServeTarget};
+    use octopus_bench::serve_load::{percentile, MixPools};
     use octopus_core::serve::ingest::WEIGHT_STAGES;
     use octopus_core::serve::{
         IngestPipeline, OctopusService, Query, QueryService, ShardedService, WindowReport,
@@ -1397,13 +1397,13 @@ fn ingest_workload(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let target = match shards {
+    let service: Box<dyn QueryService> = match shards {
         None => {
             let engine =
                 Octopus::open_or_build(warm.graph.clone(), warm.model.clone(), config, &dir)
                     .expect("warm-up epoch builds")
                     .with_user_keywords(user_keywords(&net));
-            ServeTarget::Single(Box::new(OctopusService::with_cache_dir(engine, &dir)))
+            Box::new(OctopusService::with_cache_dir(engine, &dir))
         }
         Some(k) => {
             let service = ShardedService::with_options(
@@ -1416,7 +1416,7 @@ fn ingest_workload(
                 user_keywords(&net),
             )
             .expect("shard engines build");
-            ServeTarget::Sharded(Box::new(service))
+            Box::new(service)
         }
     };
     let t_epoch0 = t0.elapsed();
@@ -1425,14 +1425,14 @@ fn ingest_workload(
         "workload: {} researchers, {} learned edges ×{} shard(s); warm-up fit {} over {} actions, epoch 0 built in {}",
         net.graph.node_count(),
         warm.graph.edge_count(),
-        target.shard_count(),
+        service.shard_count(),
         fmt_duration(t_warm),
         split,
         fmt_duration(t_epoch0),
     );
 
     let pools = MixPools::from_network(&net);
-    let service: &dyn QueryService = target.service();
+    let service: &dyn QueryService = service.as_ref();
     // the 0.005 threshold keeps deltas entry-sparse: sub-threshold moves
     // stay at the served value bitwise (and accumulate across windows),
     // so each delta's footprint is the materially moving topics only
@@ -1706,6 +1706,7 @@ fn ingest_workload(
 /// asserts the degraded path's determinism contract: at a fixed sample
 /// budget a repeat run must be bit-identical.
 fn budget_sweep_workload(s: &Scale, rec: &mut BenchRecord) -> bool {
+    use octopus_core::serve::Query;
     use octopus_core::QueryBudget;
     println!(
         "\n================ BUDGET SWEEP: answer quality vs per-query sample budget ================"
@@ -1743,13 +1744,17 @@ fn budget_sweep_workload(s: &Scale, rec: &mut BenchRecord) -> bool {
         let (mut width, mut used) = (0.0f64, 0usize);
         let t0 = Instant::now();
         for (q, ex) in queries.iter().zip(&exact) {
-            let a = engine
-                .find_influencers_budgeted(q, k, &budget)
-                .expect("budgeted answer");
+            let query = Query::FindInfluencers {
+                query: q.to_string(),
+                k,
+            };
+            let run = || {
+                let response = engine.execute(&query, &budget).expect("budgeted answer");
+                response.into_influencers().expect("influencer query")
+            };
+            let a = run();
             // determinism at a fixed budget: a repeat must be bit-identical
-            let again = engine
-                .find_influencers_budgeted(q, k, &budget)
-                .expect("budgeted answer");
+            let again = run();
             if a.value.result.seeds != again.value.result.seeds
                 || a.value.result.spread.to_bits() != again.value.result.spread.to_bits()
             {

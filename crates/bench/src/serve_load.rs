@@ -4,10 +4,11 @@
 //!
 //! N worker threads issue a seeded mixed workload (influencer ranking,
 //! keyword suggestion, path exploration, autocompletion, keyword radar)
-//! against one [`ServeTarget`] — an unsharded [`OctopusService`] (each
-//! worker owning a [`Session`](octopus_core::serve::Session)) or a
-//! [`ShardedService`] scatter-gather router — while a mutator thread
-//! injects [`GraphDelta`] batches and flushes them into epoch swaps.
+//! against one [`QueryService`] — an unsharded
+//! [`OctopusService`](octopus_core::serve::OctopusService) or a
+//! [`ShardedService`](octopus_core::serve::ShardedService)
+//! scatter-gather router — while a mutator thread injects
+//! [`GraphDelta`] batches and flushes them into epoch swaps.
 //! Workers run until every swap has happened *and* they have issued their
 //! query quota, so queries provably race every swap. The report carries
 //! per-operator throughput and latency percentiles plus the swap
@@ -24,9 +25,7 @@
 
 use crate::workloads::prolific_users;
 use octopus_core::paths::ExploreDirection;
-use octopus_core::serve::{
-    OctopusService, Operator, Query, QueryService, ShardSwap, ShardedService,
-};
+use octopus_core::serve::{Operator, Query, QueryService, ShardSwap};
 use octopus_core::{CoreError, QueryBudget};
 use octopus_data::SyntheticNetwork;
 use octopus_graph::delta::GraphDelta;
@@ -55,8 +54,8 @@ pub struct ServeLoadConfig {
     /// picks.
     pub seed: u64,
     /// Per-query budget every worker carries. Unlimited (the default)
-    /// runs the exact operators; a limited budget routes queries through
-    /// the anytime variants. The budget's class drives admission when the
+    /// answers exactly; a limited budget degrades answers to fit. The
+    /// budget's class drives admission when the
     /// target was built with an admission controller — shed queries
     /// ([`CoreError::Overloaded`]) are counted separately from errors and
     /// contribute no latency sample, so the report's percentiles are
@@ -75,36 +74,6 @@ impl Default for ServeLoadConfig {
             seed: 0x5E17_E000,
             budget: QueryBudget::unlimited(),
         }
-    }
-}
-
-/// What the load generator drives: either serving-layer flavor, behind
-/// one face so the worker and mutator loops are flavor-blind.
-pub enum ServeTarget {
-    /// One whole-graph engine behind an epoch cell (boxed: the service
-    /// carries the admission controller and stats counters inline).
-    Single(Box<OctopusService>),
-    /// Per-shard engines behind a scatter-gather router (boxed: the
-    /// router carries per-shard state and dwarfs the single variant).
-    Sharded(Box<ShardedService>),
-}
-
-impl ServeTarget {
-    /// Both flavors behind the one face the loops actually use — the
-    /// unified [`QueryService`] trait. This (plus `shard_count` below)
-    /// is the *only* flavor dispatch left in the whole generator: the
-    /// workers execute [`Query`] values, the mutator submits and
-    /// flushes deltas, all through the trait.
-    pub fn service(&self) -> &dyn QueryService {
-        match self {
-            ServeTarget::Single(s) => s.as_ref(),
-            ServeTarget::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    /// Number of shards serving (1 for the unsharded service).
-    pub fn shard_count(&self) -> usize {
-        self.service().shard_count()
     }
 }
 
@@ -245,12 +214,15 @@ struct WorkerLog {
     epochs: Option<(u64, u64)>,
 }
 
-/// Drive `target` through a full serve-under-churn run (see the module
+/// Drive `service` through a full serve-under-churn run (see the module
 /// docs). `net` supplies the query pools; the mutator nudges edges across
-/// the target's own (possibly multi-shard) edge range.
-pub fn run(target: ServeTarget, net: &SyntheticNetwork, cfg: &ServeLoadConfig) -> ServeLoadReport {
+/// the service's own (possibly multi-shard) edge range.
+pub fn run(
+    service: &dyn QueryService,
+    net: &SyntheticNetwork,
+    cfg: &ServeLoadConfig,
+) -> ServeLoadReport {
     let pools = MixPools::from_network(net);
-    let service = target.service();
     let edge_count = service.edge_count();
     let mutations_done = AtomicBool::new(false);
     let start = Instant::now();

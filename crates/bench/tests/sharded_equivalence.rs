@@ -14,7 +14,8 @@
 
 use octopus_bench::workloads::{citation_sized, disjoint_copies, messenger_sized};
 use octopus_core::engine::{Octopus, OctopusConfig};
-use octopus_core::serve::ShardedService;
+use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService};
+use octopus_core::QueryBudget;
 use octopus_data::SyntheticNetwork;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{EdgeId, TopicGraph};
@@ -33,8 +34,16 @@ fn config() -> OctopusConfig {
 /// Assert the sharded router over `union` answers ranking and
 /// autocomplete exactly like `single` (one engine over the same union).
 fn assert_equivalent(sharded: &ShardedService, single: &Octopus, query: &str, prefix: &str) {
+    let run = |query: Query| -> QueryResponse {
+        let served = sharded.execute(&query, &QueryBudget::unlimited());
+        served.unwrap().value
+    };
     let want = single.find_influencers(query, 5).unwrap();
-    let got = sharded.find_influencers(query, 5).unwrap().value;
+    let got = run(Query::FindInfluencers {
+        query: query.into(),
+        k: 5,
+    });
+    let got = got.into_influencers().unwrap().value;
     assert_eq!(
         got.seeds, want.seeds,
         "merged top-k must be the single-engine ranking"
@@ -47,7 +56,11 @@ fn assert_equivalent(sharded: &ShardedService, single: &Octopus, query: &str, pr
         want.result.spread
     );
     let want = single.autocomplete(prefix, 12);
-    let got = sharded.autocomplete(prefix, 12).value;
+    let got = run(Query::Autocomplete {
+        prefix: prefix.into(),
+        limit: 12,
+    });
+    let got = got.into_completions().unwrap().value;
     assert_eq!(got, want, "union-merged completions must match the trie");
 }
 

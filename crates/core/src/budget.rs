@@ -76,8 +76,8 @@ impl Default for QueryBudget {
 }
 
 impl QueryBudget {
-    /// No limits, [`PriorityClass::Standard`]. Budgeted operators given
-    /// an unlimited budget dispatch to the exact path unchanged.
+    /// No limits, [`PriorityClass::Standard`]: nothing is truncated, so
+    /// every operator answers exactly.
     pub fn unlimited() -> Self {
         QueryBudget {
             deadline: None,
@@ -108,7 +108,7 @@ impl QueryBudget {
         self
     }
 
-    /// Whether neither limit is set (exact path applies).
+    /// Whether neither limit is set.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.samples.is_none()
     }
@@ -135,12 +135,12 @@ impl QueryBudget {
 /// Soundness contract: `lower ≤ exact-path value ≤ upper` on the same
 /// snapshot, where "value" is the operator's scalar score (spread for
 /// influencer ranking and keyword suggestion, reachable influence for
-/// path exploration, topic mass for radar). `exact` marks answers that
-/// ran the full exact path, for which `lower == upper` holds trivially
-/// at the answer's own value.
+/// path exploration, topic mass for radar). `exact` marks answers the
+/// budget truncated nothing of, for which `lower == upper` holds
+/// trivially at the answer's own value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityBound {
-    /// The answer ran the exact path (no degradation).
+    /// Nothing was truncated: this is the exact answer.
     pub exact: bool,
     /// Certified lower bound on the exact value.
     pub lower: f64,

@@ -597,22 +597,6 @@ impl Octopus {
         }
     }
 
-    /// Exact name lookup against whichever trie form is resident.
-    fn name_lookup(&self, name: &str) -> Option<NodeId> {
-        match &self.store {
-            ArtifactStore::Owned(a) => a.names.lookup(name),
-            ArtifactStore::Mapped { art, .. } => art.trie_view().lookup(name),
-        }
-    }
-
-    /// Prefix completion against whichever trie form is resident.
-    fn name_complete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
-        match &self.store {
-            ArtifactStore::Owned(a) => a.names.complete(prefix, limit),
-            ArtifactStore::Mapped { art, .. } => art.trie_view().complete(prefix, limit),
-        }
-    }
-
     /// Attach per-user keyword candidates (from the action log: "keywords
     /// extracted from paper titles of the researcher"). Without this, the
     /// suggestion service falls back to model-derived candidates.
@@ -704,34 +688,93 @@ impl Octopus {
         gamma: &TopicDistribution,
         k_max: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        if k_max == 0 {
-            return Err(CoreError::ZeroK);
-        }
-        self.graph.check_gamma(gamma.as_slice())?;
-        let probs = self.graph.materialize(gamma.as_slice())?;
         let res = self.find_influencers_gamma(gamma, k_max)?;
-        let mut curve = Vec::with_capacity(res.seeds.len());
-        for k in 1..=res.seeds.len() {
-            let spread = octopus_mia::mia_spread_set(
-                &self.graph,
-                &probs,
-                &res.seeds[..k],
-                self.config.mia_theta,
-            );
-            curve.push((k, spread));
-        }
-        Ok(curve)
+        let spreads = self.prefix_spreads(gamma, &res.seeds)?;
+        Ok(spreads
+            .into_iter()
+            .enumerate()
+            .map(|(i, spread)| (i + 1, spread))
+            .collect())
     }
 
-    /// Keyword-based influence maximization with an already-resolved `γ`.
-    pub fn find_influencers_gamma(&self, gamma: &TopicDistribution, k: usize) -> Result<KimResult> {
+    /// The exact MIA spread of every prefix of `seeds` under `γ`
+    /// (`out[i]` = spread of the first `i + 1` seeds). Costs one edge
+    /// materialization plus `seeds.len()` set evaluations, so only the
+    /// callers that rank by it run it: [`Octopus::influence_curve`] and the
+    /// shard merge.
+    fn prefix_spreads(&self, gamma: &TopicDistribution, seeds: &[NodeId]) -> Result<Vec<f64>> {
+        let probs = self.graph.materialize(gamma.as_slice())?;
+        Ok((1..=seeds.len())
+            .map(|k| {
+                octopus_mia::mia_spread_set(&self.graph, &probs, &seeds[..k], self.config.mia_theta)
+            })
+            .collect())
+    }
+
+    // ------------------------------------------------------------------
+    // The five operators. Each has one body, taking a `QueryBudget`; the
+    // exact answer is what that body returns when the budget does not
+    // bind, and the reported `QualityBound` is exact iff nothing was
+    // truncated. At a fixed *sample* budget every body is a deterministic
+    // function of the snapshot (per-set RR streams, pinned candidate/axis
+    // orders); deadlines are checked only at deterministic chunk
+    // boundaries. The budget-less public methods below are the exact
+    // kernels themselves or one-line unlimited conveniences.
+    // ------------------------------------------------------------------
+
+    /// Keyword-based influence maximization for an already-resolved `γ`
+    /// under `budget` — the one selection every influencer query bottoms
+    /// out in. An unlimited budget runs the configured KIM engine behind
+    /// the query cache and is exact. A finite budget runs the budgeted OPIM
+    /// sampler — the one estimator with a certificate — whatever engine is
+    /// configured; its Chernoff bounds become the [`QualityBound`], and it
+    /// bypasses the query cache in both directions: degraded answers must
+    /// not poison exact ones, and a cached exact answer would make the
+    /// degraded path nondeterministic in the budget.
+    ///
+    /// The third element is the estimator's per-seed marginal gains, which
+    /// OPIM produces for free; it is empty on the exact arm.
+    fn select(
+        &self,
+        gamma: &TopicDistribution,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<(KimResult, QualityBound, Vec<f64>)> {
         if k == 0 {
             return Err(CoreError::ZeroK);
         }
         self.graph.check_gamma(gamma.as_slice())?;
+        if !budget.is_unlimited() {
+            let start = Instant::now();
+            let probs = self.graph.materialize(gamma.as_slice())?;
+            let opts = octopus_cascade::OpimOptions {
+                k,
+                ..octopus_cascade::OpimOptions::default()
+            };
+            let ob = octopus_cascade::OpimBudget {
+                max_rr_sets: budget.samples,
+                deadline: budget.deadline_from(start),
+            };
+            let res = octopus_cascade::opim_select_budgeted(&self.graph, &probs, &opts, &ob);
+            let bound = QualityBound::degraded(
+                res.spread_lower,
+                res.opt_upper.min(self.graph.node_count() as f64),
+                res.rr_sets,
+            );
+            let result = KimResult {
+                seeds: res.seeds,
+                spread: res.spread,
+                stats: KimStats {
+                    exact_evaluations: res.rr_sets,
+                    ..KimStats::default()
+                },
+            };
+            return Ok((result, bound, res.gains));
+        }
         if let Some(mut hit) = self.cache.get(gamma, k) {
             hit.stats.answered_from_cache = true;
-            return Ok(hit);
+            let bound = QualityBound::exact(hit.spread);
+            return Ok((hit, bound, Vec::new()));
         }
         let res = match self.config.kim {
             KimEngineChoice::Naive => NaiveKim::new(&self.graph).select(gamma, k),
@@ -746,19 +789,7 @@ impl Octopus {
                     .expect("MIS section present in mapped artifact")
                     .select(gamma, k),
             },
-            KimEngineChoice::BestEffort(bound) => {
-                let pb = self.pb_source()?;
-                offline::run_best_effort(
-                    &self.graph,
-                    bound,
-                    pb,
-                    self.spread_cap(),
-                    &self.config,
-                    gamma,
-                    k,
-                    &[],
-                )
-            }
+            KimEngineChoice::BestEffort(bound) => self.best_effort(bound, gamma, k, &[])?,
             KimEngineChoice::TopicSample {
                 bound, direct_eps, ..
             } => {
@@ -766,52 +797,90 @@ impl Octopus {
                 // — the samples are immutable offline artifacts, so the
                 // query path never clones them); direct-answer rule shared
                 // with the TopicSampleKim engine via the topic_sample helpers
-                let pb = self.pb_source()?;
                 let samples = self.topic_samples();
-                match topic_sample::nearest_sample(samples, gamma) {
-                    Some((idx, dist)) => {
-                        topic_sample::direct_answer(samples, idx, dist, direct_eps, k)
-                            .unwrap_or_else(|| {
-                                let warm: Vec<NodeId> =
-                                    samples[idx].seeds.iter().copied().take(k.max(1)).collect();
-                                offline::run_best_effort(
-                                    &self.graph,
-                                    bound,
-                                    pb,
-                                    self.spread_cap(),
-                                    &self.config,
-                                    gamma,
-                                    k,
-                                    &warm,
-                                )
-                            })
+                let nearest = topic_sample::nearest_sample(samples, gamma);
+                let direct = nearest.and_then(|(idx, dist)| {
+                    topic_sample::direct_answer(samples, idx, dist, direct_eps, k)
+                });
+                match direct {
+                    Some(res) => res,
+                    None => {
+                        // warm-start from the nearest sample's seeds, if any
+                        let warm: Vec<NodeId> = nearest.map_or_else(Vec::new, |(idx, _)| {
+                            samples[idx].seeds.iter().copied().take(k.max(1)).collect()
+                        });
+                        self.best_effort(bound, gamma, k, &warm)?
                     }
-                    None => offline::run_best_effort(
-                        &self.graph,
-                        bound,
-                        pb,
-                        self.spread_cap(),
-                        &self.config,
-                        gamma,
-                        k,
-                        &[],
-                    ),
                 }
             }
         };
         self.cache.put(gamma.clone(), k, res.clone());
-        Ok(res)
+        let bound = QualityBound::exact(res.spread);
+        Ok((res, bound, Vec::new()))
     }
 
-    /// Scenario 1: keyword-based influential user discovery.
-    pub fn find_influencers(&self, query: &str, k: usize) -> Result<KimAnswer> {
-        let (keywords, unknown) = self.model.vocab().resolve_query(query);
-        if keywords.is_empty() {
-            return Err(CoreError::NoKnownKeywords { unknown });
-        }
-        let gamma = self.model.infer(&keywords)?;
+    /// One best-effort selection against whichever PB table form is
+    /// resident, warm-started from `warm`.
+    fn best_effort(
+        &self,
+        bound: BoundKind,
+        gamma: &TopicDistribution,
+        k: usize,
+        warm: &[NodeId],
+    ) -> Result<KimResult> {
+        Ok(offline::run_best_effort(
+            &self.graph,
+            bound,
+            self.pb_source()?,
+            self.spread_cap(),
+            &self.config,
+            gamma,
+            k,
+            warm,
+        ))
+    }
+
+    /// [`Octopus::select`] plus the selection's prefix-spread curve
+    /// (`curve[i]` = spread of the first `i + 1` seeds) — what the shard
+    /// merge ranks by. Exact: the MIA prefix spreads; finite budget: the
+    /// running left-to-right sum of the estimator's own gains.
+    pub(crate) fn select_with_curve(
+        &self,
+        gamma: &TopicDistribution,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<(KimResult, QualityBound, Vec<f64>)> {
+        let (result, bound, gains) = self.select(gamma, k, budget)?;
+        let curve = if bound.exact {
+            self.prefix_spreads(gamma, &result.seeds)?
+        } else {
+            gains
+                .iter()
+                .scan(0.0, |sum, gain| {
+                    *sum += gain;
+                    Some(*sum)
+                })
+                .collect()
+        };
+        Ok((result, bound, curve))
+    }
+
+    /// Keyword-based influence maximization with an already-resolved `γ`.
+    pub fn find_influencers_gamma(&self, gamma: &TopicDistribution, k: usize) -> Result<KimResult> {
+        Ok(self.select(gamma, k, &QueryBudget::unlimited())?.0)
+    }
+
+    /// Scenario 1 under `budget`: resolve the keywords, select, name the
+    /// seeds.
+    pub(crate) fn influencers(
+        &self,
+        query: &str,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<Anytime<KimAnswer>> {
+        let (keywords, unknown, gamma) = resolve_gamma(&self.model, Some(query))?;
         let start = Instant::now();
-        let result = self.find_influencers_gamma(&gamma, k)?;
+        let (result, bound, _) = self.select(&gamma, k, budget)?;
         let elapsed = start.elapsed();
         let seeds = result
             .seeds
@@ -819,22 +888,43 @@ impl Octopus {
             .enumerate()
             .map(|(rank, &node)| SeedInfo {
                 node,
-                name: self
-                    .graph
-                    .name(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| node.0.to_string()),
+                name: self.display_name(node),
                 rank,
             })
             .collect();
-        Ok(KimAnswer {
-            keywords,
-            unknown,
-            gamma,
-            seeds,
-            result,
-            elapsed,
+        Ok(Anytime {
+            value: KimAnswer {
+                keywords,
+                unknown,
+                gamma,
+                seeds,
+                result,
+                elapsed,
+            },
+            bound,
         })
+    }
+
+    /// Scenario 1: keyword-based influential user discovery.
+    pub fn find_influencers(&self, query: &str, k: usize) -> Result<KimAnswer> {
+        Ok(self.influencers(query, k, &QueryBudget::unlimited())?.value)
+    }
+
+    /// The user's display name (numeric fallback for anonymous graphs).
+    fn display_name(&self, node: NodeId) -> String {
+        self.graph
+            .name(node)
+            .map_or_else(|| node.0.to_string(), str::to_string)
+    }
+
+    /// Resolve a user name: the trie's exact lookup first, then the graph's.
+    pub(crate) fn resolve_user(&self, name: &str) -> Result<NodeId> {
+        let hit = match &self.store {
+            ArtifactStore::Owned(a) => a.names.lookup(name),
+            ArtifactStore::Mapped { art, .. } => art.trie_view().lookup(name),
+        };
+        hit.or_else(|| self.graph.node_by_name(name))
+            .ok_or_else(|| CoreError::UnknownUser(name.to_string()))
     }
 
     /// Keyword candidates for a user: log-provided if available, otherwise
@@ -869,266 +959,30 @@ impl Octopus {
         out
     }
 
-    /// Scenario 2: personalized influential keyword suggestion by user name.
-    pub fn suggest_keywords(&self, user: &str, k: usize) -> Result<SuggestAnswer> {
-        let node = self
-            .name_lookup(user)
-            .or_else(|| self.graph.node_by_name(user))
-            .ok_or_else(|| CoreError::UnknownUser(user.to_string()))?;
-        self.suggest_keywords_for(node, k)
-    }
-
-    /// Scenario 2 by node id.
-    pub fn suggest_keywords_for(&self, user: NodeId, k: usize) -> Result<SuggestAnswer> {
-        self.graph.check_node(user)?;
-        let candidates = self.keyword_candidates(user);
-        let start = Instant::now();
-        let index: crate::piks::PiksHandle<'_> = match &self.store {
-            ArtifactStore::Owned(a) => (&a.piks_index).into(),
-            ArtifactStore::Mapped { art, .. } => art.piks_view()?.into(),
-        };
-        let engine = GreedyPiks::new(&self.graph, &self.model, index, self.config.piks.clone());
-        let result = engine.suggest(user, &candidates, k)?;
-        let elapsed = start.elapsed();
-        let words = result
-            .keywords
-            .iter()
-            .map(|&w| self.model.vocab().word(w).map(str::to_string))
-            .collect::<octopus_topics::Result<Vec<_>>>()?;
-        let radar = octopus_topics::radar::keyword_set_radar(&self.model, &result.keywords)?;
-        Ok(SuggestAnswer {
-            user,
-            user_name: self
-                .graph
-                .name(user)
-                .map(str::to_string)
-                .unwrap_or_else(|| user.0.to_string()),
-            words,
-            result,
-            radar,
-            elapsed,
-        })
-    }
-
-    /// Scenario 3: influential path exploration by user name. `query` may
-    /// narrow the analysis to a keyword topic; `None` explores under the
-    /// topic prior.
-    pub fn explore_paths(
-        &self,
-        user: &str,
-        direction: ExploreDirection,
-        query: Option<&str>,
-    ) -> Result<PathExploration> {
-        let node = self
-            .name_lookup(user)
-            .or_else(|| self.graph.node_by_name(user))
-            .ok_or_else(|| CoreError::UnknownUser(user.to_string()))?;
-        let gamma = match query {
-            Some(q) => {
-                let (ws, unknown) = self.model.vocab().resolve_query(q);
-                if ws.is_empty() {
-                    return Err(CoreError::NoKnownKeywords { unknown });
-                }
-                self.model.infer(&ws)?
-            }
-            None => TopicDistribution::from_weights(
-                (0..self.model.num_topics())
-                    .map(|z| self.model.topic_prior(z))
-                    .collect(),
-            )
-            .map_err(CoreError::Topic)?,
-        };
-        explore(
-            &self.graph,
-            node,
-            &gamma,
-            self.config.mia_theta,
-            direction,
-            self.config.top_paths,
-        )
-    }
-
-    /// Name auto-completion.
-    pub fn autocomplete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
-        self.name_complete(prefix, limit)
-    }
-
-    /// Radar chart for one keyword (UI keyword interpretation).
-    pub fn keyword_radar(&self, word: &str) -> Result<RadarChart> {
-        let w = self.model.vocab().require(word)?;
-        Ok(keyword_radar(&self.model, w)?)
-    }
-
-    // ------------------------------------------------------------------
-    // Anytime (budgeted) operator variants.
-    //
-    // Every variant dispatches to the exact path unchanged when the budget
-    // is unlimited (so an infinite budget is bit-identical to the exact
-    // operator), and otherwise returns a best-so-far answer with a
-    // `QualityBound`. Finite-budget answers bypass the query cache in both
-    // directions: they must not poison exact answers, and a cached exact
-    // answer would make the degraded path nondeterministic in the budget.
-    // At a fixed *sample* budget every variant is a deterministic function
-    // of the snapshot (per-set RR streams, pinned candidate/axis orders);
-    // deadlines are checked only at deterministic chunk boundaries.
-    // ------------------------------------------------------------------
-
-    /// [`Octopus::find_influencers_gamma`] under a [`QueryBudget`], also
-    /// reporting per-seed marginal gains (what a scatter-gather merge
-    /// ranks by). The finite-budget path runs the budgeted OPIM sampler —
-    /// the one estimator with a certificate — regardless of the
-    /// configured engine; its Chernoff bounds become the
-    /// [`QualityBound`].
-    pub fn find_influencers_budgeted_gamma(
-        &self,
-        gamma: &TopicDistribution,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<(KimResult, QualityBound, Vec<f64>)> {
-        if k == 0 {
-            return Err(CoreError::ZeroK);
-        }
-        self.graph.check_gamma(gamma.as_slice())?;
-        if budget.is_unlimited() {
-            let result = self.find_influencers_gamma(gamma, k)?;
-            // exact per-seed gains from the MIA prefix curve, consistent
-            // with influence_curve()
-            let probs = self.graph.materialize(gamma.as_slice())?;
-            let mut gains = Vec::with_capacity(result.seeds.len());
-            let mut prev = 0.0;
-            for i in 1..=result.seeds.len() {
-                let s = octopus_mia::mia_spread_set(
-                    &self.graph,
-                    &probs,
-                    &result.seeds[..i],
-                    self.config.mia_theta,
-                );
-                gains.push((s - prev).max(0.0));
-                prev = s;
-            }
-            let bound = QualityBound::exact(result.spread);
-            return Ok((result, bound, gains));
-        }
-        let start = Instant::now();
-        let probs = self.graph.materialize(gamma.as_slice())?;
-        let opts = octopus_cascade::OpimOptions {
-            k,
-            ..octopus_cascade::OpimOptions::default()
-        };
-        let ob = octopus_cascade::OpimBudget {
-            max_rr_sets: budget.samples,
-            deadline: budget.deadline_from(start),
-        };
-        let res = octopus_cascade::opim_select_budgeted(&self.graph, &probs, &opts, &ob);
-        let bound = QualityBound::degraded(
-            res.spread_lower,
-            res.opt_upper.min(self.graph.node_count() as f64),
-            res.rr_sets,
-        );
-        let result = KimResult {
-            seeds: res.seeds,
-            spread: res.spread,
-            stats: KimStats {
-                exact_evaluations: res.rr_sets,
-                ..KimStats::default()
-            },
-        };
-        Ok((result, bound, res.gains))
-    }
-
-    /// Scenario 1 under a [`QueryBudget`].
-    pub fn find_influencers_budgeted(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<Anytime<KimAnswer>> {
-        let (keywords, unknown) = self.model.vocab().resolve_query(query);
-        if keywords.is_empty() {
-            return Err(CoreError::NoKnownKeywords { unknown });
-        }
-        let gamma = self.model.infer(&keywords)?;
-        let start = Instant::now();
-        let (result, bound, _gains) = self.find_influencers_budgeted_gamma(&gamma, k, budget)?;
-        let elapsed = start.elapsed();
-        let seeds = result
-            .seeds
-            .iter()
-            .enumerate()
-            .map(|(rank, &node)| SeedInfo {
-                node,
-                name: self
-                    .graph
-                    .name(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| node.0.to_string()),
-                rank,
-            })
-            .collect();
-        Ok(Anytime {
-            value: KimAnswer {
-                keywords,
-                unknown,
-                gamma,
-                seeds,
-                result,
-                elapsed,
-            },
-            bound,
-        })
-    }
-
-    /// Scenario 2 under a [`QueryBudget`], by user name.
-    pub fn suggest_keywords_budgeted(
-        &self,
-        user: &str,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<Anytime<SuggestAnswer>> {
-        let node = self
-            .name_lookup(user)
-            .or_else(|| self.graph.node_by_name(user))
-            .ok_or_else(|| CoreError::UnknownUser(user.to_string()))?;
-        self.suggest_keywords_for_budgeted(node, k, budget)
-    }
-
-    /// Scenario 2 under a [`QueryBudget`], by node id.
+    /// Scenario 2 under `budget`, by node id.
     ///
     /// The sample budget caps how many keyword candidates the greedy
     /// scores, taken as a *prefix* of the pinned candidate order (so a
     /// fixed budget is deterministic); under a deadline the candidate
-    /// prefix doubles per chunk, keeping the last completed answer. The
-    /// bound's lower edge is the degraded answer's own spread (the exact
-    /// greedy anchors at the best singleton of a candidate superset);
-    /// the upper edge is the engine's global MIA spread cap.
-    pub fn suggest_keywords_for_budgeted(
+    /// prefix doubles per chunk, keeping the last completed answer. With
+    /// no limit the cap is every candidate and the greedy runs once. The
+    /// answer is exact iff the last pass scored every candidate; otherwise
+    /// the bound's lower edge is the degraded answer's own spread (the
+    /// exact greedy anchors at the best singleton of a candidate superset)
+    /// and the upper edge is the engine's global MIA spread cap.
+    pub(crate) fn suggestions(
         &self,
         user: NodeId,
         k: usize,
         budget: &QueryBudget,
     ) -> Result<Anytime<SuggestAnswer>> {
-        if budget.is_unlimited() {
-            let ans = self.suggest_keywords_for(user, k)?;
-            let spread = ans.result.spread;
-            return Ok(Anytime::exact(ans, spread));
-        }
         self.graph.check_node(user)?;
         let candidates = self.keyword_candidates(user);
-        if candidates.is_empty() {
-            return Err(CoreError::NoCandidates {
-                user: self
-                    .graph
-                    .name(user)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| user.0.to_string()),
-            });
-        }
         let start = Instant::now();
         let deadline = budget.deadline_from(start);
         let cap = candidates
             .len()
-            .min(budget.samples.unwrap_or(usize::MAX))
-            .max(1);
+            .min(budget.samples.unwrap_or(usize::MAX).max(1));
         let index: crate::piks::PiksHandle<'_> = match &self.store {
             ArtifactStore::Owned(a) => (&a.piks_index).into(),
             ArtifactStore::Mapped { art, .. } => art.piks_view()?.into(),
@@ -1153,68 +1007,56 @@ impl Octopus {
             .map(|&w| self.model.vocab().word(w).map(str::to_string))
             .collect::<octopus_topics::Result<Vec<_>>>()?;
         let radar = octopus_topics::radar::keyword_set_radar(&self.model, &result.keywords)?;
-        let bound = QualityBound::degraded(result.spread, self.spread_cap(), m);
-        let ans = SuggestAnswer {
+        let bound = if m == candidates.len() {
+            QualityBound::exact(result.spread)
+        } else {
+            QualityBound::degraded(result.spread, self.spread_cap(), m)
+        };
+        let value = SuggestAnswer {
             user,
-            user_name: self
-                .graph
-                .name(user)
-                .map(str::to_string)
-                .unwrap_or_else(|| user.0.to_string()),
+            user_name: self.display_name(user),
             words,
             result,
             radar,
             elapsed,
         };
-        Ok(Anytime { value: ans, bound })
+        Ok(Anytime { value, bound })
     }
 
-    /// Scenario 3 under a [`QueryBudget`].
+    /// Scenario 2: personalized influential keyword suggestion by user name.
+    pub fn suggest_keywords(&self, user: &str, k: usize) -> Result<SuggestAnswer> {
+        self.suggest_keywords_for(self.resolve_user(user)?, k)
+    }
+
+    /// Scenario 2 by node id.
+    pub fn suggest_keywords_for(&self, user: NodeId, k: usize) -> Result<SuggestAnswer> {
+        Ok(self.suggestions(user, k, &QueryBudget::unlimited())?.value)
+    }
+
+    /// Scenario 3 under `budget`, by node id. `query` may narrow the
+    /// analysis to a keyword topic; `None` explores under the topic prior.
     ///
     /// The sample budget raises the effective MIA threshold to
     /// `max(mia_theta, 1/samples)`, shrinking the tree the exploration
     /// walks; under a deadline the threshold descends geometrically from
-    /// a coarse start, keeping the last completed tree. The bound is the
-    /// MIA truncation argument: a node missing from a `θ`-truncated tree
-    /// contributes `< θ` influence each, so the exact influence lies in
-    /// `[influence, influence + θ_eff·(n − reached)]`.
-    pub fn explore_paths_budgeted(
+    /// a coarse start, keeping the last completed tree. With no limit the
+    /// one walk runs at `mia_theta`, and any walk that got there is exact.
+    /// Otherwise the bound is the MIA truncation argument: a node missing
+    /// from a `θ`-truncated tree contributes `< θ` influence each, so the
+    /// exact influence lies in `[influence, influence + θ_eff·(n − reached)]`.
+    pub(crate) fn paths(
         &self,
-        user: &str,
+        node: NodeId,
         direction: ExploreDirection,
         query: Option<&str>,
         budget: &QueryBudget,
     ) -> Result<Anytime<PathExploration>> {
-        if budget.is_unlimited() {
-            let ex = self.explore_paths(user, direction, query)?;
-            let influence = ex.influence;
-            return Ok(Anytime::exact(ex, influence));
-        }
-        let node = self
-            .name_lookup(user)
-            .or_else(|| self.graph.node_by_name(user))
-            .ok_or_else(|| CoreError::UnknownUser(user.to_string()))?;
-        let gamma = match query {
-            Some(q) => {
-                let (ws, unknown) = self.model.vocab().resolve_query(q);
-                if ws.is_empty() {
-                    return Err(CoreError::NoKnownKeywords { unknown });
-                }
-                self.model.infer(&ws)?
-            }
-            None => TopicDistribution::from_weights(
-                (0..self.model.num_topics())
-                    .map(|z| self.model.topic_prior(z))
-                    .collect(),
-            )
-            .map_err(CoreError::Topic)?,
-        };
-        let start = Instant::now();
-        let deadline = budget.deadline_from(start);
+        let (_, _, gamma) = resolve_gamma(&self.model, query)?;
+        let deadline = budget.deadline_from(Instant::now());
+        let theta_exact = self.config.mia_theta;
         let theta_target = budget
             .samples
-            .map(|s| (1.0 / s.max(1) as f64).max(self.config.mia_theta))
-            .unwrap_or(self.config.mia_theta);
+            .map_or(theta_exact, |s| (1.0 / s.max(1) as f64).max(theta_exact));
         let run = |theta: f64| {
             explore(
                 &self.graph,
@@ -1235,8 +1077,7 @@ impl Octopus {
             theta = (theta / 8.0).max(theta_target);
             ex = run(theta)?;
         }
-        if theta <= self.config.mia_theta {
-            // the walk ran at the exact threshold: nothing was degraded
+        if theta <= theta_exact {
             let influence = ex.influence;
             return Ok(Anytime::exact(ex, influence));
         }
@@ -1246,39 +1087,47 @@ impl Octopus {
         Ok(Anytime { value: ex, bound })
     }
 
-    /// Name auto-completion under a [`QueryBudget`]. Trie walks are
-    /// sublinear and never degraded — every budget returns the exact
-    /// completion list (the bound's value is the hit count).
-    pub fn autocomplete_budgeted(
+    /// Scenario 3: influential path exploration by user name.
+    pub fn explore_paths(
         &self,
-        prefix: &str,
-        limit: usize,
-        _budget: &QueryBudget,
-    ) -> Anytime<Vec<(NodeId, String, f64)>> {
-        let hits = self.name_complete(prefix, limit);
-        let score = hits.len() as f64;
-        Anytime::exact(hits, score)
+        user: &str,
+        direction: ExploreDirection,
+        query: Option<&str>,
+    ) -> Result<PathExploration> {
+        let node = self.resolve_user(user)?;
+        Ok(self
+            .paths(node, direction, query, &QueryBudget::unlimited())?
+            .value)
     }
 
-    /// Keyword radar under a [`QueryBudget`]. The sample budget keeps the
-    /// top-`b` axes by mass (ties to the lower axis index) and zeroes the
-    /// rest without renormalizing; kept mass bounds the chart's total
-    /// mass from below, kept mass plus `(axes − b)` copies of the
-    /// smallest kept value from above. Deadlines never bind (the chart
-    /// is one vocabulary row). Always completes; never degraded when
-    /// `b ≥ axes`.
-    pub fn keyword_radar_budgeted(
-        &self,
-        word: &str,
-        budget: &QueryBudget,
-    ) -> Result<Anytime<RadarChart>> {
+    /// Name auto-completion against whichever trie form is resident. Trie
+    /// walks are sublinear, so no budget ever degrades them.
+    pub fn autocomplete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
+        match &self.store {
+            ArtifactStore::Owned(a) => a.names.complete(prefix, limit),
+            ArtifactStore::Mapped { art, .. } => art.trie_view().complete(prefix, limit),
+        }
+    }
+
+    /// Radar chart for one keyword (UI keyword interpretation).
+    pub fn keyword_radar(&self, word: &str) -> Result<RadarChart> {
+        let w = self.model.vocab().require(word)?;
+        Ok(keyword_radar(&self.model, w)?)
+    }
+
+    /// Keyword radar under `budget`. The sample budget keeps the top-`b`
+    /// axes by mass (ties to the lower axis index) and zeroes the rest
+    /// without renormalizing; kept mass bounds the chart's total mass
+    /// from below, kept mass plus `(axes − b)` copies of the smallest kept
+    /// value from above. Deadlines never bind (the chart is one
+    /// vocabulary row). Exact whenever `b ≥ axes`.
+    pub(crate) fn radar(&self, word: &str, budget: &QueryBudget) -> Result<Anytime<RadarChart>> {
         let chart = self.keyword_radar(word)?;
         let total: f64 = chart.values.iter().sum();
-        let b = budget.samples.unwrap_or(usize::MAX);
-        if budget.is_unlimited() || b >= chart.values.len() {
+        let b = budget.samples.unwrap_or(usize::MAX).max(1);
+        if b >= chart.values.len() {
             return Ok(Anytime::exact(chart, total));
         }
-        let b = b.max(1);
         // top-b axes by value, ties to the lower axis index
         let mut order: Vec<usize> = (0..chart.values.len()).collect();
         order.sort_by(|&i, &j| {
@@ -1315,6 +1164,28 @@ impl Octopus {
             .map(|r| Ok((self.model.vocab().word(r.keyword)?.to_string(), r.score)))
             .collect()
     }
+}
+
+/// Resolve a free-text keyword query to `(keywords, unknown words, γ)`;
+/// `None` is the topic prior. Shared with the shard router, which
+/// resolves once and scatters the `γ`.
+pub(crate) fn resolve_gamma(
+    model: &TopicModel,
+    query: Option<&str>,
+) -> Result<(Vec<KeywordId>, Vec<String>, TopicDistribution)> {
+    let Some(query) = query else {
+        let prior = (0..model.num_topics())
+            .map(|z| model.topic_prior(z))
+            .collect();
+        let gamma = TopicDistribution::from_weights(prior).map_err(CoreError::Topic)?;
+        return Ok((Vec::new(), Vec::new(), gamma));
+    };
+    let (keywords, unknown) = model.vocab().resolve_query(query);
+    if keywords.is_empty() {
+        return Err(CoreError::NoKnownKeywords { unknown });
+    }
+    let gamma = model.infer(&keywords)?;
+    Ok((keywords, unknown, gamma))
 }
 
 /// Graph/model agreement check shared by both construction paths.

@@ -7,12 +7,12 @@
 //! changing. [`OctopusService`] is the piece between the engine and the
 //! connection handlers:
 //!
-//! * **Readers** open [`Session`]s and issue the paper's online operators
-//!   (`find_influencers`, `suggest_keywords`, `explore_paths`,
-//!   `autocomplete`, `keyword_radar`); every query grabs the current
-//!   engine snapshot from an [`EpochCell`] — no lock, no waiting on
-//!   writers — and is answered entirely on that snapshot, stamped with
-//!   the epoch id and latency ([`Served`]).
+//! * **Readers** [`execute`](QueryService::execute) [`Query`] values —
+//!   one per online operator of the paper — on the service itself or on
+//!   a per-client [`Session`]; every query grabs the current engine
+//!   snapshot from an [`EpochCell`] — no lock, no waiting on writers —
+//!   and is answered entirely on that snapshot, stamped with the epoch
+//!   id and latency ([`Served`]).
 //! * **Writers** [`submit`](OctopusService::submit)
 //!   [`GraphDelta`] mutations. Deltas queue up; a flush —
 //!   [`apply_pending`](OctopusService::apply_pending), called directly or
@@ -64,7 +64,7 @@ pub use query::{DeltaCounters, Query, QueryResponse, QueryService};
 pub use session::{OpStats, Operator, Served, Session, SessionStats};
 pub use shard::{ShardSwap, ShardedService, ShardedStats};
 
-use crate::budget::PriorityClass;
+use crate::budget::QueryBudget;
 use crate::engine::Octopus;
 use crate::offline::StageReuse;
 use crate::Result;
@@ -146,7 +146,7 @@ pub struct ServiceStats {
     /// total across classes. Always equals the number of `Overloaded`
     /// errors sessions observed (pinned by `tests/admission.rs`).
     pub queries_shed: u64,
-    /// Per-class shed counts, [`PriorityClass::ALL`] order.
+    /// Per-class shed counts, [`PriorityClass::ALL`](crate::PriorityClass::ALL) order.
     pub shed_by_class: [u64; 3],
 }
 
@@ -243,14 +243,31 @@ impl OctopusService {
         self
     }
 
-    /// Acquire an execution slot for a query of `class`: `Ok(None)` when
-    /// admission is off, `Ok(Some(permit))` once admitted (possibly after
-    /// waiting in the class queue), `Err(Overloaded)` when shed.
-    pub(crate) fn admit(&self, class: PriorityClass) -> Result<Option<Permit<'_>>> {
-        match &self.admission {
-            None => Ok(None),
-            Some(ctl) => ctl.admit(class).map(Some),
-        }
+    /// The one admit → snapshot-or-pin → run → stamp routine behind both
+    /// [`Session::execute`] and this service's [`QueryService::execute`].
+    ///
+    /// Admission ([`admit`]) comes first: a shed query (the outer `Err`)
+    /// never grabs a snapshot or executes. An admitted query runs on
+    /// `pinned` if given, else on the live epoch, and is stamped with the
+    /// id of the snapshot that actually answered it and the latency the
+    /// client observed, admission wait included — whether the operator
+    /// itself (the inner `Result`) succeeded or not.
+    pub(crate) fn run(
+        &self,
+        pinned: Option<&Arc<Epoch>>,
+        query: &Query,
+        budget: &QueryBudget,
+    ) -> Result<Served<Result<QueryResponse>>> {
+        let start = Instant::now();
+        let _permit = admit(&self.admission, query, budget)?;
+        let epoch = pinned.map_or_else(|| self.snapshot(), Arc::clone);
+        let value = epoch.engine.execute(query, budget);
+        self.queries_served.fetch_add(1, SeqCst);
+        Ok(Served {
+            value,
+            epoch: epoch.id,
+            latency: start.elapsed(),
+        })
     }
 
     /// The currently serving epoch. The returned handle stays valid (and
@@ -432,9 +449,24 @@ impl OctopusService {
             shed_by_class: shed,
         }
     }
+}
 
-    pub(crate) fn note_query(&self) {
-        self.queries_served.fetch_add(1, SeqCst);
+/// The admission step of both serving layers: hold an execution slot of
+/// the budget's class for as long as the returned permit lives, or shed
+/// with [`CoreError::Overloaded`](crate::CoreError). `None` — run
+/// unconditionally — when the layer has no controller, and for
+/// autocomplete always: a sublinear trie walk costs less than the queue
+/// it would wait in, and bypassing keeps it genuinely infallible.
+fn admit<'a>(
+    admission: &'a Option<AdmissionController>,
+    query: &Query,
+    budget: &QueryBudget,
+) -> Result<Option<Permit<'a>>> {
+    match admission {
+        Some(ctl) if query.operator() != Operator::Autocomplete => {
+            ctl.admit(budget.class).map(Some)
+        }
+        _ => Ok(None),
     }
 }
 

@@ -1,21 +1,15 @@
-//! The unified query surface: one [`Query`] value in, one
-//! [`QueryResponse`] out, through a single
-//! [`execute`](QueryService::execute) entry point both serving layers
-//! implement.
+//! The query surface: one [`Query`] value in, one [`QueryResponse`] out,
+//! through the single [`execute`](QueryService::execute) entry point
+//! every layer implements — the engine ([`Octopus::execute`]), a
+//! [`Session`](super::Session), [`OctopusService`] and
+//! [`ShardedService`](super::ShardedService).
 //!
-//! Historically each of the five operators existed as a plain and a
-//! budgeted method on three surfaces ([`Octopus`],
-//! [`Session`](super::Session), [`ShardedService`]) — ~30 near-duplicate
-//! signatures that every generic caller (the load generator, the ingest
-//! driver) had to re-dispatch over. [`QueryService`] collapses that to
-//! one call: the query names the operator and its arguments, the
-//! [`QueryBudget`] carries the limits and the priority class, and the
-//! response is an [`Anytime`] answer — exact whenever the budget is
-//! unlimited, since every budgeted path routes unlimited budgets to the
-//! exact operators (pinned by `tests/anytime.rs` and
-//! `tests/query_api.rs`). The legacy per-operator methods survive as
-//! thin wrappers over `execute`, bit-identical to what they always
-//! returned.
+//! The query names the operator and its arguments, the [`QueryBudget`]
+//! carries the limits and the priority class, and the response is an
+//! [`Anytime`] answer whose bound is exact whenever the budget did not
+//! bind (always, for an unlimited one). `tests/anytime.rs` pins
+//! `execute` under an unlimited budget, on all three layers, against
+//! the operator kernels called directly.
 //!
 //! The trait also folds in the delta side ([`submit_delta`]
 //! (QueryService::submit_delta) / [`flush_deltas`]
@@ -23,7 +17,7 @@
 //! racing live ingestion — needs exactly one capability, whatever the
 //! layer underneath.
 
-use super::shard::{ShardSwap, ShardedService};
+use super::shard::ShardSwap;
 use super::{OctopusService, Operator, Served};
 use crate::budget::{Anytime, QueryBudget};
 use crate::engine::{KimAnswer, Octopus, SuggestAnswer};
@@ -32,7 +26,6 @@ use crate::Result;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::NodeId;
 use octopus_topics::radar::RadarChart;
-use std::time::Instant;
 
 /// One of the five online operators plus its arguments, as a value —
 /// the request half of the unified surface.
@@ -40,7 +33,7 @@ use std::time::Instant;
 /// # Example
 ///
 /// The same query runs on any [`QueryService`], and with an unlimited
-/// budget answers exactly like the legacy per-operator method:
+/// budget answers exactly:
 ///
 /// ```
 /// use octopus_core::engine::{Octopus, OctopusConfig};
@@ -67,11 +60,9 @@ use std::time::Instant;
 ///
 /// let query = Query::FindInfluencers { query: "compilers".into(), k: 1 };
 /// let served = service.execute(&query, &QueryBudget::unlimited())?;
-/// let unified = served.value.into_influencers().expect("influencer query");
-/// assert!(unified.bound.exact, "unlimited budgets answer exactly");
-///
-/// let legacy = service.session().find_influencers("compilers", 1)?;
-/// assert_eq!(unified.value.result.seeds, legacy.value.result.seeds);
+/// let answer = served.value.into_influencers().expect("influencer query");
+/// assert!(answer.bound.exact, "unlimited budgets answer exactly");
+/// assert_eq!(answer.value.seeds[0].name, "ada");
 /// # Ok::<(), octopus_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -220,14 +211,13 @@ pub struct DeltaCounters {
 /// What both serving layers offer a flavor-blind caller: execute any
 /// operator under a budget, feed graph deltas, flush them into epoch
 /// swaps, and watch the delta counters. [`OctopusService`] reports as
-/// the degenerate single shard 0; [`ShardedService`] scatter-gathers
+/// the degenerate single shard 0; [`ShardedService`](super::ShardedService) scatter-gathers
 /// and routes flushes per shard.
 pub trait QueryService: Sync {
     /// Serve one query under `budget`. The budget's class drives
     /// admission (autocomplete bypasses the controller on both layers);
     /// its sample/deadline limits bind the anytime machinery — an
-    /// unlimited budget answers bit-identically to the legacy exact
-    /// operators.
+    /// unlimited budget answers exactly.
     fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>>;
 
     /// Queue one graph mutation for the next flush.
@@ -254,58 +244,43 @@ pub trait QueryService: Sync {
 }
 
 impl Octopus {
-    /// Serve one unified [`Query`] on this engine under `budget` —
-    /// the single-engine dispatch both serving layers and the
-    /// [`Session`](super::Session) wrappers bottom out in. Routes to
-    /// the operator's budgeted variant, so an unlimited budget answers
-    /// bit-identically to the exact per-operator methods (pinned by
-    /// `tests/anytime.rs`).
+    /// Serve one unified [`Query`] on this engine under `budget` — the
+    /// single-engine dispatch both serving layers bottom out in. Each
+    /// operator has one body; the answer is exact whenever the budget
+    /// does not bind.
     pub fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<QueryResponse> {
         Ok(match query {
             Query::FindInfluencers { query, k } => {
-                QueryResponse::Influencers(self.find_influencers_budgeted(query, *k, budget)?)
+                QueryResponse::Influencers(self.influencers(query, *k, budget)?)
             }
-            Query::SuggestKeywords { user, k } => {
-                QueryResponse::Suggestions(self.suggest_keywords_budgeted(user, *k, budget)?)
-            }
+            Query::SuggestKeywords { user, k } => QueryResponse::Suggestions(self.suggestions(
+                self.resolve_user(user)?,
+                *k,
+                budget,
+            )?),
             Query::ExplorePaths {
                 user,
                 direction,
                 query,
-            } => QueryResponse::Paths(self.explore_paths_budgeted(
-                user,
+            } => QueryResponse::Paths(self.paths(
+                self.resolve_user(user)?,
                 *direction,
                 query.as_deref(),
                 budget,
             )?),
             Query::Autocomplete { prefix, limit } => {
-                QueryResponse::Completions(self.autocomplete_budgeted(prefix, *limit, budget))
+                let hits = self.autocomplete(prefix, *limit);
+                let count = hits.len() as f64;
+                QueryResponse::Completions(Anytime::exact(hits, count))
             }
-            Query::KeywordRadar { word } => {
-                QueryResponse::Radar(self.keyword_radar_budgeted(word, budget)?)
-            }
+            Query::KeywordRadar { word } => QueryResponse::Radar(self.radar(word, budget)?),
         })
     }
 }
 
 impl QueryService for OctopusService {
     fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
-        let start = Instant::now();
-        // Same admission contract as Session::run: shed before touching
-        // a snapshot, autocomplete bypasses the controller.
-        let _permit = if query.operator() == Operator::Autocomplete {
-            None
-        } else {
-            self.admit(budget.class)?
-        };
-        let epoch = self.snapshot();
-        let outcome = epoch.engine().execute(query, budget);
-        self.note_query();
-        outcome.map(|value| Served {
-            value,
-            epoch: epoch.id(),
-            latency: start.elapsed(),
-        })
+        self.run(None, query, budget)?.transpose()
     }
 
     fn submit_delta(&self, delta: GraphDelta) {
@@ -329,62 +304,6 @@ impl QueryService for OctopusService {
 
     fn edge_count(&self) -> usize {
         self.snapshot().engine().graph().edge_count()
-    }
-
-    fn delta_counters(&self) -> DeltaCounters {
-        let st = self.stats();
-        DeltaCounters {
-            deltas_applied: st.deltas_applied,
-            batches_failed: st.batches_failed,
-            terminal_failures: st.terminal_failures,
-            pending_deltas: st.pending_deltas,
-        }
-    }
-}
-
-impl QueryService for ShardedService {
-    fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
-        match query {
-            Query::FindInfluencers { query, k } => self
-                .find_influencers_budgeted(query, *k, budget)
-                .map(|s| s.map(QueryResponse::Influencers)),
-            Query::SuggestKeywords { user, k } => self
-                .suggest_keywords_budgeted(user, *k, budget)
-                .map(|s| s.map(QueryResponse::Suggestions)),
-            Query::ExplorePaths {
-                user,
-                direction,
-                query,
-            } => self
-                .explore_paths_budgeted(user, *direction, query.as_deref(), budget)
-                .map(|s| s.map(QueryResponse::Paths)),
-            Query::Autocomplete { prefix, limit } => Ok(self
-                .autocomplete_budgeted(prefix, *limit, budget)
-                .map(QueryResponse::Completions)),
-            Query::KeywordRadar { word } => self
-                .keyword_radar_budgeted(word, budget)
-                .map(|s| s.map(QueryResponse::Radar)),
-        }
-    }
-
-    fn submit_delta(&self, delta: GraphDelta) {
-        self.submit(delta);
-    }
-
-    fn submit_deltas(&self, deltas: Vec<GraphDelta>) {
-        self.submit_all(deltas);
-    }
-
-    fn flush_deltas(&self) -> Result<Vec<ShardSwap>> {
-        self.apply_pending()
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedService::shard_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        ShardedService::edge_count(self)
     }
 
     fn delta_counters(&self) -> DeltaCounters {

@@ -1,6 +1,6 @@
 //! Per-client sessions over [`OctopusService`](super::OctopusService):
-//! the paper's online operators, each answer stamped with the epoch that
-//! served it and its observed latency.
+//! [`Session::execute`] answers any [`Query`], each answer stamped with
+//! the epoch that served it and its observed latency.
 //!
 //! A [`Session`] is the unit a connection handler owns — cheap to create,
 //! single-threaded (`&mut self`), accumulating per-operator counters the
@@ -11,16 +11,12 @@
 
 use super::query::{Query, QueryResponse};
 use super::{Epoch, OctopusService};
-use crate::budget::{Anytime, QueryBudget};
-use crate::engine::{KimAnswer, SuggestAnswer};
-use crate::paths::{ExploreDirection, PathExploration};
+use crate::budget::QueryBudget;
 use crate::Result;
-use octopus_graph::NodeId;
-use octopus_topics::radar::RadarChart;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The online operators a session exposes, as stats keys.
+/// The online operators, as stats and admission keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operator {
     /// Scenario 1 — keyword-based influencer discovery.
@@ -80,15 +76,28 @@ pub struct Served<T> {
 }
 
 impl<T> Served<T> {
-    /// Transform the answer, keeping the epoch stamp and latency — how
-    /// the unified-query wrappers unwrap a [`QueryResponse`] variant
-    /// without forging either piece of metadata.
+    /// Transform the answer, keeping the epoch stamp and latency — e.g.
+    /// to unwrap a [`QueryResponse`] variant without forging either piece
+    /// of metadata.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Served<U> {
         Served {
             value: f(self.value),
             epoch: self.epoch,
             latency: self.latency,
         }
+    }
+}
+
+impl<T> Served<Result<T>> {
+    /// An executed query's outcome with its stamp: the operator's error
+    /// surfaces, its answer keeps the epoch and latency.
+    pub(super) fn transpose(self) -> Result<Served<T>> {
+        let (epoch, latency) = (self.epoch, self.latency);
+        self.value.map(|value| Served {
+            value,
+            epoch,
+            latency,
+        })
     }
 }
 
@@ -158,7 +167,6 @@ pub struct Session<'s> {
     service: &'s OctopusService,
     stats: SessionStats,
     pinned: Option<Arc<Epoch>>,
-    budget: QueryBudget,
 }
 
 impl<'s> Session<'s> {
@@ -167,26 +175,12 @@ impl<'s> Session<'s> {
             service,
             stats: SessionStats::default(),
             pinned: None,
-            budget: QueryBudget::unlimited(),
         }
     }
 
     /// The session's accumulated per-operator counters.
     pub fn stats(&self) -> &SessionStats {
         &self.stats
-    }
-
-    /// Set the [`QueryBudget`] every subsequent query carries: its
-    /// priority class drives admission for *all* operators; its
-    /// deadline/sample limits bind the `*_budgeted` variants. Sessions
-    /// start unlimited ([`PriorityClass::Standard`](crate::PriorityClass)).
-    pub fn set_budget(&mut self, budget: QueryBudget) {
-        self.budget = budget;
-    }
-
-    /// The session's current query budget.
-    pub fn budget(&self) -> &QueryBudget {
-        &self.budget
     }
 
     /// Freeze the current epoch for multi-query consistency: until
@@ -209,215 +203,27 @@ impl<'s> Session<'s> {
         self.pinned = None;
     }
 
-    /// The snapshot queries currently run on: the pinned epoch, or the
-    /// service's live one.
-    fn snapshot(&self) -> Arc<Epoch> {
-        match &self.pinned {
-            Some(pin) => Arc::clone(pin),
-            None => self.service.snapshot(),
-        }
-    }
-
-    fn run<T>(
-        &mut self,
-        op: Operator,
-        class: crate::PriorityClass,
-        f: impl FnOnce(&Epoch) -> Result<T>,
-    ) -> Result<Served<T>> {
-        let start = Instant::now();
-        // Admission first: a shed query never grabs a snapshot or
-        // executes. Served::latency includes any admission wait — that
-        // is the latency the client observed. Autocomplete bypasses the
-        // controller (a sublinear trie walk costs less than the queue it
-        // would wait in), which also keeps it genuinely infallible.
-        let _permit = if op == Operator::Autocomplete {
-            None
-        } else {
-            match self.service.admit(class) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.stats.record_shed(op);
-                    return Err(e);
-                }
-            }
-        };
-        let epoch = self.snapshot();
-        let outcome = f(&epoch);
-        let latency = start.elapsed();
-        self.stats.record(op, epoch.id(), latency, outcome.is_ok());
-        self.service.note_query();
-        outcome.map(|value| Served {
-            value,
-            epoch: epoch.id(),
-            latency,
-        })
-    }
-
-    /// Serve one unified [`Query`] under `budget` — the single entry
-    /// point every per-operator method below wraps. The budget's class
-    /// drives admission; its limits bind the anytime machinery, so an
-    /// unlimited budget answers bit-identically to the legacy exact
-    /// operators (pinned by `tests/query_api.rs`). Counted in the
-    /// session stats under [`Query::operator`], like any other query.
+    /// Serve one [`Query`] under `budget` on the pinned epoch, or else
+    /// the live one — the same admission contract as
+    /// [`QueryService::execute`](super::QueryService::execute) on the
+    /// service itself. Counted in the session stats under
+    /// [`Query::operator`]; a shed query counts as issued and failed.
     pub fn execute(
         &mut self,
         query: &Query,
         budget: &QueryBudget,
     ) -> Result<Served<QueryResponse>> {
-        let budget = *budget;
-        self.run(query.operator(), budget.class, |e| {
-            e.engine().execute(query, &budget)
-        })
+        let op = query.operator();
+        match self.service.run(self.pinned.as_ref(), query, budget) {
+            Ok(served) => {
+                self.stats
+                    .record(op, served.epoch, served.latency, served.value.is_ok());
+                served.transpose()
+            }
+            Err(shed) => {
+                self.stats.record_shed(op);
+                Err(shed)
+            }
+        }
     }
-
-    /// The session budget with its limits stripped: what the legacy
-    /// exact operators run under (class kept — admission must treat a
-    /// plain call exactly as before the unified surface existed).
-    fn unlimited(&self) -> QueryBudget {
-        QueryBudget::unlimited().with_class(self.budget.class)
-    }
-
-    /// Scenario 1: keyword-based influential user discovery.
-    pub fn find_influencers(&mut self, query: &str, k: usize) -> Result<Served<KimAnswer>> {
-        let budget = self.unlimited();
-        let q = Query::FindInfluencers {
-            query: query.into(),
-            k,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_influencers()).value))
-    }
-
-    /// Scenario 2: personalized influential keyword suggestion by name.
-    pub fn suggest_keywords(&mut self, user: &str, k: usize) -> Result<Served<SuggestAnswer>> {
-        let budget = self.unlimited();
-        let q = Query::SuggestKeywords {
-            user: user.into(),
-            k,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_suggestions()).value))
-    }
-
-    /// Scenario 3: influential path exploration.
-    pub fn explore_paths(
-        &mut self,
-        user: &str,
-        direction: ExploreDirection,
-        query: Option<&str>,
-    ) -> Result<Served<PathExploration>> {
-        let budget = self.unlimited();
-        let q = Query::ExplorePaths {
-            user: user.into(),
-            direction,
-            query: query.map(str::to_string),
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_paths()).value))
-    }
-
-    /// Name auto-completion (infallible, still counted and epoch-stamped).
-    pub fn autocomplete(
-        &mut self,
-        prefix: &str,
-        limit: usize,
-    ) -> Served<Vec<(NodeId, String, f64)>> {
-        let budget = self.unlimited();
-        let q = Query::Autocomplete {
-            prefix: prefix.into(),
-            limit,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_completions()).value))
-            .expect("autocomplete is infallible")
-    }
-
-    /// Radar chart for one keyword.
-    pub fn keyword_radar(&mut self, word: &str) -> Result<Served<RadarChart>> {
-        let budget = self.unlimited();
-        let q = Query::KeywordRadar { word: word.into() };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_radar()).value))
-    }
-
-    // Anytime variants: the session's [`QueryBudget`] limits apply, and
-    // the answer carries its `QualityBound`. With an unlimited budget
-    // each is bit-identical to the exact operator above.
-
-    /// Scenario 1 under the session budget.
-    pub fn find_influencers_budgeted(
-        &mut self,
-        query: &str,
-        k: usize,
-    ) -> Result<Served<Anytime<KimAnswer>>> {
-        let budget = self.budget;
-        let q = Query::FindInfluencers {
-            query: query.into(),
-            k,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_influencers())))
-    }
-
-    /// Scenario 2 under the session budget.
-    pub fn suggest_keywords_budgeted(
-        &mut self,
-        user: &str,
-        k: usize,
-    ) -> Result<Served<Anytime<SuggestAnswer>>> {
-        let budget = self.budget;
-        let q = Query::SuggestKeywords {
-            user: user.into(),
-            k,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_suggestions())))
-    }
-
-    /// Scenario 3 under the session budget.
-    pub fn explore_paths_budgeted(
-        &mut self,
-        user: &str,
-        direction: ExploreDirection,
-        query: Option<&str>,
-    ) -> Result<Served<Anytime<PathExploration>>> {
-        let budget = self.budget;
-        let q = Query::ExplorePaths {
-            user: user.into(),
-            direction,
-            query: query.map(str::to_string),
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_paths())))
-    }
-
-    /// Name auto-completion under the session budget (never degraded).
-    pub fn autocomplete_budgeted(
-        &mut self,
-        prefix: &str,
-        limit: usize,
-    ) -> Served<Anytime<Vec<(NodeId, String, f64)>>> {
-        let budget = self.budget;
-        let q = Query::Autocomplete {
-            prefix: prefix.into(),
-            limit,
-        };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_completions())))
-            .expect("autocomplete is infallible")
-    }
-
-    /// Keyword radar under the session budget.
-    pub fn keyword_radar_budgeted(&mut self, word: &str) -> Result<Served<Anytime<RadarChart>>> {
-        let budget = self.budget;
-        let q = Query::KeywordRadar { word: word.into() };
-        self.execute(&q, &budget)
-            .map(|s| s.map(|r| unwrap_variant(r.into_radar())))
-    }
-}
-
-/// Execute dispatches on the query variant, so the response variant
-/// always matches the wrapper that built the query.
-fn unwrap_variant<T>(v: Option<T>) -> T {
-    v.expect("dispatch returns the matching variant")
 }

@@ -10,24 +10,25 @@
 //! each shard keeping its own OCTA cache subdirectory keyed by its
 //! subgraph's fingerprint), and routes:
 //!
-//! * **Queries** fan out across shards and merge:
-//!   - `find_influencers` runs the greedy selection on every shard, then
+//! * **Queries** ([`QueryService::execute`], the router's one way in) fan
+//!   out across shards and merge:
+//!   - find-influencers runs the selection on every shard, then
 //!     k-way-merges the per-shard seed sequences by marginal gain —
-//!     recovered from each shard's influence curve — with the
+//!     recovered from each shard's prefix-spread curve — with the
 //!     deterministic tie-break **(gain desc, original node id asc)**, the
 //!     same lower-id-wins rule the single-engine CELF heap applies.
 //!     Because the partition never splits a component and MIA influence
 //!     cannot cross components, the merged ranking is the single-engine
 //!     ranking (pinned by `tests/serve_shard.rs`); the merged spread is
 //!     the sum of the per-shard prefix spreads actually taken.
-//!   - `suggest_keywords` and `explore_paths` are single-owner queries:
-//!     the one shard that knows the user answers, and node ids in the
-//!     answer are lifted back to global coordinates
-//!     ([`Subgraph::lift`], `Arborescence::remap`).
-//!   - `autocomplete` union-merges the per-shard completions under the
+//!   - suggest-keywords and explore-paths are single-owner queries: the
+//!     one shard that knows the user answers, and node ids in the answer
+//!     are lifted back to global coordinates ([`Subgraph::lift`],
+//!     `Arborescence::remap`).
+//!   - autocomplete union-merges the per-shard completions under the
 //!     trie's own ordering (score desc, node id asc) and truncates.
-//!   - `keyword_radar` depends only on the topic model, which every shard
-//!     shares — the degenerate union-merge: shard 0 answers.
+//!   - keyword-radar depends only on the topic model, which every shard
+//!     shares: the per-shard charts merge by elementwise max.
 //! * **Deltas** route to only the shards whose node/edge footprint they
 //!   touch: a flush computes each delta's endpoints against the current
 //!   global graph, rebuilds just the touched shards — concurrently, on
@@ -44,11 +45,13 @@
 //!   nothing, so the shards never serve graphs from different batches.
 
 use super::admission::{AdmissionConfig, AdmissionController};
-use super::{Epoch, Served, SwapReport, MAX_BATCH_RETRIES};
-use crate::budget::{Anytime, PriorityClass, QualityBound, QueryBudget};
-use crate::engine::{KimAnswer, Octopus, OctopusConfig, SeedInfo, SuggestAnswer};
+use super::{
+    DeltaCounters, Epoch, Query, QueryResponse, QueryService, Served, SwapReport, MAX_BATCH_RETRIES,
+};
+use crate::budget::{Anytime, QualityBound, QueryBudget};
+use crate::engine::{resolve_gamma, KimAnswer, Octopus, OctopusConfig, SeedInfo};
 use crate::kim::{KimResult, KimStats};
-use crate::paths::{ExploreDirection, PathExploration};
+use crate::paths::PathExploration;
 use crate::serve::EpochCell;
 use crate::{CoreError, Result};
 use octopus_graph::delta::{self, GraphDelta};
@@ -65,9 +68,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One shard's scatter result for the influencer merge: its local seed
-/// selection plus the influence curve that recovers per-seed marginal
-/// gains (`curve[i] = (seed count, cumulative spread)`).
-type ShardSelection = (KimResult, Vec<(usize, f64)>);
+/// selection, that selection's bound, and the prefix-spread curve that
+/// recovers per-seed marginal gains (`curve[i]` = spread of the first
+/// `i + 1` seeds).
+type ShardSelection = (KimResult, QualityBound, Vec<f64>);
 
 /// One shard: its stable member list (sub id → original id, ascending)
 /// plus the epoch cell its engine lives in. The member set never changes
@@ -117,7 +121,7 @@ pub struct ShardedStats {
     pub queries_admitted: u64,
     /// Queries shed with [`CoreError::Overloaded`], total across classes.
     pub queries_shed: u64,
-    /// Per-class shed counts, [`PriorityClass::ALL`] order.
+    /// Per-class shed counts, [`PriorityClass::ALL`](crate::PriorityClass::ALL) order.
     pub shed_by_class: [u64; 3],
 }
 
@@ -517,109 +521,67 @@ impl ShardedService {
     }
 
     // ------------------------------------------------------------------
-    // scatter-gather operators
+    // scatter-gather operators — one body each, reachable only through
+    // `QueryService::execute`
     // ------------------------------------------------------------------
 
-    /// Admission-free serve path (autocomplete, and everything when no
-    /// controller is configured).
-    fn serve<T>(&self, f: impl FnOnce(&[Arc<Epoch>]) -> Result<T>) -> Result<Served<T>> {
-        let start = Instant::now();
-        let snaps = self.snapshots();
-        self.queries_served.fetch_add(1, SeqCst);
-        let value = f(&snaps)?;
-        Ok(Served {
-            value,
-            epoch: snaps.iter().map(|e| e.id).sum(),
-            latency: start.elapsed(),
-        })
-    }
-
-    /// Serve one query of `class` through the admission controller (a
-    /// no-op passthrough when admission is off). A shed query never
-    /// snapshots or scatters; `Served::latency` of admitted queries
-    /// includes the admission wait.
-    fn serve_admitted<T>(
-        &self,
-        class: PriorityClass,
-        f: impl FnOnce(&[Arc<Epoch>]) -> Result<T>,
-    ) -> Result<Served<T>> {
-        let start = Instant::now();
-        let _permit = match &self.admission {
-            None => None,
-            Some(ctl) => Some(ctl.admit(class)?),
-        };
-        let snaps = self.snapshots();
-        self.queries_served.fetch_add(1, SeqCst);
-        let value = f(&snaps)?;
-        Ok(Served {
-            value,
-            epoch: snaps.iter().map(|e| e.id).sum(),
-            latency: start.elapsed(),
-        })
-    }
-
-    /// Scenario 1, sharded: run the selection on every shard and merge
-    /// the per-shard greedy sequences into the global top-k by marginal
-    /// gain, tie-broken on **(gain desc, original node id asc)** — the
-    /// documented deterministic merge order (see the module docs for why
-    /// this reproduces the single-engine ranking).
-    pub fn find_influencers(&self, query: &str, k: usize) -> Result<Served<KimAnswer>> {
-        self.serve_admitted(PriorityClass::Standard, |snaps| {
-            self.find_influencers_on(snaps, query, k)
-        })
-    }
-
-    fn find_influencers_on(
+    /// Scenario 1, sharded: the budget is [`split`](QueryBudget::split)
+    /// across the scattered shards (each gets an equal sample slice; the
+    /// deadline and class are shared), every shard runs its own selection,
+    /// and the per-shard greedy sequences merge into the global top-k by
+    /// marginal gain — read off each shard's prefix-spread curve — under
+    /// the **(gain desc, original node id asc)** tie-break (see the module
+    /// docs for why this reproduces the single-engine ranking). The
+    /// gather keeps the per-shard [`QualityBound`]s sound:
+    ///
+    /// * `lower` = **max** of the per-shard lowers — each shard's lower
+    ///   bounds its own k-seed set, a feasible global choice the global
+    ///   optimum dominates (components are disjoint), so the max is a
+    ///   sound global lower;
+    /// * `upper` = **sum** of the per-shard uppers, clamped to n — the
+    ///   global optimum's per-shard slices are each bounded by that
+    ///   shard's k-seed optimum;
+    /// * `samples_used` sums;
+    ///
+    /// and the merged answer is exact iff every shard's was (an unlimited
+    /// budget).
+    fn influencers(
         &self,
         snaps: &[Arc<Epoch>],
         query: &str,
         k: usize,
-    ) -> Result<KimAnswer> {
+        budget: &QueryBudget,
+    ) -> Result<Anytime<KimAnswer>> {
         if k == 0 {
             return Err(CoreError::ZeroK);
         }
-        let model = &self.model;
-        let (keywords, unknown) = model.vocab().resolve_query(query);
-        if keywords.is_empty() {
-            return Err(CoreError::NoKnownKeywords { unknown });
-        }
-        let gamma = model.infer(&keywords)?;
+        let (keywords, unknown, gamma) = resolve_gamma(&self.model, Some(query))?;
         let start = Instant::now();
-        // scatter: every shard selects its own k seeds; the influence
-        // curve (cache-hitting the selection) recovers per-seed marginal
-        // gains for the merge
+        let shard_budget = budget.split(snaps.len());
         let per_shard: Vec<Result<ShardSelection>> = snaps
             .par_iter()
-            .map(|snap| {
-                let res = snap.engine.find_influencers_gamma(&gamma, k)?;
-                let curve = if res.seeds.is_empty() {
-                    Vec::new()
-                } else {
-                    snap.engine.influence_curve(&gamma, k)?
-                };
-                Ok((res, curve))
-            })
+            .map(|snap| snap.engine.select_with_curve(&gamma, k, &shard_budget))
             .collect();
         let per_shard: Vec<ShardSelection> = per_shard.into_iter().collect::<Result<_>>()?;
         // gather: k-way merge of the per-shard sequences
         let mut stats = KimStats::default();
         let mut heads: Vec<(usize, usize)> = Vec::new(); // (shard, next index)
-        for (s, (res, _)) in per_shard.iter().enumerate() {
+        for (s, (res, _, curve)) in per_shard.iter().enumerate() {
             stats.exact_evaluations += res.stats.exact_evaluations;
             stats.bound_evaluations += res.stats.bound_evaluations;
             stats.pruned_candidates += res.stats.pruned_candidates;
             stats.answered_from_sample |= res.stats.answered_from_sample;
             stats.answered_from_cache |= res.stats.answered_from_cache;
-            if !res.seeds.is_empty() {
+            if !curve.is_empty() {
                 heads.push((s, 0));
             }
         }
         let gain = |s: usize, i: usize| -> f64 {
-            let curve = &per_shard[s].1;
+            let curve = &per_shard[s].2;
             if i == 0 {
-                curve[0].1
+                curve[0]
             } else {
-                curve[i].1 - curve[i - 1].1
+                curve[i] - curve[i - 1]
             }
         };
         let mut seeds: Vec<SeedInfo> = Vec::with_capacity(k);
@@ -641,10 +603,9 @@ impl ShardedService {
             let (s, i) = heads[best];
             let local = per_shard[s].0.seeds[i];
             let node = self.shards[s].lift(local);
-            let snap = &snaps[s];
             seeds.push(SeedInfo {
                 node,
-                name: snap
+                name: snaps[s]
                     .engine
                     .graph()
                     .name(local)
@@ -653,7 +614,7 @@ impl ShardedService {
                 rank: seeds.len(),
             });
             taken[s] = i + 1;
-            if i + 1 < per_shard[s].0.seeds.len() {
+            if i + 1 < per_shard[s].2.len() {
                 heads[best].1 = i + 1;
             } else {
                 heads.swap_remove(best);
@@ -665,62 +626,51 @@ impl ShardedService {
             .iter()
             .zip(&taken)
             .filter(|(_, &t)| t > 0)
-            .map(|((_, curve), &t)| curve[t - 1].1)
+            .map(|((_, _, curve), &t)| curve[t - 1])
             .sum();
-        Ok(KimAnswer {
-            keywords,
-            unknown,
-            gamma,
-            result: KimResult {
-                seeds: seeds.iter().map(|s| s.node).collect(),
-                spread,
-                stats,
+        let mut lower = 0.0f64;
+        let mut upper = 0.0f64;
+        let mut samples = 0usize;
+        let mut exact = true;
+        for (_, b, _) in &per_shard {
+            lower = lower.max(b.lower);
+            upper += b.upper;
+            samples += b.samples_used;
+            exact &= b.exact;
+        }
+        let bound = if exact {
+            QualityBound::exact(spread)
+        } else {
+            QualityBound::degraded(lower, upper.min(self.owner.len() as f64), samples)
+        };
+        Ok(Anytime {
+            value: KimAnswer {
+                keywords,
+                unknown,
+                gamma,
+                result: KimResult {
+                    seeds: seeds.iter().map(|s| s.node).collect(),
+                    spread,
+                    stats,
+                },
+                seeds,
+                elapsed: start.elapsed(),
             },
-            seeds,
-            elapsed: start.elapsed(),
+            bound,
         })
     }
 
-    /// Scenario 2, sharded: the single shard that owns `user` answers;
-    /// the answer's node id is lifted back to global coordinates.
-    pub fn suggest_keywords(&self, user: &str, k: usize) -> Result<Served<SuggestAnswer>> {
-        self.serve_admitted(PriorityClass::Standard, |snaps| {
-            for (s, snap) in snaps.iter().enumerate() {
-                match snap.engine.suggest_keywords(user, k) {
-                    Err(CoreError::UnknownUser(_)) => continue,
-                    Ok(mut answer) => {
-                        answer.user = self.shards[s].lift(answer.user);
-                        return Ok(answer);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(CoreError::UnknownUser(user.to_string()))
-        })
-    }
-
-    /// Scenario 3, sharded: the owner shard explores, and every node id
-    /// in the exploration — root, clusters, paths, the arborescence, and
-    /// the re-rendered d3 document — is lifted back to global coordinates.
-    pub fn explore_paths(
-        &self,
-        user: &str,
-        direction: ExploreDirection,
-        query: Option<&str>,
-    ) -> Result<Served<PathExploration>> {
-        self.serve_admitted(PriorityClass::Standard, |snaps| {
-            for (s, snap) in snaps.iter().enumerate() {
-                match snap.engine.explore_paths(user, direction, query) {
-                    Err(CoreError::UnknownUser(_)) => continue,
-                    Ok(mut exp) => {
-                        self.lift_exploration(s, snap, &mut exp);
-                        return Ok(exp);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(CoreError::UnknownUser(user.to_string()))
-        })
+    /// The one shard that knows `user`, with the user's shard-local id:
+    /// single-owner operators run there alone, under the *whole* budget.
+    fn owner<'a>(&self, snaps: &'a [Arc<Epoch>], user: &str) -> Result<(usize, &'a Epoch, NodeId)> {
+        snaps
+            .iter()
+            .enumerate()
+            .find_map(|(s, snap)| {
+                let local = snap.engine.resolve_user(user).ok()?;
+                Some((s, &**snap, local))
+            })
+            .ok_or_else(|| CoreError::UnknownUser(user.to_string()))
     }
 
     /// Lift every node id in an exploration answered by shard `s` — root,
@@ -760,298 +710,132 @@ impl ShardedService {
     /// completions under the trie's own ordering (score desc, node id
     /// asc), truncated to `limit` — node-id ties compare **lifted**
     /// (global) ids, so the order equals the single-engine order.
-    pub fn autocomplete(&self, prefix: &str, limit: usize) -> Served<Vec<(NodeId, String, f64)>> {
-        self.serve(|snaps| {
-            let mut merged: Vec<(NodeId, String, f64)> = Vec::new();
-            for (s, snap) in snaps.iter().enumerate() {
-                merged.extend(
-                    snap.engine
-                        .autocomplete(prefix, limit)
-                        .into_iter()
-                        .map(|(id, name, score)| (self.shards[s].lift(id), name, score)),
-                );
-            }
-            merged.sort_by(|a, b| {
-                b.2.partial_cmp(&a.2)
-                    .expect("finite scores")
-                    .then(a.0.cmp(&b.0))
-            });
-            merged.truncate(limit);
-            Ok(merged)
-        })
-        .expect("autocomplete is infallible")
-    }
-
-    /// Radar chart for one keyword: scatter to every shard and gather by
-    /// **elementwise max** over the axis values (the documented merge
-    /// tie-break — with a shared topic model the per-shard charts are
-    /// identical, so max-merge reproduces any one of them, and it stays
-    /// correct if a future model ever diverged per shard by keeping the
-    /// strongest signal per axis). Pinned sharded == whole-graph in
-    /// `tests/serve_shard.rs`.
-    pub fn keyword_radar(&self, word: &str) -> Result<Served<RadarChart>> {
-        self.serve_admitted(PriorityClass::Standard, |snaps| {
-            let mut merged = snaps[0].engine.keyword_radar(word)?;
-            for snap in &snaps[1..] {
-                let chart = snap.engine.keyword_radar(word)?;
-                for (m, v) in merged.values.iter_mut().zip(&chart.values) {
-                    *m = m.max(*v);
-                }
-            }
-            Ok(merged)
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // anytime (budgeted) operators
-    // ------------------------------------------------------------------
-
-    /// Scenario 1 under a budget, sharded: the budget is
-    /// [`split`](QueryBudget::split) across the scattered shards (each
-    /// shard gets an equal sample slice; the deadline and class are
-    /// shared), the per-shard anytime selections merge by marginal gain
-    /// under the same (gain desc, original id asc) tie-break as the exact
-    /// router, and the gather keeps the per-shard [`QualityBound`]s
-    /// sound:
-    ///
-    /// * `lower` = **max** of the per-shard lowers — each shard's lower
-    ///   bounds its own k-seed set, a feasible global choice the global
-    ///   optimum dominates (components are disjoint), so the max is a
-    ///   sound global lower;
-    /// * `upper` = **sum** of the per-shard uppers, clamped to n — the
-    ///   global optimum's per-shard slices are each bounded by that
-    ///   shard's k-seed optimum;
-    /// * `samples_used` sums.
-    ///
-    /// An unlimited budget routes to the exact scatter-gather and is
-    /// bit-identical to [`ShardedService::find_influencers`].
-    pub fn find_influencers_budgeted(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<Served<Anytime<KimAnswer>>> {
-        let budget = *budget;
-        self.serve_admitted(budget.class, |snaps| {
-            if budget.is_unlimited() {
-                let answer = self.find_influencers_on(snaps, query, k)?;
-                let spread = answer.result.spread;
-                return Ok(Anytime::exact(answer, spread));
-            }
-            self.find_influencers_budgeted_on(snaps, query, k, &budget)
-        })
-    }
-
-    fn find_influencers_budgeted_on(
+    fn completions(
         &self,
         snaps: &[Arc<Epoch>],
-        query: &str,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<Anytime<KimAnswer>> {
-        if k == 0 {
-            return Err(CoreError::ZeroK);
-        }
-        let (keywords, unknown) = self.model.vocab().resolve_query(query);
-        if keywords.is_empty() {
-            return Err(CoreError::NoKnownKeywords { unknown });
-        }
-        let gamma = self.model.infer(&keywords)?;
-        let start = Instant::now();
-        let shard_budget = budget.split(snaps.len());
-        let per_shard: Vec<Result<(KimResult, QualityBound, Vec<f64>)>> = snaps
-            .par_iter()
-            .map(|snap| {
-                snap.engine
-                    .find_influencers_budgeted_gamma(&gamma, k, &shard_budget)
-            })
-            .collect();
-        let per_shard: Vec<(KimResult, QualityBound, Vec<f64>)> =
-            per_shard.into_iter().collect::<Result<_>>()?;
-        // gather: k-way merge of the per-shard anytime sequences by the
-        // estimator's own marginal gains
-        let mut stats = KimStats::default();
-        let mut heads: Vec<(usize, usize)> = Vec::new(); // (shard, next index)
-        for (s, (res, _, gains)) in per_shard.iter().enumerate() {
-            stats.exact_evaluations += res.stats.exact_evaluations;
-            stats.bound_evaluations += res.stats.bound_evaluations;
-            stats.pruned_candidates += res.stats.pruned_candidates;
-            stats.answered_from_sample |= res.stats.answered_from_sample;
-            stats.answered_from_cache |= res.stats.answered_from_cache;
-            if !res.seeds.is_empty() && !gains.is_empty() {
-                heads.push((s, 0));
-            }
-        }
-        let gain = |s: usize, i: usize| -> f64 { per_shard[s].2[i] };
-        let mut seeds: Vec<SeedInfo> = Vec::with_capacity(k);
-        let mut taken = vec![0usize; per_shard.len()];
-        while seeds.len() < k && !heads.is_empty() {
-            let mut best = 0usize;
-            for h in 1..heads.len() {
-                let (bs, bi) = heads[best];
-                let (hs, hi) = heads[h];
-                let (gb, gh) = (gain(bs, bi), gain(hs, hi));
-                let idb = self.shards[bs].lift(per_shard[bs].0.seeds[bi]);
-                let idh = self.shards[hs].lift(per_shard[hs].0.seeds[hi]);
-                if gh > gb || (gh == gb && idh < idb) {
-                    best = h;
-                }
-            }
-            let (s, i) = heads[best];
-            let local = per_shard[s].0.seeds[i];
-            let node = self.shards[s].lift(local);
-            let snap = &snaps[s];
-            seeds.push(SeedInfo {
-                node,
-                name: snap
-                    .engine
-                    .graph()
-                    .name(local)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| node.0.to_string()),
-                rank: seeds.len(),
-            });
-            taken[s] = i + 1;
-            if i + 1 < per_shard[s].0.seeds.len() && i + 1 < per_shard[s].2.len() {
-                heads[best].1 = i + 1;
-            } else {
-                heads.swap_remove(best);
-            }
-        }
-        // merged estimate: disjoint components, so the taken prefixes'
-        // gains sum
-        let spread: f64 = per_shard
-            .iter()
-            .zip(&taken)
-            .map(|((_, _, gains), &t)| gains[..t].iter().sum::<f64>())
-            .sum();
-        let n = self.owner.len() as f64;
-        let mut lower = 0.0f64;
-        let mut upper = 0.0f64;
-        let mut samples = 0usize;
-        let mut exact = true;
-        for (_, b, _) in &per_shard {
-            lower = lower.max(b.lower);
-            upper += b.upper;
-            samples += b.samples_used;
-            exact &= b.exact;
-        }
-        let bound = if exact {
-            QualityBound::exact(spread)
-        } else {
-            QualityBound::degraded(lower, upper.min(n), samples)
-        };
-        Ok(Anytime {
-            value: KimAnswer {
-                keywords,
-                unknown,
-                gamma,
-                result: KimResult {
-                    seeds: seeds.iter().map(|s| s.node).collect(),
-                    spread,
-                    stats,
-                },
-                seeds,
-                elapsed: start.elapsed(),
-            },
-            bound,
-        })
-    }
-
-    /// Scenario 2 under a budget, sharded: single-owner, so the owning
-    /// shard receives the *whole* budget (no split — only one shard
-    /// runs); the answer's node id is lifted like the exact path's.
-    pub fn suggest_keywords_budgeted(
-        &self,
-        user: &str,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Result<Served<Anytime<SuggestAnswer>>> {
-        let budget = *budget;
-        self.serve_admitted(budget.class, |snaps| {
-            for (s, snap) in snaps.iter().enumerate() {
-                match snap.engine.suggest_keywords_budgeted(user, k, &budget) {
-                    Err(CoreError::UnknownUser(_)) => continue,
-                    Ok(mut anytime) => {
-                        anytime.value.user = self.shards[s].lift(anytime.value.user);
-                        return Ok(anytime);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(CoreError::UnknownUser(user.to_string()))
-        })
-    }
-
-    /// Scenario 3 under a budget, sharded: single-owner with the whole
-    /// budget, ids lifted via the same path as the exact exploration.
-    pub fn explore_paths_budgeted(
-        &self,
-        user: &str,
-        direction: ExploreDirection,
-        query: Option<&str>,
-        budget: &QueryBudget,
-    ) -> Result<Served<Anytime<PathExploration>>> {
-        let budget = *budget;
-        self.serve_admitted(budget.class, |snaps| {
-            for (s, snap) in snaps.iter().enumerate() {
-                match snap
-                    .engine
-                    .explore_paths_budgeted(user, direction, query, &budget)
-                {
-                    Err(CoreError::UnknownUser(_)) => continue,
-                    Ok(mut anytime) => {
-                        self.lift_exploration(s, snap, &mut anytime.value);
-                        return Ok(anytime);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(CoreError::UnknownUser(user.to_string()))
-        })
-    }
-
-    /// Name auto-completion under a budget: never degraded (the trie walk
-    /// is sublinear), never queued (admission bypass like the exact path).
-    pub fn autocomplete_budgeted(
-        &self,
         prefix: &str,
         limit: usize,
-        _budget: &QueryBudget,
-    ) -> Served<Anytime<Vec<(NodeId, String, f64)>>> {
-        let served = self.autocomplete(prefix, limit);
-        let score = served.value.len() as f64;
-        Served {
-            value: Anytime::exact(served.value, score),
-            epoch: served.epoch,
-            latency: served.latency,
+    ) -> Vec<(NodeId, String, f64)> {
+        let mut merged: Vec<(NodeId, String, f64)> = Vec::new();
+        for (s, snap) in snaps.iter().enumerate() {
+            merged.extend(
+                snap.engine
+                    .autocomplete(prefix, limit)
+                    .into_iter()
+                    .map(|(id, name, score)| (self.shards[s].lift(id), name, score)),
+            );
         }
+        merged.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .expect("finite scores")
+                .then(a.0.cmp(&b.0))
+        });
+        merged.truncate(limit);
+        merged
     }
 
-    /// Keyword radar under a budget, sharded: every shard degrades its
-    /// chart under the same budget (the model is shared, so the charts —
-    /// and their bounds — are identical), merged elementwise-max like the
-    /// exact radar.
-    pub fn keyword_radar_budgeted(
+    /// Radar chart for one keyword: every shard charts the word under the
+    /// same budget and the gather is an **elementwise max** over the axis
+    /// values and the bounds (the documented merge tie-break — with a
+    /// shared topic model the per-shard charts are identical, so
+    /// max-merge reproduces any one of them, and it stays correct if a
+    /// future model ever diverged per shard by keeping the strongest
+    /// signal per axis). Pinned sharded == whole-graph in
+    /// `tests/serve_shard.rs`.
+    fn radar(
         &self,
+        snaps: &[Arc<Epoch>],
         word: &str,
         budget: &QueryBudget,
-    ) -> Result<Served<Anytime<RadarChart>>> {
-        let budget = *budget;
-        self.serve_admitted(budget.class, |snaps| {
-            let mut merged = snaps[0].engine.keyword_radar_budgeted(word, &budget)?;
-            for snap in &snaps[1..] {
-                let next = snap.engine.keyword_radar_budgeted(word, &budget)?;
-                for (m, v) in merged.value.values.iter_mut().zip(&next.value.values) {
-                    *m = m.max(*v);
-                }
-                merged.bound.lower = merged.bound.lower.max(next.bound.lower);
-                merged.bound.upper = merged.bound.upper.max(next.bound.upper);
-                merged.bound.exact &= next.bound.exact;
-                merged.bound.samples_used = merged.bound.samples_used.max(next.bound.samples_used);
+    ) -> Result<Anytime<RadarChart>> {
+        let mut merged = snaps[0].engine.radar(word, budget)?;
+        for snap in &snaps[1..] {
+            let next = snap.engine.radar(word, budget)?;
+            for (m, v) in merged.value.values.iter_mut().zip(&next.value.values) {
+                *m = m.max(*v);
             }
-            Ok(merged)
+            merged.bound.lower = merged.bound.lower.max(next.bound.lower);
+            merged.bound.upper = merged.bound.upper.max(next.bound.upper);
+            merged.bound.exact &= next.bound.exact;
+            merged.bound.samples_used = merged.bound.samples_used.max(next.bound.samples_used);
+        }
+        Ok(merged)
+    }
+}
+
+impl QueryService for ShardedService {
+    /// One controller guards the whole router: the query is admitted (or
+    /// shed) exactly once, before it snapshots or scatters, and
+    /// `Served::latency` includes the admission wait.
+    fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
+        let start = Instant::now();
+        let _permit = super::admit(&self.admission, query, budget)?;
+        let snaps = self.snapshots();
+        self.queries_served.fetch_add(1, SeqCst);
+        let value = match query {
+            Query::FindInfluencers { query, k } => {
+                QueryResponse::Influencers(self.influencers(&snaps, query, *k, budget)?)
+            }
+            Query::SuggestKeywords { user, k } => {
+                let (s, snap, local) = self.owner(&snaps, user)?;
+                let mut answer = snap.engine.suggestions(local, *k, budget)?;
+                answer.value.user = self.shards[s].lift(local);
+                QueryResponse::Suggestions(answer)
+            }
+            Query::ExplorePaths {
+                user,
+                direction,
+                query,
+            } => {
+                let (s, snap, local) = self.owner(&snaps, user)?;
+                let mut answer = snap
+                    .engine
+                    .paths(local, *direction, query.as_deref(), budget)?;
+                self.lift_exploration(s, snap, &mut answer.value);
+                QueryResponse::Paths(answer)
+            }
+            Query::Autocomplete { prefix, limit } => {
+                let hits = self.completions(&snaps, prefix, *limit);
+                let count = hits.len() as f64;
+                QueryResponse::Completions(Anytime::exact(hits, count))
+            }
+            Query::KeywordRadar { word } => QueryResponse::Radar(self.radar(&snaps, word, budget)?),
+        };
+        Ok(Served {
+            value,
+            epoch: snaps.iter().map(|e| e.id).sum(),
+            latency: start.elapsed(),
         })
+    }
+
+    fn submit_delta(&self, delta: GraphDelta) {
+        self.submit(delta);
+    }
+
+    fn submit_deltas(&self, deltas: Vec<GraphDelta>) {
+        self.submit_all(deltas);
+    }
+
+    fn flush_deltas(&self) -> Result<Vec<ShardSwap>> {
+        self.apply_pending()
+    }
+
+    fn shard_count(&self) -> usize {
+        ShardedService::shard_count(self)
+    }
+
+    fn edge_count(&self) -> usize {
+        ShardedService::edge_count(self)
+    }
+
+    fn delta_counters(&self) -> DeltaCounters {
+        let st = self.stats();
+        DeltaCounters {
+            deltas_applied: st.deltas_applied,
+            batches_failed: st.batches_failed,
+            terminal_failures: st.terminal_failures,
+            pending_deltas: st.pending_deltas,
+        }
     }
 }
 

@@ -8,8 +8,10 @@
 //! at `RAYON_NUM_THREADS` 1 and 8 and repeats it in the serving soak job,
 //! mirroring the executor flakiness sweep.
 
-use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig};
-use octopus_core::serve::{OctopusService, Operator};
+use octopus_core::engine::{KimAnswer, KimEngineChoice, Octopus, OctopusConfig, SuggestAnswer};
+use octopus_core::paths::{ExploreDirection, PathExploration};
+use octopus_core::serve::{OctopusService, Operator, Query, QueryResponse, Served, Session};
+use octopus_core::{QueryBudget, Result};
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
@@ -75,7 +77,7 @@ fn probe(engine: &Octopus) -> ProbeSignature {
     let paths = engine
         .explore_paths(
             "jiawei han",
-            octopus_core::paths::ExploreDirection::Influences,
+            ExploreDirection::Influences,
             Some("data mining"),
         )
         .unwrap();
@@ -89,19 +91,59 @@ fn probe(engine: &Octopus) -> ProbeSignature {
     }
 }
 
+fn run(session: &mut Session<'_>, query: Query) -> Result<Served<QueryResponse>> {
+    session.execute(&query, &QueryBudget::unlimited())
+}
+
+fn find(session: &mut Session<'_>, query: &str, k: usize) -> Result<Served<KimAnswer>> {
+    let query = Query::FindInfluencers {
+        query: query.into(),
+        k,
+    };
+    Ok(run(session, query)?.map(|r| r.into_influencers().unwrap().value))
+}
+
+fn suggest(session: &mut Session<'_>, user: &str, k: usize) -> Result<Served<SuggestAnswer>> {
+    let query = Query::SuggestKeywords {
+        user: user.into(),
+        k,
+    };
+    Ok(run(session, query)?.map(|r| r.into_suggestions().unwrap().value))
+}
+
+fn explore(session: &mut Session<'_>, user: &str, query: &str) -> Served<PathExploration> {
+    let query = Query::ExplorePaths {
+        user: user.into(),
+        direction: ExploreDirection::Influences,
+        query: Some(query.into()),
+    };
+    run(session, query)
+        .unwrap()
+        .map(|r| r.into_paths().unwrap().value)
+}
+
+fn complete(
+    session: &mut Session<'_>,
+    prefix: &str,
+    limit: usize,
+) -> Served<Vec<(NodeId, String, f64)>> {
+    let query = Query::Autocomplete {
+        prefix: prefix.into(),
+        limit,
+    };
+    run(session, query)
+        .expect("autocomplete is infallible")
+        .map(|r| r.into_completions().unwrap().value)
+}
+
 /// Probe through a serve session, also returning the epochs that served.
 fn probe_session(service: &OctopusService) -> (ProbeSignature, Vec<u64>) {
     let mut session = service.session();
-    let kim = session.find_influencers("data mining", 2).unwrap();
-    let sugg = session.suggest_keywords("jiawei han", 2).unwrap();
-    let paths = session
-        .explore_paths(
-            "jiawei han",
-            octopus_core::paths::ExploreDirection::Influences,
-            Some("data mining"),
-        )
-        .unwrap();
-    let comp = session.autocomplete("db-", 10);
+    let session = &mut session;
+    let kim = find(session, "data mining", 2).unwrap();
+    let sugg = suggest(session, "jiawei han", 2).unwrap();
+    let paths = explore(session, "jiawei han", "data mining");
+    let comp = complete(session, "db-", 10);
     let epochs = vec![kim.epoch, sugg.epoch, paths.epoch, comp.epoch];
     (
         ProbeSignature {
@@ -166,9 +208,7 @@ fn swapped_epochs_answer_bit_identically_to_fresh_engines() {
     assert_eq!(after, probe(&fresh1));
     assert!(epochs.iter().all(|&e| e == 1), "all served by epoch 1");
     // the rename is visible through the swapped trie
-    assert!(service
-        .session()
-        .autocomplete("db-star", 1)
+    assert!(complete(&mut service.session(), "db-star", 1)
         .value
         .iter()
         .any(|(_, name, _)| name == "db-star"));
@@ -307,9 +347,7 @@ fn transiently_failing_batch_is_eventually_applied() {
 
     // the transiently failing batch really landed — and the final graph
     // is exactly base + rename + nudge
-    assert!(service
-        .session()
-        .autocomplete("survived", 1)
+    assert!(complete(&mut service.session(), "survived", 1)
         .value
         .iter()
         .any(|(_, name, _)| name == "survived-the-outage"));
@@ -376,10 +414,7 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
     )
     .unwrap();
     let fresh = Octopus::new(g1.clone(), model.clone(), config.clone()).unwrap();
-    let a = service
-        .session()
-        .find_influencers("data mining", 2)
-        .unwrap();
+    let a = find(&mut service.session(), "data mining", 2).unwrap();
     let b = fresh.find_influencers("data mining", 2).unwrap();
     assert_eq!(
         a.value.seeds.iter().map(|s| s.node).collect::<Vec<_>>(),
@@ -427,10 +462,7 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
     // and the per-topic partial rebuild still answers like a fresh engine
     let g2 = nudge.apply(&g1).unwrap();
     let fresh = Octopus::new(g2, model, config).unwrap();
-    let a = service
-        .session()
-        .find_influencers("em algorithm", 2)
-        .unwrap();
+    let a = find(&mut service.session(), "em algorithm", 2).unwrap();
     let b = fresh.find_influencers("em algorithm", 2).unwrap();
     assert_eq!(
         a.value.seeds.iter().map(|s| s.node).collect::<Vec<_>>(),
@@ -449,7 +481,7 @@ fn user_keyword_overrides_survive_the_swap() {
         .unwrap()
         .with_user_keywords(map);
     let service = OctopusService::new(engine);
-    let before = service.session().suggest_keywords("jiawei han", 1).unwrap();
+    let before = suggest(&mut service.session(), "jiawei han", 1).unwrap();
     assert_eq!(before.value.words, vec!["frequent patterns"]);
 
     service.submit(GraphDelta::NudgeWeights {
@@ -457,7 +489,7 @@ fn user_keyword_overrides_survive_the_swap() {
         delta: 0.05,
     });
     service.apply_pending().unwrap().expect("pending delta");
-    let after = service.session().suggest_keywords("jiawei han", 1).unwrap();
+    let after = suggest(&mut service.session(), "jiawei han", 1).unwrap();
     assert_eq!(
         after.value.words,
         vec!["frequent patterns"],
@@ -501,7 +533,7 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
                 let mut session = service.session();
                 let mut checked = 0u64;
                 while !done.load(SeqCst) || checked == 0 {
-                    let kim = session.find_influencers("data mining", 2).unwrap();
+                    let kim = find(&mut session, "data mining", 2).unwrap();
                     let reference = &references[kim.epoch as usize];
                     assert_eq!(
                         kim.value.seeds.iter().map(|x| x.node).collect::<Vec<_>>(),
@@ -510,7 +542,7 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
                         kim.epoch
                     );
                     assert_eq!(kim.value.result.spread, reference.spread);
-                    let comp = session.autocomplete("db-", 10);
+                    let comp = complete(&mut session, "db-", 10);
                     assert_eq!(
                         comp.value, references[comp.epoch as usize].completions,
                         "epoch {} trie must be the epoch's own",
@@ -560,9 +592,7 @@ fn background_rebuilder_applies_submitted_deltas() {
     }
     rebuilder.stop();
     assert_eq!(service.current_epoch(), 1);
-    assert!(service
-        .session()
-        .autocomplete("flushed", 1)
+    assert!(complete(&mut service.session(), "flushed", 1)
         .value
         .iter()
         .any(|(_, name, _)| name == "flushed-in-background"));
@@ -573,17 +603,20 @@ fn session_stats_track_operators_epochs_and_errors() {
     let (g, model, config) = fixture();
     let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
     let mut session = service.session();
-    session.find_influencers("data mining", 2).unwrap();
-    assert!(session.find_influencers("quantum blockchain", 2).is_err());
-    session.autocomplete("db-", 3);
-    assert!(session.keyword_radar("em algorithm").is_ok());
+    find(&mut session, "data mining", 2).unwrap();
+    assert!(find(&mut session, "quantum blockchain", 2).is_err());
+    complete(&mut session, "db-", 3);
+    let radar = Query::KeywordRadar {
+        word: "em algorithm".into(),
+    };
+    assert!(run(&mut session, radar).is_ok());
 
     service.submit(GraphDelta::NudgeWeights {
         edges: vec![EdgeId(0)],
         delta: 0.05,
     });
     service.apply_pending().unwrap().expect("pending delta");
-    session.find_influencers("data mining", 2).unwrap();
+    find(&mut session, "data mining", 2).unwrap();
 
     let stats = session.stats();
     assert_eq!(stats.op(Operator::FindInfluencers).queries, 3);
@@ -610,10 +643,10 @@ fn session_stats_track_operators_epochs_and_errors() {
     assert_eq!(service.current_epoch(), 2);
     let _ = pin.engine().find_influencers("data mining", 2).unwrap();
     // queries issued while pinned run on (and are stamped from) the pin
-    let pinned = session.find_influencers("data mining", 2).unwrap();
+    let pinned = find(&mut session, "data mining", 2).unwrap();
     assert_eq!(pinned.epoch, 1, "stamp comes from the snapshot queried");
     session.unpin();
-    let live = session.find_influencers("data mining", 2).unwrap();
+    let live = find(&mut session, "data mining", 2).unwrap();
     assert_eq!(live.epoch, 2, "unpin resumes the current epoch");
 }
 
@@ -649,7 +682,7 @@ fn pinned_session_stamps_the_snapshot_actually_queried() {
         // rebuild and leave nothing racing
         let mut rounds = 0;
         while rounds < 4 || service.current_epoch() == 0 {
-            let kim = session.find_influencers("data mining", 2).unwrap();
+            let kim = find(&mut session, "data mining", 2).unwrap();
             assert_eq!(kim.epoch, 0, "pinned query must stamp the pinned epoch");
             assert_eq!(
                 kim.value.seeds.iter().map(|x| x.node).collect::<Vec<_>>(),
@@ -657,7 +690,7 @@ fn pinned_session_stamps_the_snapshot_actually_queried() {
                 "pinned answers come from the pinned engine, not a swapped one"
             );
             assert_eq!(kim.value.result.spread, reference.spread);
-            let comp = session.autocomplete("db-", 10);
+            let comp = complete(&mut session, "db-", 10);
             assert_eq!(comp.epoch, 0);
             assert_eq!(comp.value, reference.completions);
             rounds += 1;
@@ -669,7 +702,7 @@ fn pinned_session_stamps_the_snapshot_actually_queried() {
 
     // releasing the pin resumes the live epoch
     session.unpin();
-    let live = session.autocomplete("db-", 10);
+    let live = complete(&mut session, "db-", 10);
     assert_eq!(live.epoch, service.current_epoch());
     assert!(
         live.epoch > 0,

@@ -12,9 +12,10 @@
 //! silently mis-routed. CI runs this suite at `RAYON_NUM_THREADS` 1 and 8
 //! in the serving-soak matrix, next to the unsharded epoch suite.
 
-use octopus_core::engine::{Octopus, OctopusConfig};
-use octopus_core::serve::{ShardedService, MAX_BATCH_RETRIES};
-use octopus_core::{CoreError, QueryBudget};
+use octopus_core::engine::{KimAnswer, Octopus, OctopusConfig, SuggestAnswer};
+use octopus_core::paths::{ExploreDirection, PathExploration};
+use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES};
+use octopus_core::{Anytime, CoreError, QueryBudget};
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
@@ -86,13 +87,71 @@ fn reference(g: &TopicGraph, model: &TopicModel, config: &OctopusConfig) -> Octo
     Octopus::new(g.clone(), model.clone(), config.clone()).unwrap()
 }
 
+fn run(sharded: &ShardedService, query: Query) -> QueryResponse {
+    sharded
+        .execute(&query, &QueryBudget::unlimited())
+        .unwrap()
+        .value
+}
+
+fn influencers_query(query: &str, k: usize) -> Query {
+    Query::FindInfluencers {
+        query: query.into(),
+        k,
+    }
+}
+
+fn find_under(
+    sharded: &ShardedService,
+    query: &str,
+    k: usize,
+    budget: &QueryBudget,
+) -> Anytime<KimAnswer> {
+    let served = sharded.execute(&influencers_query(query, k), budget);
+    served.unwrap().value.into_influencers().unwrap()
+}
+
+fn find(sharded: &ShardedService, query: &str, k: usize) -> KimAnswer {
+    find_under(sharded, query, k, &QueryBudget::unlimited()).value
+}
+
+fn suggest(sharded: &ShardedService, user: &str, k: usize) -> SuggestAnswer {
+    let query = Query::SuggestKeywords {
+        user: user.into(),
+        k,
+    };
+    run(sharded, query).into_suggestions().unwrap().value
+}
+
+fn explore(sharded: &ShardedService, user: &str, query: &str) -> PathExploration {
+    let query = Query::ExplorePaths {
+        user: user.into(),
+        direction: ExploreDirection::Influences,
+        query: Some(query.into()),
+    };
+    run(sharded, query).into_paths().unwrap().value
+}
+
+fn complete(sharded: &ShardedService, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
+    let query = Query::Autocomplete {
+        prefix: prefix.into(),
+        limit,
+    };
+    run(sharded, query).into_completions().unwrap().value
+}
+
+fn radar(sharded: &ShardedService, word: &str) -> octopus_topics::radar::RadarChart {
+    let query = Query::KeywordRadar { word: word.into() };
+    run(sharded, query).into_radar().unwrap().value
+}
+
 /// Assert the sharded service answers all five operators like `single`.
 /// Seeds/ids/names/paths are compared bit-identically; only the merged
 /// spread (a re-grouped floating-point sum) gets an epsilon.
 fn assert_equivalent(sharded: &ShardedService, single: &Octopus) {
     // scenario 1 — the merged top-k: seeds bit-identical, spread re-summed
     let want = single.find_influencers("data mining", 4).unwrap();
-    let got = sharded.find_influencers("data mining", 4).unwrap().value;
+    let got = find(sharded, "data mining", 4);
     assert_eq!(got.keywords, want.keywords);
     assert_eq!(
         got.seeds, want.seeds,
@@ -108,27 +167,16 @@ fn assert_equivalent(sharded: &ShardedService, single: &Octopus) {
 
     // scenario 2 — single-owner, id lifted back to global coordinates
     let want = single.suggest_keywords("ada db", 2).unwrap();
-    let got = sharded.suggest_keywords("ada db", 2).unwrap().value;
+    let got = suggest(sharded, "ada db", 2);
     assert_eq!(got.user, want.user, "suggest user id must be global");
     assert_eq!(got.user_name, want.user_name);
     assert_eq!(got.words, want.words);
 
     // scenario 3 — owner shard explores; every id in the answer lifted
     let want = single
-        .explore_paths(
-            "cal db",
-            octopus_core::paths::ExploreDirection::Influences,
-            Some("data mining"),
-        )
+        .explore_paths("cal db", ExploreDirection::Influences, Some("data mining"))
         .unwrap();
-    let got = sharded
-        .explore_paths(
-            "cal db",
-            octopus_core::paths::ExploreDirection::Influences,
-            Some("data mining"),
-        )
-        .unwrap()
-        .value;
+    let got = explore(sharded, "cal db", "data mining");
     assert_eq!(got.root, want.root);
     assert_eq!(got.root_name, want.root_name);
     assert_eq!(got.reached, want.reached);
@@ -140,12 +188,12 @@ fn assert_equivalent(sharded: &ShardedService, single: &Octopus) {
 
     // union-merge operators: the "fan-" prefix spans every component
     assert_eq!(
-        sharded.autocomplete("fan-", 10).value,
+        complete(sharded, "fan-", 10),
         single.autocomplete("fan-", 10),
         "union-merged completions under (score desc, global id asc)"
     );
     assert_eq!(
-        sharded.keyword_radar("data mining").unwrap().value,
+        radar(sharded, "data mining"),
         single.keyword_radar("data mining").unwrap()
     );
 }
@@ -188,7 +236,7 @@ fn merged_topk_breaks_exact_gain_ties_on_original_node_id() {
             sharded.owner_of(NodeId(12)),
             "fixture must keep the tied hubs in different shards at k = {k}"
         );
-        let got = sharded.find_influencers("data mining", 4).unwrap().value;
+        let got = find(&sharded, "data mining", 4);
         assert_eq!(got.seeds, want.seeds);
     }
 }
@@ -271,9 +319,7 @@ fn multi_shard_batch_swaps_every_touched_shard_atomically() {
     assert_eq!(stats.deltas_applied, 2);
     assert_eq!(stats.current_epoch(), 2);
     // the rename is visible through the union-merged trie
-    assert!(sharded
-        .autocomplete("bea ml-j", 1)
-        .value
+    assert!(complete(&sharded, "bea ml-j", 1)
         .iter()
         .any(|(id, name, _)| *id == NodeId(5) && name == "bea ml-jordan"));
 
@@ -460,7 +506,7 @@ fn user_keyword_overrides_project_onto_their_shard() {
         .unwrap()
         .with_user_keywords(overrides);
     let want = single.suggest_keywords("ada db", 1).unwrap();
-    let got = sharded.suggest_keywords("ada db", 1).unwrap().value;
+    let got = suggest(&sharded, "ada db", 1);
     assert_eq!(got.words, want.words);
     assert_eq!(got.words, vec!["frequent patterns"]);
     assert_eq!(got.user, NodeId(0), "lifted back to the global id");
@@ -478,7 +524,7 @@ fn keyword_radar_gathers_from_every_shard() {
         let sharded = ShardedService::new(g.clone(), model.clone(), config.clone(), k).unwrap();
         for word in ["data mining", "em algorithm", "graphical models"] {
             let want = single.keyword_radar(word).unwrap();
-            let got = sharded.keyword_radar(word).unwrap().value;
+            let got = radar(&sharded, word);
             assert_eq!(got, want, "radar for {word:?} at k = {k}");
         }
         // every per-shard chart participates in the merge: each equals
@@ -494,61 +540,6 @@ fn keyword_radar_gathers_from_every_shard() {
 }
 
 #[test]
-fn sharded_budgeted_operators_with_unlimited_budget_match_plain_paths() {
-    let (g, model, config) = fixture();
-    let sharded = ShardedService::new(g, model, config, 2).unwrap();
-    let budget = QueryBudget::unlimited();
-
-    let plain = sharded.find_influencers("data mining", 4).unwrap().value;
-    let any = sharded
-        .find_influencers_budgeted("data mining", 4, &budget)
-        .unwrap()
-        .value;
-    assert!(any.bound.exact);
-    assert_eq!(any.value.seeds, plain.seeds);
-    assert_eq!(
-        any.value.result.spread.to_bits(),
-        plain.result.spread.to_bits(),
-        "unlimited budget must route through the exact scatter-gather"
-    );
-
-    let plain = sharded.suggest_keywords("ada db", 2).unwrap().value;
-    let any = sharded
-        .suggest_keywords_budgeted("ada db", 2, &budget)
-        .unwrap()
-        .value;
-    assert!(any.bound.exact);
-    assert_eq!(any.value.words, plain.words);
-    assert_eq!(any.value.user, plain.user);
-
-    let dir = octopus_core::paths::ExploreDirection::Influences;
-    let plain = sharded
-        .explore_paths("cal db", dir, Some("data mining"))
-        .unwrap()
-        .value;
-    let any = sharded
-        .explore_paths_budgeted("cal db", dir, Some("data mining"), &budget)
-        .unwrap()
-        .value;
-    assert!(any.bound.exact);
-    assert_eq!(any.value.d3_json, plain.d3_json);
-    assert_eq!(any.value.influence.to_bits(), plain.influence.to_bits());
-
-    let plain = sharded.autocomplete("fan-", 10).value;
-    let any = sharded.autocomplete_budgeted("fan-", 10, &budget).value;
-    assert!(any.bound.exact);
-    assert_eq!(any.value, plain);
-
-    let plain = sharded.keyword_radar("data mining").unwrap().value;
-    let any = sharded
-        .keyword_radar_budgeted("data mining", &budget)
-        .unwrap()
-        .value;
-    assert!(any.bound.exact);
-    assert_eq!(any.value, plain);
-}
-
-#[test]
 fn sharded_budgeted_topk_is_deterministic_and_its_bound_is_sound() {
     let (g, model, config) = fixture();
     let single = reference(&g, &model, &config);
@@ -561,14 +552,8 @@ fn sharded_budgeted_topk_is_deterministic_and_its_bound_is_sound() {
         let sharded = ShardedService::new(g.clone(), model.clone(), config.clone(), k).unwrap();
         for samples in [32usize, 256] {
             let budget = QueryBudget::samples(samples);
-            let a = sharded
-                .find_influencers_budgeted("data mining", 4, &budget)
-                .unwrap()
-                .value;
-            let b = sharded
-                .find_influencers_budgeted("data mining", 4, &budget)
-                .unwrap()
-                .value;
+            let a = find_under(&sharded, "data mining", 4, &budget);
+            let b = find_under(&sharded, "data mining", 4, &budget);
             // fixed sample budget ⇒ the scatter, the per-shard samplers,
             // and the gather are all deterministic
             assert_eq!(
@@ -620,7 +605,8 @@ fn sharded_admission_counts_sheds_in_stats() {
             let (sharded, observed_shed, answered) = (&sharded, &observed_shed, &answered);
             scope.spawn(move || {
                 for _ in 0..4 {
-                    match sharded.find_influencers("data mining", 2) {
+                    let query = influencers_query("data mining", 2);
+                    match sharded.execute(&query, &QueryBudget::unlimited()) {
                         Ok(_) => {
                             answered.fetch_add(1, Relaxed);
                         }
@@ -649,7 +635,7 @@ fn sharded_admission_counts_sheds_in_stats() {
     // autocomplete bypasses admission entirely: even a saturated
     // controller never sheds it
     for _ in 0..4 {
-        assert!(!sharded.autocomplete("fan-", 5).value.is_empty());
+        assert!(!complete(&sharded, "fan-", 5).is_empty());
     }
     assert_eq!(sharded.stats().queries_shed, observed_shed.load(Relaxed));
 }
