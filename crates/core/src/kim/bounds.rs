@@ -551,10 +551,12 @@ impl<'g> LocalGraphBound<'g> {
 impl BoundEstimator for LocalGraphBound<'_> {
     fn upper_bound(&self, u: NodeId, gamma: &TopicDistribution) -> f64 {
         let g = self.graph;
-        // depth-limited max-prob Dijkstra from u
+        // depth-limited max-prob Dijkstra from u; the sums accumulate in
+        // settle order, so the bound is bit-reproducible
         let mut best: std::collections::HashMap<NodeId, f64> = std::collections::HashMap::new();
-        let mut settled: std::collections::HashMap<NodeId, (f64, u32)> =
-            std::collections::HashMap::new();
+        let mut settled = std::collections::HashSet::new();
+        let mut interior = 0.0f64;
+        let mut frontier_tail = 0.0f64;
         let mut heap = BinaryHeap::new();
         heap.push(Hop {
             prob: 1.0,
@@ -563,15 +565,16 @@ impl BoundEstimator for LocalGraphBound<'_> {
         });
         best.insert(u, 1.0);
         while let Some(h) = heap.pop() {
-            if settled.contains_key(&h.node) {
+            if !settled.insert(h.node) {
                 continue;
             }
-            settled.insert(h.node, (h.prob, h.depth));
+            interior += h.prob;
             if h.depth == self.depth {
+                frontier_tail += h.prob * (self.cap - 1.0);
                 continue;
             }
             for (v, e) in g.out_edges(h.node) {
-                if settled.contains_key(&v) {
+                if settled.contains(&v) {
                     continue;
                 }
                 let p = h.prob * g.edge_prob(e, gamma.as_slice());
@@ -587,14 +590,6 @@ impl BoundEstimator for LocalGraphBound<'_> {
                         depth: h.depth + 1,
                     });
                 }
-            }
-        }
-        let mut interior = 0.0f64;
-        let mut frontier_tail = 0.0f64;
-        for (&_node, &(prob, depth)) in &settled {
-            interior += prob;
-            if depth == self.depth {
-                frontier_tail += prob * (self.cap - 1.0);
             }
         }
         (1.0 + self.safety * (interior - 1.0 + frontier_tail)).max(1.0)
@@ -670,6 +665,32 @@ mod tests {
                 b >= s - 1e-9,
                 "LG violated at {u:?}: bound {b} < spread {s}"
             );
+        }
+    }
+
+    #[test]
+    fn lg_bound_is_bit_reproducible() {
+        // 1 root, 12 children, 24 grandchildren: 37 nodes settle at depth 2,
+        // with non-dyadic probabilities so the summation order shows in the
+        // last bits
+        let mut b = octopus_graph::GraphBuilder::new(2);
+        let _ = b.add_nodes(37);
+        for i in 1..=12u32 {
+            let p = 0.1 + 0.037 * i as f64;
+            b.add_edge(NodeId(0), NodeId(i), &[(0, p), (1, 0.9 - p)])
+                .unwrap();
+            for c in 0..2u32 {
+                let child = 13 + 2 * (i - 1) + c;
+                let q = 0.2 + 0.013 * child as f64;
+                b.add_edge(NodeId(i), NodeId(child), &[(0, q)]).unwrap();
+            }
+        }
+        let g = b.build().unwrap();
+        let lg = LocalGraphBound::new(&g, 2, 50.0, 1.1);
+        let gamma = TopicDistribution::uniform(2);
+        let first = lg.upper_bound(NodeId(0), &gamma).to_bits();
+        for _ in 0..200 {
+            assert_eq!(lg.upper_bound(NodeId(0), &gamma).to_bits(), first);
         }
     }
 

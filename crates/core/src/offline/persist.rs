@@ -73,8 +73,8 @@
 //! ## Lookup
 //!
 //! [`lookup`] first tries the exact combined-fingerprint file name, then
-//! scans the cache directory's other `.octa` files, merging matching
-//! sections across files — so after a graph delta (new combined
+//! the cache directory's other `.octa` files newest first, merging
+//! matching sections across files — so after a graph delta (new combined
 //! fingerprint, hence new file name) the previous epoch's file still
 //! donates every section whose stage inputs are unchanged. After each
 //! write-back, [`prune`] bounds the directory to [`MAX_CACHE_FILES`],
@@ -653,9 +653,10 @@ pub fn load_sections(
 /// still-needed sections** — a scalar slot already filled by an earlier
 /// donor file is not re-decoded (nor even checksummed), and the PIKS
 /// section is skipped once every world up to `piks_index_size` is covered.
-/// PIKS donors union world-by-world ([`PiksReuse::merge_from`]), so two
-/// deltas that invalidated disjoint world sets in different epoch files
-/// reassemble full coverage. Returns whether anything new was salvaged.
+/// A needed PIKS section is checksummed, then screened into the
+/// accumulated world slots in place ([`crate::piks::PiksReuse::screen`]),
+/// so donors union world by world. Returns whether anything new was
+/// salvaged.
 fn load_sections_into(
     raw: &[u8],
     keys: &StageKeys,
@@ -729,17 +730,8 @@ fn load_sections_into(
                 }
             }
             SECTION_PIKS => {
-                if let Ok(reuse) = InfluencerIndex::load_reusable(payload, graph) {
-                    if reuse.available() > 0 {
-                        match &mut slots.piks {
-                            Some(have) => salvaged |= have.merge_from(reuse) > 0,
-                            none => {
-                                *none = Some(reuse);
-                                salvaged = true;
-                            }
-                        }
-                    }
-                }
+                let piks = slots.piks.get_or_insert_default();
+                salvaged |= piks.screen(payload, graph).is_ok_and(|filled| filled > 0);
             }
             SECTION_NAMES => {
                 if let Ok(names) = Autocomplete::decode_from(payload, graph.node_count()) {
@@ -916,12 +908,19 @@ pub struct CacheLookup {
 ///
 /// The exact combined-fingerprint file is consulted first (on an unchanged
 /// restart it satisfies everything by itself); then the directory's other
-/// `.octa` files are scanned in name order, each donating any still-missing
-/// section whose key matches — this is the path a graph delta takes, since
-/// a delta changes the combined fingerprint and therefore the file name.
+/// `.octa` files **newest first** — by header `write_seq`, ties by path —
+/// each donating any still-missing section whose key matches. This is the
+/// path a graph delta takes (a delta changes the combined fingerprint and
+/// therefore the file name): the newest donor is the epoch closest to the
+/// live graph, so it supplies most units and older ones fill the gaps.
 /// Slots already satisfied by an earlier file are skipped without decoding;
 /// PIKS world slots **union** across donors (two deltas that invalidated
 /// disjoint world sets in different epoch files reassemble full coverage).
+///
+/// Cost model: every visited donor's needed PIKS section is checksummed,
+/// but a world an earlier donor supplied is skipped on its offset alone and
+/// each missing world is screened once per distinct stored node list — a
+/// flush pays for the worlds its delta touched, not for the directory.
 /// Unreadable, foreign, stale-version, or corrupt files are simply
 /// skipped: lookup degrades, it never fails.
 pub fn lookup(
@@ -934,12 +933,13 @@ pub fn lookup(
     let exact = fp.cache_path(cache_dir);
     let mut candidates = vec![exact.clone()];
     if let Ok(entries) = std::fs::read_dir(cache_dir) {
-        let mut others: Vec<PathBuf> = entries
+        let mut others: Vec<(std::cmp::Reverse<u64>, PathBuf)> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "octa") && *p != exact)
+            .map(|p| (std::cmp::Reverse(file_write_seq(&p)), p))
             .collect();
         others.sort();
-        candidates.extend(others);
+        candidates.extend(others.into_iter().map(|(_, p)| p));
     }
     let mut out = CacheLookup::default();
     for path in candidates {
@@ -1688,6 +1688,120 @@ mod tests {
         }
     }
 
+    /// Flip one byte inside the PIKS section payload of the container at
+    /// `path`: the section's checksum then fails, so it donates nothing.
+    fn corrupt_piks_section(path: &Path) {
+        let mut raw = std::fs::read(path).unwrap();
+        let mut table = &raw[HEADER_LEN..];
+        let piks = (0..read_section_count(&raw).unwrap())
+            .map(|_| wire::read_section_entry(&mut table, "test entry").unwrap())
+            .find(|e| e.tag == SECTION_PIKS)
+            .expect("every container has a PIKS section");
+        raw[(piks.off + piks.len / 2) as usize] ^= 0x40;
+        std::fs::write(path, raw).unwrap();
+    }
+
+    #[test]
+    fn newest_first_scan_screens_the_union_of_every_donor_alone() {
+        // a chain of 16 nudge epochs, each saved as a donor: repeated
+        // victims invalidate overlapping world sets, distinct targets
+        // disjoint ones; one extra donor carries a larger index and one
+        // epoch's PIKS section is corrupted. The live graph nudges once
+        // more, so no donor covers every world and the scan visits all.
+        let cfg = config(KimEngineChoice::Mis);
+        let large = OctopusConfig {
+            piks_index_size: 400,
+            ..cfg.clone()
+        };
+        let dir = std::env::temp_dir().join("octopus_persist_scan_union");
+        std::fs::remove_dir_all(&dir).ok();
+        let save_epoch = |g: &TopicGraph, cfg: &OctopusConfig| {
+            let fp = Fingerprint::compute(g, cfg);
+            let keys = StageKeys::compute(g, cfg);
+            save(&offline::build(g, cfg), &fp, &keys, &fp.cache_path(&dir)).unwrap();
+            fp.cache_path(&dir)
+        };
+        let nudge = |g: &TopicGraph, (s, t): (u32, u32)| {
+            let e = g.find_edge(NodeId(s), NodeId(t)).unwrap();
+            delta::nudge_weights(g, &[e], 0.03).unwrap()
+        };
+        let victims = [
+            (0, 2),
+            (1, 8),
+            (0, 2),
+            (0, 3),
+            (2, 8),
+            (1, 9),
+            (0, 3),
+            (3, 9),
+            (0, 4),
+            (1, 10),
+            (4, 10),
+            (0, 5),
+            (1, 11),
+            (0, 2),
+            (1, 8),
+            (0, 6),
+        ];
+        let mut g = tiny_graph();
+        let mut donors = Vec::new();
+        for (i, &victim) in victims.iter().enumerate() {
+            g = nudge(&g, victim);
+            donors.push(save_epoch(&g, &cfg));
+            if i == 5 {
+                donors.push(save_epoch(&g, &large));
+            }
+            if i == 9 {
+                corrupt_piks_section(donors.last().unwrap());
+            }
+        }
+        let live = nudge(&g, (0, 7));
+        let fp = Fingerprint::compute(&live, &cfg);
+        let keys = StageKeys::compute(&live, &cfg);
+        let found = lookup(&dir, &fp, &keys, &live, &cfg);
+
+        // reference: every donor screened alone into a fresh accumulator,
+        // then the positional union
+        let alone: Vec<Vec<bool>> = donors
+            .iter()
+            .map(|path| {
+                let raw = std::fs::read(path).unwrap();
+                let slots = load_sections(&raw, &keys, &live, &cfg).unwrap();
+                slots.piks.map_or_else(Vec::new, |p| p.reusable_worlds())
+            })
+            .collect();
+        let mut union: Vec<bool> = Vec::new();
+        for worlds in &alone {
+            if worlds.len() > union.len() {
+                union.resize(worlds.len(), false);
+            }
+            for (u, &w) in union.iter_mut().zip(worlds) {
+                *u |= w;
+            }
+        }
+        let piks = found.slots.piks.as_ref().expect("worlds salvaged");
+        assert_eq!(piks.reusable_worlds(), union);
+        assert_eq!(piks.len(), 400, "the larger donor's tail is screened too");
+        let r = cfg.piks_index_size;
+        assert!(piks.available_in(r) < r, "no donor saw the live nudge");
+        let newest_alone = alone.last().unwrap().iter().filter(|&&w| w).count();
+        assert!(piks.available() > newest_alone, "older donors fill gaps");
+
+        // the newest contributing donor comes first, the rest follow in
+        // descending write sequence
+        assert_eq!(found.sources.first(), donors.last());
+        let seqs: Vec<u64> = found.sources.iter().map(|p| file_write_seq(p)).collect();
+        assert!(seqs.windows(2).all(|w| w[0] > w[1]), "{seqs:?}");
+
+        // and the reassembled artifacts encode byte-identically
+        let rebuilt = offline::build_with_reuse(&live, &cfg, found.slots);
+        assert!(
+            encode(&rebuilt, &fp, &keys, 1) == encode(&offline::build(&live, &cfg), &fp, &keys, 1),
+            "reused and fresh artifacts must encode identically"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn prune_bounds_the_directory_and_never_deletes_keep() {
         let dir = std::env::temp_dir().join("octopus_persist_prune_test");
@@ -1697,9 +1811,9 @@ mod tests {
         for i in 0..MAX_CACHE_FILES + 5 {
             let p = dir.join(format!("octopus-artifacts-{i:02}.octa"));
             std::fs::write(&p, vec![i as u8; 4]).unwrap();
-            // mtime resolution can be coarse: space the writes out so the
-            // oldest-first eviction order is well-defined
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            // distinct explicit mtimes: the oldest-first eviction order is
+            // well-defined whatever the filesystem's mtime resolution
+            set_mtime(&p, i as u64);
         }
         std::fs::write(&keep, b"kept").unwrap();
         prune(&dir, &[&keep]);
@@ -1728,11 +1842,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let keep_b = dir.join("octopus-artifacts-writer-b.octa");
         std::fs::write(&keep_b, b"writer b").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        set_mtime(&keep_b, 0);
         for i in 0..MAX_CACHE_FILES + 5 {
             let p = dir.join(format!("octopus-artifacts-{i:02}.octa"));
             std::fs::write(&p, vec![i as u8; 4]).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            set_mtime(&p, 1 + i as u64);
         }
         let keep_a = dir.join("octopus-artifacts-writer-a.octa");
         std::fs::write(&keep_a, b"writer a").unwrap();
@@ -1751,6 +1865,19 @@ mod tests {
         // with both keeps occupying slots, the 7 oldest flood files go
         assert!(!remaining.contains(&dir.join("octopus-artifacts-00.octa")));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Stamp `path`'s mtime `secs` seconds past a fixed instant, so tests
+    /// order files by mtime without sleeping between writes.
+    fn set_mtime(path: &Path, secs: u64) {
+        let stamp = std::time::SystemTime::UNIX_EPOCH
+            + std::time::Duration::from_secs(1_700_000_000 + secs);
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(stamp)
+            .unwrap();
     }
 
     /// A header-only v5 container carrying `write_seq` (zero sections —
@@ -1793,15 +1920,8 @@ mod tests {
         write_header_only(&keep, (total + 1) as u64);
         // collapse every mtime onto one timestamp, as a burst within the
         // filesystem's granularity would
-        let stamp =
-            std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_700_000_000);
         for p in paths.iter().chain([&keep]) {
-            std::fs::File::options()
-                .write(true)
-                .open(p)
-                .unwrap()
-                .set_modified(stamp)
-                .unwrap();
+            set_mtime(p, 0);
         }
         prune(&dir, &[&keep]);
         let remaining: Vec<PathBuf> = std::fs::read_dir(&dir)

@@ -655,13 +655,20 @@ mod tests {
         assert!(is_mapped(&path), "clones keep the registration alive");
 
         // flood the directory past the cap; the mapped file is among the
-        // prune candidates (write_seq 0 would make dummies newer? no —
-        // dummies are unparseable = seq 0, the real file has seq >= 1, but
-        // mtime ordering dominates and the real file is OLDEST) and must
-        // survive anyway
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // prune candidates (dummies are unparseable = seq 0, the real file
+        // has seq >= 1, but mtime ordering dominates and the real file is
+        // stamped OLDEST) and must survive anyway
+        let set_mtime = |p: &Path, secs: u64| {
+            let stamp = std::time::SystemTime::UNIX_EPOCH
+                + std::time::Duration::from_secs(1_700_000_000 + secs);
+            let f = std::fs::File::options().write(true).open(p).unwrap();
+            f.set_modified(stamp).unwrap();
+        };
+        set_mtime(&path, 0);
         for i in 0..persist::MAX_CACHE_FILES + 3 {
-            std::fs::write(dir.join(format!("dummy-{i:02}.octa")), [i as u8; 4]).unwrap();
+            let dummy = dir.join(format!("dummy-{i:02}.octa"));
+            std::fs::write(&dummy, [i as u8; 4]).unwrap();
+            set_mtime(&dummy, 1 + i as u64);
         }
         let keep = dir.join("dummy-00.octa");
         persist::prune(&dir, &[&keep]);

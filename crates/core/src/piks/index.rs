@@ -177,27 +177,35 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
     }
 }
 
-/// Per-world reuse slots decoded from a persisted index, produced by
-/// [`InfluencerIndex::load_reusable`] and consumed by
+/// Per-world reuse slots accumulated from one or more persisted indexes by
+/// [`PiksReuse::screen`] and consumed by
 /// [`InfluencerIndex::build_with_reuse`].
 ///
-/// Slot `j` is `Some` iff the stored world `j` decoded cleanly **and** its
-/// stored [`footprint_hash`] matches the hash recomputed over the live
-/// graph — i.e. rebuilding that world now would reproduce the stored bytes.
-/// Worlds whose BFS footprint intersects a graph delta come back `None`
-/// and are rebuilt; untouched worlds are reloaded as-is.
+/// Slot `j` is `Some` iff some screened donor stored a world `j` that
+/// decoded cleanly **and** whose stored [`footprint_hash`] matches the hash
+/// recomputed over the live graph — i.e. rebuilding that world now would
+/// reproduce the stored bytes. Worlds whose BFS footprint intersects a
+/// graph delta stay `None` and are rebuilt. Reuse is positional (world `j`
+/// is the same `(seed, j)` derivation in every donor whose section key
+/// matched), so screening several donors into one accumulator takes their
+/// union: two deltas that invalidated disjoint world sets in different
+/// epoch files reassemble full coverage.
 #[derive(Debug, Default)]
 pub struct PiksReuse {
     slots: Vec<Option<Sample>>,
+    /// Per world `j`, the live footprints computed so far, keyed by the
+    /// stored node list they were computed over (all a footprint reads).
+    live_footprints: Vec<Vec<(Vec<u32>, u64)>>,
 }
 
 impl PiksReuse {
-    /// Number of stored worlds (reusable or not).
+    /// Number of world slots (reusable or not): the world count of the
+    /// largest donor index screened cleanly.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Whether no worlds were stored at all.
+    /// Whether no donor contributed a world slot at all.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
@@ -222,28 +230,114 @@ impl PiksReuse {
         self.slots.iter().map(|s| s.is_some()).collect()
     }
 
-    /// Positional union with another donor: fill every empty slot from
-    /// `other`, returning how many slots were newly filled.
+    /// Screen one donor's worlds — serialized by
+    /// [`InfluencerIndex::encode_into`] — against the **live** `graph`,
+    /// filling every still-empty slot the donor can serve. Returns how many
+    /// slots were newly filled.
     ///
-    /// Sound because reuse is positional and both donors must have matched
-    /// the same section key — world `j` is the same `(seed, j)` derivation
-    /// in every donor (and [`InfluencerIndex::build_with_reuse`] re-checks
-    /// the coin seed before trusting any slot). Two deltas that invalidated
-    /// disjoint world sets in different epoch files thus reassemble full
-    /// coverage here instead of rebuilding either set.
-    pub fn merge_from(&mut self, other: PiksReuse) -> usize {
-        if other.slots.len() > self.slots.len() {
-            self.slots.resize_with(other.slots.len(), || None);
+    /// A world an earlier donor supplied is skipped on its offset alone. An
+    /// examined world gets the full structural checks; any failure is an
+    /// error and the donor fills nothing (fills commit only once the whole
+    /// section screened cleanly). A sound world must then have its ids
+    /// inside `graph` and a stored [`footprint_hash`] equal to the live
+    /// one, computed at most once per (world, stored node list) over the
+    /// accumulator's lifetime — so every `screen` into one accumulator must
+    /// pass the same live graph. A world failing that screen is no error:
+    /// its slot stays empty and it rebuilds.
+    pub fn screen(&mut self, raw: &[u8], graph: &TopicGraph) -> Result<usize, WireError> {
+        let view = PiksWorldsView::parse(raw)?;
+        if view.n() != graph.node_count() {
+            return Ok(0); // derived over another node universe
         }
-        let mut filled = 0;
-        for (slot, donor) in self.slots.iter_mut().zip(other.slots) {
-            if slot.is_none() && donor.is_some() {
-                *slot = donor;
-                filled += 1;
+        let mut fills = Vec::new();
+        for j in 0..view.len() {
+            if self.slots.get(j).is_some_and(Option::is_some) {
+                continue;
+            }
+            let wv = view.world(j);
+            let Some(nodes) = checked_nodes(j, &wv, graph)? else {
+                continue;
+            };
+            if self.live_footprint(j, &nodes, graph) == wv.footprint() {
+                let w = nodes.len();
+                fills.push((
+                    j,
+                    Sample {
+                        root: NodeId(nodes[0]),
+                        coins: EdgeCoins::new(wv.coin_seed()),
+                        local_of: (0..w).map(|i| wv.local_pair(i)).collect(),
+                        in_offsets: (0..=w).map(|i| wv.in_offset(i)).collect(),
+                        in_edges: (0..wv.edge_count()).map(|k| wv.in_edge(k)).collect(),
+                        nodes,
+                        footprint: wv.footprint(),
+                        edges_examined: wv.edges_examined(),
+                    },
+                ));
             }
         }
-        filled
+        if self.slots.len() < view.len() {
+            self.slots.resize_with(view.len(), || None);
+        }
+        let filled = fills.len();
+        for (j, sample) in fills {
+            self.slots[j] = Some(sample);
+        }
+        Ok(filled)
     }
+
+    /// [`footprint_hash`] of `nodes` over the live graph, memoized per
+    /// world.
+    fn live_footprint(&mut self, j: usize, nodes: &[u32], graph: &TopicGraph) -> u64 {
+        if self.live_footprints.len() <= j {
+            self.live_footprints.resize_with(j + 1, Vec::new);
+        }
+        let seen = &mut self.live_footprints[j];
+        if let Some(&(_, fp)) = seen.iter().find(|(stored, _)| stored == nodes) {
+            return fp;
+        }
+        let fp = footprint_hash(graph, nodes);
+        seen.push((nodes.to_vec(), fp));
+        fp
+    }
+}
+
+/// Structural checks on stored world `j` (monotone CSR offsets, local edge
+/// sources, the local lookup as the sorted inverse of the node list).
+/// Returns the node list, or `None` when an id falls outside `graph`.
+fn checked_nodes(
+    j: usize,
+    wv: &PiksWorldView<'_>,
+    graph: &TopicGraph,
+) -> Result<Option<Vec<u32>>, WireError> {
+    let w = wv.node_count();
+    let world_edges = wv.edge_count();
+    let offsets_ok = wv.in_offset(0) == 0
+        && (0..w).all(|i| wv.in_offset(i) <= wv.in_offset(i + 1))
+        && wv.in_offset(w) as usize == world_edges;
+    if !offsets_ok {
+        return Err(WireError(format!("piks world {j} CSR offsets malformed")));
+    }
+    let mut ids_ok = true;
+    for k in 0..world_edges {
+        let (src, e) = wv.in_edge(k);
+        if src as usize >= w {
+            return Err(WireError(format!(
+                "piks world {j} edge source {src} out of bounds"
+            )));
+        }
+        ids_ok &= e.index() < graph.edge_count();
+    }
+    let nodes: Vec<u32> = (0..w).map(|i| wv.node(i)).collect();
+    let mut prev: Option<u32> = None;
+    for i in 0..w {
+        let (g, l) = wv.local_pair(i);
+        if (l as usize) >= w || nodes[l as usize] != g || prev.is_some_and(|p| p >= g) {
+            return Err(WireError(format!("piks world {j} local lookup malformed")));
+        }
+        prev = Some(g);
+    }
+    ids_ok &= nodes.iter().all(|&g| (g as usize) < graph.node_count());
+    Ok(ids_ok.then_some(nodes))
 }
 
 impl InfluencerIndex {
@@ -429,80 +523,12 @@ impl InfluencerIndex {
         }
     }
 
-    /// Decode worlds serialized by [`InfluencerIndex::encode_into`] into
-    /// per-world reuse slots validated against the **live** graph.
-    ///
-    /// Structural framing damage (truncation, malformed CSR, an
-    /// inconsistent stored local lookup) is an error — the caller treats
-    /// the whole section as a miss. A world that decodes cleanly is
-    /// screened semantically instead: its stored node and edge ids must
-    /// fall inside `graph`, and its stored [`footprint_hash`] must equal
-    /// the hash recomputed over `graph`'s current in-edge content.
-    /// Screening failures are not errors; the world's slot is simply `None`
-    /// (it will be rebuilt), which is exactly the delta-reuse contract —
-    /// a payload keyed to the wrong inputs, or touched by a graph delta,
-    /// can never be served, only ignored.
+    /// Screen one serialized index against the **live** graph into fresh
+    /// reuse slots — [`PiksReuse::screen`] on an empty accumulator.
     pub fn load_reusable(raw: &[u8], graph: &TopicGraph) -> Result<PiksReuse, WireError> {
-        let node_count = graph.node_count();
-        let edge_count = graph.edge_count();
-        let view = PiksWorldsView::parse(raw)?;
-        let derivation_ok = view.n() == node_count;
-        let mut slots = Vec::with_capacity(view.len().min(1 << 20));
-        for j in 0..view.len() {
-            let wv = view.world(j);
-            let w = wv.node_count();
-            let world_edges = wv.edge_count();
-            let mut in_offsets = Vec::with_capacity(w + 1);
-            for i in 0..=w {
-                in_offsets.push(wv.in_offset(i));
-            }
-            if in_offsets[0] != 0
-                || in_offsets.windows(2).any(|p| p[0] > p[1])
-                || in_offsets[w] as usize != world_edges
-            {
-                return Err(WireError(format!("piks world {j} CSR offsets malformed")));
-            }
-            let nodes: Vec<u32> = (0..w).map(|i| wv.node(i)).collect();
-            let mut in_edges = Vec::with_capacity(world_edges);
-            let mut ids_ok = true;
-            for k in 0..world_edges {
-                let (src, e) = wv.in_edge(k);
-                if src as usize >= w {
-                    return Err(WireError(format!(
-                        "piks world {j} edge source {src} out of bounds"
-                    )));
-                }
-                ids_ok &= e.index() < edge_count;
-                in_edges.push((src, e));
-            }
-            // the stored sparse lookup must be the sorted inverse of `nodes`
-            let mut local_of = Vec::with_capacity(w);
-            let mut prev: Option<u32> = None;
-            for i in 0..w {
-                let (g, l) = wv.local_pair(i);
-                if (l as usize) >= w || nodes[l as usize] != g || prev.is_some_and(|p| p >= g) {
-                    return Err(WireError(format!("piks world {j} local lookup malformed")));
-                }
-                prev = Some(g);
-                local_of.push((g, l));
-            }
-            ids_ok &= nodes.iter().all(|&g| (g as usize) < node_count);
-            if !(derivation_ok && ids_ok) || footprint_hash(graph, &nodes) != wv.footprint() {
-                slots.push(None);
-                continue;
-            }
-            slots.push(Some(Sample {
-                root: NodeId(nodes[0]),
-                coins: EdgeCoins::new(wv.coin_seed()),
-                nodes,
-                local_of,
-                in_offsets,
-                in_edges,
-                footprint: wv.footprint(),
-                edges_examined: wv.edges_examined(),
-            }));
-        }
-        Ok(PiksReuse { slots })
+        let mut reuse = PiksReuse::default();
+        reuse.screen(raw, graph)?;
+        Ok(reuse)
     }
 
     /// Start a query session for `gamma`. Live sets materialize lazily.
@@ -627,7 +653,7 @@ fn u32_at(raw: &[u8], off: usize) -> u32 {
 /// proportional to pages touched. Payload integrity is the container
 /// checksum's job (verified lazily by the artifact view layer); the graph
 /// fingerprint baked into the containing file is what entitles the view to
-/// skip the per-world footprint screening that [`InfluencerIndex::load_reusable`]
+/// skip the per-world footprint screening that [`PiksReuse::screen`]
 /// performs for cross-graph reuse.
 #[derive(Debug, Clone, Copy)]
 pub struct PiksWorldsView<'a> {
@@ -1131,6 +1157,59 @@ mod tests {
         let (big, reused) = InfluencerIndex::build_with_reuse(&g, 150, 37, &reuse);
         assert_eq!(reused, 100);
         assert_eq!(big, InfluencerIndex::build(&g, 150, 37));
+    }
+
+    fn encoded(idx: &InfluencerIndex) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        idx.encode_into(&mut buf);
+        buf.to_vec()
+    }
+
+    /// `raw` with world `j`'s first stored local-lookup pair pointing at
+    /// the wrong local id: framing intact, the world structurally unsound.
+    fn with_malformed_world(raw: &[u8], j: usize) -> Vec<u8> {
+        let view = PiksWorldsView::parse(raw).unwrap();
+        let lo = u64_at(raw, 16 + 8 * j) as usize;
+        let pair = lo + wire::align8(40 + 4 * view.world(j).node_count());
+        let mut bad = raw.to_vec();
+        bad[pair + 4] ^= 0x01;
+        assert!(PiksWorldsView::parse(&bad).is_ok(), "framing untouched");
+        bad
+    }
+
+    #[test]
+    fn screen_unions_donors_and_commits_only_sound_sections() {
+        let g = hub_graph();
+        let (r, seed) = (64, 43);
+        let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
+        let live = octopus_graph::delta::nudge_weights(&g, &[victim], 0.07).unwrap();
+        let old = encoded(&InfluencerIndex::build(&g, r, seed));
+        let fresh = encoded(&InfluencerIndex::build(&live, r, seed));
+
+        // the pre-nudge donor covers exactly the worlds that missed node 4
+        let mut acc = PiksReuse::default();
+        let first = acc.screen(&old, &live).unwrap();
+        let covered = acc.reusable_worlds();
+        assert_eq!(first, covered.iter().filter(|&&c| c).count());
+        assert!(0 < first && first + 1 < r, "the nudge must leave 2+ gaps");
+        // screening the same donor again fills nothing (memoized misses)
+        assert_eq!(acc.screen(&old, &live).unwrap(), 0);
+
+        // a malformed world the scan must examine: the donor fills nothing,
+        // not even the sound uncovered worlds before it
+        let last_gap = covered.iter().rposition(|&c| !c).unwrap();
+        let bad = with_malformed_world(&fresh, last_gap);
+        assert!(acc.screen(&bad, &live).is_err());
+        assert_eq!(acc.reusable_worlds(), covered, "no partial fill");
+
+        // a malformed world already covered is never examined: harmless
+        let first_hit = covered.iter().position(|&c| c).unwrap();
+        let harmless = with_malformed_world(&fresh, first_hit);
+        assert_eq!(acc.screen(&harmless, &live).unwrap(), r - first);
+        assert_eq!(acc.available(), r);
+        let (rebuilt, reused) = InfluencerIndex::build_with_reuse(&live, r, seed, &acc);
+        assert_eq!(reused, r);
+        assert_eq!(rebuilt, InfluencerIndex::build(&live, r, seed));
     }
 
     #[test]
