@@ -3,13 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use octopus_bench::workloads::{citation_small, prolific_users, user_keywords};
-use octopus_core::piks::{GreedyPiks, InfluencerIndex, PiksConfig};
+use octopus_core::piks::{GreedyPiks, InfluencerIndex, PiksConfig, PiksWorldsView};
 use octopus_topics::KeywordId;
 
 fn bench_suggest_vs_k(c: &mut Criterion) {
     let net = citation_small();
-    let index = InfluencerIndex::build(&net.graph, 1024, 7);
-    let engine = GreedyPiks::new(&net.graph, &net.model, &index, PiksConfig::default());
+    let raw = InfluencerIndex::build(&net.graph, 1024, 7).to_bytes();
+    let index = PiksWorldsView::parse(&raw).expect("fresh encoding parses");
+    let engine = GreedyPiks::new(&net.graph, &net.model, index, PiksConfig::default());
     let target = prolific_users(&net, 1)[0];
     let pool = user_keywords(&net)[&target].clone();
     let mut group = c.benchmark_group("e2_piks_vs_k");
@@ -30,8 +31,9 @@ fn bench_suggest_vs_k(c: &mut Criterion) {
 
 fn bench_suggest_vs_pool(c: &mut Criterion) {
     let net = citation_small();
-    let index = InfluencerIndex::build(&net.graph, 1024, 7);
-    let engine = GreedyPiks::new(&net.graph, &net.model, &index, PiksConfig::default());
+    let raw = InfluencerIndex::build(&net.graph, 1024, 7).to_bytes();
+    let index = PiksWorldsView::parse(&raw).expect("fresh encoding parses");
+    let engine = GreedyPiks::new(&net.graph, &net.model, index, PiksConfig::default());
     let target = prolific_users(&net, 1)[0];
     let full: Vec<KeywordId> = (0..net.model.vocab_size())
         .map(|i| KeywordId(i as u32))

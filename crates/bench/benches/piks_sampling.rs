@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use octopus_bench::workloads::{citation_small, prolific_users};
 use octopus_cascade::{estimate_spread, RrCollection};
-use octopus_core::piks::InfluencerIndex;
+use octopus_core::piks::{InfluencerIndex, PiksWorldsView};
 
 fn bench_estimation_methods(c: &mut Criterion) {
     let net = citation_small();
@@ -28,7 +28,8 @@ fn bench_estimation_methods(c: &mut Criterion) {
     });
 
     for r in [512usize, 2048] {
-        let index = InfluencerIndex::build(&net.graph, r, 13);
+        let raw = InfluencerIndex::build(&net.graph, r, 13).to_bytes();
+        let index = PiksWorldsView::parse(&raw).expect("fresh encoding parses");
         group.bench_with_input(
             BenchmarkId::new("index_fresh_session", r),
             &index,

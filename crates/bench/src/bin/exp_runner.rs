@@ -50,13 +50,13 @@
 //! latency ones.
 //!
 //! With `--open-bench`, the runner measures engine startup: it builds the
-//! citation artifact cold, then opens it twice — once in owned mode
-//! (decode every section into owned structs) and once in zero-copy mapped
-//! mode ([`Octopus::open_mapped`], O(pages-touched)) — and reports
+//! citation artifact cold, then opens it twice — once onto the heap (read,
+//! checksum and decode every section, serve the read bytes) and once
+//! memory-mapped ([`Octopus::open_mapped`], O(pages-touched)) — and reports
 //! cold-open wall time, the `artifact-map`/`artifact-validate`/
 //! `artifact-decode` split, first-query latency, and RSS growth for both,
 //! while asserting that all five online operators answer **bit-identically**
-//! in either mode (any divergence exits nonzero). `--paranoid` makes the
+//! on either backing (any divergence exits nonzero). `--paranoid` makes the
 //! mapped open verify every section checksum up front instead of lazily.
 //!
 //! Every invocation also appends one machine-readable run record
@@ -79,7 +79,7 @@ use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig};
 use octopus_core::kim::bounds::{BoundEstimator, PrecompBound};
 use octopus_core::kim::BoundKind;
 use octopus_core::paths::ExploreDirection;
-use octopus_core::piks::{ExhaustivePiks, GreedyPiks, InfluencerIndex, PiksConfig};
+use octopus_core::piks::{ExhaustivePiks, GreedyPiks, InfluencerIndex, PiksConfig, PiksWorldsView};
 use octopus_data::learn::align_topics;
 use octopus_data::{CitationConfig, EmOptions, TicEm};
 use octopus_graph::NodeId;
@@ -319,10 +319,11 @@ fn e2(s: &Scale) {
     emit(&t);
 
     // greedy vs exhaustive quality on capped pools
-    let index = InfluencerIndex::build(&net.graph, 2048, 4242);
+    let raw = InfluencerIndex::build(&net.graph, 2048, 4242).to_bytes();
+    let index = PiksWorldsView::parse(&raw).expect("encoded");
     let cfg = PiksConfig::default();
-    let greedy = GreedyPiks::new(&net.graph, &net.model, &index, cfg.clone());
-    let exact = ExhaustivePiks::new(&net.graph, &net.model, &index, cfg);
+    let greedy = GreedyPiks::new(&net.graph, &net.model, index, cfg.clone());
+    let exact = ExhaustivePiks::new(&net.graph, &net.model, index, cfg);
     let map = user_keywords(&net);
     let mut ratios = Vec::new();
     let mut speedups = Vec::new();
@@ -663,10 +664,12 @@ fn e6(s: &Scale) {
     // (c) influencer index at several sizes
     for r in [512usize, 2048, 8192] {
         let t0 = Instant::now();
-        let idx = InfluencerIndex::build(&net.graph, r, 13);
+        let raw = InfluencerIndex::build(&net.graph, r, 13).to_bytes();
         let prep = t0.elapsed();
         let t0 = Instant::now();
-        let mut session = idx.session(&net.graph, &gamma);
+        let mut session = PiksWorldsView::parse(&raw)
+            .expect("encoded")
+            .session(&net.graph, &gamma);
         let est: Vec<f64> = targets.iter().map(|&u| session.spread_of(u)).collect();
         let qt = t0.elapsed() / targets.len() as u32;
         t.row(vec![
@@ -1890,9 +1893,9 @@ fn open_bench_signature(e: &Octopus, target: NodeId, queries: &[&str]) -> String
     sig
 }
 
-/// Open-bench workload (`--open-bench`): quantify what the zero-copy v4
+/// Open-bench workload (`--open-bench`): quantify what mapping the v5
 /// container buys at engine startup. Builds the citation artifact cold,
-/// then opens the same bytes owned (full decode) and mapped
+/// then opens the same bytes onto the heap (full read + decode) and mapped
 /// (O(pages-touched) structural validation, lazy per-section checksums)
 /// and reports open wall time, the map/validate/decode split, first-query
 /// latency, and RSS growth — asserting bit-identical answers across all
@@ -1900,7 +1903,7 @@ fn open_bench_signature(e: &Octopus, target: NodeId, queries: &[&str]) -> String
 fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool {
     use record::{current_rss_kb, ms};
     println!(
-        "\n================ OPEN-BENCH: owned decode-open vs zero-copy mapped open{} ================",
+        "\n================ OPEN-BENCH: heap open vs mapped open{} ================",
         if paranoid { " (paranoid)" } else { "" }
     );
     let net = citation_sized(s.citation_authors, s.citation_papers);
@@ -1931,11 +1934,12 @@ fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool
         fmt_duration(t_build)
     );
 
-    // owned decode-open: checksum + decode every section into owned structs
+    // heap open: read + checksum + decode every section, then serve the
+    // read bytes off the heap
     let rss0 = current_rss_kb();
     let t0 = Instant::now();
     let owned = Octopus::open_or_build(net.graph.clone(), net.model.clone(), config.clone(), &dir)
-        .expect("owned open");
+        .expect("heap open");
     let t_owned = t0.elapsed();
     let owned_rss = current_rss_kb().saturating_sub(rss0);
     assert!(owned.cache_hit() && !owned.is_mapped());
@@ -1976,7 +1980,7 @@ fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool
     };
     let mut t = Table::new(
         "OPEN-BENCH: startup cost, same artifact bytes",
-        &["metric", "owned (decode)", "mapped (zero-copy)"],
+        &["metric", "heap (read + decode)", "mapped (zero-copy)"],
     );
     t.row(vec![
         "cold open".into(),
@@ -2006,13 +2010,13 @@ fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool
     ]);
     emit(&t);
 
-    // the contract: identical bytes → bit-identical answers, both modes
+    // the contract: identical bytes → bit-identical answers, both backings
     let sig_owned = open_bench_signature(&owned, target, &queries);
     let sig_mapped = open_bench_signature(&mapped, target, &queries);
     let identical = sig_owned == sig_mapped;
     if identical {
         println!(
-            "[open-bench] OK: all five operators answer bit-identically in both modes ({} signature bytes)",
+            "[open-bench] OK: all five operators answer bit-identically on both backings ({} signature bytes)",
             sig_owned.len()
         );
     } else {
@@ -2022,25 +2026,17 @@ fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool
             .position(|(a, b)| a != b)
             .unwrap_or(sig_owned.len().min(sig_mapped.len()));
         eprintln!(
-            "[open-bench] FAIL: owned and mapped answers diverge at signature byte {at}: owned …{:?} vs mapped …{:?}",
+            "[open-bench] FAIL: heap and mapped answers diverge at signature byte {at}: heap …{:?} vs mapped …{:?}",
             &sig_owned[at.saturating_sub(24)..(at + 24).min(sig_owned.len())],
             &sig_mapped[at.saturating_sub(24)..(at + 24).min(sig_mapped.len())],
         );
     }
-    if t_mapped < t_owned {
-        println!(
-            "[open-bench] mapped cold-open beats owned decode-open: {} vs {} ({:.1}x)",
-            fmt_duration(t_mapped),
-            fmt_duration(t_owned),
-            t_owned.as_secs_f64() / t_mapped.as_secs_f64().max(1e-9)
-        );
-    } else {
-        eprintln!(
-            "[open-bench] WARN: mapped open {} did not beat owned open {} on this run",
-            fmt_duration(t_mapped),
-            fmt_duration(t_owned)
-        );
-    }
+    println!(
+        "[open-bench] mapped cold-open {} vs heap open {} ({:.1}x)",
+        fmt_duration(t_mapped),
+        fmt_duration(t_owned),
+        t_owned.as_secs_f64() / t_mapped.as_secs_f64().max(1e-9)
+    );
 
     // steady-state latency quantiles off the mapped engine (the serving
     // configuration the trajectory tracks)
@@ -2092,7 +2088,7 @@ fn open_bench_workload(s: &Scale, paranoid: bool, rec: &mut BenchRecord) -> bool
         );
     }
 
-    // trajectory record: the owned-vs-mapped numbers this PR exists for
+    // trajectory record (`owned_*` = the heap backing, names kept stable)
     rec.stage("offline-build", t_build);
     for (prefix, engine) in [("owned", &owned), ("mapped", &mapped)] {
         for st in engine.stage_timings() {
@@ -2416,11 +2412,13 @@ fn e10(s: &Scale) {
     let mut paired_diffs = Vec::new();
     let mut indep_diffs = Vec::new();
     for trial in 0..20u64 {
-        let idx = InfluencerIndex::build(&net.graph, 800, 1000 + trial);
+        let raw = InfluencerIndex::build(&net.graph, 800, 1000 + trial).to_bytes();
+        let idx = PiksWorldsView::parse(&raw).expect("encoded");
         let sa = idx.session(&net.graph, &gamma_a).spread_of(target);
         let sb = idx.session(&net.graph, &gamma_b).spread_of(target);
         paired_diffs.push(sa - sb);
-        let idx2 = InfluencerIndex::build(&net.graph, 800, 5000 + trial);
+        let raw2 = InfluencerIndex::build(&net.graph, 800, 5000 + trial).to_bytes();
+        let idx2 = PiksWorldsView::parse(&raw2).expect("encoded");
         let sb2 = idx2.session(&net.graph, &gamma_b).spread_of(target);
         indep_diffs.push(sa - sb2);
     }
@@ -2436,7 +2434,8 @@ fn e10(s: &Scale) {
     );
 
     // A3: lazy vs eager world materialization.
-    let idx = InfluencerIndex::build(&net.graph, 2048, 77);
+    let raw = InfluencerIndex::build(&net.graph, 2048, 77).to_bytes();
+    let idx = PiksWorldsView::parse(&raw).expect("encoded");
     let hub = octopus_graph::stats::top_out_degree(&net.graph, 1)[0].0;
     let leaf = octopus_graph::stats::top_out_degree(&net.graph, net.graph.node_count())
         .last()

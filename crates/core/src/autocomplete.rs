@@ -5,6 +5,9 @@
 //! carries the user's id and an importance score (the engine uses
 //! out-degree by default, so famous users surface first); completion walks
 //! the prefix and collects the best `limit` terminals below it.
+//!
+//! [`Autocomplete`] is the build form; queries walk its serialized records
+//! through the zero-copy [`TrieView`].
 
 use bytes::{BufMut, BytesMut};
 use octopus_graph::wire::{Fnv64, WireError};
@@ -95,40 +98,7 @@ impl Autocomplete {
         self.size == 0
     }
 
-    /// The top-`limit` completions of `prefix`, ranked by descending score
-    /// (ties by node id). Returns `(id, completed_name, score)`.
-    pub fn complete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
-        let norm = normalize(prefix);
-        let mut node = &self.root;
-        for c in norm.chars() {
-            match node.children.get(&c) {
-                Some(n) => node = n,
-                None => return Vec::new(),
-            }
-        }
-        // collect all terminals below `node`
-        let mut found: Vec<(NodeId, String, f64)> = Vec::new();
-        let mut stack: Vec<(&TrieNode, String)> = vec![(node, norm)];
-        while let Some((n, path)) = stack.pop() {
-            if let Some((id, score)) = n.terminal {
-                found.push((id, path.clone(), score));
-            }
-            for (&c, child) in &n.children {
-                let mut next = path.clone();
-                next.push(c);
-                stack.push((child, next));
-            }
-        }
-        found.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .expect("finite scores")
-                .then(a.0.cmp(&b.0))
-        });
-        found.truncate(limit);
-        found
-    }
-
-    /// Serialize the trie into `buf` (the OCTA v4 `autocomplete` section
+    /// Serialize the trie into `buf` (the OCTA v5 `autocomplete` section
     /// payload; normative spec in `ARCHITECTURE.md`).
     ///
     /// ```text
@@ -239,28 +209,17 @@ impl Autocomplete {
             size: view.len(),
         })
     }
-
-    /// Exact lookup of a (normalized) name.
-    pub fn lookup(&self, name: &str) -> Option<NodeId> {
-        let norm = normalize(name);
-        let mut node = &self.root;
-        for c in norm.chars() {
-            node = node.children.get(&c)?;
-        }
-        node.terminal.map(|(id, _)| id)
-    }
 }
 
-/// Zero-copy view over a v4 `autocomplete` section payload.
+/// Zero-copy view over a v5 `autocomplete` section payload.
 ///
 /// [`TrieView::parse`] walks the whole node area once, enforcing the
 /// preorder-contiguous layout (each record starts exactly where the
 /// previous subtree ended, child offsets strictly increase, the final
 /// record ends exactly at the section end), character validity, zero pads,
 /// bounded terminal ids, and finite scores. After that, [`TrieView::lookup`]
-/// and [`TrieView::complete`] serve queries straight off the bytes with
-/// answers identical to the owned [`Autocomplete`] — the completion
-/// comparator is total, so collection order cannot show through.
+/// and [`TrieView::complete`] serve queries straight off the bytes — the
+/// completion comparator is total, so collection order cannot show through.
 #[derive(Debug, Clone, Copy)]
 pub struct TrieView<'a> {
     /// The node area (section payload past the name-count word).
@@ -430,8 +389,7 @@ impl<'a> TrieView<'a> {
         (lo < n && self.child(off, lo).0 == c).then(|| self.child(off, lo).1)
     }
 
-    /// Exact lookup of a (normalized) name — mirrors
-    /// [`Autocomplete::lookup`].
+    /// Exact lookup of a (normalized) name.
     pub fn lookup(&self, name: &str) -> Option<NodeId> {
         let norm = normalize(name);
         let mut off = 0usize;
@@ -441,8 +399,8 @@ impl<'a> TrieView<'a> {
         self.terminal(off).map(|(id, _)| id)
     }
 
-    /// The top-`limit` completions of `prefix` — identical answers to
-    /// [`Autocomplete::complete`].
+    /// The top-`limit` completions of `prefix`, ranked by descending score
+    /// (ties by node id). Returns `(id, completed_name, score)`.
     pub fn complete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
         let norm = normalize(prefix);
         let mut off = 0usize;
@@ -489,10 +447,21 @@ mod tests {
         ])
     }
 
+    /// The trie's v5 section payload, as the artifact stores it.
+    fn encoded(ac: &Autocomplete) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        ac.encode_into(&mut buf);
+        buf.to_vec()
+    }
+
+    fn view(raw: &[u8]) -> TrieView<'_> {
+        TrieView::parse(raw, 5).unwrap()
+    }
+
     #[test]
     fn prefix_completion_ranked_by_score() {
-        let ac = sample();
-        let hits = ac.complete("ji", 10);
+        let raw = encoded(&sample());
+        let hits = view(&raw).complete("ji", 10);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, NodeId(1), "jiawei han ranks first (score 80)");
         assert_eq!(hits[1].0, NodeId(2));
@@ -500,30 +469,34 @@ mod tests {
 
     #[test]
     fn case_and_whitespace_insensitive() {
-        let ac = sample();
-        let hits = ac.complete("  MICHAEL ", 10);
+        let raw = encoded(&sample());
+        let hits = view(&raw).complete("  MICHAEL ", 10);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].1, "michael jordan");
     }
 
     #[test]
     fn limit_respected() {
-        let ac = sample();
-        assert_eq!(ac.complete("", 3).len(), 3);
-        assert_eq!(ac.complete("", 100).len(), 5);
+        let raw = encoded(&sample());
+        assert_eq!(view(&raw).complete("", 3).len(), 3);
+        assert_eq!(view(&raw).complete("", 100).len(), 5);
+        assert!(view(&raw).complete("j", 0).is_empty());
     }
 
     #[test]
     fn no_match_is_empty() {
-        let ac = sample();
-        assert!(ac.complete("zz", 5).is_empty());
+        let raw = encoded(&sample());
+        assert!(view(&raw).complete("zz", 5).is_empty());
     }
 
     #[test]
     fn exact_lookup() {
-        let ac = sample();
+        let raw = encoded(&sample());
+        let ac = view(&raw);
         assert_eq!(ac.lookup("jure leskovec"), Some(NodeId(0)));
+        assert_eq!(ac.lookup("  Jure Leskovec "), Some(NodeId(0)));
         assert_eq!(ac.lookup("jure"), None, "prefix is not an exact name");
+        assert_eq!(ac.lookup("zz"), None);
     }
 
     #[test]
@@ -532,60 +505,38 @@ mod tests {
         ac.insert("wei chen", NodeId(1), 10.0);
         ac.insert("wei chen", NodeId(2), 99.0);
         ac.insert("wei chen", NodeId(3), 5.0);
-        assert_eq!(ac.lookup("wei chen"), Some(NodeId(2)));
+        let raw = encoded(&ac);
+        assert_eq!(view(&raw).lookup("wei chen"), Some(NodeId(2)));
+        assert_eq!(view(&raw).len(), 3, "overwritten duplicates still count");
     }
 
     #[test]
     fn empty_names_ignored() {
         let mut ac = Autocomplete::default();
         ac.insert("  ", NodeId(1), 1.0);
-        assert!(ac.complete("", 5).is_empty());
+        let raw = encoded(&ac);
+        assert!(view(&raw).complete("", 5).is_empty());
+        assert!(view(&raw).is_empty());
     }
 
     #[test]
-    fn flat_encoding_round_trips_and_view_matches() {
+    fn flat_encoding_round_trips() {
         let ac = sample();
-        let mut buf = BytesMut::new();
-        ac.encode_into(&mut buf);
-        let raw = buf.freeze();
-        let back = Autocomplete::decode_from(&raw[..], 5).unwrap();
+        let raw = encoded(&ac);
+        let back = Autocomplete::decode_from(&raw, 5).unwrap();
         assert_eq!(back, ac, "owned decode is lossless");
-        let view = TrieView::parse(&raw[..], 5).unwrap();
-        assert_eq!(view.len(), ac.len());
-        for prefix in [
-            "",
-            "j",
-            "ji",
-            "jia",
-            "michael",
-            "  MICHAEL ",
-            "zz",
-            "jure leskovec",
-        ] {
-            for limit in [0, 1, 3, 100] {
-                assert_eq!(
-                    view.complete(prefix, limit),
-                    ac.complete(prefix, limit),
-                    "complete({prefix:?}, {limit})"
-                );
-            }
-            assert_eq!(view.lookup(prefix), ac.lookup(prefix), "lookup({prefix:?})");
-        }
+        assert_eq!(encoded(&back), raw, "re-encode is canonical");
+        assert_eq!(view(&raw).len(), ac.len());
         // empty trie round-trips too
         let empty = Autocomplete::default();
-        let mut buf = BytesMut::new();
-        empty.encode_into(&mut buf);
-        let raw = buf.freeze();
-        assert_eq!(Autocomplete::decode_from(&raw[..], 0).unwrap(), empty);
-        assert!(TrieView::parse(&raw[..], 0).unwrap().is_empty());
+        let raw = encoded(&empty);
+        assert_eq!(Autocomplete::decode_from(&raw, 0).unwrap(), empty);
+        assert!(TrieView::parse(&raw, 0).unwrap().is_empty());
     }
 
     #[test]
     fn view_rejects_malformed_payloads() {
-        let ac = sample();
-        let mut buf = BytesMut::new();
-        ac.encode_into(&mut buf);
-        let raw = buf.freeze();
+        let raw = encoded(&sample());
         // truncation anywhere fails closed
         for cut in [0, 7, 8, 15, raw.len() - 8, raw.len() - 1] {
             assert!(
@@ -594,15 +545,15 @@ mod tests {
             );
         }
         // a terminal id outside the graph is rejected
-        assert!(TrieView::parse(&raw[..], 1).is_err());
+        assert!(TrieView::parse(&raw, 1).is_err());
         // a forged child offset breaks the preorder invariant: the root is
         // non-terminal here, so its first child offset word sits at 8+16
-        let mut bent = raw.to_vec();
+        let mut bent = raw.clone();
         let off = u64::from_le_bytes(bent[24..32].try_into().unwrap());
         bent[24..32].copy_from_slice(&(off + 8).to_le_bytes());
         assert!(TrieView::parse(&bent, 5).is_err());
         // a non-terminal root record of the wrong parity: flag > 1
-        let mut flag = raw.to_vec();
+        let mut flag = raw.clone();
         flag[8] = 7;
         assert!(TrieView::parse(&flag, 5).is_err());
     }

@@ -16,8 +16,8 @@ use crate::error::CoreError;
 use crate::kim::bounds::BoundKind;
 use crate::kim::{topic_sample, KimAlgorithm, KimResult, KimStats, NaiveKim};
 use crate::offline::persist::{self, Fingerprint, StageKeys};
-use crate::offline::view::MappedArtifacts;
-use crate::offline::{self, OfflineArtifacts, PbSource, StageReuse, StageTiming};
+use crate::offline::view::{self, MappedArtifacts};
+use crate::offline::{self, StageReuse, StageTiming};
 use crate::paths::{explore, ExploreDirection, PathExploration};
 use crate::piks::{GreedyPiks, PiksConfig, PiksResult};
 use crate::Result;
@@ -197,42 +197,31 @@ pub struct SystemReport {
     pub cache_hit: bool,
 }
 
-/// Where the engine's offline structures live: decoded on the heap, or
-/// served zero-copy off a memory-mapped OCTA v5 file.
-///
-/// Both modes answer every operator bit-identically (pinned by the
-/// `mapped_mode` tests); the difference is purely operational — startup
-/// cost, resident memory, and page-cache sharing across replicas.
-// One store exists per engine, so the Owned/Mapped size gap is irrelevant;
-// boxing the owned artifacts would add a pointer hop to every hot-path access.
-#[allow(clippy::large_enum_variant)]
-enum ArtifactStore {
-    /// Heap-decoded artifacts ([`Octopus::new`] / [`Octopus::open_or_build`]).
-    Owned(OfflineArtifacts),
-    /// A mapped v5 artifact, plus the telemetry captured when the engine
-    /// entered mapped mode ([`Octopus::open_mapped`]): a pure mapped hit
-    /// carries the three artifact stages, a build-then-remap carries the
-    /// build stages followed by them.
-    Mapped {
-        art: MappedArtifacts,
-        timings: Vec<StageTiming>,
-        reuse: Vec<StageReuse>,
-        build_total: Duration,
-    },
-}
-
 /// The OCTOPUS engine.
 ///
 /// `Octopus` is `Send + Sync`: all offline structures are immutable after
 /// construction and the query cache is internally synchronized, so one
 /// instance behind an `Arc` serves concurrent query threads.
+///
+/// Every engine serves one validated OCTA v5 artifact through the
+/// zero-copy views of [`crate::offline::view`]: heap bytes it encoded (or
+/// read from its cache directory), or a memory-mapped cache file
+/// ([`Octopus::open_mapped`]). The backing is operational only — startup
+/// cost, resident memory, page-cache sharing across replicas — and every
+/// operator answers bit-identically on either (pinned by the `mapped_mode`
+/// tests).
 pub struct Octopus {
     graph: TopicGraph,
     model: TopicModel,
     config: OctopusConfig,
     /// Everything the offline pipeline precomputed (see [`offline::build`]),
-    /// owned or mapped.
-    store: ArtifactStore,
+    /// as one validated artifact.
+    art: MappedArtifacts,
+    /// Offline-phase telemetry: per-stage timings, per-stage reuse, and the
+    /// whole phase's wall-clock (see [`SystemReport`]).
+    timings: Vec<StageTiming>,
+    reuse: Vec<StageReuse>,
+    build_total: Duration,
     /// Whether the offline structures came from the on-disk artifact cache.
     cache_hit: bool,
     user_keywords: HashMap<NodeId, Vec<KeywordId>>,
@@ -246,13 +235,22 @@ const _: () = {
 };
 
 impl Octopus {
-    /// Build the engine: validates graph/model agreement, then runs the
-    /// staged offline pipeline ([`offline::build`]) for every phase the
-    /// configured engines need.
+    /// Build the engine: validates graph/model agreement, runs the staged
+    /// offline pipeline ([`offline::build`]) for every phase the configured
+    /// engines need, and serves the encoded result off the heap.
     pub fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
         check_shapes(&graph, &model)?;
+        let fp = Fingerprint::compute(&graph, &config);
+        let keys = StageKeys::compute(&graph, &config);
         let offline = offline::build(&graph, &config);
-        Ok(Self::from_parts(graph, model, config, offline, false))
+        let bytes = persist::encode(&offline, &fp, &keys, 0);
+        let art = serve_bytes(bytes, &fp, &keys, &graph, &config)?;
+        Ok(Octopus {
+            timings: offline.timings,
+            reuse: offline.reuse,
+            build_total: offline.build_total,
+            ..Self::assemble(graph, model, config, art, false)
+        })
     }
 
     /// Build the engine, reusing every cached offline stage whose inputs
@@ -275,8 +273,13 @@ impl Octopus {
     /// [`SystemReport::stage_reuse`] reports the per-stage hit/miss
     /// breakdown. When **everything** was reused, [`SystemReport::cache_hit`]
     /// is `true` and [`SystemReport::stage_timings`] holds only the three
-    /// artifact stages — map (plain file reads on this owned path),
-    /// validate (framing + checksums), decode: zero offline stages ran.
+    /// artifact stages — map (plain file reads on this heap path), validate
+    /// (framing + checksums), decode: zero offline stages ran.
+    ///
+    /// The engine serves exactly the bytes it persisted, off the heap: the
+    /// merged artifacts are encoded once, written back, and validated. A
+    /// full hit served by the exact-fingerprint file alone serves the
+    /// bytes the lookup already read and checksummed, re-encoding nothing.
     /// Reused-or-rebuilt makes no observable difference — a partially
     /// rebuilt engine is bit-identical to a freshly built one (pinned by
     /// the `build_determinism` and `delta_invalidation` tests), so every
@@ -327,51 +330,60 @@ impl Octopus {
         check_shapes(&graph, &model)?;
         let fp = Fingerprint::compute(&graph, &config);
         let keys = StageKeys::compute(&graph, &config);
+        Self::open_cached(graph, model, config, cache_dir, &fp, &keys)
+    }
+
+    /// [`Octopus::open_or_build`] with the inputs' keys already computed.
+    fn open_cached(
+        graph: TopicGraph,
+        model: TopicModel,
+        config: OctopusConfig,
+        cache_dir: &std::path::Path,
+        fp: &Fingerprint,
+        keys: &StageKeys,
+    ) -> Result<Self> {
         let t0 = Instant::now();
-        let lookup = persist::lookup(cache_dir, &fp, &keys, &graph, &config);
+        let mut lookup = persist::lookup(cache_dir, fp, keys, &graph, &config);
+        let exact = lookup.exact.take();
         let mut offline = offline::build_with_reuse(&graph, &config, lookup.slots);
-        // the offline phase a caller observes spans the cache lookup
-        // (file reads, section decode, per-world footprint screening) AND
-        // whatever rebuilding remained — not just the build half
-        offline.build_total = t0.elapsed();
         let path = fp.cache_path(cache_dir);
-        if offline.fully_reused() {
-            // a full hit not served by the exact-fingerprint file alone
-            // (donor epochs contributed, or the exact file is missing or
-            // damaged) earns a merged write-back under the exact name, so
-            // the next identical open fast-paths instead of re-scanning
-            // and re-screening every donor
-            if lookup.sources.as_slice() != [path.clone()] {
-                let _ = persist::save(&offline, &fp, &keys, &path);
-                persist::prune(cache_dir, &[&path]);
+        let full = offline.fully_reused();
+        let mut timings = if full {
+            lookup.timings.stages()
+        } else {
+            std::mem::take(&mut offline.timings)
+        };
+        // a full hit the exact-fingerprint file served alone: serve the
+        // bytes the lookup already read and checksummed
+        let served = exact
+            .filter(|_| full && lookup.sources.as_slice() == [path.clone()])
+            .and_then(|raw| view::from_bytes(raw, fp, keys, &graph, &config).ok());
+        let art = match served {
+            Some(art) => art,
+            None => {
+                // a full hit from donor epochs (or a damaged exact file)
+                // earns a merged write-back under the exact name too, so
+                // the next identical open fast-paths
+                let t_store = Instant::now();
+                let (bytes, saved) = persist::save_encoded(&offline, fp, keys, &path);
+                if saved.is_ok() {
+                    if !full {
+                        timings.push(StageTiming {
+                            stage: persist::STAGE_ARTIFACT_STORE,
+                            duration: t_store.elapsed(),
+                        });
+                    }
+                    persist::prune(cache_dir, &[&path]);
+                }
+                serve_bytes(bytes, fp, keys, &graph, &config)?
             }
-            let t = lookup.timings;
-            offline.timings = vec![
-                StageTiming {
-                    stage: persist::STAGE_ARTIFACT_MAP,
-                    duration: t.map,
-                },
-                StageTiming {
-                    stage: persist::STAGE_ARTIFACT_VALIDATE,
-                    duration: t.validate,
-                },
-                StageTiming {
-                    stage: persist::STAGE_ARTIFACT_DECODE,
-                    duration: t.decode,
-                },
-            ];
-            offline.build_total = t0.elapsed();
-            return Ok(Self::from_parts(graph, model, config, offline, true));
-        }
-        let t_store = Instant::now();
-        if persist::save(&offline, &fp, &keys, &path).is_ok() {
-            offline.timings.push(StageTiming {
-                stage: persist::STAGE_ARTIFACT_STORE,
-                duration: t_store.elapsed(),
-            });
-            persist::prune(cache_dir, &[&path]);
-        }
-        Ok(Self::from_parts(graph, model, config, offline, false))
+        };
+        Ok(Octopus {
+            timings,
+            reuse: offline.reuse,
+            build_total: t0.elapsed(),
+            ..Self::assemble(graph, model, config, art, full)
+        })
     }
 
     /// Open the engine in **mapped mode**: serve queries zero-copy off a
@@ -387,12 +399,12 @@ impl Octopus {
     /// section checksums verify lazily at first operator touch and fail
     /// closed ([`CoreError::Artifact`]) if the file was damaged.
     ///
-    /// Miss path: the artifacts are built (or partially reused) through the
-    /// owned pipeline, written back, and the freshly written file is mapped
-    /// — a cold start still ends in mapped mode, paying the build once. If
-    /// even that is impossible (say, an unwritable cache directory), the
-    /// engine falls back to owned mode. Answers are bit-identical in every
-    /// mode (pinned by the `mapped_mode` tests).
+    /// Miss path: [`Octopus::open_or_build`] — build (or partially reuse),
+    /// encode once, write back — then map the freshly written file, so a
+    /// cold start still ends mapped, paying the build once. If the file
+    /// cannot be mapped (say, an unwritable cache directory), the engine
+    /// keeps serving the same bytes off the heap. Answers are bit-identical
+    /// on either backing (pinned by the `mapped_mode` tests).
     pub fn open_mapped(
         graph: TopicGraph,
         model: TopicModel,
@@ -427,83 +439,40 @@ impl Octopus {
         let keys = StageKeys::compute(&graph, &config);
         let path = fp.cache_path(cache_dir);
         let t0 = Instant::now();
-        if let Ok(art) = offline::view::open(&path, &fp, &keys, &graph, &config, paranoid) {
-            let store = ArtifactStore::Mapped {
-                timings: art.timings().to_vec(),
-                reuse: art.reuse().to_vec(),
-                build_total: art.open_total(),
-                art,
-            };
-            return Ok(Self::from_store(graph, model, config, store, true));
+        if let Ok(art) = view::open(&path, &fp, &keys, &graph, &config, paranoid) {
+            return Ok(Self::assemble(graph, model, config, art, true));
         }
-        // No exact mappable file. Run the owned open — which salvages
-        // whatever cached sections still match and rebuilds the rest —
-        // write the merged artifact back, and map the fresh file.
-        let lookup = persist::lookup(cache_dir, &fp, &keys, &graph, &config);
-        let mut offline = offline::build_with_reuse(&graph, &config, lookup.slots);
-        let full = offline.fully_reused();
-        let t_store = Instant::now();
-        if persist::save(&offline, &fp, &keys, &path).is_ok() {
-            offline.timings.push(StageTiming {
-                stage: persist::STAGE_ARTIFACT_STORE,
-                duration: t_store.elapsed(),
-            });
-            persist::prune(cache_dir, &[&path]);
-            if let Ok(art) = offline::view::open(&path, &fp, &keys, &graph, &config, paranoid) {
-                let mut timings = std::mem::take(&mut offline.timings);
-                timings.extend(art.timings().iter().cloned());
-                let store = ArtifactStore::Mapped {
-                    timings,
-                    reuse: std::mem::take(&mut offline.reuse),
-                    build_total: t0.elapsed(),
-                    art,
-                };
-                return Ok(Self::from_store(graph, model, config, store, full));
-            }
+        // No exact mappable file: salvage and rebuild, write back, and map
+        // the freshly written file.
+        let mut engine = Self::open_cached(graph, model, config, cache_dir, &fp, &keys)?;
+        if let Ok(art) = view::open(&path, &fp, &keys, &engine.graph, &engine.config, paranoid) {
+            engine.timings.extend(art.timings().iter().cloned());
+            engine.art = art;
+            engine.build_total = t0.elapsed();
         }
-        // Mapping is impossible here: stay owned rather than fail.
-        offline.build_total = t0.elapsed();
-        Ok(Self::from_store(
-            graph,
-            model,
-            config,
-            ArtifactStore::Owned(offline),
-            full,
-        ))
+        Ok(engine)
     }
 
-    fn from_parts(
+    /// An engine serving `art`, reporting the artifact's own open
+    /// telemetry (the constructors that built anything overwrite it).
+    fn assemble(
         graph: TopicGraph,
         model: TopicModel,
         config: OctopusConfig,
-        offline: OfflineArtifacts,
+        art: MappedArtifacts,
         cache_hit: bool,
     ) -> Self {
-        Self::from_store(
-            graph,
-            model,
-            config,
-            ArtifactStore::Owned(offline),
-            cache_hit,
-        )
-    }
-
-    fn from_store(
-        graph: TopicGraph,
-        model: TopicModel,
-        config: OctopusConfig,
-        store: ArtifactStore,
-        cache_hit: bool,
-    ) -> Self {
-        let cache = QueryCache::new(config.cache_capacity, config.cache_tolerance);
         Octopus {
+            cache: QueryCache::new(config.cache_capacity, config.cache_tolerance),
             graph,
             model,
             config,
-            store,
+            timings: art.timings().to_vec(),
+            reuse: art.reuse().to_vec(),
+            build_total: art.open_total(),
+            art,
             cache_hit,
             user_keywords: HashMap::new(),
-            cache,
         }
     }
 
@@ -514,87 +483,28 @@ impl Octopus {
         self.cache_hit
     }
 
-    /// Whether this engine serves queries zero-copy off a memory-mapped
-    /// artifact (see [`Octopus::open_mapped`]).
+    /// Whether this engine serves off a memory-mapped cache file (see
+    /// [`Octopus::open_mapped`]) rather than heap bytes.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.store, ArtifactStore::Mapped { .. })
+        self.art.is_mapped()
     }
 
-    /// `"mapped"` or `"owned"` — how the offline structures are held.
-    pub fn mode(&self) -> &'static str {
-        if self.is_mapped() {
-            "mapped"
-        } else {
-            "owned"
-        }
+    /// The validated artifact this engine serves from, whichever backing
+    /// holds its bytes.
+    pub fn artifacts(&self) -> &MappedArtifacts {
+        &self.art
     }
 
-    /// The mapped artifact this engine serves from (`None` in owned mode).
-    pub fn mapped_artifacts(&self) -> Option<&MappedArtifacts> {
-        match &self.store {
-            ArtifactStore::Mapped { art, .. } => Some(art),
-            ArtifactStore::Owned(_) => None,
-        }
-    }
-
-    /// Per-stage wall-clock timings of the offline phase, mode-agnostic
-    /// (what [`SystemReport::stage_timings`] reports).
+    /// Per-stage wall-clock timings of the offline phase (what
+    /// [`SystemReport::stage_timings`] reports).
     pub fn stage_timings(&self) -> &[StageTiming] {
-        match &self.store {
-            ArtifactStore::Owned(a) => &a.timings,
-            ArtifactStore::Mapped { timings, .. } => timings,
-        }
+        &self.timings
     }
 
-    /// Per-stage cache reuse counters of the offline phase, mode-agnostic
-    /// (what [`SystemReport::stage_reuse`] reports).
+    /// Per-stage cache reuse counters of the offline phase (what
+    /// [`SystemReport::stage_reuse`] reports).
     pub fn stage_reuse(&self) -> &[StageReuse] {
-        match &self.store {
-            ArtifactStore::Owned(a) => &a.reuse,
-            ArtifactStore::Mapped { reuse, .. } => reuse,
-        }
-    }
-
-    /// The artifacts the offline pipeline produced (sizes, tables, per-stage
-    /// timings).
-    ///
-    /// # Panics
-    ///
-    /// In mapped mode there are no owned artifacts to return — use
-    /// [`Octopus::mapped_artifacts`], [`Octopus::stage_timings`], and
-    /// [`Octopus::stage_reuse`] instead.
-    pub fn offline_artifacts(&self) -> &OfflineArtifacts {
-        match &self.store {
-            ArtifactStore::Owned(art) => art,
-            ArtifactStore::Mapped { .. } => {
-                panic!("offline_artifacts() is owned-mode only; this engine is mapped")
-            }
-        }
-    }
-
-    /// The global MIA spread cap, whichever mode holds it.
-    fn spread_cap(&self) -> f64 {
-        match &self.store {
-            ArtifactStore::Owned(a) => a.cap,
-            ArtifactStore::Mapped { art, .. } => art.cap(),
-        }
-    }
-
-    /// The precomputed topic samples, whichever mode holds them.
-    fn topic_samples(&self) -> &[topic_sample::TopicSample] {
-        match &self.store {
-            ArtifactStore::Owned(a) => &a.samples,
-            ArtifactStore::Mapped { art, .. } => art.samples(),
-        }
-    }
-
-    /// PB tables for a best-effort run: owned tables, or a zero-copy view
-    /// (whose section checksum verifies on first touch and fails closed).
-    fn pb_source(&self) -> Result<PbSource<'_>> {
-        match &self.store {
-            ArtifactStore::Owned(a) => Ok(PbSource::Owned(a.pb.as_ref())),
-            ArtifactStore::Mapped { art, .. } => Ok(PbSource::View(art.pb_view()?)),
-        }
+        &self.reuse
     }
 
     /// Attach per-user keyword candidates (from the action log: "keywords
@@ -635,43 +545,23 @@ impl Octopus {
 
     /// Operational summary of the resident offline structures.
     pub fn system_report(&self) -> SystemReport {
-        // structure sizes come straight from whichever form is resident;
-        // in mapped mode PB presence is a config property (the open already
-        // validated that the section agrees with it), so reporting never
-        // forces a lazy checksum
-        let (piks_worlds, piks_stored_nodes, pb_tables, topic_samples, build_total) =
-            match &self.store {
-                ArtifactStore::Owned(a) => (
-                    a.piks_index.len(),
-                    a.piks_index.stats().stored_nodes,
-                    a.pb.is_some(),
-                    a.samples.len(),
-                    a.build_total,
-                ),
-                ArtifactStore::Mapped {
-                    art, build_total, ..
-                } => (
-                    art.piks_len(),
-                    art.piks_stored_nodes(),
-                    offline::needs_pb(&self.config),
-                    art.samples().len(),
-                    *build_total,
-                ),
-            };
+        // sizes were captured at validation; PB presence is a config
+        // property (validation checked the section agrees with it), so
+        // reporting never forces a lazy checksum
         SystemReport {
             users: self.graph.node_count(),
             edges: self.graph.edge_count(),
             topics: self.graph.num_topics(),
             keywords: self.model.vocab_size(),
-            piks_worlds,
-            piks_stored_nodes,
-            pb_tables,
-            topic_samples,
+            piks_worlds: self.art.piks_len(),
+            piks_stored_nodes: self.art.piks_stored_nodes(),
+            pb_tables: offline::needs_pb(&self.config),
+            topic_samples: self.art.samples().len(),
             cached_queries: self.cache.len(),
-            spread_cap: self.spread_cap(),
-            stage_timings: self.stage_timings().to_vec(),
-            stage_reuse: self.stage_reuse().to_vec(),
-            offline_build_total: build_total,
+            spread_cap: self.art.cap(),
+            stage_timings: self.timings.clone(),
+            stage_reuse: self.reuse.clone(),
+            offline_build_total: self.build_total,
             cache_hit: self.cache_hit,
         }
     }
@@ -778,17 +668,11 @@ impl Octopus {
         }
         let res = match self.config.kim {
             KimEngineChoice::Naive => NaiveKim::new(&self.graph).select(gamma, k),
-            KimEngineChoice::Mis => match &self.store {
-                ArtifactStore::Owned(a) => a
-                    .mis
-                    .as_ref()
-                    .expect("MIS built at construction")
-                    .select(gamma, k),
-                ArtifactStore::Mapped { art, .. } => art
-                    .mis_view()?
-                    .expect("MIS section present in mapped artifact")
-                    .select(gamma, k),
-            },
+            KimEngineChoice::Mis => self
+                .art
+                .mis_view()?
+                .expect("MIS tables present for the MIS engine")
+                .select(gamma, k),
             KimEngineChoice::BestEffort(bound) => self.best_effort(bound, gamma, k, &[])?,
             KimEngineChoice::TopicSample {
                 bound, direct_eps, ..
@@ -797,7 +681,7 @@ impl Octopus {
                 // — the samples are immutable offline artifacts, so the
                 // query path never clones them); direct-answer rule shared
                 // with the TopicSampleKim engine via the topic_sample helpers
-                let samples = self.topic_samples();
+                let samples = self.art.samples();
                 let nearest = topic_sample::nearest_sample(samples, gamma);
                 let direct = nearest.and_then(|(idx, dist)| {
                     topic_sample::direct_answer(samples, idx, dist, direct_eps, k)
@@ -819,8 +703,9 @@ impl Octopus {
         Ok((res, bound, Vec::new()))
     }
 
-    /// One best-effort selection against whichever PB table form is
-    /// resident, warm-started from `warm`.
+    /// One best-effort selection against the artifact's PB tables (whose
+    /// checksum a mapping verifies on first touch, failing closed),
+    /// warm-started from `warm`.
     fn best_effort(
         &self,
         bound: BoundKind,
@@ -831,8 +716,8 @@ impl Octopus {
         Ok(offline::run_best_effort(
             &self.graph,
             bound,
-            self.pb_source()?,
-            self.spread_cap(),
+            self.art.pb_view()?,
+            self.art.cap(),
             &self.config,
             gamma,
             k,
@@ -919,11 +804,10 @@ impl Octopus {
 
     /// Resolve a user name: the trie's exact lookup first, then the graph's.
     pub(crate) fn resolve_user(&self, name: &str) -> Result<NodeId> {
-        let hit = match &self.store {
-            ArtifactStore::Owned(a) => a.names.lookup(name),
-            ArtifactStore::Mapped { art, .. } => art.trie_view().lookup(name),
-        };
-        hit.or_else(|| self.graph.node_by_name(name))
+        self.art
+            .trie_view()
+            .lookup(name)
+            .or_else(|| self.graph.node_by_name(name))
             .ok_or_else(|| CoreError::UnknownUser(name.to_string()))
     }
 
@@ -983,10 +867,7 @@ impl Octopus {
         let cap = candidates
             .len()
             .min(budget.samples.unwrap_or(usize::MAX).max(1));
-        let index: crate::piks::PiksHandle<'_> = match &self.store {
-            ArtifactStore::Owned(a) => (&a.piks_index).into(),
-            ArtifactStore::Mapped { art, .. } => art.piks_view()?.into(),
-        };
+        let index = self.art.piks_view()?;
         let engine = GreedyPiks::new(&self.graph, &self.model, index, self.config.piks.clone());
         // progressive refinement: no deadline → one run at the cap;
         // deadline → doubling candidate prefixes, best-so-far kept
@@ -1010,7 +891,7 @@ impl Octopus {
         let bound = if m == candidates.len() {
             QualityBound::exact(result.spread)
         } else {
-            QualityBound::degraded(result.spread, self.spread_cap(), m)
+            QualityBound::degraded(result.spread, self.art.cap(), m)
         };
         let value = SuggestAnswer {
             user,
@@ -1100,13 +981,10 @@ impl Octopus {
             .value)
     }
 
-    /// Name auto-completion against whichever trie form is resident. Trie
-    /// walks are sublinear, so no budget ever degrades them.
+    /// Name auto-completion off the artifact's trie. Trie walks are
+    /// sublinear, so no budget ever degrades them.
     pub fn autocomplete(&self, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
-        match &self.store {
-            ArtifactStore::Owned(a) => a.names.complete(prefix, limit),
-            ArtifactStore::Mapped { art, .. } => art.trie_view().complete(prefix, limit),
-        }
+        self.art.trie_view().complete(prefix, limit)
     }
 
     /// Radar chart for one keyword (UI keyword interpretation).
@@ -1188,7 +1066,21 @@ pub(crate) fn resolve_gamma(
     Ok((keywords, unknown, gamma))
 }
 
-/// Graph/model agreement check shared by both construction paths.
+/// Validate artifact bytes this process encoded or read (see
+/// [`view::from_bytes`]) for serving; a failure is a codec defect, surfaced
+/// as [`CoreError::Artifact`].
+fn serve_bytes(
+    bytes: Vec<u8>,
+    fp: &Fingerprint,
+    keys: &StageKeys,
+    graph: &TopicGraph,
+    config: &OctopusConfig,
+) -> Result<MappedArtifacts> {
+    view::from_bytes(bytes, fp, keys, graph, config)
+        .map_err(|e| CoreError::Artifact(format!("encoded artifact failed validation: {e}")))
+}
+
+/// Graph/model agreement check shared by every construction path.
 fn check_shapes(graph: &TopicGraph, model: &TopicModel) -> Result<()> {
     if graph.num_topics() != model.num_topics() {
         return Err(CoreError::Topic(
@@ -1509,7 +1401,6 @@ mod tests {
         let cold = Octopus::open_mapped(g.clone(), model.clone(), config.clone(), &dir).unwrap();
         assert!(cold.is_mapped(), "cold open must end mapped (build+remap)");
         assert!(!cold.cache_hit(), "nothing was cached yet");
-        assert_eq!(cold.mode(), "mapped");
         let stages: Vec<&str> = cold.stage_timings().iter().map(|t| t.stage).collect();
         assert!(
             stages.starts_with(&crate::offline::STAGE_ORDER),
@@ -1535,21 +1426,21 @@ mod tests {
         );
         assert!(warm.system_report().stage_reuse.iter().all(|s| s.is_full()));
 
-        // mapped answers are bit-identical to the owned engine's
-        let owned = Octopus::open_or_build(g, model, config, &dir).unwrap();
-        assert!(!owned.is_mapped());
-        let a = owned.find_influencers("data mining", 3).unwrap();
+        // mapped answers are bit-identical to the heap-backed engine's
+        let heap = Octopus::open_or_build(g, model, config, &dir).unwrap();
+        assert!(!heap.is_mapped());
+        let a = heap.find_influencers("data mining", 3).unwrap();
         let b = warm.find_influencers("data mining", 3).unwrap();
         assert_eq!(
             a.seeds.iter().map(|s| s.node).collect::<Vec<_>>(),
             b.seeds.iter().map(|s| s.node).collect::<Vec<_>>()
         );
         assert_eq!(a.result.spread.to_bits(), b.result.spread.to_bits());
-        let sa = owned.suggest_keywords("jiawei han", 2).unwrap();
+        let sa = heap.suggest_keywords("jiawei han", 2).unwrap();
         let sb = warm.suggest_keywords("jiawei han", 2).unwrap();
         assert_eq!(sa.words, sb.words);
         assert_eq!(sa.result.spread.to_bits(), sb.result.spread.to_bits());
-        assert_eq!(owned.autocomplete("db-", 3), warm.autocomplete("db-", 3));
+        assert_eq!(heap.autocomplete("db-", 3), warm.autocomplete("db-", 3));
 
         std::fs::remove_dir_all(&dir).ok();
     }

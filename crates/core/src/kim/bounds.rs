@@ -364,9 +364,8 @@ pub fn encode_pb_topic_section(row: Option<&[f64]>, safety: f64, buf: &mut bytes
 /// same float ops).
 #[derive(Debug, Clone)]
 pub struct PbTableView<'a> {
-    /// Per-topic f64 row areas (`n` values each), indexed by topic.
+    /// Per-topic f64 row areas (one value per node), indexed by topic.
     rows: Vec<&'a [u8]>,
-    n: usize,
     safety: f64,
 }
 
@@ -445,11 +444,7 @@ impl<'a> PbTableView<'a> {
                 }
             }
         }
-        Ok(safety.map(|safety| PbTableView {
-            rows,
-            n: node_count,
-            safety,
-        }))
+        Ok(safety.map(|safety| PbTableView { rows, safety }))
     }
 
     fn expect_all_absent(
@@ -471,18 +466,6 @@ impl<'a> PbTableView<'a> {
         let at = u.index() * 8;
         f64::from_le_bytes(self.rows[z][at..at + 8].try_into().expect("validated len"))
     }
-
-    /// Decode into the owned form (the non-mapped artifact-cache path).
-    pub fn to_precomp(&self) -> PrecompBound {
-        let sigma = (0..self.rows.len())
-            .map(|z| {
-                (0..self.n)
-                    .map(|u| self.topic_spread(NodeId(u as u32), z))
-                    .collect()
-            })
-            .collect();
-        PrecompBound::from_parts(sigma, self.safety)
-    }
 }
 
 impl BoundEstimator for PbTableView<'_> {
@@ -490,8 +473,9 @@ impl BoundEstimator for PbTableView<'_> {
         let agg: f64 = (0..self.rows.len())
             .map(|z| gamma[z] * self.topic_spread(u, z))
             .sum();
-        // identical expression to PrecompBound::upper_bound — mapped and
-        // owned engines must answer bit-identically
+        // identical expression to PrecompBound::upper_bound — the
+        // topic-samples stage bounds with the tables it just built, queries
+        // with this view, and both must agree bit for bit
         (1.0 + self.safety * (agg - 1.0)).max(1.0)
     }
 
@@ -783,7 +767,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(view.to_precomp(), pb);
+        for (z, row) in sigma.iter().enumerate() {
+            for u in g.nodes() {
+                assert_eq!(view.topic_spread(u, z).to_bits(), row[u.index()].to_bits());
+            }
+        }
         assert_eq!(view.clone().kind(), BoundKind::Precomputation);
 
         // per-topic rebuild units match the monolithic build exactly

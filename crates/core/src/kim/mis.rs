@@ -8,22 +8,23 @@
 //! concentrates on one topic) the aggregate marginal gains are close to the
 //! true mixed-query gains, which is why this heuristic answers in
 //! microseconds with near-greedy quality — experiment E4 quantifies the gap.
+//!
+//! [`MisKim`] is the offline build form; queries score and select off the
+//! serialized tables through the zero-copy [`MisView`].
 
-use super::{KimAlgorithm, KimResult, KimStats};
+use super::{KimResult, KimStats};
 use octopus_cascade::{celf_select, stream_seed, RrOracle};
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
-/// The MIS engine: per-topic CELF marginal gains, aggregated at query time.
+/// The MIS tables: per-topic CELF marginal gains, aggregated at query time
+/// by [`MisView`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MisKim {
     /// `gains[z]` maps user → marginal gain in topic `z`'s CELF run.
     gains: Vec<HashMap<NodeId, f64>>,
-    /// Union of all per-topic seed users (the only scorable candidates).
-    candidates: Vec<NodeId>,
-    num_topics: usize,
 }
 
 impl MisKim {
@@ -72,31 +73,14 @@ impl MisKim {
             .collect()
     }
 
-    /// Users appearing in at least one per-topic seed table.
-    pub fn candidates(&self) -> &[NodeId] {
-        &self.candidates
-    }
-
     /// The per-topic marginal-gain tables (the artifact-codec path).
     pub fn gains(&self) -> &[HashMap<NodeId, f64>] {
         &self.gains
     }
 
-    /// Reassemble from decoded per-topic gain tables; the candidate union
-    /// is re-derived exactly as [`MisKim::build`] derives it.
+    /// Reassemble from per-topic gain tables.
     pub fn from_parts(gains: Vec<HashMap<NodeId, f64>>) -> Self {
-        let mut candidate_set: Vec<NodeId> = gains
-            .iter()
-            .flat_map(|table| table.keys().copied())
-            .collect();
-        candidate_set.sort();
-        candidate_set.dedup();
-        let num_topics = gains.len();
-        MisKim {
-            gains,
-            candidates: candidate_set,
-            num_topics,
-        }
+        MisKim { gains }
     }
 
     /// The incremental-rebuild cache key of one **topic's** `mis-tables`
@@ -131,13 +115,6 @@ impl MisKim {
         }
         h.finish()
     }
-
-    /// The aggregated MIS score of a user under `gamma`.
-    pub fn score(&self, u: NodeId, gamma: &TopicDistribution) -> f64 {
-        (0..self.num_topics)
-            .map(|z| gamma[z] * self.gains[z].get(&u).copied().unwrap_or(0.0))
-            .sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,10 +133,9 @@ impl MisKim {
 /// ```
 ///
 /// Each topic is its own container section with its own key and checksum.
-/// The candidate union [`MisKim::select`] scans is **derived** at parse
-/// time (exactly as [`MisKim::from_parts`] derives it), not persisted —
-/// a unit reused from one epoch and a unit rebuilt in another always
-/// reassemble the same union.
+/// The candidate union [`MisView::select`] scans is **derived** at parse
+/// time, not persisted — a unit reused from one epoch and a unit rebuilt in
+/// another always reassemble the same union.
 pub fn encode_mis_topic_section(table: Option<&HashMap<NodeId, f64>>, buf: &mut bytes::BytesMut) {
     use bytes::BufMut;
     use octopus_graph::wire::pad8;
@@ -192,10 +168,8 @@ struct MisTopicView<'a> {
 }
 
 /// A zero-copy view of the persisted per-topic `mis-tables` units: scores
-/// and selects directly off the mapped section bytes, bit-identically to
-/// the owned [`MisKim`] (same candidate scan order, same summation order).
-/// The candidate union is computed once at parse time — the same k-way
-/// merge the v4 validator already paid.
+/// and selects directly off the section bytes. The candidate union (every
+/// user in some topic's table, ascending) is computed once at parse time.
 #[derive(Debug, Clone)]
 pub struct MisView<'a> {
     topics: Vec<MisTopicView<'a>>,
@@ -256,15 +230,6 @@ impl<'a> MisView<'a> {
         }
     }
 
-    /// Structurally validate one topic's unit without assembling a view
-    /// (the independent-parser and salvage paths).
-    pub fn validate_topic(
-        raw: &'a [u8],
-        node_count: usize,
-    ) -> Result<bool, octopus_graph::wire::WireError> {
-        Ok(Self::parse_topic_inner(raw, node_count)?.is_some())
-    }
-
     /// Decode one topic's unit into its owned gains table (the non-mapped
     /// artifact-cache path; `Ok(None)` = persisted-absent marker).
     pub fn decode_topic(
@@ -306,8 +271,7 @@ impl<'a> MisView<'a> {
         if absent != 0 {
             return Err(WireError("mis units mix absent and present".into()));
         }
-        // candidate union: sorted dedup of all per-topic ids, exactly as
-        // MisKim::from_parts derives it
+        // candidate union: sorted dedup of all per-topic ids
         let mut union: Vec<NodeId> = topics
             .iter()
             .flat_map(|t| (0..t.count).map(|i| NodeId(t.id_at(i))))
@@ -317,13 +281,8 @@ impl<'a> MisView<'a> {
         Ok(Some(MisView { topics, union }))
     }
 
-    /// Candidate users (the derived sorted union of per-topic seeds).
-    pub fn candidate_count(&self) -> usize {
-        self.union.len()
-    }
-
-    /// The aggregated MIS score of a user under `gamma` — the same
-    /// expression as [`MisKim::score`], with per-topic lookups served by
+    /// The aggregated MIS score of a user under `gamma`,
+    /// `Σ_z γ_z · MG_z(u)` in topic order, with per-topic lookups served by
     /// binary search over the sorted id arrays.
     pub fn score(&self, u: NodeId, gamma: &TopicDistribution) -> f64 {
         self.topics
@@ -349,8 +308,8 @@ impl<'a> MisView<'a> {
             .sum()
     }
 
-    /// Top-`k` selection, mirroring [`MisKim::select`] exactly: same
-    /// candidate order, same comparator, same spread summation.
+    /// Top-`k` selection: every candidate scored, ranked by descending
+    /// score (ties by node id); the spread is the sum of the kept scores.
     pub fn select(&self, gamma: &TopicDistribution, k: usize) -> KimResult {
         let mut scored: Vec<(NodeId, f64)> = self
             .union
@@ -373,20 +332,6 @@ impl<'a> MisView<'a> {
             },
         }
     }
-
-    /// Decode into the owned form (the non-mapped artifact-cache path).
-    pub fn to_mis(&self) -> MisKim {
-        let gains = self
-            .topics
-            .iter()
-            .map(|unit| {
-                (0..unit.count)
-                    .map(|i| (NodeId(unit.id_at(i)), unit.gain_at(i)))
-                    .collect()
-            })
-            .collect();
-        MisKim::from_parts(gains)
-    }
 }
 
 impl MisTopicView<'_> {
@@ -403,35 +348,6 @@ impl MisTopicView<'_> {
     }
 }
 
-impl KimAlgorithm for MisKim {
-    fn select(&self, gamma: &TopicDistribution, k: usize) -> KimResult {
-        let mut scored: Vec<(NodeId, f64)> = self
-            .candidates
-            .iter()
-            .map(|&u| (u, self.score(u, gamma)))
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite scores")
-                .then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        let spread = scored.iter().map(|&(_, s)| s).sum();
-        KimResult {
-            seeds: scored.iter().map(|&(u, _)| u).collect(),
-            spread,
-            stats: KimStats {
-                bound_evaluations: self.candidates.len(),
-                ..KimStats::default()
-            },
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "mis"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,9 +357,30 @@ mod tests {
         MisKim::build(&two_topic_hubs(), 5, 3000, 42)
     }
 
+    /// The tables' per-topic v5 units, as the artifact stores them.
+    fn units(m: &MisKim) -> Vec<bytes::BytesMut> {
+        m.gains()
+            .iter()
+            .map(|table| {
+                let mut buf = bytes::BytesMut::new();
+                encode_mis_topic_section(Some(table), &mut buf);
+                assert_eq!(buf.len() % 8, 0, "unit records are padded to 8");
+                buf
+            })
+            .collect()
+    }
+
+    fn view(units: &[bytes::BytesMut]) -> MisView<'_> {
+        let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
+        MisView::parse(&slices, two_topic_hubs().node_count())
+            .unwrap()
+            .expect("present")
+    }
+
     #[test]
     fn pure_topic_queries_pick_matching_hub() {
-        let m = engine();
+        let units = units(&engine());
+        let m = view(&units);
         let res = m.select(&TopicDistribution::pure(2, 0), 1);
         assert_eq!(res.seeds, vec![NodeId(0)]);
         let res = m.select(&TopicDistribution::pure(2, 1), 1);
@@ -452,26 +389,41 @@ mod tests {
 
     #[test]
     fn mixed_query_ranks_both_hubs_top() {
-        let m = engine();
-        let res = m.select(&TopicDistribution::uniform(2), 2);
+        let units = units(&engine());
+        let res = view(&units).select(&TopicDistribution::uniform(2), 2);
         let mut seeds = res.seeds.clone();
         seeds.sort();
         assert_eq!(seeds, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]
-    fn score_is_linear_in_gamma() {
-        let m = engine();
+    fn score_is_the_gamma_weighted_gain_sum() {
+        let built = engine();
+        let units = units(&built);
+        let m = view(&units);
+        for gamma in [
+            TopicDistribution::pure(2, 0),
+            TopicDistribution::uniform(2),
+            TopicDistribution::new(vec![0.9, 0.1]).unwrap(),
+        ] {
+            for u in (0..13).map(NodeId) {
+                let expect: f64 = (0..2)
+                    .map(|z| gamma[z] * built.gains()[z].get(&u).copied().unwrap_or(0.0))
+                    .sum();
+                assert_eq!(m.score(u, &gamma).to_bits(), expect.to_bits(), "{u:?}");
+            }
+        }
         let u = NodeId(0);
         let g0 = m.score(u, &TopicDistribution::pure(2, 0));
         let g1 = m.score(u, &TopicDistribution::pure(2, 1));
         let mix = m.score(u, &TopicDistribution::uniform(2));
-        assert!((mix - 0.5 * (g0 + g1)).abs() < 1e-9);
+        assert!((mix - 0.5 * (g0 + g1)).abs() < 1e-9, "linear in gamma");
     }
 
     #[test]
     fn skewed_gamma_reorders_results() {
-        let m = engine();
+        let units = units(&engine());
+        let m = view(&units);
         let skew0 = TopicDistribution::new(vec![0.9, 0.1]).unwrap();
         let res = m.select(&skew0, 2);
         assert_eq!(
@@ -485,65 +437,49 @@ mod tests {
     }
 
     #[test]
-    fn candidates_are_union_of_topic_seeds() {
-        let m = engine();
-        assert!(m.candidates().contains(&NodeId(0)));
-        assert!(m.candidates().contains(&NodeId(1)));
-        // leaves never selected by any pure-topic CELF run are not candidates
-        assert!(m.candidates().len() <= 13);
-    }
-
-    #[test]
-    fn k_larger_than_candidates_is_safe() {
-        let m = engine();
-        let res = m.select(&TopicDistribution::uniform(2), 100);
-        assert!(res.seeds.len() <= m.candidates().len());
-    }
-
-    #[test]
-    fn mis_view_round_trips_and_selects_bit_identically() {
-        let g = two_topic_hubs();
-        let m = engine();
-        let units: Vec<bytes::BytesMut> = m
+    fn candidates_are_union_of_topic_seeds_and_k_may_exceed_them() {
+        let built = engine();
+        let units = units(&built);
+        let m = view(&units);
+        let mut union: Vec<NodeId> = built
             .gains()
             .iter()
-            .map(|table| {
-                let mut buf = bytes::BytesMut::new();
-                encode_mis_topic_section(Some(table), &mut buf);
-                assert_eq!(buf.len() % 8, 0, "unit records are padded to 8");
-                buf
-            })
+            .flat_map(|t| t.keys().copied())
             .collect();
-        let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
-        let view = MisView::parse(&slices, g.node_count())
-            .unwrap()
-            .expect("present");
-        assert_eq!(view.candidate_count(), m.candidates().len());
-        for gamma in [
-            TopicDistribution::pure(2, 0),
-            TopicDistribution::pure(2, 1),
-            TopicDistribution::uniform(2),
-            TopicDistribution::new(vec![0.9, 0.1]).unwrap(),
-        ] {
-            for &u in m.candidates() {
-                assert_eq!(
-                    view.score(u, &gamma).to_bits(),
-                    m.score(u, &gamma).to_bits()
-                );
-            }
-            for k in [1, 2, 5, 100] {
-                let a = view.select(&gamma, k);
-                let b = m.select(&gamma, k);
-                assert_eq!(a.seeds, b.seeds);
-                assert_eq!(a.spread.to_bits(), b.spread.to_bits());
-                assert_eq!(a.stats, b.stats);
-            }
-        }
-        assert_eq!(view.to_mis(), m);
+        union.sort();
+        union.dedup();
+        // leaves never selected by any pure-topic CELF run are not candidates
+        assert!(union.contains(&NodeId(0)) && union.contains(&NodeId(1)));
+        assert!(union.len() <= 13);
+        let res = m.select(&TopicDistribution::uniform(2), 100);
+        let mut seeds = res.seeds.clone();
+        seeds.sort();
+        assert_eq!(seeds, union, "k past the candidates returns them all");
+        assert_eq!(res.stats.bound_evaluations, union.len());
+        let spread: f64 = res
+            .seeds
+            .iter()
+            .map(|&u| m.score(u, &TopicDistribution::uniform(2)))
+            .sum();
+        assert_eq!(res.spread.to_bits(), spread.to_bits());
+    }
 
+    #[test]
+    fn topic_units_rebuild_alone_and_malformed_units_fail_closed() {
+        let g = two_topic_hubs();
+        let m = engine();
         // per-topic rebuild units match the monolithic build exactly
         for (z, table) in m.gains().iter().enumerate() {
             assert_eq!(&MisKim::build_topic(&g, z, 5, 3000, 42), table);
+        }
+        let units = units(&m);
+        let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
+        for (z, raw) in slices.iter().enumerate() {
+            assert_eq!(
+                MisView::decode_topic(raw, g.node_count()).unwrap().as_ref(),
+                Some(&m.gains()[z]),
+                "unit {z} decodes losslessly"
+            );
         }
 
         // absent units parse to None; truncation and mixed presence fail
@@ -558,7 +494,9 @@ mod tests {
         assert!(MisView::parse(&[&s0[..s0.len() - 8], slices[1]], g.node_count()).is_err());
         assert!(MisView::parse(&[s0, &absent], g.node_count()).is_err());
         assert!(MisView::parse(&[&absent, s0], g.node_count()).is_err());
-        assert!(MisView::validate_topic(s0, g.node_count()).unwrap());
-        assert!(!MisView::validate_topic(&absent, g.node_count()).unwrap());
+        assert!(MisView::decode_topic(s0, g.node_count()).unwrap().is_some());
+        assert!(MisView::decode_topic(&absent, g.node_count())
+            .unwrap()
+            .is_none());
     }
 }

@@ -97,9 +97,10 @@
 //! `tests/build_determinism.rs`, `tests/delta_invalidation.rs`, and the
 //! end-to-end restart tests.
 //!
-//! The v5 layout additionally supports a **mapped** open ([`view`]): the
-//! same file is memory-mapped and served zero-copy, skipping this
-//! pipeline (and most of the decode work) entirely.
+//! The engine never serves these owned structures: it encodes them once
+//! and serves the OCTA v5 bytes through the zero-copy views of [`view`] —
+//! the same readers a memory-mapped cache file is served through, which
+//! skips this pipeline (and any decode work) entirely.
 
 #![warn(missing_docs)]
 
@@ -109,8 +110,8 @@ pub mod view;
 use crate::autocomplete::Autocomplete;
 use crate::engine::{KimEngineChoice, OctopusConfig};
 use crate::kim::bounds::{
-    combine_topic_caps, topic_arrival_cap, BoundKind, LocalGraphBound, NeighborhoodBound,
-    PrecompBound, TrivialBound,
+    combine_topic_caps, topic_arrival_cap, BoundEstimator, BoundKind, LocalGraphBound,
+    NeighborhoodBound, PrecompBound, TrivialBound,
 };
 use crate::kim::topic_sample::{TopicSample, TopicSampleKim};
 use crate::kim::{BestEffortKim, KimResult, MisKim};
@@ -528,7 +529,7 @@ fn build_topic_samples(
             let res = run_best_effort(
                 graph,
                 bound,
-                PbSource::Owned(pb.as_ref()),
+                pb.as_ref(),
                 cap,
                 config,
                 gamma,
@@ -544,58 +545,41 @@ fn build_topic_samples(
         .collect()
 }
 
-/// Where a best-effort run gets its PB bound tables from: the owned decode
-/// or a zero-copy view over a mapped artifact. Both implement
-/// [`crate::kim::bounds::BoundEstimator`] identically, so the selection is
-/// bit-identical either way.
-#[derive(Clone)]
-pub(crate) enum PbSource<'a> {
-    /// Owned tables (fresh build or decoded cache hit).
-    Owned(Option<&'a PrecompBound>),
-    /// Zero-copy tables over a mapped OCTA v5 PB section group.
-    View(Option<crate::kim::bounds::PbTableView<'a>>),
-}
-
 /// Run one best-effort selection with the configured bound estimator —
-/// shared by the topic-samples stage and the engine's online query path.
+/// shared by the topic-samples stage (over the tables it just built) and
+/// the engine's online query path (over the artifact's zero-copy tables).
+/// `pb` must be present when `bound` is [`BoundKind::Precomputation`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_best_effort(
     graph: &TopicGraph,
     bound: BoundKind,
-    pb: PbSource<'_>,
+    pb: Option<impl BoundEstimator>,
     cap: f64,
     config: &OctopusConfig,
     gamma: &TopicDistribution,
     k: usize,
     warm: &[NodeId],
 ) -> KimResult {
+    let theta = config.mia_theta;
     match bound {
-        BoundKind::Precomputation => match pb {
-            PbSource::Owned(table) => {
-                let table = table.expect("PB table built at construction");
-                BestEffortKim::new(graph, table, config.mia_theta).select_warm(gamma, k, warm)
-            }
-            PbSource::View(view) => {
-                let view = view.expect("PB section present in mapped artifact");
-                BestEffortKim::new(graph, view, config.mia_theta).select_warm(gamma, k, warm)
-            }
-        },
+        BoundKind::Precomputation => {
+            let table = pb.expect("PB tables present for a PB-bound engine");
+            BestEffortKim::new(graph, table, theta).select_warm(gamma, k, warm)
+        }
         BoundKind::Neighborhood => {
-            BestEffortKim::new(graph, NeighborhoodBound::new(graph, cap), config.mia_theta)
+            BestEffortKim::new(graph, NeighborhoodBound::new(graph, cap), theta)
                 .select_warm(gamma, k, warm)
         }
         BoundKind::LocalGraph => BestEffortKim::new(
             graph,
             LocalGraphBound::new(graph, config.lg_depth, cap, config.lg_safety),
-            config.mia_theta,
+            theta,
         )
         .select_warm(gamma, k, warm),
-        BoundKind::Trivial => BestEffortKim::new(
-            graph,
-            TrivialBound::new(graph.node_count()),
-            config.mia_theta,
-        )
-        .select_warm(gamma, k, warm),
+        BoundKind::Trivial => {
+            BestEffortKim::new(graph, TrivialBound::new(graph.node_count()), theta)
+                .select_warm(gamma, k, warm)
+        }
     }
 }
 

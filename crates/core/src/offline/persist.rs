@@ -85,14 +85,14 @@
 
 #![warn(missing_docs)]
 
-use super::{MisTopicGains, OfflineArtifacts, PbTopicRow, ReuseSlots};
+use super::{MisTopicGains, OfflineArtifacts, PbTopicRow, ReuseSlots, StageTiming};
 use crate::autocomplete::Autocomplete;
 use crate::engine::{KimEngineChoice, OctopusConfig};
 use crate::kim::bounds::{spread_cap_topic_key, BoundKind, PrecompBound};
 use crate::kim::topic_sample::TopicSample;
 use crate::kim::MisKim;
 use crate::piks::InfluencerIndex;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use octopus_graph::wire::{self, Fnv64, SectionEntry, WireError};
 use octopus_graph::{codec as graph_codec, NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
@@ -451,7 +451,7 @@ pub fn encode(
     fp: &Fingerprint,
     keys: &StageKeys,
     write_seq: u64,
-) -> Bytes {
+) -> Vec<u8> {
     let z_count = artifacts.topic_caps.len();
     debug_assert_eq!(keys.cap.len(), z_count, "keys and artifacts agree on Z");
     let mut sections: Vec<(u32, u64, BytesMut)> = Vec::with_capacity(3 * z_count + 3);
@@ -479,7 +479,7 @@ pub fn encode(
     sections.push((SECTION_NAMES, keys.names, encode_names(artifacts)));
     let table_len = sections.len() * wire::SECTION_ENTRY_LEN;
     let payload_len: usize = sections.iter().map(|(_, _, p)| wire::align8(p.len())).sum();
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + table_len + payload_len);
+    let mut buf = Vec::with_capacity(HEADER_LEN + table_len + payload_len);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u16_le(0);
@@ -509,7 +509,7 @@ pub fn encode(
         buf.put_bytes(0, wire::pad8(buf.len()));
         buf.put_slice(&payload);
     }
-    buf.freeze()
+    buf
 }
 
 /// Encode one topic's PB unit. Reserves exactly: σ̂ rows are N×8 bytes at
@@ -888,6 +888,20 @@ pub struct LoadTimings {
     pub decode: std::time::Duration,
 }
 
+impl LoadTimings {
+    /// The three artifact stages a full hit reports, in load order.
+    pub fn stages(&self) -> Vec<StageTiming> {
+        [
+            (STAGE_ARTIFACT_MAP, self.map),
+            (STAGE_ARTIFACT_VALIDATE, self.validate),
+            (STAGE_ARTIFACT_DECODE, self.decode),
+        ]
+        .into_iter()
+        .map(|(stage, duration)| StageTiming { stage, duration })
+        .collect()
+    }
+}
+
 /// The result of a cache-directory [`lookup`]: merged reuse slots plus the
 /// files that contributed them.
 #[derive(Debug, Default)]
@@ -901,6 +915,10 @@ pub struct CacheLookup {
     /// Where the lookup's wall-clock went (telemetry for
     /// [`crate::engine::SystemReport`]).
     pub timings: LoadTimings,
+    /// The exact-fingerprint file's bytes, kept when that file contributed:
+    /// on a full hit it alone served, the engine serves these very bytes
+    /// (every section it supplied was checksummed on the way in).
+    pub exact: Option<Vec<u8>>,
 }
 
 /// Gather every reusable stage output available under `cache_dir` for the
@@ -957,6 +975,9 @@ pub fn lookup(
         if let Ok(true) =
             load_sections_into(&raw, keys, graph, config, &mut out.slots, &mut out.timings)
         {
+            if path == exact {
+                out.exact = Some(raw);
+            }
             out.sources.push(path);
         }
     }
@@ -997,23 +1018,34 @@ pub fn save(
     keys: &StageKeys,
     path: &Path,
 ) -> std::io::Result<()> {
+    save_encoded(artifacts, fp, keys, path).1
+}
+
+/// [`save`], also returning the encoded bytes — written or not — so an
+/// engine serves exactly what it persisted, encoding once.
+pub(crate) fn save_encoded(
+    artifacts: &OfflineArtifacts,
+    fp: &Fingerprint,
+    keys: &StageKeys,
+    path: &Path,
+) -> (Vec<u8>, std::io::Result<()>) {
     use std::sync::atomic::{AtomicU64, Ordering};
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let write_seq = path.parent().map_or(1, next_write_seq);
+    let bytes = encode(artifacts, fp, keys, path.parent().map_or(1, next_write_seq));
     let tmp = path.with_extension(format!(
         "octa.tmp.{}.{}",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let result = std::fs::write(&tmp, encode(artifacts, fp, keys, write_seq))
+    let result = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&tmp, &bytes))
         .and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    result
+    (bytes, result)
 }
 
 /// The write sequence a new file in `dir` should carry: one past the
@@ -1211,23 +1243,16 @@ mod tests {
     }
 
     #[test]
-    fn loaded_artifacts_answer_queries_identically() {
+    fn reloaded_artifacts_re_encode_to_the_served_bytes() {
+        // engines serve encoded bytes, so a reload that re-encodes to the
+        // same bytes answers every query identically
         let g = tiny_graph();
-        let cfg = config(KimEngineChoice::Mis);
-        let art = offline::build(&g, &cfg);
-        let back = round_trip(&art, &g, &cfg);
-        use crate::kim::KimAlgorithm;
-        let gamma = TopicDistribution::uniform(2);
-        let a = art.mis.as_ref().unwrap().select(&gamma, 3);
-        let b = back.mis.as_ref().unwrap().select(&gamma, 3);
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.spread, b.spread);
-        // PIKS sessions over the reloaded index agree bit-for-bit
-        let mut sa = art.piks_index.session(&g, &gamma);
-        let mut sb = back.piks_index.session(&g, &gamma);
-        assert_eq!(sa.spread_of(NodeId(0)), sb.spread_of(NodeId(0)));
-        // the trie still resolves names
-        assert_eq!(back.names.lookup("user-3"), Some(NodeId(3)));
+        for cfg in all_configs() {
+            let (fp, keys) = (Fingerprint::compute(&g, &cfg), StageKeys::compute(&g, &cfg));
+            let art = offline::build(&g, &cfg);
+            let back = round_trip(&art, &g, &cfg);
+            assert!(encode(&art, &fp, &keys, 1) == encode(&back, &fp, &keys, 1));
+        }
     }
 
     #[test]

@@ -1,36 +1,39 @@
-//! Zero-copy mapped artifacts: serve queries straight off a memory-mapped
-//! OCTA v5 file instead of decoding it into owned structures.
+//! Zero-copy artifacts: every engine serves queries straight off one
+//! validated OCTA v5 container — memory-mapped from its cache file, or held
+//! on the heap — instead of decoding it into owned structures.
 //!
 //! ## Why
 //!
-//! The owned open path ([`super::persist::lookup`] +
-//! [`super::build_with_reuse`]) reads the whole cache file and decodes
-//! every section into heap structures before the first query — `O(file)`
-//! startup cost and a private copy of the tables in every serving replica.
-//! The v5 layout was designed so neither is necessary: sections are flat,
-//! fixed-width, 8-aligned, and offset-indexed, so [`open`] merely maps the
-//! file, validates the header and section table, and eagerly touches only
-//! the sections that are small or structurally cheap to walk. Startup is
-//! `O(pages touched)`, and replicas mapping the same file share its page
-//! cache.
+//! The v5 layout needs no decode step: sections are flat, fixed-width,
+//! 8-aligned, and offset-indexed, so the operators read `from_le_bytes`
+//! straight off the bytes. [`open`] maps a cache file and validates it —
+//! header, section table, and only the sections that are small or
+//! structurally cheap to walk — so startup is `O(pages touched)` and
+//! replicas mapping the same file share its page cache. An engine that
+//! built (or partially reused) its artifacts encodes them once and hands
+//! those bytes to the same validator; there is one in-memory shape and one
+//! set of read kernels whichever backing holds the bytes.
 //!
 //! ## Validation strategy
 //!
-//! At open, always:
+//! Always:
 //!
 //! * header + section table: magic, version, exact combined fingerprint,
 //!   canonical section order, per-unit key equality, 8-aligned in-bounds
-//!   monotone offsets, exact file length;
-//! * `cap` units + `samples`: checksum and full decode (tiny, and eagerly
-//!   needed — the per-topic caps combine into the global cap at open);
-//! * `names`: checksum + full structural walk (per-query lookups then run
+//!   monotone offsets, exact container length;
+//! * `cap` units + `samples`: full decode (tiny, and eagerly needed — the
+//!   per-topic caps combine into the global cap at open);
+//! * `names`: full structural walk (per-query lookups then run
 //!   `O(|name|)` via `TrieView::assume_checked`);
 //! * `pb` / `mis`: structural parse of every topic unit (header
-//!   arithmetic, offset tables) — **checksums deferred**, per unit;
-//! * `piks`: `O(R)` world framing walk — per-world payloads untouched,
-//!   checksum deferred.
+//!   arithmetic, offset tables);
+//! * `piks`: `O(R)` world framing walk — per-world payloads untouched.
 //!
-//! The deferred checksums are verified **once, at first operator touch**
+//! Checksums depend on where the bytes came from. Bytes this process
+//! encoded never touched a disk, and bytes [`super::persist::lookup`] read
+//! were checksummed section by section as it read them: both enter with
+//! every section verified. A mapped file checksums its eager sections at
+//! open and defers the rest **once, to first operator touch**
 //! ([`MappedArtifacts::pb_view`] / [`MappedArtifacts::mis_view`] /
 //! [`MappedArtifacts::piks_view`]), recorded in a sticky per-section state:
 //! a section that fails verification fails every subsequent touch with
@@ -38,17 +41,17 @@
 //! from damaged bytes. Opening with `paranoid = true` verifies every
 //! checksum up front instead (the `--paranoid` flag of `exp_runner`).
 //!
-//! A mapped open serves only a **complete, exact** artifact: same combined
-//! fingerprint, every stage key equal. Partial reuse (donor sections from
-//! older epochs) stays an owned-path feature — merging sections across
-//! files requires decoding anyway.
+//! A mapped open serves only a **complete, exact** file: same combined
+//! fingerprint, every stage key equal. Merging donor sections across files
+//! is the rebuild path's job, whose merged result is then re-encoded.
 //!
 //! ## Prune integration
 //!
-//! Every live mapping registers its canonical path in a process-global
-//! registry; [`is_mapped`] is consulted by [`super::persist::prune`] so the
-//! cache janitor never unlinks a file a running engine is serving from.
-//! The registration drops with the last [`MappedArtifacts`] clone.
+//! Every live file mapping registers its canonical path in a
+//! process-global registry; [`is_mapped`] is consulted by
+//! [`super::persist::prune`] so the cache janitor never unlinks a file a
+//! running engine is serving from. The registration drops with the last
+//! [`MappedArtifacts`] clone. Heap-backed artifacts never register.
 
 #![warn(missing_docs)]
 
@@ -102,11 +105,12 @@ struct SectionMeta {
     state: AtomicU8,
 }
 
-/// The shared innards of a mapped artifact (one per [`open`]; reference
-/// counted so engine clones share the mapping and the registry entry).
+/// The shared innards of an artifact (one per validation; reference
+/// counted so engine clones share the bytes and the registry entry).
 struct MapInner {
     map: Mmap,
-    reg_key: PathBuf,
+    /// The registry key of a file mapping; `None` for heap bytes.
+    reg_key: Option<PathBuf>,
     sections: Vec<SectionMeta>,
     // graph dimensions the views re-validate against on reconstruction
     num_topics: usize,
@@ -115,11 +119,9 @@ struct MapInner {
     topic_caps: Vec<f64>,
     cap: f64,
     samples: Vec<TopicSample>,
-    // counts captured at open for reporting
-    piks_total: usize,
-    piks_stored_nodes: usize,
-    piks_stored_edges: usize,
-    names_len: usize,
+    // the PIKS framing validated at open, detached from the bytes and
+    // rebound per query (counts for reporting come from it too)
+    piks: PiksWorldsView<'static>,
     // synthetic open telemetry (map / validate / decode)
     timings: Vec<StageTiming>,
     reuse: Vec<StageReuse>,
@@ -128,15 +130,17 @@ struct MapInner {
 
 impl Drop for MapInner {
     fn drop(&mut self) {
-        deregister(&self.reg_key);
+        if let Some(key) = &self.reg_key {
+            deregister(key);
+        }
     }
 }
 
-/// A complete OCTA v5 artifact served zero-copy off a memory mapping.
+/// A complete, validated OCTA v5 artifact served zero-copy — off a file
+/// mapping ([`open`]) or off heap bytes the engine encoded or read.
 ///
-/// Construction is [`open`]; the engine holds one of these in mapped mode
-/// and reconstructs per-query views through the accessors. Cloning shares
-/// the mapping (cheap `Arc` clone).
+/// Every engine holds one of these and reconstructs per-query views through
+/// the accessors. Cloning shares the bytes (cheap `Arc` clone).
 #[derive(Clone)]
 pub struct MappedArtifacts {
     inner: Arc<MapInner>,
@@ -145,9 +149,9 @@ pub struct MappedArtifacts {
 impl std::fmt::Debug for MappedArtifacts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedArtifacts")
-            .field("path", &self.inner.reg_key)
+            .field("mapped", &self.inner.reg_key)
             .field("bytes", &self.inner.map.len())
-            .field("piks_total", &self.inner.piks_total)
+            .field("piks_total", &self.inner.piks.len())
             .finish()
     }
 }
@@ -205,7 +209,7 @@ pub fn is_mapped(path: &Path) -> bool {
 ///
 /// Any mismatch — foreign fingerprint, stale stage key, non-canonical
 /// layout, damaged eager section — is an error; the caller falls back to
-/// the owned path (which can still salvage matching sections).
+/// the rebuild path (which can still salvage matching sections).
 pub fn open(
     path: &Path,
     fp: &Fingerprint,
@@ -216,8 +220,50 @@ pub fn open(
 ) -> Result<MappedArtifacts, PersistError> {
     let t0 = Instant::now();
     let map = Mmap::map_file(path).map_err(|e| PersistError::Io(e.to_string()))?;
-    let t_map = t0.elapsed();
+    let mut inner = validate(map, t0.elapsed(), false, fp, keys, graph, config, paranoid)?;
+    inner.reg_key = Some(register(path));
+    inner.open_total = t0.elapsed();
+    Ok(MappedArtifacts {
+        inner: Arc::new(inner),
+    })
+}
 
+/// Validate heap bytes — encoded by this process, or read and checksummed
+/// by [`persist::lookup`] — as a complete OCTA v5 artifact for exactly these
+/// inputs. Every section enters verified; the structural checks are
+/// [`open`]'s.
+pub(crate) fn from_bytes(
+    bytes: Vec<u8>,
+    fp: &Fingerprint,
+    keys: &StageKeys,
+    graph: &TopicGraph,
+    config: &OctopusConfig,
+) -> Result<MappedArtifacts, PersistError> {
+    let t0 = Instant::now();
+    let map = Mmap::from_vec(bytes);
+    let mut inner = validate(map, Duration::ZERO, true, fp, keys, graph, config, false)?;
+    inner.open_total = t0.elapsed();
+    Ok(MappedArtifacts {
+        inner: Arc::new(inner),
+    })
+}
+
+/// The one validator behind [`open`] and [`from_bytes`]. `verified` says
+/// whether the bytes' checksums are already vouched for (heap bytes) or
+/// must be checked (a mapped file: eager sections now, the rest lazily or,
+/// with `paranoid`, now).
+#[allow(clippy::too_many_arguments)]
+fn validate(
+    map: Mmap,
+    t_map: Duration,
+    verified: bool,
+    fp: &Fingerprint,
+    keys: &StageKeys,
+    graph: &TopicGraph,
+    config: &OctopusConfig,
+    paranoid: bool,
+) -> Result<MapInner, PersistError> {
+    let initial = if verified { VERIFIED } else { UNVERIFIED };
     // -- validate: header, table, canonical layout ------------------------
     let t1 = Instant::now();
     let raw: &[u8] = &map;
@@ -266,7 +312,7 @@ pub fn open(
         prev_end = (entry.off + entry.len) as usize;
         sections.push(SectionMeta {
             entry,
-            state: AtomicU8::new(UNVERIFIED),
+            state: AtomicU8::new(initial),
         });
     }
     if prev_end != raw.len() {
@@ -284,23 +330,15 @@ pub fn open(
     let mut topic_caps = Vec::with_capacity(z_count);
     for z in 0..z_count {
         let i = i_cap(z_count, z);
-        topic_caps.push(persist::decode_cap(checked_payload(raw, &sections[i])?)?);
-        sections[i].state.store(VERIFIED, Ordering::Release);
+        topic_caps.push(persist::decode_cap(eager_payload(raw, &sections[i])?)?);
     }
     let cap = crate::kim::bounds::combine_topic_caps(&topic_caps);
     let samples =
-        persist::decode_samples(checked_payload(raw, &sections[i_samples(z_count)])?, graph)?;
-    sections[i_samples(z_count)]
-        .state
-        .store(VERIFIED, Ordering::Release);
-    let names_len = TrieView::parse(
-        checked_payload(raw, &sections[i_names(z_count)])?,
+        persist::decode_samples(eager_payload(raw, &sections[i_samples(z_count)])?, graph)?;
+    TrieView::parse(
+        eager_payload(raw, &sections[i_names(z_count)])?,
         graph.node_count(),
-    )?
-    .len();
-    sections[i_names(z_count)]
-        .state
-        .store(VERIFIED, Ordering::Release);
+    )?;
 
     // structural parses of the lazily-checksummed per-topic unit groups
     let pb_slices: Vec<&[u8]> = (0..z_count)
@@ -340,39 +378,29 @@ pub fn open(
             piks.len()
         )));
     }
-    let (piks_total, piks_stored_nodes, piks_stored_edges) =
-        (piks.len(), piks.stored_nodes(), piks.stored_edges());
+    let piks = piks.rebind(&[]);
     if paranoid {
         for i in (0..z_count)
             .map(|z| i_pb(z_count, z))
             .chain((0..z_count).map(|z| i_mis(z_count, z)))
             .chain([i_piks(z_count)])
         {
-            checked_payload(raw, &sections[i])?;
-            sections[i].state.store(VERIFIED, Ordering::Release);
+            eager_payload(raw, &sections[i])?;
         }
     }
     let t_decode = t2.elapsed();
 
-    let timings = vec![
-        StageTiming {
-            stage: persist::STAGE_ARTIFACT_MAP,
-            duration: t_map,
-        },
-        StageTiming {
-            stage: persist::STAGE_ARTIFACT_VALIDATE,
-            duration: t_validate,
-        },
-        StageTiming {
-            stage: persist::STAGE_ARTIFACT_DECODE,
-            duration: t_decode,
-        },
-    ];
+    let timings = persist::LoadTimings {
+        map: t_map,
+        validate: t_validate,
+        decode: t_decode,
+    }
+    .stages();
     let reuse = STAGE_ORDER
         .iter()
         .map(|&stage| {
             let units = match stage {
-                "piks-worlds" => piks_total,
+                "piks-worlds" => piks.len(),
                 "spread-cap" | "pb-bound" | "mis-tables" => z_count,
                 _ => 1,
             };
@@ -384,30 +412,31 @@ pub fn open(
         })
         .collect();
 
-    Ok(MappedArtifacts {
-        inner: Arc::new(MapInner {
-            reg_key: register(path),
-            map,
-            sections,
-            num_topics: graph.num_topics(),
-            node_count: graph.node_count(),
-            topic_caps,
-            cap,
-            samples,
-            piks_total,
-            piks_stored_nodes,
-            piks_stored_edges,
-            names_len,
-            timings,
-            reuse,
-            open_total: t0.elapsed(),
-        }),
+    Ok(MapInner {
+        map,
+        reg_key: None,
+        sections,
+        num_topics: graph.num_topics(),
+        node_count: graph.node_count(),
+        topic_caps,
+        cap,
+        samples,
+        piks,
+        timings,
+        reuse,
+        open_total: Duration::ZERO,
     })
 }
 
-/// Checksum-verified payload of a section (range was validated earlier).
-fn checked_payload<'a>(raw: &'a [u8], meta: &SectionMeta) -> Result<&'a [u8], PersistError> {
-    Ok(wire::section_payload(raw, &meta.entry)?)
+/// Payload of a section needed at open: checksummed now unless already
+/// verified, and marked verified (range was validated earlier).
+fn eager_payload<'a>(raw: &'a [u8], meta: &SectionMeta) -> Result<&'a [u8], PersistError> {
+    if meta.state.load(Ordering::Acquire) == VERIFIED {
+        return Ok(raw_payload(raw, meta));
+    }
+    let payload = wire::section_payload(raw, &meta.entry)?;
+    meta.state.store(VERIFIED, Ordering::Release);
+    Ok(payload)
 }
 
 /// Payload bytes of a section without checksum work (range was validated).
@@ -421,9 +450,17 @@ fn raw_payload<'a>(raw: &'a [u8], meta: &SectionMeta) -> &'a [u8] {
 // ---------------------------------------------------------------------------
 
 impl MappedArtifacts {
-    /// The canonical path of the mapped file (the registry key).
-    pub fn path(&self) -> &Path {
-        &self.inner.reg_key
+    /// Whether these bytes are a file mapping (registered against
+    /// [`persist::prune`]) rather than heap bytes.
+    pub fn is_mapped(&self) -> bool {
+        self.inner.reg_key.is_some()
+    }
+
+    /// Every section's `(tag, payload)` in canonical order — what two
+    /// artifacts must agree on to answer identically (the header's write
+    /// sequence aside).
+    pub fn payloads(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        (0..self.inner.sections.len()).map(|i| (self.inner.sections[i].entry.tag, self.section(i)))
     }
 
     /// Raw payload of section `i` (structure was validated at open).
@@ -495,11 +532,10 @@ impl MappedArtifacts {
     }
 
     /// The PIKS possible-worlds index, zero-copy. First call verifies the
-    /// section checksum.
+    /// section checksum; the framing validated at open rebinds in `O(1)`.
     pub fn piks_view(&self) -> Result<PiksWorldsView<'_>, CoreError> {
         let payload = self.verified_section(i_piks(self.inner.num_topics))?;
-        PiksWorldsView::parse(payload)
-            .map_err(|e| CoreError::Artifact(format!("piks section: {}", e.0)))
+        Ok(self.inner.piks.rebind(payload))
     }
 
     /// The autocomplete trie, zero-copy (checksum and structure were
@@ -508,39 +544,30 @@ impl MappedArtifacts {
         TrieView::assume_checked(self.section(i_names(self.inner.num_topics)))
     }
 
-    /// World count of the mapped PIKS index.
+    /// World count of the PIKS index.
     pub fn piks_len(&self) -> usize {
-        self.inner.piks_total
+        self.inner.piks.len()
     }
 
-    /// Total nodes stored across all mapped PIKS worlds.
+    /// Total nodes stored across all PIKS worlds.
     pub fn piks_stored_nodes(&self) -> usize {
-        self.inner.piks_stored_nodes
+        self.inner.piks.stored_nodes()
     }
 
-    /// Total reverse edges stored across all mapped PIKS worlds.
-    pub fn piks_stored_edges(&self) -> usize {
-        self.inner.piks_stored_edges
-    }
-
-    /// Stored name count of the mapped autocomplete trie.
-    pub fn names_len(&self) -> usize {
-        self.inner.names_len
-    }
-
-    /// Synthetic open telemetry: the three artifact stages (map, validate,
-    /// decode), mirroring what a full owned cache hit reports.
+    /// Open telemetry: the three artifact stages (map, validate, decode),
+    /// mirroring what a full cache hit reports (map is zero on the heap).
     pub fn timings(&self) -> &[StageTiming] {
         &self.inner.timings
     }
 
-    /// Per-stage reuse counters (every stage fully reused — a mapped open
-    /// is by definition a complete artifact hit).
+    /// Per-stage reuse counters (every stage fully reused — a validated
+    /// artifact is by definition complete).
     pub fn reuse(&self) -> &[StageReuse] {
         &self.inner.reuse
     }
 
-    /// Wall-clock duration of the whole [`open`].
+    /// Wall-clock duration of the whole [`open`] (or of validating heap
+    /// bytes).
     pub fn open_total(&self) -> Duration {
         self.inner.open_total
     }
@@ -552,7 +579,6 @@ mod tests {
     use crate::engine::KimEngineChoice;
     use crate::offline;
     use octopus_graph::{GraphBuilder, NodeId};
-    use octopus_topics::TopicDistribution;
 
     fn tiny_graph() -> TopicGraph {
         let mut b = GraphBuilder::new(2);
@@ -604,41 +630,33 @@ mod tests {
     }
 
     #[test]
-    fn open_serves_every_section_bit_identically() {
+    fn file_and_heap_backings_validate_to_the_same_artifact() {
         let (dir, path, fp, keys, g, cfg, art) = saved_artifact("octopus_view_open_test");
+        let heap = from_bytes(std::fs::read(&path).unwrap(), &fp, &keys, &g, &cfg).unwrap();
+        assert!(
+            !heap.is_mapped() && !is_mapped(&path),
+            "heap bytes never register"
+        );
         for paranoid in [false, true] {
             let mapped = open(&path, &fp, &keys, &g, &cfg, paranoid).expect("mapped open");
-            assert_eq!(mapped.cap().to_bits(), art.cap.to_bits());
-            assert_eq!(mapped.topic_caps().len(), art.topic_caps.len());
-            for (a, b) in mapped.topic_caps().iter().zip(&art.topic_caps) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            assert!(mapped.is_mapped());
+            for served in [&mapped, &heap] {
+                assert_eq!(served.cap().to_bits(), art.cap.to_bits());
+                assert_eq!(served.topic_caps().len(), art.topic_caps.len());
+                for (a, b) in served.topic_caps().iter().zip(&art.topic_caps) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                assert_eq!(served.samples(), &art.samples[..]);
+                assert_eq!(served.piks_len(), art.piks_index.len());
+                assert_eq!(served.trie_view().len(), art.names.len());
+                assert!(served.mis_view().unwrap().is_some(), "MIS engine");
+                assert!(served.pb_view().unwrap().is_none(), "no PB tables");
+                assert_eq!(served.piks_view().unwrap().len(), art.piks_index.len());
+                assert_eq!(served.trie_view().lookup("user-3"), Some(NodeId(3)));
             }
-            assert_eq!(mapped.samples(), &art.samples[..]);
-            assert_eq!(mapped.piks_len(), art.piks_index.len());
-            assert_eq!(mapped.names_len(), art.names.len());
-            // MIS selection off the view matches the owned tables
-            let gamma = TopicDistribution::uniform(2);
-            let view = mapped.mis_view().unwrap().expect("mis present");
-            use crate::kim::KimAlgorithm;
-            let a = art.mis.as_ref().unwrap().select(&gamma, 3);
-            let b = view.select(&gamma, 3);
-            assert_eq!(a.seeds, b.seeds);
-            assert_eq!(a.spread.to_bits(), b.spread.to_bits());
-            // PIKS spreads match bit-for-bit
-            let piks = mapped.piks_view().unwrap();
-            let mut owned = art.piks_index.session(&g, &gamma);
-            let mut viewed = piks.session(&g, &gamma);
-            for u in [0u32, 1, 5, 9] {
-                assert_eq!(
-                    owned.spread_of(NodeId(u)).to_bits(),
-                    viewed.spread_of(NodeId(u)).to_bits()
-                );
-            }
-            // trie answers match
-            assert_eq!(mapped.trie_view().lookup("user-3"), Some(NodeId(3)));
-            assert_eq!(
-                mapped.trie_view().complete("user-1", 4),
-                art.names.complete("user-1", 4)
+            assert!(
+                mapped.payloads().eq(heap.payloads()),
+                "one artifact, two backings"
             );
         }
         std::fs::remove_dir_all(&dir).ok();

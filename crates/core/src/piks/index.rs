@@ -21,8 +21,12 @@
 //! (the "delay materialization" technique) and cached in the query session;
 //! the spread of a target `u` is then the classic RR estimate
 //! `n/R · #{j : u ∈ live_j}`.
+//!
+//! Queries read the serialized index — the OCTA v5 `piks-worlds` section —
+//! through the zero-copy [`PiksWorldsView`] and its [`PiksSession`]; the
+//! owned [`InfluencerIndex`] is the build (and incremental-rebuild) form.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use octopus_cascade::{stream_seed, EdgeCoins};
 use octopus_graph::wire::{self, WireError};
 use octopus_graph::{EdgeId, NodeId, TopicGraph};
@@ -49,15 +53,6 @@ struct Sample {
     /// Edges the construction BFS examined (per-world work counter; summed
     /// into [`IndexStats::edges_examined`]).
     edges_examined: usize,
-}
-
-impl Sample {
-    fn local(&self, global: NodeId) -> Option<u32> {
-        self.local_of
-            .binary_search_by_key(&global.0, |&(g, _)| g)
-            .ok()
-            .map(|i| self.local_of[i].1)
-    }
 }
 
 /// Work/size counters of an index build.
@@ -444,11 +439,6 @@ impl InfluencerIndex {
         &self.stats
     }
 
-    /// The sampled root of world `j` (diagnostics / tests).
-    pub fn root_of(&self, j: usize) -> NodeId {
-        self.samples[j].root
-    }
-
     /// Global node ids of world `j`'s stored sub-DAG, in BFS discovery
     /// order (diagnostics / invalidation tests — this is the node set whose
     /// in-edges form the world's [`footprint_hash`]).
@@ -458,7 +448,7 @@ impl InfluencerIndex {
 
     /// Serialize the index into `buf` (the artifact-codec path).
     ///
-    /// Layout (the OCTA v4 `piks-worlds` section payload; normative spec in
+    /// Layout (the OCTA v5 `piks-worlds` section payload; normative spec in
     /// `ARCHITECTURE.md`). All fields little-endian; every world record
     /// starts 8-aligned and has a length that is a multiple of 8, so a
     /// memory-mapped file can serve queries straight off the bytes:
@@ -481,7 +471,7 @@ impl InfluencerIndex {
     /// `local_of` lookup is stored rather than rebuilt on decode — the
     /// mapped read path binary-searches it in place, and the owned decode
     /// path validates it against `nodes` instead of sorting.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         fn world_len(s: &Sample) -> u64 {
             let w = s.nodes.len() as u64;
             let e = s.in_edges.len() as u64;
@@ -523,116 +513,23 @@ impl InfluencerIndex {
         }
     }
 
+    /// The serialized index ([`InfluencerIndex::encode_into`]) — the bytes
+    /// a [`PiksWorldsView`] reads.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let stats = &self.stats;
+        let mut buf = Vec::with_capacity(
+            16 + self.samples.len() * 64 + stats.stored_nodes * 16 + stats.stored_edges * 8,
+        );
+        self.encode_into(&mut buf);
+        buf
+    }
+
     /// Screen one serialized index against the **live** graph into fresh
     /// reuse slots — [`PiksReuse::screen`] on an empty accumulator.
     pub fn load_reusable(raw: &[u8], graph: &TopicGraph) -> Result<PiksReuse, WireError> {
         let mut reuse = PiksReuse::default();
         reuse.screen(raw, graph)?;
         Ok(reuse)
-    }
-
-    /// Start a query session for `gamma`. Live sets materialize lazily.
-    pub fn session<'a>(
-        &'a self,
-        graph: &'a TopicGraph,
-        gamma: &TopicDistribution,
-    ) -> QuerySession<'a> {
-        QuerySession {
-            index: self,
-            graph,
-            gamma: gamma.as_slice().to_vec(),
-            live: vec![None; self.samples.len()],
-            materialized: 0,
-        }
-    }
-}
-
-/// A lazy per-query view of the index.
-///
-/// Each world's live influencer set is computed on first access and cached —
-/// repeated spread evaluations (the inner loop of greedy keyword selection)
-/// touch each world once regardless of how many candidates are scored.
-pub struct QuerySession<'a> {
-    index: &'a InfluencerIndex,
-    graph: &'a TopicGraph,
-    gamma: Vec<f64>,
-    /// Per-sample live influencer sets (global node ids, sorted), lazily
-    /// materialized.
-    live: Vec<Option<Vec<u32>>>,
-    materialized: usize,
-}
-
-impl QuerySession<'_> {
-    /// Live influencer set of sample `j` under this query (sorted global
-    /// ids). Materializes and caches on first call — delayed
-    /// materialization.
-    fn live_set(&mut self, j: usize) -> &[u32] {
-        if self.live[j].is_none() {
-            self.materialized += 1;
-            let s = &self.index.samples[j];
-            // BFS from the root (local id 0) over γ-live stored edges
-            let mut live_local = vec![false; s.nodes.len()];
-            live_local[0] = true;
-            let mut queue = vec![0u32];
-            let mut head = 0usize;
-            let mut members = vec![s.nodes[0]];
-            while head < queue.len() {
-                let v = queue[head] as usize;
-                head += 1;
-                let lo = s.in_offsets[v] as usize;
-                let hi = s.in_offsets[v + 1] as usize;
-                for &(u_local, e) in &s.in_edges[lo..hi] {
-                    if live_local[u_local as usize] {
-                        continue;
-                    }
-                    let p = self.graph.edge_prob(e, &self.gamma);
-                    if s.coins.is_live(e, p) {
-                        live_local[u_local as usize] = true;
-                        queue.push(u_local);
-                        members.push(s.nodes[u_local as usize]);
-                    }
-                }
-            }
-            members.sort_unstable();
-            self.live[j] = Some(members);
-        }
-        self.live[j].as_deref().expect("just materialized")
-    }
-
-    /// Estimated influence spread of a seed set under this query:
-    /// `n/R · #{j : S ∩ live_j ≠ ∅}`.
-    ///
-    /// Worlds whose stored *superset* does not even contain a seed are
-    /// skipped without materialization — the delayed-materialization fast
-    /// path (live ⊆ superset for every query).
-    pub fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        if self.index.is_empty() {
-            return 0.0;
-        }
-        let r = self.index.len();
-        let mut hits = 0usize;
-        for j in 0..r {
-            let sample = &self.index.samples[j];
-            if seeds.iter().all(|&s| sample.local(s).is_none()) {
-                continue;
-            }
-            let live = self.live_set(j);
-            if seeds.iter().any(|s| live.binary_search(&s.0).is_ok()) {
-                hits += 1;
-            }
-        }
-        self.index.n as f64 * hits as f64 / r as f64
-    }
-
-    /// Single-target spread (the common PIKS case).
-    pub fn spread_of(&mut self, u: NodeId) -> f64 {
-        self.spread(&[u])
-    }
-
-    /// How many worlds have been materialized so far (work metric for the
-    /// lazy-evaluation experiments).
-    pub fn materialized_worlds(&self) -> usize {
-        self.materialized
     }
 }
 
@@ -644,7 +541,7 @@ fn u32_at(raw: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(raw[off..off + 4].try_into().expect("framed by parse"))
 }
 
-/// Zero-copy view over a v4 `piks-worlds` section payload.
+/// Zero-copy view over a v5 `piks-worlds` section payload.
 ///
 /// [`PiksWorldsView::parse`] validates the *framing* in `O(R)` — the world
 /// offset table (8-aligned, strictly monotone, exactly spanning the
@@ -738,6 +635,19 @@ impl<'a> PiksWorldsView<'a> {
         })
     }
 
+    /// The framing this view validated, over `raw` — the same payload bytes,
+    /// borrowed anew — in `O(1)`: per-query views skip the `O(R)` walk of
+    /// [`PiksWorldsView::parse`].
+    pub(crate) fn rebind<'b>(&self, raw: &'b [u8]) -> PiksWorldsView<'b> {
+        PiksWorldsView {
+            raw,
+            n: self.n,
+            r: self.r,
+            stored_nodes: self.stored_nodes,
+            stored_edges: self.stored_edges,
+        }
+    }
+
     /// Stored node count the index was built over (the RR-estimate scale
     /// factor) — callers must check it against their graph.
     pub fn n(&self) -> usize {
@@ -775,20 +685,16 @@ impl<'a> PiksWorldsView<'a> {
         }
     }
 
-    /// Start a query session over the mapped worlds. Mirrors
-    /// [`InfluencerIndex::session`] bit for bit — same lazy
-    /// materialization, same estimates.
-    pub fn session(
-        &self,
-        graph: &'a TopicGraph,
-        gamma: &TopicDistribution,
-    ) -> MappedQuerySession<'a> {
-        MappedQuerySession {
+    /// Start a query session for `gamma`. Live sets materialize lazily.
+    pub fn session(&self, graph: &'a TopicGraph, gamma: &TopicDistribution) -> PiksSession<'a> {
+        PiksSession {
             view: *self,
             graph,
             gamma: gamma.as_slice().to_vec(),
             live: vec![None; self.r],
             materialized: 0,
+            seen: Vec::new(),
+            queue: Vec::new(),
         }
     }
 }
@@ -799,7 +705,7 @@ pub struct PiksWorldView<'a> {
     raw: &'a [u8],
 }
 
-impl PiksWorldView<'_> {
+impl<'a> PiksWorldView<'a> {
     /// The stored [`footprint_hash`] of this world.
     pub fn footprint(&self) -> u64 {
         u64_at(self.raw, 0)
@@ -834,6 +740,20 @@ impl PiksWorldView<'_> {
         wire::align8(self.local_off() + 8 * w + 4 * (w + 1))
     }
 
+    /// The world's node list, CSR in-offsets, and stored edges as raw
+    /// sub-slices (`W × u32`, `(W+1) × u32`, `E × (u32, u32)`) — resolved
+    /// once so a materialization reads them without re-deriving offsets.
+    fn csr(&self) -> (&'a [u8], &'a [u8], &'a [u8]) {
+        let (w, e) = (self.node_count(), self.edge_count());
+        let offsets = self.local_off() + 8 * w;
+        let edges = self.edges_off();
+        (
+            &self.raw[40..40 + 4 * w],
+            &self.raw[offsets..offsets + 4 * (w + 1)],
+            &self.raw[edges..edges + 8 * e],
+        )
+    }
+
     /// Global node id of local node `local` (the BFS discovery order; local
     /// 0 is the root).
     pub fn node(&self, local: usize) -> u32 {
@@ -847,24 +767,14 @@ impl PiksWorldView<'_> {
     }
 
     /// Local id of `global`, if it is in this world's stored superset —
-    /// in-place binary search over the stored lookup, the mirror of the
-    /// owned `Sample::local`.
+    /// in-place binary search over the stored lookup.
     pub fn local(&self, global: NodeId) -> Option<u32> {
         let base = self.local_off();
-        let (mut lo, mut hi) = (0usize, self.node_count());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if u32_at(self.raw, base + 8 * mid) < global.0 {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < self.node_count() && u32_at(self.raw, base + 8 * lo) == global.0 {
-            Some(u32_at(self.raw, base + 8 * lo + 4))
-        } else {
-            None
-        }
+        let (pairs, _) = self.raw[base..base + 8 * self.node_count()].as_chunks::<8>();
+        let at = pairs
+            .binary_search_by_key(&global.0, |p| u32_at(p, 0))
+            .ok()?;
+        Some(u32_at(&pairs[at], 4))
     }
 
     /// CSR in-offset `i` (of `W+1`).
@@ -880,48 +790,72 @@ impl PiksWorldView<'_> {
     }
 }
 
-/// The mapped twin of [`QuerySession`]: same lazy per-world
-/// materialization, same BFS, same RR estimate — evaluated directly off
-/// the section bytes with coins replayed from each world's stored seed.
-/// Pinned bit-identical to the owned session by the `mapped_mode` tests.
-pub struct MappedQuerySession<'a> {
+/// A lazy per-query evaluation of a [`PiksWorldsView`].
+///
+/// Each world's live influencer set is computed on first access and cached —
+/// repeated spread evaluations (the inner loop of greedy keyword selection)
+/// touch each world once regardless of how many candidates are scored.
+/// Coins replay from each world's stored seed.
+pub struct PiksSession<'a> {
     view: PiksWorldsView<'a>,
     graph: &'a TopicGraph,
     gamma: Vec<f64>,
+    /// Per-world live influencer sets (global node ids, sorted), lazily
+    /// materialized.
     live: Vec<Option<Vec<u32>>>,
     materialized: usize,
+    /// BFS scratch shared by every materialization: per-local-node
+    /// membership flags (all `false` between worlds) and the queue.
+    seen: Vec<bool>,
+    queue: Vec<u32>,
 }
 
-impl MappedQuerySession<'_> {
+impl PiksSession<'_> {
+    /// Live influencer set of world `j` under this query (sorted global
+    /// ids). Materializes and caches on first call — delayed
+    /// materialization.
     fn live_set(&mut self, j: usize) -> &[u32] {
         if self.live[j].is_none() {
             self.materialized += 1;
-            let s = self.view.world(j);
-            let coins = EdgeCoins::new(s.coin_seed());
-            // BFS from the root (local id 0) over γ-live stored edges —
-            // the exact loop of `QuerySession::live_set`
-            let mut live_local = vec![false; s.node_count()];
-            live_local[0] = true;
-            let mut queue = vec![0u32];
+            let world = self.view.world(j);
+            let coins = EdgeCoins::new(world.coin_seed());
+            let (nodes, offsets, edges) = world.csr();
+            let PiksSession {
+                graph,
+                gamma,
+                seen,
+                queue,
+                ..
+            } = self;
+            if seen.len() < world.node_count() {
+                seen.resize(world.node_count(), false);
+            }
+            // BFS from the root (local id 0) over γ-live stored edges
+            seen[0] = true;
+            queue.clear();
+            queue.push(0);
+            let mut members = vec![u32_at(nodes, 0)];
             let mut head = 0usize;
-            let mut members = vec![s.node(0)];
             while head < queue.len() {
                 let v = queue[head] as usize;
                 head += 1;
-                let lo = s.in_offset(v) as usize;
-                let hi = s.in_offset(v + 1) as usize;
+                let lo = u32_at(offsets, 4 * v) as usize;
+                let hi = u32_at(offsets, 4 * v + 4) as usize;
                 for k in lo..hi {
-                    let (u_local, e) = s.in_edge(k);
-                    if live_local[u_local as usize] {
+                    let u_local = u32_at(edges, 8 * k);
+                    if seen[u_local as usize] {
                         continue;
                     }
-                    let p = self.graph.edge_prob(e, &self.gamma);
-                    if coins.is_live(e, p) {
-                        live_local[u_local as usize] = true;
+                    let e = EdgeId(u32_at(edges, 8 * k + 4));
+                    if coins.is_live(e, graph.edge_prob(e, gamma)) {
+                        seen[u_local as usize] = true;
                         queue.push(u_local);
-                        members.push(s.node(u_local as usize));
+                        members.push(u32_at(nodes, 4 * u_local as usize));
                     }
                 }
+            }
+            for &v in queue.iter() {
+                seen[v as usize] = false;
             }
             members.sort_unstable();
             self.live[j] = Some(members);
@@ -929,8 +863,13 @@ impl MappedQuerySession<'_> {
         self.live[j].as_deref().expect("just materialized")
     }
 
-    /// Estimated influence spread of a seed set — see
-    /// [`QuerySession::spread`].
+    /// Estimated influence spread of a seed set under this query:
+    /// `n/R · #{j : S ∩ live_j ≠ ∅}`.
+    ///
+    /// Worlds whose stored *superset* does not even contain a seed are
+    /// skipped without materialization — the delayed-materialization fast
+    /// path (live ⊆ superset for every query), which reads only the world's
+    /// sorted lookup array.
     pub fn spread(&mut self, seeds: &[NodeId]) -> f64 {
         if self.view.is_empty() {
             return 0.0;
@@ -955,7 +894,8 @@ impl MappedQuerySession<'_> {
         self.spread(&[u])
     }
 
-    /// How many worlds have been materialized so far.
+    /// How many worlds have been materialized so far (work metric for the
+    /// lazy-evaluation experiments).
     pub fn materialized_worlds(&self) -> usize {
         self.materialized
     }
@@ -966,6 +906,11 @@ mod tests {
     use super::*;
     use octopus_cascade::estimate_spread;
     use octopus_graph::GraphBuilder;
+
+    /// A query session over `idx`'s serialized worlds.
+    fn session<'a>(raw: &'a [u8], g: &'a TopicGraph, gamma: &TopicDistribution) -> PiksSession<'a> {
+        PiksWorldsView::parse(raw).unwrap().session(g, gamma)
+    }
 
     /// hub 0 → {1..=8} with topic-0 prob .6 / topic-1 prob .1
     fn hub_graph() -> TopicGraph {
@@ -981,14 +926,13 @@ mod tests {
     #[test]
     fn index_estimates_match_monte_carlo() {
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 12_000, 7);
+        let raw = InfluencerIndex::build(&g, 12_000, 7).to_bytes();
         for (gamma, _label) in [
             (TopicDistribution::pure(2, 0), "t0"),
             (TopicDistribution::pure(2, 1), "t1"),
             (TopicDistribution::uniform(2), "mix"),
         ] {
-            let mut session = idx.session(&g, &gamma);
-            let est = session.spread_of(NodeId(0));
+            let est = session(&raw, &g, &gamma).spread_of(NodeId(0));
             let probs = g.materialize(gamma.as_slice()).unwrap();
             let mc = estimate_spread(&g, &probs, &[NodeId(0)], 20_000, 3);
             assert!(
@@ -1002,15 +946,14 @@ mod tests {
     #[test]
     fn same_query_same_answer_lazy_cache() {
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 2000, 9);
-        let gamma = TopicDistribution::uniform(2);
-        let mut session = idx.session(&g, &gamma);
-        let a = session.spread_of(NodeId(0));
-        let worlds_after_first = session.materialized_worlds();
-        let b = session.spread_of(NodeId(0));
-        assert_eq!(a, b);
+        let raw = InfluencerIndex::build(&g, 2000, 9).to_bytes();
+        let mut s = session(&raw, &g, &TopicDistribution::uniform(2));
+        let a = s.spread_of(NodeId(0));
+        let worlds_after_first = s.materialized_worlds();
+        let b = s.spread_of(NodeId(0));
+        assert_eq!(a.to_bits(), b.to_bits());
         assert_eq!(
-            session.materialized_worlds(),
+            s.materialized_worlds(),
             worlds_after_first,
             "second evaluation must reuse cached live sets"
         );
@@ -1020,13 +963,9 @@ mod tests {
     fn spread_monotone_in_gamma_strength() {
         // topic 0 edges are stronger; shared coins make this deterministic
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 4000, 11);
-        let strong = idx
-            .session(&g, &TopicDistribution::pure(2, 0))
-            .spread_of(NodeId(0));
-        let weak = idx
-            .session(&g, &TopicDistribution::pure(2, 1))
-            .spread_of(NodeId(0));
+        let raw = InfluencerIndex::build(&g, 4000, 11).to_bytes();
+        let strong = session(&raw, &g, &TopicDistribution::pure(2, 0)).spread_of(NodeId(0));
+        let weak = session(&raw, &g, &TopicDistribution::pure(2, 1)).spread_of(NodeId(0));
         assert!(
             strong >= weak,
             "shared coins: stronger edges can only add live worlds ({strong} vs {weak})"
@@ -1036,30 +975,27 @@ mod tests {
     #[test]
     fn leaf_nodes_have_spread_about_one() {
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 8000, 13);
-        let mut session = idx.session(&g, &TopicDistribution::pure(2, 0));
-        let s = session.spread_of(NodeId(4));
+        let raw = InfluencerIndex::build(&g, 8000, 13).to_bytes();
+        let s = session(&raw, &g, &TopicDistribution::pure(2, 0)).spread_of(NodeId(4));
         assert!((s - 1.0).abs() < 0.25, "leaf spread {s}");
     }
 
     #[test]
     fn seed_set_spread_at_least_max_member() {
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 3000, 17);
-        let gamma = TopicDistribution::uniform(2);
-        let mut session = idx.session(&g, &gamma);
-        let s0 = session.spread_of(NodeId(0));
-        let s_both = session.spread(&[NodeId(0), NodeId(3)]);
+        let raw = InfluencerIndex::build(&g, 3000, 17).to_bytes();
+        let mut s = session(&raw, &g, &TopicDistribution::uniform(2));
+        let s0 = s.spread_of(NodeId(0));
+        let s_both = s.spread(&[NodeId(0), NodeId(3)]);
         assert!(s_both >= s0 - 1e-9);
     }
 
     #[test]
     fn empty_graph_safe() {
         let g = GraphBuilder::new(1).build().unwrap();
-        let idx = InfluencerIndex::build(&g, 100, 1);
-        let gamma = TopicDistribution::uniform(1);
-        let mut session = idx.session(&g, &gamma);
-        assert_eq!(session.spread(&[]), 0.0);
+        let raw = InfluencerIndex::build(&g, 100, 1).to_bytes();
+        let mut s = session(&raw, &g, &TopicDistribution::uniform(1));
+        assert_eq!(s.spread(&[]), 0.0);
     }
 
     #[test]
@@ -1067,11 +1003,11 @@ mod tests {
         // node 8's only influencer is the hub; worlds rooted elsewhere whose
         // superset misses node 5 must not be materialized when querying 5
         let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 2000, 21);
+        let raw = InfluencerIndex::build(&g, 2000, 21).to_bytes();
         let gamma = TopicDistribution::pure(2, 0);
-        let mut leaf_session = idx.session(&g, &gamma);
+        let mut leaf_session = session(&raw, &g, &gamma);
         let _ = leaf_session.spread_of(NodeId(5));
-        let mut hub_session = idx.session(&g, &gamma);
+        let mut hub_session = session(&raw, &g, &gamma);
         let _ = hub_session.spread_of(NodeId(0));
         assert!(
             leaf_session.materialized_worlds() < hub_session.materialized_worlds(),
@@ -1085,7 +1021,7 @@ mod tests {
     fn roots_are_spread_over_nodes() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 300, 5);
-        let mut distinct: Vec<u32> = (0..idx.len()).map(|j| idx.root_of(j).0).collect();
+        let mut distinct: Vec<u32> = (0..idx.len()).map(|j| idx.world_nodes(j)[0]).collect();
         distinct.sort_unstable();
         distinct.dedup();
         assert!(
@@ -1098,9 +1034,7 @@ mod tests {
     fn round_trip_reuses_every_world() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 64, 23);
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        let frozen = buf.freeze();
+        let frozen = idx.to_bytes();
         let reuse = InfluencerIndex::load_reusable(&frozen[..], &g).unwrap();
         assert_eq!(reuse.available(), 64, "unchanged graph reuses all worlds");
         let (back, reused) = InfluencerIndex::build_with_reuse(&g, 64, 23, &reuse);
@@ -1116,9 +1050,7 @@ mod tests {
     fn weight_nudge_invalidates_exactly_touching_worlds() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 200, 31);
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        let frozen = buf.freeze();
+        let frozen = idx.to_bytes();
         // nudge the weight of hub→4; the footprint of a world covers the
         // in-edges of its reached nodes, so exactly the worlds that
         // reached node 4 must drop out
@@ -1141,9 +1073,7 @@ mod tests {
     fn resize_reuses_the_shared_prefix() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 100, 37);
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        let frozen = buf.freeze();
+        let frozen = idx.to_bytes();
         let reuse = InfluencerIndex::load_reusable(&frozen[..], &g).unwrap();
         // the positional count: only slots below r can serve an r-world build
         assert_eq!(reuse.available(), 100);
@@ -1157,12 +1087,6 @@ mod tests {
         let (big, reused) = InfluencerIndex::build_with_reuse(&g, 150, 37, &reuse);
         assert_eq!(reused, 100);
         assert_eq!(big, InfluencerIndex::build(&g, 150, 37));
-    }
-
-    fn encoded(idx: &InfluencerIndex) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        buf.to_vec()
     }
 
     /// `raw` with world `j`'s first stored local-lookup pair pointing at
@@ -1183,8 +1107,8 @@ mod tests {
         let (r, seed) = (64, 43);
         let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
         let live = octopus_graph::delta::nudge_weights(&g, &[victim], 0.07).unwrap();
-        let old = encoded(&InfluencerIndex::build(&g, r, seed));
-        let fresh = encoded(&InfluencerIndex::build(&live, r, seed));
+        let old = InfluencerIndex::build(&g, r, seed).to_bytes();
+        let fresh = InfluencerIndex::build(&live, r, seed).to_bytes();
 
         // the pre-nudge donor covers exactly the worlds that missed node 4
         let mut acc = PiksReuse::default();
@@ -1213,48 +1137,10 @@ mod tests {
     }
 
     #[test]
-    fn mapped_view_answers_bit_identically() {
-        let g = hub_graph();
-        let idx = InfluencerIndex::build(&g, 500, 23);
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        let raw = buf.freeze();
-        let view = PiksWorldsView::parse(&raw[..]).unwrap();
-        assert_eq!(view.len(), idx.len());
-        assert_eq!(view.n(), 9);
-        assert_eq!(view.stored_nodes(), idx.stats().stored_nodes);
-        assert_eq!(view.stored_edges(), idx.stats().stored_edges);
-        for gamma in [
-            TopicDistribution::pure(2, 0),
-            TopicDistribution::pure(2, 1),
-            TopicDistribution::uniform(2),
-        ] {
-            let mut owned = idx.session(&g, &gamma);
-            let mut mapped = view.session(&g, &gamma);
-            for u in 0..9u32 {
-                assert_eq!(
-                    owned.spread_of(NodeId(u)).to_bits(),
-                    mapped.spread_of(NodeId(u)).to_bits(),
-                    "node {u} under {:?}",
-                    gamma.as_slice()
-                );
-            }
-            assert_eq!(owned.materialized_worlds(), mapped.materialized_worlds());
-            let seeds = [NodeId(0), NodeId(3)];
-            assert_eq!(
-                owned.spread(&seeds).to_bits(),
-                mapped.spread(&seeds).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn view_rejects_framing_damage() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 16, 29);
-        let mut buf = BytesMut::new();
-        idx.encode_into(&mut buf);
-        let raw = buf.freeze();
+        let raw = idx.to_bytes();
         // truncation anywhere in the framing fails closed
         for cut in [0, 8, 15, 16, 24, raw.len() - 8, raw.len() - 1] {
             assert!(
@@ -1285,6 +1171,11 @@ mod tests {
         let idx = InfluencerIndex::build(&g, 500, 3);
         let st = idx.stats();
         assert_eq!(st.samples, 500);
+        let raw = idx.to_bytes();
+        let view = PiksWorldsView::parse(&raw).unwrap();
+        assert_eq!((view.len(), view.n()), (500, 9));
+        assert_eq!(view.stored_nodes(), st.stored_nodes);
+        assert_eq!(view.stored_edges(), st.stored_edges);
         assert!(
             st.stored_nodes >= 500,
             "every sample stores at least its root"

@@ -7,8 +7,9 @@
 //! the keyword→distribution map destroys submodularity), hence the
 //! sampling-based framework:
 //!
-//! * spreads are estimated on the [`index::InfluencerIndex`] (shared-coin
-//!   worlds, lazy materialization — no online sampling from scratch);
+//! * spreads are estimated on the serialized [`index::InfluencerIndex`]
+//!   through a [`PiksWorldsView`] (shared-coin worlds, lazy
+//!   materialization — no online sampling from scratch);
 //! * [`GreedyPiks`] grows the set one keyword at a time with upper-bound
 //!   pruning on candidate scans;
 //! * [`ExhaustivePiks`] enumerates all `k`-subsets — the quality oracle the
@@ -20,71 +21,14 @@
 pub mod index;
 
 pub use index::{
-    footprint_hash, IndexStats, InfluencerIndex, MappedQuerySession, PiksReuse, PiksWorldView,
-    PiksWorldsView, QuerySession,
+    footprint_hash, IndexStats, InfluencerIndex, PiksReuse, PiksSession, PiksWorldView,
+    PiksWorldsView,
 };
 
 use crate::error::CoreError;
 use crate::Result;
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::{consistency, KeywordId, TopicDistribution, TopicModel};
-
-/// A handle to either representation of the possible-worlds index: the
-/// owned [`InfluencerIndex`] or a zero-copy [`PiksWorldsView`] over a
-/// mapped artifact. Both spawn query sessions with **bit-identical**
-/// spread estimates (same coin streams, same BFS order, same summation
-/// order), so the suggestion engines are representation-agnostic.
-#[derive(Clone, Copy)]
-pub enum PiksHandle<'a> {
-    /// The owned index (fresh build or decoded cache hit).
-    Owned(&'a InfluencerIndex),
-    /// A zero-copy view over a mapped OCTA v4 `piks-worlds` section.
-    Mapped(PiksWorldsView<'a>),
-}
-
-impl<'a> From<&'a InfluencerIndex> for PiksHandle<'a> {
-    fn from(index: &'a InfluencerIndex) -> Self {
-        PiksHandle::Owned(index)
-    }
-}
-
-impl<'a> From<PiksWorldsView<'a>> for PiksHandle<'a> {
-    fn from(view: PiksWorldsView<'a>) -> Self {
-        PiksHandle::Mapped(view)
-    }
-}
-
-impl<'a> PiksHandle<'a> {
-    /// Open a lazily-materializing query session under `gamma`.
-    fn session(&self, graph: &'a TopicGraph, gamma: &TopicDistribution) -> SessionHandle<'a> {
-        match self {
-            PiksHandle::Owned(index) => SessionHandle::Owned(index.session(graph, gamma)),
-            PiksHandle::Mapped(view) => SessionHandle::Mapped(view.session(graph, gamma)),
-        }
-    }
-}
-
-/// The session counterpart of [`PiksHandle`].
-enum SessionHandle<'a> {
-    Owned(QuerySession<'a>),
-    Mapped(MappedQuerySession<'a>),
-}
-
-impl SessionHandle<'_> {
-    fn spread_of(&mut self, u: NodeId) -> f64 {
-        match self {
-            SessionHandle::Owned(s) => s.spread_of(u),
-            SessionHandle::Mapped(s) => s.spread_of(u),
-        }
-    }
-
-    fn materialized_worlds(&self) -> usize {
-        match self {
-            SessionHandle::Owned(s) => s.materialized_worlds(),
-            SessionHandle::Mapped(s) => s.materialized_worlds(),
-        }
-    }
-}
 
 /// Work counters for one suggestion query.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -135,23 +79,22 @@ impl Default for PiksConfig {
 pub struct GreedyPiks<'a> {
     graph: &'a TopicGraph,
     model: &'a TopicModel,
-    index: PiksHandle<'a>,
+    index: PiksWorldsView<'a>,
     config: PiksConfig,
 }
 
 impl<'a> GreedyPiks<'a> {
-    /// Create the engine over either index representation (`&InfluencerIndex`
-    /// or a mapped [`PiksWorldsView`] both convert).
+    /// Create the engine over a serialized index.
     pub fn new(
         graph: &'a TopicGraph,
         model: &'a TopicModel,
-        index: impl Into<PiksHandle<'a>>,
+        index: PiksWorldsView<'a>,
         config: PiksConfig,
     ) -> Self {
         GreedyPiks {
             graph,
             model,
-            index: index.into(),
+            index,
             config,
         }
     }
@@ -308,22 +251,22 @@ impl<'a> GreedyPiks<'a> {
 pub struct ExhaustivePiks<'a> {
     graph: &'a TopicGraph,
     model: &'a TopicModel,
-    index: PiksHandle<'a>,
+    index: PiksWorldsView<'a>,
     config: PiksConfig,
 }
 
 impl<'a> ExhaustivePiks<'a> {
-    /// Create the oracle engine over either index representation.
+    /// Create the oracle engine over a serialized index.
     pub fn new(
         graph: &'a TopicGraph,
         model: &'a TopicModel,
-        index: impl Into<PiksHandle<'a>>,
+        index: PiksWorldsView<'a>,
         config: PiksConfig,
     ) -> Self {
         ExhaustivePiks {
             graph,
             model,
-            index: index.into(),
+            index,
             config,
         }
     }
@@ -416,7 +359,7 @@ mod tests {
     /// Target 0 is strong on topic 0 (edges to 1..=6 at .7) and weak on
     /// topic 1 (edges to 7..=8 at .15). Keywords: two db words (topic 0),
     /// two ml words (topic 1), one shared.
-    fn fixture() -> (TopicGraph, TopicModel, InfluencerIndex) {
+    fn fixture() -> (TopicGraph, TopicModel, Vec<u8>) {
         let mut b = GraphBuilder::new(2);
         let _ = b.add_nodes(9);
         for v in 1..=6u32 {
@@ -438,7 +381,7 @@ mod tests {
             vec![0.5, 0.5],
         )
         .unwrap();
-        let index = InfluencerIndex::build(&g, 4000, 23);
+        let index = InfluencerIndex::build(&g, 4000, 23).to_bytes();
         (g, model, index)
     }
 
@@ -448,8 +391,9 @@ mod tests {
 
     #[test]
     fn greedy_suggests_strong_topic_keywords() {
-        let (g, m, idx) = fixture();
-        let engine = GreedyPiks::new(&g, &m, &idx, PiksConfig::default());
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
+        let engine = GreedyPiks::new(&g, &m, idx, PiksConfig::default());
         let res = engine.suggest(NodeId(0), &all_keywords(&m), 2).unwrap();
         let words: Vec<&str> = res
             .keywords
@@ -474,10 +418,11 @@ mod tests {
 
     #[test]
     fn greedy_matches_exhaustive_on_small_pool() {
-        let (g, m, idx) = fixture();
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
         let cfg = PiksConfig::default();
-        let greedy = GreedyPiks::new(&g, &m, &idx, cfg.clone());
-        let exact = ExhaustivePiks::new(&g, &m, &idx, cfg);
+        let greedy = GreedyPiks::new(&g, &m, idx, cfg.clone());
+        let exact = ExhaustivePiks::new(&g, &m, idx, cfg);
         let gr = greedy.suggest(NodeId(0), &all_keywords(&m), 2).unwrap();
         let ex = exact.suggest(NodeId(0), &all_keywords(&m), 2).unwrap();
         // same spread (sets may differ by symmetric keywords)
@@ -491,32 +436,14 @@ mod tests {
     }
 
     #[test]
-    fn greedy_over_a_mapped_view_matches_owned_bit_for_bit() {
-        let (g, m, idx) = fixture();
-        let mut buf = bytes::BytesMut::new();
-        idx.encode_into(&mut buf);
-        let frozen = buf.freeze();
-        let view = PiksWorldsView::parse(&frozen[..]).unwrap();
-        let ks = all_keywords(&m);
-        let owned = GreedyPiks::new(&g, &m, &idx, PiksConfig::default())
-            .suggest(NodeId(0), &ks, 2)
-            .unwrap();
-        let mapped = GreedyPiks::new(&g, &m, view, PiksConfig::default())
-            .suggest(NodeId(0), &ks, 2)
-            .unwrap();
-        assert_eq!(owned.keywords, mapped.keywords);
-        assert_eq!(owned.spread.to_bits(), mapped.spread.to_bits());
-        assert_eq!(owned.stats, mapped.stats, "identical work, identical order");
-    }
-
-    #[test]
     fn consistency_filter_blocks_cross_topic_sets() {
-        let (g, m, idx) = fixture();
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
         let strict = PiksConfig {
             min_posterior_consistency: 0.3,
             min_pairwise_consistency: 0.9,
         };
-        let engine = GreedyPiks::new(&g, &m, &idx, strict);
+        let engine = GreedyPiks::new(&g, &m, idx, strict);
         let res = engine.suggest(NodeId(0), &all_keywords(&m), 3).unwrap();
         // every suggested pair must be same-topic under the strict filter
         let pc = octopus_topics::consistency::pairwise_consistency(&m, &res.keywords).unwrap();
@@ -525,8 +452,9 @@ mod tests {
 
     #[test]
     fn errors_on_empty_candidates_and_zero_k() {
-        let (g, m, idx) = fixture();
-        let engine = GreedyPiks::new(&g, &m, &idx, PiksConfig::default());
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
+        let engine = GreedyPiks::new(&g, &m, idx, PiksConfig::default());
         assert!(matches!(
             engine.suggest(NodeId(0), &[], 2),
             Err(CoreError::NoCandidates { .. })
@@ -539,8 +467,9 @@ mod tests {
 
     #[test]
     fn weak_user_gets_low_spread() {
-        let (g, m, idx) = fixture();
-        let engine = GreedyPiks::new(&g, &m, &idx, PiksConfig::default());
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
+        let engine = GreedyPiks::new(&g, &m, idx, PiksConfig::default());
         let hub = engine.suggest(NodeId(0), &all_keywords(&m), 1).unwrap();
         let leaf = engine.suggest(NodeId(3), &all_keywords(&m), 1).unwrap();
         assert!(
@@ -553,8 +482,9 @@ mod tests {
 
     #[test]
     fn stats_reflect_pruning() {
-        let (g, m, idx) = fixture();
-        let engine = GreedyPiks::new(&g, &m, &idx, PiksConfig::default());
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
+        let engine = GreedyPiks::new(&g, &m, idx, PiksConfig::default());
         let res = engine.suggest(NodeId(0), &all_keywords(&m), 2).unwrap();
         assert!(res.stats.evaluations > 0);
         assert!(res.stats.worlds_materialized > 0);
@@ -582,8 +512,9 @@ mod tests {
 
     #[test]
     fn exhaustive_requires_enough_candidates() {
-        let (g, m, idx) = fixture();
-        let exact = ExhaustivePiks::new(&g, &m, &idx, PiksConfig::default());
+        let (g, m, raw) = fixture();
+        let idx = PiksWorldsView::parse(&raw).unwrap();
+        let exact = ExhaustivePiks::new(&g, &m, idx, PiksConfig::default());
         assert!(matches!(
             exact.suggest(NodeId(0), &all_keywords(&m)[..1], 2),
             Err(CoreError::NoCandidates { .. })

@@ -18,7 +18,6 @@
 //!    budget wide enough to truncate nothing.
 
 use octopus_core::engine::{KimAnswer, KimEngineChoice, Octopus, OctopusConfig, SuggestAnswer};
-use octopus_core::kim::KimAlgorithm;
 use octopus_core::paths::{self, ExploreDirection, PathExploration};
 use octopus_core::piks::GreedyPiks;
 use octopus_core::serve::{OctopusService, Query, QueryResponse, QueryService, ShardedService};
@@ -383,7 +382,7 @@ fn assert_execute_matches_kernels(
     let mut prefix_spreads = Vec::new();
     let mut accounted = 0;
     for (engine, lift) in &layer.engines {
-        let mis = engine.offline_artifacts().mis.as_ref().expect("MIS engine");
+        let mis = engine.artifacts().mis_view().unwrap().expect("MIS engine");
         let kernel = mis.select(&gamma, 2);
         // the merged seeds this engine contributed are a prefix of its
         // own kernel selection, in selection order
@@ -436,7 +435,7 @@ fn assert_execute_matches_kernels(
     let piks = GreedyPiks::new(
         engine.graph(),
         engine.model(),
-        &engine.offline_artifacts().piks_index,
+        engine.artifacts().piks_view().unwrap(),
         engine.config().piks.clone(),
     );
     let kernel = piks
@@ -494,7 +493,7 @@ fn assert_execute_matches_kernels(
         .engines
         .iter()
         .flat_map(|(engine, lift)| {
-            let hits = engine.offline_artifacts().names.complete(prefix, 10);
+            let hits = engine.artifacts().trie_view().complete(prefix, 10);
             hits.into_iter()
                 .map(|(u, name, score)| (lift[u.index()], name, score))
         })

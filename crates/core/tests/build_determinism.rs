@@ -2,11 +2,13 @@
 //! `config.seed`, the artifacts are bit-identical across repeated builds
 //! and across thread counts (1-thread pool vs the default pool), because
 //! every randomized work unit draws from its own index-derived RNG stream
-//! and every parallel combinator assembles results in unit order.
+//! and every parallel combinator assembles results in unit order. Identity
+//! is judged on the OCTA v5 section payloads the engines serve.
 
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig};
 use octopus_core::kim::BoundKind;
-use octopus_core::offline::persist::{self, Fingerprint};
+use octopus_core::offline::persist::{self, Fingerprint, StageKeys};
+use octopus_core::offline::view::MappedArtifacts;
 use octopus_core::offline::{self, OfflineArtifacts, STAGE_ORDER};
 use octopus_graph::{GraphBuilder, NodeId, TopicGraph};
 use std::sync::Arc;
@@ -59,14 +61,31 @@ fn configs() -> Vec<OctopusConfig> {
     ]
 }
 
-/// Field-by-field identity of everything derived from randomness.
-fn assert_artifacts_identical(a: &OfflineArtifacts, b: &OfflineArtifacts, what: &str) {
-    assert_eq!(a.cap, b.cap, "{what}: spread cap differs");
-    assert_eq!(a.pb, b.pb, "{what}: PB bound tables differ");
-    assert_eq!(a.mis, b.mis, "{what}: MIS seed tables differ");
-    assert_eq!(a.samples, b.samples, "{what}: topic samples differ");
-    assert_eq!(a.piks_index, b.piks_index, "{what}: PIKS worlds differ");
-    assert_eq!(a.names, b.names, "{what}: autocomplete tries differ");
+/// Section-by-section byte identity of two served artifacts — everything
+/// derived from randomness (the header's write sequence aside).
+fn assert_payloads_identical(a: &MappedArtifacts, b: &MappedArtifacts, what: &str) {
+    let (a, b): (Vec<_>, Vec<_>) = (a.payloads().collect(), b.payloads().collect());
+    assert_eq!(a.len(), b.len(), "{what}: section count differs");
+    for ((tag, x), (other, y)) in a.iter().zip(&b) {
+        assert_eq!(tag, other, "{what}: section order differs");
+        assert!(x == y, "{what}: section {tag:#x} payload differs");
+    }
+}
+
+/// Byte identity of two pipeline outputs, judged on their encodings.
+fn assert_artifacts_identical(
+    g: &TopicGraph,
+    config: &OctopusConfig,
+    a: &OfflineArtifacts,
+    b: &OfflineArtifacts,
+    what: &str,
+) {
+    let (fp, keys) = (
+        Fingerprint::compute(g, config),
+        StageKeys::compute(g, config),
+    );
+    let encoded = |art| persist::encode(art, &fp, &keys, 0);
+    assert!(encoded(a) == encoded(b), "{what}: encoded artifacts differ");
 }
 
 #[test]
@@ -75,7 +94,8 @@ fn rebuilding_is_bit_identical() {
     for config in configs() {
         let a = offline::build(&g, &config);
         let b = offline::build(&g, &config);
-        assert_artifacts_identical(&a, &b, &format!("rebuild under {:?}", config.kim));
+        let what = format!("rebuild under {:?}", config.kim);
+        assert_artifacts_identical(&g, &config, &a, &b, &what);
     }
 }
 
@@ -93,11 +113,8 @@ fn one_thread_and_many_threads_agree() {
     for config in configs() {
         let a = single.install(|| offline::build(&g, &config));
         let b = many.install(|| offline::build(&g, &config));
-        assert_artifacts_identical(
-            &a,
-            &b,
-            &format!("1-thread vs 8-thread under {:?}", config.kim),
-        );
+        let what = format!("1-thread vs 8-thread under {:?}", config.kim);
+        assert_artifacts_identical(&g, &config, &a, &b, &what);
     }
 }
 
@@ -144,7 +161,7 @@ fn persisted_artifacts_are_bit_identical_to_built_ones() {
     let g = fixture_graph();
     for config in configs() {
         let fp = Fingerprint::compute(&g, &config);
-        let keys = persist::StageKeys::compute(&g, &config);
+        let keys = StageKeys::compute(&g, &config);
         let built = offline::build(&g, &config);
         let raw = persist::encode(&built, &fp, &keys, 1);
         let slots = persist::load_sections(&raw, &keys, &g, &config)
@@ -156,11 +173,8 @@ fn persisted_artifacts_are_bit_identical_to_built_ones() {
             config.kim,
             back.reuse
         );
-        assert_artifacts_identical(
-            &built,
-            &back,
-            &format!("persisted round trip under {:?}", config.kim),
-        );
+        let what = format!("persisted round trip under {:?}", config.kim);
+        assert_artifacts_identical(&g, &config, &built, &back, &what);
     }
 }
 
@@ -178,9 +192,9 @@ fn cached_engine_answers_bit_identically_to_fresh_one() {
         let cached =
             Octopus::open_or_build(g.clone(), model.clone(), config.clone(), &dir).unwrap();
         assert!(cached.cache_hit(), "second open loads ({:?})", config.kim);
-        assert_artifacts_identical(
-            fresh.offline_artifacts(),
-            cached.offline_artifacts(),
+        assert_payloads_identical(
+            fresh.artifacts(),
+            cached.artifacts(),
             &format!("cache round trip under {:?}", config.kim),
         );
 
@@ -247,9 +261,9 @@ fn cache_written_by_one_thread_count_is_read_by_another() {
         reader.cache_hit(),
         "thread count must not affect the cache key"
     );
-    assert_artifacts_identical(
-        writer.offline_artifacts(),
-        reader.offline_artifacts(),
+    assert_payloads_identical(
+        writer.artifacts(),
+        reader.artifacts(),
         "1-thread writer vs default-pool reader",
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -266,9 +280,9 @@ fn cache_written_by_one_thread_count_is_read_by_another() {
         reader.cache_hit(),
         "a default-pool cache must hit a 1-thread reader"
     );
-    assert_artifacts_identical(
-        writer.offline_artifacts(),
-        reader.offline_artifacts(),
+    assert_payloads_identical(
+        writer.artifacts(),
+        reader.artifacts(),
         "default-pool writer vs 1-thread reader",
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -23,7 +23,7 @@
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig, SystemReport};
 use octopus_core::kim::BoundKind;
 use octopus_core::offline::persist::StageKeys;
-use octopus_core::offline::{self, OfflineArtifacts, PIKS_WORLD_SEED_XOR};
+use octopus_core::offline::{self, PIKS_WORLD_SEED_XOR};
 use octopus_core::piks::InfluencerIndex;
 use octopus_graph::{delta, EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
@@ -280,7 +280,7 @@ fn reopen_after_delta_reuses_exactly_unchanged_stages() {
             _ => assert!(s.is_full(), "rename must reuse {}: {s:?}", s.stage),
         }
     }
-    assert_identical_to_fresh(&renamed, &cfg, engine.offline_artifacts(), "rename");
+    assert_identical_to_fresh(&renamed, &cfg, &engine, "rename");
 
     // weight nudge on top of the rename, confined to one topic: the weight
     // stages rebuild exactly the nudged topic's units and reuse every other
@@ -323,7 +323,7 @@ fn reopen_after_delta_reuses_exactly_unchanged_stages() {
         piks.reused > 0 && piks.reused < piks.total,
         "a one-edge nudge must reuse some worlds and rebuild others: {piks:?}"
     );
-    assert_identical_to_fresh(&nudged, &cfg, engine.offline_artifacts(), "nudge");
+    assert_identical_to_fresh(&nudged, &cfg, &engine, "nudge");
 
     // probe answers agree with a cache-less engine
     let fresh = Octopus::new(nudged.clone(), model.clone(), cfg.clone()).unwrap();
@@ -341,19 +341,20 @@ fn reopen_after_delta_reuses_exactly_unchanged_stages() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn assert_identical_to_fresh(
-    g: &TopicGraph,
-    cfg: &OctopusConfig,
-    got: &OfflineArtifacts,
-    what: &str,
-) {
-    let fresh = offline::build(g, cfg);
-    assert_eq!(got.cap, fresh.cap, "{what}: cap");
-    assert_eq!(got.pb, fresh.pb, "{what}: pb");
-    assert_eq!(got.mis, fresh.mis, "{what}: mis");
-    assert_eq!(got.samples, fresh.samples, "{what}: samples");
-    assert_eq!(got.piks_index, fresh.piks_index, "{what}: piks");
-    assert_eq!(got.names, fresh.names, "{what}: trie");
+/// The engine serves exactly the section payloads a fresh build would (the
+/// header's write sequence aside).
+fn assert_identical_to_fresh(g: &TopicGraph, cfg: &OctopusConfig, got: &Octopus, what: &str) {
+    let fresh = Octopus::new(g.clone(), model_for(g), cfg.clone()).unwrap();
+    let want: Vec<_> = fresh.artifacts().payloads().collect();
+    let got: Vec<_> = got.artifacts().payloads().collect();
+    assert_eq!(got.len(), want.len(), "{what}: section count");
+    for ((tag, a), (other, b)) in got.iter().zip(&want) {
+        assert_eq!(tag, other, "{what}: section order");
+        assert!(
+            a == b,
+            "{what}: section {tag:#x} payload differs from a fresh build"
+        );
+    }
 }
 
 /// A 2-topic model whose vocabulary maps one word to each topic.

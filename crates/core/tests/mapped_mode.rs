@@ -1,11 +1,12 @@
-//! Mapped-mode equivalence contract: an engine serving zero-copy off a
-//! memory-mapped OCTA v5 artifact answers **all five online operators**
-//! bit-identically to the owned-mode engine decoding the same file — at
-//! 1 and at 8 worker threads, under every engine flavour that exercises a
-//! distinct set of mapped sections (per-topic MIS tables, per-topic PB σ̂
-//! tables, PIKS worlds, the trie) — and the same holds for an engine whose
-//! artifact was **partially rebuilt** after a topic-confined weight nudge
-//! (only the nudged topic's cap/PB/MIS sub-sections recomputed).
+//! One artifact shape, two backings: every engine serves one validated OCTA
+//! v5 artifact, and an engine serving it off a memory-mapped cache file
+//! answers **all five online operators** bit-identically to an engine
+//! serving the same bytes off the heap — at 1 and at 8 worker threads,
+//! under every engine flavour that exercises a distinct set of sections
+//! (per-topic MIS tables, per-topic PB σ̂ tables, PIKS worlds, the trie) —
+//! and the same holds for an engine whose artifact was **partially
+//! rebuilt** after a topic-confined weight nudge (only the nudged topic's
+//! cap/PB/MIS sub-sections recomputed).
 //!
 //! Spreads and scores are compared through `f64::to_bits`, names and seed
 //! ranks exactly — "close enough" is not equivalence.
@@ -13,6 +14,7 @@
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig};
 use octopus_core::kim::BoundKind;
 use octopus_core::paths::ExploreDirection;
+use octopus_core::serve::OctopusService;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
@@ -65,15 +67,15 @@ fn config(kim: KimEngineChoice) -> OctopusConfig {
 
 /// Drive all five online operators through both engines and demand
 /// bit-identical answers.
-fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: &str) {
+fn assert_all_five_operators_identical(heap: &Octopus, mapped: &Octopus, what: &str) {
     assert!(
-        !owned.is_mapped() && mapped.is_mapped(),
-        "{what}: mode mix-up"
+        !heap.is_mapped() && mapped.is_mapped(),
+        "{what}: backing mix-up"
     );
 
     // 1. find_influencers — seeds, ranks, gamma, and spread to the bit
     for (query, k) in [("data mining", 3), ("em algorithm frequent patterns", 2)] {
-        let a = owned.find_influencers(query, k).unwrap();
+        let a = heap.find_influencers(query, k).unwrap();
         let b = mapped.find_influencers(query, k).unwrap();
         assert_eq!(a.keywords, b.keywords, "{what}: {query}: keywords");
         assert_eq!(
@@ -109,7 +111,7 @@ fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: 
 
     // 2. suggest_keywords — words and PIKS spread to the bit
     for user in ["jiawei han", "michael jordan"] {
-        let a = owned.suggest_keywords(user, 2).unwrap();
+        let a = heap.suggest_keywords(user, 2).unwrap();
         let b = mapped.suggest_keywords(user, 2).unwrap();
         assert_eq!(a.user, b.user, "{what}: {user}: resolved node");
         assert_eq!(a.words, b.words, "{what}: {user}: suggested words");
@@ -135,7 +137,7 @@ fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: 
 
     // 3. explore_paths — whole rendered tree (captures every path weight)
     for dir in [ExploreDirection::Influences, ExploreDirection::InfluencedBy] {
-        let a = owned
+        let a = heap
             .explore_paths("jiawei han", dir, Some("data mining"))
             .unwrap();
         let b = mapped
@@ -150,9 +152,9 @@ fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: 
         assert_eq!(a.d3_json, b.d3_json, "{what}: {dir:?}: rendered tree");
     }
 
-    // 4. autocomplete — served off the mapped trie vs the owned one
+    // 4. autocomplete — the same trie bytes, mapped vs on the heap
     for prefix in ["db-", "ml-follower-", "j", "nobody"] {
-        let a = owned.autocomplete(prefix, 5);
+        let a = heap.autocomplete(prefix, 5);
         let b = mapped.autocomplete(prefix, 5);
         assert_eq!(a.len(), b.len(), "{what}: {prefix}: completion count");
         for (x, y) in a.iter().zip(&b) {
@@ -167,7 +169,7 @@ fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: 
 
     // 5. keyword_radar — exact probability mass per axis
     for word in ["data mining", "graphical models"] {
-        let a = owned.keyword_radar(word).unwrap();
+        let a = heap.keyword_radar(word).unwrap();
         let b = mapped.keyword_radar(word).unwrap();
         assert_eq!(a.axes, b.axes, "{what}: {word}: radar axes");
         assert_eq!(
@@ -179,7 +181,7 @@ fn assert_all_five_operators_identical(owned: &Octopus, mapped: &Octopus, what: 
 }
 
 #[test]
-fn all_five_operators_bit_identical_owned_vs_mapped_at_1_and_8_threads() {
+fn all_five_operators_bit_identical_heap_vs_mapped_at_1_and_8_threads() {
     let (g, model) = fixture();
     // MIS exercises the mapped MIS tables; best-effort PB exercises the
     // mapped σ̂ tables; both exercise PIKS worlds, the trie, and samples
@@ -202,21 +204,22 @@ fn all_five_operators_bit_identical_owned_vs_mapped_at_1_and_8_threads() {
                 .build()
                 .unwrap();
             let what = format!("{kim:?} @ {threads} thread(s)");
-            let (owned, mapped) = pool.install(|| {
-                // owned open writes the artifact on the first (1-thread)
-                // pass and decodes it on the second — either way the mapped
-                // engine then serves the byte-identical file
-                let owned =
+            let (heap, mapped) = pool.install(|| {
+                // the heap-backed open writes the artifact on the first
+                // (1-thread) pass and serves the read file's bytes on the
+                // second — either way the mapped engine then serves the
+                // byte-identical file
+                let heap =
                     Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
                 let mapped =
                     Octopus::open_mapped(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
-                (owned, mapped)
+                (heap, mapped)
             });
             assert!(
                 mapped.cache_hit(),
                 "{what}: the mapped open must hit the just-written artifact"
             );
-            pool.install(|| assert_all_five_operators_identical(&owned, &mapped, &what));
+            pool.install(|| assert_all_five_operators_identical(&heap, &mapped, &what));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -225,11 +228,11 @@ fn all_five_operators_bit_identical_owned_vs_mapped_at_1_and_8_threads() {
 /// The acceptance path for per-topic invalidation: nudge one topic-0-only
 /// edge, reopen the cached epoch so exactly topic 0's cap/MIS units rebuild
 /// (topic 1's are reused from the v5 sub-sections), and demand the
-/// partially rebuilt engine — owned *and* mapped off the re-persisted file
-/// — answers all five operators bit-identically to a from-scratch build,
-/// at 1 and at 8 worker threads.
+/// partially rebuilt engine — on the heap *and* mapped off the re-persisted
+/// file — answers all five operators bit-identically to a from-scratch
+/// build, at 1 and at 8 worker threads.
 #[test]
-fn topic_confined_nudge_partial_rebuild_is_bit_identical_owned_and_mapped() {
+fn topic_confined_nudge_partial_rebuild_is_bit_identical_heap_and_mapped() {
     let (g, model) = fixture();
     let cfg = config(KimEngineChoice::Mis);
     // han → db-follower-0 carries only a topic-0 entry
@@ -297,9 +300,52 @@ fn paranoid_mapped_open_answers_identically_too() {
     let cfg = config(KimEngineChoice::Mis);
     let dir = std::env::temp_dir().join("octopus_mapped_mode_paranoid");
     std::fs::remove_dir_all(&dir).ok();
-    let owned = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+    let heap = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
     let mapped = Octopus::open_mapped_paranoid(g, model, cfg, &dir).unwrap();
     assert!(mapped.is_mapped() && mapped.cache_hit());
-    assert_all_five_operators_identical(&owned, &mapped, "paranoid");
+    assert_all_five_operators_identical(&heap, &mapped, "paranoid");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Octopus::artifacts()` serves the one artifact shape whatever built the
+/// engine — `new`, `open_or_build` (miss and hit), `open_mapped`, and the
+/// engine a service swaps in after a flush — and every one of them holds
+/// the same section payloads for the same inputs.
+#[test]
+fn artifacts_are_one_shape_on_every_constructor_and_after_a_swap() {
+    let (g, model) = fixture();
+    let cfg = config(KimEngineChoice::BestEffort(BoundKind::Precomputation));
+    let dir = std::env::temp_dir().join("octopus_mapped_mode_artifacts");
+    std::fs::remove_dir_all(&dir).ok();
+    let open = |g: &TopicGraph| Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
+    let fresh = open(&g);
+    let built = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+    let reread = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+    let mapped = Octopus::open_mapped(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+    assert!(!built.cache_hit() && reread.cache_hit() && mapped.cache_hit());
+    let payloads = |e: &Octopus| -> Vec<(u32, Vec<u8>)> {
+        let art = e.artifacts();
+        assert!(art.piks_view().is_ok() && art.pb_view().unwrap().is_some());
+        assert_eq!(art.piks_len(), e.system_report().piks_worlds);
+        assert_eq!(art.is_mapped(), e.is_mapped());
+        art.payloads().map(|(tag, p)| (tag, p.to_vec())).collect()
+    };
+    let want = payloads(&fresh);
+    for (engine, what) in [(&built, "built"), (&reread, "reread"), (&mapped, "mapped")] {
+        assert!(payloads(engine) == want, "{what}: payloads differ from new");
+    }
+    assert!(mapped.is_mapped() && !built.is_mapped() && !reread.is_mapped());
+
+    let service = OctopusService::with_mapped_cache(mapped, &dir);
+    let nudge = GraphDelta::NudgeWeights {
+        edges: vec![g.find_edge(NodeId(0), NodeId(2)).unwrap()],
+        delta: 0.07,
+    };
+    let nudged = nudge.apply(&g).unwrap();
+    service.submit(nudge);
+    service.apply_pending().unwrap().expect("one pending delta");
+    let swapped = service.snapshot();
+    assert!(swapped.engine().is_mapped(), "the flush remaps");
+    assert!(payloads(swapped.engine()) == payloads(&open(&nudged)));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -115,7 +115,7 @@ pub struct SectionEntry {
 
 /// Append a section-table row ([`SECTION_ENTRY_LEN`] bytes, little-endian):
 /// `tag u32 | pad u32 = 0 | key u64 | off u64 | len u64 | checksum u64`.
-pub fn put_section_entry(buf: &mut BytesMut, e: &SectionEntry) {
+pub fn put_section_entry(buf: &mut impl BufMut, e: &SectionEntry) {
     buf.put_u32_le(e.tag);
     buf.put_u32_le(0);
     buf.put_u64_le(e.key);
@@ -125,7 +125,7 @@ pub fn put_section_entry(buf: &mut BytesMut, e: &SectionEntry) {
 }
 
 /// Read a section-table row written by [`put_section_entry`]. The pad word
-/// must be zero — a nonzero pad means the bytes are not a v4 table row.
+/// must be zero — a nonzero pad means the bytes are not a v5 table row.
 pub fn read_section_entry<B: Buf + ?Sized>(
     buf: &mut B,
     what: &str,

@@ -7,7 +7,9 @@
 //! ```
 
 use octopus::core::engine::{Octopus, OctopusConfig};
-use octopus::core::piks::{ExhaustivePiks, GreedyPiks, InfluencerIndex, PiksConfig};
+use octopus::core::piks::{
+    ExhaustivePiks, GreedyPiks, InfluencerIndex, PiksConfig, PiksWorldsView,
+};
 use octopus::data::CitationConfig;
 use octopus::KeywordId;
 use std::collections::HashMap;
@@ -72,10 +74,11 @@ fn main() {
 
     // Greedy vs exhaustive on a pruned candidate pool (the oracle check).
     println!("== greedy vs exhaustive (k=2, pool capped at 8) ==");
-    let index = InfluencerIndex::build(&net.graph, 2048, 99);
+    let raw = InfluencerIndex::build(&net.graph, 2048, 99).to_bytes();
+    let index = PiksWorldsView::parse(&raw).expect("fresh encoding parses");
     let cfg = PiksConfig::default();
-    let greedy = GreedyPiks::new(&net.graph, &net.model, &index, cfg.clone());
-    let exact = ExhaustivePiks::new(&net.graph, &net.model, &index, cfg);
+    let greedy = GreedyPiks::new(&net.graph, &net.model, index, cfg.clone());
+    let exact = ExhaustivePiks::new(&net.graph, &net.model, index, cfg);
     let mut ratios = Vec::new();
     for &(target, _) in prolific.iter().take(5) {
         let pool: Vec<KeywordId> = user_keywords[&target].iter().copied().take(8).collect();
