@@ -1018,9 +1018,9 @@ fn serve_workload(
         if shed { ", shed-on-overload" } else { "" }
     );
     let net = citation_sized(s.citation_authors, s.citation_papers);
-    // private cache subdir (same reasoning as the delta workload): epoch
-    // rebuilds go through open_or_build so swaps exercise the incremental
-    // reuse machinery, without touching the user's warmed cache dir
+    // private cache subdir (same reasoning as the delta workload): every
+    // swapped epoch is persisted there, without touching the user's
+    // warmed cache dir
     let dir = ARTIFACT_CACHE
         .get()
         .cloned()

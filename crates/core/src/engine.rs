@@ -17,7 +17,7 @@ use crate::kim::bounds::BoundKind;
 use crate::kim::{topic_sample, KimAlgorithm, KimResult, KimStats, NaiveKim};
 use crate::offline::persist::{self, Fingerprint, StageKeys};
 use crate::offline::view::{self, MappedArtifacts};
-use crate::offline::{self, StageReuse, StageTiming};
+use crate::offline::{self, ReuseSlots, StageReuse, StageTiming};
 use crate::paths::{explore, ExploreDirection, PathExploration};
 use crate::piks::{GreedyPiks, PiksConfig, PiksResult};
 use crate::Result;
@@ -25,6 +25,7 @@ use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::radar::{keyword_radar, RadarChart};
 use octopus_topics::{KeywordId, TopicDistribution, TopicModel};
 use std::collections::HashMap;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Which KIM engine answers influencer queries.
@@ -174,7 +175,8 @@ pub struct SystemReport {
     /// [`Octopus::open_mapped`] reports the three artifact stages —
     /// [`persist::STAGE_ARTIFACT_MAP`], [`persist::STAGE_ARTIFACT_VALIDATE`],
     /// [`persist::STAGE_ARTIFACT_DECODE`] — and zero build stages; a
-    /// *partial* rebuild reports exactly the stages that ran.
+    /// *partial* rebuild reports exactly the stages that ran (after
+    /// [`persist::STAGE_LIVE_SCREEN`] when a flush rebuilt it).
     pub stage_timings: Vec<StageTiming>,
     /// Per-stage cache hit/miss counters of the offline phase, always one
     /// entry per [`offline::STAGE_ORDER`] stage. [`Octopus::new`] reports
@@ -192,8 +194,8 @@ pub struct SystemReport {
     /// so partial-vs-full comparisons are honest. Stages overlap, so this
     /// can be less than the timing sum.
     pub offline_build_total: Duration,
-    /// Whether the offline artifacts were loaded from the on-disk cache
-    /// instead of built (always `false` for [`Octopus::new`]).
+    /// Whether the offline artifacts were loaded from the on-disk cache (or
+    /// a flush's predecessor) instead of built (`false` for [`Octopus::new`]).
     pub cache_hit: bool,
 }
 
@@ -239,17 +241,14 @@ impl Octopus {
     /// offline pipeline ([`offline::build`]) for every phase the configured
     /// engines need, and serves the encoded result off the heap.
     pub fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
-        check_shapes(&graph, &model)?;
-        let fp = Fingerprint::compute(&graph, &config);
-        let keys = StageKeys::compute(&graph, &config);
-        let offline = offline::build(&graph, &config);
-        let bytes = persist::encode(&offline, &fp, &keys, 0);
-        let art = serve_bytes(bytes, &fp, &keys, &graph, &config)?;
+        let inputs = Inputs::new(graph, model, config)?;
+        let offline = offline::build(&inputs.graph, &inputs.config);
+        let art = inputs.serve(persist::encode(&offline, &inputs.fp, &inputs.keys, 0))?;
         Ok(Octopus {
             timings: offline.timings,
             reuse: offline.reuse,
             build_total: offline.build_total,
-            ..Self::assemble(graph, model, config, art, false)
+            ..Self::assemble(inputs, art, false)
         })
     }
 
@@ -325,64 +324,115 @@ impl Octopus {
         graph: TopicGraph,
         model: TopicModel,
         config: OctopusConfig,
-        cache_dir: &std::path::Path,
+        cache_dir: &Path,
     ) -> Result<Self> {
-        check_shapes(&graph, &model)?;
-        let fp = Fingerprint::compute(&graph, &config);
-        let keys = StageKeys::compute(&graph, &config);
-        Self::open_cached(graph, model, config, cache_dir, &fp, &keys)
+        let inputs = Inputs::new(graph, model, config)?;
+        Self::open_cached(inputs, cache_dir, None, Instant::now())
     }
 
-    /// [`Octopus::open_or_build`] with the inputs' keys already computed.
+    /// [`Octopus::open_or_build`] with the inputs' keys already computed,
+    /// remapping the written file when `remap` says how (`Some(paranoid)`).
     fn open_cached(
+        inputs: Inputs,
+        cache_dir: &Path,
+        remap: Option<bool>,
+        t0: Instant,
+    ) -> Result<Self> {
+        let (fp, keys) = (&inputs.fp, &inputs.keys);
+        let mut lookup = persist::lookup(cache_dir, fp, keys, &inputs.graph, &inputs.config);
+        let alone = lookup.sources.as_slice() == [fp.cache_path(cache_dir)];
+        let exact = lookup.exact.take().filter(|_| alone);
+        let gathered = Gathered::Lookup(lookup.timings, exact);
+        Self::rebuild_tail(inputs, lookup.slots, gathered, Some(cache_dir), remap, t0)
+    }
+
+    /// The engine a flush swaps in for this one, over `graph` (this graph
+    /// with a batch applied): this artifact is the only donor, and `dirty`
+    /// (the id-stable batch's [`octopus_graph::delta::reweighted_targets`])
+    /// screens PIKS worlds. `cache_dir` is written; only a `mapped` flush
+    /// reads it, to map an exact file a replica already wrote.
+    pub(crate) fn rebuild(
+        &self,
         graph: TopicGraph,
-        model: TopicModel,
-        config: OctopusConfig,
-        cache_dir: &std::path::Path,
-        fp: &Fingerprint,
-        keys: &StageKeys,
+        dirty: Option<&[bool]>,
+        cache_dir: Option<&Path>,
+        mapped: bool,
     ) -> Result<Self> {
         let t0 = Instant::now();
-        let mut lookup = persist::lookup(cache_dir, fp, keys, &graph, &config);
-        let exact = lookup.exact.take();
-        let mut offline = offline::build_with_reuse(&graph, &config, lookup.slots);
-        let path = fp.cache_path(cache_dir);
+        let inputs = Inputs::new(graph, self.model.clone(), self.config.clone())?;
+        let mapped_dir = cache_dir.filter(|_| mapped);
+        if let Some(art) = mapped_dir.and_then(|d| inputs.map(d, false)) {
+            return Ok(Self::assemble(inputs, art, true));
+        }
+        // a row the batch emptied drops its edge, shifting every later id
+        let dirty = dirty.filter(|_| inputs.graph.edge_count() == self.graph.edge_count());
+        let t_screen = Instant::now();
+        let (keys, graph, config) = (&inputs.keys, &inputs.graph, &inputs.config);
+        let slots = persist::load_live(&self.art, keys, graph, config, dirty);
+        let gathered = Gathered::Live(t_screen.elapsed());
+        let remap = mapped.then_some(false);
+        Self::rebuild_tail(inputs, slots, gathered, cache_dir, remap, t0)
+    }
+
+    /// The one rebuild tail of the cache open and a flush: build what
+    /// `slots` lack, encode once, write back and prune when `cache_dir` is
+    /// set, and serve off the heap — or, with `remap = Some(paranoid)`, off
+    /// the mapping of the file just written, when it maps.
+    fn rebuild_tail(
+        inputs: Inputs,
+        slots: ReuseSlots,
+        gathered: Gathered,
+        cache_dir: Option<&Path>,
+        remap: Option<bool>,
+        t0: Instant,
+    ) -> Result<Self> {
+        let mut offline = offline::build_with_reuse(&inputs.graph, &inputs.config, slots);
         let full = offline.fully_reused();
-        let mut timings = if full {
-            lookup.timings.stages()
-        } else {
-            std::mem::take(&mut offline.timings)
+        let built = std::mem::take(&mut offline.timings);
+        let (mut timings, exact) = match gathered {
+            Gathered::Lookup(load, exact) if full => (load.stages(), exact),
+            Gathered::Lookup(..) => (built, None),
+            Gathered::Live(duration) => {
+                let stage = persist::STAGE_LIVE_SCREEN;
+                let screen = vec![StageTiming { stage, duration }];
+                ([screen, built].concat(), None)
+            }
         };
         // a full hit the exact-fingerprint file served alone: serve the
         // bytes the lookup already read and checksummed
-        let served = exact
-            .filter(|_| full && lookup.sources.as_slice() == [path.clone()])
-            .and_then(|raw| view::from_bytes(raw, fp, keys, &graph, &config).ok());
-        let art = match served {
+        let mut art = match exact.and_then(|raw| inputs.serve(raw).ok()) {
             Some(art) => art,
             None => {
                 // a full hit from donor epochs (or a damaged exact file)
                 // earns a merged write-back under the exact name too, so
                 // the next identical open fast-paths
+                let (fp, keys) = (&inputs.fp, &inputs.keys);
                 let t_store = Instant::now();
-                let (bytes, saved) = persist::save_encoded(&offline, fp, keys, &path);
-                if saved.is_ok() {
-                    if !full {
-                        timings.push(StageTiming {
-                            stage: persist::STAGE_ARTIFACT_STORE,
-                            duration: t_store.elapsed(),
-                        });
+                let bytes = match cache_dir {
+                    Some(dir) => {
+                        let (bytes, saved) = persist::save_and_prune(&offline, fp, keys, dir);
+                        if saved.is_ok() && !full {
+                            let stage = persist::STAGE_ARTIFACT_STORE;
+                            let duration = t_store.elapsed();
+                            timings.push(StageTiming { stage, duration });
+                        }
+                        bytes
                     }
-                    persist::prune(cache_dir, &[&path]);
-                }
-                serve_bytes(bytes, fp, keys, &graph, &config)?
+                    None => persist::encode(&offline, fp, keys, 0),
+                };
+                inputs.serve(bytes)?
             }
         };
+        let remapped = cache_dir.zip(remap).and_then(|(dir, p)| inputs.map(dir, p));
+        if let Some(mapped) = remapped {
+            timings.extend(mapped.timings().iter().cloned());
+            art = mapped;
+        }
         Ok(Octopus {
             timings,
             reuse: offline.reuse,
             build_total: t0.elapsed(),
-            ..Self::assemble(graph, model, config, art, full)
+            ..Self::assemble(inputs, art, full)
         })
     }
 
@@ -431,41 +481,27 @@ impl Octopus {
         graph: TopicGraph,
         model: TopicModel,
         config: OctopusConfig,
-        cache_dir: &std::path::Path,
+        cache_dir: &Path,
         paranoid: bool,
     ) -> Result<Self> {
-        check_shapes(&graph, &model)?;
-        let fp = Fingerprint::compute(&graph, &config);
-        let keys = StageKeys::compute(&graph, &config);
-        let path = fp.cache_path(cache_dir);
+        let inputs = Inputs::new(graph, model, config)?;
         let t0 = Instant::now();
-        if let Ok(art) = view::open(&path, &fp, &keys, &graph, &config, paranoid) {
-            return Ok(Self::assemble(graph, model, config, art, true));
+        if let Some(art) = inputs.map(cache_dir, paranoid) {
+            return Ok(Self::assemble(inputs, art, true));
         }
         // No exact mappable file: salvage and rebuild, write back, and map
         // the freshly written file.
-        let mut engine = Self::open_cached(graph, model, config, cache_dir, &fp, &keys)?;
-        if let Ok(art) = view::open(&path, &fp, &keys, &engine.graph, &engine.config, paranoid) {
-            engine.timings.extend(art.timings().iter().cloned());
-            engine.art = art;
-            engine.build_total = t0.elapsed();
-        }
-        Ok(engine)
+        Self::open_cached(inputs, cache_dir, Some(paranoid), t0)
     }
 
     /// An engine serving `art`, reporting the artifact's own open
     /// telemetry (the constructors that built anything overwrite it).
-    fn assemble(
-        graph: TopicGraph,
-        model: TopicModel,
-        config: OctopusConfig,
-        art: MappedArtifacts,
-        cache_hit: bool,
-    ) -> Self {
+    fn assemble(inputs: Inputs, art: MappedArtifacts, cache_hit: bool) -> Self {
+        let config = inputs.config;
         Octopus {
             cache: QueryCache::new(config.cache_capacity, config.cache_tolerance),
-            graph,
-            model,
+            graph: inputs.graph,
+            model: inputs.model,
             config,
             timings: art.timings().to_vec(),
             reuse: art.reuse().to_vec(),
@@ -1066,18 +1102,46 @@ pub(crate) fn resolve_gamma(
     Ok((keywords, unknown, gamma))
 }
 
-/// Validate artifact bytes this process encoded or read (see
-/// [`view::from_bytes`]) for serving; a failure is a codec defect, surfaced
-/// as [`CoreError::Artifact`].
-fn serve_bytes(
-    bytes: Vec<u8>,
-    fp: &Fingerprint,
-    keys: &StageKeys,
-    graph: &TopicGraph,
-    config: &OctopusConfig,
-) -> Result<MappedArtifacts> {
-    view::from_bytes(bytes, fp, keys, graph, config)
-        .map_err(|e| CoreError::Artifact(format!("encoded artifact failed validation: {e}")))
+/// An engine's inputs, checked, with the cache keys every constructor needs.
+struct Inputs {
+    graph: TopicGraph,
+    model: TopicModel,
+    config: OctopusConfig,
+    fp: Fingerprint,
+    keys: StageKeys,
+}
+
+impl Inputs {
+    fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
+        check_shapes(&graph, &model)?;
+        Ok(Inputs {
+            fp: Fingerprint::compute(&graph, &config),
+            keys: StageKeys::compute(&graph, &config),
+            graph,
+            model,
+            config,
+        })
+    }
+
+    /// Validate bytes this process encoded or read ([`view::from_bytes`]);
+    /// a failure is a codec defect, surfaced as [`CoreError::Artifact`].
+    fn serve(&self, bytes: Vec<u8>) -> Result<MappedArtifacts> {
+        view::from_bytes(bytes, &self.fp, &self.keys, &self.graph, &self.config)
+            .map_err(|e| CoreError::Artifact(format!("encoded artifact failed validation: {e}")))
+    }
+
+    /// Map these inputs' exact cache file under `dir`, if it validates.
+    fn map(&self, dir: &Path, paranoid: bool) -> Option<MappedArtifacts> {
+        let (fp, keys, graph, config) = (&self.fp, &self.keys, &self.graph, &self.config);
+        view::open(&fp.cache_path(dir), fp, keys, graph, config, paranoid).ok()
+    }
+}
+
+/// Where a rebuild's reuse came from: a [`persist::lookup`] (whose full hit
+/// may serve the exact file's bytes), or the live epoch's screen (timed).
+enum Gathered {
+    Lookup(persist::LoadTimings, Option<Vec<u8>>),
+    Live(Duration),
 }
 
 /// Graph/model agreement check shared by every construction path.

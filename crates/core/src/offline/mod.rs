@@ -82,10 +82,12 @@
 //! the [`persist`] module docs. Stage timings are telemetry, not artifact
 //! state, and are never persisted.
 //!
-//! [`crate::engine::Octopus::open_or_build`] is the consumer: it gathers
-//! every section in the cache directory whose key matches the live inputs
-//! ([`persist::lookup`]), hands them to [`build_with_reuse`] as
-//! [`ReuseSlots`], and rebuilds only the invalidated stages along the DAG.
+//! [`crate::engine::Octopus::open_or_build`] is the consumer at process
+//! start: it gathers every section in the cache directory whose key
+//! matches the live inputs ([`persist::lookup`]), hands them to
+//! [`build_with_reuse`] as [`ReuseSlots`], and rebuilds only the
+//! invalidated stages along the DAG. A serving flush gathers its slots
+//! from the epoch it replaces instead (`persist::load_live`).
 //! A full hit reports the three synthetic artifact timings
 //! ([`persist::STAGE_ARTIFACT_MAP`] / [`persist::STAGE_ARTIFACT_VALIDATE`]
 //! / [`persist::STAGE_ARTIFACT_DECODE`]) and `cache_hit = true` (zero

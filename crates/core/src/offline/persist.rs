@@ -72,11 +72,12 @@
 //!
 //! ## Lookup
 //!
-//! [`lookup`] first tries the exact combined-fingerprint file name, then
-//! the cache directory's other `.octa` files newest first, merging
-//! matching sections across files — so after a graph delta (new combined
-//! fingerprint, hence new file name) the previous epoch's file still
-//! donates every section whose stage inputs are unchanged. After each
+//! [`lookup`] (process start; a flush reads only the live epoch) first
+//! tries the exact combined-fingerprint file name, then the cache
+//! directory's other `.octa` files newest first, merging matching sections
+//! across files — so after a graph delta (new combined fingerprint, hence
+//! new file name) the previous epoch's file still donates every section
+//! whose stage inputs are unchanged. After each
 //! write-back, [`prune`] bounds the directory to [`MAX_CACHE_FILES`],
 //! evicting oldest-first by modification time with the header's
 //! `write_seq` breaking ties (coarse-mtime filesystems would otherwise
@@ -85,6 +86,7 @@
 
 #![warn(missing_docs)]
 
+use super::view::MappedArtifacts;
 use super::{MisTopicGains, OfflineArtifacts, PbTopicRow, ReuseSlots, StageTiming};
 use crate::autocomplete::Autocomplete;
 use crate::engine::{KimEngineChoice, OctopusConfig};
@@ -161,6 +163,8 @@ pub const STAGE_ARTIFACT_VALIDATE: &str = "artifact-validate";
 pub const STAGE_ARTIFACT_DECODE: &str = "artifact-decode";
 /// Synthetic stage name reported for writing a build to cache.
 pub const STAGE_ARTIFACT_STORE: &str = "artifact-store";
+/// Synthetic stage name for a flush screening the epoch it replaces.
+pub const STAGE_LIVE_SCREEN: &str = "live-screen";
 
 /// Errors from artifact (de)serialization and cache lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -637,28 +641,46 @@ pub fn load_sections(
     graph: &TopicGraph,
     config: &OctopusConfig,
 ) -> Result<ReuseSlots, PersistError> {
-    let mut slots = ReuseSlots::default();
-    load_sections_into(
-        raw,
-        keys,
-        graph,
-        config,
-        &mut slots,
-        &mut LoadTimings::default(),
-    )?;
+    let (mut slots, mut timings) = (ReuseSlots::default(), LoadTimings::default());
+    let donor = Donor::File(raw);
+    load_sections_into(donor, keys, graph, config, &mut slots, &mut timings)?;
     Ok(slots)
+}
+
+/// Salvage every reusable stage output from the live epoch's artifact, the
+/// one donor a flush reads: sections read as a query reads them (a damaged
+/// one donates nothing), PIKS worlds screened by `dirty` when it is set.
+pub(crate) fn load_live(
+    live: &MappedArtifacts,
+    keys: &StageKeys,
+    graph: &TopicGraph,
+    config: &OctopusConfig,
+    dirty: Option<&[bool]>,
+) -> ReuseSlots {
+    let (mut slots, mut timings) = (ReuseSlots::default(), LoadTimings::default());
+    let donor = Donor::Live(live, dirty);
+    // a validated artifact's table is sound: nothing here can fail
+    load_sections_into(donor, keys, graph, config, &mut slots, &mut timings).ok();
+    slots
+}
+
+/// A cache file's bytes (payloads checksummed as read), or the live epoch's
+/// artifact (payloads through its sticky verification) and dirty mask.
+#[derive(Clone, Copy)]
+enum Donor<'a> {
+    File(&'a [u8]),
+    Live(&'a MappedArtifacts, Option<&'a [bool]>),
 }
 
 /// [`load_sections`], but accumulating into `slots` and decoding **only
 /// still-needed sections** — a scalar slot already filled by an earlier
-/// donor file is not re-decoded (nor even checksummed), and the PIKS
-/// section is skipped once every world up to `piks_index_size` is covered.
-/// A needed PIKS section is checksummed, then screened into the
-/// accumulated world slots in place ([`crate::piks::PiksReuse::screen`]),
-/// so donors union world by world. Returns whether anything new was
-/// salvaged.
+/// donor is not re-decoded (nor even checksummed), and the PIKS section is
+/// skipped once every world up to `piks_index_size` is covered. A needed
+/// PIKS section is verified, then screened into the accumulated world
+/// slots in place ([`crate::piks::PiksReuse::screen`]), so donors union
+/// world by world. Returns whether anything new was salvaged.
 fn load_sections_into(
-    raw: &[u8],
+    donor: Donor<'_>,
     keys: &StageKeys,
     graph: &TopicGraph,
     config: &OctopusConfig,
@@ -666,19 +688,25 @@ fn load_sections_into(
     timings: &mut LoadTimings,
 ) -> Result<bool, PersistError> {
     let t_validate = std::time::Instant::now();
-    let section_count = read_section_count(raw)?; // validates magic + version
-    let table_len = section_count.saturating_mul(wire::SECTION_ENTRY_LEN);
-    let mut table = &raw[HEADER_LEN..];
-    wire::need(&table, table_len, "section table").map_err(PersistError::from)?;
+    let (entries, dirty) = match donor {
+        Donor::File(raw) => {
+            let section_count = read_section_count(raw)?; // validates magic + version
+            let mut table = &raw[HEADER_LEN..];
+            let table_len = section_count.saturating_mul(wire::SECTION_ENTRY_LEN);
+            wire::need(&table, table_len, "section table")?;
+            let entries = (0..section_count)
+                .map(|_| wire::read_section_entry(&mut table, "section entry"))
+                .collect::<Result<Vec<_>, _>>()?;
+            (entries, None)
+        }
+        Donor::Live(live, dirty) => (live.entries().cloned().collect(), dirty),
+    };
     timings.validate += t_validate.elapsed();
 
     let r = config.piks_index_size;
     let z_count = graph.num_topics();
     let mut salvaged = false;
-    for _ in 0..section_count {
-        let t_validate = std::time::Instant::now();
-        let entry = wire::read_section_entry(&mut table, "section entry")?;
-        timings.validate += t_validate.elapsed();
+    for (i, entry) in entries.iter().enumerate() {
         if keys.for_tag(entry.tag) != Some(entry.key) {
             continue; // stale inputs or unknown tag: the unit rebuilds
         }
@@ -698,9 +726,12 @@ fn load_sections_into(
             continue; // an earlier donor already supplied this unit
         }
         let t_validate = std::time::Instant::now();
-        let payload = wire::section_payload(raw, &entry);
+        let payload = match donor {
+            Donor::File(raw) => wire::section_payload(raw, entry).ok(),
+            Donor::Live(live, _) => live.verified_section(i).ok(),
+        };
         timings.validate += t_validate.elapsed();
-        let Ok(payload) = payload else {
+        let Some(payload) = payload else {
             continue; // truncated or corrupted in place: the unit rebuilds
         };
         let t_decode = std::time::Instant::now();
@@ -731,7 +762,9 @@ fn load_sections_into(
             }
             SECTION_PIKS => {
                 let piks = slots.piks.get_or_insert_default();
-                salvaged |= piks.screen(payload, graph).is_ok_and(|filled| filled > 0);
+                salvaged |= piks
+                    .screen(payload, graph, dirty)
+                    .is_ok_and(|filled| filled > 0);
             }
             SECTION_NAMES => {
                 if let Ok(names) = Autocomplete::decode_from(payload, graph.node_count()) {
@@ -935,12 +968,13 @@ pub struct CacheLookup {
 /// PIKS world slots **union** across donors (two deltas that invalidated
 /// disjoint world sets in different epoch files reassemble full coverage).
 ///
-/// Cost model: every visited donor's needed PIKS section is checksummed,
-/// but a world an earlier donor supplied is skipped on its offset alone and
-/// each missing world is screened once per distinct stored node list — a
-/// flush pays for the worlds its delta touched, not for the directory.
-/// Unreadable, foreign, stale-version, or corrupt files are simply
-/// skipped: lookup degrades, it never fails.
+/// This is the **open path** only: a serving flush never scans the
+/// directory, its one donor is the epoch it replaces (`load_live`). Cost
+/// model: every visited file is read whole and its needed sections
+/// checksummed; a world an earlier donor supplied is skipped on its offset
+/// alone, and each missing world's footprint is hashed over the live graph
+/// once per distinct stored node list. Unreadable, foreign, stale-version,
+/// or corrupt files are simply skipped: lookup degrades, it never fails.
 pub fn lookup(
     cache_dir: &Path,
     fp: &Fingerprint,
@@ -972,8 +1006,9 @@ pub fn lookup(
         };
         // accumulate directly: already-filled slots are skipped without
         // re-decoding, and PIKS world slots union across donor files
+        let donor = Donor::File(&raw);
         if let Ok(true) =
-            load_sections_into(&raw, keys, graph, config, &mut out.slots, &mut out.timings)
+            load_sections_into(donor, keys, graph, config, &mut out.slots, &mut out.timings)
         {
             if path == exact {
                 out.exact = Some(raw);
@@ -1018,20 +1053,32 @@ pub fn save(
     keys: &StageKeys,
     path: &Path,
 ) -> std::io::Result<()> {
-    save_encoded(artifacts, fp, keys, path).1
+    let files = path.parent().map(scan).unwrap_or_default();
+    write_atomically(&encode(artifacts, fp, keys, next_write_seq(&files)), path)
 }
 
-/// [`save`], also returning the encoded bytes — written or not — so an
-/// engine serves exactly what it persisted, encoding once.
-pub(crate) fn save_encoded(
+/// [`save`] into `cache_dir`, then [`prune`] after a successful write, off
+/// one directory scan; returns the encoded bytes, written or not.
+pub(crate) fn save_and_prune(
     artifacts: &OfflineArtifacts,
     fp: &Fingerprint,
     keys: &StageKeys,
-    path: &Path,
+    cache_dir: &Path,
 ) -> (Vec<u8>, std::io::Result<()>) {
+    let path = fp.cache_path(cache_dir);
+    let files = scan(cache_dir);
+    let bytes = encode(artifacts, fp, keys, next_write_seq(&files));
+    let saved = write_atomically(&bytes, &path);
+    if saved.is_ok() {
+        prune_scanned(files, &[&path]);
+    }
+    (bytes, saved)
+}
+
+/// The atomic write behind [`save`] (see there).
+fn write_atomically(bytes: &[u8], path: &Path) -> std::io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let bytes = encode(artifacts, fp, keys, path.parent().map_or(1, next_write_seq));
     let tmp = path.with_extension(format!(
         "octa.tmp.{}.{}",
         std::process::id(),
@@ -1040,26 +1087,36 @@ pub(crate) fn save_encoded(
     let result = path
         .parent()
         .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&tmp, &bytes))
+        .and_then(|()| std::fs::write(&tmp, bytes))
         .and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    (bytes, result)
+    result
 }
 
-/// The write sequence a new file in `dir` should carry: one past the
-/// largest sequence already present (headers are read, not whole files).
-/// Unreadable or foreign-version files count as sequence 0, so a directory
-/// of migrated v2 files simply restarts the ordering.
-fn next_write_seq(dir: &Path) -> u64 {
+/// Every `.octa` file in `dir` as `(mtime, header write_seq, path)`, the
+/// key [`prune`] evicts by (a file without a readable mtime is left out).
+fn scan(dir: &Path) -> Vec<(std::time::SystemTime, u64, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return 1;
+        return Vec::new();
     };
     entries
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "octa"))
-        .map(|e| file_write_seq(&e.path()))
+        .filter_map(|e| {
+            let mtime = e.metadata().and_then(|m| m.modified()).ok()?;
+            Some((mtime, file_write_seq(&e.path()), e.path()))
+        })
+        .collect()
+}
+
+/// One past the largest scanned write sequence. Unreadable or
+/// foreign-version files count as 0, so migrated v2 files restart it.
+fn next_write_seq(files: &[(std::time::SystemTime, u64, PathBuf)]) -> u64 {
+    files
+        .iter()
+        .map(|f| f.1)
         .max()
         .map_or(1, |m| m.saturating_add(1))
 }
@@ -1110,23 +1167,14 @@ pub const MAX_CACHE_FILES: usize = 16;
 /// the file is skipped and becomes evictable once its last view drops.
 /// Errors are ignored — pruning is best-effort hygiene, not correctness.
 pub fn prune(cache_dir: &Path, keep: &[&Path]) {
-    let Ok(entries) = std::fs::read_dir(cache_dir) else {
-        return;
-    };
-    let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| {
-            let path = e.path();
-            if path.extension().is_some_and(|x| x == "octa")
-                && !keep.iter().any(|k| path == **k)
-                && !super::view::is_mapped(&path)
-            {
-                let mtime = e.metadata().and_then(|m| m.modified()).ok()?;
-                Some((mtime, file_write_seq(&path), path))
-            } else {
-                None
-            }
-        })
+    prune_scanned(scan(cache_dir), keep);
+}
+
+/// [`prune`] over an already [`scan`]ned directory.
+fn prune_scanned(files: Vec<(std::time::SystemTime, u64, PathBuf)>, keep: &[&Path]) {
+    let mut files: Vec<_> = files
+        .into_iter()
+        .filter(|(_, _, path)| !keep.iter().any(|k| path == *k) && !super::view::is_mapped(path))
         .collect();
     // every keep path occupies one retained slot
     let excess = (files.len() + keep.len()).saturating_sub(MAX_CACHE_FILES);

@@ -469,8 +469,13 @@ impl MappedArtifacts {
         &self.inner.map[entry.off as usize..(entry.off + entry.len) as usize]
     }
 
+    /// The section table validated at open, in canonical order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &wire::SectionEntry> {
+        self.inner.sections.iter().map(|s| &s.entry)
+    }
+
     /// Sticky lazy checksum verification of section `i` (see module docs).
-    fn verified_section(&self, i: usize) -> Result<&[u8], CoreError> {
+    pub(crate) fn verified_section(&self, i: usize) -> Result<&[u8], CoreError> {
         let meta = &self.inner.sections[i];
         match meta.state.load(Ordering::Acquire) {
             VERIFIED => Ok(self.section(i)),

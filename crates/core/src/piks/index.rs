@@ -234,12 +234,20 @@ impl PiksReuse {
     /// examined world gets the full structural checks; any failure is an
     /// error and the donor fills nothing (fills commit only once the whole
     /// section screened cleanly). A sound world must then have its ids
-    /// inside `graph` and a stored [`footprint_hash`] equal to the live
-    /// one, computed at most once per (world, stored node list) over the
-    /// accumulator's lifetime — so every `screen` into one accumulator must
-    /// pass the same live graph. A world failing that screen is no error:
-    /// its slot stays empty and it rebuilds.
-    pub fn screen(&mut self, raw: &[u8], graph: &TopicGraph) -> Result<usize, WireError> {
+    /// inside `graph`, and then either none of its stored nodes set in
+    /// `dirty` — the nodes whose in-edge rows differ from the donor's graph
+    /// ([`octopus_graph::delta::reweighted_targets`]), all its footprint
+    /// reads, so no hash is computed — or, without a mask, a stored
+    /// [`footprint_hash`] equal to the live one, computed at most once per
+    /// (world, stored node list) over the accumulator's lifetime (so every
+    /// `screen` into one accumulator must pass the same live graph). A
+    /// world failing the screen is no error: it rebuilds.
+    pub fn screen(
+        &mut self,
+        raw: &[u8],
+        graph: &TopicGraph,
+        dirty: Option<&[bool]>,
+    ) -> Result<usize, WireError> {
         let view = PiksWorldsView::parse(raw)?;
         if view.n() != graph.node_count() {
             return Ok(0); // derived over another node universe
@@ -253,7 +261,11 @@ impl PiksReuse {
             let Some(nodes) = checked_nodes(j, &wv, graph)? else {
                 continue;
             };
-            if self.live_footprint(j, &nodes, graph) == wv.footprint() {
+            let reusable = match dirty {
+                Some(dirty) => nodes.iter().all(|&g| dirty.get(g as usize) == Some(&false)),
+                None => self.live_footprint(j, &nodes, graph) == wv.footprint(),
+            };
+            if reusable {
                 let w = nodes.len();
                 fills.push((
                     j,
@@ -528,7 +540,7 @@ impl InfluencerIndex {
     /// reuse slots — [`PiksReuse::screen`] on an empty accumulator.
     pub fn load_reusable(raw: &[u8], graph: &TopicGraph) -> Result<PiksReuse, WireError> {
         let mut reuse = PiksReuse::default();
-        reuse.screen(raw, graph)?;
+        reuse.screen(raw, graph, None)?;
         Ok(reuse)
     }
 }
@@ -1112,24 +1124,34 @@ mod tests {
 
         // the pre-nudge donor covers exactly the worlds that missed node 4
         let mut acc = PiksReuse::default();
-        let first = acc.screen(&old, &live).unwrap();
+        let first = acc.screen(&old, &live, None).unwrap();
         let covered = acc.reusable_worlds();
         assert_eq!(first, covered.iter().filter(|&&c| c).count());
         assert!(0 < first && first + 1 < r, "the nudge must leave 2+ gaps");
         // screening the same donor again fills nothing (memoized misses)
-        assert_eq!(acc.screen(&old, &live).unwrap(), 0);
+        assert_eq!(acc.screen(&old, &live, None).unwrap(), 0);
+        // the nudge rewrote a row, so the mask naming its target (node 4)
+        // reuses exactly what the hash screen reuses
+        let batch = [octopus_graph::delta::GraphDelta::NudgeWeights {
+            edges: vec![victim],
+            delta: 0.07,
+        }];
+        let dirty = octopus_graph::delta::reweighted_targets(&g, &batch).unwrap();
+        let mut by_mask = PiksReuse::default();
+        assert_eq!(by_mask.screen(&old, &live, Some(&dirty)).unwrap(), first);
+        assert_eq!(by_mask.reusable_worlds(), covered);
 
         // a malformed world the scan must examine: the donor fills nothing,
         // not even the sound uncovered worlds before it
         let last_gap = covered.iter().rposition(|&c| !c).unwrap();
         let bad = with_malformed_world(&fresh, last_gap);
-        assert!(acc.screen(&bad, &live).is_err());
+        assert!(acc.screen(&bad, &live, None).is_err());
         assert_eq!(acc.reusable_worlds(), covered, "no partial fill");
 
         // a malformed world already covered is never examined: harmless
         let first_hit = covered.iter().position(|&c| c).unwrap();
         let harmless = with_malformed_world(&fresh, first_hit);
-        assert_eq!(acc.screen(&harmless, &live).unwrap(), r - first);
+        assert_eq!(acc.screen(&harmless, &live, None).unwrap(), r - first);
         assert_eq!(acc.available(), r);
         let (rebuilt, reused) = InfluencerIndex::build_with_reuse(&live, r, seed, &acc);
         assert_eq!(reused, r);

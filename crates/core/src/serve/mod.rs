@@ -18,10 +18,9 @@
 //!   [`apply_pending`](OctopusService::apply_pending), called directly or
 //!   by a [`spawn_rebuilder`](OctopusService::spawn_rebuilder) background
 //!   thread — drains and **coalesces** the whole batch into one new
-//!   graph, rebuilds the engine *off to the side* (through
-//!   [`Octopus::open_or_build`] when a cache directory is configured, so
-//!   the incremental per-topic/per-world reuse machinery pays for most
-//!   of the rebuild), and atomically swaps the epoch. A service built with
+//!   graph, rebuilds the engine *off to the side* from the epoch it
+//!   replaces (reusing every per-topic unit and PIKS world the batch left
+//!   valid), and atomically swaps the epoch. A service built with
 //!   [`with_mapped_cache`](OctopusService::with_mapped_cache) goes one
 //!   step further: the flush writes the new epoch's OCTA v5 artifact and
 //!   **remaps** it, so the swapped-in engine serves zero-copy off the
@@ -66,7 +65,7 @@ pub use shard::{ShardSwap, ShardedService, ShardedStats};
 
 use crate::budget::QueryBudget;
 use crate::engine::Octopus;
-use crate::offline::StageReuse;
+use crate::offline::{StageReuse, StageTiming};
 use crate::Result;
 use octopus_graph::delta::{self, GraphDelta};
 use parking_lot::Mutex;
@@ -104,16 +103,19 @@ pub struct SwapReport {
     /// Wall-clock time of the whole flush (delta application + engine
     /// rebuild + swap).
     pub rebuild_time: Duration,
-    /// Whether the rebuilt engine's offline artifacts were fully reloaded
-    /// from the artifact cache (only possible with a cache directory).
+    /// Whether the rebuilt engine reused every offline work unit of the
+    /// epoch it replaced (a batch no stage key or PIKS world noticed).
     pub cache_hit: bool,
-    /// Per-stage reuse counters of the rebuild — with a cache directory,
-    /// shows how much of the offline work the incremental machinery
-    /// skipped per work unit: topic-granular for the weight stages
+    /// Per-stage reuse counters of the rebuild: how much of the offline
+    /// work the incremental machinery took from the replaced epoch, per
+    /// work unit — topic-granular for the weight stages
     /// (`spread-cap`/`pb-bound`/`mis-tables`, one unit per topic) and
     /// world-granular for `piks-worlds`. A topic-`z`-confined nudge batch
     /// therefore reports `Z-1/Z` reused on each weight stage.
     pub stage_reuse: Vec<StageReuse>,
+    /// Where the rebuild's time went ([`Octopus::stage_timings`]): the
+    /// `live-screen`, the stages that rebuilt, the write-back, the remap.
+    pub stage_timings: Vec<StageTiming>,
 }
 
 /// Service-level counters, scraped via [`OctopusService::stats`].
@@ -164,8 +166,7 @@ pub struct OctopusService {
     pending: Mutex<Vec<GraphDelta>>,
     /// Serializes flushes; readers never touch it.
     flush: Mutex<()>,
-    /// `Some(dir)` routes rebuilds through [`Octopus::open_or_build`] (or
-    /// [`Octopus::open_mapped`] when `mapped` is set).
+    /// `Some(dir)` persists every flushed epoch there.
     cache_dir: Option<PathBuf>,
     /// With a cache directory: rebuild engines in **mapped mode** — the
     /// flush writes the new epoch's OCTA v5 artifact, then *remaps* it,
@@ -188,27 +189,22 @@ pub struct OctopusService {
 }
 
 impl OctopusService {
-    /// Serve `engine` as epoch 0, rebuilding post-delta engines from
-    /// scratch ([`Octopus::new`]).
+    /// Serve `engine` as epoch 0. Each flush rebuilds from the epoch it
+    /// replaces, reusing every work unit the batch left valid.
     pub fn new(engine: Octopus) -> Self {
         Self::with_cache_dir_opt(engine, None)
     }
 
-    /// Serve `engine` as epoch 0, rebuilding post-delta engines through
-    /// the artifact cache at `dir` ([`Octopus::open_or_build`]) so each
-    /// swap reuses every offline stage — and every PIKS world — the batch
-    /// left valid.
+    /// [`OctopusService::new`], also persisting every flushed epoch to
+    /// `dir` for restarts ([`Octopus::open_or_build`]); a flush writes the
+    /// directory, never reads it.
     pub fn with_cache_dir(engine: Octopus, dir: impl Into<PathBuf>) -> Self {
         Self::with_cache_dir_opt(engine, Some(dir.into()))
     }
 
-    /// Serve `engine` as epoch 0 and rebuild post-delta engines in
-    /// **mapped mode** against the artifact cache at `dir`
-    /// ([`Octopus::open_mapped`]): each flush builds off to the side
-    /// (reusing every stage and PIKS world the batch left valid), writes
-    /// the new epoch's OCTA v5 file, and swaps in an engine that serves
-    /// zero-copy off the mapping — replicas sharing `dir` then share page
-    /// cache, and a restart of any of them opens in `O(pages touched)`.
+    /// [`OctopusService::with_cache_dir`], swapping in **mapped** engines:
+    /// each flush maps the file a replica sharing `dir` wrote for the same
+    /// graph, or else the one it wrote, so replicas share page cache.
     pub fn with_mapped_cache(engine: Octopus, dir: impl Into<PathBuf>) -> Self {
         let mut s = Self::with_cache_dir_opt(engine, Some(dir.into()));
         s.mapped = true;
@@ -346,6 +342,7 @@ impl OctopusService {
             rebuild_time: start.elapsed(),
             cache_hit: rebuilt.cache_hit(),
             stage_reuse: rebuilt.stage_reuse().to_vec(),
+            stage_timings: rebuilt.stage_timings().to_vec(),
         };
         let old = self.cell.swap(Arc::new(Epoch {
             id: base.id + 1,
@@ -358,7 +355,7 @@ impl OctopusService {
     }
 
     /// Coalesce `batch` onto `base`'s graph and build the replacement
-    /// engine (no swap; pure function of its inputs plus the cache dir).
+    /// engine from `base` (no swap; pure function of its inputs).
     fn rebuild(&self, base: &Epoch, batch: &[GraphDelta]) -> Result<Octopus> {
         let graph = delta::apply_all(base.engine.graph(), batch)?;
         if self.inject_failures.load(SeqCst) > 0 {
@@ -367,13 +364,9 @@ impl OctopusService {
                 "injected transient rebuild failure".into(),
             ));
         }
-        let model = base.engine.model().clone();
-        let config = base.engine.config().clone();
-        let rebuilt = match &self.cache_dir {
-            Some(dir) if self.mapped => Octopus::open_mapped(graph, model, config, dir),
-            Some(dir) => Octopus::open_or_build(graph, model, config, dir),
-            None => Octopus::new(graph, model, config),
-        }?;
+        let (live, dir) = (&base.engine, self.cache_dir.as_deref());
+        let dirty = delta::reweighted_targets(live.graph(), batch);
+        let rebuilt = live.rebuild(graph, dirty.as_deref(), dir, self.mapped)?;
         Ok(rebuilt.with_user_keywords(base.engine.user_keywords().clone()))
     }
 

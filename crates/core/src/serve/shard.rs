@@ -5,8 +5,8 @@
 //! [`ShardedService`] splits the `TopicGraph` into K locality-based
 //! subgraphs ([`octopus_graph::subgraph::partition`] — whole weakly
 //! connected components, so no influence path is ever cut), runs one
-//! engine + [`EpochCell`] per shard (owned, cached, or
-//! mapped — the same three rebuild modes the unsharded service offers,
+//! engine + [`EpochCell`] per shard (heap, cached, or
+//! mapped — the same three persistence modes the unsharded service has,
 //! each shard keeping its own OCTA cache subdirectory keyed by its
 //! subgraph's fingerprint), and routes:
 //!
@@ -31,8 +31,8 @@
 //!     shares: the per-shard charts merge by elementwise max.
 //! * **Deltas** route to only the shards whose node/edge footprint they
 //!   touch: a flush computes each delta's endpoints against the current
-//!   global graph, rebuilds just the touched shards — concurrently, on
-//!   the work-claiming pool — and swaps them; untouched shards keep their
+//!   global graph, rebuilds just the touched shards — each from its live
+//!   epoch, concurrently — and swaps them; untouched shards keep their
 //!   epoch and pay nothing. An [`GraphDelta::InsertEdge`] whose endpoints
 //!   live in different shards is rejected
 //!   ([`CoreError::CrossShardDelta`]): the locality partition guarantees
@@ -145,15 +145,11 @@ pub struct ShardedService {
     global: Mutex<TopicGraph>,
     model: TopicModel,
     config: OctopusConfig,
-    /// Global-coordinate user→keywords overrides, re-projected onto each
-    /// touched shard at every rebuild.
-    user_keywords: HashMap<NodeId, Vec<KeywordId>>,
     /// `Some(root)` gives shard `i` the cache directory `root/shard-NNN`
     /// — per-shard subdirectories, so each shard's prune budget and
-    /// donor-epoch history are its own and co-tenant eviction cannot
-    /// happen by construction (the [`crate::offline::persist::prune`]
-    /// keep-set guards the shared-directory case for callers that want
-    /// it).
+    /// persisted epochs are its own and co-tenant eviction cannot happen
+    /// by construction (the [`crate::offline::persist::prune`] keep-set
+    /// guards the shared-directory case for callers that want it).
     cache_root: Option<PathBuf>,
     mapped: bool,
     pending: Mutex<Vec<GraphDelta>>,
@@ -171,8 +167,8 @@ pub struct ShardedService {
 
 impl ShardedService {
     /// Partition `graph` into (at most) `k` shards and serve one
-    /// freshly built engine per shard ([`Octopus::new`]; rebuilds from
-    /// scratch on every routed delta).
+    /// freshly built engine per shard ([`Octopus::new`]); a routed delta
+    /// rebuilds each touched shard from its live epoch.
     pub fn new(
         graph: TopicGraph,
         model: TopicModel,
@@ -182,12 +178,10 @@ impl ShardedService {
         Self::with_options(graph, model, config, k, None, false, HashMap::new())
     }
 
-    /// Like [`ShardedService::new`], but each shard rebuilds through its
-    /// own OCTA artifact cache subdirectory under `dir`
-    /// ([`Octopus::open_or_build`]), so a routed delta reuses every
-    /// offline work unit — every weight stage's per-topic cap/PB/MIS
-    /// sub-section and every PIKS world — it left valid *within the one
-    /// shard it touched*; the per-shard [`SwapReport::stage_reuse`]
+    /// Like [`ShardedService::new`], but each shard opens from
+    /// ([`Octopus::open_or_build`]) and persists every flushed epoch to its
+    /// own OCTA artifact cache subdirectory under `dir`; the per-shard
+    /// [`SwapReport::stage_reuse`]
     /// carries the topic-granular hit/miss counts.
     pub fn with_cache_dir(
         graph: TopicGraph,
@@ -229,6 +223,7 @@ impl ShardedService {
 
     /// The fully general constructor: cache mode and per-user keyword
     /// overrides (global node ids; projected per shard) chosen explicitly.
+    /// `cache_root` is for persistence: a flush writes it, never scans it.
     pub fn with_options(
         graph: TopicGraph,
         model: TopicModel,
@@ -245,7 +240,6 @@ impl ShardedService {
             global: Mutex::new(graph),
             model,
             config,
-            user_keywords,
             cache_root,
             mapped,
             pending: Mutex::new(Vec::new()),
@@ -261,10 +255,7 @@ impl ShardedService {
         // initial engines build concurrently, like rebuilds do
         let engines: Vec<Result<Octopus>> = (0..parts.shards.len())
             .into_par_iter()
-            .map(|i| {
-                let sub = &parts.shards[i];
-                service.build_engine(i, sub, sub.graph.clone())
-            })
+            .map(|i| service.build_engine(i, &parts.shards[i], &user_keywords))
             .collect();
         let mut shards = Vec::with_capacity(parts.shards.len());
         for (sub, engine) in parts.shards.into_iter().zip(engines) {
@@ -279,10 +270,16 @@ impl ShardedService {
         Ok(ShardedService { shards, ..service })
     }
 
-    /// Build (or open from its shard cache) the engine serving `sub`,
-    /// with the user-keyword overrides projected into shard coordinates.
-    fn build_engine(&self, idx: usize, sub: &Subgraph, graph: TopicGraph) -> Result<Octopus> {
-        let model = self.model.clone();
+    /// Build (or open from its shard cache) the epoch-0 engine serving
+    /// `sub`, with the `user_keywords` overrides projected into shard
+    /// coordinates (rebuilds carry the projection forward).
+    fn build_engine(
+        &self,
+        idx: usize,
+        sub: &Subgraph,
+        user_keywords: &HashMap<NodeId, Vec<KeywordId>>,
+    ) -> Result<Octopus> {
+        let (graph, model) = (sub.graph.clone(), self.model.clone());
         let config = self.config.clone();
         let engine = match &self.cache_root {
             Some(root) if self.mapped => {
@@ -291,8 +288,7 @@ impl ShardedService {
             Some(root) => Octopus::open_or_build(graph, model, config, &shard_dir(root, idx)),
             None => Octopus::new(graph, model, config),
         }?;
-        let projected: HashMap<NodeId, Vec<KeywordId>> = self
-            .user_keywords
+        let projected: HashMap<NodeId, Vec<KeywordId>> = user_keywords
             .iter()
             .filter_map(|(node, words)| sub.to_sub.get(node).map(|&local| (local, words.clone())))
             .collect();
@@ -427,15 +423,8 @@ impl ShardedService {
         // batches are read against the running fold. The dominant batch
         // shape (id-stable nudges and renames) takes the coalesced
         // apply_all fast path with footprints off the base graph.
-        let id_stable = batch.iter().all(|d| {
-            matches!(
-                d,
-                GraphDelta::NudgeWeights { .. }
-                    | GraphDelta::SetWeights { .. }
-                    | GraphDelta::RenameNode { .. }
-            )
-        });
-        let new_global = if id_stable {
+        let dirty = delta::reweighted_targets(&base, batch);
+        let new_global = if dirty.is_some() {
             for d in batch {
                 self.touch(d, &base, &mut touched)?;
             }
@@ -449,13 +438,19 @@ impl ShardedService {
             g
         };
         let touched: Vec<usize> = touched.into_iter().collect();
-        // rebuild every touched shard concurrently on the claiming pool
+        // rebuild every touched shard from its live epoch, concurrently
         let rebuilt: Vec<Result<(usize, Octopus)>> = touched
             .par_iter()
             .map(|&s| {
-                let sub = induced(&new_global, &self.shards[s].to_original)?;
-                let engine = self.build_engine(s, &sub, sub.graph.clone())?;
-                Ok((s, engine))
+                let shard = &self.shards[s];
+                let sub = induced(&new_global, &shard.to_original)?;
+                let local: Option<Vec<bool>> = dirty
+                    .as_ref()
+                    .map(|d| shard.to_original.iter().map(|u| d[u.index()]).collect());
+                let dir = self.cache_root.as_ref().map(|root| shard_dir(root, s));
+                let (live, dir) = (&shard.cell.load().engine, dir.as_deref());
+                let engine = live.rebuild(sub.graph, local.as_deref(), dir, self.mapped)?;
+                Ok((s, engine.with_user_keywords(live.user_keywords().clone())))
             })
             .collect();
         let rebuilt: Vec<(usize, Octopus)> = rebuilt.into_iter().collect::<Result<_>>()?;
@@ -470,6 +465,7 @@ impl ShardedService {
                 rebuild_time: start.elapsed(),
                 cache_hit: engine.cache_hit(),
                 stage_reuse: engine.stage_reuse().to_vec(),
+                stage_timings: engine.stage_timings().to_vec(),
             };
             drop(shard.cell.swap(Arc::new(Epoch { id: epoch, engine })));
             swaps.push(ShardSwap { shard: s, report });

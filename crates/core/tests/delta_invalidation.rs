@@ -18,13 +18,20 @@
 //!   whose footprint contains a *changed* edge id rebuild (the new edge,
 //!   plus every edge whose dense id shifted).
 //!
+//! A serving flush rebuilds from the live epoch alone and, for an
+//! id-stable batch, screens PIKS worlds by the batch's rewritten targets
+//! instead of footprint hashes: that screen reuses a subset of what the
+//! hash screen reuses, and the flushed engine still serves a fresh build.
+//!
 //! [`GraphDelta::touched_topics`]: octopus_graph::delta::GraphDelta::touched_topics
 
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig, SystemReport};
 use octopus_core::kim::BoundKind;
-use octopus_core::offline::persist::StageKeys;
+use octopus_core::offline::persist::{StageKeys, SECTION_PIKS};
 use octopus_core::offline::{self, PIKS_WORLD_SEED_XOR};
-use octopus_core::piks::InfluencerIndex;
+use octopus_core::piks::{footprint_hash, InfluencerIndex, PiksReuse, PiksWorldsView};
+use octopus_core::serve::OctopusService;
+use octopus_graph::delta::GraphDelta;
 use octopus_graph::{delta, EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
 use proptest::prelude::*;
@@ -241,6 +248,167 @@ proptest! {
         prop_assert_eq!(reused, reuse.available());
         prop_assert_eq!(rebuilt, InfluencerIndex::build(&bigger, r, seed));
     }
+
+    /// The delta screen is the footprint screen, only cheaper: over random
+    /// id-stable batches (nudge / row-replacement / rename mixes) on the
+    /// citation fixture, the worlds a flush reuses because none of their
+    /// nodes is a rewritten edge's target are a subset of the worlds whose
+    /// footprint hash still matches, each of them *does* still match, the
+    /// flush takes exactly that set, and the flushed engine serves a fresh
+    /// build's bytes. A batch that empties a row drops that edge and shifts
+    /// every later id, so the flush must fall back to the hash screen.
+    #[test]
+    fn delta_screen_reuses_a_subset_of_the_footprint_screen(
+        ops in proptest::collection::vec((0usize..5, 0usize..64, 0.01f64..0.2), 1..6),
+    ) {
+        let (g, model) = citation_fixture();
+        let cfg = config();
+        // ids below this stay valid after up to five emptied rows
+        let ids = g.edge_count() - 5;
+        let batch: Vec<GraphDelta> = ops
+            .iter()
+            .map(|&(kind, pick, p)| {
+                let edge = EdgeId((pick % ids) as u32);
+                match kind {
+                    0 => GraphDelta::NudgeWeights { edges: vec![edge], delta: p },
+                    1 => GraphDelta::SetWeights { edge, probs: vec![(pick % 2, p)] },
+                    // a no-op rewrite: the delta screen rebuilds what the
+                    // hash screen would still reuse
+                    2 => GraphDelta::SetWeights {
+                        edge,
+                        probs: g.edge_topic_probs(edge).map(|(z, p)| (z.index(), p as f64)).collect(),
+                    },
+                    // an emptied row: the builder drops the edge
+                    3 => GraphDelta::SetWeights { edge, probs: vec![(pick % 2, 0.0)] },
+                    _ => GraphDelta::RenameNode {
+                        node: NodeId((pick % g.node_count()) as u32),
+                        name: format!("renamed-{pick}"),
+                    },
+                }
+            })
+            .collect();
+        let live = Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
+        let raw = piks_payload(&live);
+        let g1 = delta::apply_all(&g, &batch).unwrap();
+        let dirty = delta::reweighted_targets(&g, &batch).expect("no insert or remove");
+
+        let mut by_delta = PiksReuse::default();
+        by_delta.screen(&raw, &g1, Some(&dirty)).unwrap();
+        let mut by_hash = PiksReuse::default();
+        by_hash.screen(&raw, &g1, None).unwrap();
+        let view = PiksWorldsView::parse(&raw).unwrap();
+        let id_stable = g1.edge_count() == g.edge_count();
+        for (j, (&d, &h)) in by_delta
+            .reusable_worlds()
+            .iter()
+            .zip(&by_hash.reusable_worlds())
+            .enumerate()
+            .filter(|_| id_stable)
+        {
+            prop_assert!(!d || h, "world {} reused by the delta screen only", j);
+            if d {
+                let wv = view.world(j);
+                let nodes: Vec<u32> = (0..wv.node_count()).map(|i| wv.node(i)).collect();
+                prop_assert_eq!(wv.footprint(), footprint_hash(&g1, &nodes));
+            }
+        }
+
+        let service = OctopusService::new(live);
+        service.submit_all(batch);
+        let report = service.apply_pending().unwrap().expect("a pending batch");
+        let piks = report.stage_reuse.iter().find(|s| s.stage == "piks-worlds").unwrap();
+        let screened = if id_stable { &by_delta } else { &by_hash };
+        prop_assert_eq!(piks.reused, screened.available(), "id-stable: {}", id_stable);
+        assert_identical_to_fresh(&g1, &cfg, service.snapshot().engine(), "reweighting flush");
+    }
+}
+
+/// A batch that inserts or removes an edge shifts edge ids, names no
+/// dirty-node set, and so takes the footprint-hash screen — over the live
+/// epoch alone — still serving a fresh build's bytes. So does a row
+/// replacement that empties a row: it names a set, but the builder drops
+/// the edge and every later id shifts.
+#[test]
+fn id_shifting_batches_take_the_footprint_screen() {
+    let (g, model) = citation_fixture();
+    let cfg = config();
+    let shifting = [
+        GraphDelta::InsertEdge {
+            src: NodeId(3),
+            dst: NodeId(9),
+            probs: vec![(0, 0.33)],
+        },
+        GraphDelta::RemoveEdge { edge: EdgeId(2) },
+        GraphDelta::SetWeights {
+            edge: EdgeId(2),
+            probs: vec![(0, 0.0)],
+        },
+    ];
+    for shift in shifting {
+        let names_a_set = matches!(shift, GraphDelta::SetWeights { .. });
+        let batch = vec![
+            GraphDelta::NudgeWeights {
+                edges: vec![EdgeId(1)],
+                delta: 0.05,
+            },
+            shift,
+        ];
+        assert_eq!(delta::reweighted_targets(&g, &batch).is_some(), names_a_set);
+        let live = Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
+        let raw = piks_payload(&live);
+        let g1 = delta::apply_all(&g, &batch).unwrap();
+        assert_ne!(g1.edge_count(), g.edge_count(), "every batch shifts ids");
+        let by_hash = InfluencerIndex::load_reusable(&raw, &g1).unwrap();
+
+        let service = OctopusService::new(live);
+        service.submit_all(batch);
+        let report = service.apply_pending().unwrap().expect("a pending batch");
+        let piks = report
+            .stage_reuse
+            .iter()
+            .find(|s| s.stage == "piks-worlds")
+            .unwrap();
+        assert_eq!(piks.reused, by_hash.available(), "{piks:?}");
+        assert_identical_to_fresh(&g1, &cfg, service.snapshot().engine(), "id-shifting flush");
+    }
+}
+
+/// The serialized PIKS section an engine serves.
+fn piks_payload(engine: &Octopus) -> Vec<u8> {
+    let (_, raw) = engine
+        .artifacts()
+        .payloads()
+        .find(|&(tag, _)| tag == SECTION_PIKS)
+        .expect("every artifact has a PIKS section");
+    raw.to_vec()
+}
+
+/// Citation-flavored network: two scholarly hubs with student fans, a
+/// cross link, and citation chains among the students — so a world rooted
+/// at a student reaches several nodes and a rewritten row can miss it.
+fn citation_fixture() -> (TopicGraph, TopicModel) {
+    let mut b = GraphBuilder::new(2);
+    let han = b.add_node("jiawei han");
+    let jordan = b.add_node("michael jordan");
+    let db: Vec<NodeId> = (0..6)
+        .map(|i| b.add_node(format!("db-student-{i}")))
+        .collect();
+    let ml: Vec<NodeId> = (0..5)
+        .map(|i| b.add_node(format!("ml-student-{i}")))
+        .collect();
+    for &v in &db {
+        b.add_edge(han, v, &[(0, 0.7)]).unwrap();
+    }
+    for &v in &ml {
+        b.add_edge(jordan, v, &[(1, 0.7)]).unwrap();
+    }
+    for w in db.windows(2).chain(ml.windows(2)) {
+        b.add_edge(w[0], w[1], &[(0, 0.4), (1, 0.3)]).unwrap();
+    }
+    b.add_edge(han, jordan, &[(0, 0.3), (1, 0.1)]).unwrap();
+    let g = b.build().unwrap();
+    let model = model_for(&g);
+    (g, model)
 }
 
 /// The full engine path: open → delta → reopen, asserting the per-stage

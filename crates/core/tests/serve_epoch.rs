@@ -9,6 +9,9 @@
 //! mirroring the executor flakiness sweep.
 
 use octopus_core::engine::{KimAnswer, KimEngineChoice, Octopus, OctopusConfig, SuggestAnswer};
+use octopus_core::offline::persist::{
+    section_order, Fingerprint, SECTION_PIKS, STAGE_ARTIFACT_STORE, STAGE_LIVE_SCREEN,
+};
 use octopus_core::paths::{ExploreDirection, PathExploration};
 use octopus_core::serve::{OctopusService, Operator, Query, QueryResponse, Served, Session};
 use octopus_core::{QueryBudget, Result};
@@ -388,6 +391,14 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
         name: "renamed-hub".into(),
     });
     let report = service.apply_pending().unwrap().expect("pending delta");
+    // the flush says where its time went: one screen of the live epoch
+    // (no directory lookup), the one stage the rename invalidated, and
+    // the write-back that persists the epoch for restarts
+    let stages: Vec<&str> = report.stage_timings.iter().map(|t| t.stage).collect();
+    assert_eq!(
+        stages,
+        vec![STAGE_LIVE_SCREEN, "autocomplete", STAGE_ARTIFACT_STORE]
+    );
     let reused: Vec<&str> = report
         .stage_reuse
         .iter()
@@ -765,5 +776,119 @@ fn mapped_service_swaps_remap_and_answer_like_fresh_engines() {
     // the *current* epoch's backing file must survive any prune
     let stats = service.stats();
     assert_eq!(stats.epochs_swapped, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A live donor fails closed: a mapped epoch whose PIKS section is damaged
+/// (caught by no open-time check — the open is lazy) donates no world to
+/// the flush that replaces it, however untouched by queries, and the new
+/// epoch still answers like a fresh engine.
+#[test]
+fn damaged_live_piks_section_donates_nothing() {
+    let (g, model, config) = fixture();
+    let dir = std::env::temp_dir().join(format!("octopus-serve-damaged-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    drop(Octopus::open_or_build(g.clone(), model.clone(), config.clone(), &dir).unwrap());
+
+    // flip the low byte of world 0's root id: framing parses, the
+    // section checksum does not
+    let path = Fingerprint::compute(&g, &config).cache_path(&dir);
+    let mut raw = std::fs::read(&path).unwrap();
+    let u64_at = |raw: &[u8], at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
+    let i = section_order(g.num_topics())
+        .iter()
+        .position(|&tag| tag == SECTION_PIKS)
+        .unwrap();
+    let off = u64_at(&raw, 48 + 40 * i + 16) as usize; // header 48 B, entries 40 B
+    let world0 = u64_at(&raw, off + 16) as usize;
+    raw[off + world0 + 40] ^= 0x01;
+    std::fs::write(&path, &raw).unwrap();
+
+    let engine = Octopus::open_mapped(g.clone(), model.clone(), config.clone(), &dir)
+        .expect("the lazy open never checksums PIKS");
+    assert!(engine.is_mapped() && engine.cache_hit());
+    let service = OctopusService::with_mapped_cache(engine, &dir);
+    let nudge = GraphDelta::NudgeWeights {
+        edges: vec![EdgeId(0)],
+        delta: 0.05,
+    };
+    service.submit(nudge.clone());
+    let report = service.apply_pending().unwrap().expect("pending nudge");
+    let piks = report
+        .stage_reuse
+        .iter()
+        .find(|s| s.stage == "piks-worlds")
+        .unwrap();
+    assert_eq!(
+        piks.reused, 0,
+        "a damaged section donates nothing: {piks:?}"
+    );
+    assert!(
+        report.stage_reuse.iter().any(|s| s.reused > 0),
+        "the intact sections still donate"
+    );
+    let fresh = Octopus::new(nudge.apply(&g).unwrap(), model, config).unwrap();
+    assert_eq!(probe_session(&service).0, probe(&fresh));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A service without a cache directory still rebuilds incrementally: the
+/// epoch it replaces is the donor.
+#[test]
+fn cache_less_service_reuses_the_live_epoch() {
+    let (g, model, config) = fixture();
+    let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
+    service.submit(GraphDelta::NudgeWeights {
+        edges: vec![EdgeId(0)],
+        delta: 0.05,
+    });
+    let report = service.apply_pending().unwrap().expect("pending nudge");
+    for stage in ["piks-worlds", "autocomplete"] {
+        let s = report
+            .stage_reuse
+            .iter()
+            .find(|s| s.stage == stage)
+            .unwrap();
+        assert!(s.reused > 0, "{s:?}");
+    }
+    assert_eq!(report.stage_timings[0].stage, STAGE_LIVE_SCREEN);
+}
+
+/// Mapped replicas sharing a directory converge on one file: the first to
+/// flush a batch rebuilds and writes the new epoch, the second maps that
+/// file instead of rebuilding (a full hit, no live screen), so both serve
+/// the same page-cache-resident bytes — and both answer like fresh.
+#[test]
+fn mapped_replicas_flushing_one_batch_share_the_written_file() {
+    let (g, model, config) = fixture();
+    let dir = std::env::temp_dir().join(format!("octopus-serve-replicas-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let replica = || {
+        let engine = Octopus::open_mapped(g.clone(), model.clone(), config.clone(), &dir).unwrap();
+        OctopusService::with_mapped_cache(engine, &dir)
+    };
+    let (first, second) = (replica(), replica());
+    let nudge = GraphDelta::NudgeWeights {
+        edges: vec![EdgeId(0)],
+        delta: 0.05,
+    };
+    first.submit(nudge.clone());
+    let built = first.apply_pending().unwrap().expect("pending nudge");
+    assert!(!built.cache_hit);
+    assert_eq!(built.stage_timings[0].stage, STAGE_LIVE_SCREEN);
+    second.submit(nudge.clone());
+    let mapped = second.apply_pending().unwrap().expect("pending nudge");
+    assert!(mapped.cache_hit, "the second replica maps the first's file");
+    assert!(mapped.stage_reuse.iter().all(|s| s.is_full()));
+    assert!(mapped
+        .stage_timings
+        .iter()
+        .all(|t| t.stage != STAGE_LIVE_SCREEN));
+
+    let fresh = Octopus::new(nudge.apply(&g).unwrap(), model, config).unwrap();
+    for service in [&first, &second] {
+        assert!(service.snapshot().engine().is_mapped());
+        assert_eq!(probe_session(service).0, probe(&fresh));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

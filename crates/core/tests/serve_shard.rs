@@ -13,12 +13,15 @@
 //! in the serving-soak matrix, next to the unsharded epoch suite.
 
 use octopus_core::engine::{KimAnswer, Octopus, OctopusConfig, SuggestAnswer};
+use octopus_core::offline::persist::SECTION_PIKS;
 use octopus_core::paths::{ExploreDirection, PathExploration};
+use octopus_core::piks::{InfluencerIndex, PiksReuse};
 use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES};
 use octopus_core::{Anytime, CoreError, QueryBudget};
-use octopus_graph::delta::GraphDelta;
+use octopus_graph::delta::{self, GraphDelta};
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Four weakly connected components — the partition units — with
@@ -282,6 +285,79 @@ fn routed_delta_rebuilds_only_the_touched_shard() {
     // post-delta answers still equal a whole-graph engine on the new graph
     let g1 = delta.apply(&g).unwrap();
     assert_equivalent(&sharded, &reference(&g1, &model, &config));
+}
+
+/// Each touched shard rebuilds from its own live epoch and screens PIKS
+/// worlds by the batch's rewritten targets in *shard-local* ids: the swap
+/// reuses exactly the worlds the local-id delta screen keeps (a subset of
+/// the footprint screen's), and serves a fresh build's bytes.
+#[test]
+fn routed_flush_screens_each_live_shard_in_local_ids() {
+    let (g, model, config) = fixture();
+    let sharded = ShardedService::new(g.clone(), model.clone(), config.clone(), 2).unwrap();
+    assert_eq!(sharded.shard_count(), 2);
+    // component A (ada's fans) and C (cal's chain) live in different shards
+    let batch = vec![
+        GraphDelta::NudgeWeights {
+            edges: vec![EdgeId(0)],
+            delta: 0.05,
+        },
+        GraphDelta::SetWeights {
+            edge: g.find_edge(NodeId(10), NodeId(11)).unwrap(),
+            probs: vec![(0, 0.45)],
+        },
+        GraphDelta::RenameNode {
+            node: NodeId(5),
+            name: "bea ml-jordan".into(),
+        },
+        // a no-op rewrite (bea → fan-b-0 re-stated): the delta screen
+        // rebuilds the worlds the footprint screen would still reuse
+        GraphDelta::SetWeights {
+            edge: g.find_edge(NodeId(5), NodeId(6)).unwrap(),
+            probs: vec![(1, 0.8)],
+        },
+    ];
+    let dirty = delta::reweighted_targets(&g, &batch).expect("an id-stable batch");
+    let global_id: HashMap<&str, usize> =
+        g.nodes().map(|u| (g.name(u).unwrap(), u.index())).collect();
+    let before = sharded.snapshots();
+    sharded.submit_all(batch);
+    let swaps = sharded.apply_pending().unwrap();
+    assert_eq!(swaps.len(), 2, "both shards were touched");
+    let after = sharded.snapshots();
+    for swap in &swaps {
+        let (live, next) = (before[swap.shard].engine(), after[swap.shard].engine());
+        let local_dirty: Vec<bool> = live
+            .graph()
+            .nodes()
+            .map(|u| dirty[global_id[live.graph().name(u).unwrap()]])
+            .collect();
+        let (_, raw) = live
+            .artifacts()
+            .payloads()
+            .find(|&(tag, _)| tag == SECTION_PIKS)
+            .unwrap();
+        let mut by_delta = PiksReuse::default();
+        by_delta
+            .screen(raw, next.graph(), Some(&local_dirty))
+            .unwrap();
+        let by_hash = InfluencerIndex::load_reusable(raw, next.graph()).unwrap();
+        let piks = swap
+            .report
+            .stage_reuse
+            .iter()
+            .find(|s| s.stage == "piks-worlds")
+            .unwrap();
+        assert_eq!(piks.reused, by_delta.available(), "shard {}", swap.shard);
+        let (d, h) = (by_delta.reusable_worlds(), by_hash.reusable_worlds());
+        assert!(d.iter().zip(&h).all(|(&d, &h)| !d || h), "a subset");
+        let fresh = reference(next.graph(), &model, &config);
+        assert!(
+            next.artifacts().payloads().eq(fresh.artifacts().payloads()),
+            "shard {} serves a fresh build's bytes",
+            swap.shard
+        );
+    }
 }
 
 #[test]

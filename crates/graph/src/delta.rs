@@ -9,8 +9,9 @@
 //! (weight nudge / edge insert / rename) in one call each.
 //!
 //! All helpers preserve node ids. Edge ids are preserved **except** by
-//! [`insert_edge`] / [`remove_edge`], which shift the ids of every edge at
-//! or after the change position (ids are dense in forward-CSR order) — a
+//! [`insert_edge`] / [`remove_edge`] (and a nudge or row replacement that
+//! leaves a row all zero: the builder drops that edge), which shift the ids
+//! of every edge at or after the change (ids are dense in CSR order) — a
 //! consumer holding per-edge state must treat shifted edges as changed,
 //! and the per-stage artifact fingerprints do exactly that.
 
@@ -98,8 +99,8 @@ pub fn nudge_weights_multi(g: &TopicGraph, pairs: &[(EdgeId, f64)]) -> Result<To
 /// wholesale by `probs` — exact values, support changes included. This is
 /// the delta shape a warm EM refit's weight diff produces: the learner
 /// emits complete per-topic rows, which a [`nudge_weights`] (one additive
-/// delta over every *existing* entry) cannot express. Node and edge ids
-/// are unchanged.
+/// delta over every *existing* entry) cannot express. Node ids are kept;
+/// an all-zero row drops its edge, shifting every later edge id.
 pub fn set_weights(g: &TopicGraph, edge: EdgeId, probs: &[(usize, f64)]) -> Result<TopicGraph> {
     set_weights_multi(g, &[(edge, probs.to_vec())])
 }
@@ -200,7 +201,8 @@ pub enum GraphDelta {
     /// Replace one edge's whole sparse probability row — the shape a warm
     /// EM refit's weight diff produces: exact learned values, support
     /// changes included (a [`GraphDelta::NudgeWeights`] can only shift
-    /// every existing entry by one shared additive delta). Ids unchanged.
+    /// every existing entry by one shared additive delta). An all-zero row
+    /// drops the edge, like [`set_weights`].
     SetWeights {
         /// The edge whose row is replaced.
         edge: EdgeId,
@@ -308,6 +310,27 @@ impl GraphDelta {
             }
         }
     }
+}
+
+/// Mask over node ids of the targets of every edge `batch` reweights on
+/// `g`: every other node keeps its in-edge list bit for bit, unless the
+/// batch empties a row (the builder then drops that edge, shifting every
+/// later id — compare edge counts). `None` unless the batch has no insert
+/// or remove and names only edges of `g`.
+pub fn reweighted_targets(g: &TopicGraph, batch: &[GraphDelta]) -> Option<Vec<bool>> {
+    let mut mask = vec![false; g.node_count()];
+    for d in batch {
+        let edges: &[EdgeId] = match d {
+            GraphDelta::NudgeWeights { edges, .. } => edges,
+            GraphDelta::SetWeights { edge, .. } => std::slice::from_ref(edge),
+            GraphDelta::RenameNode { .. } => &[],
+            GraphDelta::InsertEdge { .. } | GraphDelta::RemoveEdge { .. } => return None,
+        };
+        for &e in edges {
+            mask[g.edge_endpoints(e).ok()?.1.index()] = true;
+        }
+    }
+    Some(mask)
 }
 
 /// Apply `deltas` in order, each on the output of the previous one —
