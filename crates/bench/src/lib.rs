@@ -1,9 +1,9 @@
-//! Shared infrastructure for the OCTOPUS benchmark harness: standard
-//! workloads (one per experiment in `DESIGN.md` §6), a Monte-Carlo quality
-//! referee, the serving-layer load generator (`exp_runner --serve`), and
-//! plain-text table rendering for the `exp_runner` binary.
+//! Shared infrastructure for the OCTOPUS evaluation: seeded standard
+//! workloads, a Monte-Carlo quality referee that scores seed sets, the
+//! serving-layer load generator the `serve_health` tests drive, and
+//! plain-text table rendering for the `exp_runner` binary (the paper's
+//! E1–E10 tables).
 
-pub mod record;
 pub mod referee;
 pub mod serve_load;
 pub mod table;

@@ -70,11 +70,11 @@ impl<'g> Referee<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::citation_small;
+    use crate::workloads::citation_sized;
 
     #[test]
     fn referee_scores_are_stable_and_ordered() {
-        let net = citation_small();
+        let net = citation_sized(300, 800);
         let referee = Referee::new(&net.graph).with_runs(1500);
         let gamma = net.model.infer_str("data mining").unwrap();
         let hub = octopus_graph::stats::top_out_degree(&net.graph, 1)[0].0;

@@ -6,11 +6,6 @@ use octopus_data::{CitationConfig, MessengerConfig, SyntheticNetwork};
 use octopus_topics::KeywordId;
 use std::collections::HashMap;
 
-/// The default mid-size citation workload (experiments E1/E2/E3/E5/E9).
-pub fn citation_default() -> SyntheticNetwork {
-    citation_sized(2000, 5000)
-}
-
 /// A citation workload with the given author/paper counts.
 pub fn citation_sized(authors: usize, papers: usize) -> SyntheticNetwork {
     CitationConfig {
@@ -24,13 +19,8 @@ pub fn citation_sized(authors: usize, papers: usize) -> SyntheticNetwork {
     .generate()
 }
 
-/// A small citation workload for quick runs and unit benches.
-pub fn citation_small() -> SyntheticNetwork {
-    citation_sized(300, 800)
-}
-
 /// `copies` disjoint copies of a network's graph in one `TopicGraph` —
-/// the sharded serving workloads (`exp_runner --shards <k>`). Each copy
+/// the sharded serving workloads. Each copy
 /// is its own set of weakly connected components, so the locality
 /// partition places whole copies (one per shard when `copies == k`) and a
 /// routed delta confines its rebuild to the one copy it touches. Copy 0
@@ -66,7 +56,7 @@ pub fn disjoint_copies(net: &SyntheticNetwork, copies: usize) -> octopus_graph::
 /// `copies` disjoint copies of the *whole* network — graph, action log
 /// (node ids shifted per copy, items renumbered), shared topic model —
 /// for workloads that learn from the log while serving sharded (the
-/// ingest loop at K>1). [`disjoint_copies`] only clones the graph;
+/// ingest loop at K > 1). [`disjoint_copies`] only clones the graph;
 /// the ingestion loop also needs the cascades each copy's learner
 /// re-fits, living on that copy's node ids.
 pub fn replicated(net: &SyntheticNetwork, copies: usize) -> SyntheticNetwork {
@@ -94,11 +84,6 @@ pub fn replicated(net: &SyntheticNetwork, copies: usize) -> SyntheticNetwork {
         model: net.model.clone(),
         log,
     }
-}
-
-/// The messenger workload (experiment E8).
-pub fn messenger_default() -> SyntheticNetwork {
-    messenger_sized(3000)
 }
 
 /// A messenger workload with the given user count.
@@ -171,18 +156,18 @@ mod tests {
 
     #[test]
     fn workloads_are_deterministic() {
-        let a = citation_small();
-        let b = citation_small();
+        let a = citation_sized(300, 800);
+        let b = citation_sized(300, 800);
         assert_eq!(a.graph, b.graph);
     }
 
     #[test]
     fn queries_resolve_on_their_workloads() {
-        let net = citation_small();
+        let net = citation_sized(300, 800);
         for q in citation_queries() {
             assert!(net.model.infer_str(q).is_ok(), "query {q:?} must resolve");
         }
-        let net = messenger_default();
+        let net = messenger_sized(3000);
         for q in messenger_queries() {
             assert!(net.model.infer_str(q).is_ok(), "query {q:?} must resolve");
         }
@@ -190,7 +175,7 @@ mod tests {
 
     #[test]
     fn prolific_users_have_keywords() {
-        let net = citation_small();
+        let net = citation_sized(300, 800);
         let users = prolific_users(&net, 5);
         assert_eq!(users.len(), 5);
         let map = user_keywords(&net);

@@ -9,7 +9,9 @@
 //! fresh engine built from that graph exactly. The chain only holds
 //! because every link is deterministic: the stream (`timeline`), the
 //! warm refit (`crates/data/tests/learn_determinism.rs`), the diff, and
-//! delta application.
+//! delta application. Both loop inputs — that unsharded one, and a
+//! K = 4 [`ShardedService`] over four copies of the network — run with
+//! live query workers racing every swap, which must all succeed.
 //!
 //! The batcher side pins the per-topic payoff the loop exists for: a
 //! batch confined to `T` of `Z` topics reuses at least `Z − T` units
@@ -20,22 +22,63 @@
 //! flush budget coalesces a wide plan without changing the final graph.
 
 use octopus_bench::serve_load::MixPools;
-use octopus_bench::workloads::citation_sized;
+use octopus_bench::workloads::{citation_sized, replicated, user_keywords};
 use octopus_core::engine::{Octopus, OctopusConfig};
 use octopus_core::serve::ingest::WEIGHT_STAGES;
-use octopus_core::serve::{IngestPipeline, OctopusService, Query, QueryService, TopicBatcher};
+use octopus_core::serve::{
+    IngestPipeline, IngestStats, OctopusService, Query, QueryService, ShardedService, TopicBatcher,
+};
 use octopus_core::QueryBudget;
 use octopus_data::{
-    stream, ActionLog, EmOptions, NewEdgePolicy, StreamConfig, StreamEvent, TicEm, WindowedLearner,
+    stream, ActionLog, EmOptions, NewEdgePolicy, StreamConfig, StreamEvent, SyntheticNetwork,
+    TicEm, WindowedLearner,
 };
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{GraphBuilder, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::Instant;
 
-#[test]
-fn closed_loop_serves_exactly_the_learned_graph() {
-    let net = citation_sized(60, 150);
+fn loop_config() -> OctopusConfig {
+    OctopusConfig {
+        piks_index_size: 64,
+        mis_rr_per_topic: 100,
+        k_max: 5,
+        ..Default::default()
+    }
+}
+
+/// Query threads racing the loop's swaps.
+const LIVE_WORKERS: u64 = 4;
+
+/// What one run of the closed loop left behind.
+struct LoopRun<S> {
+    service: S,
+    learner: WindowedLearner,
+    /// The warm-up model the service was opened on (deltas move weights
+    /// only, so it is still the served model).
+    model: TopicModel,
+    stats: IngestStats,
+    pools: MixPools,
+}
+
+/// The closed loop over `net`: fit the stream's first 60 % warm, open
+/// `serve(warm graph, warm model)`, then replay the tail through the
+/// bounded channel in three windows — refit, diff, batch by topic (cap
+/// 2), flush — while [`LIVE_WORKERS`] threads fire the seeded operator
+/// mix at the service and a probe query follows every window. Asserts
+/// the loop's health: three windows fit over the whole replay, at least
+/// two swaps, nothing dropped or retried, the watermark at the newest
+/// action, each window's probe on a newer epoch, and no live query
+/// failed.
+fn closed_loop<S: QueryService>(
+    net: &SyntheticNetwork,
+    policy: NewEdgePolicy,
+    min_change: f32,
+    serve: impl FnOnce(TopicGraph, TopicModel) -> S,
+) -> LoopRun<S> {
     let opts = EmOptions {
         max_iters: 4,
         ..Default::default()
@@ -46,14 +89,7 @@ fn closed_loop_serves_exactly_the_learned_graph() {
         .map(|u| net.graph.name(u).unwrap_or("").to_string())
         .collect();
     let vocab = net.model.vocab().clone();
-    let config = OctopusConfig {
-        piks_index_size: 64,
-        mis_rr_per_topic: 100,
-        k_max: 5,
-        ..Default::default()
-    };
 
-    // warm up on the stream's first 60%, exactly as the runner does
     let actions = stream::timeline(&net.log, &StreamConfig::default());
     let split = actions.len() * 3 / 5;
     let mut warmup_log = ActionLog::new();
@@ -67,69 +103,74 @@ fn closed_loop_serves_exactly_the_learned_graph() {
     }
     let warm = TicEm::new(opts.clone()).fit(&warmup_log, vocab.clone(), names.clone());
     let model = warm.model.clone();
-
-    let dir = std::env::temp_dir().join("octopus_ingest_loop_e2e");
-    std::fs::remove_dir_all(&dir).ok();
-    let engine =
-        Octopus::open_or_build(warm.graph.clone(), model.clone(), config.clone(), &dir).unwrap();
-    let service = OctopusService::with_cache_dir(engine, &dir);
-    let mut learner = WindowedLearner::new(
-        opts,
-        vocab,
-        names,
-        warmup_log,
-        warm,
-        NewEdgePolicy::Insert,
-        0.0, // bitwise: the shadow must BE the learned graph
-    );
+    let service = serve(warm.graph.clone(), model.clone());
+    let mut learner =
+        WindowedLearner::new(opts, vocab, names, warmup_log, warm, policy, min_change);
     let total_topics = net.graph.num_topics();
     let mut pipeline = IngestPipeline::new(&service, 2, total_topics);
 
-    // replay the tail through the bounded channel in three windows,
-    // interleaving a query after every swap to prove the loop serves
-    // while it ingests
-    let pools = MixPools::from_network(&net);
+    let pools = MixPools::from_network(net);
     let tail: Vec<_> = actions[split..].to_vec();
-    let window_size = (tail.len() / 3).max(1);
+    let tail_len = tail.len();
+    let window_size = (tail_len / 3).max(1);
     // a long cascade's trailing trials can outlast the next item's
     // arrival, so the watermark is the max timestamp, not the last
     let newest_at_ms = tail.iter().map(|a| a.at_ms).max().unwrap();
     let budget = QueryBudget::unlimited();
-    let mut consumed = 0usize;
-    let mut in_window = 0usize;
-    let mut watermark = 0u64;
+    let stop = AtomicBool::new(false);
     let mut epochs = Vec::new();
-    for action in stream::spawn_replay(tail.clone(), 64) {
-        watermark = watermark.max(action.at_ms);
-        learner.observe(&action);
-        consumed += 1;
-        in_window += 1;
-        if in_window >= window_size || consumed == tail.len() {
-            let pre = learner.shadow().clone();
-            let closed = Instant::now();
-            let outcome = learner.fit_window().unwrap();
-            let report = pipeline
-                .submit_window(outcome.deltas, &pre, in_window as u64, watermark, closed)
-                .unwrap();
-            assert!(!report.swaps.is_empty(), "new evidence must swap an epoch");
-            in_window = 0;
-            let served = service
-                .execute(
-                    &Query::FindInfluencers {
-                        query: pools.queries[0].clone(),
-                        k: 5,
-                    },
-                    &budget,
-                )
-                .unwrap();
-            epochs.push(served.epoch);
-        }
-    }
-    assert_eq!(consumed, tail.len(), "the bounded replay must drain fully");
+    let (live_queries, live_errors) = std::thread::scope(|sc| {
+        let workers: Vec<_> = (0..LIVE_WORKERS)
+            .map(|w| {
+                let (service, pools, stop, budget) = (&service, &pools, &stop, &budget);
+                sc.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(0x16E5_7000 + w);
+                    let (mut issued, mut errors) = (0u64, 0u64);
+                    while issued < 5 || !stop.load(SeqCst) {
+                        errors += service.execute(&pools.draw(&mut rng), budget).is_err() as u64;
+                        issued += 1;
+                    }
+                    (issued, errors)
+                })
+            })
+            .collect();
 
-    let stats = pipeline.stats();
+        let mut consumed = 0usize;
+        let mut in_window = 0usize;
+        let mut watermark = 0u64;
+        for action in stream::spawn_replay(tail, 64) {
+            watermark = watermark.max(action.at_ms);
+            learner.observe(&action);
+            consumed += 1;
+            in_window += 1;
+            if in_window >= window_size || consumed == tail_len {
+                let pre = learner.shadow().clone();
+                let closed = Instant::now();
+                let outcome = learner.fit_window().unwrap();
+                let report = pipeline
+                    .submit_window(outcome.deltas, &pre, in_window as u64, watermark, closed)
+                    .unwrap();
+                assert!(!report.swaps.is_empty(), "new evidence must swap an epoch");
+                in_window = 0;
+                let probe = Query::FindInfluencers {
+                    query: pools.queries[0].clone(),
+                    k: 5,
+                };
+                epochs.push(service.execute(&probe, &budget).unwrap().epoch);
+            }
+        }
+        assert_eq!(consumed, tail_len, "the bounded replay must drain fully");
+        stop.store(true, SeqCst);
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("query worker panicked"))
+            .fold((0, 0), |(q, e), (wq, we)| (q + wq, e + we))
+    });
+
+    // the health every loop input must show
+    let stats = pipeline.stats().clone();
     assert_eq!(stats.windows_fit, 3);
-    assert_eq!(stats.actions_consumed, tail.len() as u64);
+    assert_eq!(stats.actions_consumed, tail_len as u64);
     assert!(stats.swaps >= 2, "the loop must land at least two swaps");
     assert_eq!(stats.batches_dropped, 0);
     assert_eq!(stats.retries, 0);
@@ -138,6 +179,39 @@ fn closed_loop_serves_exactly_the_learned_graph() {
         epochs.windows(2).all(|w| w[0] < w[1]),
         "each window's queries must see a newer epoch: {epochs:?}"
     );
+    assert!(live_queries >= 5 * LIVE_WORKERS);
+    assert_eq!(
+        live_errors, 0,
+        "live queries failed while the loop swapped epochs"
+    );
+    LoopRun {
+        service,
+        learner,
+        model,
+        stats,
+        pools,
+    }
+}
+
+#[test]
+fn closed_loop_serves_exactly_the_learned_graph() {
+    let net = citation_sized(60, 150);
+    let config = loop_config();
+    let dir = std::env::temp_dir().join("octopus_ingest_loop_e2e");
+    std::fs::remove_dir_all(&dir).ok();
+    // min_change = 0: the shadow must BE the learned graph
+    let run = closed_loop(&net, NewEdgePolicy::Insert, 0.0, |graph, model| {
+        let engine = Octopus::open_or_build(graph, model, config.clone(), &dir).unwrap();
+        OctopusService::with_cache_dir(engine, &dir)
+    });
+    let LoopRun {
+        service,
+        learner,
+        model,
+        pools,
+        ..
+    } = run;
+    let budget = QueryBudget::unlimited();
 
     // the chain of bit-identities the loop guarantees
     assert_eq!(
@@ -201,6 +275,29 @@ fn closed_loop_serves_exactly_the_learned_graph() {
     assert_eq!(got.user, want.user);
     assert_eq!(got.words, want.words);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The loop at K = 4: the learner fits a four-copy log and the deltas
+/// route through the scatter-gather router. Learned-only edges are
+/// deferred (an insert may not bridge two shards), so every delta is
+/// routable weight traffic, and the 0.005 threshold keeps deltas
+/// entry-sparse — each batch's footprint is the materially moving
+/// topics, which is what lets the other topics' units be reused. The
+/// users' keyword candidates come from the log, so every suggestion in
+/// the mix has candidates on every copy.
+#[test]
+fn closed_loop_soaks_a_k4_sharded_service() {
+    let net = replicated(&citation_sized(60, 150), 4);
+    let keywords = user_keywords(&net);
+    let run = closed_loop(&net, NewEdgePolicy::Defer, 0.005, |graph, model| {
+        ShardedService::with_options(graph, model, loop_config(), 4, None, false, keywords).unwrap()
+    });
+    assert_eq!(run.service.shard_count(), 4, "one copy per shard");
+    assert!(
+        run.stats.reuse_ratio() > 0.0,
+        "topic-confined flushes must reuse weight-stage units: {:?}",
+        run.stats
+    );
 }
 
 /// A 4-topic star: the hub's edge to spoke 0 carries all four topics

@@ -5,7 +5,7 @@
 //! every merge path; this suite re-pins the same contract on the graphs
 //! the benchmarks actually serve — the seeded citation and messenger
 //! generators (`octopus_bench::workloads`), multiplied into disjoint
-//! copies exactly as `exp_runner --shards` does. At every K ∈ {1, 2, 4}
+//! copies exactly as the sharded `serve_health` tests do. At every K ∈ {1, 2, 4}
 //! the merged top-k must be bit-identical to one engine over the same
 //! union graph (seeds, ranks, names — the documented (gain desc, node id
 //! asc) tie-break), autocomplete must union-merge to the single trie's
@@ -65,7 +65,7 @@ fn assert_equivalent(sharded: &ShardedService, single: &Octopus, query: &str, pr
 }
 
 /// The generator's graph multiplied into 4 disjoint copies — the same
-/// union `exp_runner --shards` serves, giving the partition real
+/// union the sharded `serve_health` tests serve, giving the partition real
 /// multi-component structure (the raw citation graph is one giant
 /// component plus isolated singletons). Each copy past the first gets a
 /// distinct small weight perturbation: identical copies would tie every
