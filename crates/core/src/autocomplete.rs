@@ -98,7 +98,7 @@ impl Autocomplete {
         self.size == 0
     }
 
-    /// Serialize the trie into `buf` (the OCTA v5 `autocomplete` section
+    /// Serialize the trie into `buf` (the OCTA v6 `autocomplete` section
     /// payload; normative spec in `ARCHITECTURE.md`).
     ///
     /// ```text
@@ -211,7 +211,7 @@ impl Autocomplete {
     }
 }
 
-/// Zero-copy view over a v5 `autocomplete` section payload.
+/// Zero-copy view over a v6 `autocomplete` section payload.
 ///
 /// [`TrieView::parse`] walks the whole node area once, enforcing the
 /// preorder-contiguous layout (each record starts exactly where the
@@ -447,7 +447,7 @@ mod tests {
         ])
     }
 
-    /// The trie's v5 section payload, as the artifact stores it.
+    /// The trie's v6 section payload, as the artifact stores it.
     fn encoded(ac: &Autocomplete) -> Vec<u8> {
         let mut buf = BytesMut::new();
         ac.encode_into(&mut buf);

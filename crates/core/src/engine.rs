@@ -205,7 +205,7 @@ pub struct SystemReport {
 /// construction and the query cache is internally synchronized, so one
 /// instance behind an `Arc` serves concurrent query threads.
 ///
-/// Every engine serves one validated OCTA v5 artifact through the
+/// Every engine serves one validated OCTA v6 artifact through the
 /// zero-copy views of [`crate::offline::view`]: heap bytes it encoded (or
 /// read from its cache directory), or a memory-mapped cache file
 /// ([`Octopus::open_mapped`]). The backing is operational only — startup
@@ -347,14 +347,15 @@ impl Octopus {
     }
 
     /// The engine a flush swaps in for this one, over `graph` (this graph
-    /// with a batch applied): this artifact is the only donor, and `dirty`
-    /// (the id-stable batch's [`octopus_graph::delta::reweighted_targets`])
-    /// screens PIKS worlds. `cache_dir` is written; only a `mapped` flush
-    /// reads it, to map an exact file a replica already wrote.
+    /// with a batch applied): this artifact is the only donor. When `graph`
+    /// keeps every edge id of this one, PIKS worlds are screened by the
+    /// coin flips of the edges whose maximum moved
+    /// ([`octopus_graph::delta::max_shifts`]), otherwise by footprint hash.
+    /// `cache_dir` is written; only a `mapped` flush reads it, to map an
+    /// exact file a replica already wrote.
     pub(crate) fn rebuild(
         &self,
         graph: TopicGraph,
-        dirty: Option<&[bool]>,
         cache_dir: Option<&Path>,
         mapped: bool,
     ) -> Result<Self> {
@@ -364,11 +365,10 @@ impl Octopus {
         if let Some(art) = mapped_dir.and_then(|d| inputs.map(d, false)) {
             return Ok(Self::assemble(inputs, art, true));
         }
-        // a row the batch emptied drops its edge, shifting every later id
-        let dirty = dirty.filter(|_| inputs.graph.edge_count() == self.graph.edge_count());
         let t_screen = Instant::now();
         let (keys, graph, config) = (&inputs.keys, &inputs.graph, &inputs.config);
-        let slots = persist::load_live(&self.art, keys, graph, config, dirty);
+        let shifts = octopus_graph::delta::max_shifts(&self.graph, graph);
+        let slots = persist::load_live(&self.art, keys, graph, config, shifts.as_deref());
         let gathered = Gathered::Live(t_screen.elapsed());
         let remap = mapped.then_some(false);
         Self::rebuild_tail(inputs, slots, gathered, cache_dir, remap, t0)
@@ -437,7 +437,7 @@ impl Octopus {
     }
 
     /// Open the engine in **mapped mode**: serve queries zero-copy off a
-    /// memory-mapped OCTA v5 artifact instead of decoding it onto the heap.
+    /// memory-mapped OCTA v6 artifact instead of decoding it onto the heap.
     ///
     /// Fast path: when `cache_dir` holds a complete artifact whose combined
     /// fingerprint and every per-stage key match these exact inputs, the
@@ -465,9 +465,8 @@ impl Octopus {
     }
 
     /// [`Octopus::open_mapped`] with every section checksum verified up
-    /// front (the `--paranoid` flag of `exp_runner`): damage anywhere in
-    /// the file fails the mapped open instead of the first query touching
-    /// the damaged section.
+    /// front: damage anywhere in the file fails the mapped open instead of
+    /// the first query touching the damaged section.
     pub fn open_mapped_paranoid(
         graph: TopicGraph,
         model: TopicModel,

@@ -332,10 +332,10 @@ impl BoundEstimator for PrecompBound {
 }
 
 // ---------------------------------------------------------------------------
-// v5 per-topic flat layout of the pb-bound units (zero-copy mapped read path)
+// v6 per-topic flat layout of the pb-bound units (zero-copy mapped read path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `pb-bound` OCTA v5 unit: `present u64` (0 or 1),
+/// Encode one topic's `pb-bound` OCTA v6 unit: `present u64` (0 or 1),
 /// then — when present — `safety f64 | n u64 | row n × f64` with `σ̂_z(u)`
 /// at byte `24 + u·8`. Every field is 8-aligned relative to the (8-aligned)
 /// section start, so a mapped reader serves `upper_bound` straight off the
@@ -370,7 +370,7 @@ pub struct PbTableView<'a> {
 }
 
 impl<'a> PbTableView<'a> {
-    /// Parse and structurally validate one topic's v5 `pb-bound` payload
+    /// Parse and structurally validate one topic's v6 `pb-bound` payload
     /// into `Ok(None)` (persisted absent) or `Ok(Some((safety, row_bytes)))`.
     /// Validation is O(1): the row length must match the graph exactly,
     /// after which every read is in bounds by construction.
@@ -416,7 +416,7 @@ impl<'a> PbTableView<'a> {
         }
     }
 
-    /// Assemble the view from every topic's v5 unit payload (canonical
+    /// Assemble the view from every topic's v6 unit payload (canonical
     /// ascending topic order). Returns `Ok(None)` when all units are
     /// persisted-absent; mixed presence or a bitwise `safety` disagreement
     /// across units fails closed — a valid writer never produces either.

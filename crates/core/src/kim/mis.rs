@@ -118,11 +118,11 @@ impl MisKim {
 }
 
 // ---------------------------------------------------------------------------
-// v5 per-topic flat layout of the mis-tables units (zero-copy mapped read
+// v6 per-topic flat layout of the mis-tables units (zero-copy mapped read
 // path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `mis-tables` OCTA v5 unit: `present u64` (0 or 1),
+/// Encode one topic's `mis-tables` OCTA v6 unit: `present u64` (0 or 1),
 /// then — when present —
 ///
 /// ```text
@@ -177,7 +177,7 @@ pub struct MisView<'a> {
 }
 
 impl<'a> MisView<'a> {
-    /// Parse and structurally validate one topic's v5 `mis-tables` payload
+    /// Parse and structurally validate one topic's v6 `mis-tables` payload
     /// into `Ok(None)` (persisted absent) or the validated unit. Checks the
     /// exact unit length, strict id sortedness, and id bounds.
     fn parse_topic_inner(
@@ -243,7 +243,7 @@ impl<'a> MisView<'a> {
         }))
     }
 
-    /// Assemble the view from every topic's v5 unit payload (canonical
+    /// Assemble the view from every topic's v6 unit payload (canonical
     /// ascending topic order). Returns `Ok(None)` when all units are
     /// persisted-absent; mixed presence fails closed — a valid writer
     /// never produces it.
@@ -357,7 +357,7 @@ mod tests {
         MisKim::build(&two_topic_hubs(), 5, 3000, 42)
     }
 
-    /// The tables' per-topic v5 units, as the artifact stores them.
+    /// The tables' per-topic v6 units, as the artifact stores them.
     fn units(m: &MisKim) -> Vec<bytes::BytesMut> {
         m.gains()
             .iter()

@@ -69,14 +69,14 @@
 //!
 //! Determinism (above) is what makes the artifacts *cacheable*: each stage
 //! is a pure function of the inputs it reads, so [`persist`] serializes
-//! [`OfflineArtifacts`] into an **OCTA v5 sectioned container** — one
+//! [`OfflineArtifacts`] into an **OCTA v6 sectioned container** — one
 //! independently keyed, independently checksummed section per work unit,
 //! each unit's [`persist::StageKeys`] entry hashing only that unit's input
 //! slice. The three weight-dependent stages are **topic-granular**: the
 //! cap, PB, and MIS payloads are split into one sub-section per topic,
 //! keyed on [`octopus_graph::codec::hash_weights_topic`] (MIS ignores
 //! names; autocomplete ignores weights; each PIKS world is keyed on the
-//! edge set its reverse BFS touched), so a delta confined to topic-`z`
+//! in-edges its reverse BFS examined and their superset coin bits), so a delta confined to topic-`z`
 //! edges invalidates exactly topic `z`'s cap/PB/MIS units. The byte-level
 //! format is specified normatively in `ARCHITECTURE.md` and summarized in
 //! the [`persist`] module docs. Stage timings are telemetry, not artifact
@@ -100,7 +100,7 @@
 //! end-to-end restart tests.
 //!
 //! The engine never serves these owned structures: it encodes them once
-//! and serves the OCTA v5 bytes through the zero-copy views of [`view`] —
+//! and serves the OCTA v6 bytes through the zero-copy views of [`view`] —
 //! the same readers a memory-mapped cache file is served through, which
 //! skips this pipeline (and any decode work) entirely.
 

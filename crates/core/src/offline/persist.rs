@@ -18,7 +18,7 @@
 //! | `pb-bound` | one per topic | topic-`z` weight slice, `mia_theta`, `pb_safety`, enabled | renames, reseeds, foreign-topic deltas |
 //! | `mis-tables` | one per topic | topic-`z` weight slice, `k_max`, `mis_rr_per_topic`, seed, enabled | renames, foreign-topic deltas |
 //! | `topic-samples` | one | topology, weights, kim-variant, `k_max`, bounds params, seed | renames, `direct_eps` tuning |
-//! | `piks-worlds` | one (worlds inside) | `(n, world seed)` + a per-world footprint | any delta outside a world's BFS footprint |
+//! | `piks-worlds` | one (worlds inside) | `(n, world seed)` + a per-world footprint | any delta that flips no superset coin bit of a world's BFS footprint |
 //! | `autocomplete` | one | names + out-degrees | weight nudges, reseeds |
 //!
 //! The topic-`z` weight slice hash is
@@ -26,19 +26,23 @@
 //! universe and topic count); `topology`/`weights`/names are the
 //! whole-graph [`octopus_graph::codec`] input-slice hashes. The PIKS
 //! section goes one level deeper still: each stored world carries a
-//! [`crate::piks::footprint_hash`] over the edge set its reverse BFS
-//! touched, so a k-edge delta rebuilds only the worlds that actually saw
-//! those edges — and a weight nudge confined to topic-`z` edges rebuilds
-//! only topic `z`'s cap/PB/MIS units plus those worlds.
+//! [`crate::piks::footprint_hash`] — the structural key of everything its
+//! reverse BFS read: reached nodes, their in-edges, and each in-edge's
+//! superset coin bit — so a k-edge delta rebuilds only the worlds in which
+//! one of those edges flipped its bit (or shifted its id), and a weight
+//! nudge confined to topic-`z` edges rebuilds only topic `z`'s cap/PB/MIS
+//! units plus those worlds.
 //!
-//! ## File format (OCTA v5, little-endian)
+//! ## File format (OCTA v6, little-endian)
 //!
 //! The normative byte-level specification lives in `ARCHITECTURE.md`
-//! (§"The OCTA v5 artifact container") and is pinned against this codec by
-//! the `octa_format` integration test. Summary:
+//! (§"The OCTA v6 artifact container") and is pinned against this codec by
+//! the `octa_format` integration test. v6 differs from v5 only in what a
+//! PIKS world's stored footprint means (the structural key above, where v5
+//! hashed raw probability rows). Summary:
 //!
 //! ```text
-//! magic "OCTA" | version u16 = 5 | pad u16 = 0
+//! magic "OCTA" | version u16 = 6 | pad u16 = 0
 //! graph_fp u64 | config_fp u64 | seed u64      ← combined key (file name / diagnostics)
 //! write_seq u64                                ← per-directory write sequence (prune order)
 //! section_count u32 | pad u32 = 0              ← count = 3·Z + 3
@@ -65,8 +69,8 @@
 //! the damaged unit misses, the intact ones (including the other topics of
 //! the same stage) are still reused. On the decode path checksums are
 //! verified before decoding; the mapped path defers them per section to
-//! first touch ([`wire::section_range`] frames without hashing). A v1–v4
-//! file fails the version check and is migrated by rebuild — the v5 writer
+//! first touch ([`wire::section_range`] frames without hashing). A v1–v5
+//! file fails the version check and is migrated by rebuild — the v6 writer
 //! then replaces it for the same inputs under the same cache-file name
 //! scheme.
 //!
@@ -95,13 +99,14 @@ use crate::kim::topic_sample::TopicSample;
 use crate::kim::MisKim;
 use crate::piks::InfluencerIndex;
 use bytes::{Buf, BufMut, BytesMut};
+use octopus_graph::delta::MaxShift;
 use octopus_graph::wire::{self, Fnv64, SectionEntry, WireError};
 use octopus_graph::{codec as graph_codec, NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
 use std::path::{Path, PathBuf};
 
 pub(crate) const MAGIC: &[u8; 4] = b"OCTA";
-pub(crate) const VERSION: u16 = 5;
+pub(crate) const VERSION: u16 = 6;
 /// Bytes before the section table: magic + version + pad + 3 fingerprint
 /// words + write sequence + section count + pad. 8-aligned by design so
 /// the table (40-byte entries) and the first payload stay 8-aligned.
@@ -323,7 +328,9 @@ fn bound_tag(b: BoundKind) -> u32 {
 /// * a **reseed** moves only `mis`/`samples`/`piks` (the randomized stages);
 /// * an **edge insert** moves the units of the topics its probability
 ///   payload carries, `samples`, and — via per-world footprints over the
-///   shifted edge ids — exactly the PIKS worlds that saw the change.
+///   shifted edge ids — exactly the PIKS worlds that saw the change;
+///   a weight change moves a world's footprint only where it flips a
+///   superset coin bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKeys {
     /// `spread-cap` per-topic unit keys.
@@ -441,7 +448,7 @@ fn topic_samples_key(topology: u64, weights: u64, config: &OctopusConfig) -> u64
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Serialize `artifacts` as an OCTA v5 sectioned container stamped with the
+/// Serialize `artifacts` as an OCTA v6 sectioned container stamped with the
 /// combined key `fp`, the per-unit `keys`, and the cache directory's
 /// `write_seq` (see [`prune`]; callers outside a cache directory may pass
 /// any value — the sequence never gates reuse).
@@ -649,27 +656,29 @@ pub fn load_sections(
 
 /// Salvage every reusable stage output from the live epoch's artifact, the
 /// one donor a flush reads: sections read as a query reads them (a damaged
-/// one donates nothing), PIKS worlds screened by `dirty` when it is set.
+/// one donates nothing), PIKS worlds screened by coin flips when `shifts`
+/// is set ([`crate::piks::PiksReuse::screen`]).
 pub(crate) fn load_live(
     live: &MappedArtifacts,
     keys: &StageKeys,
     graph: &TopicGraph,
     config: &OctopusConfig,
-    dirty: Option<&[bool]>,
+    shifts: Option<&[MaxShift]>,
 ) -> ReuseSlots {
     let (mut slots, mut timings) = (ReuseSlots::default(), LoadTimings::default());
-    let donor = Donor::Live(live, dirty);
+    let donor = Donor::Live(live, shifts);
     // a validated artifact's table is sound: nothing here can fail
     load_sections_into(donor, keys, graph, config, &mut slots, &mut timings).ok();
     slots
 }
 
 /// A cache file's bytes (payloads checksummed as read), or the live epoch's
-/// artifact (payloads through its sticky verification) and dirty mask.
+/// artifact (payloads through its sticky verification) and the maxima the
+/// flush moved, when it kept every edge id.
 #[derive(Clone, Copy)]
 enum Donor<'a> {
     File(&'a [u8]),
-    Live(&'a MappedArtifacts, Option<&'a [bool]>),
+    Live(&'a MappedArtifacts, Option<&'a [MaxShift]>),
 }
 
 /// [`load_sections`], but accumulating into `slots` and decoding **only
@@ -688,7 +697,7 @@ fn load_sections_into(
     timings: &mut LoadTimings,
 ) -> Result<bool, PersistError> {
     let t_validate = std::time::Instant::now();
-    let (entries, dirty) = match donor {
+    let (entries, shifts) = match donor {
         Donor::File(raw) => {
             let section_count = read_section_count(raw)?; // validates magic + version
             let mut table = &raw[HEADER_LEN..];
@@ -699,7 +708,7 @@ fn load_sections_into(
                 .collect::<Result<Vec<_>, _>>()?;
             (entries, None)
         }
-        Donor::Live(live, dirty) => (live.entries().cloned().collect(), dirty),
+        Donor::Live(live, shifts) => (live.entries().cloned().collect(), shifts),
     };
     timings.validate += t_validate.elapsed();
 
@@ -763,7 +772,7 @@ fn load_sections_into(
             SECTION_PIKS => {
                 let piks = slots.piks.get_or_insert_default();
                 salvaged |= piks
-                    .screen(payload, graph, dirty)
+                    .screen(payload, graph, shifts)
                     .is_ok_and(|filled| filled > 0);
             }
             SECTION_NAMES => {
@@ -1660,16 +1669,17 @@ mod tests {
     #[test]
     fn lookup_unions_piks_worlds_across_donor_epochs() {
         // two past epochs nudged different edges; for the live graph each
-        // donor's valid worlds are the ones whose footprint missed its
-        // nudge — lookup must union them, not keep the single best donor
+        // donor's valid worlds are the ones in which its nudge flipped no
+        // coin — lookup must union them, not keep the single best donor
         let g = tiny_graph();
         let cfg = config(KimEngineChoice::Mis);
         let dir = std::env::temp_dir().join("octopus_persist_union_epochs");
         std::fs::remove_dir_all(&dir).ok();
         let e_a = g.find_edge(NodeId(0), NodeId(2)).unwrap();
         let e_b = g.find_edge(NodeId(1), NodeId(8)).unwrap();
+        let mut epochs = Vec::new();
         for victim in [e_a, e_b] {
-            let epoch = delta::nudge_weights(&g, &[victim], 0.07).unwrap();
+            let epoch = delta::nudge_weights(&g, &[victim], 0.3).unwrap();
             let fp = Fingerprint::compute(&epoch, &cfg);
             let keys = StageKeys::compute(&epoch, &cfg);
             save(
@@ -1679,32 +1689,34 @@ mod tests {
                 &fp.cache_path(&dir),
             )
             .unwrap();
+            epochs.push((victim, epoch));
         }
         let fp = Fingerprint::compute(&g, &cfg);
         let keys = StageKeys::compute(&g, &cfg);
         let found = lookup(&dir, &fp, &keys, &g, &cfg);
         assert_eq!(found.sources.len(), 2, "both epochs must donate");
-        let reference = InfluencerIndex::build(
-            &g,
-            cfg.piks_index_size,
-            cfg.seed ^ super::super::PIKS_WORLD_SEED_XOR,
-        );
-        // a world survives via donor A unless it reached node 2 (edge e_a's
-        // target), via donor B unless it reached node 8 — the union covers
-        // every world that avoided at least one of the two nudges
+        let seed = cfg.seed ^ super::super::PIKS_WORLD_SEED_XOR;
+        let reference = InfluencerIndex::build(&g, cfg.piks_index_size, seed);
+        // a donor's world is stale iff it holds its victim's target and the
+        // victim's coin lies between the donor's and the live maximum
+        let coins = octopus_cascade::EdgeCoins::worlds(seed, reference.len());
+        let stale = |j: usize, (victim, epoch): &(octopus_graph::EdgeId, TopicGraph)| {
+            let (_, target) = g.edge_endpoints(*victim).unwrap();
+            let c = coins[j].coin(*victim);
+            reference.world_nodes(j).contains(&target.0)
+                && (c < g.edge_prob_max(*victim) as f64)
+                    != (c < epoch.edge_prob_max(*victim) as f64)
+        };
+        let stale_a = (0..reference.len())
+            .filter(|&j| stale(j, &epochs[0]))
+            .count();
         let expected = (0..reference.len())
-            .filter(|&j| {
-                let nodes = reference.world_nodes(j);
-                !nodes.contains(&2) || !nodes.contains(&8)
-            })
+            .filter(|&j| !stale(j, &epochs[0]) || !stale(j, &epochs[1]))
             .count();
         let piks = found.slots.piks.as_ref().expect("worlds salvaged");
         assert_eq!(piks.available_in(cfg.piks_index_size), expected);
         assert!(
-            expected
-                > (0..reference.len())
-                    .filter(|&j| !reference.world_nodes(j).contains(&2))
-                    .count(),
+            expected > reference.len() - stale_a,
             "the union must beat the best single donor"
         );
         // and the merged slots still reassemble bit-identically
@@ -1796,7 +1808,7 @@ mod tests {
         };
         let nudge = |g: &TopicGraph, (s, t): (u32, u32)| {
             let e = g.find_edge(NodeId(s), NodeId(t)).unwrap();
-            delta::nudge_weights(g, &[e], 0.03).unwrap()
+            delta::nudge_weights(g, &[e], 0.3).unwrap()
         };
         let victims = [
             (0, 2),
@@ -1953,7 +1965,7 @@ mod tests {
             .unwrap();
     }
 
-    /// A header-only v5 container carrying `write_seq` (zero sections —
+    /// A header-only v6 container carrying `write_seq` (zero sections —
     /// structurally valid, enough for the prune ordering to read).
     fn write_header_only(path: &Path, write_seq: u64) {
         let mut raw = Vec::with_capacity(HEADER_LEN);

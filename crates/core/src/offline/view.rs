@@ -1,10 +1,10 @@
 //! Zero-copy artifacts: every engine serves queries straight off one
-//! validated OCTA v5 container — memory-mapped from its cache file, or held
+//! validated OCTA v6 container — memory-mapped from its cache file, or held
 //! on the heap — instead of decoding it into owned structures.
 //!
 //! ## Why
 //!
-//! The v5 layout needs no decode step: sections are flat, fixed-width,
+//! The v6 layout needs no decode step: sections are flat, fixed-width,
 //! 8-aligned, and offset-indexed, so the operators read `from_le_bytes`
 //! straight off the bytes. [`open`] maps a cache file and validates it —
 //! header, section table, and only the sections that are small or
@@ -38,8 +38,9 @@
 //! [`MappedArtifacts::piks_view`]), recorded in a sticky per-section state:
 //! a section that fails verification fails every subsequent touch with
 //! [`CoreError::Artifact`] — the engine fails closed rather than serving
-//! from damaged bytes. Opening with `paranoid = true` verifies every
-//! checksum up front instead (the `--paranoid` flag of `exp_runner`).
+//! from damaged bytes. Opening with `paranoid = true`
+//! ([`crate::engine::Octopus::open_mapped_paranoid`]) verifies every
+//! checksum up front instead.
 //!
 //! A mapped open serves only a **complete, exact** file: same combined
 //! fingerprint, every stage key equal. Merging donor sections across files
@@ -136,7 +137,7 @@ impl Drop for MapInner {
     }
 }
 
-/// A complete, validated OCTA v5 artifact served zero-copy — off a file
+/// A complete, validated OCTA v6 artifact served zero-copy — off a file
 /// mapping ([`open`]) or off heap bytes the engine encoded or read.
 ///
 /// Every engine holds one of these and reconstructs per-query views through
@@ -203,7 +204,7 @@ pub fn is_mapped(path: &Path) -> bool {
 // Open
 // ---------------------------------------------------------------------------
 
-/// Map `path` and validate it as a complete OCTA v5 artifact for exactly
+/// Map `path` and validate it as a complete OCTA v6 artifact for exactly
 /// these inputs (see the module docs for what "validate" touches; with
 /// `paranoid` every section checksum is verified up front).
 ///
@@ -229,7 +230,7 @@ pub fn open(
 }
 
 /// Validate heap bytes — encoded by this process, or read and checksummed
-/// by [`persist::lookup`] — as a complete OCTA v5 artifact for exactly these
+/// by [`persist::lookup`] — as a complete OCTA v6 artifact for exactly these
 /// inputs. Every section enters verified; the structural checks are
 /// [`open`]'s.
 pub(crate) fn from_bytes(

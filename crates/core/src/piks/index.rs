@@ -22,13 +22,14 @@
 //! the spread of a target `u` is then the classic RR estimate
 //! `n/R · #{j : u ∈ live_j}`.
 //!
-//! Queries read the serialized index — the OCTA v5 `piks-worlds` section —
+//! Queries read the serialized index — the OCTA v6 `piks-worlds` section —
 //! through the zero-copy [`PiksWorldsView`] and its [`PiksSession`]; the
 //! owned [`InfluencerIndex`] is the build (and incremental-rebuild) form.
 
 use bytes::BufMut;
 use octopus_cascade::{stream_seed, EdgeCoins};
-use octopus_graph::wire::{self, WireError};
+use octopus_graph::delta::MaxShift;
+use octopus_graph::wire::{self, Fnv64, WireError};
 use octopus_graph::{EdgeId, NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
 use rayon::prelude::*;
@@ -80,45 +81,49 @@ pub struct InfluencerIndex {
 /// derive from the untagged seed in [`EdgeCoins::worlds`]).
 const ROOT_STREAM_TAG: u64 = 0x5EED_2007_D00D_1DE5;
 
-/// Hash of everything one world's construction and evaluation read from the
-/// graph: for every node of the world's sub-DAG (in BFS discovery order),
-/// the node's global id and its full in-edge list — source id, [`EdgeId`]
-/// (the coin input), and the edge's sparse topic-probability row (which
-/// determines both the build-time `max_z pp^z_e` superset test and the
-/// query-time `pp_e(γ)` liveness test).
+/// The structural key of one world: everything its construction BFS reads
+/// from the graph. For every node of the world's sub-DAG, in BFS discovery
+/// order: the node's global id, then for each of its in-edges the source
+/// id, the [`EdgeId`] (the coin input) and the superset bit
+/// `coins.is_live(e, max_z pp^z_e)`.
 ///
 /// This is the world's incremental-rebuild key. The reverse BFS only ever
-/// expands through in-edges of nodes it has reached, so if this hash is
-/// unchanged on a *new* graph, rebuilding the world there would reproduce
-/// the stored sample bit for bit (given the same root and coins, which are
-/// keyed separately on `(seed, n, j)`); and any graph delta the world's
-/// construction or evaluation could observe — a new in-edge on a reached
-/// node, a weight change, an edge-id shift — moves it.
-pub fn footprint_hash(graph: &TopicGraph, nodes: &[u32]) -> u64 {
-    let mut h = octopus_graph::wire::Fnv64::new();
-    h.write(b"octa:piks-world");
+/// expands through in-edges of nodes it has reached, and it reads an edge's
+/// weights only through that bit, so if this hash is unchanged on a *new*
+/// graph, rebuilding the world there reproduces the stored sample bit for
+/// bit (the root and coins are keyed separately on `(seed, n, j)`). A new
+/// in-edge on a reached node, an edge-id shift or a flipped bit moves it; a
+/// weight change that flips no bit does not, since queries read `pp_e(γ)`
+/// from the live graph anyway.
+pub fn footprint_hash(graph: &TopicGraph, nodes: &[u32], coins: EdgeCoins) -> u64 {
+    let mut key = footprint_key();
     for &g in nodes {
-        h.write_u32(g);
+        key.write_u32(g);
         for (u, e) in graph.in_edges(NodeId(g)) {
-            h.write_u32(u.0);
-            h.write_u32(e.0);
-            for (z, p) in graph.edge_topic_probs(e) {
-                h.write_u16(z.0);
-                h.write_f32(p);
-            }
+            let live = coins.is_live(e, graph.edge_prob_max(e) as f64);
+            key.write_u32(u.0).write_u32(e.0).write_u8(live as u8);
         }
     }
-    h.finish()
+    key.finish()
+}
+
+/// A [`footprint_hash`] before its first node.
+fn footprint_key() -> Fnv64 {
+    let mut key = Fnv64::new();
+    key.write(b"octa:piks-world");
+    key
 }
 
 /// Build one world: pick the root from the world's index-derived stream and
-/// reverse-BFS the max-probability superset DAG.
+/// reverse-BFS the max-probability superset DAG, hashing its
+/// [`footprint_hash`] on the way.
 fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sample {
     let n = graph.node_count();
     // root: uniform from the world's own stream (stable under parallelism,
     // decorrelated from the world's coin stream by the tag)
     let root = NodeId(((stream_seed(seed ^ ROOT_STREAM_TAG, j) >> 11) % n as u64) as u32);
     let mut edges_examined = 0usize;
+    let mut key = footprint_key();
     // reverse BFS in the max-probability world; membership is tracked in
     // the sorted `local_ids` list (no shared visited array — each world
     // builds independently, possibly on its own thread)
@@ -130,10 +135,12 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         let v = NodeId(nodes[head]);
         let v_local = head as u32;
         head += 1;
+        key.write_u32(v.0);
         for (u, e) in graph.in_edges(v) {
             edges_examined += 1;
-            let pmax = graph.edge_prob_max(e) as f64;
-            if !coins.is_live(e, pmax) {
+            let live = coins.is_live(e, graph.edge_prob_max(e) as f64);
+            key.write_u32(u.0).write_u32(e.0).write_u8(live as u8);
+            if !live {
                 continue;
             }
             let u_local = match local_ids.binary_search_by_key(&u.0, |&(g, _)| g) {
@@ -159,7 +166,6 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         in_edges.extend_from_slice(le);
         in_offsets.push(in_edges.len() as u32);
     }
-    let footprint = footprint_hash(graph, &nodes);
     Sample {
         root,
         coins,
@@ -167,7 +173,7 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         local_of: local_ids,
         in_offsets,
         in_edges,
-        footprint,
+        footprint: key.finish(),
         edges_examined,
     }
 }
@@ -177,10 +183,10 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
 /// [`InfluencerIndex::build_with_reuse`].
 ///
 /// Slot `j` is `Some` iff some screened donor stored a world `j` that
-/// decoded cleanly **and** whose stored [`footprint_hash`] matches the hash
-/// recomputed over the live graph — i.e. rebuilding that world now would
-/// reproduce the stored bytes. Worlds whose BFS footprint intersects a
-/// graph delta stay `None` and are rebuilt. Reuse is positional (world `j`
+/// decoded cleanly **and** that rebuilding now would reproduce byte for
+/// byte: its stored [`footprint_hash`] matches the live one, or no edge of
+/// its footprint flipped its superset bit. Worlds a graph delta reached
+/// stay `None` and are rebuilt. Reuse is positional (world `j`
 /// is the same `(seed, j)` derivation in every donor whose section key
 /// matched), so screening several donors into one accumulator takes their
 /// union: two deltas that invalidated disjoint world sets in different
@@ -189,7 +195,8 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
 pub struct PiksReuse {
     slots: Vec<Option<Sample>>,
     /// Per world `j`, the live footprints computed so far, keyed by the
-    /// stored node list they were computed over (all a footprint reads).
+    /// stored node list they were computed over (all a footprint reads
+    /// besides world `j`'s coins, which the section key fixes).
     live_footprints: Vec<Vec<(Vec<u32>, u64)>>,
 }
 
@@ -234,10 +241,12 @@ impl PiksReuse {
     /// examined world gets the full structural checks; any failure is an
     /// error and the donor fills nothing (fills commit only once the whole
     /// section screened cleanly). A sound world must then have its ids
-    /// inside `graph`, and then either none of its stored nodes set in
-    /// `dirty` — the nodes whose in-edge rows differ from the donor's graph
-    /// ([`octopus_graph::delta::reweighted_targets`]), all its footprint
-    /// reads, so no hash is computed — or, without a mask, a stored
+    /// inside `graph`, and then either — given `shifts`, the edges whose
+    /// maximum moved from the donor's graph to an id-stable `graph`
+    /// ([`octopus_graph::delta::max_shifts`]) — no shifted edge that both
+    /// flips its superset bit under the world's coins and targets a stored
+    /// node (nothing else the BFS reads changed, so the stored footprint is
+    /// already the live one and no hash is computed), or a stored
     /// [`footprint_hash`] equal to the live one, computed at most once per
     /// (world, stored node list) over the accumulator's lifetime (so every
     /// `screen` into one accumulator must pass the same live graph). A
@@ -246,7 +255,7 @@ impl PiksReuse {
         &mut self,
         raw: &[u8],
         graph: &TopicGraph,
-        dirty: Option<&[bool]>,
+        shifts: Option<&[MaxShift]>,
     ) -> Result<usize, WireError> {
         let view = PiksWorldsView::parse(raw)?;
         if view.n() != graph.node_count() {
@@ -261,9 +270,14 @@ impl PiksReuse {
             let Some(nodes) = checked_nodes(j, &wv, graph)? else {
                 continue;
             };
-            let reusable = match dirty {
-                Some(dirty) => nodes.iter().all(|&g| dirty.get(g as usize) == Some(&false)),
-                None => self.live_footprint(j, &nodes, graph) == wv.footprint(),
+            let coins = EdgeCoins::new(wv.coin_seed());
+            let reusable = match shifts {
+                Some(shifts) => !shifts.iter().any(|s| {
+                    let flipped =
+                        coins.is_live(s.edge, s.old as f64) != coins.is_live(s.edge, s.new as f64);
+                    flipped && wv.local(s.target).is_some()
+                }),
+                None => self.live_footprint(j, coins, &nodes, graph) == wv.footprint(),
             };
             if reusable {
                 let w = nodes.len();
@@ -271,7 +285,7 @@ impl PiksReuse {
                     j,
                     Sample {
                         root: NodeId(nodes[0]),
-                        coins: EdgeCoins::new(wv.coin_seed()),
+                        coins,
                         local_of: (0..w).map(|i| wv.local_pair(i)).collect(),
                         in_offsets: (0..=w).map(|i| wv.in_offset(i)).collect(),
                         in_edges: (0..wv.edge_count()).map(|k| wv.in_edge(k)).collect(),
@@ -292,9 +306,15 @@ impl PiksReuse {
         Ok(filled)
     }
 
-    /// [`footprint_hash`] of `nodes` over the live graph, memoized per
-    /// world.
-    fn live_footprint(&mut self, j: usize, nodes: &[u32], graph: &TopicGraph) -> u64 {
+    /// [`footprint_hash`] of world `j`'s `nodes` over the live graph,
+    /// memoized per world.
+    fn live_footprint(
+        &mut self,
+        j: usize,
+        coins: EdgeCoins,
+        nodes: &[u32],
+        graph: &TopicGraph,
+    ) -> u64 {
         if self.live_footprints.len() <= j {
             self.live_footprints.resize_with(j + 1, Vec::new);
         }
@@ -302,7 +322,7 @@ impl PiksReuse {
         if let Some(&(_, fp)) = seen.iter().find(|(stored, _)| stored == nodes) {
             return fp;
         }
-        let fp = footprint_hash(graph, nodes);
+        let fp = footprint_hash(graph, nodes, coins);
         seen.push((nodes.to_vec(), fp));
         fp
     }
@@ -429,7 +449,7 @@ impl InfluencerIndex {
     /// size is also absent: worlds are keyed by `(seed, j)`, so a resize
     /// reuses the shared prefix.
     pub fn section_key(node_count: usize, seed: u64) -> u64 {
-        let mut h = octopus_graph::wire::Fnv64::new();
+        let mut h = Fnv64::new();
         h.write(b"octa:piks-index");
         h.write_u64(node_count as u64);
         h.write_u64(seed);
@@ -460,7 +480,7 @@ impl InfluencerIndex {
 
     /// Serialize the index into `buf` (the artifact-codec path).
     ///
-    /// Layout (the OCTA v5 `piks-worlds` section payload; normative spec in
+    /// Layout (the OCTA v6 `piks-worlds` section payload; normative spec in
     /// `ARCHITECTURE.md`). All fields little-endian; every world record
     /// starts 8-aligned and has a length that is a multiple of 8, so a
     /// memory-mapped file can serve queries straight off the bytes:
@@ -553,7 +573,7 @@ fn u32_at(raw: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(raw[off..off + 4].try_into().expect("framed by parse"))
 }
 
-/// Zero-copy view over a v5 `piks-worlds` section payload.
+/// Zero-copy view over a v6 `piks-worlds` section payload.
 ///
 /// [`PiksWorldsView::parse`] validates the *framing* in `O(R)` — the world
 /// offset table (8-aligned, strictly monotone, exactly spanning the
@@ -1058,27 +1078,94 @@ mod tests {
         assert_eq!(fresh, InfluencerIndex::build(&g, 64, 99));
     }
 
+    /// Per world of `idx` (built with master seed `seed`): whether some
+    /// in-edge of a stored node reads a different superset bit on `after`
+    /// than on `before`, from the coins themselves.
+    fn flipped_worlds(
+        idx: &InfluencerIndex,
+        seed: u64,
+        before: &TopicGraph,
+        after: &TopicGraph,
+    ) -> Vec<bool> {
+        let worlds = EdgeCoins::worlds(seed, idx.len());
+        (0..idx.len())
+            .map(|j| {
+                idx.world_nodes(j).iter().any(|&v| {
+                    before.in_edges(NodeId(v)).any(|(_, e)| {
+                        let c = worlds[j].coin(e);
+                        (c < before.edge_prob_max(e) as f64) != (c < after.edge_prob_max(e) as f64)
+                    })
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn weight_nudge_invalidates_exactly_touching_worlds() {
+    fn weight_nudge_invalidates_exactly_the_worlds_it_flips() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 200, 31);
         let frozen = idx.to_bytes();
-        // nudge the weight of hub→4; the footprint of a world covers the
-        // in-edges of its reached nodes, so exactly the worlds that
-        // reached node 4 must drop out
+        // nudge the weight of hub→4 (max .6 → .9): exactly the worlds that
+        // reached node 4 and whose coin for the edge lies in [.6, .9) drop
         let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
-        let g2 = octopus_graph::delta::nudge_weights(&g, &[victim], 0.07).unwrap();
+        let g2 = octopus_graph::delta::nudge_weights(&g, &[victim], 0.3).unwrap();
+        let flipped = flipped_worlds(&idx, 31, &g, &g2);
+        let expected: Vec<bool> = flipped.iter().map(|&f| !f).collect();
         let reuse = InfluencerIndex::load_reusable(&frozen[..], &g2).unwrap();
-        let expected: Vec<bool> = (0..idx.len())
-            .map(|j| !idx.world_nodes(j).contains(&4))
-            .collect();
         assert_eq!(reuse.reusable_worlds(), expected);
         assert!(reuse.available() > 0, "some worlds must survive");
-        assert!(reuse.available() < idx.len(), "some worlds must drop");
+        assert!(reuse.available() < idx.len(), "the nudge must flip a coin");
+        // a world holding node 4 whose coin the nudge did not cross survives
+        assert!((0..idx.len()).any(|j| expected[j] && idx.world_nodes(j).contains(&4)));
         // and the partial rebuild equals a from-scratch build on g2
         let (rebuilt, reused) = InfluencerIndex::build_with_reuse(&g2, 200, 31, &reuse);
         assert_eq!(reused, reuse.available());
         assert_eq!(rebuilt, InfluencerIndex::build(&g2, 200, 31));
+    }
+
+    #[test]
+    fn pmax_rounding_reads_the_same_bit_at_build_and_screen() {
+        // a world rooted at node 4 whose hub→4 coin lies above the edge's
+        // .6 maximum: the edge is dead there and the world is {4}
+        let g = hub_graph();
+        let (r, seed) = (200, 47);
+        let idx = InfluencerIndex::build(&g, r, seed);
+        let frozen = idx.to_bytes();
+        let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
+        let coins = EdgeCoins::worlds(seed, r);
+        let j = (0..r)
+            .find(|&j| idx.world_nodes(j) == [4] && coins[j].coin(victim) >= 0.6)
+            .expect("a world rooted at 4 with a dead hub edge");
+        let c = coins[j].coin(victim);
+        // the f32 just below the coin and the one just above it
+        let mut below = c as f32;
+        while below as f64 >= c {
+            below = below.next_down();
+        }
+        let above = below.next_up();
+        assert!((below as f64) < c && c < above as f64);
+        for (pmax, live) in [(below, false), (above, true)] {
+            let row = [(0, pmax as f64), (1, 0.1)];
+            let g2 = octopus_graph::delta::set_weights(&g, victim, &row).unwrap();
+            assert_eq!(
+                g2.edge_prob_max(victim),
+                pmax,
+                "the row stores the f32 exactly"
+            );
+            // the build reads the bit: a live edge pulls the hub in
+            let fresh = InfluencerIndex::build(&g2, r, seed);
+            let grown = fresh.world_nodes(j) != idx.world_nodes(j);
+            assert_eq!(grown, live, "build at pmax {pmax}");
+            // both screens read the same bit: reused iff the edge stayed dead
+            let shifts = octopus_graph::delta::max_shifts(&g, &g2).unwrap();
+            let mut by_coin = PiksReuse::default();
+            by_coin.screen(&frozen, &g2, Some(&shifts)).unwrap();
+            let by_hash = InfluencerIndex::load_reusable(&frozen, &g2).unwrap();
+            assert_eq!(by_coin.reusable_worlds()[j], !live, "coin screen at {pmax}");
+            assert_eq!(by_hash.reusable_worlds(), by_coin.reusable_worlds());
+            let (rebuilt, _) = InfluencerIndex::build_with_reuse(&g2, r, seed, &by_coin);
+            assert_eq!(rebuilt, fresh);
+        }
     }
 
     #[test]
@@ -1117,12 +1204,16 @@ mod tests {
     fn screen_unions_donors_and_commits_only_sound_sections() {
         let g = hub_graph();
         let (r, seed) = (64, 43);
-        let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
-        let live = octopus_graph::delta::nudge_weights(&g, &[victim], 0.07).unwrap();
+        // every hub edge .6 → .9: a leaf-rooted world rebuilds when its
+        // coin lies in [.6, .9)
+        let hub: Vec<EdgeId> = (1..=8)
+            .map(|v| g.find_edge(NodeId(0), NodeId(v)).unwrap())
+            .collect();
+        let live = octopus_graph::delta::nudge_weights(&g, &hub, 0.3).unwrap();
         let old = InfluencerIndex::build(&g, r, seed).to_bytes();
         let fresh = InfluencerIndex::build(&live, r, seed).to_bytes();
 
-        // the pre-nudge donor covers exactly the worlds that missed node 4
+        // the pre-nudge donor covers exactly the worlds no nudge flipped
         let mut acc = PiksReuse::default();
         let first = acc.screen(&old, &live, None).unwrap();
         let covered = acc.reusable_worlds();
@@ -1130,16 +1221,12 @@ mod tests {
         assert!(0 < first && first + 1 < r, "the nudge must leave 2+ gaps");
         // screening the same donor again fills nothing (memoized misses)
         assert_eq!(acc.screen(&old, &live, None).unwrap(), 0);
-        // the nudge rewrote a row, so the mask naming its target (node 4)
-        // reuses exactly what the hash screen reuses
-        let batch = [octopus_graph::delta::GraphDelta::NudgeWeights {
-            edges: vec![victim],
-            delta: 0.07,
-        }];
-        let dirty = octopus_graph::delta::reweighted_targets(&g, &batch).unwrap();
-        let mut by_mask = PiksReuse::default();
-        assert_eq!(by_mask.screen(&old, &live, Some(&dirty)).unwrap(), first);
-        assert_eq!(by_mask.reusable_worlds(), covered);
+        // the coin screen over the moved maxima reuses exactly what the
+        // hash screen reuses
+        let shifts = octopus_graph::delta::max_shifts(&g, &live).unwrap();
+        let mut by_coin = PiksReuse::default();
+        assert_eq!(by_coin.screen(&old, &live, Some(&shifts)).unwrap(), first);
+        assert_eq!(by_coin.reusable_worlds(), covered);
 
         // a malformed world the scan must examine: the donor fills nothing,
         // not even the sound uncovered worlds before it

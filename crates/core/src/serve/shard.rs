@@ -423,8 +423,7 @@ impl ShardedService {
         // batches are read against the running fold. The dominant batch
         // shape (id-stable nudges and renames) takes the coalesced
         // apply_all fast path with footprints off the base graph.
-        let dirty = delta::reweighted_targets(&base, batch);
-        let new_global = if dirty.is_some() {
+        let new_global = if delta::reweights_only(batch) {
             for d in batch {
                 self.touch(d, &base, &mut touched)?;
             }
@@ -444,12 +443,9 @@ impl ShardedService {
             .map(|&s| {
                 let shard = &self.shards[s];
                 let sub = induced(&new_global, &shard.to_original)?;
-                let local: Option<Vec<bool>> = dirty
-                    .as_ref()
-                    .map(|d| shard.to_original.iter().map(|u| d[u.index()]).collect());
                 let dir = self.cache_root.as_ref().map(|root| shard_dir(root, s));
                 let (live, dir) = (&shard.cell.load().engine, dir.as_deref());
-                let engine = live.rebuild(sub.graph, local.as_deref(), dir, self.mapped)?;
+                let engine = live.rebuild(sub.graph, dir, self.mapped)?;
                 Ok((s, engine.with_user_keywords(live.user_keywords().clone())))
             })
             .collect();

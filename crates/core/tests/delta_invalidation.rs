@@ -11,25 +11,31 @@
 //! * **weight nudge** → `spread-cap`/`pb-bound`/`mis-tables` rebuild **only
 //!   the topics in the delta's footprint** ([`GraphDelta::touched_topics`]),
 //!   `topic-samples` rebuilds (it reads the whole probability table),
-//!   `autocomplete` is reused, and exactly the PIKS worlds whose BFS
-//!   footprint contains the nudged edge rebuild;
+//!   `autocomplete` is reused, and exactly the PIKS worlds in which the
+//!   nudged edge's superset coin bit `c_e < max_z pp^z_e` flipped on a
+//!   stored node's in-edge rebuild;
 //! * **edge insert** → the weight stages rebuild exactly the topics carried
 //!   by the new edge's probability payload, and exactly the PIKS worlds
 //!   whose footprint contains a *changed* edge id rebuild (the new edge,
 //!   plus every edge whose dense id shifted).
 //!
-//! A serving flush rebuilds from the live epoch alone and, for an
-//! id-stable batch, screens PIKS worlds by the batch's rewritten targets
-//! instead of footprint hashes: that screen reuses a subset of what the
-//! hash screen reuses, and the flushed engine still serves a fresh build.
+//! A serving flush rebuilds from the live epoch alone and, for a batch
+//! that keeps every edge id, screens PIKS worlds by the coin flips of the
+//! edges whose maximum moved instead of footprint hashes: that screen
+//! reuses exactly what the hash screen reuses, and the flushed engine
+//! still serves a fresh build. Every expected rebuild set here is computed
+//! from `EdgeCoins::coin` directly.
 //!
 //! [`GraphDelta::touched_topics`]: octopus_graph::delta::GraphDelta::touched_topics
 
+use octopus_cascade::EdgeCoins;
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig, SystemReport};
 use octopus_core::kim::BoundKind;
 use octopus_core::offline::persist::{StageKeys, SECTION_PIKS};
 use octopus_core::offline::{self, PIKS_WORLD_SEED_XOR};
-use octopus_core::piks::{footprint_hash, InfluencerIndex, PiksReuse, PiksWorldsView};
+use octopus_core::piks::{
+    footprint_hash, InfluencerIndex, PiksReuse, PiksWorldView, PiksWorldsView,
+};
 use octopus_core::serve::OctopusService;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{delta, EdgeId, GraphBuilder, NodeId, TopicGraph};
@@ -105,11 +111,13 @@ proptest! {
         prop_assert_ne!(keys.names, base.names);
         // and the PIKS worlds themselves are footprint-stable: names are
         // not part of any world's footprint
-        let idx = InfluencerIndex::build(&g, 32, cfg.seed ^ PIKS_WORLD_SEED_XOR);
-        for j in 0..idx.len() {
+        let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
+        let idx = InfluencerIndex::build(&g, 32, seed);
+        let coins = EdgeCoins::worlds(seed, idx.len());
+        for (j, &coins) in coins.iter().enumerate() {
             prop_assert_eq!(
-                octopus_core::piks::footprint_hash(&g, idx.world_nodes(j)),
-                octopus_core::piks::footprint_hash(&renamed, idx.world_nodes(j)),
+                footprint_hash(&g, idx.world_nodes(j), coins),
+                footprint_hash(&renamed, idx.world_nodes(j), coins),
             );
         }
     }
@@ -249,17 +257,19 @@ proptest! {
         prop_assert_eq!(rebuilt, InfluencerIndex::build(&bigger, r, seed));
     }
 
-    /// The delta screen is the footprint screen, only cheaper: over random
-    /// id-stable batches (nudge / row-replacement / rename mixes) on the
-    /// citation fixture, the worlds a flush reuses because none of their
-    /// nodes is a rewritten edge's target are a subset of the worlds whose
-    /// footprint hash still matches, each of them *does* still match, the
-    /// flush takes exactly that set, and the flushed engine serves a fresh
-    /// build's bytes. A batch that empties a row drops that edge and shifts
-    /// every later id, so the flush must fall back to the hash screen.
+    /// The coin screen is the structural-hash screen, only cheaper: over
+    /// random batches of nudges, row replacements and renames on the
+    /// citation fixture, a flush that keeps every edge id reuses exactly
+    /// the worlds in which no in-edge of a stored node flipped its superset
+    /// coin bit — the set computed here from the coins, which equals the
+    /// hash screen's and contains the worlds the old node mask kept (no
+    /// rewritten edge targets a stored node) — and every reused world
+    /// equals a fresh world build on the new graph. A batch that empties a
+    /// row drops that edge and shifts every later id, so the flush takes
+    /// the hash screen; either way it serves a fresh build's bytes.
     #[test]
-    fn delta_screen_reuses_a_subset_of_the_footprint_screen(
-        ops in proptest::collection::vec((0usize..5, 0usize..64, 0.01f64..0.2), 1..6),
+    fn coin_screen_equals_the_structural_hash_screen(
+        ops in proptest::collection::vec((0usize..5, 0usize..64, 0.01f64..0.4), 1..6),
     ) {
         let (g, model) = citation_fixture();
         let cfg = config();
@@ -272,8 +282,8 @@ proptest! {
                 match kind {
                     0 => GraphDelta::NudgeWeights { edges: vec![edge], delta: p },
                     1 => GraphDelta::SetWeights { edge, probs: vec![(pick % 2, p)] },
-                    // a no-op rewrite: the delta screen rebuilds what the
-                    // hash screen would still reuse
+                    // a no-op rewrite: it moves no maximum, so no world
+                    // rebuilds (the old node mask rebuilt its target's)
                     2 => GraphDelta::SetWeights {
                         edge,
                         probs: g.edge_topic_probs(edge).map(|(z, p)| (z.index(), p as f64)).collect(),
@@ -289,27 +299,51 @@ proptest! {
             .collect();
         let live = Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
         let raw = piks_payload(&live);
-        let g1 = delta::apply_all(&g, &batch).unwrap();
-        let dirty = delta::reweighted_targets(&g, &batch).expect("no insert or remove");
-
-        let mut by_delta = PiksReuse::default();
-        by_delta.screen(&raw, &g1, Some(&dirty)).unwrap();
-        let mut by_hash = PiksReuse::default();
-        by_hash.screen(&raw, &g1, None).unwrap();
         let view = PiksWorldsView::parse(&raw).unwrap();
+        let g1 = delta::apply_all(&g, &batch).unwrap();
+        let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
+        let r = cfg.piks_index_size;
+        let by_hash = InfluencerIndex::load_reusable(&raw, &g1).unwrap();
         let id_stable = g1.edge_count() == g.edge_count();
-        for (j, (&d, &h)) in by_delta
-            .reusable_worlds()
-            .iter()
-            .zip(&by_hash.reusable_worlds())
-            .enumerate()
-            .filter(|_| id_stable)
-        {
-            prop_assert!(!d || h, "world {} reused by the delta screen only", j);
-            if d {
-                let wv = view.world(j);
-                let nodes: Vec<u32> = (0..wv.node_count()).map(|i| wv.node(i)).collect();
-                prop_assert_eq!(wv.footprint(), footprint_hash(&g1, &nodes));
+        let shifts = delta::max_shifts(&g, &g1);
+        prop_assert_eq!(shifts.is_some(), id_stable, "emptied rows shift ids");
+        if let Some(shifts) = shifts {
+            let mut by_coin = PiksReuse::default();
+            by_coin.screen(&raw, &g1, Some(&shifts)).unwrap();
+            // the oracle: no in-edge of a stored node reads another bit
+            let coins = EdgeCoins::worlds(seed, r);
+            let oracle: Vec<bool> = (0..r)
+                .map(|j| {
+                    world_nodes(&view.world(j)).iter().all(|&v| {
+                        g.in_edges(NodeId(v)).all(|(_, e)| {
+                            let c = coins[j].coin(e);
+                            (c < g.edge_prob_max(e) as f64) == (c < g1.edge_prob_max(e) as f64)
+                        })
+                    })
+                })
+                .collect();
+            prop_assert_eq!(by_coin.reusable_worlds(), oracle.clone());
+            prop_assert_eq!(by_hash.reusable_worlds(), oracle.clone());
+            // a superset of the old node mask: worlds holding no target of
+            // a rewritten edge
+            let mut targets = HashSet::new();
+            for d in &batch {
+                let edges = match d {
+                    GraphDelta::NudgeWeights { edges, .. } => edges.clone(),
+                    GraphDelta::SetWeights { edge, .. } => vec![*edge],
+                    _ => Vec::new(),
+                };
+                targets.extend(edges.iter().map(|&e| g.edge_endpoints(e).unwrap().1 .0));
+            }
+            for (j, &reused) in oracle.iter().enumerate() {
+                let masked = world_nodes(&view.world(j)).iter().any(|v| targets.contains(v));
+                prop_assert!(reused || masked, "world {} rebuilt outside the mask", j);
+            }
+            // every reused world is a fresh world build on the new graph
+            let fresh = InfluencerIndex::build(&g1, r, seed).to_bytes();
+            let fresh = PiksWorldsView::parse(&fresh).unwrap();
+            for j in (0..r).filter(|&j| oracle[j]) {
+                prop_assert_eq!(world_record(&view.world(j)), world_record(&fresh.world(j)));
             }
         }
 
@@ -317,17 +351,40 @@ proptest! {
         service.submit_all(batch);
         let report = service.apply_pending().unwrap().expect("a pending batch");
         let piks = report.stage_reuse.iter().find(|s| s.stage == "piks-worlds").unwrap();
-        let screened = if id_stable { &by_delta } else { &by_hash };
-        prop_assert_eq!(piks.reused, screened.available(), "id-stable: {}", id_stable);
+        prop_assert_eq!(piks.reused, by_hash.available(), "id-stable: {}", id_stable);
         assert_identical_to_fresh(&g1, &cfg, service.snapshot().engine(), "reweighting flush");
     }
 }
 
-/// A batch that inserts or removes an edge shifts edge ids, names no
-/// dirty-node set, and so takes the footprint-hash screen — over the live
-/// epoch alone — still serving a fresh build's bytes. So does a row
-/// replacement that empties a row: it names a set, but the builder drops
-/// the edge and every later id shifts.
+/// A stored world's node list, in BFS order.
+fn world_nodes(wv: &PiksWorldView<'_>) -> Vec<u32> {
+    (0..wv.node_count()).map(|i| wv.node(i)).collect()
+}
+
+/// Every field of a stored world record, as read through its view.
+fn world_record(wv: &PiksWorldView<'_>) -> Vec<u64> {
+    let (w, e) = (wv.node_count(), wv.edge_count());
+    let mut out = vec![wv.footprint(), wv.coin_seed(), wv.edges_examined() as u64];
+    out.extend([w as u64, e as u64]);
+    out.extend(world_nodes(wv).into_iter().map(u64::from));
+    out.extend(
+        (0..w)
+            .map(|i| wv.local_pair(i))
+            .flat_map(|(g, l)| [g as u64, l as u64]),
+    );
+    out.extend((0..=w).map(|i| wv.in_offset(i) as u64));
+    out.extend(
+        (0..e)
+            .map(|k| wv.in_edge(k))
+            .flat_map(|(s, e)| [s as u64, e.0 as u64]),
+    );
+    out
+}
+
+/// A batch that inserts or removes an edge shifts edge ids, so the flush
+/// takes the footprint-hash screen — over the live epoch alone — still
+/// serving a fresh build's bytes. So does a row replacement that empties a
+/// row: the builder drops the edge and every later id shifts.
 #[test]
 fn id_shifting_batches_take_the_footprint_screen() {
     let (g, model) = citation_fixture();
@@ -345,7 +402,7 @@ fn id_shifting_batches_take_the_footprint_screen() {
         },
     ];
     for shift in shifting {
-        let names_a_set = matches!(shift, GraphDelta::SetWeights { .. });
+        let reweights_only = matches!(shift, GraphDelta::SetWeights { .. });
         let batch = vec![
             GraphDelta::NudgeWeights {
                 edges: vec![EdgeId(1)],
@@ -353,11 +410,12 @@ fn id_shifting_batches_take_the_footprint_screen() {
             },
             shift,
         ];
-        assert_eq!(delta::reweighted_targets(&g, &batch).is_some(), names_a_set);
+        assert_eq!(delta::reweights_only(&batch), reweights_only);
         let live = Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
         let raw = piks_payload(&live);
         let g1 = delta::apply_all(&g, &batch).unwrap();
         assert_ne!(g1.edge_count(), g.edge_count(), "every batch shifts ids");
+        assert_eq!(delta::max_shifts(&g, &g1), None);
         let by_hash = InfluencerIndex::load_reusable(&raw, &g1).unwrap();
 
         let service = OctopusService::new(live);
@@ -452,11 +510,11 @@ fn reopen_after_delta_reuses_exactly_unchanged_stages() {
 
     // weight nudge on top of the rename, confined to one topic: the weight
     // stages rebuild exactly the nudged topic's units and reuse every other
-    // topic's, the trie (already cached for the renamed graph) and untouched
-    // worlds reuse
+    // topic's, the trie (already cached for the renamed graph) and every
+    // world whose coin the nudge did not cross reuse
     let shape = delta::GraphDelta::NudgeWeights {
         edges: vec![EdgeId(3)],
-        delta: 0.07,
+        delta: 0.3,
     };
     let touched = shape.touched_topics(&renamed).unwrap();
     assert_eq!(touched.len(), 1, "EdgeId(3) is a single-topic edge");
@@ -487,9 +545,22 @@ fn reopen_after_delta_reuses_exactly_unchanged_stages() {
     );
     assert!(by_stage(&report, "autocomplete").is_full());
     let piks = by_stage(&report, "piks-worlds");
-    assert!(
-        piks.reused > 0 && piks.reused < piks.total,
-        "a one-edge nudge must reuse some worlds and rebuild others: {piks:?}"
+    let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
+    let before = InfluencerIndex::build(&renamed, cfg.piks_index_size, seed);
+    let coins = EdgeCoins::worlds(seed, before.len());
+    let (e, target) = (EdgeId(3), renamed.edge_endpoints(EdgeId(3)).unwrap().1);
+    let c = |j: usize| coins[j].coin(e);
+    let flipped = (0..before.len())
+        .filter(|&j| before.world_nodes(j).contains(&target.0))
+        .filter(|&j| {
+            (c(j) < renamed.edge_prob_max(e) as f64) != (c(j) < nudged.edge_prob_max(e) as f64)
+        })
+        .count();
+    assert!(flipped > 0, "the nudge must cross a coin");
+    assert_eq!(
+        (piks.reused, piks.total),
+        (piks.total - flipped, before.len()),
+        "a one-edge nudge rebuilds exactly the worlds whose coin it crossed: {piks:?}"
     );
     assert_identical_to_fresh(&nudged, &cfg, &engine, "nudge");
 

@@ -1,9 +1,11 @@
-//! Pins the OCTA v5 container bytes to the normative specification in
-//! `ARCHITECTURE.md` (§"The OCTA v5 artifact container").
+//! Pins the OCTA v6 container bytes to the normative specification in
+//! `ARCHITECTURE.md` (§"The OCTA v6 artifact container").
 //!
 //! The parser below is written *independently* against the documented
 //! layout — it shares no framing helpers with the codec (it re-implements
-//! FNV-1a from the documented constants and hardcodes every offset) — so if
+//! FNV-1a from the documented constants, hardcodes every offset, and
+//! recomputes each PIKS world's structural key from the record and the
+//! coins rather than calling the codec's key function) — so if
 //! the writer drifts from the spec, or the spec from the writer, this test
 //! fails. Keep all three in sync: `offline/persist.rs`, `ARCHITECTURE.md`,
 //! and this file.
@@ -13,9 +15,10 @@
 //! tests pin that truncation, misaligned offsets, and in-place bit flips
 //! fail **closed** — at open or at first touch, never by serving garbage.
 
-use octopus_core::engine::{KimEngineChoice, OctopusConfig};
+use octopus_cascade::EdgeCoins;
+use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig};
 use octopus_core::offline::persist::{self, Fingerprint, StageKeys};
-use octopus_core::offline::{self, view};
+use octopus_core::offline::{self, view, PIKS_WORLD_SEED_XOR};
 use octopus_graph::{GraphBuilder, NodeId, TopicGraph};
 
 /// Documented header length: magic + version + pad + 3 fingerprint words +
@@ -115,9 +118,9 @@ fn container_bytes_follow_the_documented_layout() {
     let art = offline::build(&g, &cfg);
     let raw = persist::encode(&art, &fp, &keys, 0x5E0);
 
-    // ---- header: magic "OCTA" | version u16 = 5 | pad u16 = 0 ----------
+    // ---- header: magic "OCTA" | version u16 = 6 | pad u16 = 0 ----------
     assert_eq!(&raw[0..4], b"OCTA");
-    assert_eq!(u16_at(&raw, 4), 5, "container version");
+    assert_eq!(u16_at(&raw, 4), 6, "container version");
     assert_eq!(u16_at(&raw, 6), 0, "header pad word");
     // graph_fp u64 | config_fp u64 | seed u64 — all 8-aligned
     assert_eq!(u64_at(&raw, 8), fp.graph);
@@ -264,7 +267,8 @@ fn container_bytes_follow_the_documented_layout() {
         piks.len,
         "the sentinel offset is the section length"
     );
-    for i in 0..r_worlds {
+    let world_coins = EdgeCoins::worlds(cfg.seed ^ PIKS_WORLD_SEED_XOR, r_worlds);
+    for (i, derived) in world_coins.iter().enumerate() {
         let (lo, hi) = (
             u64_at(&raw, wtab + 8 * i) as usize,
             u64_at(&raw, wtab + 8 * (i + 1)) as usize,
@@ -281,12 +285,28 @@ fn container_bytes_follow_the_documented_layout() {
         let local_off = align8(40 + 4 * w);
         let edges_off = align8(local_off + 8 * w + 4 * (w + 1));
         assert_eq!(hi - lo, edges_off + 8 * e, "world {i} record length");
-        // the stored footprint key is footprint_hash over the stored nodes
-        let nodes: Vec<u32> = (0..w).map(|j| u32_at(&raw, world + 40 + 4 * j)).collect();
+        // the coin seed is world i's derivation from the config seed
+        let coin_seed = u64_at(&raw, world + 8);
+        assert_eq!(coin_seed, derived.seed(), "world {i} coin seed");
+        // the stored footprint is the documented structural key: FNV-1a
+        // over "octa:piks-world", then per stored node in BFS order its id
+        // u32, then per in-edge of that node source u32 | edge id u32 |
+        // superset bit u8 (coin < max_z pp^z_e)
+        let coins = EdgeCoins::new(coin_seed);
+        let mut key = b"octa:piks-world".to_vec();
+        for j in 0..w {
+            let v = u32_at(&raw, world + 40 + 4 * j);
+            key.extend(v.to_le_bytes());
+            for (u, e) in g.in_edges(NodeId(v)) {
+                key.extend(u.0.to_le_bytes());
+                key.extend(e.0.to_le_bytes());
+                key.push(u8::from(coins.coin(e) < g.edge_prob_max(e) as f64));
+            }
+        }
         assert_eq!(
             u64_at(&raw, world),
-            octopus_core::piks::footprint_hash(&g, &nodes),
-            "world {i} key must be the documented footprint hash"
+            fnv1a(&key),
+            "world {i} key must be the documented structural footprint"
         );
     }
 
@@ -308,12 +328,13 @@ fn container_bytes_follow_the_documented_layout() {
 }
 
 #[test]
-fn v1_through_v4_containers_are_refused_for_migration_by_rebuild() {
+fn v1_through_v5_containers_are_refused_for_migration_by_rebuild() {
     // earlier-version files must be refused wholesale
     // (PersistError::Version) so open_or_build rebuilds and overwrites
     // them — never misparse a v1 monolithic payload as sections, a v2
-    // table as v3, a v3 packed table (28-byte rows, no offsets) as v4,
-    // nor a v4 stage-granular table as v5's per-topic one
+    // table as v3, a v3 packed table (28-byte rows, no offsets) as v4, a
+    // v4 stage-granular table as v5's per-topic one, nor a v5 PIKS
+    // world's probability-row footprint as v6's structural key
     let g = tiny_graph();
     let cfg = OctopusConfig {
         kim: KimEngineChoice::Mis,
@@ -393,6 +414,48 @@ fn v1_through_v4_containers_are_refused_for_migration_by_rebuild() {
         persist::read_write_seq(&v4),
         Err(persist::PersistError::Version(4))
     ));
+    // a v5 file has v6's exact frame; only its version word tells them
+    // apart. Under the exact cache name it is refused, rebuilt, and
+    // overwritten by the v6 writer
+    let model = {
+        let mut vocab = octopus_topics::Vocabulary::new();
+        vocab.intern("alpha");
+        vocab.intern("beta");
+        octopus_topics::TopicModel::from_rows(
+            vocab,
+            vec![vec![0.9, 0.1], vec![0.1, 0.9]],
+            vec![0.5, 0.5],
+        )
+        .unwrap()
+    };
+    let fp = Fingerprint::compute(&g, &cfg);
+    let mut v5 = persist::encode(&offline::build(&g, &cfg), &fp, &keys, 1);
+    v5[4..6].copy_from_slice(&5u16.to_le_bytes());
+    assert!(matches!(
+        persist::load_sections(&v5, &keys, &g, &cfg),
+        Err(persist::PersistError::Version(5))
+    ));
+    let dir = std::env::temp_dir().join("octa_v5_migration");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = fp.cache_path(&dir);
+    std::fs::write(&path, &v5).unwrap();
+    let engine = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+    assert!(!engine.cache_hit(), "a v5 file must not serve");
+    assert!(engine
+        .system_report()
+        .stage_reuse
+        .iter()
+        .all(|s| s.reused == 0));
+    let rewritten = std::fs::read(&path).unwrap();
+    assert_eq!(
+        u16_at(&rewritten, 4),
+        6,
+        "the rebuild overwrote the v5 file"
+    );
+    let again = Octopus::open_or_build(g, model, cfg, &dir).unwrap();
+    assert!(again.cache_hit(), "the migrated file serves the next open");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -426,7 +489,7 @@ fn saved(
 
 #[test]
 fn mapped_open_rejects_truncation_at_every_section_boundary() {
-    let (dir, path, fp, keys, g, cfg) = saved("octa_v5_truncation_sweep");
+    let (dir, path, fp, keys, g, cfg) = saved("octa_v6_truncation_sweep");
     let raw = std::fs::read(&path).unwrap();
     let entries = parse_table(&raw);
     // every section start and end, the table end, one byte short of the
@@ -457,7 +520,7 @@ fn mapped_open_rejects_truncation_at_every_section_boundary() {
 
 #[test]
 fn mapped_open_rejects_misaligned_and_non_canonical_offsets() {
-    let (dir, path, fp, keys, g, cfg) = saved("octa_v5_offset_tamper");
+    let (dir, path, fp, keys, g, cfg) = saved("octa_v6_offset_tamper");
     let raw = std::fs::read(&path).unwrap();
     for i in 0..parse_table(&raw).len() {
         let off_at = HEADER_LEN + i * ENTRY_LEN + 16;
@@ -479,7 +542,7 @@ fn mapped_open_rejects_misaligned_and_non_canonical_offsets() {
 
 #[test]
 fn bit_flips_fail_closed_at_open_or_first_touch_never_read_garbage() {
-    let (dir, path, fp, keys, g, cfg) = saved("octa_v5_bitflip_sweep");
+    let (dir, path, fp, keys, g, cfg) = saved("octa_v6_bitflip_sweep");
     let raw = std::fs::read(&path).unwrap();
     let entries = parse_table(&raw);
     for e in &entries {

@@ -12,16 +12,16 @@
 //! silently mis-routed. CI runs this suite at `RAYON_NUM_THREADS` 1 and 8
 //! in the serving-soak matrix, next to the unsharded epoch suite.
 
+use octopus_cascade::EdgeCoins;
 use octopus_core::engine::{KimAnswer, Octopus, OctopusConfig, SuggestAnswer};
 use octopus_core::offline::persist::SECTION_PIKS;
 use octopus_core::paths::{ExploreDirection, PathExploration};
-use octopus_core::piks::{InfluencerIndex, PiksReuse};
+use octopus_core::piks::{InfluencerIndex, PiksReuse, PiksWorldsView};
 use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES};
 use octopus_core::{Anytime, CoreError, QueryBudget};
 use octopus_graph::delta::{self, GraphDelta};
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Four weakly connected components — the partition units — with
@@ -288,9 +288,11 @@ fn routed_delta_rebuilds_only_the_touched_shard() {
 }
 
 /// Each touched shard rebuilds from its own live epoch and screens PIKS
-/// worlds by the batch's rewritten targets in *shard-local* ids: the swap
-/// reuses exactly the worlds the local-id delta screen keeps (a subset of
-/// the footprint screen's), and serves a fresh build's bytes.
+/// worlds by the coin flips of the edges whose maximum moved, in
+/// *shard-local* edge ids (the coins hash local ids): the swap reuses
+/// exactly the worlds in which no in-edge of a stored node flipped its
+/// superset bit — computed here from the coins — which is exactly the
+/// footprint screen's set, and serves a fresh build's bytes.
 #[test]
 fn routed_flush_screens_each_live_shard_in_local_ids() {
     let (g, model, config) = fixture();
@@ -304,53 +306,61 @@ fn routed_flush_screens_each_live_shard_in_local_ids() {
         },
         GraphDelta::SetWeights {
             edge: g.find_edge(NodeId(10), NodeId(11)).unwrap(),
-            probs: vec![(0, 0.45)],
+            probs: vec![(0, 0.85)],
         },
         GraphDelta::RenameNode {
             node: NodeId(5),
             name: "bea ml-jordan".into(),
         },
-        // a no-op rewrite (bea → fan-b-0 re-stated): the delta screen
-        // rebuilds the worlds the footprint screen would still reuse
+        // a no-op rewrite (bea → fan-b-0 re-stated): it moves no maximum,
+        // so it rebuilds nothing
         GraphDelta::SetWeights {
             edge: g.find_edge(NodeId(5), NodeId(6)).unwrap(),
             probs: vec![(1, 0.8)],
         },
     ];
-    let dirty = delta::reweighted_targets(&g, &batch).expect("an id-stable batch");
-    let global_id: HashMap<&str, usize> =
-        g.nodes().map(|u| (g.name(u).unwrap(), u.index())).collect();
     let before = sharded.snapshots();
     sharded.submit_all(batch);
     let swaps = sharded.apply_pending().unwrap();
     assert_eq!(swaps.len(), 2, "both shards were touched");
     let after = sharded.snapshots();
+    let mut rebuilt = 0;
     for swap in &swaps {
         let (live, next) = (before[swap.shard].engine(), after[swap.shard].engine());
-        let local_dirty: Vec<bool> = live
-            .graph()
-            .nodes()
-            .map(|u| dirty[global_id[live.graph().name(u).unwrap()]])
-            .collect();
+        let (old_g, new_g) = (live.graph(), next.graph());
         let (_, raw) = live
             .artifacts()
             .payloads()
             .find(|&(tag, _)| tag == SECTION_PIKS)
             .unwrap();
-        let mut by_delta = PiksReuse::default();
-        by_delta
-            .screen(raw, next.graph(), Some(&local_dirty))
-            .unwrap();
-        let by_hash = InfluencerIndex::load_reusable(raw, next.graph()).unwrap();
+        let view = PiksWorldsView::parse(raw).unwrap();
+        let oracle: Vec<bool> = (0..view.len())
+            .map(|j| {
+                let wv = view.world(j);
+                let coins = EdgeCoins::new(wv.coin_seed());
+                (0..wv.node_count()).all(|i| {
+                    old_g.in_edges(NodeId(wv.node(i))).all(|(_, e)| {
+                        let c = coins.coin(e);
+                        (c < old_g.edge_prob_max(e) as f64) == (c < new_g.edge_prob_max(e) as f64)
+                    })
+                })
+            })
+            .collect();
+        let shifts = delta::max_shifts(old_g, new_g).expect("an id-stable batch");
+        let mut by_coin = PiksReuse::default();
+        by_coin.screen(raw, new_g, Some(&shifts)).unwrap();
+        let by_hash = InfluencerIndex::load_reusable(raw, new_g).unwrap();
         let piks = swap
             .report
             .stage_reuse
             .iter()
             .find(|s| s.stage == "piks-worlds")
             .unwrap();
-        assert_eq!(piks.reused, by_delta.available(), "shard {}", swap.shard);
-        let (d, h) = (by_delta.reusable_worlds(), by_hash.reusable_worlds());
-        assert!(d.iter().zip(&h).all(|(&d, &h)| !d || h), "a subset");
+        let expected = oracle.iter().filter(|&&o| o).count();
+        assert_eq!(piks.reused, expected, "shard {}", swap.shard);
+        assert_eq!(by_coin.reusable_worlds(), oracle, "shard {}", swap.shard);
+        assert_eq!(by_hash.reusable_worlds(), oracle, "shard {}", swap.shard);
+        rebuilt += oracle.len() - expected;
         let fresh = reference(next.graph(), &model, &config);
         assert!(
             next.artifacts().payloads().eq(fresh.artifacts().payloads()),
@@ -358,6 +368,7 @@ fn routed_flush_screens_each_live_shard_in_local_ids() {
             swap.shard
         );
     }
+    assert!(rebuilt > 0, "the batch must cross a coin");
 }
 
 #[test]

@@ -312,25 +312,51 @@ impl GraphDelta {
     }
 }
 
-/// Mask over node ids of the targets of every edge `batch` reweights on
-/// `g`: every other node keeps its in-edge list bit for bit, unless the
-/// batch empties a row (the builder then drops that edge, shifting every
-/// later id — compare edge counts). `None` unless the batch has no insert
-/// or remove and names only edges of `g`.
-pub fn reweighted_targets(g: &TopicGraph, batch: &[GraphDelta]) -> Option<Vec<bool>> {
-    let mut mask = vec![false; g.node_count()];
-    for d in batch {
-        let edges: &[EdgeId] = match d {
-            GraphDelta::NudgeWeights { edges, .. } => edges,
-            GraphDelta::SetWeights { edge, .. } => std::slice::from_ref(edge),
-            GraphDelta::RenameNode { .. } => &[],
-            GraphDelta::InsertEdge { .. } | GraphDelta::RemoveEdge { .. } => return None,
-        };
-        for &e in edges {
-            mask[g.edge_endpoints(e).ok()?.1.index()] = true;
-        }
+/// Whether `batch` only rewrites weights and names: no edge insert or
+/// remove. Such a batch names edges of the graph it starts from throughout,
+/// unless a row it empties drops that edge and shifts every later id.
+pub fn reweights_only(batch: &[GraphDelta]) -> bool {
+    !batch.iter().any(|d| {
+        matches!(
+            d,
+            GraphDelta::InsertEdge { .. } | GraphDelta::RemoveEdge { .. }
+        )
+    })
+}
+
+/// An edge whose maximum topic probability ([`TopicGraph::edge_prob_max`])
+/// differs between two graphs that share every edge id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaxShift {
+    /// The edge, the same id in both graphs.
+    pub edge: EdgeId,
+    /// Its target: the node whose in-edge list holds it.
+    pub target: NodeId,
+    /// The maximum on the old graph.
+    pub old: f32,
+    /// The maximum on the new graph.
+    pub new: f32,
+}
+
+/// Every edge whose maximum topic probability moved from `old` to `new`, in
+/// id order. `None` unless `new` keeps every id of `old`: the same node
+/// count and the same endpoints for every [`EdgeId`], hence the same
+/// in-edge lists. Nudges, row replacements and renames keep ids, unless one
+/// empties a row. The comparison is `O(N + E)`.
+pub fn max_shifts(old: &TopicGraph, new: &TopicGraph) -> Option<Vec<MaxShift>> {
+    if old.fwd_offsets != new.fwd_offsets || old.fwd_targets != new.fwd_targets {
+        return None;
     }
-    Some(mask)
+    let shifts = old.edges().filter_map(|edge| {
+        let (was, now) = (old.edge_prob_max(edge), new.edge_prob_max(edge));
+        (was.to_bits() != now.to_bits()).then(|| MaxShift {
+            edge,
+            target: NodeId(new.fwd_targets[edge.index()]),
+            old: was,
+            new: now,
+        })
+    });
+    Some(shifts.collect())
 }
 
 /// Apply `deltas` in order, each on the output of the previous one —
@@ -544,6 +570,39 @@ mod tests {
         let back = remove_edge(&bigger, EdgeId(1)).unwrap();
         assert_eq!(back, g, "insert then remove restores the original");
         assert!(insert_edge(&g, NodeId(0), NodeId(0), &[(0, 0.5)]).is_err());
+    }
+
+    #[test]
+    fn max_shifts_name_moved_maxima_on_id_stable_graphs_only() {
+        let g = fixture();
+        let e = g.find_edge(NodeId(0), NodeId(1)).unwrap();
+        // a rename and a row rewrite that keeps the maximum shift nothing
+        let renamed = rename_node(&g, NodeId(3), "liskov").unwrap();
+        assert_eq!(max_shifts(&g, &renamed), Some(Vec::new()));
+        let same_max = set_weights(&g, e, &[(0, 0.5), (1, 0.375)]).unwrap();
+        assert_eq!(max_shifts(&g, &same_max), Some(Vec::new()));
+        // a nudge moves the row's maximum
+        let nudged = nudge_weights(&g, &[e], 0.125).unwrap();
+        let shift = MaxShift {
+            edge: e,
+            target: NodeId(1),
+            old: 0.5,
+            new: 0.625,
+        };
+        assert_eq!(max_shifts(&g, &nudged), Some(vec![shift]));
+        // an insert, a remove, or an emptied row shifts ids
+        let bigger = insert_edge(&g, NodeId(0), NodeId(3), &[(1, 0.4)]).unwrap();
+        assert_eq!(max_shifts(&g, &bigger), None);
+        assert_eq!(max_shifts(&g, &remove_edge(&g, e).unwrap()), None);
+        assert_eq!(
+            max_shifts(&g, &set_weights(&g, e, &[(0, 0.0)]).unwrap()),
+            None
+        );
+        assert!(!reweights_only(&[GraphDelta::RemoveEdge { edge: e }]));
+        assert!(reweights_only(&[GraphDelta::SetWeights {
+            edge: e,
+            probs: vec![(0, 0.0)],
+        }]));
     }
 
     #[test]

@@ -393,13 +393,29 @@ fn delta_restart_reuses_unchanged_stages_with_identical_answers() {
         "autocomplete must survive a weight delta: {:?}",
         report.stage_reuse
     );
-    // PIKS reuses every world whose BFS footprint missed the nudged edges
+    // PIKS rebuilds exactly the worlds in which a nudged edge into a
+    // stored node flipped its superset coin bit (coin < max_z pp^z_e)
     let piks = reuse_of("piks-worlds");
-    assert!(
-        piks.reused > 0,
-        "a 3-edge delta must leave most worlds reusable: {piks:?}"
+    let seed = config.seed ^ octopus::core::offline::PIKS_WORLD_SEED_XOR;
+    let index = octopus::core::piks::InfluencerIndex::build(&net.graph, piks.total, seed);
+    let coins = octopus::cascade::EdgeCoins::worlds(seed, piks.total);
+    let flipped = (0..piks.total)
+        .filter(|&j| {
+            victims.iter().any(|&e| {
+                let (_, target) = net.graph.edge_endpoints(e).unwrap();
+                let c = coins[j].coin(e);
+                index.world_nodes(j).contains(&target.0)
+                    && (c < net.graph.edge_prob_max(e) as f64)
+                        != (c < perturbed.edge_prob_max(e) as f64)
+            })
+        })
+        .count();
+    assert!(flipped > 0, "the nudge must cross a coin");
+    assert_eq!(
+        piks.reused,
+        piks.total - flipped,
+        "exactly the worlds with a flipped coin rebuild: {piks:?}"
     );
-    assert!(piks.reused < piks.total, "touched worlds must rebuild");
     // the probability-reading stages correctly rebuilt
     assert_eq!(reuse_of("spread-cap").reused, 0);
     // the partial rebuild answers exactly like a cache-less engine
