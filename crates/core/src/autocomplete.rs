@@ -9,12 +9,12 @@
 //! [`Autocomplete`] is the build form; queries walk its serialized records
 //! through the zero-copy [`TrieView`].
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use octopus_graph::wire::{Fnv64, WireError};
 use octopus_graph::{NodeId, TopicGraph};
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct TrieNode {
     children: HashMap<char, TrieNode>,
     /// Terminal payload: (user, score).
@@ -22,7 +22,7 @@ struct TrieNode {
 }
 
 /// Prefix index over user names.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct Autocomplete {
     root: TrieNode,
     size: usize,
@@ -98,8 +98,8 @@ impl Autocomplete {
         self.size == 0
     }
 
-    /// Serialize the trie into `buf` (the OCTA v6 `autocomplete` section
-    /// payload; normative spec in `ARCHITECTURE.md`).
+    /// Serialize the trie (the OCTA v6 `autocomplete` section payload;
+    /// normative spec in `ARCHITECTURE.md`).
     ///
     /// ```text
     /// name count u64
@@ -117,7 +117,8 @@ impl Autocomplete {
     /// order. Iterative throughout: trie depth equals the longest
     /// normalized name, which is user-controlled data and must not bound
     /// the call stack.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + self.size * 64);
         buf.put_u64_le(self.size as u64);
         // pass 1: flatten to preorder, recording parent→child flat links
         struct Flat<'a> {
@@ -170,44 +171,7 @@ impl Autocomplete {
                 buf.put_u64_le(offsets[child]);
             }
         }
-    }
-
-    /// Decode a trie serialized by [`Autocomplete::encode_into`], rebuilding
-    /// the owned `HashMap` form. Validation is [`TrieView::parse`]'s; the
-    /// rebuild walks records in reverse offset order so every child is
-    /// already built when its parent needs it (children live at strictly
-    /// larger offsets).
-    pub fn decode_from(raw: &[u8], node_count: usize) -> Result<Self, WireError> {
-        let view = TrieView::parse(raw, node_count)?;
-        let area = &raw[8..];
-        let mut record_offs = Vec::new();
-        let mut off = 0usize;
-        while off < area.len() {
-            record_offs.push(off);
-            off += view.record_size(off);
-        }
-        let mut built: HashMap<usize, TrieNode> = HashMap::new();
-        for &off in record_offs.iter().rev() {
-            let mut children = HashMap::new();
-            for i in 0..view.child_count(off) {
-                let (c, child_off) = view.child(off, i);
-                let child = built
-                    .remove(&child_off)
-                    .ok_or_else(|| WireError("trie child offsets not preorder".into()))?;
-                children.insert(c, child);
-            }
-            built.insert(
-                off,
-                TrieNode {
-                    children,
-                    terminal: view.terminal(off),
-                },
-            );
-        }
-        Ok(Autocomplete {
-            root: built.remove(&0).expect("root record exists"),
-            size: view.len(),
-        })
+        buf
     }
 }
 
@@ -369,10 +333,6 @@ impl<'a> TrieView<'a> {
         )
     }
 
-    fn record_size(&self, off: usize) -> usize {
-        8 + 16 * (u32_at(self.area, off) as usize) + 16 * self.child_count(off)
-    }
-
     /// Follow the edge labelled `c` out of the record at `off` — binary
     /// search over the ascending child characters.
     fn descend(&self, off: usize, c: char) -> Option<usize> {
@@ -449,9 +409,7 @@ mod tests {
 
     /// The trie's v6 section payload, as the artifact stores it.
     fn encoded(ac: &Autocomplete) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        ac.encode_into(&mut buf);
-        buf.to_vec()
+        ac.to_bytes()
     }
 
     fn view(raw: &[u8]) -> TrieView<'_> {
@@ -523,14 +481,22 @@ mod tests {
     fn flat_encoding_round_trips() {
         let ac = sample();
         let raw = encoded(&ac);
-        let back = Autocomplete::decode_from(&raw, 5).unwrap();
-        assert_eq!(back, ac, "owned decode is lossless");
-        assert_eq!(encoded(&back), raw, "re-encode is canonical");
+        // the encoding is canonical: insertion order never shows through
+        let mut reversed = Autocomplete::default();
+        for (name, id, score) in [
+            ("Michael Stonebraker", NodeId(4), 85.0),
+            ("Michael Jordan", NodeId(3), 90.0),
+            ("Jian Pei", NodeId(2), 60.0),
+            ("Jiawei Han", NodeId(1), 80.0),
+            ("Jure Leskovec", NodeId(0), 50.0),
+        ] {
+            reversed.insert(name, id, score);
+        }
+        assert_eq!(encoded(&reversed), raw, "re-encode is canonical");
         assert_eq!(view(&raw).len(), ac.len());
-        // empty trie round-trips too
-        let empty = Autocomplete::default();
-        let raw = encoded(&empty);
-        assert_eq!(Autocomplete::decode_from(&raw, 0).unwrap(), empty);
+        assert_eq!(view(&raw).lookup("jian pei"), Some(NodeId(2)));
+        // the empty trie encodes and parses too
+        let raw = encoded(&Autocomplete::default());
         assert!(TrieView::parse(&raw, 0).unwrap().is_empty());
     }
 

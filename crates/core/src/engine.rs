@@ -189,7 +189,7 @@ pub struct SystemReport {
     pub stage_reuse: Vec<StageReuse>,
     /// Wall-clock duration of the whole offline phase. For
     /// [`Octopus::open_or_build`] this spans cache lookup (file reads,
-    /// section decode, per-world footprint screening) plus whatever
+    /// section checksums and parses, per-world screening) plus whatever
     /// rebuilding remained — full build, partial rebuild, or pure load —
     /// so partial-vs-full comparisons are honest. Stages overlap, so this
     /// can be less than the timing sum.
@@ -264,7 +264,7 @@ impl Octopus {
     /// whose BFS footprint missed the delta — reload from `cache_dir`
     /// while the invalidated ones rebuild. A topic-z-confined nudge
     /// therefore recomputes exactly topic z's cap/PB/MIS units. The lookup degrades,
-    /// never fails: missing, truncated, corrupted, stale-version (v1–v4), or
+    /// never fails: missing, truncated, corrupted, stale-version (v1–v5), or
     /// foreign files only reduce how much is reused, after which the merged
     /// artifacts are written back atomically (write failures are ignored —
     /// a read-only cache directory costs the speedup, not the engine).
@@ -273,12 +273,14 @@ impl Octopus {
     /// breakdown. When **everything** was reused, [`SystemReport::cache_hit`]
     /// is `true` and [`SystemReport::stage_timings`] holds only the three
     /// artifact stages — map (plain file reads on this heap path), validate
-    /// (framing + checksums), decode: zero offline stages ran.
+    /// (framing + checksums), parse/screen: zero offline stages ran.
     ///
-    /// The engine serves exactly the bytes it persisted, off the heap: the
-    /// merged artifacts are encoded once, written back, and validated. A
-    /// full hit served by the exact-fingerprint file alone serves the
-    /// bytes the lookup already read and checksummed, re-encoding nothing.
+    /// The engine serves exactly the bytes it persisted, off the heap:
+    /// reused units travel from the donor file as bytes, only rebuilt units
+    /// are encoded, and the merged units are framed once, written back, and
+    /// validated. A full hit served by the exact-fingerprint file alone
+    /// serves the bytes the lookup already read and checksummed, framing
+    /// nothing.
     /// Reused-or-rebuilt makes no observable difference — a partially
     /// rebuilt engine is bit-identical to a freshly built one (pinned by
     /// the `build_determinism` and `delta_invalidation` tests), so every

@@ -280,18 +280,6 @@ impl PrecompBound {
         self.sigma[z][u.index()]
     }
 
-    /// Reassemble from raw parts (the artifact-codec path). `sigma[z][u]`
-    /// must hold one spread per node for every topic.
-    pub fn from_parts(sigma: Vec<Vec<f64>>, safety: f64) -> Self {
-        PrecompBound { sigma, safety }
-    }
-
-    /// The raw `(sigma, safety)` parts, in canonical `[topic][node]` order
-    /// (the artifact-codec path).
-    pub fn parts(&self) -> (&[Vec<f64>], f64) {
-        (&self.sigma, self.safety)
-    }
-
     /// The incremental-rebuild cache key of one **topic's** `pb-bound` unit.
     ///
     /// [`PrecompBound::build_topic`] is a deterministic pure-topic MIA
@@ -342,20 +330,19 @@ impl BoundEstimator for PrecompBound {
 /// file bytes. Each topic is its own container section with its own key and
 /// checksum; `safety` is repeated per unit and must agree bitwise across
 /// the assembled table.
-pub fn encode_pb_topic_section(row: Option<&[f64]>, safety: f64, buf: &mut bytes::BytesMut) {
+pub fn encode_pb_topic_section(row: Option<&[f64]>, safety: f64) -> Vec<u8> {
     use bytes::BufMut;
-    match row {
-        None => buf.put_u64_le(0),
-        Some(row) => {
-            buf.reserve(24 + row.len() * 8);
-            buf.put_u64_le(1);
-            buf.put_f64_le(safety);
-            buf.put_u64_le(row.len() as u64);
-            for &s in row {
-                buf.put_f64_le(s);
-            }
-        }
+    let Some(row) = row else {
+        return 0u64.to_le_bytes().to_vec();
+    };
+    let mut buf = Vec::with_capacity(24 + row.len() * 8);
+    buf.put_u64_le(1);
+    buf.put_f64_le(safety);
+    buf.put_u64_le(row.len() as u64);
+    for &s in row {
+        buf.put_f64_le(s);
     }
+    buf
 }
 
 /// A zero-copy view of the persisted per-topic `pb-bound` units: answers
@@ -740,15 +727,13 @@ mod tests {
     #[test]
     fn pb_view_round_trips_and_answers_bit_identically() {
         let g = two_topic_hubs();
-        let pb = PrecompBound::build(&g, THETA, 1.2);
-        let (sigma, safety) = pb.parts();
-        let units: Vec<bytes::BytesMut> = sigma
+        let (pb, safety) = (PrecompBound::build(&g, THETA, 1.2), 1.2);
+        let sigma: Vec<Vec<f64>> = (0..g.num_topics())
+            .map(|z| PrecompBound::build_topic(&g, z, THETA))
+            .collect();
+        let units: Vec<Vec<u8>> = sigma
             .iter()
-            .map(|row| {
-                let mut buf = bytes::BytesMut::new();
-                encode_pb_topic_section(Some(row), safety, &mut buf);
-                buf
-            })
+            .map(|row| encode_pb_topic_section(Some(row), safety))
             .collect();
         let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
         let view = PbTableView::parse(&slices, g.node_count())
@@ -776,12 +761,13 @@ mod tests {
 
         // per-topic rebuild units match the monolithic build exactly
         for (z, row) in sigma.iter().enumerate() {
-            assert_eq!(&PrecompBound::build_topic(&g, z, THETA), row);
+            for u in g.nodes() {
+                assert_eq!(pb.topic_spread(u, z).to_bits(), row[u.index()].to_bits());
+            }
         }
 
         // persisted-absent units parse to None
-        let mut absent = bytes::BytesMut::new();
-        encode_pb_topic_section(None, safety, &mut absent);
+        let absent = encode_pb_topic_section(None, safety);
         assert_eq!(absent.len(), 8);
         let absent_slices: Vec<&[u8]> = vec![&absent, &absent];
         assert!(PbTableView::parse(&absent_slices, g.node_count())
@@ -796,8 +782,7 @@ mod tests {
         assert!(PbTableView::parse(&[s0, &absent], g.node_count()).is_err());
         assert!(PbTableView::parse(&[&absent, s0], g.node_count()).is_err());
         // bitwise safety disagreement across units fails closed
-        let mut other = bytes::BytesMut::new();
-        encode_pb_topic_section(Some(&sigma[1]), safety + 0.1, &mut other);
+        let other = encode_pb_topic_section(Some(&sigma[1]), safety + 0.1);
         assert!(PbTableView::parse(&[s0, &other], g.node_count()).is_err());
     }
 

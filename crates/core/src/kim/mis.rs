@@ -16,43 +16,22 @@ use super::{KimResult, KimStats};
 use octopus_cascade::{celf_select, stream_seed, RrOracle};
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
-/// The MIS tables: per-topic CELF marginal gains, aggregated at query time
-/// by [`MisView`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MisKim {
-    /// `gains[z]` maps user → marginal gain in topic `z`'s CELF run.
-    gains: Vec<HashMap<NodeId, f64>>,
-}
+/// The MIS offline build: one CELF marginal-gain table per pure topic,
+/// each stored as its own `mis-tables` unit and aggregated at query time by
+/// [`MisView`].
+#[derive(Debug, Clone, Copy)]
+pub struct MisKim;
 
 impl MisKim {
-    /// Precompute per-topic seed tables.
-    ///
-    /// * `k_max` — deepest seed set a query may ask for (`k ≤ k_max`);
-    /// * `rr_per_topic` — RR sets per pure-topic CELF run;
-    /// * `seed` — sampling seed.
-    ///
-    /// The per-topic CELF runs are independent and execute in parallel;
-    /// topic `z` samples from the stream `stream_seed(seed, z)`, so the
-    /// tables do not depend on the thread count.
-    pub fn build(graph: &TopicGraph, k_max: usize, rr_per_topic: usize, seed: u64) -> Self {
-        let z_count = graph.num_topics();
-        let gains: Vec<HashMap<NodeId, f64>> = (0..z_count)
-            .into_par_iter()
-            .map(|z| Self::build_topic(graph, z, k_max, rr_per_topic, seed))
-            .collect();
-        Self::from_parts(gains)
-    }
-
     /// Build one topic's marginal-gain table — the per-topic rebuild unit
     /// of the `mis-tables` stage. Topic `z` samples from its own stream
     /// (`stream_seed(seed, z)`), and the pure-topic RR sampler consumes no
     /// randomness on zero-probability edges, so the table is a function of
     /// the topic-`z` edge triples, the node universe, and `(k_max,
     /// rr_per_topic, seed)` alone: a partial rebuild assembling reused and
-    /// fresh tables equals a monolithic [`MisKim::build`] exactly.
+    /// fresh tables equals a from-scratch build exactly.
     pub fn build_topic(
         graph: &TopicGraph,
         z: usize,
@@ -71,16 +50,6 @@ impl MisKim {
             .copied()
             .zip(res.gains.iter().copied())
             .collect()
-    }
-
-    /// The per-topic marginal-gain tables (the artifact-codec path).
-    pub fn gains(&self) -> &[HashMap<NodeId, f64>] {
-        &self.gains
-    }
-
-    /// Reassemble from per-topic gain tables.
-    pub fn from_parts(gains: Vec<HashMap<NodeId, f64>>) -> Self {
-        MisKim { gains }
     }
 
     /// The incremental-rebuild cache key of one **topic's** `mis-tables`
@@ -136,16 +105,15 @@ impl MisKim {
 /// The candidate union [`MisView::select`] scans is **derived** at parse
 /// time, not persisted — a unit reused from one epoch and a unit rebuilt in
 /// another always reassemble the same union.
-pub fn encode_mis_topic_section(table: Option<&HashMap<NodeId, f64>>, buf: &mut bytes::BytesMut) {
+pub fn encode_mis_topic_section(table: Option<&HashMap<NodeId, f64>>) -> Vec<u8> {
     use bytes::BufMut;
     use octopus_graph::wire::pad8;
     let Some(table) = table else {
-        buf.put_u64_le(0);
-        return;
+        return 0u64.to_le_bytes().to_vec();
     };
     let mut rows: Vec<(NodeId, f64)> = table.iter().map(|(&u, &g)| (u, g)).collect();
     rows.sort_by_key(|&(u, _)| u);
-    buf.reserve(16 + rows.len() * 12 + 8);
+    let mut buf = Vec::with_capacity(16 + rows.len() * 12 + 8);
     buf.put_u64_le(1);
     buf.put_u64_le(rows.len() as u64);
     for &(u, _) in &rows {
@@ -155,6 +123,7 @@ pub fn encode_mis_topic_section(table: Option<&HashMap<NodeId, f64>>, buf: &mut 
     for &(_, g) in &rows {
         buf.put_f64_le(g);
     }
+    buf
 }
 
 /// One topic's validated unit within a [`MisView`].
@@ -228,19 +197,6 @@ impl<'a> MisView<'a> {
             }
             other => Err(WireError(format!("invalid mis present flag {other}"))),
         }
-    }
-
-    /// Decode one topic's unit into its owned gains table (the non-mapped
-    /// artifact-cache path; `Ok(None)` = persisted-absent marker).
-    pub fn decode_topic(
-        raw: &'a [u8],
-        node_count: usize,
-    ) -> Result<Option<HashMap<NodeId, f64>>, octopus_graph::wire::WireError> {
-        Ok(Self::parse_topic_inner(raw, node_count)?.map(|unit| {
-            (0..unit.count)
-                .map(|i| (NodeId(unit.id_at(i)), unit.gain_at(i)))
-                .collect()
-        }))
     }
 
     /// Assemble the view from every topic's v6 unit payload (canonical
@@ -353,24 +309,27 @@ mod tests {
     use super::*;
     use crate::kim::testutil::two_topic_hubs;
 
-    fn engine() -> MisKim {
-        MisKim::build(&two_topic_hubs(), 5, 3000, 42)
+    /// The per-topic gain tables of the fixture.
+    fn engine() -> Vec<HashMap<NodeId, f64>> {
+        let g = two_topic_hubs();
+        (0..2)
+            .map(|z| MisKim::build_topic(&g, z, 5, 3000, 42))
+            .collect()
     }
 
     /// The tables' per-topic v6 units, as the artifact stores them.
-    fn units(m: &MisKim) -> Vec<bytes::BytesMut> {
-        m.gains()
+    fn units(tables: &[HashMap<NodeId, f64>]) -> Vec<Vec<u8>> {
+        tables
             .iter()
             .map(|table| {
-                let mut buf = bytes::BytesMut::new();
-                encode_mis_topic_section(Some(table), &mut buf);
+                let buf = encode_mis_topic_section(Some(table));
                 assert_eq!(buf.len() % 8, 0, "unit records are padded to 8");
                 buf
             })
             .collect()
     }
 
-    fn view(units: &[bytes::BytesMut]) -> MisView<'_> {
+    fn view(units: &[Vec<u8>]) -> MisView<'_> {
         let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
         MisView::parse(&slices, two_topic_hubs().node_count())
             .unwrap()
@@ -408,7 +367,7 @@ mod tests {
         ] {
             for u in (0..13).map(NodeId) {
                 let expect: f64 = (0..2)
-                    .map(|z| gamma[z] * built.gains()[z].get(&u).copied().unwrap_or(0.0))
+                    .map(|z| gamma[z] * built[z].get(&u).copied().unwrap_or(0.0))
                     .sum();
                 assert_eq!(m.score(u, &gamma).to_bits(), expect.to_bits(), "{u:?}");
             }
@@ -441,11 +400,7 @@ mod tests {
         let built = engine();
         let units = units(&built);
         let m = view(&units);
-        let mut union: Vec<NodeId> = built
-            .gains()
-            .iter()
-            .flat_map(|t| t.keys().copied())
-            .collect();
+        let mut union: Vec<NodeId> = built.iter().flat_map(|t| t.keys().copied()).collect();
         union.sort();
         union.dedup();
         // leaves never selected by any pure-topic CELF run are not candidates
@@ -467,25 +422,32 @@ mod tests {
     #[test]
     fn topic_units_rebuild_alone_and_malformed_units_fail_closed() {
         let g = two_topic_hubs();
-        let m = engine();
-        // per-topic rebuild units match the monolithic build exactly
-        for (z, table) in m.gains().iter().enumerate() {
-            assert_eq!(&MisKim::build_topic(&g, z, 5, 3000, 42), table);
+        let tables = engine();
+        // each topic's unit rebuilds alone: building the topics in reverse
+        // order yields the same tables
+        for z in (0..2).rev() {
+            assert_eq!(MisKim::build_topic(&g, z, 5, 3000, 42), tables[z]);
         }
-        let units = units(&m);
+        let units = units(&tables);
         let slices: Vec<&[u8]> = units.iter().map(|u| &u[..]).collect();
-        for (z, raw) in slices.iter().enumerate() {
-            assert_eq!(
-                MisView::decode_topic(raw, g.node_count()).unwrap().as_ref(),
-                Some(&m.gains()[z]),
-                "unit {z} decodes losslessly"
-            );
+        let m = view(&units);
+        for (z, table) in tables.iter().enumerate() {
+            assert!(MisView::parse(&[slices[z]], g.node_count())
+                .unwrap()
+                .is_some());
+            for (&u, &gain) in table {
+                let pure = TopicDistribution::pure(2, z);
+                assert_eq!(
+                    m.score(u, &pure).to_bits(),
+                    gain.to_bits(),
+                    "unit {z} at {u:?}"
+                );
+            }
         }
 
         // absent units parse to None; truncation and mixed presence fail
         // closed
-        let mut absent = bytes::BytesMut::new();
-        encode_mis_topic_section(None, &mut absent);
+        let absent = encode_mis_topic_section(None);
         let absent_slices: Vec<&[u8]> = vec![&absent, &absent];
         assert!(MisView::parse(&absent_slices, g.node_count())
             .unwrap()
@@ -494,8 +456,7 @@ mod tests {
         assert!(MisView::parse(&[&s0[..s0.len() - 8], slices[1]], g.node_count()).is_err());
         assert!(MisView::parse(&[s0, &absent], g.node_count()).is_err());
         assert!(MisView::parse(&[&absent, s0], g.node_count()).is_err());
-        assert!(MisView::decode_topic(s0, g.node_count()).unwrap().is_some());
-        assert!(MisView::decode_topic(&absent, g.node_count())
+        assert!(MisView::parse(&[&absent], g.node_count())
             .unwrap()
             .is_none());
     }

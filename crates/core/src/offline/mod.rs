@@ -99,10 +99,13 @@
 //! `tests/build_determinism.rs`, `tests/delta_invalidation.rs`, and the
 //! end-to-end restart tests.
 //!
-//! The engine never serves these owned structures: it encodes them once
-//! and serves the OCTA v6 bytes through the zero-copy views of [`view`] —
-//! the same readers a memory-mapped cache file is served through, which
-//! skips this pipeline (and any decode work) entirely.
+//! A unit travels as its encoded OCTA v6 payload from donor to disk: a
+//! reused unit is the donor's bytes, copied once and never decoded, and a
+//! rebuilt unit is encoded by its stage as soon as it is built (the
+//! `topic-samples` stage reads the PB tables off their unit bytes, as the
+//! online path does). The engine serves the framed bytes through the
+//! zero-copy views of [`view`] — the same readers a memory-mapped cache
+//! file is served through, which skips this pipeline entirely.
 
 #![warn(missing_docs)]
 
@@ -112,9 +115,10 @@ pub mod view;
 use crate::autocomplete::Autocomplete;
 use crate::engine::{KimEngineChoice, OctopusConfig};
 use crate::kim::bounds::{
-    combine_topic_caps, topic_arrival_cap, BoundEstimator, BoundKind, LocalGraphBound,
-    NeighborhoodBound, PrecompBound, TrivialBound,
+    combine_topic_caps, encode_pb_topic_section, topic_arrival_cap, BoundEstimator, BoundKind,
+    LocalGraphBound, NeighborhoodBound, PbTableView, PrecompBound, TrivialBound,
 };
+use crate::kim::mis::encode_mis_topic_section;
 use crate::kim::topic_sample::{TopicSample, TopicSampleKim};
 use crate::kim::{BestEffortKim, KimResult, MisKim};
 use crate::piks::{InfluencerIndex, PiksReuse};
@@ -169,67 +173,46 @@ impl StageReuse {
     }
 }
 
-/// One cached `pb-bound` topic unit: `Some(row)` is the topic's σ̂ row,
-/// `None` is the cached **absent marker** ("this configuration needs no PB
-/// tables" — keyed by the `enabled` flag in
-/// [`PrecompBound::input_key_topic`], so a marker never satisfies a config
-/// that needs the tables).
-pub type PbTopicRow = Option<Vec<f64>>;
-
-/// One cached `mis-tables` topic unit: `Some(gains)` is the topic's CELF
-/// gains table, `None` the cached absent marker (same contract as
-/// [`PbTopicRow`], keyed by [`MisKim::input_key_topic`]).
-pub type MisTopicGains = Option<std::collections::HashMap<NodeId, f64>>;
-
-/// Cached stage outputs handed to [`build_with_reuse`]: a populated slot
-/// short-circuits its work unit, an empty slot rebuilds it. The three
+/// Cached stage outputs handed to [`build_with_reuse`], each in the only
+/// form a unit takes between donor and disk: its encoded section payload.
+/// A populated slot short-circuits its work unit — the payload goes into
+/// the artifact as it is — and an empty slot rebuilds it. The three
 /// weight-dependent stages are topic-granular — one slot per topic, so a
 /// topic-confined delta hands back every foreign topic's unit and rebuilds
 /// exactly the invalidated ones. Shorter-than-`Z` vectors are treated as
 /// all-empty tails (the persist layer always sizes them to `Z`).
 ///
 /// The *caller* (the persist layer) is responsible for only populating a
-/// slot when the unit's input fingerprint matches the live inputs — see
-/// `persist::StageKeys`. `build_with_reuse` trusts scalar and per-topic
-/// slots outright; the PIKS slot is additionally screened world-by-world
-/// against this build's coin derivation.
+/// slot when the unit's input fingerprint matches the live inputs (see
+/// `persist::StageKeys`) and its payload passed the structural check a view
+/// runs at open. `build_with_reuse` trusts every slot outright; the PIKS
+/// slot was screened world by world ([`PiksReuse::screen`]).
 #[derive(Debug, Default)]
 pub struct ReuseSlots {
-    /// Per-topic cached arrival caps (`cap_z`).
-    pub cap: Vec<Option<f64>>,
-    /// Per-topic cached PB σ̂ rows (see [`PbTopicRow`]).
-    pub pb: Vec<Option<PbTopicRow>>,
-    /// Per-topic cached MIS gains tables (see [`MisTopicGains`]).
-    pub mis: Vec<Option<MisTopicGains>>,
-    /// Cached topic samples (empty vec when the engine precomputes none).
-    pub samples: Option<Vec<TopicSample>>,
-    /// Per-world PIKS reuse slots.
+    /// Per-topic cached `spread-cap` unit payloads.
+    pub cap: Vec<Option<Vec<u8>>>,
+    /// Per-topic cached `pb-bound` unit payloads (a σ̂ row, or the absent
+    /// marker of a configuration that needs no PB tables — keyed by the
+    /// `enabled` flag in [`PrecompBound::input_key_topic`], so a marker
+    /// never satisfies a config that needs the tables).
+    pub pb: Vec<Option<Vec<u8>>>,
+    /// Per-topic cached `mis-tables` unit payloads (same contract as `pb`,
+    /// keyed by [`MisKim::input_key_topic`]).
+    pub mis: Vec<Option<Vec<u8>>>,
+    /// The cached `topic-samples` payload.
+    pub samples: Option<Vec<u8>>,
+    /// Per-world PIKS reuse slots (donor world records).
     pub piks: Option<PiksReuse>,
-    /// Cached autocomplete trie.
-    pub names: Option<Autocomplete>,
+    /// The cached `autocomplete` payload.
+    pub names: Option<Vec<u8>>,
 }
 
 /// Everything the engine precomputes before serving its first query.
 #[derive(Debug, Clone)]
 pub struct OfflineArtifacts {
-    /// Per-topic arrival caps `cap_z` (the per-topic rebuild units of the
-    /// `spread-cap` stage), in topic order.
-    pub topic_caps: Vec<f64>,
-    /// Combined spread cap `C` (NB/LG bound constant) —
-    /// [`combine_topic_caps`] over `topic_caps`.
-    pub cap: f64,
-    /// Per-topic PB bound tables (present iff the configured engine needs
-    /// them).
-    pub pb: Option<PrecompBound>,
-    /// MIS per-topic seed tables (present iff the MIS engine is selected).
-    pub mis: Option<MisKim>,
-    /// Topic samples with precomputed seed sets (non-empty iff the
-    /// topic-sample engine is selected).
-    pub samples: Vec<TopicSample>,
-    /// The PIKS influencer index (shared-coin possible worlds).
-    pub piks_index: InfluencerIndex,
-    /// Name auto-completion trie.
-    pub names: Autocomplete,
+    /// Every section's `(tag, payload)` in canonical order
+    /// ([`persist::section_order`]) — what [`persist::encode`] frames.
+    pub sections: Vec<(u32, Vec<u8>)>,
     /// Per-stage wall-clock telemetry, in [`STAGE_ORDER`], covering only
     /// the stages that actually ran (a stage fully reloaded from cache
     /// reports no timing — it did no build work).
@@ -245,6 +228,12 @@ impl OfflineArtifacts {
     /// Whether every stage was fully reloaded from cache (zero build work).
     pub fn fully_reused(&self) -> bool {
         self.reuse.iter().all(StageReuse::is_full)
+    }
+
+    /// Every section's `(tag, payload)` in canonical order (the shape of
+    /// [`view::MappedArtifacts::payloads`]).
+    pub fn payloads(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        self.sections.iter().map(|(tag, p)| (*tag, p.as_slice()))
     }
 }
 
@@ -267,27 +256,27 @@ pub fn needs_mis(config: &OctopusConfig) -> bool {
     matches!(config.kim, KimEngineChoice::Mis)
 }
 
-/// Run a topic-granular stage: unit `z` is reloaded from `slots[z]` when
+/// Run a topic-granular stage: unit `z` is taken from `slots[z]` when
 /// populated and rebuilt via `f(z)` otherwise (rebuilds in parallel,
-/// assembled in topic order). Returns the per-topic values, a timing only
+/// assembled in topic order). Returns the per-topic units, a timing only
 /// when at least one unit rebuilt, and a `reused/total` counter over
 /// topics.
-fn stage_per_topic<T: Send>(
+fn stage_per_topic(
     name: &'static str,
     num_topics: usize,
-    mut slots: Vec<Option<T>>,
-    f: impl Fn(usize) -> T + Sync,
-) -> (Vec<T>, Option<StageTiming>, StageReuse) {
+    mut slots: Vec<Option<Vec<u8>>>,
+    f: impl Fn(usize) -> Vec<u8> + Sync,
+) -> (Vec<Vec<u8>>, Option<StageTiming>, StageReuse) {
     slots.resize_with(num_topics, || None);
     slots.truncate(num_topics);
     let reused = slots.iter().filter(|s| s.is_some()).count();
     let start = Instant::now();
     let missing: Vec<usize> = (0..num_topics).filter(|&z| slots[z].is_none()).collect();
-    let rebuilt: Vec<T> = missing.par_iter().map(|&z| f(z)).collect();
-    for (&z, value) in missing.iter().zip(rebuilt) {
-        slots[z] = Some(value);
+    let rebuilt: Vec<Vec<u8>> = missing.par_iter().map(|&z| f(z)).collect();
+    for (&z, unit) in missing.iter().zip(rebuilt) {
+        slots[z] = Some(unit);
     }
-    let values: Vec<T> = slots
+    let units: Vec<Vec<u8>> = slots
         .into_iter()
         .map(|s| s.expect("every unit reused or rebuilt"))
         .collect();
@@ -296,7 +285,7 @@ fn stage_per_topic<T: Send>(
         duration: start.elapsed(),
     });
     (
-        values,
+        units,
         timing,
         StageReuse {
             stage: name,
@@ -306,17 +295,17 @@ fn stage_per_topic<T: Send>(
     )
 }
 
-/// Run `f` as the named stage unless `slot` carries a cached value.
-/// Returns the value, a timing only when the stage actually ran, and the
+/// Run `f` as the named stage unless `slot` carries a cached unit.
+/// Returns the unit, a timing only when the stage actually ran, and the
 /// stage's reuse counter.
-fn stage_or<T>(
+fn stage_or(
     name: &'static str,
-    slot: Option<T>,
-    f: impl FnOnce() -> T,
-) -> (T, Option<StageTiming>, StageReuse) {
+    slot: Option<Vec<u8>>,
+    f: impl FnOnce() -> Vec<u8>,
+) -> (Vec<u8>, Option<StageTiming>, StageReuse) {
     match slot {
-        Some(value) => (
-            value,
+        Some(unit) => (
+            unit,
             None,
             StageReuse {
                 stage: name,
@@ -326,9 +315,9 @@ fn stage_or<T>(
         ),
         None => {
             let start = Instant::now();
-            let value = f();
+            let unit = f();
             (
-                value,
+                unit,
                 Some(StageTiming {
                     stage: name,
                     duration: start.elapsed(),
@@ -354,10 +343,11 @@ pub fn build(graph: &TopicGraph, config: &OctopusConfig) -> OfflineArtifacts {
     build_with_reuse(graph, config, ReuseSlots::default())
 }
 
-/// Run the offline pipeline, short-circuiting every work unit whose slot
-/// in `slots` carries a cached output and rebuilding only the rest along
-/// the stage DAG (a reused `cap`/`pb` still feeds a rebuilt
-/// `topic-samples`, and vice versa).
+/// Run the offline pipeline, taking every work unit whose slot in `slots`
+/// carries a cached payload and rebuilding only the rest along the stage
+/// DAG (a reused `cap`/`pb` still feeds a rebuilt `topic-samples`, read
+/// straight off the unit bytes, and vice versa). A rebuilt unit is encoded
+/// by its stage as soon as it is built.
 ///
 /// Correctness contract: a populated slot must hold exactly what its unit
 /// would compute for `(graph, config)` — slots are keyed by per-unit input
@@ -392,54 +382,44 @@ pub fn build_with_reuse(
                 || {
                     // sequential chain: cap → pb → topic samples; cap and
                     // pb rebuild per topic
-                    let (topic_caps, t_cap, r_cap) =
+                    let (caps, t_cap, r_cap) =
                         stage_per_topic("spread-cap", z_count, cap_slots, |z| {
-                            topic_arrival_cap(graph, z)
+                            topic_arrival_cap(graph, z).to_le_bytes().to_vec()
                         });
+                    let topic_caps: Vec<f64> = caps
+                        .iter()
+                        .map(|unit| persist::decode_cap(unit).expect("8-byte cap unit"))
+                        .collect();
                     let cap = combine_topic_caps(&topic_caps);
-                    let (pb_rows, t_pb, r_pb) =
-                        stage_per_topic("pb-bound", z_count, pb_slots, |z| {
-                            needs_pb(config)
-                                .then(|| PrecompBound::build_topic(graph, z, config.mia_theta))
-                        });
-                    let pb = needs_pb(config).then(|| {
-                        let rows = pb_rows
-                            .into_iter()
-                            .map(|r| r.expect("pb units keyed on the enabled flag"))
-                            .collect();
-                        PrecompBound::from_parts(rows, config.pb_safety)
+                    let (pb, t_pb, r_pb) = stage_per_topic("pb-bound", z_count, pb_slots, |z| {
+                        let row = needs_pb(config)
+                            .then(|| PrecompBound::build_topic(graph, z, config.mia_theta));
+                        encode_pb_topic_section(row.as_deref(), config.pb_safety)
                     });
                     let (samples, t_samples, r_samples) =
                         stage_or("topic-samples", samples_slot, || {
-                            build_topic_samples(graph, config, &pb, cap)
+                            let units: Vec<&[u8]> = pb.iter().map(Vec::as_slice).collect();
+                            let table = PbTableView::parse(&units, graph.node_count())
+                                .expect("pb units validated or just built");
+                            build_topic_samples(graph, config, table.as_ref(), cap)
                         });
                     (
-                        topic_caps, cap, pb, samples, t_cap, t_pb, t_samples, r_cap, r_pb,
-                        r_samples,
+                        caps, pb, samples, t_cap, t_pb, t_samples, r_cap, r_pb, r_samples,
                     )
                 },
                 || {
-                    let (gains, t_mis, r_mis) =
-                        stage_per_topic("mis-tables", z_count, mis_slots, |z| {
-                            needs_mis(config).then(|| {
-                                MisKim::build_topic(
-                                    graph,
-                                    z,
-                                    config.k_max,
-                                    config.mis_rr_per_topic,
-                                    config.seed,
-                                )
-                            })
+                    stage_per_topic("mis-tables", z_count, mis_slots, |z| {
+                        let table = needs_mis(config).then(|| {
+                            MisKim::build_topic(
+                                graph,
+                                z,
+                                config.k_max,
+                                config.mis_rr_per_topic,
+                                config.seed,
+                            )
                         });
-                    let mis = needs_mis(config).then(|| {
-                        MisKim::from_parts(
-                            gains
-                                .into_iter()
-                                .map(|g| g.expect("mis units keyed on the enabled flag"))
-                                .collect(),
-                        )
-                    });
-                    (mis, t_mis, r_mis)
+                        encode_mis_topic_section(table.as_ref())
+                    })
                 },
             )
         },
@@ -469,30 +449,29 @@ pub fn build_with_reuse(
                         reused,
                         total,
                     };
-                    (index, timing, reuse)
+                    (index.into_bytes(), timing, reuse)
                 },
                 || {
                     stage_or("autocomplete", names_slot, || {
                         Autocomplete::build(graph.nodes().filter_map(|u| {
                             graph.name(u).map(|n| (n, u, graph.out_degree(u) as f64))
                         }))
+                        .to_bytes()
                     })
                 },
             )
         },
     );
-    let (topic_caps, cap, pb, samples, t_cap, t_pb, t_samples, r_cap, r_pb, r_samples) = left;
+    let (caps, pb, samples, t_cap, t_pb, t_samples, r_cap, r_pb, r_samples) = left;
     let (mis, t_mis, r_mis) = mis_out;
-    let (piks_index, t_piks, r_piks) = piks_out;
+    let (piks, t_piks, r_piks) = piks_out;
     let (names, t_names, r_names) = names_out;
+    let units = caps.into_iter().chain(pb).chain(mis);
     OfflineArtifacts {
-        topic_caps,
-        cap,
-        pb,
-        mis,
-        samples,
-        piks_index,
-        names,
+        sections: persist::section_order(z_count)
+            .into_iter()
+            .zip(units.chain([samples, piks, names]))
+            .collect(),
         timings: [t_cap, t_pb, t_mis, t_samples, t_piks, t_names]
             .into_iter()
             .flatten()
@@ -504,20 +483,21 @@ pub fn build_with_reuse(
 
 /// The topic-samples stage: sample the query distributions, then solve a
 /// `k_max`-deep seed set for each with the same inner engine online queries
-/// will use. Solving parallelizes per gamma.
+/// will use, over the PB tables' unit bytes. Solving parallelizes per
+/// gamma. Returns the encoded `topic-samples` unit.
 fn build_topic_samples(
     graph: &TopicGraph,
     config: &OctopusConfig,
-    pb: &Option<PrecompBound>,
+    pb: Option<&PbTableView<'_>>,
     cap: f64,
-) -> Vec<TopicSample> {
+) -> Vec<u8> {
     let KimEngineChoice::TopicSample {
         bound,
         extra_samples,
         ..
     } = config.kim
     else {
-        return Vec::new();
+        return persist::encode_samples(&[]);
     };
     let gammas = TopicSampleKim::<NeighborhoodBound>::sample_gammas(
         graph.num_topics(),
@@ -525,26 +505,18 @@ fn build_topic_samples(
         0.3,
         config.seed ^ 0x7A11,
     );
-    gammas
+    let samples: Vec<TopicSample> = gammas
         .par_iter()
         .map(|gamma| {
-            let res = run_best_effort(
-                graph,
-                bound,
-                pb.as_ref(),
-                cap,
-                config,
-                gamma,
-                config.k_max,
-                &[],
-            );
+            let res = run_best_effort(graph, bound, pb, cap, config, gamma, config.k_max, &[]);
             TopicSample {
                 gamma: gamma.clone(),
                 seeds: res.seeds,
                 spread: res.spread,
             }
         })
-        .collect()
+        .collect();
+    persist::encode_samples(&samples)
 }
 
 /// Run one best-effort selection with the configured bound estimator —
@@ -623,20 +595,30 @@ mod tests {
         assert!(art.build_total > Duration::ZERO);
     }
 
+    /// The payload of section `tag` in `art`.
+    fn payload(art: &OfflineArtifacts, tag: u32) -> &[u8] {
+        art.payloads()
+            .find(|&(t, _)| t == tag)
+            .expect("every tag")
+            .1
+    }
+
     #[test]
     fn stages_build_only_what_the_config_needs() {
+        use persist::{topic_tag, SECTION_MIS, SECTION_PB, SECTION_SAMPLES};
+        let absent = 0u64.to_le_bytes();
         let g = two_hub_graph();
         let mis = build(&g, &config(KimEngineChoice::Mis));
-        assert!(mis.mis.is_some());
-        assert!(mis.pb.is_none());
-        assert!(mis.samples.is_empty());
+        assert_ne!(payload(&mis, topic_tag(SECTION_MIS, 0)), absent);
+        assert_eq!(payload(&mis, topic_tag(SECTION_PB, 0)), absent);
+        assert_eq!(payload(&mis, SECTION_SAMPLES), 0u32.to_le_bytes());
 
         let pb = build(
             &g,
             &config(KimEngineChoice::BestEffort(BoundKind::Precomputation)),
         );
-        assert!(pb.pb.is_some());
-        assert!(pb.mis.is_none());
+        assert_ne!(payload(&pb, topic_tag(SECTION_PB, 1)), absent);
+        assert_eq!(payload(&pb, topic_tag(SECTION_MIS, 1)), absent);
 
         let ts = build(
             &g,
@@ -646,16 +628,26 @@ mod tests {
                 direct_eps: 0.05,
             }),
         );
-        assert!(ts.pb.is_some(), "PB-bound topic samples need the PB table");
-        assert!(ts.samples.len() >= 2, "Z corners at minimum");
+        assert_ne!(
+            payload(&ts, topic_tag(SECTION_PB, 0)),
+            absent,
+            "PB-bound topic samples need the PB table"
+        );
+        let samples = persist::decode_samples(payload(&ts, SECTION_SAMPLES), &g).unwrap();
+        assert!(samples.len() >= 2, "Z corners at minimum");
     }
 
     #[test]
     fn artifacts_always_include_query_independent_structures() {
         let g = two_hub_graph();
         let art = build(&g, &config(KimEngineChoice::Naive));
-        assert!(art.cap >= 1.0);
-        assert_eq!(art.piks_index.len(), 600);
-        assert!(!art.names.is_empty());
+        let caps: Vec<f64> = (0..2)
+            .map(|z| persist::decode_cap(payload(&art, persist::topic_tag(1, z))).unwrap())
+            .collect();
+        assert!(combine_topic_caps(&caps) >= 1.0);
+        let piks = crate::piks::PiksWorldsView::parse(payload(&art, persist::SECTION_PIKS));
+        assert_eq!(piks.unwrap().len(), 600);
+        let names = crate::autocomplete::TrieView::parse(payload(&art, persist::SECTION_NAMES), 12);
+        assert!(!names.unwrap().is_empty());
     }
 }

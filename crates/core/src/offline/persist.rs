@@ -67,9 +67,9 @@
 //! `O(file)`. Every section still carries its own FNV-1a checksum, so
 //! corruption, torn writes, and truncation are detected **per section**:
 //! the damaged unit misses, the intact ones (including the other topics of
-//! the same stage) are still reused. On the decode path checksums are
-//! verified before decoding; the mapped path defers them per section to
-//! first touch ([`wire::section_range`] frames without hashing). A v1–v5
+//! the same stage) are still reused. A rebuild verifies a donor section's
+//! checksum before it parses the payload; the mapped path defers them per
+//! section to first touch ([`wire::section_range`] frames without hashing). A v1–v5
 //! file fails the version check and is migrated by rebuild — the v6 writer
 //! then replaces it for the same inputs under the same cache-file name
 //! scheme.
@@ -91,14 +91,15 @@
 #![warn(missing_docs)]
 
 use super::view::MappedArtifacts;
-use super::{MisTopicGains, OfflineArtifacts, PbTopicRow, ReuseSlots, StageTiming};
-use crate::autocomplete::Autocomplete;
+use super::{OfflineArtifacts, ReuseSlots, StageTiming};
+use crate::autocomplete::{Autocomplete, TrieView};
 use crate::engine::{KimEngineChoice, OctopusConfig};
-use crate::kim::bounds::{spread_cap_topic_key, BoundKind, PrecompBound};
+use crate::kim::bounds::{spread_cap_topic_key, BoundKind, PbTableView, PrecompBound};
+use crate::kim::mis::MisView;
 use crate::kim::topic_sample::TopicSample;
 use crate::kim::MisKim;
 use crate::piks::InfluencerIndex;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use octopus_graph::delta::MaxShift;
 use octopus_graph::wire::{self, Fnv64, SectionEntry, WireError};
 use octopus_graph::{codec as graph_codec, NodeId, TopicGraph};
@@ -162,9 +163,10 @@ pub const STAGE_ARTIFACT_MAP: &str = "artifact-map";
 /// Synthetic stage name for header/table/checksum validation on a full
 /// artifact hit.
 pub const STAGE_ARTIFACT_VALIDATE: &str = "artifact-validate";
-/// Synthetic stage name for decoding section payloads into their owned
-/// forms on a full artifact hit (zero in mapped mode for the lazy
-/// sections — that is the point of the mapped path).
+/// Synthetic stage name for parsing and screening section payloads on a
+/// full artifact hit: the structural checks a unit passes before it fills
+/// a reuse slot, or a view's parse at open (which leaves the lazy
+/// sections' payloads untouched — that is the point of the mapped path).
 pub const STAGE_ARTIFACT_DECODE: &str = "artifact-decode";
 /// Synthetic stage name reported for writing a build to cache.
 pub const STAGE_ARTIFACT_STORE: &str = "artifact-store";
@@ -448,10 +450,12 @@ fn topic_samples_key(topology: u64, weights: u64, config: &OctopusConfig) -> u64
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Serialize `artifacts` as an OCTA v6 sectioned container stamped with the
+/// Frame `artifacts` as an OCTA v6 sectioned container stamped with the
 /// combined key `fp`, the per-unit `keys`, and the cache directory's
 /// `write_seq` (see [`prune`]; callers outside a cache directory may pass
-/// any value — the sequence never gates reuse).
+/// any value — the sequence never gates reuse). The payloads are already
+/// encoded: this writes the header, the section table with each payload's
+/// key and checksum, and the payloads.
 ///
 /// Sections are laid out in [`section_order`] at ascending 8-aligned
 /// offsets recorded in the table, with zero padding *before* any section
@@ -463,33 +467,9 @@ pub fn encode(
     keys: &StageKeys,
     write_seq: u64,
 ) -> Vec<u8> {
-    let z_count = artifacts.topic_caps.len();
-    debug_assert_eq!(keys.cap.len(), z_count, "keys and artifacts agree on Z");
-    let mut sections: Vec<(u32, u64, BytesMut)> = Vec::with_capacity(3 * z_count + 3);
-    for z in 0..z_count {
-        let mut payload = BytesMut::with_capacity(8);
-        payload.put_f64_le(artifacts.topic_caps[z]);
-        sections.push((topic_tag(SECTION_CAP, z), keys.cap[z], payload));
-    }
-    for z in 0..z_count {
-        sections.push((
-            topic_tag(SECTION_PB, z),
-            keys.pb[z],
-            encode_pb_topic(artifacts, z),
-        ));
-    }
-    for z in 0..z_count {
-        sections.push((
-            topic_tag(SECTION_MIS, z),
-            keys.mis[z],
-            encode_mis_topic(artifacts, z),
-        ));
-    }
-    sections.push((SECTION_SAMPLES, keys.samples, encode_samples(artifacts)));
-    sections.push((SECTION_PIKS, keys.piks, encode_piks(artifacts)));
-    sections.push((SECTION_NAMES, keys.names, encode_names(artifacts)));
+    let sections = &artifacts.sections;
     let table_len = sections.len() * wire::SECTION_ENTRY_LEN;
-    let payload_len: usize = sections.iter().map(|(_, _, p)| wire::align8(p.len())).sum();
+    let payload_len: usize = sections.iter().map(|(_, p)| wire::align8(p.len())).sum();
     let mut buf = Vec::with_capacity(HEADER_LEN + table_len + payload_len);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
@@ -502,13 +482,13 @@ pub fn encode(
     buf.put_u32_le(0);
     debug_assert_eq!(buf.len(), HEADER_LEN);
     let mut off = (HEADER_LEN + table_len) as u64;
-    for (tag, key, payload) in &sections {
+    for (tag, payload) in sections {
         off = wire::align8(off as usize) as u64;
         wire::put_section_entry(
             &mut buf,
             &SectionEntry {
                 tag: *tag,
-                key: *key,
+                key: keys.for_tag(*tag).expect("keys and artifacts agree on Z"),
                 off,
                 len: payload.len() as u64,
                 checksum: wire::fnv1a(payload),
@@ -516,68 +496,11 @@ pub fn encode(
         );
         off += payload.len() as u64;
     }
-    for (_, _, payload) in sections {
+    for (_, payload) in sections {
         buf.put_bytes(0, wire::pad8(buf.len()));
-        buf.put_slice(&payload);
+        buf.put_slice(payload);
     }
     buf
-}
-
-/// Encode one topic's PB unit. Reserves exactly: σ̂ rows are N×8 bytes at
-/// production scale, so a large encode must not crawl through doubling
-/// reallocations.
-fn encode_pb_topic(artifacts: &OfflineArtifacts, z: usize) -> BytesMut {
-    let parts = artifacts.pb.as_ref().map(|pb| pb.parts());
-    let row = parts.map(|(sigma, _)| sigma[z].as_slice());
-    let safety = parts.map_or(0.0, |(_, s)| s);
-    let mut payload = BytesMut::with_capacity(row.map_or(8, |r| 24 + r.len() * 8));
-    crate::kim::bounds::encode_pb_topic_section(row, safety, &mut payload);
-    payload
-}
-
-/// Encode one topic's MIS unit.
-fn encode_mis_topic(artifacts: &OfflineArtifacts, z: usize) -> BytesMut {
-    let table = artifacts.mis.as_ref().map(|m| &m.gains()[z]);
-    let cap = table.map_or(8, |t| 24 + t.len() * 12 + 8);
-    let mut payload = BytesMut::with_capacity(cap);
-    crate::kim::mis::encode_mis_topic_section(table, &mut payload);
-    payload
-}
-
-fn encode_samples(artifacts: &OfflineArtifacts) -> BytesMut {
-    let cap: usize = 4 + artifacts
-        .samples
-        .iter()
-        .map(|s| 16 + s.gamma.num_topics() * 8 + s.seeds.len() * 4)
-        .sum::<usize>();
-    let mut payload = BytesMut::with_capacity(cap);
-    payload.put_u32_le(artifacts.samples.len() as u32);
-    for s in &artifacts.samples {
-        payload.put_u32_le(s.gamma.num_topics() as u32);
-        for &g in s.gamma.as_slice() {
-            payload.put_f64_le(g);
-        }
-        payload.put_u32_le(s.seeds.len() as u32);
-        for &u in &s.seeds {
-            payload.put_u32_le(u.0);
-        }
-        payload.put_f64_le(s.spread);
-    }
-    payload
-}
-
-fn encode_piks(artifacts: &OfflineArtifacts) -> BytesMut {
-    let piks = artifacts.piks_index.stats();
-    let cap = 8 + artifacts.piks_index.len() * 40 + piks.stored_nodes * 8 + piks.stored_edges * 8;
-    let mut payload = BytesMut::with_capacity(cap);
-    artifacts.piks_index.encode_into(&mut payload);
-    payload
-}
-
-fn encode_names(artifacts: &OfflineArtifacts) -> BytesMut {
-    let mut payload = BytesMut::with_capacity(8 + artifacts.names.len() * 64);
-    artifacts.names.encode_into(&mut payload);
-    payload
 }
 
 // ---------------------------------------------------------------------------
@@ -639,8 +562,9 @@ pub(crate) fn read_section_count(raw: &[u8]) -> Result<usize, PersistError> {
 /// payload truncation, content that fails validation against the live
 /// graph — are not errors; the affected section's slot stays empty and its
 /// stage rebuilds. A slot is populated only when the section's stored key
-/// equals the expected [`StageKeys`] entry **and** the payload decodes and
-/// validates, so a populated slot is safe to hand to
+/// equals the expected [`StageKeys`] entry **and** the payload passes the
+/// structural check a view runs at open (for PIKS worlds,
+/// [`crate::piks::PiksReuse::screen`]), so a populated slot is safe to hand to
 /// [`super::build_with_reuse`] verbatim.
 pub fn load_sections(
     raw: &[u8],
@@ -681,9 +605,9 @@ enum Donor<'a> {
     Live(&'a MappedArtifacts, Option<&'a [MaxShift]>),
 }
 
-/// [`load_sections`], but accumulating into `slots` and decoding **only
+/// [`load_sections`], but accumulating into `slots` and checking **only
 /// still-needed sections** — a scalar slot already filled by an earlier
-/// donor is not re-decoded (nor even checksummed), and the PIKS section is
+/// donor is not re-checked (nor even checksummed), and the PIKS section is
 /// skipped once every world up to `piks_index_size` is covered. A needed
 /// PIKS section is verified, then screened into the accumulated world
 /// slots in place ([`crate::piks::PiksReuse::screen`]), so donors union
@@ -744,48 +668,66 @@ fn load_sections_into(
             continue; // truncated or corrupted in place: the unit rebuilds
         };
         let t_decode = std::time::Instant::now();
-        match tag_base(entry.tag) {
-            SECTION_CAP => {
-                if let Ok(cap) = decode_cap(payload) {
-                    slots.cap[z] = Some(cap);
-                    salvaged = true;
-                }
+        if tag_base(entry.tag) == SECTION_PIKS {
+            let seed = config.seed ^ super::PIKS_WORLD_SEED_XOR;
+            let piks = slots.piks.get_or_insert_default();
+            salvaged |= piks
+                .screen(payload, graph, seed, shifts)
+                .is_ok_and(|filled| filled > 0);
+        } else if check_unit(entry.tag, payload, graph, config).is_ok() {
+            let unit = Some(payload.to_vec());
+            match tag_base(entry.tag) {
+                SECTION_CAP => slots.cap[z] = unit,
+                SECTION_PB => slots.pb[z] = unit,
+                SECTION_MIS => slots.mis[z] = unit,
+                SECTION_SAMPLES => slots.samples = unit,
+                _ => slots.names = unit,
             }
-            SECTION_PB => {
-                if let Ok(row) = decode_pb_topic(payload, graph, config) {
-                    slots.pb[z] = Some(row);
-                    salvaged = true;
-                }
-            }
-            SECTION_MIS => {
-                if let Ok(gains) = decode_mis_topic(payload, graph, config) {
-                    slots.mis[z] = Some(gains);
-                    salvaged = true;
-                }
-            }
-            SECTION_SAMPLES => {
-                if let Ok(samples) = decode_samples(payload, graph) {
-                    slots.samples = Some(samples);
-                    salvaged = true;
-                }
-            }
-            SECTION_PIKS => {
-                let piks = slots.piks.get_or_insert_default();
-                salvaged |= piks
-                    .screen(payload, graph, shifts)
-                    .is_ok_and(|filled| filled > 0);
-            }
-            SECTION_NAMES => {
-                if let Ok(names) = Autocomplete::decode_from(payload, graph.node_count()) {
-                    slots.names = Some(names);
-                    salvaged = true;
-                }
-            }
-            _ => unreachable!("needed is false for unknown tags"),
+            salvaged = true;
         }
         timings.decode += t_decode.elapsed();
     }
     Ok(salvaged)
+}
+
+/// What a non-PIKS unit must pass to fill a reuse slot: the structural
+/// check a view runs on it at open, and — for the PB and MIS units —
+/// presence matching whether the configured engine needs the tables, plus
+/// a present PB unit's stored safety equal to the live config's bitwise.
+fn check_unit(
+    tag: u32,
+    raw: &[u8],
+    graph: &TopicGraph,
+    config: &OctopusConfig,
+) -> Result<(), WireError> {
+    let n = graph.node_count();
+    let (present, needed) = match tag_base(tag) {
+        SECTION_CAP => return decode_cap(raw).map(drop),
+        SECTION_PB => {
+            let parsed = PbTableView::parse_topic(raw, n)?;
+            if let Some((safety, _)) = parsed {
+                if safety.to_bits() != config.pb_safety.to_bits() {
+                    return Err(WireError(format!(
+                        "pb unit safety {safety} disagrees with config {}",
+                        config.pb_safety
+                    )));
+                }
+            }
+            (parsed.is_some(), super::needs_pb(config))
+        }
+        SECTION_MIS => (
+            MisView::parse(&[raw], n)?.is_some(),
+            super::needs_mis(config),
+        ),
+        SECTION_SAMPLES => return decode_samples(raw, graph).map(drop),
+        _ => return TrieView::parse(raw, n).map(drop),
+    };
+    if present != needed {
+        return Err(WireError(
+            "unit presence disagrees with the configured engine".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Size a per-topic slot vector to the live topic count (idempotent).
@@ -807,53 +749,27 @@ pub(crate) fn decode_cap(raw: &[u8]) -> Result<f64, WireError> {
     Ok(buf.get_f64_le())
 }
 
-/// Decode one topic's PB unit via its zero-copy parser
-/// ([`crate::kim::bounds::PbTableView::parse_topic`] does all structural
-/// validation, so the writer, the mapped reader, and this owned decode can
-/// never disagree about the byte format). Presence must match whether the
-/// configured engine needs the tables, and a present unit's stored safety
-/// must equal the live config's bitwise.
-fn decode_pb_topic(
-    raw: &[u8],
-    graph: &TopicGraph,
-    config: &OctopusConfig,
-) -> Result<PbTopicRow, WireError> {
-    let parsed = crate::kim::bounds::PbTableView::parse_topic(raw, graph.node_count())?;
-    if parsed.is_some() != super::needs_pb(config) {
-        return Err(WireError(
-            "pb unit presence disagrees with the configured engine".into(),
-        ));
+/// Encode the `topic-samples` unit: `count u32`, then per sample
+/// `Z u32 | gamma Z × f64 | k u32 | seeds k × u32 | spread f64`.
+pub(crate) fn encode_samples(samples: &[TopicSample]) -> Vec<u8> {
+    let len: usize = samples
+        .iter()
+        .map(|s| 16 + s.gamma.num_topics() * 8 + s.seeds.len() * 4)
+        .sum();
+    let mut payload = Vec::with_capacity(4 + len);
+    payload.put_u32_le(samples.len() as u32);
+    for s in samples {
+        payload.put_u32_le(s.gamma.num_topics() as u32);
+        for &g in s.gamma.as_slice() {
+            payload.put_f64_le(g);
+        }
+        payload.put_u32_le(s.seeds.len() as u32);
+        for &u in &s.seeds {
+            payload.put_u32_le(u.0);
+        }
+        payload.put_f64_le(s.spread);
     }
-    parsed
-        .map(|(safety, row)| {
-            if safety.to_bits() != config.pb_safety.to_bits() {
-                return Err(WireError(format!(
-                    "pb unit safety {safety} disagrees with config {}",
-                    config.pb_safety
-                )));
-            }
-            Ok(row
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect())
-        })
-        .transpose()
-}
-
-/// Decode one topic's MIS unit (same single-format guarantee as
-/// [`decode_pb_topic`]).
-fn decode_mis_topic(
-    raw: &[u8],
-    graph: &TopicGraph,
-    config: &OctopusConfig,
-) -> Result<MisTopicGains, WireError> {
-    let gains = crate::kim::mis::MisView::decode_topic(raw, graph.node_count())?;
-    if gains.is_some() != super::needs_mis(config) {
-        return Err(WireError(
-            "mis unit presence disagrees with the configured engine".into(),
-        ));
-    }
-    Ok(gains)
+    payload
 }
 
 pub(crate) fn decode_samples(
@@ -919,14 +835,15 @@ fn expect_drained(buf: &&[u8], what: &str) -> Result<(), WireError> {
 /// Wall-clock breakdown of a cache [`lookup`], split the way the engine
 /// reports a full artifact hit: reading bytes ([`STAGE_ARTIFACT_MAP`]),
 /// header/table/checksum verification ([`STAGE_ARTIFACT_VALIDATE`]), and
-/// payload decoding ([`STAGE_ARTIFACT_DECODE`]).
+/// payload parsing and screening ([`STAGE_ARTIFACT_DECODE`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoadTimings {
     /// Time spent reading (or mapping) cache files.
     pub map: std::time::Duration,
     /// Time spent on header, table, and checksum validation.
     pub validate: std::time::Duration,
-    /// Time spent decoding section payloads into owned stage outputs.
+    /// Time spent parsing and screening section payloads (the structural
+    /// checks a unit passes before it fills a reuse slot).
     pub decode: std::time::Duration,
 }
 
@@ -973,7 +890,7 @@ pub struct CacheLookup {
 /// path a graph delta takes (a delta changes the combined fingerprint and
 /// therefore the file name): the newest donor is the epoch closest to the
 /// live graph, so it supplies most units and older ones fill the gaps.
-/// Slots already satisfied by an earlier file are skipped without decoding;
+/// Slots already satisfied by an earlier file are skipped without parsing;
 /// PIKS world slots **union** across donors (two deltas that invalidated
 /// disjoint world sets in different epoch files reassemble full coverage).
 ///
@@ -1014,7 +931,7 @@ pub fn lookup(
             continue;
         };
         // accumulate directly: already-filled slots are skipped without
-        // re-decoding, and PIKS world slots union across donor files
+        // re-parsing, and PIKS world slots union across donor files
         let donor = Donor::File(&raw);
         if let Ok(true) =
             load_sections_into(donor, keys, graph, config, &mut out.slots, &mut out.timings)
@@ -1196,18 +1113,6 @@ fn prune_scanned(files: Vec<(std::time::SystemTime, u64, PathBuf)>, keep: &[&Pat
     }
 }
 
-/// Load the reusable sections of a single cache file (see
-/// [`load_sections`]; most callers want the directory-level [`lookup`]).
-pub fn load_file(
-    path: &Path,
-    keys: &StageKeys,
-    graph: &TopicGraph,
-    config: &OctopusConfig,
-) -> Result<ReuseSlots, PersistError> {
-    let raw = std::fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
-    load_sections(&raw, keys, graph, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1258,16 +1163,23 @@ mod tests {
         ]
     }
 
-    /// Field-by-field equality of everything that is artifact state (the
-    /// timings and reuse counters are telemetry and are not persisted).
+    /// Byte equality of every section payload — everything that is
+    /// artifact state (the timings and reuse counters are telemetry and are
+    /// not persisted).
     fn assert_artifacts_equal(a: &OfflineArtifacts, b: &OfflineArtifacts, what: &str) {
-        assert_eq!(a.topic_caps, b.topic_caps, "{what}: per-topic caps");
-        assert_eq!(a.cap, b.cap, "{what}: cap");
-        assert_eq!(a.pb, b.pb, "{what}: pb tables");
-        assert_eq!(a.mis, b.mis, "{what}: mis tables");
-        assert_eq!(a.samples, b.samples, "{what}: topic samples");
-        assert_eq!(a.piks_index, b.piks_index, "{what}: piks worlds");
-        assert_eq!(a.names, b.names, "{what}: autocomplete trie");
+        let tags = |art: &OfflineArtifacts| art.payloads().map(|(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(tags(a), tags(b), "{what}: section tags");
+        for ((tag, x), (_, y)) in a.payloads().zip(b.payloads()) {
+            assert!(x == y, "{what}: section {tag:#x} payload differs");
+        }
+    }
+
+    /// The payload of section `tag` in `art`.
+    fn payload(art: &OfflineArtifacts, tag: u32) -> &[u8] {
+        art.payloads()
+            .find(|&(t, _)| t == tag)
+            .expect("every tag")
+            .1
     }
 
     /// Encode, reload, and reassemble through the same path the engine uses.
@@ -1379,25 +1291,23 @@ mod tests {
             assert!(slots.names.is_none(), "cut at {cut} salvaged a cut trie");
             for (z, cap) in slots.cap.iter().enumerate() {
                 if let Some(cap) = cap {
-                    assert_eq!(
-                        *cap, art.topic_caps[z],
+                    assert!(
+                        cap == payload(&art, topic_tag(SECTION_CAP, z)),
                         "cut at {cut}: salvaged cap[{z}] differs"
                     );
                     salvaged_caps += 1;
                 }
             }
-            let (sigma, _) = art.pb.as_ref().expect("pb enabled").parts();
             for (z, slot) in slots.pb.iter().enumerate() {
                 if let Some(row) = slot {
-                    assert_eq!(
-                        row.as_deref(),
-                        Some(sigma[z].as_slice()),
+                    assert!(
+                        row == payload(&art, topic_tag(SECTION_PB, z)),
                         "cut at {cut}: salvaged pb[{z}] differs"
                     );
                 }
             }
             if let Some(samples) = &slots.samples {
-                assert_eq!(samples, &art.samples, "cut at {cut}");
+                assert!(samples == payload(&art, SECTION_SAMPLES), "cut at {cut}");
             }
         }
         assert!(salvaged_caps > 0, "long prefixes must salvage cap units");
@@ -1470,7 +1380,11 @@ mod tests {
         // PB is disabled under the Mis engine, so the only thing that may
         // cross graphs is the graph-independent absent marker
         assert!(
-            slots.pb.iter().flatten().all(Option::is_none),
+            slots
+                .pb
+                .iter()
+                .flatten()
+                .all(|unit| unit == &0u64.to_le_bytes()),
             "a present foreign PB row must not load"
         );
         assert!(
@@ -1510,7 +1424,7 @@ mod tests {
             read_fingerprint(&std::fs::read(&path).unwrap()).unwrap(),
             fp
         );
-        let slots = load_file(&path, &keys, &g, &cfg).unwrap();
+        let slots = load_sections(&std::fs::read(&path).unwrap(), &keys, &g, &cfg).unwrap();
         let back = offline::build_with_reuse(&g, &cfg, slots);
         assert!(back.fully_reused());
         assert_artifacts_equal(&art, &back, "file round trip");
@@ -1525,11 +1439,6 @@ mod tests {
         let g = tiny_graph();
         let cfg = config(KimEngineChoice::Mis);
         let keys = StageKeys::compute(&g, &cfg);
-        let path = std::env::temp_dir().join("octopus_persist_never_written.octa");
-        assert!(matches!(
-            load_file(&path, &keys, &g, &cfg),
-            Err(PersistError::Io(_))
-        ));
         // lookup on a nonexistent directory degrades to an empty result
         let fp = Fingerprint::compute(&g, &cfg);
         let found = lookup(
@@ -1721,7 +1630,7 @@ mod tests {
         );
         // and the merged slots still reassemble bit-identically
         let rebuilt = offline::build_with_reuse(&g, &cfg, found.slots);
-        assert_eq!(rebuilt.piks_index, reference);
+        assert!(payload(&rebuilt, SECTION_PIKS) == reference.to_bytes());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2089,5 +1998,153 @@ mod tests {
             "partial rebuild after rename",
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `art` with section `tag`'s payload passed through `forge`, framed
+    /// under the honest keys: every key matches and every checksum holds.
+    fn forged(
+        art: &OfflineArtifacts,
+        g: &TopicGraph,
+        cfg: &OctopusConfig,
+        tag: u32,
+        forge: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut art = art.clone();
+        let (_, unit) = art.sections.iter_mut().find(|(t, _)| *t == tag).unwrap();
+        forge(unit);
+        encode(
+            &art,
+            &Fingerprint::compute(g, cfg),
+            &StageKeys::compute(g, cfg),
+            1,
+        )
+    }
+
+    #[test]
+    fn a_reused_world_must_keep_its_derived_root() {
+        // world j swaps its root for node 0 (no in-edges, so a one-node
+        // world with no stored edges is self-consistent), its footprint is
+        // recomputed over the live graph, and the container is framed
+        // anew: key, checksum, structure, coin seed and footprint all hold,
+        // but a fresh build of world j draws another root
+        let g = tiny_graph();
+        let cfg = config(KimEngineChoice::Mis);
+        let art = offline::build(&g, &cfg);
+        let view = crate::piks::PiksWorldsView::parse(payload(&art, SECTION_PIKS)).unwrap();
+        let j = (0..view.len())
+            .find(|&j| view.world(j).node_count() == 1 && view.world(j).node(0) != 0)
+            .expect("a one-node world rooted elsewhere");
+        let coins = octopus_cascade::EdgeCoins::new(view.world(j).coin_seed());
+        let raw = forged(&art, &g, &cfg, SECTION_PIKS, |unit| {
+            let lo = u64::from_le_bytes(unit[16 + 8 * j..24 + 8 * j].try_into().unwrap());
+            let lo = lo as usize;
+            let footprint = crate::piks::footprint_hash(&g, &[0], coins);
+            unit[lo..lo + 8].copy_from_slice(&footprint.to_le_bytes());
+            unit[lo + 40..lo + 44].copy_from_slice(&0u32.to_le_bytes()); // node 0
+            unit[lo + 48..lo + 52].copy_from_slice(&0u32.to_le_bytes()); // its lookup pair
+        });
+        let keys = StageKeys::compute(&g, &cfg);
+        let slots = load_sections(&raw, &keys, &g, &cfg).unwrap();
+        let piks = slots.piks.as_ref().unwrap();
+        assert_eq!(piks.available(), cfg.piks_index_size - 1);
+        assert!(!piks.reusable_worlds()[j], "the forged world must rebuild");
+        assert_artifacts_equal(&art, &offline::build_with_reuse(&g, &cfg, slots), "root");
+    }
+
+    #[test]
+    fn forged_but_checksummed_malformed_units_rebuild() {
+        let mis = config(KimEngineChoice::Mis);
+        let pb = config(KimEngineChoice::BestEffort(BoundKind::Precomputation));
+        let ts = config(KimEngineChoice::TopicSample {
+            bound: BoundKind::Precomputation,
+            extra_samples: 2,
+            direct_eps: 0.05,
+        });
+        let n = tiny_graph().node_count();
+        type Forge = Box<dyn Fn(&mut Vec<u8>)>;
+        let rows: Vec<(&str, &OctopusConfig, u32, &str, Forge)> = vec![
+            (
+                "cap length != 8",
+                &mis,
+                topic_tag(SECTION_CAP, 0),
+                "spread-cap",
+                Box::new(|u| u.extend([0; 8])),
+            ),
+            (
+                "pb safety != config",
+                &pb,
+                topic_tag(SECTION_PB, 0),
+                "pb-bound",
+                Box::new(|u| u[8..16].copy_from_slice(&1.5f64.to_le_bytes())),
+            ),
+            (
+                "pb presence != engine",
+                &mis,
+                topic_tag(SECTION_PB, 1),
+                "pb-bound",
+                Box::new(move |u| {
+                    let row = vec![1.0; n];
+                    *u = crate::kim::bounds::encode_pb_topic_section(Some(&row), mis.pb_safety);
+                }),
+            ),
+            (
+                "mis ids not ascending",
+                &mis,
+                topic_tag(SECTION_MIS, 0),
+                "mis-tables",
+                Box::new(|u| {
+                    assert!(u64::from_le_bytes(u[8..16].try_into().unwrap()) >= 2);
+                    let second: [u8; 4] = u[20..24].try_into().unwrap();
+                    u[16..20].copy_from_slice(&second);
+                }),
+            ),
+            (
+                "samples gamma width != Z",
+                &ts,
+                SECTION_SAMPLES,
+                "topic-samples",
+                Box::new(|u| u[4..8].copy_from_slice(&3u32.to_le_bytes())),
+            ),
+            (
+                "trie child offset not preorder",
+                &mis,
+                SECTION_NAMES,
+                "autocomplete",
+                Box::new(|u| {
+                    let off = u64::from_le_bytes(u[24..32].try_into().unwrap());
+                    u[24..32].copy_from_slice(&(off + 8).to_le_bytes());
+                }),
+            ),
+            (
+                "piks CSR offsets malformed",
+                &mis,
+                SECTION_PIKS,
+                "piks-worlds",
+                Box::new(|u| {
+                    let lo = u64::from_le_bytes(u[16..24].try_into().unwrap()) as usize;
+                    let w = u64::from_le_bytes(u[lo + 24..lo + 32].try_into().unwrap()) as usize;
+                    let offsets = lo + wire::align8(40 + 4 * w) + 8 * w;
+                    u[offsets..offsets + 4].copy_from_slice(&1u32.to_le_bytes());
+                }),
+            ),
+        ];
+        let g = tiny_graph();
+        for (what, cfg, tag, stage, forge) in rows {
+            let art = offline::build(&g, cfg);
+            let raw = forged(&art, &g, cfg, tag, forge);
+            let keys = StageKeys::compute(&g, cfg);
+            let slots = load_sections(&raw, &keys, &g, cfg).expect("framing intact");
+            let rebuilt = offline::build_with_reuse(&g, cfg, slots);
+            for r in &rebuilt.reuse {
+                // a malformed PIKS world refuses its whole donor section
+                let expected = match r.stage {
+                    "piks-worlds" if r.stage == stage => 0,
+                    s if s == stage => r.total - 1,
+                    _ => r.total,
+                };
+                assert_eq!(r.reused, expected, "{what}: {r:?}");
+            }
+            assert_artifacts_equal(&art, &rebuilt, what);
+        }
     }
 }

@@ -10,9 +10,10 @@
 //! header, section table, and only the sections that are small or
 //! structurally cheap to walk — so startup is `O(pages touched)` and
 //! replicas mapping the same file share its page cache. An engine that
-//! built (or partially reused) its artifacts encodes them once and hands
-//! those bytes to the same validator; there is one in-memory shape and one
-//! set of read kernels whichever backing holds the bytes.
+//! built (or partially reused) its artifacts frames the stages' unit
+//! payloads once and hands those bytes to the same validator; there is one
+//! in-memory shape and one set of read kernels whichever backing holds the
+//! bytes.
 //!
 //! ## Validation strategy
 //!
@@ -44,7 +45,7 @@
 //!
 //! A mapped open serves only a **complete, exact** file: same combined
 //! fingerprint, every stage key equal. Merging donor sections across files
-//! is the rebuild path's job, whose merged result is then re-encoded.
+//! is the rebuild path's job, whose merged units are then framed anew.
 //!
 //! ## Prune integration
 //!
@@ -298,7 +299,7 @@ fn validate(
         }
         if keys.for_tag(tag) != Some(entry.key) {
             // a stale stage key means this exact file cannot serve mapped;
-            // the owned path may still salvage its other sections
+            // the rebuild path may still salvage its other sections
             return Err(PersistError::Corrupt(format!(
                 "section tag {tag} carries a stale stage key"
             )));
@@ -560,7 +561,8 @@ impl MappedArtifacts {
         self.inner.piks.stored_nodes()
     }
 
-    /// Open telemetry: the three artifact stages (map, validate, decode),
+    /// Open telemetry: the three artifact stages (map, validate, and
+    /// parse/screen under [`persist::STAGE_ARTIFACT_DECODE`]),
     /// mirroring what a full cache hit reports (map is zero on the heap).
     pub fn timings(&self) -> &[StageTiming] {
         &self.inner.timings
@@ -583,6 +585,7 @@ impl MappedArtifacts {
 mod tests {
     use super::*;
     use crate::engine::KimEngineChoice;
+    use crate::kim::bounds::{combine_topic_caps, topic_arrival_cap};
     use crate::offline;
     use octopus_graph::{GraphBuilder, NodeId};
 
@@ -647,17 +650,16 @@ mod tests {
             let mapped = open(&path, &fp, &keys, &g, &cfg, paranoid).expect("mapped open");
             assert!(mapped.is_mapped());
             for served in [&mapped, &heap] {
-                assert_eq!(served.cap().to_bits(), art.cap.to_bits());
-                assert_eq!(served.topic_caps().len(), art.topic_caps.len());
-                for (a, b) in served.topic_caps().iter().zip(&art.topic_caps) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                assert_eq!(served.samples(), &art.samples[..]);
-                assert_eq!(served.piks_len(), art.piks_index.len());
-                assert_eq!(served.trie_view().len(), art.names.len());
+                assert!(served.payloads().eq(art.payloads()), "the saved bytes");
+                let caps: Vec<f64> = (0..2).map(|z| topic_arrival_cap(&g, z)).collect();
+                assert_eq!(served.topic_caps(), &caps[..]);
+                assert_eq!(served.cap().to_bits(), combine_topic_caps(&caps).to_bits());
+                assert!(served.samples().is_empty(), "MIS engine");
+                assert_eq!(served.piks_len(), cfg.piks_index_size);
+                assert_eq!(served.trie_view().len(), g.node_count());
                 assert!(served.mis_view().unwrap().is_some(), "MIS engine");
                 assert!(served.pb_view().unwrap().is_none(), "no PB tables");
-                assert_eq!(served.piks_view().unwrap().len(), art.piks_index.len());
+                assert_eq!(served.piks_view().unwrap().len(), cfg.piks_index_size);
                 assert_eq!(served.trie_view().lookup("user-3"), Some(NodeId(3)));
             }
             assert!(

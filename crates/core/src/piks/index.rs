@@ -22,9 +22,9 @@
 //! the spread of a target `u` is then the classic RR estimate
 //! `n/R · #{j : u ∈ live_j}`.
 //!
-//! Queries read the serialized index — the OCTA v6 `piks-worlds` section —
-//! through the zero-copy [`PiksWorldsView`] and its [`PiksSession`]; the
-//! owned [`InfluencerIndex`] is the build (and incremental-rebuild) form.
+//! [`InfluencerIndex`] builds the serialized index — the OCTA v6
+//! `piks-worlds` section — and queries read it through the zero-copy
+//! [`PiksWorldsView`] and its [`PiksSession`].
 
 use bytes::BufMut;
 use octopus_cascade::{stream_seed, EdgeCoins};
@@ -34,15 +34,13 @@ use octopus_graph::{EdgeId, NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
 use rayon::prelude::*;
 
-/// One stored world: the potential-influencer DAG of a sampled root.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One freshly built world: the potential-influencer DAG of a sampled root,
+/// until [`Sample::encode`] writes its record.
 struct Sample {
-    root: NodeId,
     coins: EdgeCoins,
     /// Nodes of the sub-DAG (root first; position = local id).
     nodes: Vec<u32>,
-    /// Local id lookup: `local_of[global]` or `u32::MAX`.
-    /// Kept sparse via a sorted pairs list to stay memory-proportional.
+    /// Sorted `(global, local)` lookup pairs.
     local_of: Vec<(u32, u32)>,
     /// CSR over local node ids: for each local node, its incoming stored
     /// edges as `(source local id, edge id)`.
@@ -51,35 +49,80 @@ struct Sample {
     /// [`footprint_hash`] of this world over the graph it was built on —
     /// the world's incremental-rebuild cache key.
     footprint: u64,
-    /// Edges the construction BFS examined (per-world work counter; summed
-    /// into [`IndexStats::edges_examined`]).
+    /// Edges the construction BFS examined (a per-world work counter).
     edges_examined: usize,
 }
 
-/// Work/size counters of an index build.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IndexStats {
-    /// Worlds stored.
-    pub samples: usize,
-    /// Total nodes across stored sub-DAGs.
-    pub stored_nodes: usize,
-    /// Total edges across stored sub-DAGs.
-    pub stored_edges: usize,
-    /// Edges examined during construction.
-    pub edges_examined: usize,
+impl Sample {
+    /// The world's record in the `piks-worlds` section (layout on
+    /// [`InfluencerIndex`]).
+    fn encode(&self) -> Vec<u8> {
+        let (w, e) = (self.nodes.len(), self.in_edges.len());
+        let local_off = wire::align8(40 + 4 * w);
+        let edges_off = wire::align8(local_off + 8 * w + 4 * (w + 1));
+        let mut buf = Vec::with_capacity(edges_off + 8 * e);
+        buf.put_u64_le(self.footprint);
+        buf.put_u64_le(self.coins.seed());
+        buf.put_u64_le(self.edges_examined as u64);
+        buf.put_u64_le(w as u64);
+        buf.put_u64_le(e as u64);
+        for &g in &self.nodes {
+            buf.put_u32_le(g);
+        }
+        buf.put_bytes(0, wire::pad8(4 * w));
+        for &(g, l) in &self.local_of {
+            buf.put_u32_le(g);
+            buf.put_u32_le(l);
+        }
+        for &o in &self.in_offsets {
+            buf.put_u32_le(o);
+        }
+        buf.put_bytes(0, wire::pad8(4 * (w + 1)));
+        for &(src, e) in &self.in_edges {
+            buf.put_u32_le(src);
+            buf.put_u32_le(e.0);
+        }
+        buf
+    }
 }
 
-/// The influencer index.
-#[derive(Debug, Clone, PartialEq)]
+/// The influencer index: its serialized `piks-worlds` section.
+///
+/// Layout (the OCTA v6 section payload; normative spec in
+/// `ARCHITECTURE.md`). All fields little-endian; every world record starts
+/// 8-aligned and has a length that is a multiple of 8, so a memory-mapped
+/// file can serve queries straight off the bytes:
+///
+/// ```text
+/// n u64 | world count R u64
+/// (R+1) × u64 world offsets (section-relative; world j occupies
+///                            [off[j], off[j+1]); off[R] = section len)
+/// R × world:
+///   footprint u64 | coin seed u64 | edges_examined u64
+///   node count W u64 | edge count E u64
+///   W × global node u32 (BFS order, root first)        [pad to 8]
+///   W × (global u32, local u32) sorted by global
+///   (W+1) × u32 CSR in-offsets                         [pad to 8]
+///   E × (source local id u32, edge id u32)
+/// ```
+///
+/// Each world carries its own [`footprint_hash`] so a later build can
+/// reuse its record independently of every other world.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfluencerIndex {
-    n: usize,
-    samples: Vec<Sample>,
-    stats: IndexStats,
+    raw: Vec<u8>,
 }
 
 /// Tag separating the root-selection stream from the coin streams (which
 /// derive from the untagged seed in [`EdgeCoins::worlds`]).
 const ROOT_STREAM_TAG: u64 = 0x5EED_2007_D00D_1DE5;
+
+/// The root of world `j` over `n` nodes: uniform from the world's own
+/// stream (stable under parallelism, decorrelated from the world's coin
+/// stream by the tag).
+fn world_root(seed: u64, j: u64, n: usize) -> u32 {
+    ((stream_seed(seed ^ ROOT_STREAM_TAG, j) >> 11) % n as u64) as u32
+}
 
 /// The structural key of one world: everything its construction BFS reads
 /// from the graph. For every node of the world's sub-DAG, in BFS discovery
@@ -90,7 +133,7 @@ const ROOT_STREAM_TAG: u64 = 0x5EED_2007_D00D_1DE5;
 /// This is the world's incremental-rebuild key. The reverse BFS only ever
 /// expands through in-edges of nodes it has reached, and it reads an edge's
 /// weights only through that bit, so if this hash is unchanged on a *new*
-/// graph, rebuilding the world there reproduces the stored sample bit for
+/// graph, rebuilding the world there reproduces the stored record bit for
 /// bit (the root and coins are keyed separately on `(seed, n, j)`). A new
 /// in-edge on a reached node, an edge-id shift or a flipped bit moves it; a
 /// weight change that flips no bit does not, since queries read `pp_e(γ)`
@@ -118,18 +161,15 @@ fn footprint_key() -> Fnv64 {
 /// reverse-BFS the max-probability superset DAG, hashing its
 /// [`footprint_hash`] on the way.
 fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sample {
-    let n = graph.node_count();
-    // root: uniform from the world's own stream (stable under parallelism,
-    // decorrelated from the world's coin stream by the tag)
-    let root = NodeId(((stream_seed(seed ^ ROOT_STREAM_TAG, j) >> 11) % n as u64) as u32);
+    let root = world_root(seed, j, graph.node_count());
     let mut edges_examined = 0usize;
     let mut key = footprint_key();
     // reverse BFS in the max-probability world; membership is tracked in
     // the sorted `local_ids` list (no shared visited array — each world
     // builds independently, possibly on its own thread)
-    let mut nodes: Vec<u32> = vec![root.0];
+    let mut nodes: Vec<u32> = vec![root];
     let mut local_edges: Vec<Vec<(u32, EdgeId)>> = vec![Vec::new()];
-    let mut local_ids: Vec<(u32, u32)> = vec![(root.0, 0)];
+    let mut local_ids: Vec<(u32, u32)> = vec![(root, 0)];
     let mut head = 0usize;
     while head < nodes.len() {
         let v = NodeId(nodes[head]);
@@ -167,7 +207,6 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         in_offsets.push(in_edges.len() as u32);
     }
     Sample {
-        root,
         coins,
         nodes,
         local_of: local_ids,
@@ -182,21 +221,22 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
 /// [`PiksReuse::screen`] and consumed by
 /// [`InfluencerIndex::build_with_reuse`].
 ///
-/// Slot `j` is `Some` iff some screened donor stored a world `j` that
-/// decoded cleanly **and** that rebuilding now would reproduce byte for
-/// byte: its stored [`footprint_hash`] matches the live one, or no edge of
-/// its footprint flipped its superset bit. Worlds a graph delta reached
-/// stay `None` and are rebuilt. Reuse is positional (world `j`
-/// is the same `(seed, j)` derivation in every donor whose section key
-/// matched), so screening several donors into one accumulator takes their
-/// union: two deltas that invalidated disjoint world sets in different
-/// epoch files reassemble full coverage.
+/// Slot `j` holds a copy of a screened donor's world-`j` record iff the
+/// record is structurally sound, is world `j`'s derivation (its coin seed
+/// and root) **and** rebuilding now would reproduce it byte for byte: its
+/// stored [`footprint_hash`] matches the live one, or no edge of its
+/// footprint flipped its superset bit. Worlds a graph delta reached stay
+/// `None` and are rebuilt. Reuse is positional (world `j` is the same
+/// `(seed, j)` derivation in every donor whose section key matched), so
+/// screening several donors into one accumulator takes their union: two
+/// deltas that invalidated disjoint world sets in different epoch files
+/// reassemble full coverage.
 #[derive(Debug, Default)]
 pub struct PiksReuse {
-    slots: Vec<Option<Sample>>,
+    slots: Vec<Option<Vec<u8>>>,
     /// Per world `j`, the live footprints computed so far, keyed by the
     /// stored node list they were computed over (all a footprint reads
-    /// besides world `j`'s coins, which the section key fixes).
+    /// besides world `j`'s coins, which the screen fixes).
     live_footprints: Vec<Vec<(Vec<u32>, u64)>>,
 }
 
@@ -212,12 +252,12 @@ impl PiksReuse {
         self.slots.is_empty()
     }
 
-    /// Number of worlds that survived footprint validation.
+    /// Number of worlds that survived the screen.
     pub fn available(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Number of validated worlds among the first `r` slots — the count
+    /// Number of screened worlds among the first `r` slots — the count
     /// that actually matters to a build of `r` worlds, since reuse is
     /// positional (world `j` is keyed by `(seed, j)`). A donor persisted
     /// under a larger index size may have plenty of valid late worlds that
@@ -232,16 +272,17 @@ impl PiksReuse {
         self.slots.iter().map(|s| s.is_some()).collect()
     }
 
-    /// Screen one donor's worlds — serialized by
-    /// [`InfluencerIndex::encode_into`] — against the **live** `graph`,
-    /// filling every still-empty slot the donor can serve. Returns how many
-    /// slots were newly filled.
+    /// Screen one donor's `piks-worlds` section against the **live**
+    /// `graph` and the index's master `seed`, filling every still-empty
+    /// slot the donor can serve with a copy of the donor's world record.
+    /// Returns how many slots were newly filled.
     ///
     /// A world an earlier donor supplied is skipped on its offset alone. An
     /// examined world gets the full structural checks; any failure is an
     /// error and the donor fills nothing (fills commit only once the whole
     /// section screened cleanly). A sound world must then have its ids
-    /// inside `graph`, and then either — given `shifts`, the edges whose
+    /// inside `graph`, carry world `j`'s coin seed and root (the footprint
+    /// covers neither), and then either — given `shifts`, the edges whose
     /// maximum moved from the donor's graph to an id-stable `graph`
     /// ([`octopus_graph::delta::max_shifts`]) — no shifted edge that both
     /// flips its superset bit under the world's coins and targets a stored
@@ -249,20 +290,23 @@ impl PiksReuse {
     /// already the live one and no hash is computed), or a stored
     /// [`footprint_hash`] equal to the live one, computed at most once per
     /// (world, stored node list) over the accumulator's lifetime (so every
-    /// `screen` into one accumulator must pass the same live graph). A
-    /// world failing the screen is no error: it rebuilds.
+    /// `screen` into one accumulator must pass the same live graph and
+    /// seed). A world failing the screen is no error: it rebuilds.
     pub fn screen(
         &mut self,
         raw: &[u8],
         graph: &TopicGraph,
+        seed: u64,
         shifts: Option<&[MaxShift]>,
     ) -> Result<usize, WireError> {
         let view = PiksWorldsView::parse(raw)?;
-        if view.n() != graph.node_count() {
+        let n = graph.node_count();
+        if view.n() != n {
             return Ok(0); // derived over another node universe
         }
+        let worlds = EdgeCoins::worlds(seed, view.len());
         let mut fills = Vec::new();
-        for j in 0..view.len() {
+        for (j, &coins) in worlds.iter().enumerate() {
             if self.slots.get(j).is_some_and(Option::is_some) {
                 continue;
             }
@@ -270,7 +314,9 @@ impl PiksReuse {
             let Some(nodes) = checked_nodes(j, &wv, graph)? else {
                 continue;
             };
-            let coins = EdgeCoins::new(wv.coin_seed());
+            if wv.coin_seed() != coins.seed() || nodes[0] != world_root(seed, j as u64, n) {
+                continue; // not world j's derivation: it rebuilds
+            }
             let reusable = match shifts {
                 Some(shifts) => !shifts.iter().any(|s| {
                     let flipped =
@@ -280,28 +326,15 @@ impl PiksReuse {
                 None => self.live_footprint(j, coins, &nodes, graph) == wv.footprint(),
             };
             if reusable {
-                let w = nodes.len();
-                fills.push((
-                    j,
-                    Sample {
-                        root: NodeId(nodes[0]),
-                        coins,
-                        local_of: (0..w).map(|i| wv.local_pair(i)).collect(),
-                        in_offsets: (0..=w).map(|i| wv.in_offset(i)).collect(),
-                        in_edges: (0..wv.edge_count()).map(|k| wv.in_edge(k)).collect(),
-                        nodes,
-                        footprint: wv.footprint(),
-                        edges_examined: wv.edges_examined(),
-                    },
-                ));
+                fills.push((j, wv.raw.to_vec()));
             }
         }
         if self.slots.len() < view.len() {
             self.slots.resize_with(view.len(), || None);
         }
         let filled = fills.len();
-        for (j, sample) in fills {
-            self.slots[j] = Some(sample);
+        for (j, record) in fills {
+            self.slots[j] = Some(record);
         }
         Ok(filled)
     }
@@ -380,15 +413,16 @@ impl InfluencerIndex {
         Self::build_with_reuse(graph, r, seed, &PiksReuse::default()).0
     }
 
-    /// Build an index of `r` worlds, reloading every world whose slot in
-    /// `reuse` is populated and rebuilding only the rest. Returns the index
+    /// Build an index of `r` worlds, copying every world record whose slot
+    /// in `reuse` is populated and building only the rest. `reuse` must
+    /// have been screened with this `graph` and `seed`. Returns the index
     /// and the number of worlds actually reused.
     ///
     /// World `j`'s randomness derives from `(seed, j)` alone — never from
     /// `r` — so a reuse set persisted under a different index size
-    /// contributes its prefix. A reused world is bit-identical to what a
-    /// fresh world build would produce (that is what its footprint key
-    /// certifies), so the assembled index equals a from-scratch
+    /// contributes its prefix. A reused record is byte-identical to what a
+    /// fresh world build would produce (that is what the screen certifies),
+    /// so the assembled index equals a from-scratch
     /// [`InfluencerIndex::build`] no matter which subset was reused —
     /// pinned by the `delta_invalidation` integration tests.
     pub fn build_with_reuse(
@@ -398,48 +432,42 @@ impl InfluencerIndex {
         reuse: &PiksReuse,
     ) -> (Self, usize) {
         let n = graph.node_count();
-        let mut stats = IndexStats {
-            samples: r,
-            ..IndexStats::default()
-        };
-        if n == 0 {
-            return (
-                InfluencerIndex {
-                    n,
-                    samples: Vec::new(),
-                    stats,
-                },
-                0,
-            );
-        }
+        let r = if n == 0 { 0 } else { r };
         let worlds = EdgeCoins::worlds(seed, r);
-        let reusable = |j: usize| -> Option<&Sample> {
-            // a slot is only trusted when its coins agree with this build's
-            // derivation (the footprint key does not cover the coin seed)
-            reuse
-                .slots
-                .get(j)?
-                .as_ref()
-                .filter(|s| s.coins.seed() == worlds[j].seed())
-        };
-        let reused = (0..r).filter(|&j| reusable(j).is_some()).count();
-        // delta rebuilds are the skew worst case: most units are cheap
-        // clones of reused worlds with expensive fresh BFS builds sprinkled
-        // between them — the executor's dynamic claiming load-balances the
-        // mix, no chunking heuristic needed here
-        let samples: Vec<Sample> = (0..r)
+        let reused = |j: usize| reuse.slots.get(j).and_then(Option::as_deref);
+        // delta rebuilds are the skew worst case: most units are reused
+        // records with expensive fresh BFS builds sprinkled between them —
+        // the executor's dynamic claiming load-balances the mix, no
+        // chunking heuristic needed here
+        let built: Vec<Option<Vec<u8>>> = (0..r)
             .into_par_iter()
-            .map(|j| match reusable(j) {
-                Some(sample) => sample.clone(),
-                None => build_world(graph, j as u64, seed, worlds[j]),
+            .map(|j| match reused(j) {
+                Some(record) => {
+                    debug_assert_eq!(u64_at(record, 8), worlds[j].seed(), "screened seed");
+                    None
+                }
+                None => Some(build_world(graph, j as u64, seed, worlds[j]).encode()),
             })
             .collect();
-        for sample in &samples {
-            stats.stored_nodes += sample.nodes.len();
-            stats.stored_edges += sample.in_edges.len();
-            stats.edges_examined += sample.edges_examined;
+        let records: Vec<&[u8]> = (0..r)
+            .map(|j| reused(j).or(built[j].as_deref()).expect("reused or built"))
+            .collect();
+        let table_end = 16 + 8 * (r + 1);
+        let len = table_end + records.iter().map(|w| w.len()).sum::<usize>();
+        let mut raw = Vec::with_capacity(len);
+        raw.put_u64_le(n as u64);
+        raw.put_u64_le(r as u64);
+        let mut off = table_end;
+        for record in &records {
+            raw.put_u64_le(off as u64);
+            off += record.len();
         }
-        (InfluencerIndex { n, samples, stats }, reused)
+        raw.put_u64_le(off as u64);
+        for record in &records {
+            raw.put_slice(record);
+        }
+        let reused = built.iter().filter(|b| b.is_none()).count();
+        (InfluencerIndex { raw }, reused)
     }
 
     /// The cache key of the index's *derivation inputs*: node count (the
@@ -458,109 +486,41 @@ impl InfluencerIndex {
 
     /// Number of worlds.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        u64_at(&self.raw, 8) as usize
     }
 
     /// Whether the index holds no worlds.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Build statistics.
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
+        self.len() == 0
     }
 
     /// Global node ids of world `j`'s stored sub-DAG, in BFS discovery
     /// order (diagnostics / invalidation tests — this is the node set whose
     /// in-edges form the world's [`footprint_hash`]).
-    pub fn world_nodes(&self, j: usize) -> &[u32] {
-        &self.samples[j].nodes
+    pub fn world_nodes(&self, j: usize) -> Vec<u32> {
+        let world = PiksWorldsView::parse(&self.raw).expect("built").world(j);
+        (0..world.node_count()).map(|i| world.node(i)).collect()
     }
 
-    /// Serialize the index into `buf` (the artifact-codec path).
-    ///
-    /// Layout (the OCTA v6 `piks-worlds` section payload; normative spec in
-    /// `ARCHITECTURE.md`). All fields little-endian; every world record
-    /// starts 8-aligned and has a length that is a multiple of 8, so a
-    /// memory-mapped file can serve queries straight off the bytes:
-    ///
-    /// ```text
-    /// n u64 | world count R u64
-    /// (R+1) × u64 world offsets (section-relative; world j occupies
-    ///                            [off[j], off[j+1]); off[R] = section len)
-    /// R × world:
-    ///   footprint u64 | coin seed u64 | edges_examined u64
-    ///   node count W u64 | edge count E u64
-    ///   W × global node u32 (BFS order, root first)        [pad to 8]
-    ///   W × (global u32, local u32) sorted by global
-    ///   (W+1) × u32 CSR in-offsets                         [pad to 8]
-    ///   E × (source local id u32, edge id u32)
-    /// ```
-    ///
-    /// Each world carries its own [`footprint_hash`] so a later open can
-    /// reuse it independently of every other world. Unlike v3, the sparse
-    /// `local_of` lookup is stored rather than rebuilt on decode — the
-    /// mapped read path binary-searches it in place, and the owned decode
-    /// path validates it against `nodes` instead of sorting.
-    pub fn encode_into(&self, buf: &mut impl BufMut) {
-        fn world_len(s: &Sample) -> u64 {
-            let w = s.nodes.len() as u64;
-            let e = s.in_edges.len() as u64;
-            let local_off = wire::align8((40 + 4 * w) as usize) as u64;
-            let edges_off = wire::align8((local_off + 8 * w + 4 * (w + 1)) as usize) as u64;
-            edges_off + 8 * e
-        }
-        buf.put_u64_le(self.n as u64);
-        buf.put_u64_le(self.samples.len() as u64);
-        let mut off = 16 + 8 * (self.samples.len() as u64 + 1);
-        for s in &self.samples {
-            buf.put_u64_le(off);
-            off += world_len(s);
-        }
-        buf.put_u64_le(off);
-        for s in &self.samples {
-            let w = s.nodes.len();
-            buf.put_u64_le(s.footprint);
-            buf.put_u64_le(s.coins.seed());
-            buf.put_u64_le(s.edges_examined as u64);
-            buf.put_u64_le(w as u64);
-            buf.put_u64_le(s.in_edges.len() as u64);
-            for &g in &s.nodes {
-                buf.put_u32_le(g);
-            }
-            buf.put_bytes(0, wire::pad8(4 * w));
-            for &(g, l) in &s.local_of {
-                buf.put_u32_le(g);
-                buf.put_u32_le(l);
-            }
-            for &o in &s.in_offsets {
-                buf.put_u32_le(o);
-            }
-            buf.put_bytes(0, wire::pad8(4 * (w + 1)));
-            for &(src, e) in &s.in_edges {
-                buf.put_u32_le(src);
-                buf.put_u32_le(e.0);
-            }
-        }
-    }
-
-    /// The serialized index ([`InfluencerIndex::encode_into`]) — the bytes
-    /// a [`PiksWorldsView`] reads.
+    /// The serialized index — the bytes a [`PiksWorldsView`] reads.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let stats = &self.stats;
-        let mut buf = Vec::with_capacity(
-            16 + self.samples.len() * 64 + stats.stored_nodes * 16 + stats.stored_edges * 8,
-        );
-        self.encode_into(&mut buf);
-        buf
+        self.raw.clone()
+    }
+
+    /// [`InfluencerIndex::to_bytes`] without the copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.raw
     }
 
     /// Screen one serialized index against the **live** graph into fresh
     /// reuse slots — [`PiksReuse::screen`] on an empty accumulator.
-    pub fn load_reusable(raw: &[u8], graph: &TopicGraph) -> Result<PiksReuse, WireError> {
+    pub fn load_reusable(
+        raw: &[u8],
+        graph: &TopicGraph,
+        seed: u64,
+    ) -> Result<PiksReuse, WireError> {
         let mut reuse = PiksReuse::default();
-        reuse.screen(raw, graph, None)?;
+        reuse.screen(raw, graph, seed, None)?;
         Ok(reuse)
     }
 }
@@ -696,14 +656,12 @@ impl<'a> PiksWorldsView<'a> {
         self.r == 0
     }
 
-    /// Total nodes across stored sub-DAGs (mirror of
-    /// [`IndexStats::stored_nodes`]).
+    /// Total nodes across stored sub-DAGs.
     pub fn stored_nodes(&self) -> usize {
         self.stored_nodes
     }
 
-    /// Total edges across stored sub-DAGs (mirror of
-    /// [`IndexStats::stored_edges`]).
+    /// Total edges across stored sub-DAGs.
     pub fn stored_edges(&self) -> usize {
         self.stored_edges
     }
@@ -1067,13 +1025,15 @@ mod tests {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 64, 23);
         let frozen = idx.to_bytes();
-        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g).unwrap();
+        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g, 23).unwrap();
         assert_eq!(reuse.available(), 64, "unchanged graph reuses all worlds");
         let (back, reused) = InfluencerIndex::build_with_reuse(&g, 64, 23, &reuse);
         assert_eq!(reused, 64);
         assert_eq!(back, idx, "reassembled index is bit-identical");
         // a wrong master seed distrusts every slot (coins disagree)
-        let (fresh, reused) = InfluencerIndex::build_with_reuse(&g, 64, 99, &reuse);
+        let wrong = InfluencerIndex::load_reusable(&frozen[..], &g, 99).unwrap();
+        assert_eq!(wrong.available(), 0);
+        let (fresh, reused) = InfluencerIndex::build_with_reuse(&g, 64, 99, &wrong);
         assert_eq!(reused, 0);
         assert_eq!(fresh, InfluencerIndex::build(&g, 64, 99));
     }
@@ -1111,7 +1071,7 @@ mod tests {
         let g2 = octopus_graph::delta::nudge_weights(&g, &[victim], 0.3).unwrap();
         let flipped = flipped_worlds(&idx, 31, &g, &g2);
         let expected: Vec<bool> = flipped.iter().map(|&f| !f).collect();
-        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g2).unwrap();
+        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g2, 31).unwrap();
         assert_eq!(reuse.reusable_worlds(), expected);
         assert!(reuse.available() > 0, "some worlds must survive");
         assert!(reuse.available() < idx.len(), "the nudge must flip a coin");
@@ -1159,8 +1119,8 @@ mod tests {
             // both screens read the same bit: reused iff the edge stayed dead
             let shifts = octopus_graph::delta::max_shifts(&g, &g2).unwrap();
             let mut by_coin = PiksReuse::default();
-            by_coin.screen(&frozen, &g2, Some(&shifts)).unwrap();
-            let by_hash = InfluencerIndex::load_reusable(&frozen, &g2).unwrap();
+            by_coin.screen(&frozen, &g2, seed, Some(&shifts)).unwrap();
+            let by_hash = InfluencerIndex::load_reusable(&frozen, &g2, seed).unwrap();
             assert_eq!(by_coin.reusable_worlds()[j], !live, "coin screen at {pmax}");
             assert_eq!(by_hash.reusable_worlds(), by_coin.reusable_worlds());
             let (rebuilt, _) = InfluencerIndex::build_with_reuse(&g2, r, seed, &by_coin);
@@ -1173,7 +1133,7 @@ mod tests {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 100, 37);
         let frozen = idx.to_bytes();
-        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g).unwrap();
+        let reuse = InfluencerIndex::load_reusable(&frozen[..], &g, 37).unwrap();
         // the positional count: only slots below r can serve an r-world build
         assert_eq!(reuse.available(), 100);
         assert_eq!(reuse.available_in(40), 40);
@@ -1215,30 +1175,33 @@ mod tests {
 
         // the pre-nudge donor covers exactly the worlds no nudge flipped
         let mut acc = PiksReuse::default();
-        let first = acc.screen(&old, &live, None).unwrap();
+        let first = acc.screen(&old, &live, seed, None).unwrap();
         let covered = acc.reusable_worlds();
         assert_eq!(first, covered.iter().filter(|&&c| c).count());
         assert!(0 < first && first + 1 < r, "the nudge must leave 2+ gaps");
         // screening the same donor again fills nothing (memoized misses)
-        assert_eq!(acc.screen(&old, &live, None).unwrap(), 0);
+        assert_eq!(acc.screen(&old, &live, seed, None).unwrap(), 0);
         // the coin screen over the moved maxima reuses exactly what the
         // hash screen reuses
         let shifts = octopus_graph::delta::max_shifts(&g, &live).unwrap();
         let mut by_coin = PiksReuse::default();
-        assert_eq!(by_coin.screen(&old, &live, Some(&shifts)).unwrap(), first);
+        assert_eq!(
+            by_coin.screen(&old, &live, seed, Some(&shifts)).unwrap(),
+            first
+        );
         assert_eq!(by_coin.reusable_worlds(), covered);
 
         // a malformed world the scan must examine: the donor fills nothing,
         // not even the sound uncovered worlds before it
         let last_gap = covered.iter().rposition(|&c| !c).unwrap();
         let bad = with_malformed_world(&fresh, last_gap);
-        assert!(acc.screen(&bad, &live, None).is_err());
+        assert!(acc.screen(&bad, &live, seed, None).is_err());
         assert_eq!(acc.reusable_worlds(), covered, "no partial fill");
 
         // a malformed world already covered is never examined: harmless
         let first_hit = covered.iter().position(|&c| c).unwrap();
         let harmless = with_malformed_world(&fresh, first_hit);
-        assert_eq!(acc.screen(&harmless, &live, None).unwrap(), r - first);
+        assert_eq!(acc.screen(&harmless, &live, seed, None).unwrap(), r - first);
         assert_eq!(acc.available(), r);
         let (rebuilt, reused) = InfluencerIndex::build_with_reuse(&live, r, seed, &acc);
         assert_eq!(reused, r);
@@ -1263,7 +1226,7 @@ mod tests {
         bent[16..24].copy_from_slice(&(off0 + 8).to_le_bytes());
         assert!(PiksWorldsView::parse(&bent).is_err());
         // ...and load_reusable surfaces the same structural error
-        assert!(InfluencerIndex::load_reusable(&bent, &g).is_err());
+        assert!(InfluencerIndex::load_reusable(&bent, &g, 29).is_err());
         // a corrupted local-lookup entry is structural damage on decode
         let view = PiksWorldsView::parse(&raw[..]).unwrap();
         let table_end = 16 + 8 * (view.len() + 1);
@@ -1271,24 +1234,23 @@ mod tests {
         let mut forged = raw.to_vec();
         forged[pairs_at + 4] ^= 0x01; // flip the local id of the first pair
         assert!(PiksWorldsView::parse(&forged).is_ok(), "framing untouched");
-        assert!(InfluencerIndex::load_reusable(&forged, &g).is_err());
+        assert!(InfluencerIndex::load_reusable(&forged, &g, 29).is_err());
     }
 
     #[test]
     fn stats_are_populated() {
         let g = hub_graph();
         let idx = InfluencerIndex::build(&g, 500, 3);
-        let st = idx.stats();
-        assert_eq!(st.samples, 500);
+        assert_eq!(idx.len(), 500);
         let raw = idx.to_bytes();
         let view = PiksWorldsView::parse(&raw).unwrap();
         assert_eq!((view.len(), view.n()), (500, 9));
-        assert_eq!(view.stored_nodes(), st.stored_nodes);
-        assert_eq!(view.stored_edges(), st.stored_edges);
-        assert!(
-            st.stored_nodes >= 500,
-            "every sample stores at least its root"
-        );
-        assert!(st.edges_examined > 0);
+        let worlds = (0..500).map(|j| view.world(j));
+        let (nodes, edges) =
+            worlds.fold((0, 0), |(n, e), w| (n + w.node_count(), e + w.edge_count()));
+        assert_eq!(view.stored_nodes(), nodes);
+        assert_eq!(view.stored_edges(), edges);
+        assert!(nodes >= 500, "every sample stores at least its root");
+        assert!((0..500).any(|j| view.world(j).edges_examined() > 0));
     }
 }

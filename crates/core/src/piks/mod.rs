@@ -21,8 +21,7 @@
 pub mod index;
 
 pub use index::{
-    footprint_hash, IndexStats, InfluencerIndex, PiksReuse, PiksSession, PiksWorldView,
-    PiksWorldsView,
+    footprint_hash, InfluencerIndex, PiksReuse, PiksSession, PiksWorldView, PiksWorldsView,
 };
 
 use crate::error::CoreError;

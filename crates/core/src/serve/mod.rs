@@ -171,7 +171,7 @@ pub struct OctopusService {
     /// With a cache directory: rebuild engines in **mapped mode** — the
     /// flush writes the new epoch's OCTA v6 artifact, then *remaps* it,
     /// so the swapped-in engine serves zero-copy off the page cache and
-    /// the rebuild's decode work stays out of the read path.
+    /// replicas mapping the same file share it.
     mapped: bool,
     epochs_swapped: AtomicU64,
     deltas_applied: AtomicU64,

@@ -138,11 +138,19 @@ fn different_seeds_actually_differ() {
             ..config.clone()
         },
     );
-    assert_ne!(
-        a.piks_index, b.piks_index,
+    let payload = |art: &OfflineArtifacts, tag| {
+        let (_, p) = art.payloads().find(|&(t, _)| t == tag).unwrap();
+        p.to_vec()
+    };
+    assert!(
+        payload(&a, persist::SECTION_PIKS) != payload(&b, persist::SECTION_PIKS),
         "PIKS worlds must depend on the seed"
     );
-    assert_ne!(a.mis, b.mis, "MIS tables must depend on the seed");
+    let mis = |art| {
+        let tags = (0..g.num_topics()).map(|z| persist::topic_tag(persist::SECTION_MIS, z));
+        tags.map(|tag| payload(art, tag)).collect::<Vec<_>>()
+    };
+    assert!(mis(&a) != mis(&b), "MIS tables must depend on the seed");
 }
 
 #[test]

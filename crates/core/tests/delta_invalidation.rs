@@ -116,8 +116,8 @@ proptest! {
         let coins = EdgeCoins::worlds(seed, idx.len());
         for (j, &coins) in coins.iter().enumerate() {
             prop_assert_eq!(
-                footprint_hash(&g, idx.world_nodes(j), coins),
-                footprint_hash(&renamed, idx.world_nodes(j), coins),
+                footprint_hash(&g, &idx.world_nodes(j), coins),
+                footprint_hash(&renamed, &idx.world_nodes(j), coins),
             );
         }
     }
@@ -208,9 +208,7 @@ proptest! {
         let r = 64usize;
         let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
         let idx = InfluencerIndex::build(&g, r, seed);
-        let mut buf = bytes::BytesMut::new();
-        idx.encode_into(&mut buf);
-        let frozen = buf.freeze();
+        let frozen = idx.to_bytes();
 
         // pick an absent edge (u, v); skip the case when the graph is complete
         let mut absent = Vec::new();
@@ -248,7 +246,7 @@ proptest! {
             })
             .collect();
 
-        let reuse = InfluencerIndex::load_reusable(&frozen, &bigger).unwrap();
+        let reuse = InfluencerIndex::load_reusable(&frozen, &bigger, seed).unwrap();
         prop_assert_eq!(reuse.reusable_worlds(), expected);
 
         // and the partial rebuild is bit-identical to a fresh build
@@ -303,13 +301,13 @@ proptest! {
         let g1 = delta::apply_all(&g, &batch).unwrap();
         let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
         let r = cfg.piks_index_size;
-        let by_hash = InfluencerIndex::load_reusable(&raw, &g1).unwrap();
+        let by_hash = InfluencerIndex::load_reusable(&raw, &g1, seed).unwrap();
         let id_stable = g1.edge_count() == g.edge_count();
         let shifts = delta::max_shifts(&g, &g1);
         prop_assert_eq!(shifts.is_some(), id_stable, "emptied rows shift ids");
         if let Some(shifts) = shifts {
             let mut by_coin = PiksReuse::default();
-            by_coin.screen(&raw, &g1, Some(&shifts)).unwrap();
+            by_coin.screen(&raw, &g1, seed, Some(&shifts)).unwrap();
             // the oracle: no in-edge of a stored node reads another bit
             let coins = EdgeCoins::worlds(seed, r);
             let oracle: Vec<bool> = (0..r)
@@ -416,7 +414,8 @@ fn id_shifting_batches_take_the_footprint_screen() {
         let g1 = delta::apply_all(&g, &batch).unwrap();
         assert_ne!(g1.edge_count(), g.edge_count(), "every batch shifts ids");
         assert_eq!(delta::max_shifts(&g, &g1), None);
-        let by_hash = InfluencerIndex::load_reusable(&raw, &g1).unwrap();
+        let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
+        let by_hash = InfluencerIndex::load_reusable(&raw, &g1, seed).unwrap();
 
         let service = OctopusService::new(live);
         service.submit_all(batch);

@@ -201,11 +201,25 @@ fn container_bytes_follow_the_documented_layout() {
     }
 
     // ---- per-section payloads ------------------------------------------
+    // the container frames the pipeline's payloads verbatim
+    for (e, (tag, payload)) in entries.iter().zip(art.payloads()) {
+        assert_eq!(e.tag, tag);
+        assert!(
+            &raw[e.off..e.off + e.len] == payload,
+            "section {tag} payload"
+        );
+    }
+
     // spread-cap units: one little-endian f64 per topic (the per-topic
     // arrival-mass caps)
     for (z, cap) in entries.iter().enumerate().take(z_count) {
         assert_eq!(cap.len, 8);
-        assert_eq!(f64_at(&raw, cap.off), art.topic_caps[z], "cap unit {z}");
+        let expect = octopus_core::kim::bounds::topic_arrival_cap(&g, z);
+        assert_eq!(
+            f64_at(&raw, cap.off).to_bits(),
+            expect.to_bits(),
+            "cap unit {z}"
+        );
     }
 
     // pb-bound units under the MIS engine: a single u64 = 0 "absent" word
@@ -314,7 +328,11 @@ fn container_bytes_follow_the_documented_layout() {
     // terminal u32 | nchildren u32 | [id u32 | pad u32 | score f64] |
     // nchildren × (char u32 | pad u32 | child offset u64)
     let names = entries[3 * z_count + 2];
-    assert_eq!(u64_at(&raw, names.off) as usize, art.names.len());
+    assert_eq!(
+        u64_at(&raw, names.off) as usize,
+        g.node_count(),
+        "every node is named once"
+    );
     let root = names.off + 8;
     assert_eq!(u32_at(&raw, root), 0, "root is not terminal");
     assert_eq!(u32_at(&raw, root + 4), 1, "all names share the 'u' child");
@@ -577,4 +595,98 @@ fn bit_flips_fail_closed_at_open_or_first_touch_never_read_garbage() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Golden payloads
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over every section's tag, payload length and payload bytes, in
+/// canonical order — one number per artifact, so a pinned value catches
+/// any byte that moves.
+fn payload_hash<'a>(payloads: impl Iterator<Item = (u32, &'a [u8])>) -> u64 {
+    let mut all = Vec::new();
+    for (tag, payload) in payloads {
+        all.extend(tag.to_le_bytes());
+        all.extend((payload.len() as u64).to_le_bytes());
+        all.extend(payload);
+    }
+    fnv1a(&all)
+}
+
+fn golden_model() -> octopus_topics::TopicModel {
+    let mut vocab = octopus_topics::Vocabulary::new();
+    vocab.intern("alpha");
+    vocab.intern("beta");
+    octopus_topics::TopicModel::from_rows(
+        vocab,
+        vec![vec![0.9, 0.1], vec![0.1, 0.9]],
+        vec![0.5, 0.5],
+    )
+    .unwrap()
+}
+
+/// Pinned payload hashes of the fixture's artifact, fresh and after one
+/// nudge of edge 0 by 0.05, under the four engine flavours (so every
+/// optional section kind is covered). A change here is an OCTA format
+/// change: it needs a version bump, not new constants.
+const GOLDEN: [(KimEngineChoice, u64, u64); 4] = {
+    use octopus_core::kim::BoundKind::Precomputation;
+    [
+        (
+            KimEngineChoice::Naive,
+            0x0e1310146ca39b93,
+            0xc7d8657b4ecabb73,
+        ),
+        (KimEngineChoice::Mis, 0xaf2388b599bc3f1b, 0xc4e744ebf90250fb),
+        (
+            KimEngineChoice::BestEffort(Precomputation),
+            0x2a10fba5ac93b68a,
+            0xbe196c45f5848bba,
+        ),
+        (
+            KimEngineChoice::TopicSample {
+                bound: Precomputation,
+                extra_samples: 3,
+                direct_eps: 0.05,
+            },
+            0xd0a23fa5619c438e,
+            0x22d35c5a5ee1b1d0,
+        ),
+    ]
+};
+
+#[test]
+fn golden_payloads_do_not_move() {
+    let g = tiny_graph();
+    let nudge = octopus_graph::EdgeId(0);
+    let nudged = octopus_graph::delta::nudge_weights(&g, &[nudge], 0.05).unwrap();
+    for (kim, base, after) in GOLDEN {
+        let cfg = OctopusConfig {
+            kim,
+            ..tiny_config()
+        };
+        let fresh = |graph: &TopicGraph| {
+            let engine = Octopus::new(graph.clone(), golden_model(), cfg.clone()).unwrap();
+            payload_hash(engine.artifacts().payloads())
+        };
+        assert_eq!(fresh(&g), base, "{kim:?}: fresh build");
+        assert_eq!(
+            fresh(&nudged),
+            after,
+            "{kim:?}: fresh build of the nudged graph"
+        );
+        // a flush reuses what the nudge left valid and serves the same bytes
+        let live = Octopus::new(g.clone(), golden_model(), cfg.clone()).unwrap();
+        let service = octopus_core::serve::OctopusService::new(live);
+        service.submit(octopus_graph::delta::GraphDelta::NudgeWeights {
+            edges: vec![nudge],
+            delta: 0.05,
+        });
+        let report = service.apply_pending().unwrap().expect("one batch");
+        assert!(report.stage_reuse.iter().any(|s| s.reused > 0), "{kim:?}");
+        let flushed = service.snapshot();
+        let hash = payload_hash(flushed.engine().artifacts().payloads());
+        assert_eq!(hash, after, "{kim:?}: flushed epoch");
+    }
 }

@@ -174,13 +174,9 @@ proptest! {
     }
 }
 
+/// Byte equality of every section payload, tags included.
 fn assert_artifacts_equal(a: &OfflineArtifacts, b: &OfflineArtifacts) {
-    assert_eq!(a.cap, b.cap);
-    assert_eq!(a.pb, b.pb);
-    assert_eq!(a.mis, b.mis);
-    assert_eq!(a.samples, b.samples);
-    assert_eq!(a.piks_index, b.piks_index);
-    assert_eq!(a.names, b.names);
+    assert!(a.payloads().eq(b.payloads()), "section payloads differ");
 }
 
 /// Every config field participates in the key: each single-field mutation

@@ -15,6 +15,7 @@
 use octopus_cascade::EdgeCoins;
 use octopus_core::engine::{KimAnswer, Octopus, OctopusConfig, SuggestAnswer};
 use octopus_core::offline::persist::SECTION_PIKS;
+use octopus_core::offline::PIKS_WORLD_SEED_XOR;
 use octopus_core::paths::{ExploreDirection, PathExploration};
 use octopus_core::piks::{InfluencerIndex, PiksReuse, PiksWorldsView};
 use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES};
@@ -348,8 +349,9 @@ fn routed_flush_screens_each_live_shard_in_local_ids() {
             .collect();
         let shifts = delta::max_shifts(old_g, new_g).expect("an id-stable batch");
         let mut by_coin = PiksReuse::default();
-        by_coin.screen(raw, new_g, Some(&shifts)).unwrap();
-        let by_hash = InfluencerIndex::load_reusable(raw, new_g).unwrap();
+        let seed = config.seed ^ PIKS_WORLD_SEED_XOR;
+        by_coin.screen(raw, new_g, seed, Some(&shifts)).unwrap();
+        let by_hash = InfluencerIndex::load_reusable(raw, new_g, seed).unwrap();
         let piks = swap
             .report
             .stage_reuse
