@@ -1115,6 +1115,7 @@ struct Inputs {
 impl Inputs {
     fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
         check_shapes(&graph, &model)?;
+        check_config(&config)?;
         Ok(Inputs {
             fp: Fingerprint::compute(&graph, &config),
             keys: StageKeys::compute(&graph, &config),
@@ -1155,6 +1156,18 @@ fn check_shapes(graph: &TopicGraph, model: &TopicModel) -> Result<()> {
                 got: model.num_topics(),
             },
         ));
+    }
+    Ok(())
+}
+
+/// Config domain check shared by every construction path: a bad value is
+/// an error here rather than a panic inside an offline stage.
+fn check_config(config: &OctopusConfig) -> Result<()> {
+    let theta = config.mia_theta;
+    if !(theta > 0.0 && theta <= 1.0) {
+        return Err(CoreError::Config(format!(
+            "mia_theta must be in (0, 1], got {theta}"
+        )));
     }
     Ok(())
 }
@@ -1334,6 +1347,31 @@ mod tests {
         vocab.intern("x");
         let model = TopicModel::from_rows(vocab, vec![vec![1.0]], vec![1.0]).unwrap();
         assert!(Octopus::new(g, model, OctopusConfig::default()).is_err());
+    }
+
+    #[test]
+    fn theta_outside_unit_interval_is_a_config_error() {
+        let (g, model, config) = fixture(KimEngineChoice::BestEffort(BoundKind::Precomputation));
+        let dir = std::env::temp_dir().join("octopus_engine_bad_theta");
+        for theta in [0.0, -1.0, 1.5, f64::NAN] {
+            let config = OctopusConfig {
+                mia_theta: theta,
+                ..config.clone()
+            };
+            let built = [
+                Octopus::new(g.clone(), model.clone(), config.clone()).map(drop),
+                Octopus::open_or_build(g.clone(), model.clone(), config.clone(), &dir).map(drop),
+                Octopus::open_mapped(g.clone(), model.clone(), config.clone(), &dir).map(drop),
+                crate::serve::ShardedService::new(g.clone(), model.clone(), config, 2).map(drop),
+            ];
+            for result in built {
+                assert!(
+                    matches!(result, Err(CoreError::Config(_))),
+                    "theta {theta}: {result:?}"
+                );
+            }
+        }
+        assert!(!dir.exists(), "a rejected config writes no cache");
     }
 
     #[test]

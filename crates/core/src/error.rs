@@ -48,6 +48,9 @@ pub enum CoreError {
         /// its configured cap by definition of shedding).
         queued: usize,
     },
+    /// An [`OctopusConfig`](crate::engine::OctopusConfig) field is out of
+    /// its domain; no engine is built from it.
+    Config(String),
     /// Propagated graph-layer error.
     Graph(octopus_graph::GraphError),
     /// Propagated topic-layer error.
@@ -79,6 +82,7 @@ impl fmt::Display for CoreError {
                 f,
                 "query shed: service overloaded ({class} queue full at {queued})"
             ),
+            CoreError::Config(m) => write!(f, "invalid config: {m}"),
             CoreError::Graph(e) => write!(f, "graph error: {e}"),
             CoreError::Topic(e) => write!(f, "topic error: {e}"),
         }

@@ -19,7 +19,7 @@
 //!   ball with higher probability than any short path).
 
 use octopus_graph::{NodeId, TopicGraph};
-use octopus_mia::mioa_spread;
+use octopus_mia::mioa_spreads;
 use octopus_topics::TopicDistribution;
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -136,20 +136,9 @@ pub fn global_spread_cap(graph: &TopicGraph, theta: f64) -> f64 {
     // materialize the per-edge maxima as a fake single-query table
     let max_probs =
         octopus_graph::EdgeProbs::from_vec(graph.edges().map(|e| graph.edge_prob_max(e)).collect());
-    graph
-        .nodes()
-        .map(|u| mioa_spread_with(graph, &max_probs, u, theta))
+    mioa_spreads(graph, &max_probs, theta)
+        .into_iter()
         .fold(1.0f64, f64::max)
-}
-
-fn mioa_spread_with(
-    graph: &TopicGraph,
-    probs: &octopus_graph::EdgeProbs,
-    u: NodeId,
-    theta: f64,
-) -> f64 {
-    octopus_mia::Arborescence::build(graph, probs, u, theta, octopus_mia::ArbDirection::Out)
-        .total_influence()
 }
 
 // ---------------------------------------------------------------------------
@@ -261,18 +250,15 @@ impl PrecompBound {
     }
 
     /// Build one topic's σ̂ row — the per-topic rebuild unit of the
-    /// `pb-bound` stage. Pure-topic MIA touches only edges carrying a
-    /// topic-`z` probability (zero-probability edges are skipped before any
-    /// state change), so the row is bit-identical across any foreign-topic
-    /// delta, and a partial rebuild assembling reused and fresh rows equals
-    /// a monolithic [`PrecompBound::build`] exactly.
+    /// `pb-bound` stage, one [`mioa_spreads`] walk. Pure-topic MIA touches
+    /// only edges carrying a topic-`z` probability (zero-probability edges
+    /// never enter the walk), so the row is bit-identical across any
+    /// foreign-topic delta, and a partial rebuild assembling reused and
+    /// fresh rows equals a monolithic [`PrecompBound::build`] exactly.
     pub fn build_topic(graph: &TopicGraph, z: usize, theta: f64) -> Vec<f64> {
         let gamma = TopicDistribution::pure(graph.num_topics(), z);
         let probs = graph.materialize(gamma.as_slice()).expect("valid corner");
-        graph
-            .nodes()
-            .map(|u| mioa_spread(graph, &probs, u, theta))
-            .collect()
+        mioa_spreads(graph, &probs, theta)
     }
 
     /// The stored pure-topic spread `σ̂_z(u)`.

@@ -30,4 +30,4 @@ pub mod spread;
 
 pub use arborescence::{ArbDirection, ArbNode, Arborescence};
 pub use paths::{Cluster, InfluencePath, PathExplorer};
-pub use spread::{mia_spread_set, mioa_spread};
+pub use spread::{mia_spread_set, mioa_spread, mioa_spreads};

@@ -8,12 +8,153 @@
 
 use crate::arborescence::{ArbDirection, Arborescence};
 use octopus_graph::{EdgeProbs, NodeId, TopicGraph};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Single-seed MIA spread: `σ_MIA(u) = Σ_{v ∈ MIOA(u,θ)} pp(path u→v)`.
 ///
-/// Includes the root itself (probability 1), matching `σ(S) ≥ |S|`.
+/// Includes the root itself (probability 1), matching `σ(S) ≥ |S|`. A
+/// one-root call of [`mioa_spreads`]' walk.
+///
+/// # Panics
+/// Panics if `theta` is not in `(0, 1]`.
 pub fn mioa_spread(g: &TopicGraph, probs: &EdgeProbs, u: NodeId, theta: f64) -> f64 {
-    Arborescence::build(g, probs, u, theta, ArbDirection::Out).total_influence()
+    MioaWalk::new(g, probs, theta).spread(u)
+}
+
+/// Every node's singleton MIA spread: `out[u] = σ_MIA(u)` — the row kernel
+/// of the offline PB tables and of the global spread cap.
+///
+/// One dense scratch serves every root, and the walk runs over a positive
+/// out-adjacency built once per call. Each σ is the f64
+/// `Arborescence::build(g, probs, u, theta, Out).total_influence()`
+/// returns, bit for bit: the relaxations are the same, nodes settle in the
+/// same order (probability descending, then node id ascending), and each
+/// path probability joins the sum as its node settles.
+///
+/// # Panics
+/// Panics if `theta` is not in `(0, 1]`.
+pub fn mioa_spreads(g: &TopicGraph, probs: &EdgeProbs, theta: f64) -> Vec<f64> {
+    let mut walk = MioaWalk::new(g, probs, theta);
+    g.nodes().map(|u| walk.spread(u)).collect()
+}
+
+/// Dense scratch for θ-pruned MIOA walks over one probability table.
+struct MioaWalk {
+    theta: f64,
+    /// Positive out-adjacency: the edges of `u` with `p > 0`, in edge-id
+    /// order, are `targets[offsets[u]..offsets[u + 1]]` with `probs` alongside.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    probs: Vec<f64>,
+    /// Best path probability seen per node (0 = unreached).
+    best: Vec<f64>,
+    settled: Vec<bool>,
+    /// Nodes whose `best` is non-zero: what the next root must reset.
+    touched: Vec<u32>,
+    heap: BinaryHeap<Reach>,
+}
+
+/// Max-heap entry ordered like the arborescence builder's frontier.
+struct Reach {
+    prob: f64,
+    node: u32,
+}
+
+impl PartialEq for Reach {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Reach {}
+impl PartialOrd for Reach {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Reach {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prob
+            .partial_cmp(&other.prob)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl MioaWalk {
+    fn new(g: &TopicGraph, probs: &EdgeProbs, theta: f64) -> Self {
+        assert!(
+            theta > 0.0 && theta <= 1.0,
+            "theta must be in (0, 1], got {theta}"
+        );
+        let n = g.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let (mut targets, mut out_probs) = (Vec::new(), Vec::new());
+        offsets.push(0);
+        for u in g.nodes() {
+            for (v, e) in g.out_edges(u) {
+                let p = probs.get(e) as f64;
+                if p > 0.0 {
+                    targets.push(v.0);
+                    out_probs.push(p);
+                }
+            }
+            offsets.push(targets.len() as u32);
+        }
+        MioaWalk {
+            theta,
+            offsets,
+            targets,
+            probs: out_probs,
+            best: vec![0.0; n],
+            settled: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn spread(&mut self, root: NodeId) -> f64 {
+        for &v in &self.touched {
+            self.best[v as usize] = 0.0;
+            self.settled[v as usize] = false;
+        }
+        self.touched.clear();
+        self.best[root.index()] = 1.0;
+        self.touched.push(root.0);
+        self.heap.push(Reach {
+            prob: 1.0,
+            node: root.0,
+        });
+        let mut total = 0.0f64;
+        while let Some(Reach { prob, node }) = self.heap.pop() {
+            let u = node as usize;
+            if self.settled[u] {
+                continue; // already settled via a better path
+            }
+            self.settled[u] = true;
+            total += prob;
+            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+            for (&nb, &ep) in self.targets[lo..hi].iter().zip(&self.probs[lo..hi]) {
+                let v = nb as usize;
+                if self.settled[v] {
+                    continue;
+                }
+                let np = prob * ep;
+                if np < self.theta {
+                    continue;
+                }
+                let best = &mut self.best[v];
+                if np > *best {
+                    if *best == 0.0 {
+                        self.touched.push(nb);
+                    }
+                    *best = np;
+                    self.heap.push(Reach { prob: np, node: nb });
+                }
+            }
+        }
+        total
+    }
 }
 
 /// Seed-set MIA spread: for every node `v` in any seed's MIOA, the

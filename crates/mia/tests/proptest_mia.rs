@@ -1,8 +1,9 @@
 //! Property tests for the MIA engine: tree invariants, threshold
-//! monotonicity, and exactness on path-unique graphs.
+//! monotonicity, exactness on path-unique graphs, and the row kernel
+//! pinned to the tree builder bit for bit.
 
 use octopus_graph::{EdgeProbs, GraphBuilder, NodeId, TopicGraph};
-use octopus_mia::{mia_spread_set, mioa_spread, ArbDirection, Arborescence};
+use octopus_mia::{mia_spread_set, mioa_spread, mioa_spreads, ArbDirection, Arborescence};
 use proptest::prelude::*;
 
 /// Random small single-topic graph.
@@ -46,8 +47,71 @@ fn arb_tree() -> impl Strategy<Value = (TopicGraph, EdgeProbs)> {
     })
 }
 
+/// Edge values the row-kernel property draws from: zero entries (the
+/// kernel's adjacency drops them) and few distinct values, so equal path
+/// probabilities are common. 1.25 is no probability, on purpose: with
+/// every value in `[0, 1]` the sum of a MIOA is the same whichever of two
+/// tied nodes settles first, but above 1 a path can outgrow its prefix, so
+/// a node's value — and the sum — depends on the settle order itself.
+const PALETTE: [f32; 7] = [0.0, 0.25, 0.5, 0.5, 0.8, 1.0, 1.25];
+
+/// Random topology under an explicit probability table drawn from
+/// [`PALETTE`]. In one case in four every edge carries the same non-zero
+/// value, so whole layers of nodes tie and only the node-id tie-break
+/// orders them.
+fn arb_table() -> impl Strategy<Value = (TopicGraph, EdgeProbs)> {
+    (2usize..14, 0u32..4).prop_flat_map(|(n, mode)| {
+        let m = n * 3;
+        (
+            proptest::collection::vec((0..n as u32, 0..n as u32), 1..m),
+            proptest::collection::vec(0..PALETTE.len(), m),
+        )
+            .prop_map(move |(edges, picks)| {
+                let mut b = GraphBuilder::new(1);
+                let _ = b.add_nodes(n);
+                for (u, v) in edges {
+                    if u != v {
+                        b.add_edge(NodeId(u), NodeId(v), &[(0, 0.5)]).unwrap();
+                    }
+                }
+                let g = b.build().unwrap();
+                let uniform = PALETTE[1 + picks[0] % (PALETTE.len() - 1)];
+                let probs = (0..g.edge_count())
+                    .map(|e| {
+                        if mode == 0 {
+                            uniform
+                        } else {
+                            PALETTE[picks[e]]
+                        }
+                    })
+                    .collect();
+                (g, EdgeProbs::from_vec(probs))
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The row kernel returns, for every root, the f64 the tree builder's
+    /// `total_influence` returns — bit for bit, θ up to 1.0 included; the
+    /// one-root `mioa_spread` is the same walk.
+    #[test]
+    fn row_kernel_equals_tree_builder(
+        (g, p) in arb_table(),
+        at_one in 0u32..4,
+        theta in 0.001f64..=1.0,
+    ) {
+        let theta = if at_one == 0 { 1.0 } else { theta };
+        let row = mioa_spreads(&g, &p, theta);
+        prop_assert_eq!(row.len(), g.node_count());
+        for u in g.nodes() {
+            let tree = Arborescence::build(&g, &p, u, theta, ArbDirection::Out);
+            let want = tree.total_influence().to_bits();
+            prop_assert_eq!(row[u.index()].to_bits(), want, "root {:?} at theta {}", u, theta);
+            prop_assert_eq!(mioa_spread(&g, &p, u, theta).to_bits(), want);
+        }
+    }
 
     /// Structural invariants: settle order sorted, parent links consistent,
     /// every path_prob within [θ, 1], root first.
