@@ -18,7 +18,8 @@
 //! per weight stage on its swap (`spread-cap`, `pb-bound`,
 //! `mis-tables` — hash-keyed per topic, so confinement is exactly what
 //! keeps the other topics' keys unchanged), the planner respects its
-//! cap deterministically without reordering same-edge deltas, and the
+//! cap deterministically without reordering same-edge deltas, its
+//! batches applied in order compute what the window computes, and the
 //! flush budget coalesces a wide plan without changing the final graph.
 
 use octopus_bench::serve_load::MixPools;
@@ -450,4 +451,64 @@ fn flush_budget_coalesces_without_changing_the_final_graph() {
         &want,
         "coalescing batches must not change what the deltas compute"
     );
+}
+
+/// A 10-node chain `i → i + 1` over three topics, edge `i` on topic `i % 3`.
+fn chain() -> TopicGraph {
+    let mut b = GraphBuilder::new(3);
+    let _ = b.add_nodes(10);
+    for i in 0..9u32 {
+        let (u, v) = (octopus_graph::NodeId(i), octopus_graph::NodeId(i + 1));
+        b.add_edge(u, v, &[(i as usize % 3, 0.5)]).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Applying the plan's batches in order computes what the window
+/// computes, also when a row replacement empties its row (dropping the
+/// edge and shifting every later id): such a row is a barrier, never
+/// hoisted into an earlier batch ahead of rows submitted before it.
+#[test]
+fn plan_applied_in_order_equals_the_window() {
+    use rand::Rng;
+    let g = chain();
+    let set = |e: u32, z: usize, p: f64| GraphDelta::SetWeights {
+        edge: octopus_graph::EdgeId(e),
+        probs: vec![(z, p)],
+    };
+    let check = |window: &[GraphDelta], cap: usize| {
+        let want = octopus_graph::delta::apply_all(&g, window).unwrap();
+        let mut got = g.clone();
+        for batch in TopicBatcher::new(cap).plan(window, &g) {
+            got = octopus_graph::delta::apply_all(&got, &batch.deltas).unwrap();
+        }
+        assert_eq!(got, want, "window {window:?} at cap {cap}");
+    };
+    // the window that planned [[e5, e2], [e7]] when an emptied row was
+    // treated as id-stable
+    check(&[set(5, 0, 0.6), set(7, 1, 0.6), set(2, 0, 0.0)], 1);
+
+    let mut rng = SmallRng::seed_from_u64(0x0BA7_C4E5);
+    for _ in 0..400 {
+        let len = rng.random_range(1..8usize);
+        let mut window = Vec::with_capacity(len);
+        // ids below 6 stay valid after up to three dropped edges
+        let mut drops = 0;
+        for _ in 0..len {
+            let e = rng.random_range(0..6u32);
+            let z = rng.random_range(0..3usize);
+            window.push(match rng.random_range(0..4u32) {
+                0 if drops < 3 => {
+                    drops += 1;
+                    set(e, z, 0.0)
+                }
+                1 => GraphDelta::NudgeWeights {
+                    edges: vec![octopus_graph::EdgeId(e)],
+                    delta: 0.05,
+                },
+                _ => set(e, z, 0.25 + 0.5 * rng.random::<f64>()),
+            });
+        }
+        check(&window, rng.random_range(1..3usize));
+    }
 }

@@ -17,11 +17,12 @@
 //!   newest-batch-first, never jumping past a batch that touches the
 //!   same edge or node (per-edge/per-node order is what delta
 //!   application semantics guarantee);
-//! * id-shifting deltas (edge inserts/removals) act as **barriers** —
+//! * id-shifting deltas (edge inserts, removals, and row replacements
+//!   with no positive entry, which drop their edge) act as **barriers** —
 //!   every open batch flushes before them, because later edge ids are
 //!   only meaningful once the shift lands. Consecutive inserts share a
-//!   barrier batch (they reference node ids, which do not shift);
-//!   removals flush alone. After a barrier, footprints read against the
+//!   barrier batch (they reference node ids, which do not shift); a
+//!   removal or emptied row flushes alone. After a barrier, footprints read against the
 //!   pre-window graph are stale, so edge-referencing deltas fall back
 //!   to the conservative unknown footprint (isolated batch).
 //!
@@ -151,7 +152,7 @@ impl TopicBatcher {
                     frozen = frozen.max(batches.len() - 1);
                     ids_shifted = true;
                 }
-                GraphDelta::RemoveEdge { .. } => {
+                _ if drops_edge(d) => {
                     // removals flush alone; everything before is closed
                     let mut b = DeltaBatch::new();
                     b.shifts_ids = true;
@@ -237,6 +238,16 @@ impl TopicBatcher {
             // an unknown footprint fills a batch on its own
             _ => false,
         }
+    }
+}
+
+/// Whether `d` drops an edge: a removal, or a row replacement with no
+/// positive entry.
+fn drops_edge(d: &GraphDelta) -> bool {
+    match d {
+        GraphDelta::RemoveEdge { .. } => true,
+        GraphDelta::SetWeights { probs, .. } => !probs.iter().any(|&(_, p)| p > 0.0),
+        _ => false,
     }
 }
 

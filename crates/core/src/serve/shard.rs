@@ -30,10 +30,12 @@
 //!   - keyword-radar depends only on the topic model, which every shard
 //!     shares: the per-shard charts merge by elementwise max.
 //! * **Deltas** route to only the shards whose node/edge footprint they
-//!   touch: a flush computes each delta's endpoints against the current
-//!   global graph, rebuilds just the touched shards — each from its live
-//!   epoch, concurrently — and swaps them; untouched shards keep their
-//!   epoch and pay nothing. An [`GraphDelta::InsertEdge`] whose endpoints
+//!   touch: a flush applies the batch to the global graph in the one
+//!   apply pass ([`delta::apply_all_visiting`]), which reports each
+//!   delta's endpoints on the graph that delta applies to, rebuilds just
+//!   the shards owning those endpoints — each from its live epoch,
+//!   concurrently — and swaps them; untouched shards keep their epoch and
+//!   pay nothing. An [`GraphDelta::InsertEdge`] whose endpoints
 //!   live in different shards is rejected
 //!   ([`CoreError::CrossShardDelta`]): the locality partition guarantees
 //!   no edge crosses shards, and such an insert would merge two
@@ -416,26 +418,27 @@ impl ShardedService {
     /// state mutation unless the whole batch routes and rebuilds cleanly.
     fn flush_batch(&self, batch: &[GraphDelta]) -> Result<Vec<ShardSwap>> {
         let start = Instant::now();
-        let base = self.global.lock().clone();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        // Edge ids refer to the graph each delta applies TO, and edge
-        // inserts/removals shift later ids — so footprints for such
-        // batches are read against the running fold. The dominant batch
-        // shape (id-stable nudges and renames) takes the coalesced
-        // apply_all fast path with footprints off the base graph.
-        let new_global = if delta::reweights_only(batch) {
-            for d in batch {
-                self.touch(d, &base, &mut touched)?;
+        let mut cross_shard: Option<CoreError> = None;
+        // the apply pass reports each delta's endpoints on the graph it
+        // applies to, so ids shifted by earlier deltas route correctly
+        let applied = delta::apply_all_visiting(&self.global.lock(), batch, |d, ends| {
+            let shard = |u: &NodeId| self.owner[u.index()] as usize;
+            touched.extend(ends.iter().map(shard));
+            if let GraphDelta::InsertEdge { src, dst, .. } = d {
+                let (s, t) = (shard(src), shard(dst));
+                if s != t {
+                    cross_shard.get_or_insert(CoreError::CrossShardDelta {
+                        src: (*src, s),
+                        dst: (*dst, t),
+                    });
+                }
             }
-            delta::apply_all(&base, batch)?
-        } else {
-            let mut g = base;
-            for d in batch {
-                self.touch(d, &g, &mut touched)?;
-                g = d.apply(&g)?;
-            }
-            g
-        };
+        });
+        if let Some(e) = cross_shard {
+            return Err(e);
+        }
+        let new_global = applied?;
         let touched: Vec<usize> = touched.into_iter().collect();
         // rebuild every touched shard from its live epoch, concurrently
         let rebuilt: Vec<Result<(usize, Octopus)>> = touched
@@ -468,48 +471,6 @@ impl ShardedService {
         }
         *self.global.lock() = new_global;
         Ok(swaps)
-    }
-
-    /// Add the shards `d`'s footprint touches (read against `g`) to
-    /// `touched`; rejects cross-shard edge inserts.
-    fn touch(&self, d: &GraphDelta, g: &TopicGraph, touched: &mut BTreeSet<usize>) -> Result<()> {
-        let note = |u: NodeId, touched: &mut BTreeSet<usize>| -> Result<usize> {
-            g.check_node(u)?;
-            let s = self.owner[u.index()] as usize;
-            touched.insert(s);
-            Ok(s)
-        };
-        match d {
-            GraphDelta::NudgeWeights { edges, .. } => {
-                // both endpoints share a shard (no edge crosses one)
-                for &e in edges {
-                    let (u, _) = g.edge_endpoints(e)?;
-                    note(u, touched)?;
-                }
-            }
-            GraphDelta::SetWeights { edge, .. } => {
-                let (u, _) = g.edge_endpoints(*edge)?;
-                note(u, touched)?;
-            }
-            GraphDelta::RemoveEdge { edge } => {
-                let (u, _) = g.edge_endpoints(*edge)?;
-                note(u, touched)?;
-            }
-            GraphDelta::InsertEdge { src, dst, .. } => {
-                let s = note(*src, touched)?;
-                let t = note(*dst, touched)?;
-                if s != t {
-                    return Err(CoreError::CrossShardDelta {
-                        src: (*src, s),
-                        dst: (*dst, t),
-                    });
-                }
-            }
-            GraphDelta::RenameNode { node, .. } => {
-                note(*node, touched)?;
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------

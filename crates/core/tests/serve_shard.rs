@@ -18,10 +18,12 @@ use octopus_core::offline::persist::SECTION_PIKS;
 use octopus_core::offline::PIKS_WORLD_SEED_XOR;
 use octopus_core::paths::{ExploreDirection, PathExploration};
 use octopus_core::piks::{InfluencerIndex, PiksReuse, PiksWorldsView};
-use octopus_core::serve::{Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES};
+use octopus_core::serve::{
+    OctopusService, Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES,
+};
 use octopus_core::{Anytime, CoreError, QueryBudget};
 use octopus_graph::delta::{self, GraphDelta};
-use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
+use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph, TopicId};
 use octopus_topics::{TopicModel, Vocabulary};
 use std::sync::Arc;
 
@@ -91,7 +93,7 @@ fn reference(g: &TopicGraph, model: &TopicModel, config: &OctopusConfig) -> Octo
     Octopus::new(g.clone(), model.clone(), config.clone()).unwrap()
 }
 
-fn run(sharded: &ShardedService, query: Query) -> QueryResponse {
+fn run(sharded: &dyn QueryService, query: Query) -> QueryResponse {
     sharded
         .execute(&query, &QueryBudget::unlimited())
         .unwrap()
@@ -106,7 +108,7 @@ fn influencers_query(query: &str, k: usize) -> Query {
 }
 
 fn find_under(
-    sharded: &ShardedService,
+    sharded: &dyn QueryService,
     query: &str,
     k: usize,
     budget: &QueryBudget,
@@ -115,11 +117,11 @@ fn find_under(
     served.unwrap().value.into_influencers().unwrap()
 }
 
-fn find(sharded: &ShardedService, query: &str, k: usize) -> KimAnswer {
+fn find(sharded: &dyn QueryService, query: &str, k: usize) -> KimAnswer {
     find_under(sharded, query, k, &QueryBudget::unlimited()).value
 }
 
-fn suggest(sharded: &ShardedService, user: &str, k: usize) -> SuggestAnswer {
+fn suggest(sharded: &dyn QueryService, user: &str, k: usize) -> SuggestAnswer {
     let query = Query::SuggestKeywords {
         user: user.into(),
         k,
@@ -127,7 +129,7 @@ fn suggest(sharded: &ShardedService, user: &str, k: usize) -> SuggestAnswer {
     run(sharded, query).into_suggestions().unwrap().value
 }
 
-fn explore(sharded: &ShardedService, user: &str, query: &str) -> PathExploration {
+fn explore(sharded: &dyn QueryService, user: &str, query: &str) -> PathExploration {
     let query = Query::ExplorePaths {
         user: user.into(),
         direction: ExploreDirection::Influences,
@@ -136,7 +138,7 @@ fn explore(sharded: &ShardedService, user: &str, query: &str) -> PathExploration
     run(sharded, query).into_paths().unwrap().value
 }
 
-fn complete(sharded: &ShardedService, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
+fn complete(sharded: &dyn QueryService, prefix: &str, limit: usize) -> Vec<(NodeId, String, f64)> {
     let query = Query::Autocomplete {
         prefix: prefix.into(),
         limit,
@@ -144,15 +146,15 @@ fn complete(sharded: &ShardedService, prefix: &str, limit: usize) -> Vec<(NodeId
     run(sharded, query).into_completions().unwrap().value
 }
 
-fn radar(sharded: &ShardedService, word: &str) -> octopus_topics::radar::RadarChart {
+fn radar(sharded: &dyn QueryService, word: &str) -> octopus_topics::radar::RadarChart {
     let query = Query::KeywordRadar { word: word.into() };
     run(sharded, query).into_radar().unwrap().value
 }
 
-/// Assert the sharded service answers all five operators like `single`.
+/// Assert the service answers all five operators like `single`.
 /// Seeds/ids/names/paths are compared bit-identically; only the merged
 /// spread (a re-grouped floating-point sum) gets an epsilon.
-fn assert_equivalent(sharded: &ShardedService, single: &Octopus) {
+fn assert_equivalent(sharded: &dyn QueryService, single: &Octopus) {
     // scenario 1 — the merged top-k: seeds bit-identical, spread re-summed
     let want = single.find_influencers("data mining", 4).unwrap();
     let got = find(sharded, "data mining", 4);
@@ -414,6 +416,47 @@ fn multi_shard_batch_swaps_every_touched_shard_atomically() {
 
     let g1 = octopus_graph::delta::apply_all(&g, &batch).unwrap();
     assert_equivalent(&sharded, &reference(&g1, &model, &config));
+}
+
+/// A batch whose first row empties (dropping its edge and shifting every
+/// later id) lands as the same graph through the sharded and the whole
+/// graph service: each delta's ids read against the graph it applies to.
+#[test]
+fn id_shifting_batch_lands_alike_sharded_and_whole() {
+    let (g, model, config) = fixture();
+    // comp D: dot db → fan-d-0 (e_a), dot db → fan-d-1 (e_a + 1), fan-d-0 →
+    // fan-d-1; once e_a drops, id e_a + 1 names fan-d-0 → fan-d-1
+    let e_a = g.find_edge(NodeId(12), NodeId(13)).unwrap();
+    let batch = vec![
+        GraphDelta::SetWeights {
+            edge: e_a,
+            probs: vec![(0, 0.0)],
+        },
+        GraphDelta::SetWeights {
+            edge: EdgeId(e_a.0 + 1),
+            probs: vec![(0, 0.9)],
+        },
+        GraphDelta::InsertEdge {
+            src: NodeId(11),
+            dst: NodeId(9),
+            probs: vec![(0, 0.2)],
+        },
+    ];
+    let g1 = delta::apply_all(&g, &batch).unwrap();
+    let moved = g1.find_edge(NodeId(13), NodeId(14)).unwrap();
+    assert_eq!(g1.edge_prob_topic(moved, TopicId(0)), 0.9);
+    let fresh = reference(&g1, &model, &config);
+
+    let sharded = ShardedService::new(g.clone(), model.clone(), config.clone(), 2).unwrap();
+    sharded.submit_all(batch.clone());
+    assert_eq!(sharded.apply_pending().unwrap().len(), 2);
+    assert_equivalent(&sharded, &fresh);
+
+    let whole = OctopusService::new(reference(&g, &model, &config));
+    whole.submit_all(batch);
+    whole.apply_pending().unwrap();
+    assert_eq!(whole.snapshot().engine().graph(), &g1);
+    assert_equivalent(&whole, &fresh);
 }
 
 #[test]
@@ -724,7 +767,7 @@ fn sharded_admission_counts_sheds_in_stats() {
     // autocomplete bypasses admission entirely: even a saturated
     // controller never sheds it
     for _ in 0..4 {
-        assert!(!complete(&sharded, "fan-", 5).is_empty());
+        assert!(!complete(&*sharded, "fan-", 5).is_empty());
     }
     assert_eq!(sharded.stats().queries_shed, observed_shed.load(Relaxed));
 }

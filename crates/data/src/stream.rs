@@ -136,19 +136,20 @@ pub enum NewEdgePolicy {
     /// graph) grow the edge. Exact, but an insert crossing a shard
     /// boundary is rejected by the sharded router (`CrossShardDelta`).
     Insert,
-    /// Keep the serving topology fixed at the warm-up universe and skip
-    /// the edge (counted in [`WindowOutcome::edges_deferred`]). Every
-    /// delta is then id-stable weight traffic, routable on any shard
-    /// layout.
+    /// Grow no edge beyond the warm-up universe: skip the edge (counted
+    /// in [`WindowOutcome::edges_deferred`]). Every delta is then a
+    /// [`GraphDelta::SetWeights`], routable on any shard layout.
     Defer,
 }
 
 /// One window's worth of learner output.
 #[derive(Debug)]
 pub struct WindowOutcome {
-    /// The deltas to feed the serving layer, in application order —
-    /// all [`GraphDelta::SetWeights`] first (edge ids read against the
-    /// pre-window shadow), then any [`GraphDelta::InsertEdge`]s.
+    /// The deltas to feed the serving layer, in application order, each
+    /// edge id valid on the graph the deltas before it leave: the
+    /// [`GraphDelta::SetWeights`] that keep their row, in ascending edge
+    /// id; then those that empty it (dropping the edge), in descending
+    /// edge id; then any [`GraphDelta::InsertEdge`]s.
     pub deltas: Vec<GraphDelta>,
     /// Rows replaced ([`GraphDelta::SetWeights`] count).
     pub weights_set: usize,
@@ -253,6 +254,7 @@ impl WindowedLearner {
             &self.prev,
         );
         let mut deltas: Vec<GraphDelta> = Vec::new();
+        let mut emptied: Vec<GraphDelta> = Vec::new();
         let mut inserts: Vec<GraphDelta> = Vec::new();
         let mut entries_moved = 0usize;
         let mut edges_deferred = 0usize;
@@ -275,7 +277,12 @@ impl WindowedLearner {
                         .collect();
                     if let Some((row, taken)) = blend_row(&old_row, &new_row, self.min_change) {
                         entries_moved += taken;
-                        deltas.push(GraphDelta::SetWeights {
+                        let out = if row.is_empty() {
+                            &mut emptied
+                        } else {
+                            &mut deltas
+                        };
+                        out.push(GraphDelta::SetWeights {
                             edge: old,
                             probs: row,
                         });
@@ -294,6 +301,10 @@ impl WindowedLearner {
                 },
             }
         }
+        // an emptied row drops its edge and shifts every later id, so the
+        // emptied rows go last, highest id first (both graphs are
+        // (src, dst)-sorted, so they were found in ascending id order)
+        deltas.extend(emptied.into_iter().rev());
         let weights_set = deltas.len();
         let edges_inserted = inserts.len();
         deltas.extend(inserts);
@@ -322,8 +333,9 @@ impl WindowedLearner {
 /// stay valid. Sub-threshold residue is not lost — the next window diffs
 /// against the served row again, so small moves accumulate until they
 /// clear the threshold. Returns the row to emit plus the entries taken,
-/// or `None` when nothing clears (no delta, or the blend would empty the
-/// row). `min_change == 0.0` takes every bitwise difference — the
+/// or `None` when nothing clears. The row is empty when every served
+/// entry's drop clears and no learned entry does; applying it drops the
+/// edge. `min_change == 0.0` takes every bitwise difference — the
 /// emitted row IS the learned row.
 fn blend_row(
     old: &[(usize, f32)],
@@ -366,13 +378,14 @@ fn blend_row(
             j += 1;
         }
     }
-    (taken > 0 && !row.is_empty()).then_some((row, taken))
+    (taken > 0).then_some((row, taken))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{CitationConfig, SyntheticNetwork};
+    use octopus_graph::GraphBuilder;
 
     fn net() -> SyntheticNetwork {
         CitationConfig {
@@ -583,5 +596,101 @@ mod tests {
             "deferred-topology windows are pure weight traffic"
         );
         assert_eq!(learner.shadow().edge_count(), warm_edges);
+    }
+
+    /// A window that empties rows between rows it keeps: every id must
+    /// still name its row when its delta applies, so the served graph
+    /// ends up holding the blended row for every surviving edge.
+    #[test]
+    fn emptied_rows_apply_after_the_rows_they_would_shift() {
+        let net = net();
+        let opts = EmOptions {
+            max_iters: 3,
+            // sparse learned rows leave topics free to serve on
+            prob_floor: 0.05,
+            ..Default::default()
+        };
+        let names: Vec<String> = net
+            .graph
+            .nodes()
+            .map(|u| net.graph.name(u).unwrap_or("").to_string())
+            .collect();
+        let vocab = net.model.vocab().clone();
+        let actions = timeline(&net.log, &StreamConfig::default());
+        let split = actions.len() / 2;
+        let mut warmup_log = ActionLog::new();
+        for a in &actions[..split] {
+            match &a.event {
+                StreamEvent::Item(item) => {
+                    warmup_log.push_item(item.origin, item.keywords.clone());
+                }
+                StreamEvent::Trial(t) => warmup_log.push_trial(t.item, t.src, t.dst, t.activated),
+            }
+        }
+        let m0 = TicEm::new(opts.clone()).fit(&warmup_log, vocab.clone(), names.clone());
+        // min_change = 1.0: no learned entry (EM clamps below 1) ever
+        // clears, and a served entry of exactly 1.0 always drops
+        let mut learner = WindowedLearner::new(
+            opts.clone(),
+            vocab.clone(),
+            names.clone(),
+            warmup_log,
+            m0,
+            NewEdgePolicy::Defer,
+            1.0,
+        );
+        for a in &actions[split..] {
+            learner.observe(a);
+        }
+        let learned = TicEm::new(opts)
+            .fit_warm(learner.log(), vocab, names, learner.learned())
+            .graph;
+        // serve every learned edge; on each edge with a topic the learned
+        // row lacks, add that topic at 1.0 — alone on every third such
+        // edge (its blend empties), next to the learned row otherwise
+        // (its blend is the learned row)
+        let mut served = GraphBuilder::new(learned.num_topics());
+        let mut want = GraphBuilder::new(learned.num_topics());
+        for name in learner.node_names.iter() {
+            served.add_node(name.clone());
+            want.add_node(name.clone());
+        }
+        let (mut extended, mut emptied) = (0, 0);
+        for e in learned.edges() {
+            let (u, v) = learned.edge_endpoints(e).unwrap();
+            let row: Vec<(usize, f64)> = learned
+                .edge_topic_probs(e)
+                .map(|(z, p)| (z.index(), p as f64))
+                .collect();
+            let extra = (0..learned.num_topics()).find(|z| row.iter().all(|r| r.0 != *z));
+            let mut served_row = row.clone();
+            if let Some(z) = extra {
+                extended += 1;
+                if extended % 3 == 0 {
+                    emptied += 1;
+                    served_row.clear();
+                } else {
+                    want.add_edge(u, v, &row).unwrap();
+                }
+                served_row.push((z, 1.0));
+            } else {
+                want.add_edge(u, v, &row).unwrap();
+            }
+            served.add_edge(u, v, &served_row).unwrap();
+        }
+        assert!(emptied >= 2, "the window must empty rows between kept rows");
+        learner.shadow = served.build().unwrap();
+        let w = learner.fit_window().unwrap();
+        let empties: Vec<u32> = w
+            .deltas
+            .iter()
+            .filter_map(|d| match d {
+                GraphDelta::SetWeights { edge, probs } if probs.is_empty() => Some(edge.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(learner.shadow(), &want.build().unwrap());
+        assert_eq!(empties.len(), emptied);
+        assert!(empties.windows(2).all(|p| p[0] > p[1]), "highest id first");
     }
 }

@@ -6,8 +6,11 @@ use crate::ids::NodeId;
 use crate::Result;
 use std::collections::HashMap;
 
+/// One edge's sparse `(topic, prob)` pairs, topic-sorted, no zero entry.
+pub(crate) type Row = Vec<(u16, f32)>;
+
 /// One staged edge record: `(source, target, sparse (topic, prob) pairs)`.
-type EdgeRecord = (u32, u32, Vec<(u16, f32)>);
+pub(crate) type EdgeRecord = (u32, u32, Row);
 
 /// Builder for [`TopicGraph`].
 ///
@@ -29,11 +32,11 @@ type EdgeRecord = (u32, u32, Vec<(u16, f32)>);
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     num_topics: usize,
-    names: Vec<String>,
-    named: bool,
-    name_index: HashMap<String, NodeId>,
+    pub(crate) names: Vec<String>,
+    pub(crate) named: bool,
+    pub(crate) name_index: HashMap<String, NodeId>,
     /// (src, dst, sparse probs sorted by topic)
-    edges: Vec<EdgeRecord>,
+    pub(crate) edges: Vec<EdgeRecord>,
 }
 
 impl GraphBuilder {
@@ -121,24 +124,35 @@ impl GraphBuilder {
     /// entries are dropped. An edge whose entries are all zero is dropped
     /// entirely at [`GraphBuilder::build`] time.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, probs: &[(usize, f64)]) -> Result<()> {
-        if u.index() >= self.names.len() {
-            return Err(GraphError::NodeOutOfBounds {
-                node: u.0,
-                len: self.names.len(),
-            });
-        }
-        if v.index() >= self.names.len() {
-            return Err(GraphError::NodeOutOfBounds {
-                node: v.0,
-                len: self.names.len(),
-            });
+        self.check_endpoints(u, v)?;
+        let row = self.sparse_row(probs)?;
+        self.edges.push((u.0, v.0, row));
+        Ok(())
+    }
+
+    /// Both endpoints in range and distinct.
+    pub(crate) fn check_endpoints(&self, u: NodeId, v: NodeId) -> Result<()> {
+        for w in [u, v] {
+            if w.index() >= self.names.len() {
+                return Err(GraphError::NodeOutOfBounds {
+                    node: w.0,
+                    len: self.names.len(),
+                });
+            }
         }
         if u == v {
             // Self-influence is a no-op under IC; reject loudly so data bugs
             // surface early.
             return Err(GraphError::NoSuchEdge { from: u.0, to: v.0 });
         }
-        let mut sparse: Vec<(u16, f32)> = Vec::with_capacity(probs.len());
+        Ok(())
+    }
+
+    /// Validate `probs` into a stored row: topics in range, probabilities
+    /// finite in `[0, 1]`; zero entries dropped, topic-sorted, duplicates
+    /// merged by max.
+    pub(crate) fn sparse_row(&self, probs: &[(usize, f64)]) -> Result<Row> {
+        let mut sparse: Row = Vec::with_capacity(probs.len());
         for &(z, p) in probs {
             if z >= self.num_topics {
                 return Err(GraphError::TopicOutOfBounds {
@@ -162,8 +176,7 @@ impl GraphBuilder {
                 false
             }
         });
-        self.edges.push((u.0, v.0, sparse));
-        Ok(())
+        Ok(sparse)
     }
 
     /// Finalize into CSR form.
@@ -174,31 +187,7 @@ impl GraphBuilder {
         let mut merged: Vec<EdgeRecord> = Vec::with_capacity(self.edges.len());
         for (u, v, probs) in self.edges.drain(..) {
             match merged.last_mut() {
-                Some((lu, lv, lp)) if *lu == u && *lv == v => {
-                    // merge sparse vectors, keeping max per topic
-                    let mut out = Vec::with_capacity(lp.len() + probs.len());
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < lp.len() && j < probs.len() {
-                        match lp[i].0.cmp(&probs[j].0) {
-                            std::cmp::Ordering::Less => {
-                                out.push(lp[i]);
-                                i += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                out.push(probs[j]);
-                                j += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                out.push((lp[i].0, lp[i].1.max(probs[j].1)));
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                    out.extend_from_slice(&lp[i..]);
-                    out.extend_from_slice(&probs[j..]);
-                    *lp = out;
-                }
+                Some((lu, lv, lp)) if *lu == u && *lv == v => *lp = merge_max(lp, &probs),
                 _ => merged.push((u, v, probs)),
             }
         }
@@ -263,6 +252,33 @@ impl GraphBuilder {
             prob_values,
         })
     }
+}
+
+/// The union of two rows, keeping the maximum probability per topic — how
+/// parallel edges merge.
+pub(crate) fn merge_max(a: &[(u16, f32)], b: &[(u16, f32)]) -> Row {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push((a[i].0, a[i].1.max(b[j].1)));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]

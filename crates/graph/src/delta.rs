@@ -3,15 +3,17 @@
 //! OCTOPUS's online story assumes the network keeps changing under it — new
 //! follows appear, influence-probability estimates drift as the action log
 //! grows (`octopus-data::learn::fit_warm`), users rename themselves. The
-//! CSR graph is deliberately immutable, so a delta produces a *new* graph
-//! by rebuilding through [`GraphBuilder`]; these helpers express the three
-//! delta shapes the incremental offline-rebuild machinery distinguishes
-//! (weight nudge / edge insert / rename) in one call each.
+//! CSR graph is deliberately immutable, so a batch of [`GraphDelta`]s
+//! produces a *new* graph, and [`apply_all`] is the one way it does: it
+//! copies the graph into a [`GraphBuilder`] once, edits that builder's
+//! CSR-ordered edge list delta by delta in submission order, and builds
+//! once. The free helpers ([`nudge_weights`], [`set_weights`],
+//! [`insert_edge`], [`remove_edge`], [`rename_node`]) and
+//! [`GraphDelta::apply`] are one-delta calls of it.
 //!
-//! All helpers preserve node ids. Edge ids are preserved **except** by
-//! [`insert_edge`] / [`remove_edge`] (and a nudge or row replacement that
-//! leaves a row all zero: the builder drops that edge), which shift the ids
-//! of every edge at or after the change (ids are dense in CSR order) — a
+//! Node ids never change. Edge ids are dense in CSR order, so an insert, a
+//! remove, or a nudge or row replacement that leaves a row all zero (the
+//! edge is dropped) shifts the id of every edge after the change — a
 //! consumer holding per-edge state must treat shifted edges as changed,
 //! and the per-stage artifact fingerprints do exactly that.
 
@@ -24,123 +26,59 @@ use std::collections::BTreeSet;
 
 /// Copy `g` into a fresh [`GraphBuilder`] (same nodes, names, and edges).
 ///
-/// The round trip is exact: `builder_from(&g).build() == g` — pinned by the
-/// `rebuild_is_identity` test — so callers can apply an edit on top of the
-/// copy and get a graph that differs from `g` in exactly that edit.
+/// The builder's edge list comes out in CSR order — record `e` is
+/// `EdgeId(e)` — and the round trip is exact: `builder_from(&g).build() ==
+/// g`, pinned by the `rebuild_is_identity` test.
 pub fn builder_from(g: &TopicGraph) -> GraphBuilder {
     let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
     for u in g.nodes() {
         b.add_node(g.name(u).unwrap_or(""));
     }
-    for e in g.edges() {
-        let (u, v) = g.edge_endpoints(e).expect("iterated edge is valid");
-        let probs: Vec<(usize, f64)> = g
-            .edge_topic_probs(e)
-            .map(|(z, p)| (z.index(), p as f64))
-            .collect();
-        b.add_edge(u, v, &probs).expect("copied edge is valid");
+    for u in g.nodes() {
+        for (v, e) in g.out_edges(u) {
+            let row = g.edge_topic_probs(e).map(|(z, p)| (z.0, p)).collect();
+            b.edges.push((u.0, v.0, row));
+        }
     }
     b
 }
 
-/// Rebuild `g` with the topic probabilities of each edge in `edges`
-/// perturbed: every sparse entry `p` becomes `p + delta` (reflected off the
-/// `(0, 1]` boundary so the value always actually moves). Node and edge ids
-/// are unchanged; only the probability table differs.
+/// `g` with the topic probabilities of each edge in `edges` perturbed:
+/// every sparse entry `p` becomes `p + delta` (reflected off the `(0, 1]`
+/// boundary so the value always actually moves). Listing an edge twice
+/// nudges it once.
 pub fn nudge_weights(g: &TopicGraph, edges: &[EdgeId], delta: f64) -> Result<TopicGraph> {
-    let pairs: Vec<(EdgeId, f64)> = edges.iter().map(|&e| (e, delta)).collect();
-    nudge_weights_multi(g, &pairs)
+    let edges = edges.to_vec();
+    apply_all(g, &[GraphDelta::NudgeWeights { edges, delta }])
 }
 
-/// Like [`nudge_weights`], but each edge carries its own perturbation —
-/// the shape [`apply_all`] folds a run of same-topic nudges into. All
-/// pairs apply simultaneously to `g`; listing an edge more than once does
-/// not compound (the last pair for an edge wins, and listing the same
-/// `(edge, delta)` twice equals listing it once, matching the
-/// `edges.contains` semantics [`nudge_weights`] always had).
-pub fn nudge_weights_multi(g: &TopicGraph, pairs: &[(EdgeId, f64)]) -> Result<TopicGraph> {
-    for &(e, _) in pairs {
-        g.check_edge(e)?;
-    }
-    let mut per_edge: Vec<Option<f64>> = vec![None; g.edge_count()];
-    for &(e, d) in pairs {
-        per_edge[e.index()] = Some(d);
-    }
-    let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
-    for u in g.nodes() {
-        b.add_node(g.name(u).unwrap_or(""));
-    }
-    for e in g.edges() {
-        let (u, v) = g.edge_endpoints(e).expect("iterated edge is valid");
-        let nudge = per_edge[e.index()];
-        let probs: Vec<(usize, f64)> = g
-            .edge_topic_probs(e)
-            .map(|(z, p)| {
-                let p = p as f64;
-                let p = match nudge {
-                    Some(delta) => {
-                        if p + delta <= 1.0 && p + delta > 0.0 {
-                            p + delta
-                        } else {
-                            p - delta
-                        }
-                    }
-                    None => p,
-                };
-                (z.index(), p)
-            })
-            .collect();
-        b.add_edge(u, v, &probs)?;
-    }
-    b.build()
-}
-
-/// Rebuild `g` with edge `edge`'s sparse probability row replaced
-/// wholesale by `probs` — exact values, support changes included. This is
-/// the delta shape a warm EM refit's weight diff produces: the learner
-/// emits complete per-topic rows, which a [`nudge_weights`] (one additive
-/// delta over every *existing* entry) cannot express. Node ids are kept;
-/// an all-zero row drops its edge, shifting every later edge id.
+/// `g` with edge `edge`'s sparse probability row replaced wholesale by
+/// `probs` — exact values, support changes included. This is the delta
+/// shape a warm EM refit's weight diff produces: the learner emits complete
+/// per-topic rows, which a [`nudge_weights`] (one additive delta over every
+/// *existing* entry) cannot express. An all-zero row drops its edge,
+/// shifting every later edge id.
 pub fn set_weights(g: &TopicGraph, edge: EdgeId, probs: &[(usize, f64)]) -> Result<TopicGraph> {
     set_weights_multi(g, &[(edge, probs.to_vec())])
 }
 
-/// Like [`set_weights`] over several edges at once — the shape
-/// [`apply_all`] folds a run of row replacements into. Listing an edge
-/// more than once keeps the *last* row (a later replacement overwrites an
-/// earlier one completely, exactly the sequential semantics).
+/// [`set_weights`] for each `(edge, row)` in order, each id read against
+/// the graph the earlier rows left (only an emptied row moves a later id).
 pub fn set_weights_multi(
     g: &TopicGraph,
     rows: &[(EdgeId, Vec<(usize, f64)>)],
 ) -> Result<TopicGraph> {
-    for (e, _) in rows {
-        g.check_edge(*e)?;
-    }
-    let mut per_edge: Vec<Option<&[(usize, f64)]>> = vec![None; g.edge_count()];
-    for (e, probs) in rows {
-        per_edge[e.index()] = Some(probs);
-    }
-    let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
-    for u in g.nodes() {
-        b.add_node(g.name(u).unwrap_or(""));
-    }
-    for e in g.edges() {
-        let (u, v) = g.edge_endpoints(e).expect("iterated edge is valid");
-        match per_edge[e.index()] {
-            Some(row) => b.add_edge(u, v, row)?,
-            None => {
-                let probs: Vec<(usize, f64)> = g
-                    .edge_topic_probs(e)
-                    .map(|(z, p)| (z.index(), p as f64))
-                    .collect();
-                b.add_edge(u, v, &probs)?
-            }
-        };
-    }
-    b.build()
+    let deltas: Vec<GraphDelta> = rows
+        .iter()
+        .map(|(edge, probs)| GraphDelta::SetWeights {
+            edge: *edge,
+            probs: probs.clone(),
+        })
+        .collect();
+    apply_all(g, &deltas)
 }
 
-/// Rebuild `g` with a single additional edge `u → v`.
+/// `g` with one more edge `u → v`.
 ///
 /// Fails like [`GraphBuilder::add_edge`] (bad endpoints, self loop, invalid
 /// probability); if the edge already exists the probabilities merge by
@@ -151,43 +89,39 @@ pub fn insert_edge(
     v: NodeId,
     probs: &[(usize, f64)],
 ) -> Result<TopicGraph> {
-    let mut b = builder_from(g);
-    b.add_edge(u, v, probs)?;
-    b.build()
+    let probs = probs.to_vec();
+    apply_all(
+        g,
+        &[GraphDelta::InsertEdge {
+            src: u,
+            dst: v,
+            probs,
+        }],
+    )
 }
 
-/// Rebuild `g` without edge `e`. Every edge with a larger id shifts down by
-/// one (ids stay dense in CSR order).
-pub fn remove_edge(g: &TopicGraph, victim: EdgeId) -> Result<TopicGraph> {
-    g.check_edge(victim)?;
-    let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
-    for u in g.nodes() {
-        b.add_node(g.name(u).unwrap_or(""));
-    }
-    for e in g.edges() {
-        if e == victim {
-            continue;
-        }
-        let (u, v) = g.edge_endpoints(e).expect("iterated edge is valid");
-        let probs: Vec<(usize, f64)> = g
-            .edge_topic_probs(e)
-            .map(|(z, p)| (z.index(), p as f64))
-            .collect();
-        b.add_edge(u, v, &probs)?;
-    }
-    b.build()
+/// `g` without edge `edge`. Every edge with a larger id shifts down by one
+/// (ids stay dense in CSR order).
+pub fn remove_edge(g: &TopicGraph, edge: EdgeId) -> Result<TopicGraph> {
+    apply_all(g, &[GraphDelta::RemoveEdge { edge }])
+}
+
+/// `g` with node `node` renamed to `name`. Topology, weights, and all ids
+/// are unchanged; renaming onto another node's name is an error.
+pub fn rename_node(g: &TopicGraph, node: NodeId, name: &str) -> Result<TopicGraph> {
+    let name = name.to_string();
+    apply_all(g, &[GraphDelta::RenameNode { node, name }])
 }
 
 /// One graph mutation as a first-class value — the submission format of the
 /// serving layer (`octopus_core::serve`), which queues deltas from writer
-/// threads and coalesces a pending batch into a single rebuild.
+/// threads and applies a pending batch with one [`apply_all`].
 ///
 /// Each variant corresponds to one of the free helpers in this module and
-/// applies with identical semantics; [`GraphDelta::apply`] is the bridge.
-/// Id caveat: [`EdgeId`]s inside a delta refer to the graph the delta is
-/// applied *to* — in a coalesced batch ([`apply_all`]) that is the output
-/// of the previous delta, so a batch containing `InsertEdge`/`RemoveEdge`
-/// must account for the id shifts those cause.
+/// applies with identical semantics. Id caveat: [`EdgeId`]s inside a delta
+/// refer to the graph the delta is applied *to* — in a batch that is the
+/// output of the previous delta, so a batch that inserts, removes, or
+/// empties a row must account for the id shifts those cause.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphDelta {
     /// Perturb the topic probabilities of `edges` by `delta` (reflected off
@@ -236,13 +170,7 @@ impl GraphDelta {
     /// Apply this mutation to `g`, producing a new graph (see the matching
     /// free helper for each variant's exact semantics and failure modes).
     pub fn apply(&self, g: &TopicGraph) -> Result<TopicGraph> {
-        match self {
-            GraphDelta::NudgeWeights { edges, delta } => nudge_weights(g, edges, *delta),
-            GraphDelta::SetWeights { edge, probs } => set_weights(g, *edge, probs),
-            GraphDelta::InsertEdge { src, dst, probs } => insert_edge(g, *src, *dst, probs),
-            GraphDelta::RemoveEdge { edge } => remove_edge(g, *edge),
-            GraphDelta::RenameNode { node, name } => rename_node(g, *node, name),
-        }
+        apply_all(g, std::slice::from_ref(self))
     }
 
     /// The set of topics whose per-topic weight slice this delta can move
@@ -312,18 +240,6 @@ impl GraphDelta {
     }
 }
 
-/// Whether `batch` only rewrites weights and names: no edge insert or
-/// remove. Such a batch names edges of the graph it starts from throughout,
-/// unless a row it empties drops that edge and shifts every later id.
-pub fn reweights_only(batch: &[GraphDelta]) -> bool {
-    !batch.iter().any(|d| {
-        matches!(
-            d,
-            GraphDelta::InsertEdge { .. } | GraphDelta::RemoveEdge { .. }
-        )
-    })
-}
-
 /// An edge whose maximum topic probability ([`TopicGraph::edge_prob_max`])
 /// differs between two graphs that share every edge id.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -359,137 +275,158 @@ pub fn max_shifts(old: &TopicGraph, new: &TopicGraph) -> Option<Vec<MaxShift>> {
     Some(shifts.collect())
 }
 
-/// Apply `deltas` in order, each on the output of the previous one —
-/// exactly what a coalesced serving batch does. Applying a batch in one
-/// call is equivalent, graph-for-graph, to applying its deltas one at a
-/// time (pinned by `coalesced_batch_matches_sequential_application`); an
-/// empty batch returns a clone of `g`. The first failing delta aborts the
-/// whole batch.
-///
-/// Each delta rebuilds the graph through a [`GraphBuilder`] pass, so a
-/// naive fold is `O(k·|G|)` for a `k`-delta batch. The dominant batch
-/// shapes under serving churn fold into a **single** rebuild instead:
-///
-/// * a run of weight nudges with the same perturbation over *distinct*
-///   edges (the stream a warm EM refit emits), and
-/// * a run of weight nudges over distinct edges whose sparse entries all
-///   sit on the **same single topic** — perturbations may differ per
-///   nudge; the fold goes through [`nudge_weights_multi`] and keeps the
-///   run's topic footprint (`touched_topics`) at exactly that one topic,
-///   so a topic-confined refit stream coalesces without widening the
-///   per-topic cap/PB/MIS invalidation it triggers.
-///
-/// Both folds are equivalent to sequential application because nudges are
-/// simultaneous over disjoint edges and leave every id stable. Runs
-/// touching an edge twice (a double nudge must compound, and reflection
-/// is not additive) are *not* merged and keep sequential semantics, as
-/// are mixed-perturbation runs spanning more than one topic.
-///
-/// A run of [`GraphDelta::SetWeights`] row replacements (the ingestion
-/// loop's learned-weight stream) *always* folds into one
-/// [`set_weights_multi`] rebuild: replacements are absolute, so even a
-/// repeated edge keeps sequential semantics (the last row wins).
+/// Apply `deltas` in submission order, each on the output of the one
+/// before, in one pass: copy `g` into a [`GraphBuilder`] ([`builder_from`]),
+/// edit its CSR-ordered edge list delta by delta, and build once. A nudge
+/// rewrites its rows in place (an edge listed twice in one nudge moves
+/// once; two nudges on one edge compound), a row replacement swaps the
+/// row, an insert merges into an existing `(src, dst)` by per-topic max or
+/// takes its sorted slot, a remove deletes the record, and a rename keeps
+/// the name index current. Rows a delta leaves empty are dropped before the
+/// next delta reads its ids, exactly as a rebuild after every delta would
+/// drop them; rows are validated by the builder's own row check, so the
+/// result — graph or error — is the one one-at-a-time rebuilds give
+/// (pinned by `proptest_graph::apply_all_equals_rebuild_per_delta`). The
+/// first failing delta aborts the batch; an empty batch returns a copy of
+/// `g`.
 pub fn apply_all(g: &TopicGraph, deltas: &[GraphDelta]) -> Result<TopicGraph> {
-    let mut current: Option<TopicGraph> = None;
-    let mut i = 0;
-    while i < deltas.len() {
-        let base = current.as_ref().unwrap_or(g);
-        let mut end = i + 1;
-        let next = if let GraphDelta::NudgeWeights { edges, delta } = &deltas[i] {
-            let mut pairs: Vec<(EdgeId, f64)> = edges.iter().map(|&e| (e, *delta)).collect();
-            let mut seen = edges.clone();
-            // Footprints are read off `base`: later nudges in the run see
-            // intermediate graphs, but nudging never adds or drops sparse
-            // entries (probabilities stay in (0, 1]), so the footprint of
-            // every edge is the same on `base` and on the intermediates.
-            let run_topic = single_topic_footprint(base, edges);
-            while let Some(GraphDelta::NudgeWeights {
-                edges: more,
-                delta: d,
-            }) = deltas.get(end)
-            {
-                if more.iter().any(|e| seen.contains(e)) {
-                    break;
-                }
-                let same_delta = d.to_bits() == delta.to_bits();
-                let same_topic =
-                    run_topic.is_some() && single_topic_footprint(base, more) == run_topic;
-                if !same_delta && !same_topic {
-                    break;
-                }
-                pairs.extend(more.iter().map(|&e| (e, *d)));
-                seen.extend_from_slice(more);
-                end += 1;
-            }
-            nudge_weights_multi(base, &pairs)?
-        } else if let GraphDelta::SetWeights { edge, probs } = &deltas[i] {
-            let mut rows: Vec<(EdgeId, Vec<(usize, f64)>)> = vec![(*edge, probs.clone())];
-            while let Some(GraphDelta::SetWeights {
-                edge: next_edge,
-                probs: next_probs,
-            }) = deltas.get(end)
-            {
-                // later rows overwrite earlier ones per edge inside
-                // set_weights_multi — exactly the sequential semantics
-                rows.push((*next_edge, next_probs.clone()));
-                end += 1;
-            }
-            set_weights_multi(base, &rows)?
-        } else {
-            deltas[i].apply(base)?
-        };
-        current = Some(next);
-        i = end;
-    }
-    Ok(current.unwrap_or_else(|| g.clone()))
+    apply_all_visiting(g, deltas, |_, _| {})
 }
 
-/// `Some(z)` iff every sparse probability entry across `edges` sits on the
-/// single topic `z` (and there is at least one entry). `None` for an empty
-/// or multi-topic footprint, or for any invalid edge id — invalid ids
-/// refuse the fold here and surface their error from the nudge itself.
-fn single_topic_footprint(g: &TopicGraph, edges: &[EdgeId]) -> Option<usize> {
-    let mut topic: Option<usize> = None;
-    for &e in edges {
-        g.check_edge(e).ok()?;
-        for (z, _) in g.edge_topic_probs(e) {
-            match topic {
-                None => topic = Some(z.index()),
-                Some(t) if t == z.index() => {}
-                Some(_) => return None,
-            }
-        }
-    }
-    topic
-}
-
-/// Rebuild `g` with node `u` renamed to `name`. Topology, weights, and all
-/// ids are unchanged; only the name slice differs.
-pub fn rename_node(g: &TopicGraph, target: NodeId, name: &str) -> Result<TopicGraph> {
-    g.check_node(target)?;
-    if !name.is_empty()
-        && g.node_by_name(name)
-            .is_some_and(|existing| existing != target)
-    {
-        return Err(GraphError::DuplicateName(name.to_string()));
-    }
-    let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
-    for u in g.nodes() {
-        if u == target {
-            b.add_node(name);
-        } else {
-            b.add_node(g.name(u).unwrap_or(""));
-        }
-    }
-    for e in g.edges() {
-        let (u, v) = g.edge_endpoints(e).expect("iterated edge is valid");
-        let probs: Vec<(usize, f64)> = g
-            .edge_topic_probs(e)
-            .map(|(z, p)| (z.index(), p as f64))
-            .collect();
-        b.add_edge(u, v, &probs)?;
+/// [`apply_all`], calling `visit(delta, endpoints)` for each delta once its
+/// ids resolve on the graph it applies to, before its rows or name are
+/// checked. The endpoints are the source and target of every edge it names
+/// (a nudge's edges deduplicated, in id order), the two endpoints of an
+/// insert, or the renamed node. The sharded router routes a batch by them.
+pub fn apply_all_visiting(
+    g: &TopicGraph,
+    deltas: &[GraphDelta],
+    mut visit: impl FnMut(&GraphDelta, &[NodeId]),
+) -> Result<TopicGraph> {
+    let mut b = builder_from(g);
+    for d in deltas {
+        b.apply_delta(d, &mut visit)?;
     }
     b.build()
+}
+
+impl GraphBuilder {
+    /// Apply one delta to a builder whose edge list is in CSR order
+    /// ([`builder_from`]), keeping it in CSR order with no empty row.
+    fn apply_delta(
+        &mut self,
+        d: &GraphDelta,
+        visit: &mut impl FnMut(&GraphDelta, &[NodeId]),
+    ) -> Result<()> {
+        let mut emptied = false;
+        match d {
+            GraphDelta::NudgeWeights { edges, delta } => {
+                for &e in edges {
+                    self.check_edge(e)?;
+                }
+                let mut edges = edges.clone();
+                edges.sort_unstable();
+                edges.dedup();
+                let ends: Vec<NodeId> = edges.iter().flat_map(|&e| self.endpoints(e)).collect();
+                visit(d, &ends);
+                for e in edges {
+                    let row: Vec<(usize, f64)> = self.edges[e.index()]
+                        .2
+                        .iter()
+                        .map(|&(z, p)| {
+                            let p = p as f64;
+                            let moved = p + delta;
+                            let p = if moved <= 1.0 && moved > 0.0 {
+                                moved
+                            } else {
+                                p - delta
+                            };
+                            (z as usize, p)
+                        })
+                        .collect();
+                    emptied |= self.set_row(e, &row)?;
+                }
+            }
+            GraphDelta::SetWeights { edge, probs } => {
+                self.check_edge(*edge)?;
+                visit(d, &self.endpoints(*edge));
+                emptied = self.set_row(*edge, probs)?;
+            }
+            GraphDelta::InsertEdge { src, dst, probs } => {
+                self.check_endpoints(*src, *dst)?;
+                visit(d, &[*src, *dst]);
+                let row = self.sparse_row(probs)?;
+                let key = (src.0, dst.0);
+                match self.edges.binary_search_by_key(&key, |r| (r.0, r.1)) {
+                    Ok(i) => self.edges[i].2 = crate::builder::merge_max(&self.edges[i].2, &row),
+                    Err(i) if !row.is_empty() => self.edges.insert(i, (src.0, dst.0, row)),
+                    Err(_) => {}
+                }
+            }
+            GraphDelta::RemoveEdge { edge } => {
+                self.check_edge(*edge)?;
+                visit(d, &self.endpoints(*edge));
+                self.edges.remove(edge.index());
+            }
+            GraphDelta::RenameNode { node, name } => {
+                if node.index() >= self.names.len() {
+                    return Err(GraphError::NodeOutOfBounds {
+                        node: node.0,
+                        len: self.names.len(),
+                    });
+                }
+                visit(d, &[*node]);
+                if !name.is_empty() && self.name_index.get(name).is_some_and(|u| u != node) {
+                    return Err(GraphError::DuplicateName(name.clone()));
+                }
+                self.rename(*node, name);
+            }
+        }
+        if emptied {
+            self.edges.retain(|r| !r.2.is_empty());
+        }
+        Ok(())
+    }
+
+    fn check_edge(&self, e: EdgeId) -> Result<()> {
+        if e.index() < self.edges.len() {
+            Ok(())
+        } else {
+            Err(GraphError::EdgeOutOfBounds {
+                edge: e.0,
+                len: self.edges.len(),
+            })
+        }
+    }
+
+    fn endpoints(&self, e: EdgeId) -> [NodeId; 2] {
+        let (u, v, _) = self.edges[e.index()];
+        [NodeId(u), NodeId(v)]
+    }
+
+    /// Replace edge `e`'s row with `probs`; whether the row came out empty.
+    fn set_row(&mut self, e: EdgeId, probs: &[(usize, f64)]) -> Result<bool> {
+        let row = self.sparse_row(probs)?;
+        let empty = row.is_empty();
+        self.edges[e.index()].2 = row;
+        Ok(empty)
+    }
+
+    /// Rename `node`, keeping the name index what re-adding every node in
+    /// id order would make it (the last node holding a name owns it).
+    fn rename(&mut self, node: NodeId, name: &str) {
+        let old = std::mem::replace(&mut self.names[node.index()], name.to_string());
+        if self.name_index.get(&old) == Some(&node) {
+            self.name_index.remove(&old);
+            if let Some(u) = self.names.iter().rposition(|n| *n == old) {
+                self.name_index.insert(old, NodeId(u as u32));
+            }
+        }
+        if !name.is_empty() {
+            self.named = true;
+            self.name_index.insert(name.to_string(), node);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -598,11 +535,6 @@ mod tests {
             max_shifts(&g, &set_weights(&g, e, &[(0, 0.0)]).unwrap()),
             None
         );
-        assert!(!reweights_only(&[GraphDelta::RemoveEdge { edge: e }]));
-        assert!(reweights_only(&[GraphDelta::SetWeights {
-            edge: e,
-            probs: vec![(0, 0.0)],
-        }]));
     }
 
     #[test]
@@ -698,8 +630,8 @@ mod tests {
             }
             cur
         };
-        // disjoint same-δ run (the serving-churn shape): folds into one
-        // rebuild, same graph as one-at-a-time
+        // disjoint same-δ run (the serving-churn shape): one pass, same
+        // graph as one-at-a-time
         let run = vec![
             nudge(vec![0], 0.05),
             nudge(vec![1], 0.05),
@@ -713,10 +645,10 @@ mod tests {
             apply_all(&g, &repeat).unwrap(),
             apply_all(&g, &[nudge(vec![0], 0.05)]).unwrap()
         );
-        // mixed perturbations: not merged, still equivalent
+        // mixed perturbations: still equivalent
         let mixed = vec![nudge(vec![0], 0.05), nudge(vec![1], 0.07)];
         assert_eq!(apply_all(&g, &mixed).unwrap(), sequential(&mixed));
-        // a run interrupted by another variant stays sequential around it
+        // a run interrupted by another variant: still equivalent
         let interrupted = vec![
             nudge(vec![0], 0.05),
             GraphDelta::RenameNode {
@@ -729,12 +661,12 @@ mod tests {
             apply_all(&g, &interrupted).unwrap(),
             sequential(&interrupted)
         );
-        // an invalid edge anywhere in a foldable run still aborts
+        // an invalid edge anywhere in a run aborts the batch
         assert!(apply_all(&g, &[nudge(vec![0], 0.05), nudge(vec![99], 0.05)]).is_err());
     }
 
     /// Two topic-1-only edges plus one topic-0-only edge, for exercising
-    /// the same-topic mixed-δ fold.
+    /// same-topic mixed-δ runs.
     fn topic_confined_fixture() -> TopicGraph {
         let mut b = GraphBuilder::new(2);
         let _ = b.add_nodes(4);
@@ -758,53 +690,26 @@ mod tests {
             }
             cur
         };
-        // disjoint edges, different δ, same single topic: folds into one
-        // multi-δ rebuild, same graph as one-at-a-time — and the fold
-        // keeps the run's topic footprint at exactly {1}
+        // disjoint edges, different δ, same single topic: same graph as
+        // one-at-a-time, and the run's topic footprint stays exactly {1}
         let run = vec![nudge(vec![0], 0.05), nudge(vec![1], 0.07)];
         let folded = apply_all(&g, &run).unwrap();
         assert_eq!(folded, sequential(&run));
         assert_eq!(
             codec::hash_weights_topic(&g, 0),
             codec::hash_weights_topic(&folded, 0),
-            "topic-1-confined fold must leave topic 0's weight slice alone"
+            "a topic-1-confined run must leave topic 0's weight slice alone"
         );
         assert_ne!(
             codec::hash_weights_topic(&g, 1),
             codec::hash_weights_topic(&folded, 1)
         );
-        // different δ across *different* topics: not merged, still equivalent
+        // different δ across *different* topics: still equivalent
         let cross = vec![nudge(vec![0], 0.05), nudge(vec![2], 0.07)];
         assert_eq!(apply_all(&g, &cross).unwrap(), sequential(&cross));
         // repeated edge inside a same-topic run must still compound
         let repeat = vec![nudge(vec![0], 0.05), nudge(vec![0], 0.07)];
         assert_eq!(apply_all(&g, &repeat).unwrap(), sequential(&repeat));
-    }
-
-    #[test]
-    fn multi_nudge_matches_sequential_single_nudges() {
-        let g = fixture();
-        // edge 1's topic-1 entry (0.75 + 0.3 > 1) exercises the boundary
-        // reflection; the others move plainly
-        let pairs = vec![(EdgeId(0), 0.05), (EdgeId(1), 0.3), (EdgeId(2), 0.09)];
-        let multi = nudge_weights_multi(&g, &pairs).unwrap();
-        let mut seq = g.clone();
-        for &(e, d) in &pairs {
-            seq = nudge_weights(&seq, &[e], d).unwrap();
-        }
-        assert_eq!(multi, seq, "disjoint per-edge deltas apply simultaneously");
-        // uniform pairs reproduce nudge_weights exactly
-        assert_eq!(
-            nudge_weights_multi(&g, &[(EdgeId(0), 0.05), (EdgeId(1), 0.05)]).unwrap(),
-            nudge_weights(&g, &[EdgeId(0), EdgeId(1)], 0.05).unwrap()
-        );
-        // a repeated edge nudges once (last pair wins), like the
-        // `contains`-based membership always did for duplicate ids
-        assert_eq!(
-            nudge_weights_multi(&g, &[(EdgeId(0), 0.05), (EdgeId(0), 0.05)]).unwrap(),
-            nudge_weights(&g, &[EdgeId(0)], 0.05).unwrap()
-        );
-        assert!(nudge_weights_multi(&g, &[(EdgeId(99), 0.05)]).is_err());
     }
 
     #[test]
@@ -1003,7 +908,11 @@ mod tests {
             apply_all(&g, &repeat).unwrap(),
             apply_all(&g, &[set(0, vec![(1, 0.8)])]).unwrap()
         );
-        // a run interrupted by another variant stays sequential around it
+        // an emptied row drops its edge before the next row reads its id
+        let shifted = vec![set(0, vec![(0, 0.0)]), set(0, vec![(1, 0.8)])];
+        assert_eq!(apply_all(&g, &shifted).unwrap(), sequential(&shifted));
+        assert_eq!(apply_all(&g, &shifted).unwrap().edge_count(), 2);
+        // a run interrupted by another variant: still equivalent
         let interrupted = vec![
             set(0, vec![(0, 0.6)]),
             GraphDelta::RenameNode {
@@ -1016,7 +925,7 @@ mod tests {
             apply_all(&g, &interrupted).unwrap(),
             sequential(&interrupted)
         );
-        // an invalid edge anywhere in a foldable run still aborts
+        // an invalid edge anywhere in a run aborts the batch
         assert!(apply_all(&g, &[set(0, vec![(0, 0.6)]), set(99, vec![(0, 0.5)])]).is_err());
     }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the graph substrate: CSR invariants, codec
-//! round-trips, and probability-evaluation laws that every upper layer
-//! relies on.
+//! round-trips, probability-evaluation laws that every upper layer relies
+//! on, and the delta apply pass against a rebuild-per-delta oracle.
 
-use octopus_graph::{codec, GraphBuilder, NodeId, TopicGraph};
+use octopus_graph::delta::{apply_all, apply_all_visiting, GraphDelta};
+use octopus_graph::{codec, EdgeId, GraphBuilder, GraphError, NodeId, TopicGraph};
 use proptest::prelude::*;
 
 const MAX_NODES: usize = 24;
@@ -253,5 +254,217 @@ proptest! {
             seen[c as usize] = true;
         }
         prop_assert!(seen.into_iter().all(|s| s));
+    }
+}
+
+/// One generated delta, decoded against the batch's base graph by
+/// [`decode`]: `(variant, a, b, row as (topic, palette index), delta
+/// palette index)`.
+type DeltaSpec = (u8, u32, u32, Vec<(u32, usize)>, usize);
+
+/// Probabilities a generated row draws from: zeros (an all-zero row
+/// empties its edge), the boundary, and one invalid value.
+const PROB_PALETTE: [f64; 8] = [0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.0, 1.5];
+/// Nudge perturbations: 0.75 on a 0.75 entry reflects to exactly 0 (the
+/// entry drops); 0.75 or 1.0 on most other entries reflects below 0 (an
+/// error).
+const NUDGE_PALETTE: [f64; 7] = [0.05, 0.25, -0.25, 0.05, 0.25, 0.75, 1.0];
+/// Rename targets: a name the base graph holds, fresh ones (a second
+/// rename onto one collides), and empty.
+const NAMES: [&str; 5] = ["n0", "fresh", "", "other", "n2"];
+
+fn arb_batch() -> impl Strategy<Value = Vec<DeltaSpec>> {
+    let spec = (
+        0u8..5,
+        0u32..64,
+        0u32..64,
+        proptest::collection::vec((0u32..64, 0..PROB_PALETTE.len()), 0..3),
+        0..NUDGE_PALETTE.len(),
+    );
+    proptest::collection::vec(spec, 1..9)
+}
+
+/// A base graph whose even nodes are named `n{i mod 6}` — a name several
+/// nodes share belongs to the last of them, and renames can collide — and
+/// whose probabilities are palette values, so nudges can empty rows.
+fn build_named(n: usize, z: usize, edges: &[EdgeSpec]) -> TopicGraph {
+    let mut b = GraphBuilder::new(z);
+    for i in 0..n {
+        b.add_node(if i % 2 == 0 {
+            format!("n{}", i % 6)
+        } else {
+            String::new()
+        });
+    }
+    for (u, v, probs) in edges {
+        if u != v {
+            let probs: Vec<(usize, f64)> = probs
+                .iter()
+                .map(|&(t, p)| (t, [0.25, 0.5, 0.75, 0.3][(p * 4.0) as usize % 4]))
+                .collect();
+            b.add_edge(NodeId(*u), NodeId(*v), &probs).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// `x mod len`, except one draw in 16 gives `len` itself (out of range).
+fn pick(x: u32, len: usize) -> u32 {
+    if x % 16 == 15 {
+        len as u32
+    } else {
+        x % len.max(1) as u32
+    }
+}
+
+/// Turn a spec into a delta on a graph shaped like `g`. An id, node, or
+/// topic is one past the end one draw in 16 (an error), an edge may be
+/// listed twice in one nudge, and an insert lands on an existing
+/// `(src, dst)` when `a` is even.
+fn decode(g: &TopicGraph, (kind, a, b, row, d): &DeltaSpec) -> GraphDelta {
+    let (n, m) = (g.node_count(), g.edge_count());
+    let probs: Vec<(usize, f64)> = row
+        .iter()
+        .map(|&(z, i)| (pick(z, g.num_topics()) as usize, PROB_PALETTE[i]))
+        .collect();
+    match kind {
+        0 => GraphDelta::NudgeWeights {
+            edges: [pick(*a, m), pick(*b, m), pick(*a, m)][..1 + (*b as usize % 3)]
+                .iter()
+                .map(|&e| EdgeId(e))
+                .collect(),
+            delta: NUDGE_PALETTE[*d],
+        },
+        1 => GraphDelta::SetWeights {
+            edge: EdgeId(pick(*a, m)),
+            probs,
+        },
+        2 => {
+            let (src, dst) = if a % 2 == 0 && m > 0 {
+                g.edge_endpoints(EdgeId(b % m as u32)).unwrap()
+            } else {
+                (NodeId(pick(*a, n)), NodeId(pick(*b, n)))
+            };
+            GraphDelta::InsertEdge { src, dst, probs }
+        }
+        3 => GraphDelta::RemoveEdge {
+            edge: EdgeId(pick(*a, m)),
+        },
+        _ => GraphDelta::RenameNode {
+            node: NodeId(pick(*a, n)),
+            name: NAMES[*b as usize % NAMES.len()].to_string(),
+        },
+    }
+}
+
+/// The oracle: apply one delta by rebuilding every node and edge of `g`
+/// through a [`GraphBuilder`], the delta's edit folded into the copy.
+fn rebuild_with(g: &TopicGraph, d: &GraphDelta) -> Result<TopicGraph, GraphError> {
+    match d {
+        GraphDelta::NudgeWeights { edges, .. } => {
+            for &e in edges {
+                g.check_edge(e)?;
+            }
+        }
+        GraphDelta::SetWeights { edge, .. } | GraphDelta::RemoveEdge { edge } => {
+            g.check_edge(*edge)?;
+        }
+        GraphDelta::RenameNode { node, name } => {
+            g.check_node(*node)?;
+            if !name.is_empty() && g.node_by_name(name).is_some_and(|u| u != *node) {
+                return Err(GraphError::DuplicateName(name.clone()));
+            }
+        }
+        GraphDelta::InsertEdge { .. } => {}
+    }
+    let mut b = GraphBuilder::new(g.num_topics());
+    for u in g.nodes() {
+        match d {
+            GraphDelta::RenameNode { node, name } if *node == u => b.add_node(name.clone()),
+            _ => b.add_node(g.name(u).unwrap_or("")),
+        };
+    }
+    for e in g.edges() {
+        let (u, v) = g.edge_endpoints(e).unwrap();
+        let row: Vec<(usize, f64)> = g
+            .edge_topic_probs(e)
+            .map(|(z, p)| (z.index(), p as f64))
+            .collect();
+        match d {
+            GraphDelta::RemoveEdge { edge } if *edge == e => {}
+            GraphDelta::SetWeights { edge, probs } if *edge == e => b.add_edge(u, v, probs)?,
+            GraphDelta::NudgeWeights { edges, delta } if edges.contains(&e) => {
+                let nudged: Vec<(usize, f64)> = row
+                    .iter()
+                    .map(|&(z, p)| {
+                        let up = p + delta;
+                        (z, if up <= 1.0 && up > 0.0 { up } else { p - delta })
+                    })
+                    .collect();
+                b.add_edge(u, v, &nudged)?
+            }
+            _ => b.add_edge(u, v, &row)?,
+        }
+    }
+    if let GraphDelta::InsertEdge { src, dst, probs } = d {
+        b.add_edge(*src, *dst, probs)?;
+    }
+    b.build()
+}
+
+/// The endpoints a delta names on the graph it applies to.
+fn endpoints(g: &TopicGraph, d: &GraphDelta) -> Vec<NodeId> {
+    let ends = |e: &EdgeId| {
+        let (u, v) = g.edge_endpoints(*e).unwrap();
+        [u, v]
+    };
+    match d {
+        GraphDelta::NudgeWeights { edges, .. } => {
+            let mut edges = edges.clone();
+            edges.sort_unstable();
+            edges.dedup();
+            edges.iter().flat_map(ends).collect()
+        }
+        GraphDelta::SetWeights { edge, .. } | GraphDelta::RemoveEdge { edge } => {
+            ends(edge).to_vec()
+        }
+        GraphDelta::InsertEdge { src, dst, .. } => vec![*src, *dst],
+        GraphDelta::RenameNode { node, .. } => vec![*node],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One pass over a batch equals rebuilding the graph after every
+    /// delta: both give the same graph, or both fail; and the pass
+    /// reports each delta's endpoints on the graph it applies to.
+    #[test]
+    fn apply_all_equals_rebuild_per_delta(
+        (n, z, edges) in arb_graph_parts(),
+        specs in arb_batch(),
+    ) {
+        let g = build_named(n, z, &edges);
+        let batch: Vec<GraphDelta> = specs.iter().map(|s| decode(&g, s)).collect();
+        let mut oracle: Result<TopicGraph, GraphError> = Ok(g.clone());
+        let mut want_ends: Vec<(GraphDelta, Vec<NodeId>)> = Vec::new();
+        for d in &batch {
+            oracle = oracle.and_then(|cur| {
+                let next = rebuild_with(&cur, d)?;
+                want_ends.push((d.clone(), endpoints(&cur, d)));
+                Ok(next)
+            });
+        }
+        let mut got_ends: Vec<(GraphDelta, Vec<NodeId>)> = Vec::new();
+        let got = apply_all_visiting(&g, &batch, |d, ends| got_ends.push((d.clone(), ends.to_vec())));
+        match (got, oracle) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(got_ends, want_ends);
+                prop_assert_eq!(apply_all(&g, &batch).unwrap(), want);
+            }
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("pass {got:?} vs oracle {want:?}"),
+        }
     }
 }
