@@ -98,7 +98,7 @@ impl Autocomplete {
         self.size == 0
     }
 
-    /// Serialize the trie (the OCTA v6 `autocomplete` section payload;
+    /// Serialize the trie (the OCTA v7 `autocomplete` section payload;
     /// normative spec in `ARCHITECTURE.md`).
     ///
     /// ```text

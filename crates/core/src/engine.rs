@@ -21,6 +21,7 @@ use crate::offline::{self, ReuseSlots, StageReuse, StageTiming};
 use crate::paths::{explore, ExploreDirection, PathExploration};
 use crate::piks::{GreedyPiks, PiksConfig, PiksResult};
 use crate::Result;
+use octopus_graph::codec::GraphKeys;
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::radar::{keyword_radar, RadarChart};
 use octopus_topics::{KeywordId, TopicDistribution, TopicModel};
@@ -187,7 +188,9 @@ pub struct SystemReport {
     /// counted as hits, and a topic-z-confined nudge shows `Z-1/Z` on the
     /// weight stages with only topic z rebuilt.
     pub stage_reuse: Vec<StageReuse>,
-    /// Wall-clock duration of the whole offline phase. For
+    /// Wall-clock duration of the whole offline phase, from the
+    /// constructor's start — hashing the input keys included — until the
+    /// artifact serves. For
     /// [`Octopus::open_or_build`] this spans cache lookup (file reads,
     /// section checksums and parses, per-world screening) plus whatever
     /// rebuilding remained — full build, partial rebuild, or pure load —
@@ -205,7 +208,7 @@ pub struct SystemReport {
 /// construction and the query cache is internally synchronized, so one
 /// instance behind an `Arc` serves concurrent query threads.
 ///
-/// Every engine serves one validated OCTA v6 artifact through the
+/// Every engine serves one validated OCTA v7 artifact through the
 /// zero-copy views of [`crate::offline::view`]: heap bytes it encoded (or
 /// read from its cache directory), or a memory-mapped cache file
 /// ([`Octopus::open_mapped`]). The backing is operational only — startup
@@ -241,14 +244,14 @@ impl Octopus {
     /// offline pipeline ([`offline::build`]) for every phase the configured
     /// engines need, and serves the encoded result off the heap.
     pub fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
+        let t0 = Instant::now();
         let inputs = Inputs::new(graph, model, config)?;
         let offline = offline::build(&inputs.graph, &inputs.config);
         let art = inputs.serve(persist::encode(&offline, &inputs.fp, &inputs.keys, 0))?;
         Ok(Octopus {
             timings: offline.timings,
             reuse: offline.reuse,
-            build_total: offline.build_total,
-            ..Self::assemble(inputs, art, false)
+            ..Self::assemble(inputs, art, false, t0)
         })
     }
 
@@ -264,7 +267,7 @@ impl Octopus {
     /// whose BFS footprint missed the delta — reload from `cache_dir`
     /// while the invalidated ones rebuild. A topic-z-confined nudge
     /// therefore recomputes exactly topic z's cap/PB/MIS units. The lookup degrades,
-    /// never fails: missing, truncated, corrupted, stale-version (v1–v5), or
+    /// never fails: missing, truncated, corrupted, stale-version (v1–v6), or
     /// foreign files only reduce how much is reused, after which the merged
     /// artifacts are written back atomically (write failures are ignored —
     /// a read-only cache directory costs the speedup, not the engine).
@@ -328,8 +331,9 @@ impl Octopus {
         config: OctopusConfig,
         cache_dir: &Path,
     ) -> Result<Self> {
+        let t0 = Instant::now();
         let inputs = Inputs::new(graph, model, config)?;
-        Self::open_cached(inputs, cache_dir, None, Instant::now())
+        Self::open_cached(inputs, cache_dir, None, t0)
     }
 
     /// [`Octopus::open_or_build`] with the inputs' keys already computed,
@@ -365,7 +369,7 @@ impl Octopus {
         let inputs = Inputs::new(graph, self.model.clone(), self.config.clone())?;
         let mapped_dir = cache_dir.filter(|_| mapped);
         if let Some(art) = mapped_dir.and_then(|d| inputs.map(d, false)) {
-            return Ok(Self::assemble(inputs, art, true));
+            return Ok(Self::assemble(inputs, art, true, t0));
         }
         let t_screen = Instant::now();
         let (keys, graph, config) = (&inputs.keys, &inputs.graph, &inputs.config);
@@ -433,13 +437,12 @@ impl Octopus {
         Ok(Octopus {
             timings,
             reuse: offline.reuse,
-            build_total: t0.elapsed(),
-            ..Self::assemble(inputs, art, full)
+            ..Self::assemble(inputs, art, full, t0)
         })
     }
 
     /// Open the engine in **mapped mode**: serve queries zero-copy off a
-    /// memory-mapped OCTA v6 artifact instead of decoding it onto the heap.
+    /// memory-mapped OCTA v7 artifact instead of decoding it onto the heap.
     ///
     /// Fast path: when `cache_dir` holds a complete artifact whose combined
     /// fingerprint and every per-stage key match these exact inputs, the
@@ -485,10 +488,10 @@ impl Octopus {
         cache_dir: &Path,
         paranoid: bool,
     ) -> Result<Self> {
-        let inputs = Inputs::new(graph, model, config)?;
         let t0 = Instant::now();
+        let inputs = Inputs::new(graph, model, config)?;
         if let Some(art) = inputs.map(cache_dir, paranoid) {
-            return Ok(Self::assemble(inputs, art, true));
+            return Ok(Self::assemble(inputs, art, true, t0));
         }
         // No exact mappable file: salvage and rebuild, write back, and map
         // the freshly written file.
@@ -496,8 +499,10 @@ impl Octopus {
     }
 
     /// An engine serving `art`, reporting the artifact's own open
-    /// telemetry (the constructors that built anything overwrite it).
-    fn assemble(inputs: Inputs, art: MappedArtifacts, cache_hit: bool) -> Self {
+    /// telemetry (the constructors that built anything overwrite it) and
+    /// the wall-clock since the constructor's clock `t0` started, before
+    /// its keys were hashed.
+    fn assemble(inputs: Inputs, art: MappedArtifacts, cache_hit: bool, t0: Instant) -> Self {
         let config = inputs.config;
         Octopus {
             cache: QueryCache::new(config.cache_capacity, config.cache_tolerance),
@@ -506,7 +511,7 @@ impl Octopus {
             config,
             timings: art.timings().to_vec(),
             reuse: art.reuse().to_vec(),
-            build_total: art.open_total(),
+            build_total: t0.elapsed(),
             art,
             cache_hit,
             user_keywords: HashMap::new(),
@@ -1103,7 +1108,8 @@ pub(crate) fn resolve_gamma(
     Ok((keywords, unknown, gamma))
 }
 
-/// An engine's inputs, checked, with the cache keys every constructor needs.
+/// An engine's inputs, checked, with the cache keys every constructor needs,
+/// derived from one walk over the graph.
 struct Inputs {
     graph: TopicGraph,
     model: TopicModel,
@@ -1116,9 +1122,10 @@ impl Inputs {
     fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
         check_shapes(&graph, &model)?;
         check_config(&config)?;
+        let graph_keys = GraphKeys::of(&graph);
         Ok(Inputs {
-            fp: Fingerprint::compute(&graph, &config),
-            keys: StageKeys::compute(&graph, &config),
+            fp: Fingerprint::from_keys(&graph_keys, &config),
+            keys: StageKeys::from_keys(&graph, &graph_keys, &config),
             graph,
             model,
             config,

@@ -73,7 +73,7 @@ impl<B: BoundEstimator + ?Sized> BoundEstimator for &B {
 ///
 /// [`topic_arrival_cap`] reads exactly the topic-`z` probability slice —
 /// the `(src, dst, p_z)` edge triples plus the node universe, all captured
-/// by [`hash_weights_topic`](octopus_graph::codec::hash_weights_topic) —
+/// by a [`GraphKeys::topics`](octopus_graph::codec::GraphKeys::topics) entry —
 /// and nothing else: no names, no seed, no `theta` (the arrival cap is
 /// threshold-free), no other topics. A nudge confined to topic `z` moves
 /// only topic `z`'s key; a rename or reseed moves none.
@@ -271,7 +271,7 @@ impl PrecompBound {
     /// [`PrecompBound::build_topic`] is a deterministic pure-topic MIA
     /// computation: it reads exactly the topic-`z` probability slice
     /// (`weights_topic` =
-    /// [`hash_weights_topic`](octopus_graph::codec::hash_weights_topic),
+    /// a [`GraphKeys::topics`](octopus_graph::codec::GraphKeys::topics) entry,
     /// which also pins the node universe) under `(theta, safety)` — no
     /// seed, no names, no other topics. `enabled` records whether the
     /// configured engine needs the tables at all: a unit persisted as
@@ -309,7 +309,7 @@ impl BoundEstimator for PrecompBound {
 // v6 per-topic flat layout of the pb-bound units (zero-copy mapped read path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `pb-bound` OCTA v6 unit: `present u64` (0 or 1),
+/// Encode one topic's `pb-bound` OCTA v7 unit: `present u64` (0 or 1),
 /// then — when present — `safety f64 | n u64 | row n × f64` with `σ̂_z(u)`
 /// at byte `24 + u·8`. Every field is 8-aligned relative to the (8-aligned)
 /// section start, so a mapped reader serves `upper_bound` straight off the

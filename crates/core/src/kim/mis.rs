@@ -57,7 +57,7 @@ impl MisKim {
     ///
     /// [`MisKim::build_topic`] reads exactly the topic-`z` probability
     /// slice (`weights_topic` =
-    /// [`hash_weights_topic`](octopus_graph::codec::hash_weights_topic),
+    /// a [`GraphKeys::topics`](octopus_graph::codec::GraphKeys::topics) entry,
     /// which pins the topic index, the edge triples, and the node universe
     /// the RR roots are drawn from), plus `k_max`, the RR budget, and the
     /// sampling seed. Node **names are deliberately absent** — MIS never
@@ -91,7 +91,7 @@ impl MisKim {
 // path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `mis-tables` OCTA v6 unit: `present u64` (0 or 1),
+/// Encode one topic's `mis-tables` OCTA v7 unit: `present u64` (0 or 1),
 /// then — when present —
 ///
 /// ```text

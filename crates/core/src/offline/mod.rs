@@ -63,18 +63,20 @@
 //! Each stage records wall-clock duration in a [`StageTiming`]; the engine
 //! surfaces them through [`crate::engine::SystemReport::stage_timings`].
 //! Because branches run concurrently, stage durations can sum to more than
-//! [`OfflineArtifacts::build_total`].
+//! the wall-clock the engine reports
+//! ([`crate::engine::SystemReport::offline_build_total`]).
 //!
 //! ## Persistence and incremental rebuilds
 //!
 //! Determinism (above) is what makes the artifacts *cacheable*: each stage
 //! is a pure function of the inputs it reads, so [`persist`] serializes
-//! [`OfflineArtifacts`] into an **OCTA v6 sectioned container** — one
+//! [`OfflineArtifacts`] into an **OCTA v7 sectioned container** — one
 //! independently keyed, independently checksummed section per work unit,
 //! each unit's [`persist::StageKeys`] entry hashing only that unit's input
 //! slice. The three weight-dependent stages are **topic-granular**: the
 //! cap, PB, and MIS payloads are split into one sub-section per topic,
-//! keyed on [`octopus_graph::codec::hash_weights_topic`] (MIS ignores
+//! keyed on the topic's weight-slice key
+//! ([`octopus_graph::codec::GraphKeys::topics`]; MIS ignores
 //! names; autocomplete ignores weights; each PIKS world is keyed on the
 //! in-edges its reverse BFS examined and their superset coin bits), so a delta confined to topic-`z`
 //! edges invalidates exactly topic `z`'s cap/PB/MIS units. The byte-level
@@ -99,7 +101,7 @@
 //! `tests/build_determinism.rs`, `tests/delta_invalidation.rs`, and the
 //! end-to-end restart tests.
 //!
-//! A unit travels as its encoded OCTA v6 payload from donor to disk: a
+//! A unit travels as its encoded OCTA v7 payload from donor to disk: a
 //! reused unit is the donor's bytes, copied once and never decoded, and a
 //! rebuilt unit is encoded by its stage as soon as it is built (the
 //! `topic-samples` stage reads the PB tables off their unit bytes, as the
@@ -219,9 +221,6 @@ pub struct OfflineArtifacts {
     pub timings: Vec<StageTiming>,
     /// Per-stage reuse counters, always all of [`STAGE_ORDER`].
     pub reuse: Vec<StageReuse>,
-    /// Wall-clock duration of the whole pipeline (≤ the timing sum when
-    /// branches overlap).
-    pub build_total: Duration,
 }
 
 impl OfflineArtifacts {
@@ -366,7 +365,6 @@ pub fn build_with_reuse(
     config: &OctopusConfig,
     slots: ReuseSlots,
 ) -> OfflineArtifacts {
-    let start = Instant::now();
     let z_count = graph.num_topics();
     let ReuseSlots {
         cap: cap_slots,
@@ -477,7 +475,6 @@ pub fn build_with_reuse(
             .flatten()
             .collect(),
         reuse: vec![r_cap, r_pb, r_mis, r_samples, r_piks, r_names],
-        build_total: start.elapsed(),
     }
 }
 
@@ -592,7 +589,6 @@ mod tests {
         let art = build(&g, &config(KimEngineChoice::Mis));
         let names: Vec<&str> = art.timings.iter().map(|t| t.stage).collect();
         assert_eq!(names, STAGE_ORDER.to_vec());
-        assert!(art.build_total > Duration::ZERO);
     }
 
     /// The payload of section `tag` in `art`.

@@ -21,10 +21,11 @@
 //! | `piks-worlds` | one (worlds inside) | `(n, world seed)` + a per-world footprint | any delta that flips no superset coin bit of a world's BFS footprint |
 //! | `autocomplete` | one | names + out-degrees | weight nudges, reseeds |
 //!
-//! The topic-`z` weight slice hash is
-//! [`octopus_graph::codec::hash_weights_topic`] (it also pins the node
-//! universe and topic count); `topology`/`weights`/names are the
-//! whole-graph [`octopus_graph::codec`] input-slice hashes. The PIKS
+//! The topic-`z` weight slice key is entry `z` of
+//! [`GraphKeys::topics`] (it also pins the node universe and topic
+//! count); `topology`/`weights`/names are the other whole-graph
+//! [`GraphKeys`]. One walk over the edge table yields all of them, each
+//! an order-independent sum of per-entry mixes. The PIKS
 //! section goes one level deeper still: each stored world carries a
 //! [`crate::piks::footprint_hash`] — the structural key of everything its
 //! reverse BFS read: reached nodes, their in-edges, and each in-edge's
@@ -33,16 +34,16 @@
 //! nudge confined to topic-`z` edges rebuilds only topic `z`'s cap/PB/MIS
 //! units plus those worlds.
 //!
-//! ## File format (OCTA v6, little-endian)
+//! ## File format (OCTA v7, little-endian)
 //!
 //! The normative byte-level specification lives in `ARCHITECTURE.md`
-//! (§"The OCTA v6 artifact container") and is pinned against this codec by
-//! the `octa_format` integration test. v6 differs from v5 only in what a
-//! PIKS world's stored footprint means (the structural key above, where v5
-//! hashed raw probability rows). Summary:
+//! (§"The OCTA v7 artifact container") and is pinned against this codec by
+//! the `octa_format` integration test. v7 keeps v6's payload bytes: its
+//! section checksums are XXH64 ([`wire::checksum`]), and `graph_fp` and
+//! the unit keys derive from the one-pass [`GraphKeys`]. Summary:
 //!
 //! ```text
-//! magic "OCTA" | version u16 = 6 | pad u16 = 0
+//! magic "OCTA" | version u16 = 7 | pad u16 = 0
 //! graph_fp u64 | config_fp u64 | seed u64      ← combined key (file name / diagnostics)
 //! write_seq u64                                ← per-directory write sequence (prune order)
 //! section_count u32 | pad u32 = 0              ← count = 3·Z + 3
@@ -64,15 +65,17 @@
 //! ([`super::view`]): every section records its absolute offset, starts
 //! 8-aligned, and uses flat fixed-width in-section layouts, so an open can
 //! serve queries straight off the mapped bytes — `O(pages touched)`, not
-//! `O(file)`. Every section still carries its own FNV-1a checksum, so
+//! `O(file)`. Every section still carries its own XXH64 checksum, so
 //! corruption, torn writes, and truncation are detected **per section**:
 //! the damaged unit misses, the intact ones (including the other topics of
 //! the same stage) are still reused. A rebuild verifies a donor section's
 //! checksum before it parses the payload; the mapped path defers them per
-//! section to first touch ([`wire::section_range`] frames without hashing). A v1–v5
-//! file fails the version check and is migrated by rebuild — the v6 writer
-//! then replaces it for the same inputs under the same cache-file name
-//! scheme.
+//! section to first touch ([`wire::section_range`] frames without hashing). A v1–v6
+//! file fails the version check and is migrated by rebuild — the v7 writer
+//! then writes the same inputs under their v7 cache-file name (the graph
+//! key moved, so the name did too). [`lookup`] drops such a file on its
+//! header alone, and [`prune`] evicts it first, its write sequence
+//! reading as 0.
 //!
 //! ## Lookup
 //!
@@ -100,14 +103,15 @@ use crate::kim::topic_sample::TopicSample;
 use crate::kim::MisKim;
 use crate::piks::InfluencerIndex;
 use bytes::{Buf, BufMut};
+use octopus_graph::codec::GraphKeys;
 use octopus_graph::delta::MaxShift;
 use octopus_graph::wire::{self, Fnv64, SectionEntry, WireError};
-use octopus_graph::{codec as graph_codec, NodeId, TopicGraph};
+use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
 use std::path::{Path, PathBuf};
 
 pub(crate) const MAGIC: &[u8; 4] = b"OCTA";
-pub(crate) const VERSION: u16 = 6;
+pub(crate) const VERSION: u16 = 7;
 /// Bytes before the section table: magic + version + pad + 3 fingerprint
 /// words + write sequence + section count + pad. 8-aligned by design so
 /// the table (40-byte entries) and the first payload stay 8-aligned.
@@ -213,7 +217,8 @@ impl From<WireError> for PersistError {
 /// `proptest_persist` sensitivity suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
-    /// Hash of the canonical graph encoding (topology + weights + names).
+    /// The whole-graph key ([`GraphKeys::graph`]: topology, names and
+    /// every topic's weight slice).
     pub graph: u64,
     /// Hash of every artifact-relevant config field except the seed.
     pub config: u64,
@@ -234,15 +239,16 @@ impl std::fmt::Display for Fingerprint {
 impl Fingerprint {
     /// Compute the combined cache key for building `graph` under `config`.
     ///
-    /// The graph component streams the canonical encoding through the
-    /// hasher ([`graph_codec::hash`]) rather than materializing the byte
-    /// buffer — `compute` runs on every [`open_or_build`], including the
-    /// fast cache-hit path, and must not transiently copy a large graph.
-    ///
-    /// [`open_or_build`]: crate::engine::Octopus::open_or_build
+    /// Walks the graph once ([`GraphKeys::of`]); an engine constructor
+    /// that also needs the [`StageKeys`] derives both from one walk.
     pub fn compute(graph: &TopicGraph, config: &OctopusConfig) -> Self {
+        Self::from_keys(&GraphKeys::of(graph), config)
+    }
+
+    /// The combined cache key over already computed graph keys.
+    pub(crate) fn from_keys(graph: &GraphKeys, config: &OctopusConfig) -> Self {
         Fingerprint {
-            graph: graph_codec::hash(graph),
+            graph: graph.graph,
             config: config_fingerprint(config),
             seed: config.seed,
         }
@@ -353,11 +359,12 @@ pub struct StageKeys {
 impl StageKeys {
     /// Compute every unit key for building `graph` under `config`.
     pub fn compute(graph: &TopicGraph, config: &OctopusConfig) -> Self {
-        let topology = graph_codec::hash_topology(graph);
-        let weights = graph_codec::hash_weights(graph);
-        let weights_topic: Vec<u64> = (0..graph.num_topics())
-            .map(|z| graph_codec::hash_weights_topic(graph, z))
-            .collect();
+        Self::from_keys(graph, &GraphKeys::of(graph), config)
+    }
+
+    /// Every unit key over `graph`'s already computed [`GraphKeys`].
+    pub(crate) fn from_keys(graph: &TopicGraph, keys: &GraphKeys, config: &OctopusConfig) -> Self {
+        let weights_topic = &keys.topics;
         StageKeys {
             cap: weights_topic
                 .iter()
@@ -386,7 +393,7 @@ impl StageKeys {
                     )
                 })
                 .collect(),
-            samples: topic_samples_key(topology, weights, config),
+            samples: topic_samples_key(keys.topology, keys.weights, config),
             piks: InfluencerIndex::section_key(
                 graph.node_count(),
                 config.seed ^ super::PIKS_WORLD_SEED_XOR,
@@ -450,7 +457,7 @@ fn topic_samples_key(topology: u64, weights: u64, config: &OctopusConfig) -> u64
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Frame `artifacts` as an OCTA v6 sectioned container stamped with the
+/// Frame `artifacts` as an OCTA v7 sectioned container stamped with the
 /// combined key `fp`, the per-unit `keys`, and the cache directory's
 /// `write_seq` (see [`prune`]; callers outside a cache directory may pass
 /// any value — the sequence never gates reuse). The payloads are already
@@ -491,7 +498,7 @@ pub fn encode(
                 key: keys.for_tag(*tag).expect("keys and artifacts agree on Z"),
                 off,
                 len: payload.len() as u64,
-                checksum: wire::fnv1a(payload),
+                checksum: wire::checksum(payload),
             },
         );
         off += payload.len() as u64;
@@ -899,8 +906,10 @@ pub struct CacheLookup {
 /// model: every visited file is read whole and its needed sections
 /// checksummed; a world an earlier donor supplied is skipped on its offset
 /// alone, and each missing world's footprint is hashed over the live graph
-/// once per distinct stored node list. Unreadable, foreign, stale-version,
-/// or corrupt files are simply skipped: lookup degrades, it never fails.
+/// once per distinct stored node list. A donor whose header is unreadable,
+/// foreign, or of another version is dropped on its header, never read
+/// whole; corrupt files are simply skipped: lookup degrades, it never
+/// fails.
 pub fn lookup(
     cache_dir: &Path,
     fp: &Fingerprint,
@@ -911,10 +920,12 @@ pub fn lookup(
     let exact = fp.cache_path(cache_dir);
     let mut candidates = vec![exact.clone()];
     if let Ok(entries) = std::fs::read_dir(cache_dir) {
+        // a file whose header is foreign or another version is dropped on
+        // those 48 bytes, before its body is read
         let mut others: Vec<(std::cmp::Reverse<u64>, PathBuf)> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "octa") && *p != exact)
-            .map(|p| (std::cmp::Reverse(file_write_seq(&p)), p))
+            .filter_map(|p| Some((std::cmp::Reverse(file_write_seq(&p)?), p)))
             .collect();
         others.sort();
         candidates.extend(others.into_iter().map(|(_, p)| p));
@@ -1032,7 +1043,7 @@ fn scan(dir: &Path) -> Vec<(std::time::SystemTime, u64, PathBuf)> {
         .filter(|e| e.path().extension().is_some_and(|x| x == "octa"))
         .filter_map(|e| {
             let mtime = e.metadata().and_then(|m| m.modified()).ok()?;
-            Some((mtime, file_write_seq(&e.path()), e.path()))
+            Some((mtime, file_write_seq(&e.path()).unwrap_or(0), e.path()))
         })
         .collect()
 }
@@ -1047,18 +1058,16 @@ fn next_write_seq(files: &[(std::time::SystemTime, u64, PathBuf)]) -> u64 {
         .map_or(1, |m| m.saturating_add(1))
 }
 
-/// Best-effort read of one file's header write sequence (0 on any failure:
-/// a file prune cannot order is treated as oldest).
-fn file_write_seq(path: &Path) -> u64 {
+/// One file's header write sequence, read off its first [`HEADER_LEN`]
+/// bytes; `None` when the file is unreadable, foreign, or of another
+/// version (prune treats such a file as oldest, lookup skips it).
+fn file_write_seq(path: &Path) -> Option<u64> {
     use std::io::Read;
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return 0;
-    };
     let mut header = [0u8; HEADER_LEN];
-    if f.read_exact(&mut header).is_err() {
-        return 0;
-    }
-    read_write_seq(&header).unwrap_or(0)
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut header))
+        .ok()?;
+    read_write_seq(&header).ok()
 }
 
 /// How many `.octa` files [`prune`] retains per cache directory.
@@ -1784,7 +1793,11 @@ mod tests {
         // the newest contributing donor comes first, the rest follow in
         // descending write sequence
         assert_eq!(found.sources.first(), donors.last());
-        let seqs: Vec<u64> = found.sources.iter().map(|p| file_write_seq(p)).collect();
+        let seqs: Vec<u64> = found
+            .sources
+            .iter()
+            .map(|p| file_write_seq(p).expect("a donor's header reads"))
+            .collect();
         assert!(seqs.windows(2).all(|w| w[0] > w[1]), "{seqs:?}");
 
         // and the reassembled artifacts encode byte-identically
@@ -1874,7 +1887,7 @@ mod tests {
             .unwrap();
     }
 
-    /// A header-only v6 container carrying `write_seq` (zero sections —
+    /// A header-only v7 container carrying `write_seq` (zero sections —
     /// structurally valid, enough for the prune ordering to read).
     fn write_header_only(path: &Path, write_seq: u64) {
         let mut raw = Vec::with_capacity(HEADER_LEN);

@@ -1,5 +1,5 @@
 //! Zero-copy artifacts: every engine serves queries straight off one
-//! validated OCTA v6 container — memory-mapped from its cache file, or held
+//! validated OCTA v7 container — memory-mapped from its cache file, or held
 //! on the heap — instead of decoding it into owned structures.
 //!
 //! ## Why
@@ -127,7 +127,6 @@ struct MapInner {
     // synthetic open telemetry (map / validate / decode)
     timings: Vec<StageTiming>,
     reuse: Vec<StageReuse>,
-    open_total: Duration,
 }
 
 impl Drop for MapInner {
@@ -138,7 +137,7 @@ impl Drop for MapInner {
     }
 }
 
-/// A complete, validated OCTA v6 artifact served zero-copy — off a file
+/// A complete, validated OCTA v7 artifact served zero-copy — off a file
 /// mapping ([`open`]) or off heap bytes the engine encoded or read.
 ///
 /// Every engine holds one of these and reconstructs per-query views through
@@ -205,7 +204,7 @@ pub fn is_mapped(path: &Path) -> bool {
 // Open
 // ---------------------------------------------------------------------------
 
-/// Map `path` and validate it as a complete OCTA v6 artifact for exactly
+/// Map `path` and validate it as a complete OCTA v7 artifact for exactly
 /// these inputs (see the module docs for what "validate" touches; with
 /// `paranoid` every section checksum is verified up front).
 ///
@@ -224,14 +223,13 @@ pub fn open(
     let map = Mmap::map_file(path).map_err(|e| PersistError::Io(e.to_string()))?;
     let mut inner = validate(map, t0.elapsed(), false, fp, keys, graph, config, paranoid)?;
     inner.reg_key = Some(register(path));
-    inner.open_total = t0.elapsed();
     Ok(MappedArtifacts {
         inner: Arc::new(inner),
     })
 }
 
 /// Validate heap bytes — encoded by this process, or read and checksummed
-/// by [`persist::lookup`] — as a complete OCTA v6 artifact for exactly these
+/// by [`persist::lookup`] — as a complete OCTA v7 artifact for exactly these
 /// inputs. Every section enters verified; the structural checks are
 /// [`open`]'s.
 pub(crate) fn from_bytes(
@@ -241,10 +239,8 @@ pub(crate) fn from_bytes(
     graph: &TopicGraph,
     config: &OctopusConfig,
 ) -> Result<MappedArtifacts, PersistError> {
-    let t0 = Instant::now();
     let map = Mmap::from_vec(bytes);
-    let mut inner = validate(map, Duration::ZERO, true, fp, keys, graph, config, false)?;
-    inner.open_total = t0.elapsed();
+    let inner = validate(map, Duration::ZERO, true, fp, keys, graph, config, false)?;
     Ok(MappedArtifacts {
         inner: Arc::new(inner),
     })
@@ -426,7 +422,6 @@ fn validate(
         piks,
         timings,
         reuse,
-        open_total: Duration::ZERO,
     })
 }
 
@@ -572,12 +567,6 @@ impl MappedArtifacts {
     /// artifact is by definition complete).
     pub fn reuse(&self) -> &[StageReuse] {
         &self.inner.reuse
-    }
-
-    /// Wall-clock duration of the whole [`open`] (or of validating heap
-    /// bytes).
-    pub fn open_total(&self) -> Duration {
-        self.inner.open_total
     }
 }
 

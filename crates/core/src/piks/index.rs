@@ -22,7 +22,7 @@
 //! the spread of a target `u` is then the classic RR estimate
 //! `n/R · #{j : u ∈ live_j}`.
 //!
-//! [`InfluencerIndex`] builds the serialized index — the OCTA v6
+//! [`InfluencerIndex`] builds the serialized index — the OCTA v7
 //! `piks-worlds` section — and queries read it through the zero-copy
 //! [`PiksWorldsView`] and its [`PiksSession`].
 
@@ -88,7 +88,7 @@ impl Sample {
 
 /// The influencer index: its serialized `piks-worlds` section.
 ///
-/// Layout (the OCTA v6 section payload; normative spec in
+/// Layout (the OCTA v7 section payload; normative spec in
 /// `ARCHITECTURE.md`). All fields little-endian; every world record starts
 /// 8-aligned and has a length that is a multiple of 8, so a memory-mapped
 /// file can serve queries straight off the bytes:

@@ -1,11 +1,12 @@
-//! Pins the OCTA v6 container bytes to the normative specification in
-//! `ARCHITECTURE.md` (§"The OCTA v6 artifact container").
+//! Pins the OCTA v7 container bytes to the normative specification in
+//! `ARCHITECTURE.md` (§"The OCTA v7 artifact container").
 //!
 //! The parser below is written *independently* against the documented
 //! layout — it shares no framing helpers with the codec (it re-implements
-//! FNV-1a from the documented constants, hardcodes every offset, and
+//! XXH64 and FNV-1a from the documented constants, hardcodes every offset,
 //! recomputes each PIKS world's structural key from the record and the
-//! coins rather than calling the codec's key function) — so if
+//! coins, and each topic's weight-slice key from the graph, rather than
+//! calling the codec's key functions) — so if
 //! the writer drifts from the spec, or the spec from the writer, this test
 //! fails. Keep all three in sync: `offline/persist.rs`, `ARCHITECTURE.md`,
 //! and this file.
@@ -35,6 +36,106 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         state = state.wrapping_mul(0x0000_0100_0000_01B3);
     }
     state
+}
+
+/// Independent XXH64, seed 0 (documented constants, not the wire helper),
+/// written as the reference stream: four lanes over 32-byte stripes, then
+/// the 8-, 4- and 1-byte tail, then the avalanche.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, w: u64| {
+        acc.wrapping_add(w.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let len = bytes.len();
+    let mut at = 0;
+    let mut h;
+    if len >= 32 {
+        let (mut v1, mut v2, mut v3, mut v4) =
+            (P1.wrapping_add(P2), P2, 0u64, 0u64.wrapping_sub(P1));
+        while at + 32 <= len {
+            v1 = round(v1, word(at));
+            v2 = round(v2, word(at + 8));
+            v3 = round(v3, word(at + 16));
+            v4 = round(v4, word(at + 24));
+            at += 32;
+        }
+        h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        for v in [v1, v2, v3, v4] {
+            h ^= round(0, v);
+            h = h.wrapping_mul(P1).wrapping_add(P4);
+        }
+    } else {
+        h = P5;
+    }
+    h = h.wrapping_add(len as u64);
+    while at + 8 <= len {
+        h ^= round(0, word(at));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        at += 8;
+    }
+    if at + 4 <= len {
+        h ^= (u32_at(bytes, at) as u64).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        at += 4;
+    }
+    while at < len {
+        h ^= (bytes[at] as u64).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+        at += 1;
+    }
+    avalanche(h)
+}
+
+/// XXH64's final avalanche, the documented per-entry mix of the graph keys.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    h ^= h >> 29;
+    h = h.wrapping_mul(0x1656_67B1_9E37_79F9);
+    h ^ (h >> 32)
+}
+
+/// XXH64 over the little-endian bytes of `words` (the documented key fold).
+fn fold(words: &[u64]) -> u64 {
+    xxh64(
+        &words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// Topic `z`'s weight-slice key by its documented definition: the wrapping
+/// sum over the topic-`z` triples of `mix(mix((src << 32 | dst) ^
+/// EDGE_SALT) ^ bits(p) · ENTRY_MUL)`, folded as
+/// `("octg:wtz", z, Z, n, sum)`.
+fn slice_key(g: &TopicGraph, z: usize) -> u64 {
+    let mut sum = 0u64;
+    for u in g.nodes() {
+        for (v, e) in g.out_edges(u) {
+            let edge = avalanche(((u.0 as u64) << 32 | v.0 as u64) ^ 0x6F63_7467_6564_6765);
+            for (t, p) in g.edge_topic_probs(e) {
+                if t.index() == z {
+                    let bits = (p.to_bits() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    sum = sum.wrapping_add(avalanche(edge ^ bits));
+                }
+            }
+        }
+    }
+    let tag = u64::from_le_bytes(*b"octg:wtz");
+    let dims = [z, g.num_topics(), g.node_count()].map(|d| d as u64);
+    fold(&[tag, dims[0], dims[1], dims[2], sum])
 }
 
 /// Documented alignment rule: payloads start on 8-byte boundaries.
@@ -118,9 +219,9 @@ fn container_bytes_follow_the_documented_layout() {
     let art = offline::build(&g, &cfg);
     let raw = persist::encode(&art, &fp, &keys, 0x5E0);
 
-    // ---- header: magic "OCTA" | version u16 = 6 | pad u16 = 0 ----------
+    // ---- header: magic "OCTA" | version u16 = 7 | pad u16 = 0 ----------
     assert_eq!(&raw[0..4], b"OCTA");
-    assert_eq!(u16_at(&raw, 4), 6, "container version");
+    assert_eq!(u16_at(&raw, 4), 7, "container version");
     assert_eq!(u16_at(&raw, 6), 0, "header pad word");
     // graph_fp u64 | config_fp u64 | seed u64 — all 8-aligned
     assert_eq!(u64_at(&raw, 8), fp.graph);
@@ -165,6 +266,13 @@ fn container_bytes_follow_the_documented_layout() {
         entries.iter().map(|e| e.key).collect::<Vec<_>>(),
         expect_keys
     );
+    // a spread-cap unit's key is FNV-1a over "octa:spread-cap-topic" and
+    // its topic's documented weight-slice key
+    for (z, cap) in entries.iter().enumerate().take(z_count) {
+        let mut key = b"octa:spread-cap-topic".to_vec();
+        key.extend(slice_key(&g, z).to_le_bytes());
+        assert_eq!(cap.key, fnv1a(&key), "cap unit {z} key");
+    }
 
     // ---- offsets: canonical, ascending, 8-aligned, in-bounds ------------
     // the first payload starts right after the table (already 8-aligned:
@@ -190,10 +298,10 @@ fn container_bytes_follow_the_documented_layout() {
         "file ends exactly at the last payload byte (no trailing bytes)"
     );
 
-    // ---- checksums cover the payload bytes only (never the padding) ----
+    // ---- XXH64 checksums cover the payload bytes only (never padding) ----
     for e in &entries {
         assert_eq!(
-            fnv1a(&raw[e.off..e.off + e.len]),
+            xxh64(&raw[e.off..e.off + e.len]),
             e.checksum,
             "section {} checksum",
             e.tag
@@ -346,13 +454,14 @@ fn container_bytes_follow_the_documented_layout() {
 }
 
 #[test]
-fn v1_through_v5_containers_are_refused_for_migration_by_rebuild() {
+fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
     // earlier-version files must be refused wholesale
     // (PersistError::Version) so open_or_build rebuilds and overwrites
     // them — never misparse a v1 monolithic payload as sections, a v2
     // table as v3, a v3 packed table (28-byte rows, no offsets) as v4, a
-    // v4 stage-granular table as v5's per-topic one, nor a v5 PIKS
-    // world's probability-row footprint as v6's structural key
+    // v4 stage-granular table as v5's per-topic one, a v5 PIKS world's
+    // probability-row footprint as v6's structural key, nor a v6 FNV-1a
+    // section checksum or graph key as v7's
     let g = tiny_graph();
     let cfg = OctopusConfig {
         kim: KimEngineChoice::Mis,
@@ -432,9 +541,11 @@ fn v1_through_v5_containers_are_refused_for_migration_by_rebuild() {
         persist::read_write_seq(&v4),
         Err(persist::PersistError::Version(4))
     ));
-    // a v5 file has v6's exact frame; only its version word tells them
-    // apart. Under the exact cache name it is refused, rebuilt, and
-    // overwritten by the v6 writer
+    // v5 and v6 files have v7's exact frame; only the version word tells
+    // them apart (v6 checksummed sections with FNV-1a and keyed the graph
+    // byte by byte; v5 also hashed PIKS footprints over raw probability
+    // rows). Under the exact cache name each is refused, rebuilt, and
+    // overwritten by the v7 writer
     let model = {
         let mut vocab = octopus_topics::Vocabulary::new();
         vocab.intern("alpha");
@@ -447,32 +558,87 @@ fn v1_through_v5_containers_are_refused_for_migration_by_rebuild() {
         .unwrap()
     };
     let fp = Fingerprint::compute(&g, &cfg);
-    let mut v5 = persist::encode(&offline::build(&g, &cfg), &fp, &keys, 1);
-    v5[4..6].copy_from_slice(&5u16.to_le_bytes());
-    assert!(matches!(
-        persist::load_sections(&v5, &keys, &g, &cfg),
-        Err(persist::PersistError::Version(5))
-    ));
-    let dir = std::env::temp_dir().join("octa_v5_migration");
+    let art = offline::build(&g, &cfg);
+    let stale = |version: u16| {
+        let mut raw = persist::encode(&art, &fp, &keys, 1);
+        raw[4..6].copy_from_slice(&version.to_le_bytes());
+        raw
+    };
+    for version in [5u16, 6] {
+        let raw = stale(version);
+        assert!(matches!(
+            persist::load_sections(&raw, &keys, &g, &cfg),
+            Err(persist::PersistError::Version(v)) if v == version
+        ));
+        assert!(matches!(
+            persist::read_write_seq(&raw),
+            Err(persist::PersistError::Version(v)) if v == version
+        ));
+        let dir = std::env::temp_dir().join(format!("octa_v{version}_migration"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = fp.cache_path(&dir);
+        std::fs::write(&path, &raw).unwrap();
+        let engine = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+        assert!(!engine.cache_hit(), "a v{version} file must not serve");
+        assert!(engine
+            .system_report()
+            .stage_reuse
+            .iter()
+            .all(|s| s.reused == 0));
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(
+            u16_at(&rewritten, 4),
+            7,
+            "the rebuild overwrote the v{version} file"
+        );
+        let again = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
+        assert!(again.cache_hit(), "the migrated file serves the next open");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // a v6 file under its own (older-fingerprint) name donates nothing:
+    // lookup drops it on its header. The v7 writer adds its file beside
+    // it, and the first prune that needs a slot evicts the v6 file, whose
+    // write sequence reads as 0
+    let dir = std::env::temp_dir().join("octa_v6_stale_donor");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let path = fp.cache_path(&dir);
-    std::fs::write(&path, &v5).unwrap();
-    let engine = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
-    assert!(!engine.cache_hit(), "a v5 file must not serve");
-    assert!(engine
-        .system_report()
-        .stage_reuse
-        .iter()
-        .all(|s| s.reused == 0));
-    let rewritten = std::fs::read(&path).unwrap();
+    let stale_path = dir.join("octopus-artifacts-v6.octa");
+    std::fs::write(&stale_path, stale(6)).unwrap();
+    assert!(persist::lookup(&dir, &fp, &keys, &g, &cfg)
+        .sources
+        .is_empty());
+    let engine = Octopus::open_or_build(g.clone(), model, cfg.clone(), &dir).unwrap();
+    assert!(!engine.cache_hit(), "a v6 donor must not serve");
+    let written = std::fs::read(fp.cache_path(&dir)).unwrap();
+    assert_eq!(u16_at(&written, 4), 7);
     assert_eq!(
-        u16_at(&rewritten, 4),
-        6,
-        "the rebuild overwrote the v5 file"
+        u64_at(&written, 32),
+        1,
+        "the stale file's sequence reads as 0"
     );
-    let again = Octopus::open_or_build(g, model, cfg, &dir).unwrap();
-    assert!(again.cache_hit(), "the migrated file serves the next open");
+    for seq in 2..=persist::MAX_CACHE_FILES as u64 {
+        let filler = dir.join(format!("octopus-artifacts-filler-{seq:02}.octa"));
+        std::fs::write(filler, persist::encode(&art, &fp, &keys, seq)).unwrap();
+    }
+    // one shared mtime, as on a coarse-mtime filesystem: the write
+    // sequence alone orders the files
+    let stamp = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_700_000_000);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let file = std::fs::File::options()
+            .write(true)
+            .open(entry.unwrap().path())
+            .unwrap();
+        file.set_modified(stamp).unwrap();
+    }
+    persist::prune(&dir, &[]);
+    assert!(!stale_path.exists(), "prune evicts the v6 file first");
+    assert!(fp.cache_path(&dir).exists());
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        persist::MAX_CACHE_FILES
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

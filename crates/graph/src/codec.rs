@@ -19,6 +19,7 @@
 use crate::csr::TopicGraph;
 use crate::error::GraphError;
 use crate::ids::NodeId;
+use crate::wire;
 use crate::Result;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -57,7 +58,7 @@ pub fn encode(g: &TopicGraph) -> Bytes {
     buf.put_u8(named as u8);
     if named {
         for s in &g.names {
-            crate::wire::put_string(&mut buf, s);
+            wire::put_string(&mut buf, s);
         }
     }
     for &x in &g.fwd_offsets {
@@ -78,162 +79,126 @@ pub fn encode(g: &TopicGraph) -> Bytes {
     buf.freeze()
 }
 
-/// FNV-1a over the canonical encoding, computed by streaming the same
-/// fields through the hasher instead of materializing the byte buffer —
-/// hashing a 10M-edge graph must not allocate a transient copy of it.
+/// Every whole-graph key, from one walk over the edge table.
 ///
-/// Invariant (pinned by `hash_equals_hash_of_encoding`): for every graph,
-/// `hash(g) == wire::fnv1a(&encode(g))`. Any field added to [`encode`] must
-/// be added here in the same order and width.
-pub fn hash(g: &TopicGraph) -> u64 {
-    let mut h = crate::wire::Fnv64::new();
-    h.write(MAGIC);
-    h.write_u16(VERSION);
-    h.write_u32(g.num_topics() as u32);
-    h.write_u32(g.node_count() as u32);
-    h.write_u32(g.edge_count() as u32);
-    let named = g.names.iter().any(|s| !s.is_empty());
-    h.write_u8(named as u8);
-    if named {
-        for s in &g.names {
-            h.write_u32(s.len() as u32);
-            h.write(s.as_bytes());
-        }
-    }
-    for &x in &g.fwd_offsets {
-        h.write_u32(x);
-    }
-    for &x in &g.fwd_targets {
-        h.write_u32(x);
-    }
-    for &x in &g.prob_offsets {
-        h.write_u32(x);
-    }
-    for &z in &g.prob_topics {
-        h.write_u16(z);
-    }
-    for &p in &g.prob_values {
-        h.write_f32(p);
-    }
-    h.finish()
+/// Each key is an **order-independent sum** of per-entry 64-bit mixes
+/// (`mix` is XXH64's final avalanche, a full-avalanche bijection), folded
+/// with its dimensions through [`wire::checksum`]:
+///
+/// * an edge's term is `mix((src << 32 | dst) ^ EDGE_SALT)`;
+/// * a sparse entry `(src, dst, p_z)` contributes
+///   `mix(edge term ^ bits(p_z) · ENTRY_MUL)` to topic `z`'s sum;
+/// * a node `u` contributes `mix(mix(u ^ NODE_SALT) ^ checksum(name_u))`
+///   to the names sum.
+///
+/// A sum does not depend on the order its entries are visited in, so two
+/// builds of one edge set agree, and every term can be updated in
+/// O(changed entries). The whole pass reads each edge and each sparse
+/// entry once, where a byte-serial hash per slice would walk the graph
+/// `Z + 4` times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GraphKeys {
+    /// The **topology slice**: node count, edge count and the `(src, dst)`
+    /// edge set. Ignores weights and names.
+    pub topology: u64,
+    /// The **name slice**: the named flag, node count and every node's
+    /// display name by id. Ignores topology and weights.
+    pub names: u64,
+    /// The **topic-`z` weight slices**, one per topic: the topic-`z` edge
+    /// triples `(src, dst, p_z)` (each `p_z` by exact bit pattern),
+    /// finalized with the topic index, topic count and node count.
+    ///
+    /// Edge ids and the offset table are **deliberately excluded**, so a
+    /// slice key is a function of its triples alone (plus the node
+    /// universe). Consequences the `slice_hashes_isolate_their_inputs`
+    /// test pins:
+    ///
+    /// * a nudge confined to topic `z` moves only topic `z`'s key;
+    /// * a rename moves none of them;
+    /// * an **edge insert** moves exactly the topics carried by the new
+    ///   edge — other topics' keys survive even though every edge id
+    ///   shifted (zero-probability edges are invisible to the per-topic
+    ///   offline stages: MIA skips them before touching state and the RR
+    ///   sampler consumes no randomness on them, so the surviving key is
+    ///   sound, not just cheap).
+    pub topics: Vec<u64>,
+    /// The **probability slice**: the topic count folded with every
+    /// topic's slice key, so it moves exactly when some slice moves.
+    pub weights: u64,
+    /// The whole graph: topic, node and edge counts, topology, names and
+    /// every slice key. Any change to the graph moves it.
+    pub graph: u64,
 }
 
-/// Domain-separation tags for the input-slice hashes: two different slices
-/// of the same graph must never collide just because their field bytes
-/// happen to agree.
-const TOPOLOGY_TAG: &[u8] = b"octg:topology";
-const WEIGHTS_TAG: &[u8] = b"octg:weights";
-const WEIGHTS_TOPIC_TAG: &[u8] = b"octg:weights-topic";
-const NAMES_TAG: &[u8] = b"octg:names";
+/// Domain-separation tags, one per key: two different keys of one graph
+/// must never collide just because their summed words happen to agree.
+const TOPOLOGY_TAG: u64 = u64::from_le_bytes(*b"octg:top");
+const NAMES_TAG: u64 = u64::from_le_bytes(*b"octg:nam");
+const TOPIC_TAG: u64 = u64::from_le_bytes(*b"octg:wtz");
+const WEIGHTS_TAG: u64 = u64::from_le_bytes(*b"octg:wts");
+const GRAPH_TAG: u64 = u64::from_le_bytes(*b"octg:grf");
+/// Salts of the edge and node mixes (no edge or node mixes to zero by
+/// virtue of a zero id) and the multiplier that spreads a probability's
+/// 32 bits over the whole word before its entry mix.
+const EDGE_SALT: u64 = 0x6F63_7467_6564_6765;
+const NODE_SALT: u64 = 0x6F63_7467_6E6F_6465;
+const ENTRY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// FNV-1a over the graph's **topology slice**: node count, edge count, and
-/// the forward CSR (offsets + targets). Ignores edge weights and names.
-///
-/// This is one of the three independent input slices the per-stage artifact
-/// fingerprints (`octopus-core::offline::persist::StageKeys`) are built
-/// from: a stage whose computation never reads names or probabilities can
-/// key itself on this hash alone and survive renames and weight nudges.
-pub fn hash_topology(g: &TopicGraph) -> u64 {
-    let mut h = crate::wire::Fnv64::new();
-    h.write(TOPOLOGY_TAG);
-    h.write_u32(g.node_count() as u32);
-    h.write_u32(g.edge_count() as u32);
-    for &x in &g.fwd_offsets {
-        h.write_u32(x);
-    }
-    for &x in &g.fwd_targets {
-        h.write_u32(x);
-    }
-    h.finish()
-}
-
-/// FNV-1a over the graph's **probability slice**: topic count plus the
-/// per-edge sparse topic-probability table (offsets, topics, values, each
-/// value by exact bit pattern). Ignores names.
-///
-/// The table is indexed by [`crate::EdgeId`], so any change to the edge
-/// *set* moves this hash too (the offsets shift) — which is correct: a
-/// weight table for a different edge numbering is a different input.
-pub fn hash_weights(g: &TopicGraph) -> u64 {
-    let mut h = crate::wire::Fnv64::new();
-    h.write(WEIGHTS_TAG);
-    h.write_u32(g.num_topics() as u32);
-    for &x in &g.prob_offsets {
-        h.write_u32(x);
-    }
-    for &z in &g.prob_topics {
-        h.write_u16(z);
-    }
-    for &p in &g.prob_values {
-        h.write_f32(p);
-    }
-    h.finish()
-}
-
-/// FNV-1a over the graph's **topic-`z` probability slice**: the topic index,
-/// topic count, node count, and — for every edge carrying a sparse topic-`z`
-/// entry, in edge-id (hence `(src, dst)`-sorted) order — the edge endpoints
-/// and the `z`-probability by exact bit pattern.
-///
-/// Unlike [`hash_weights`], edge ids and the offset table are **deliberately
-/// excluded**, so the hash is a function of the topic-`z` edge *triples*
-/// `(src, dst, p_z)` alone (plus the node universe). Consequences the
-/// `slice_hashes_isolate_their_inputs` test pins:
-///
-/// * a nudge confined to topic `z` moves only topic `z`'s hash;
-/// * a rename moves none of them;
-/// * an **edge insert** moves exactly the topics carried by the new edge —
-///   other topics' hashes survive even though every edge id shifted
-///   (zero-probability edges are invisible to the per-topic offline stages:
-///   MIA skips them before touching state and the RR sampler consumes no
-///   randomness on them, so the surviving hash is sound, not just cheap);
-/// * `hash_weights(a) == hash_weights(b)` on a shared topology implies
-///   `hash_weights_topic(a, z) == hash_weights_topic(b, z)` for every `z`
-///   (the per-topic slices are a refinement of the monolithic slice).
-pub fn hash_weights_topic(g: &TopicGraph, z: usize) -> u64 {
-    let mut h = crate::wire::Fnv64::new();
-    h.write(WEIGHTS_TOPIC_TAG);
-    h.write_u32(z as u32);
-    h.write_u32(g.num_topics() as u32);
-    h.write_u32(g.node_count() as u32);
-    let zt = z as u16;
-    for u in 0..g.node_count() {
-        let lo_e = g.fwd_offsets[u] as usize;
-        let hi_e = g.fwd_offsets[u + 1] as usize;
-        for e in lo_e..hi_e {
-            let plo = g.prob_offsets[e] as usize;
-            let phi = g.prob_offsets[e + 1] as usize;
-            if let Ok(i) = g.prob_topics[plo..phi].binary_search(&zt) {
-                h.write_u32(u as u32);
-                h.write_u32(g.fwd_targets[e]);
-                h.write_f32(g.prob_values[plo + i]);
+impl GraphKeys {
+    /// Compute every key of `g` in one pass.
+    pub fn of(g: &TopicGraph) -> Self {
+        let (n, m, z_count) = (g.node_count(), g.edge_count(), g.num_topics());
+        let mut topology = 0u64;
+        let mut sums = vec![0u64; z_count];
+        for (u, out) in g.fwd_offsets.windows(2).enumerate() {
+            let (lo, hi) = (out[0] as usize, out[1] as usize);
+            let rows = g.prob_offsets[lo..=hi].windows(2);
+            for (&dst, row) in g.fwd_targets[lo..hi].iter().zip(rows) {
+                let edge = wire::avalanche(((u as u64) << 32 | dst as u64) ^ EDGE_SALT);
+                topology = topology.wrapping_add(edge);
+                let (plo, phi) = (row[0] as usize, row[1] as usize);
+                let entries = g.prob_topics[plo..phi].iter().zip(&g.prob_values[plo..phi]);
+                for (&z, &p) in entries {
+                    let bits = (p.to_bits() as u64).wrapping_mul(ENTRY_MUL);
+                    let sum = &mut sums[z as usize];
+                    *sum = sum.wrapping_add(wire::avalanche(edge ^ bits));
+                }
             }
         }
-    }
-    h.finish()
-}
-
-/// FNV-1a over the graph's **name slice**: the named flag and every node
-/// display name in id order. Ignores topology and weights entirely, so a
-/// pure edge or weight delta leaves it unchanged.
-pub fn hash_names(g: &TopicGraph) -> u64 {
-    let mut h = crate::wire::Fnv64::new();
-    h.write(NAMES_TAG);
-    let named = g.names.iter().any(|s| !s.is_empty());
-    h.write_u8(named as u8);
-    h.write_u32(g.names.len() as u32);
-    if named {
-        for s in &g.names {
-            h.write_u32(s.len() as u32);
-            h.write(s.as_bytes());
+        let names = g.names.iter().enumerate().fold(0u64, |sum, (u, name)| {
+            let node = wire::avalanche(u as u64 ^ NODE_SALT);
+            sum.wrapping_add(wire::avalanche(node ^ wire::checksum(name.as_bytes())))
+        });
+        let named = g.names.iter().any(|s| !s.is_empty());
+        let (n, m, z) = (n as u64, m as u64, z_count as u64);
+        let topics: Vec<u64> = sums
+            .iter()
+            .enumerate()
+            .map(|(t, &sum)| fold(&[TOPIC_TAG, t as u64, z, n, sum]))
+            .collect();
+        let topology = fold(&[TOPOLOGY_TAG, n, m, topology]);
+        let names = fold(&[NAMES_TAG, named as u64, n, names]);
+        let weights = fold(&[&[WEIGHTS_TAG, z][..], &topics].concat());
+        let graph = fold(&[&[GRAPH_TAG, z, n, m, topology, names][..], &topics].concat());
+        GraphKeys {
+            topology,
+            names,
+            topics,
+            weights,
+            graph,
         }
     }
-    h.finish()
+}
+
+/// [`wire::checksum`] over the little-endian bytes of `words`.
+fn fold(words: &[u64]) -> u64 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    wire::checksum(&bytes)
 }
 
 /// Bounds check delegating to the shared [`crate::wire`] helpers.
 fn need<B: Buf + ?Sized>(buf: &B, n: usize, what: &str) -> Result<()> {
-    Ok(crate::wire::need(buf, n, what)?)
+    Ok(wire::need(buf, n, what)?)
 }
 
 /// Deserialize a graph from a buffer produced by [`encode`].
@@ -256,15 +221,15 @@ pub fn decode(mut buf: impl Buf) -> Result<TopicGraph> {
     let mut names = Vec::with_capacity(n);
     if named {
         for _ in 0..n {
-            names.push(crate::wire::read_string(&mut buf, "node name")?);
+            names.push(wire::read_string(&mut buf, "node name")?);
         }
     } else {
         names = vec![String::new(); n];
     }
 
-    let fwd_offsets = crate::wire::read_u32s(&mut buf, n + 1, "fwd_offsets")?;
-    let fwd_targets = crate::wire::read_u32s(&mut buf, m, "fwd_targets")?;
-    let prob_offsets = crate::wire::read_u32s(&mut buf, m + 1, "prob_offsets")?;
+    let fwd_offsets = wire::read_u32s(&mut buf, n + 1, "fwd_offsets")?;
+    let fwd_targets = wire::read_u32s(&mut buf, m, "fwd_targets")?;
+    let prob_offsets = wire::read_u32s(&mut buf, m + 1, "prob_offsets")?;
     if fwd_offsets.last().copied() != Some(m as u32) {
         return Err(GraphError::Codec(
             "fwd_offsets do not sum to edge count".into(),
@@ -361,17 +326,20 @@ mod tests {
     }
 
     #[test]
-    fn hash_equals_hash_of_encoding() {
-        // the streaming hash must track the byte encoding exactly, for
-        // named and anonymous graphs alike
+    fn keys_survive_an_encoding_round_trip() {
+        // the keys are a function of the graph, not of how it was
+        // materialized: a decoded copy keys like the original, for named
+        // and anonymous graphs alike
         let named = sample();
-        assert_eq!(hash(&named), crate::wire::fnv1a(&encode(&named)));
+        let keys = GraphKeys::of(&named);
+        assert_eq!(GraphKeys::of(&decode(encode(&named)).unwrap()), keys);
         let mut b = GraphBuilder::new(2);
         let _ = b.add_nodes(4);
         b.add_edge(NodeId(0), NodeId(3), &[(1, 0.5)]).unwrap();
         let anon = b.build().unwrap();
-        assert_eq!(hash(&anon), crate::wire::fnv1a(&encode(&anon)));
-        assert_ne!(hash(&named), hash(&anon));
+        let anon_keys = GraphKeys::of(&anon);
+        assert_eq!(GraphKeys::of(&decode(encode(&anon)).unwrap()), anon_keys);
+        assert_ne!(keys.graph, anon_keys.graph);
     }
 
     #[test]
@@ -389,9 +357,15 @@ mod tests {
             b.add_edge(NodeId(2), NodeId(0), &[(0, 0.125)]).unwrap();
             b.build().unwrap()
         };
-        assert_eq!(hash_topology(&base), hash_topology(&renamed));
-        assert_eq!(hash_weights(&base), hash_weights(&renamed));
-        assert_ne!(hash_names(&base), hash_names(&renamed));
+        assert_eq!(
+            GraphKeys::of(&base).topology,
+            GraphKeys::of(&renamed).topology
+        );
+        assert_eq!(
+            GraphKeys::of(&base).weights,
+            GraphKeys::of(&renamed).weights
+        );
+        assert_ne!(GraphKeys::of(&base).names, GraphKeys::of(&renamed).names);
 
         // weight nudge: only the probability slice moves
         let nudged = {
@@ -405,9 +379,12 @@ mod tests {
             b.add_edge(NodeId(2), NodeId(0), &[(0, 0.125)]).unwrap();
             b.build().unwrap()
         };
-        assert_eq!(hash_topology(&base), hash_topology(&nudged));
-        assert_ne!(hash_weights(&base), hash_weights(&nudged));
-        assert_eq!(hash_names(&base), hash_names(&nudged));
+        assert_eq!(
+            GraphKeys::of(&base).topology,
+            GraphKeys::of(&nudged).topology
+        );
+        assert_ne!(GraphKeys::of(&base).weights, GraphKeys::of(&nudged).weights);
+        assert_eq!(GraphKeys::of(&base).names, GraphKeys::of(&nudged).names);
 
         // edge insert: topology and weights move (the prob table is
         // edge-indexed), names stay
@@ -423,21 +400,26 @@ mod tests {
             b.add_edge(NodeId(0), NodeId(2), &[(1, 0.3)]).unwrap(); // new
             b.build().unwrap()
         };
-        assert_ne!(hash_topology(&base), hash_topology(&extended));
-        assert_ne!(hash_weights(&base), hash_weights(&extended));
-        assert_eq!(hash_names(&base), hash_names(&extended));
+        assert_ne!(
+            GraphKeys::of(&base).topology,
+            GraphKeys::of(&extended).topology
+        );
+        assert_ne!(
+            GraphKeys::of(&base).weights,
+            GraphKeys::of(&extended).weights
+        );
+        assert_eq!(GraphKeys::of(&base).names, GraphKeys::of(&extended).names);
 
         // the three slices of one graph never collide with each other
-        assert_ne!(hash_topology(&base), hash_weights(&base));
-        assert_ne!(hash_topology(&base), hash_names(&base));
-        assert_ne!(hash_weights(&base), hash_names(&base));
+        assert_ne!(GraphKeys::of(&base).topology, GraphKeys::of(&base).weights);
+        assert_ne!(GraphKeys::of(&base).topology, GraphKeys::of(&base).names);
+        assert_ne!(GraphKeys::of(&base).weights, GraphKeys::of(&base).names);
     }
 
     #[test]
     fn per_topic_weight_hashes_isolate_their_topics() {
         let base = sample();
-        let per_topic =
-            |g: &TopicGraph| -> Vec<u64> { (0..3).map(|z| hash_weights_topic(g, z)).collect() };
+        let per_topic = |g: &TopicGraph| -> Vec<u64> { GraphKeys::of(g).topics };
         let h0 = per_topic(&base);
         // distinct topics hash to distinct values (domain separation by z)
         assert_ne!(h0[0], h0[1]);
@@ -456,7 +438,10 @@ mod tests {
             b.add_edge(NodeId(2), NodeId(0), &[(0, 0.125)]).unwrap();
             b.build().unwrap()
         };
-        assert_eq!(hash_weights(&base), hash_weights(&renamed));
+        assert_eq!(
+            GraphKeys::of(&base).weights,
+            GraphKeys::of(&renamed).weights
+        );
         assert_eq!(h0, per_topic(&renamed));
 
         // topic-1-confined nudge: only topic 1's hash moves

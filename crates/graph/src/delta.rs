@@ -178,7 +178,7 @@ impl GraphDelta {
     /// (cap/PB/MIS sub-sections of the OCTA container) key invalidation on.
     ///
     /// `Some(set)` is exact: every topic outside `set` keeps a bit-identical
-    /// [`crate::codec::hash_weights_topic`]. A rename touches no topic; a
+    /// slice key ([`crate::codec::GraphKeys::topics`]). A rename touches no topic; a
     /// nudge touches the topics with sparse entries on its edges; a row
     /// replacement touches only the topics whose entry actually *changes* —
     /// appears, vanishes, or moves at the stored `f32` precision
@@ -465,9 +465,18 @@ mod tests {
         let g = fixture();
         let e = g.find_edge(NodeId(1), NodeId(2)).unwrap();
         let nudged = nudge_weights(&g, &[e], 0.1).unwrap();
-        assert_eq!(codec::hash_topology(&g), codec::hash_topology(&nudged));
-        assert_eq!(codec::hash_names(&g), codec::hash_names(&nudged));
-        assert_ne!(codec::hash_weights(&g), codec::hash_weights(&nudged));
+        assert_eq!(
+            codec::GraphKeys::of(&g).topology,
+            codec::GraphKeys::of(&nudged).topology
+        );
+        assert_eq!(
+            codec::GraphKeys::of(&g).names,
+            codec::GraphKeys::of(&nudged).names
+        );
+        assert_ne!(
+            codec::GraphKeys::of(&g).weights,
+            codec::GraphKeys::of(&nudged).weights
+        );
         assert!((nudged.edge_prob_topic(e, TopicId(1)) - 0.85).abs() < 1e-6);
         // untouched edges keep bit-identical probabilities
         let other = g.find_edge(NodeId(0), NodeId(1)).unwrap();
@@ -696,13 +705,13 @@ mod tests {
         let folded = apply_all(&g, &run).unwrap();
         assert_eq!(folded, sequential(&run));
         assert_eq!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&folded, 0),
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&folded).topics[0],
             "a topic-1-confined run must leave topic 0's weight slice alone"
         );
         assert_ne!(
-            codec::hash_weights_topic(&g, 1),
-            codec::hash_weights_topic(&folded, 1)
+            codec::GraphKeys::of(&g).topics[1],
+            codec::GraphKeys::of(&folded).topics[1]
         );
         // different δ across *different* topics: still equivalent
         let cross = vec![nudge(vec![0], 0.05), nudge(vec![2], 0.07)];
@@ -737,12 +746,12 @@ mod tests {
         // topics inside it move
         let nudged = nudge1.apply(&g).unwrap();
         assert_eq!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&nudged, 0)
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&nudged).topics[0]
         );
         assert_ne!(
-            codec::hash_weights_topic(&g, 1),
-            codec::hash_weights_topic(&nudged, 1)
+            codec::GraphKeys::of(&g).topics[1],
+            codec::GraphKeys::of(&nudged).topics[1]
         );
         // insert: the topics in the payload
         let insert = GraphDelta::InsertEdge {
@@ -753,8 +762,8 @@ mod tests {
         assert_eq!(insert.touched_topics(&g), Some(set(&[1])));
         let inserted = insert.apply(&g).unwrap();
         assert_eq!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&inserted, 0)
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&inserted).topics[0]
         );
         // remove: the victim's sparse entries
         let remove = GraphDelta::RemoveEdge { edge: EdgeId(2) };
@@ -777,8 +786,14 @@ mod tests {
         let e = g.find_edge(NodeId(0), NodeId(1)).unwrap(); // row {0: 0.5, 1: 0.25}
                                                             // support change: topic 1 vanishes, topic 0 moves
         let set = set_weights(&g, e, &[(0, 0.9)]).unwrap();
-        assert_eq!(codec::hash_topology(&g), codec::hash_topology(&set));
-        assert_eq!(codec::hash_names(&g), codec::hash_names(&set));
+        assert_eq!(
+            codec::GraphKeys::of(&g).topology,
+            codec::GraphKeys::of(&set).topology
+        );
+        assert_eq!(
+            codec::GraphKeys::of(&g).names,
+            codec::GraphKeys::of(&set).names
+        );
         assert!((set.edge_prob_topic(e, TopicId(0)) - 0.9).abs() < 1e-6);
         assert_eq!(set.edge_prob_topic(e, TopicId(1)), 0.0, "entry dropped");
         // untouched edges keep bit-identical probabilities
@@ -821,12 +836,12 @@ mod tests {
         assert_eq!(d.touched_topics(&g), Some(set(&[0, 1])));
         let applied = d.apply(&g).unwrap();
         assert_ne!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&applied, 0)
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&applied).topics[0]
         );
         assert_ne!(
-            codec::hash_weights_topic(&g, 1),
-            codec::hash_weights_topic(&applied, 1)
+            codec::GraphKeys::of(&g).topics[1],
+            codec::GraphKeys::of(&applied).topics[1]
         );
         // a same-topic replacement keeps the footprint confined
         let confined = GraphDelta::SetWeights {
@@ -836,8 +851,8 @@ mod tests {
         assert_eq!(confined.touched_topics(&g), Some(set(&[1])));
         let applied = confined.apply(&g).unwrap();
         assert_eq!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&applied, 0),
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&applied).topics[0],
             "topic-1-confined replacement must leave topic 0's slice alone"
         );
         // a dense row that re-states entries bitwise only touches the
@@ -851,13 +866,13 @@ mod tests {
         assert_eq!(partial.touched_topics(&g), Some(set(&[1])));
         let applied = partial.apply(&g).unwrap();
         assert_eq!(
-            codec::hash_weights_topic(&g, 0),
-            codec::hash_weights_topic(&applied, 0),
+            codec::GraphKeys::of(&g).topics[0],
+            codec::GraphKeys::of(&applied).topics[0],
             "the re-stated topic-0 entry is bitwise unchanged"
         );
         assert_ne!(
-            codec::hash_weights_topic(&g, 1),
-            codec::hash_weights_topic(&applied, 1)
+            codec::GraphKeys::of(&g).topics[1],
+            codec::GraphKeys::of(&applied).topics[1]
         );
         // re-stating the whole row bitwise touches nothing at all
         let row: Vec<(usize, f64)> = g
@@ -933,9 +948,18 @@ mod tests {
     fn rename_preserves_everything_else() {
         let g = fixture();
         let renamed = rename_node(&g, NodeId(1), "grace hopper").unwrap();
-        assert_eq!(codec::hash_topology(&g), codec::hash_topology(&renamed));
-        assert_eq!(codec::hash_weights(&g), codec::hash_weights(&renamed));
-        assert_ne!(codec::hash_names(&g), codec::hash_names(&renamed));
+        assert_eq!(
+            codec::GraphKeys::of(&g).topology,
+            codec::GraphKeys::of(&renamed).topology
+        );
+        assert_eq!(
+            codec::GraphKeys::of(&g).weights,
+            codec::GraphKeys::of(&renamed).weights
+        );
+        assert_ne!(
+            codec::GraphKeys::of(&g).names,
+            codec::GraphKeys::of(&renamed).names
+        );
         assert_eq!(renamed.node_by_name("grace hopper"), Some(NodeId(1)));
         assert_eq!(renamed.node_by_name("grace"), None);
         // renaming onto an existing other node is rejected

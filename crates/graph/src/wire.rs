@@ -5,8 +5,10 @@
 //! (`octopus-data::store`), and the offline-artifact cache
 //! (`octopus-core::offline::persist`). This module is their common
 //! substrate: bounds-checked reads that turn truncation into a typed error
-//! instead of a panic, length-prefixed strings, and a stable 64-bit hash
-//! for content fingerprints and payload checksums.
+//! instead of a panic, length-prefixed strings, the word-at-a-time
+//! [`checksum`] (XXH64) that guards every payload and keys whole graphs,
+//! and the byte-serial [`Fnv64`] the small fixed-width key compositions
+//! use.
 
 #![warn(missing_docs)]
 
@@ -96,8 +98,8 @@ pub const SECTION_ENTRY_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8;
 /// decide reuse *without* decoding the payload: the section `tag` (what it
 /// is), its content `key` (a fingerprint of the inputs that produced it),
 /// its absolute byte offset `off` (8-aligned, so a memory-mapped reader can
-/// serve `u64`/`f64` fields in place), its byte `len`, and an FNV-1a
-/// `checksum` of the payload bytes.
+/// serve `u64`/`f64` fields in place), its byte `len`, and the
+/// [`checksum`] of the payload bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// Section kind, codec-defined (decoders skip unknown tags).
@@ -109,7 +111,7 @@ pub struct SectionEntry {
     pub off: u64,
     /// Payload length in bytes (padding between sections is not counted).
     pub len: u64,
-    /// FNV-1a 64 over the payload bytes.
+    /// [`checksum`] (XXH64, seed 0) over the payload bytes.
     pub checksum: u64,
 }
 
@@ -178,13 +180,102 @@ pub fn section_range(file_len: usize, entry: &SectionEntry) -> Result<(usize, us
 pub fn section_payload<'a>(raw: &'a [u8], entry: &SectionEntry) -> Result<&'a [u8], WireError> {
     let (start, end) = section_range(raw.len(), entry)?;
     let payload = &raw[start..end];
-    if fnv1a(payload) != entry.checksum {
+    if checksum(payload) != entry.checksum {
         return Err(WireError(format!(
             "section {} checksum mismatch (corrupted in place)",
             entry.tag
         )));
     }
     Ok(payload)
+}
+
+/// XXH64 prime 1.
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+/// XXH64 prime 2.
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+/// XXH64 prime 3.
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+/// XXH64 prime 4.
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+/// XXH64 prime 5.
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn u64_le(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+}
+
+/// One XXH64 accumulator round over an 8-byte input word.
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// XXH64's final avalanche: a bijection on `u64` in which every input bit
+/// affects every output bit. [`crate::codec::GraphKeys`] uses it as the
+/// per-entry mix of its order-independent sums.
+pub(crate) fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// XXH64 with seed 0 over `bytes` — the section checksum of the OCTA
+/// container and the hash behind every whole-graph key.
+///
+/// Inputs of 32 bytes or more run four independent accumulator lanes, one
+/// 8-byte word each per round, where byte-serial FNV-1a pays one multiply
+/// per byte; the tail folds 8-, then 4-, then 1-byte pieces. The algorithm
+/// and its constants are XXH64's as published, so the value is stable
+/// across builds and platforms and may be persisted.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, u64_le(word));
+            }
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ xxh_round(0, lane))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+        }
+        h
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut tail = stripes.remainder();
+    while tail.len() >= 8 {
+        h ^= xxh_round(0, u64_le(tail));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("four bytes"));
+        h ^= (word as u64).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h ^= (b as u64).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    avalanche(h)
 }
 
 /// FNV-1a offset basis (64-bit).
@@ -194,8 +285,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// An incremental FNV-1a 64-bit hasher with a **stable, documented**
 /// algorithm — unlike `std::hash::DefaultHasher`, its output may be
-/// persisted to disk (cache keys, payload checksums) and compared across
-/// builds and platforms.
+/// persisted to disk and compared across builds and platforms.
+///
+/// It is byte-serial (one multiply per byte), so it only composes small
+/// fixed-width unit keys from a few words, and the PIKS world footprints
+/// whose values the OCTA payload stores. Anything that hashes a whole
+/// graph or a whole payload uses [`checksum`].
 #[derive(Debug, Clone)]
 pub struct Fnv64 {
     state: u64,
@@ -260,13 +355,6 @@ impl Fnv64 {
     }
 }
 
-/// One-shot FNV-1a 64 over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,14 +404,14 @@ mod tests {
                 key: 0xAB,
                 off: a_off as u64,
                 len: payload_a.len() as u64,
-                checksum: fnv1a(&payload_a),
+                checksum: checksum(&payload_a),
             },
             SectionEntry {
                 tag: 6,
                 key: 0xCD,
                 off: b_off as u64,
                 len: payload_b.len() as u64,
-                checksum: fnv1a(&payload_b),
+                checksum: checksum(&payload_b),
             },
         ];
         let mut buf = BytesMut::new();
@@ -370,18 +458,41 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // canonical FNV-1a 64 test vectors
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171F73967E8);
+    fn checksum_matches_reference_vectors() {
+        // published XXH64 (seed 0) vectors
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 1-byte tail only
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        // one 8-byte, one 4-byte and two 1-byte tail pieces
+        assert_eq!(checksum(b"message digest"), 0x066E_D728_FCEE_B3BE);
+        // three 8-byte words and two single bytes
+        assert_eq!(
+            checksum(b"abcdefghijklmnopqrstuvwxyz"),
+            0xCFE1_F278_FA89_835C
+        );
+        // one 32-byte stripe, then 8-, 4- and 1-byte tail pieces
+        assert_eq!(
+            checksum(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"),
+            0xAAA4_6907_D304_7814
+        );
+        // two stripes and two 8-byte words
+        assert_eq!(
+            checksum(
+                b"12345678901234567890123456789012345678901234567890123456789012345678901234567890"
+            ),
+            0xE04A_477F_19EE_145D
+        );
     }
 
     #[test]
-    fn incremental_equals_one_shot() {
+    fn fnv_matches_reference_vectors() {
+        // canonical FNV-1a 64 test vectors, fed in pieces
+        assert_eq!(Fnv64::new().write(b"").finish(), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(Fnv64::new().write(b"a").finish(), 0xAF63_DC4C_8601_EC8C);
         let mut h = Fnv64::new();
         h.write(b"foo").write(b"bar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"));
+        assert_eq!(h.finish(), 0x85944171F73967E8);
     }
 
     #[test]

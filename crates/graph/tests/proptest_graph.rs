@@ -3,7 +3,7 @@
 //! on, and the delta apply pass against a rebuild-per-delta oracle.
 
 use octopus_graph::delta::{apply_all, apply_all_visiting, GraphDelta};
-use octopus_graph::{codec, EdgeId, GraphBuilder, GraphError, NodeId, TopicGraph};
+use octopus_graph::{codec, wire, EdgeId, GraphBuilder, GraphError, NodeId, TopicGraph};
 use proptest::prelude::*;
 
 const MAX_NODES: usize = 24;
@@ -466,5 +466,110 @@ proptest! {
             (Err(_), Err(_)) => {}
             (got, want) => panic!("pass {got:?} vs oracle {want:?}"),
         }
+    }
+}
+
+/// Every topic's `(src, dst, p_z bits)` triples — the input a slice key
+/// stands for.
+fn topic_triples(g: &TopicGraph) -> Vec<Vec<(u32, u32, u32)>> {
+    let mut triples = vec![Vec::new(); g.num_topics()];
+    for u in g.nodes() {
+        for (v, e) in g.out_edges(u) {
+            for (z, p) in g.edge_topic_probs(e) {
+                triples[z.index()].push((u.0, v.0, p.to_bits()));
+            }
+        }
+    }
+    triples
+}
+
+/// The `(src, dst)` edge list in id order.
+fn edge_pairs(g: &TopicGraph) -> Vec<(NodeId, NodeId)> {
+    g.edges().map(|e| g.edge_endpoints(e).unwrap()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The section checksum catches every single-bit flip and every
+    /// one-byte deletion or truncation, on both sides of the 32-byte stripe
+    /// threshold.
+    #[test]
+    fn checksum_moves_on_every_bit_flip_and_truncation(
+        bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..=300),
+    ) {
+        let sum = wire::checksum(&bytes);
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() * 8 {
+            flipped[i / 8] ^= 1 << (i % 8);
+            prop_assert_ne!(wire::checksum(&flipped), sum, "bit {} of {}", i, bytes.len());
+            flipped[i / 8] ^= 1 << (i % 8);
+        }
+        for i in 0..bytes.len() {
+            let shorter = [&bytes[..i], &bytes[i + 1..]].concat();
+            prop_assert_ne!(wire::checksum(&shorter), sum, "byte {} of {}", i, bytes.len());
+        }
+    }
+
+    /// Every key is a function of the edge set, not of the order the
+    /// edges were added in.
+    #[test]
+    fn keys_ignore_edge_insertion_order(
+        (n, z, edges) in arb_graph_parts(),
+        order in proptest::collection::vec(proptest::num::u64::ANY, 0..72),
+    ) {
+        let mut shuffled: Vec<(u64, EdgeSpec)> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (order.get(i).copied().unwrap_or(i as u64), e.clone()))
+            .collect();
+        shuffled.sort_by_key(|(k, _)| *k);
+        let shuffled: Vec<EdgeSpec> = shuffled.into_iter().map(|(_, e)| e).collect();
+        prop_assert_eq!(
+            codec::GraphKeys::of(&build_named(n, z, &edges)),
+            codec::GraphKeys::of(&build_named(n, z, &shuffled))
+        );
+    }
+
+    /// After any delta batch: topic `z`'s slice key moves iff some
+    /// topic-`z` triple moved (an insert or remove of an edge without a
+    /// topic-`z` entry shifts ids but moves no topic-`z` key); topology,
+    /// names and weights move iff their slice did; and the whole-graph key
+    /// moves on every change.
+    #[test]
+    fn keys_move_exactly_with_their_slices(
+        (n, z, edges) in arb_graph_parts(),
+        specs in arb_batch(),
+    ) {
+        let g = build_named(n, z, &edges);
+        let batch: Vec<GraphDelta> = specs.iter().map(|s| decode(&g, s)).collect();
+        let after = apply_all(&g, &batch);
+        prop_assume!(after.is_ok());
+        let after = after.unwrap();
+        let (before_keys, after_keys) = (codec::GraphKeys::of(&g), codec::GraphKeys::of(&after));
+        let (before_triples, after_triples) = (topic_triples(&g), topic_triples(&after));
+        for t in 0..z {
+            prop_assert_eq!(
+                before_keys.topics[t] != after_keys.topics[t],
+                before_triples[t] != after_triples[t],
+                "topic {}", t
+            );
+        }
+        prop_assert_eq!(
+            before_keys.weights != after_keys.weights,
+            before_triples != after_triples
+        );
+        prop_assert_eq!(
+            before_keys.topology != after_keys.topology,
+            edge_pairs(&g) != edge_pairs(&after)
+        );
+        let names = |g: &TopicGraph| -> Vec<String> {
+            g.nodes().map(|u| g.name(u).unwrap_or("").to_string()).collect()
+        };
+        prop_assert_eq!(before_keys.names != after_keys.names, names(&g) != names(&after));
+        prop_assert_eq!(
+            before_keys.graph != after_keys.graph,
+            codec::encode(&g) != codec::encode(&after)
+        );
     }
 }
