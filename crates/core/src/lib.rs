@@ -27,7 +27,7 @@
 //!   keyword interface ("allows users to employ simple and easy-to-use
 //!   keywords to perform influence analysis");
 //! * [`serve`] — the **concurrent serving layer**: an epoch-swapped
-//!   [`serve::OctopusService`] where sessions query wait-free snapshots
+//!   [`serve::OctopusService`] where sessions query immutable snapshots
 //!   while graph deltas coalesce and rebuild the next epoch in the
 //!   background.
 //!

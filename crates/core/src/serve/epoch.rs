@@ -1,150 +1,57 @@
-//! [`EpochCell`] — an atomically swappable `Arc<T>` with read-side
-//! progress guarantees, the primitive under the serving layer's
-//! epoch-swapped engine handle.
+//! [`EpochCell`] — an atomically swappable `Arc<T>`, the primitive under
+//! both serving layers' epoch-swapped snapshots.
 //!
-//! The serving workload is read-dominated and latency-sensitive: many
-//! query threads each grab the current engine snapshot per query, while a
-//! single writer swaps in a freshly rebuilt engine every once in a while.
-//! A `RwLock<Arc<T>>` would make every reader pay lock traffic and let a
-//! writer block readers for the duration of its critical section; the
-//! cell instead uses the classic userspace-RCU scheme:
+//! The cell is an `Arc<T>` behind a mutex. A [`load`](EpochCell::load)
+//! takes the lock for one reference-count increment; a
+//! [`swap`](EpochCell::swap) takes it for one pointer replace and hands
+//! the old value back, so it drops outside the lock. Neither ever holds
+//! the lock across a rebuild: a writer builds the next value off to the
+//! side first, and a reader keeps its own `Arc` for as long as its query
+//! runs, so an in-flight query never delays a swap and a swap never
+//! waits for one.
 //!
-//! * the current value lives behind an [`AtomicPtr`] holding a raw
-//!   [`Arc`] pointer whose one "cell" strong count the cell itself owns;
-//! * readers register in one of **two parity-indexed reader counters**
-//!   before touching the pointer and deregister right after upgrading it
-//!   to their own `Arc` clone;
-//! * a writer publishes the new pointer first, then flips the parity, and
-//!   only after the *old* parity's reader count drains to zero releases
-//!   the cell's strong count on the old value — any reader that could
-//!   still hold the old raw pointer has, by then, already secured its own
-//!   reference.
-//!
-//! Progress: a reader performs two atomic ops and a pointer upgrade with
-//! **no lock and no waiting** — it retries only when an epoch flip raced
-//! its registration window, at most once per concurrent swap, so reads
-//! are wait-free in the absence of swaps and lock-free under them (swaps
-//! are rebuild-paced: seconds apart, microseconds long). A writer waits —
-//! on the writer mutex for other writers, and on the bounded drain of the
-//! old parity's registration window — but never on readers' *use* of
-//! their snapshots: an in-flight query keeps its `Arc` alive on its own
-//! after deregistering, for as long as it likes.
-//!
-//! All atomics use `SeqCst`: swaps happen at engine-rebuild frequency, so
-//! the ordering cost is unmeasurable, and the single total order makes
-//! the drain argument above airtight (a reader's deregistration is
-//! ordered after its strong-count upgrade, so a drained-to-zero counter
-//! proves every raw-pointer holder upgraded).
+//! The lock is never held for more than those few instructions, so a
+//! contended load waits only behind other loads and swaps. A query does
+//! one load and takes microseconds to milliseconds, so the lock is not
+//! where its time goes.
 
 use parking_lot::Mutex;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 /// An atomically swappable `Arc<T>`: readers [`load`](EpochCell::load) a
-/// snapshot without locking; a writer [`swap`](EpochCell::swap)s in a new
-/// value and gets the old one back once no reader can still be upgrading
-/// it (see the module docs for the full protocol and its guarantees).
+/// snapshot, a writer [`swap`](EpochCell::swap)s in a new value and gets
+/// the old one back (see the module docs).
 pub struct EpochCell<T> {
-    /// Raw pointer of the current `Arc<T>`; the cell owns one strong count.
-    ptr: AtomicPtr<T>,
-    /// Monotone flip counter; its parity indexes `readers`.
-    epoch: AtomicUsize,
-    /// Readers currently inside the registration window, per parity.
-    readers: [AtomicUsize; 2],
-    /// Serializes writers (readers never touch it).
-    writer: Mutex<()>,
-    /// The cell logically owns an `Arc<T>`.
-    _own: PhantomData<Arc<T>>,
+    current: Mutex<Arc<T>>,
 }
-
-// SAFETY: the cell hands out `Arc<T>` clones across threads, which is
-// exactly what `Arc` itself requires `T: Send + Sync` for.
-unsafe impl<T: Send + Sync> Send for EpochCell<T> {}
-unsafe impl<T: Send + Sync> Sync for EpochCell<T> {}
 
 impl<T> EpochCell<T> {
     /// A cell initially holding `value`.
     pub fn new(value: Arc<T>) -> Self {
         EpochCell {
-            ptr: AtomicPtr::new(Arc::into_raw(value).cast_mut()),
-            epoch: AtomicUsize::new(0),
-            readers: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            writer: Mutex::new(()),
-            _own: PhantomData,
+            current: Mutex::new(value),
         }
     }
 
-    /// Clone the current snapshot. Never blocks: no lock is taken, and a
-    /// retry happens only when a concurrent [`swap`](EpochCell::swap)
-    /// flipped the epoch inside this call's registration window.
+    /// Clone the current snapshot: one lock, one reference-count
+    /// increment. The snapshot stays valid across any number of swaps.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let e = self.epoch.load(SeqCst);
-            let slot = &self.readers[e & 1];
-            slot.fetch_add(1, SeqCst);
-            // Re-check: if a writer flipped the epoch since we read it, our
-            // registration may be in a parity slot the writer has already
-            // drained (or is draining against a newer value) — back out and
-            // retry rather than touch the pointer unprotected.
-            if self.epoch.load(SeqCst) == e {
-                let p = self.ptr.load(SeqCst);
-                // SAFETY: `p` came from `Arc::into_raw`. It is alive here:
-                // either it is the current value (the cell's own strong
-                // count keeps it), or a writer swapped it out after we
-                // registered — and that writer cannot release the cell's
-                // count until our parity slot drains, which happens only
-                // after the `fetch_sub` below, by which point we hold our
-                // own strong count.
-                let arc = unsafe {
-                    Arc::increment_strong_count(p);
-                    Arc::from_raw(p)
-                };
-                slot.fetch_sub(1, SeqCst);
-                return arc;
-            }
-            slot.fetch_sub(1, SeqCst);
-        }
+        Arc::clone(&self.current.lock())
     }
 
     /// Install `new` as the current snapshot and return the previous one.
-    ///
-    /// The swap itself is one pointer store; the call then waits for the
-    /// old parity's registration window to drain (bounded: registrations
-    /// last two atomic ops and a pointer upgrade) before reclaiming the
-    /// cell's reference to the old value. In-flight readers holding the
-    /// old snapshot keep it alive through their own `Arc` clones — the
-    /// returned `Arc` is simply the cell's former share.
+    /// In-flight readers holding the old snapshot keep it alive through
+    /// their own `Arc` clones; the returned `Arc` is the cell's former
+    /// share, dropped by the caller outside the lock.
     pub fn swap(&self, new: Arc<T>) -> Arc<T> {
-        let _exclusive = self.writer.lock();
-        let old = self.ptr.swap(Arc::into_raw(new).cast_mut(), SeqCst);
-        let e = self.epoch.fetch_add(1, SeqCst);
-        // Readers registered under the pre-flip parity are the only ones
-        // that may have loaded `old` raw; wait them out. Post-flip readers
-        // fail their re-check and retry into the other slot.
-        while self.readers[e & 1].load(SeqCst) != 0 {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        // SAFETY: reclaims the strong count the cell held on `old`; no
-        // reader can still be between its raw load and its upgrade (drain
-        // above), and the pointer is no longer reachable from the cell.
-        unsafe { Arc::from_raw(old) }
-    }
-}
-
-impl<T> Drop for EpochCell<T> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` means no reader or writer is active; this
-        // releases the cell's own strong count on the current value.
-        unsafe { drop(Arc::from_raw(self.ptr.load(SeqCst))) }
+        std::mem::replace(&mut *self.current.lock(), new)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 
     /// A payload whose internal consistency detects torn reads and whose
     /// drop is counted to detect leaks / double frees.

@@ -439,7 +439,7 @@ impl<'a> IngestPipeline<'a> {
     fn flush_with_retry(&mut self) -> Result<Vec<ShardSwap>> {
         let before = self.service.delta_counters().terminal_failures;
         let mut last_err = None;
-        for attempt in 0..=MAX_BATCH_RETRIES {
+        for _ in 0..=MAX_BATCH_RETRIES {
             match self.service.flush_deltas() {
                 Ok(swaps) => {
                     let dropped = self.service.delta_counters().terminal_failures - before;
@@ -455,7 +455,6 @@ impl<'a> IngestPipeline<'a> {
                         self.stats.batches_dropped += dropped;
                         return Ok(Vec::new());
                     }
-                    let _ = attempt;
                 }
             }
         }

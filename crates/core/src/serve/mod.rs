@@ -9,10 +9,10 @@
 //!
 //! * **Readers** [`execute`](QueryService::execute) [`Query`] values —
 //!   one per online operator of the paper — on the service itself or on
-//!   a per-client [`Session`]; every query grabs the current engine
-//!   snapshot from an [`EpochCell`] — no lock, no waiting on writers —
-//!   and is answered entirely on that snapshot, stamped with the epoch
-//!   id and latency ([`Served`]).
+//!   a per-client [`Session`]; every query loads the current engine
+//!   snapshot from an [`EpochCell`] — one lock, never held across a
+//!   rebuild — and is answered entirely on that snapshot, stamped with
+//!   the epoch id and latency ([`Served`]).
 //! * **Writers** [`submit`](OctopusService::submit)
 //!   [`GraphDelta`] mutations. Deltas queue up; a flush —
 //!   [`apply_pending`](OctopusService::apply_pending), called directly or
@@ -20,7 +20,7 @@
 //!   thread — drains and **coalesces** the whole batch into one new
 //!   graph, rebuilds the engine *off to the side* from the epoch it
 //!   replaces (reusing every per-topic unit and PIKS world the batch left
-//!   valid), and atomically swaps the epoch. A service built with
+//!   valid), and swaps the epoch in one store. A service built with
 //!   [`with_mapped_cache`](OctopusService::with_mapped_cache) goes one
 //!   step further: the flush writes the new epoch's OCTA v7 artifact and
 //!   **remaps** it, so the swapped-in engine serves zero-copy off the
@@ -45,14 +45,22 @@
 //! by `tests/serve_epoch.rs`).
 //!
 //! For graphs too big for one engine, [`shard::ShardedService`] splits
-//! the graph into K locality-based shards, runs one engine + epoch cell
-//! per shard, scatter-gathers the five operators, and routes each delta
-//! to only the shards it touches — see the [`shard`] module docs.
+//! the graph into K locality-based shards, runs one engine per shard,
+//! scatter-gathers the five operators, and routes each delta to only the
+//! shards it touches — see the [`shard`] module docs.
+//!
+//! Both services are instances of one crate-private core, generic over
+//! the snapshot a query runs on (an [`Epoch`] here, every shard's epoch
+//! at once there). It owns the pending queue, the flush lock, the
+//! drain → rebuild → swap → count routine with its
+//! [`MAX_BATCH_RETRIES`] ladder, the counters behind [`ServiceStats`],
+//! the admission hook, and the one admit → load → run → stamp read path.
 
 pub mod admission;
 mod epoch;
 pub mod ingest;
 mod query;
+mod service_core;
 mod session;
 pub mod shard;
 
@@ -61,16 +69,17 @@ pub use epoch::EpochCell;
 pub use ingest::{DeltaBatch, IngestPipeline, IngestStats, TopicBatcher, WindowReport};
 pub use query::{DeltaCounters, Query, QueryResponse, QueryService};
 pub use session::{OpStats, Operator, Served, Session, SessionStats};
-pub use shard::{ShardSwap, ShardedService, ShardedStats};
+pub use shard::{ShardSwap, ShardedService};
 
 use crate::budget::QueryBudget;
 use crate::engine::Octopus;
 use crate::offline::{StageReuse, StageTiming};
 use crate::Result;
 use octopus_graph::delta::{self, GraphDelta};
-use parking_lot::Mutex;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use octopus_graph::TopicGraph;
+use service_core::{Generation, ServiceCore};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,6 +100,50 @@ impl Epoch {
     pub fn engine(&self) -> &Octopus {
         &self.engine
     }
+
+    /// The epoch after this one, serving `graph`: the engine rebuilt from
+    /// this epoch's (reusing every unit the change left valid, persisted
+    /// to `dir` if given), with this epoch's keyword overrides carried
+    /// forward, and the report of a flush of `deltas` that began at
+    /// `start`.
+    fn successor(
+        &self,
+        graph: TopicGraph,
+        dir: Option<&Path>,
+        mapped: bool,
+        deltas: usize,
+        start: Instant,
+    ) -> Result<(Epoch, SwapReport)> {
+        let engine = self
+            .engine
+            .rebuild(graph, dir, mapped)?
+            .with_user_keywords(self.engine.user_keywords().clone());
+        let report = SwapReport {
+            epoch: self.id + 1,
+            deltas_applied: deltas,
+            rebuild_time: start.elapsed(),
+            cache_hit: engine.cache_hit(),
+            stage_reuse: engine.stage_reuse().to_vec(),
+            stage_timings: engine.stage_timings().to_vec(),
+        };
+        Ok((
+            Epoch {
+                id: self.id + 1,
+                engine,
+            },
+            report,
+        ))
+    }
+}
+
+impl Generation for Epoch {
+    fn epochs(&self) -> Vec<u64> {
+        vec![self.id]
+    }
+
+    fn stamp(&self) -> u64 {
+        self.id
+    }
 }
 
 /// What one flush did: the batch it coalesced and the rebuild it paid.
@@ -100,8 +153,8 @@ pub struct SwapReport {
     pub epoch: u64,
     /// Deltas coalesced into this epoch's graph.
     pub deltas_applied: usize,
-    /// Wall-clock time of the whole flush (delta application + engine
-    /// rebuild + swap).
+    /// Wall-clock time of the flush up to the swap (delta application +
+    /// engine rebuild).
     pub rebuild_time: Duration,
     /// Whether the rebuilt engine reused every offline work unit of the
     /// epoch it replaced (a batch no stage key or PIKS world noticed).
@@ -118,12 +171,15 @@ pub struct SwapReport {
     pub stage_timings: Vec<StageTiming>,
 }
 
-/// Service-level counters, scraped via [`OctopusService::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Service-level counters of either serving layer, scraped via
+/// [`OctopusService::stats`] or [`ShardedService::stats`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Id of the epoch currently serving.
-    pub current_epoch: u64,
-    /// Epoch swaps performed since construction.
+    /// Epoch id each shard currently serves (index = shard; one entry for
+    /// the unsharded service).
+    pub current_epochs: Vec<u64>,
+    /// Shard swaps performed since construction (one per flush on the
+    /// unsharded service; a flush touching three shards counts three).
     pub epochs_swapped: u64,
     /// Deltas successfully applied across all swaps.
     pub deltas_applied: u64,
@@ -152,20 +208,25 @@ pub struct ServiceStats {
     pub shed_by_class: [u64; 3],
 }
 
-/// How many consecutive flush attempts a failing batch gets before
-/// [`OctopusService::apply_pending`] drops it and counts a
-/// [`ServiceStats::terminal_failures`]. Transient failures (an unwritable
-/// cache volume, a mid-compaction artifact) heal within a retry or two; a
-/// deterministically inapplicable batch would otherwise wedge the queue
-/// head forever.
+impl ServiceStats {
+    /// Sum of [`current_epochs`](ServiceStats::current_epochs) — the
+    /// [`Served::epoch`] stamp a query answered now carries (the epoch id
+    /// itself on the unsharded service).
+    pub fn current_epoch(&self) -> u64 {
+        self.current_epochs.iter().sum()
+    }
+}
+
+/// How many consecutive flush attempts a failing batch gets before a
+/// flush drops it and counts a [`ServiceStats::terminal_failures`].
+/// Transient failures (an unwritable cache volume, a mid-compaction
+/// artifact) heal within a retry or two; a deterministically inapplicable
+/// batch would otherwise wedge the queue head forever.
 pub const MAX_BATCH_RETRIES: u64 = 3;
 
 /// The serving layer around one [`Octopus`] engine — see the module docs.
 pub struct OctopusService {
-    cell: EpochCell<Epoch>,
-    pending: Mutex<Vec<GraphDelta>>,
-    /// Serializes flushes; readers never touch it.
-    flush: Mutex<()>,
+    core: ServiceCore<Epoch>,
     /// `Some(dir)` persists every flushed epoch there.
     cache_dir: Option<PathBuf>,
     /// With a cache directory: rebuild engines in **mapped mode** — the
@@ -173,59 +234,34 @@ pub struct OctopusService {
     /// so the swapped-in engine serves zero-copy off the page cache and
     /// replicas mapping the same file share it.
     mapped: bool,
-    epochs_swapped: AtomicU64,
-    deltas_applied: AtomicU64,
-    batches_failed: AtomicU64,
-    terminal_failures: AtomicU64,
-    /// Consecutive failed flush attempts of the current queue head (reset
-    /// by any successful flush; only ever touched under the flush lock).
-    flush_failures: AtomicU64,
-    /// Test-only fault injection: fail this many upcoming rebuilds.
-    inject_failures: AtomicU64,
-    queries_served: AtomicU64,
-    /// `Some` puts an admission controller in front of every session
-    /// query (see [`OctopusService::with_admission`]).
-    admission: Option<AdmissionController>,
 }
 
 impl OctopusService {
     /// Serve `engine` as epoch 0. Each flush rebuilds from the epoch it
     /// replaces, reusing every work unit the batch left valid.
     pub fn new(engine: Octopus) -> Self {
-        Self::with_cache_dir_opt(engine, None)
+        Self::with_options(engine, None, false)
     }
 
     /// [`OctopusService::new`], also persisting every flushed epoch to
     /// `dir` for restarts ([`Octopus::open_or_build`]); a flush writes the
     /// directory, never reads it.
     pub fn with_cache_dir(engine: Octopus, dir: impl Into<PathBuf>) -> Self {
-        Self::with_cache_dir_opt(engine, Some(dir.into()))
+        Self::with_options(engine, Some(dir.into()), false)
     }
 
     /// [`OctopusService::with_cache_dir`], swapping in **mapped** engines:
     /// each flush maps the file a replica sharing `dir` wrote for the same
     /// graph, or else the one it wrote, so replicas share page cache.
     pub fn with_mapped_cache(engine: Octopus, dir: impl Into<PathBuf>) -> Self {
-        let mut s = Self::with_cache_dir_opt(engine, Some(dir.into()));
-        s.mapped = true;
-        s
+        Self::with_options(engine, Some(dir.into()), true)
     }
 
-    fn with_cache_dir_opt(engine: Octopus, cache_dir: Option<PathBuf>) -> Self {
+    fn with_options(engine: Octopus, cache_dir: Option<PathBuf>, mapped: bool) -> Self {
         OctopusService {
-            cell: EpochCell::new(Arc::new(Epoch { id: 0, engine })),
-            pending: Mutex::new(Vec::new()),
-            flush: Mutex::new(()),
+            core: ServiceCore::new(Epoch { id: 0, engine }),
             cache_dir,
-            mapped: false,
-            epochs_swapped: AtomicU64::new(0),
-            deltas_applied: AtomicU64::new(0),
-            batches_failed: AtomicU64::new(0),
-            terminal_failures: AtomicU64::new(0),
-            flush_failures: AtomicU64::new(0),
-            inject_failures: AtomicU64::new(0),
-            queries_served: AtomicU64::new(0),
-            admission: None,
+            mapped,
         }
     }
 
@@ -234,35 +270,26 @@ impl OctopusService {
     /// executing, shed-on-overload with
     /// [`CoreError::Overloaded`](crate::CoreError). Without this, every
     /// query runs unconditionally (the pre-admission behavior).
-    pub fn with_admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(AdmissionController::new(cfg));
-        self
+    pub fn with_admission(self, cfg: AdmissionConfig) -> Self {
+        OctopusService {
+            core: self.core.with_admission(cfg),
+            ..self
+        }
     }
 
-    /// The one admit → snapshot-or-pin → run → stamp routine behind both
-    /// [`Session::execute`] and this service's [`QueryService::execute`].
-    ///
-    /// Admission ([`admit`]) comes first: a shed query (the outer `Err`)
-    /// never grabs a snapshot or executes. An admitted query runs on
-    /// `pinned` if given, else on the live epoch, and is stamped with the
-    /// id of the snapshot that actually answered it and the latency the
-    /// client observed, admission wait included — whether the operator
-    /// itself (the inner `Result`) succeeded or not.
+    /// Serve `query` on `pinned` or the live epoch, through the shared
+    /// read path behind both [`Session::execute`] and this service's
+    /// [`QueryService::execute`]: a shed query is the outer `Err`; an
+    /// admitted one is stamped whether its operator (the inner `Result`)
+    /// succeeded or not.
     pub(crate) fn run(
         &self,
         pinned: Option<&Arc<Epoch>>,
         query: &Query,
         budget: &QueryBudget,
     ) -> Result<Served<Result<QueryResponse>>> {
-        let start = Instant::now();
-        let _permit = admit(&self.admission, query, budget)?;
-        let epoch = pinned.map_or_else(|| self.snapshot(), Arc::clone);
-        let value = epoch.engine.execute(query, budget);
-        self.queries_served.fetch_add(1, SeqCst);
-        Ok(Served {
-            value,
-            epoch: epoch.id,
-            latency: start.elapsed(),
+        self.core.run(pinned, query, budget, |epoch| {
+            epoch.engine.execute(query, budget)
         })
     }
 
@@ -270,7 +297,7 @@ impl OctopusService {
     /// keeps answering identically) for as long as the caller holds it,
     /// across any number of swaps.
     pub fn snapshot(&self) -> Arc<Epoch> {
-        self.cell.load()
+        self.core.load()
     }
 
     /// Id of the currently serving epoch.
@@ -286,12 +313,12 @@ impl OctopusService {
     /// Queue a graph mutation for the next flush. Never blocks readers and
     /// never triggers a rebuild by itself.
     pub fn submit(&self, delta: GraphDelta) {
-        self.pending.lock().push(delta);
+        self.core.submit(delta);
     }
 
     /// Queue several mutations at once (kept in order).
     pub fn submit_all(&self, deltas: impl IntoIterator<Item = GraphDelta>) {
-        self.pending.lock().extend(deltas);
+        self.core.submit_all(deltas);
     }
 
     /// Drain the pending queue, coalesce it into one new graph, rebuild
@@ -317,83 +344,27 @@ impl OctopusService {
     /// because deltas are order-dependent.
     ///
     /// Flushes serialize among themselves; deltas submitted while a flush
-    /// is rebuilding wait for the next flush. Readers are never blocked:
-    /// the rebuild runs entirely off to the side, and the swap itself is
-    /// one atomic pointer store.
+    /// is rebuilding wait for the next flush. Readers never wait on a
+    /// rebuild: it runs entirely off to the side, and the swap itself is
+    /// one pointer replace.
     pub fn apply_pending(&self) -> Result<Option<SwapReport>> {
-        let _exclusive = self.flush.lock();
-        let batch: Vec<GraphDelta> = std::mem::take(&mut *self.pending.lock());
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        let start = Instant::now();
-        let base = self.snapshot();
-        let rebuilt = match self.rebuild(&base, &batch) {
-            Ok(r) => r,
-            Err(e) => {
-                self.note_flush_failure(batch);
-                return Err(e);
-            }
-        };
-        self.flush_failures.store(0, SeqCst);
-        let report = SwapReport {
-            epoch: base.id + 1,
-            deltas_applied: batch.len(),
-            rebuild_time: start.elapsed(),
-            cache_hit: rebuilt.cache_hit(),
-            stage_reuse: rebuilt.stage_reuse().to_vec(),
-            stage_timings: rebuilt.stage_timings().to_vec(),
-        };
-        let old = self.cell.swap(Arc::new(Epoch {
-            id: base.id + 1,
-            engine: rebuilt,
-        }));
-        drop(old); // in-flight queries may still hold their own snapshots
-        self.epochs_swapped.fetch_add(1, SeqCst);
-        self.deltas_applied.fetch_add(batch.len() as u64, SeqCst);
-        Ok(Some(report))
+        let swaps = self.core.flush(|base, batch| {
+            let start = Instant::now();
+            let graph = delta::apply_all(base.engine.graph(), batch)?;
+            let dir = self.cache_dir.as_deref();
+            let (next, report) = base.successor(graph, dir, self.mapped, batch.len(), start)?;
+            Ok((next, vec![ShardSwap { shard: 0, report }]))
+        })?;
+        Ok(swaps.into_iter().next().map(|swap| swap.report))
     }
 
-    /// Coalesce `batch` onto `base`'s graph and build the replacement
-    /// engine from `base` (no swap; pure function of its inputs).
-    fn rebuild(&self, base: &Epoch, batch: &[GraphDelta]) -> Result<Octopus> {
-        let graph = delta::apply_all(base.engine.graph(), batch)?;
-        if self.inject_failures.load(SeqCst) > 0 {
-            self.inject_failures.fetch_sub(1, SeqCst);
-            return Err(crate::CoreError::Artifact(
-                "injected transient rebuild failure".into(),
-            ));
-        }
-        let (live, dir) = (&base.engine, self.cache_dir.as_deref());
-        let rebuilt = live.rebuild(graph, dir, self.mapped)?;
-        Ok(rebuilt.with_user_keywords(base.engine.user_keywords().clone()))
-    }
-
-    /// Bookkeeping for one failed flush attempt: count it, and either
-    /// re-queue `batch` at the queue front or — after [`MAX_BATCH_RETRIES`]
-    /// consecutive failures — drop it and record the terminal failure.
-    /// Only ever called under the flush lock.
-    fn note_flush_failure(&self, batch: Vec<GraphDelta>) {
-        self.batches_failed.fetch_add(1, SeqCst);
-        let failures = self.flush_failures.fetch_add(1, SeqCst) + 1;
-        if failures >= MAX_BATCH_RETRIES {
-            self.flush_failures.store(0, SeqCst);
-            self.terminal_failures.fetch_add(1, SeqCst);
-            return; // batch dropped for good
-        }
-        let mut pending = self.pending.lock();
-        let mut requeued = batch;
-        requeued.append(&mut pending);
-        *pending = requeued;
-    }
-
-    /// Test-only fault injection: make the next `n` flush attempts fail
-    /// after delta application, as a transiently failing rebuild would.
+    /// Test-only fault injection: make the next `n` non-empty flushes fail
+    /// in place of their rebuild, as a transiently failing rebuild would.
     /// Genuine rebuild failures are deterministic (a bad delta fails every
     /// retry), so the retry path is only reachable through this hook.
     #[doc(hidden)]
     pub fn fail_next_rebuilds(&self, n: u64) {
-        self.inject_failures.store(n, SeqCst);
+        self.core.fail_next_rebuilds(n);
     }
 
     /// Spawn a background thread that flushes the pending queue whenever
@@ -407,7 +378,7 @@ impl OctopusService {
         let stop_flag = Arc::clone(&stop);
         let join = std::thread::spawn(move || {
             while !stop_flag.load(SeqCst) {
-                if !service.pending.lock().is_empty() {
+                if service.core.delta_counters().pending_deltas > 0 {
                     // errors are reflected in batches_failed; the rebuilder
                     // keeps serving the old epoch and keeps polling
                     let _ = service.apply_pending();
@@ -423,42 +394,7 @@ impl OctopusService {
 
     /// Current service-level counters.
     pub fn stats(&self) -> ServiceStats {
-        let (admitted, shed) = self
-            .admission
-            .as_ref()
-            .map(|a| a.counters())
-            .unwrap_or(([0; 3], [0; 3]));
-        ServiceStats {
-            current_epoch: self.current_epoch(),
-            epochs_swapped: self.epochs_swapped.load(SeqCst),
-            deltas_applied: self.deltas_applied.load(SeqCst),
-            batches_failed: self.batches_failed.load(SeqCst),
-            terminal_failures: self.terminal_failures.load(SeqCst),
-            pending_deltas: self.pending.lock().len(),
-            queries_served: self.queries_served.load(SeqCst),
-            queries_admitted: admitted.iter().sum(),
-            queries_shed: shed.iter().sum(),
-            shed_by_class: shed,
-        }
-    }
-}
-
-/// The admission step of both serving layers: hold an execution slot of
-/// the budget's class for as long as the returned permit lives, or shed
-/// with [`CoreError::Overloaded`](crate::CoreError). `None` — run
-/// unconditionally — when the layer has no controller, and for
-/// autocomplete always: a sublinear trie walk costs less than the queue
-/// it would wait in, and bypassing keeps it genuinely infallible.
-fn admit<'a>(
-    admission: &'a Option<AdmissionController>,
-    query: &Query,
-    budget: &QueryBudget,
-) -> Result<Option<Permit<'a>>> {
-    match admission {
-        Some(ctl) if query.operator() != Operator::Autocomplete => {
-            ctl.admit(budget.class).map(Some)
-        }
-        _ => Ok(None),
+        self.core.stats()
     }
 }
 

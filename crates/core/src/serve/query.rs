@@ -15,7 +15,9 @@
 //! (QueryService::submit_delta) / [`flush_deltas`]
 //! (QueryService::flush_deltas)) so a closed-loop driver — queries
 //! racing live ingestion — needs exactly one capability, whatever the
-//! layer underneath.
+//! layer underneath. Both services implement it over the same serving
+//! core, so the read path, the delta queue, the retry contract and the
+//! [`DeltaCounters`] behind the trait are one implementation, not two.
 
 use super::shard::ShardSwap;
 use super::{OctopusService, Operator, Served};
@@ -192,8 +194,7 @@ impl QueryResponse {
 
 /// Delta-side counters a closed-loop driver watches, identical in
 /// meaning across both serving layers (see
-/// [`ServiceStats`](super::ServiceStats) /
-/// [`ShardedStats`](super::ShardedStats) for the full sets).
+/// [`ServiceStats`](super::ServiceStats) for the full set).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaCounters {
     /// Deltas successfully applied across all flushes.
@@ -227,10 +228,12 @@ pub trait QueryService: Sync {
     fn submit_deltas(&self, deltas: Vec<GraphDelta>);
 
     /// Flush pending deltas into epoch swaps; one [`ShardSwap`] per
-    /// swapped shard (the unsharded service reports as shard 0, the
-    /// empty vec means the queue was empty). A failed flush re-queues
-    /// the batch at the front with bounded retries, exactly as the
-    /// layers' own `apply_pending` documents.
+    /// swapped shard (the unsharded service reports as shard 0). The
+    /// empty vec means the queue was empty or, on the sharded layer, that
+    /// no delta touched a shard (an empty
+    /// [`NudgeWeights`](GraphDelta::NudgeWeights), say). A failed flush
+    /// re-queues the batch at the front with bounded retries, exactly as
+    /// the layers' own `apply_pending` documents.
     fn flush_deltas(&self) -> Result<Vec<ShardSwap>>;
 
     /// Number of shards serving (1 for the unsharded service).
@@ -307,12 +310,6 @@ impl QueryService for OctopusService {
     }
 
     fn delta_counters(&self) -> DeltaCounters {
-        let st = self.stats();
-        DeltaCounters {
-            deltas_applied: st.deltas_applied,
-            batches_failed: st.batches_failed,
-            terminal_failures: st.terminal_failures,
-            pending_deltas: st.pending_deltas,
-        }
+        self.core.delta_counters()
     }
 }

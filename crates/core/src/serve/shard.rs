@@ -5,10 +5,13 @@
 //! [`ShardedService`] splits the `TopicGraph` into K locality-based
 //! subgraphs ([`octopus_graph::subgraph::partition`] — whole weakly
 //! connected components, so no influence path is ever cut), runs one
-//! engine + [`EpochCell`] per shard (heap, cached, or
-//! mapped — the same three persistence modes the unsharded service has,
-//! each shard keeping its own OCTA cache subdirectory keyed by its
-//! subgraph's fingerprint), and routes:
+//! engine per shard (heap, cached, or mapped — the same three
+//! persistence modes the unsharded service has, each shard keeping its
+//! own OCTA cache subdirectory keyed by its subgraph's fingerprint), and
+//! routes. The router serves one snapshot — every shard's
+//! [`Epoch`] plus the global graph — out of the same serving core and
+//! [`EpochCell`](super::EpochCell) the unsharded service uses, so a
+//! flush swaps all its shards in one store:
 //!
 //! * **Queries** ([`QueryService::execute`], the router's one way in) fan
 //!   out across shards and merge:
@@ -35,37 +38,36 @@
 //!   delta's endpoints on the graph that delta applies to, rebuilds just
 //!   the shards owning those endpoints — each from its live epoch,
 //!   concurrently — and swaps them; untouched shards keep their epoch and
-//!   pay nothing. An [`GraphDelta::InsertEdge`] whose endpoints
+//!   pay nothing. A [`GraphDelta::InsertEdge`] whose endpoints
 //!   live in different shards is rejected
 //!   ([`CoreError::CrossShardDelta`]): the locality partition guarantees
 //!   no edge crosses shards, and such an insert would merge two
-//!   components. Failed batches follow the unsharded retry contract —
-//!   re-queued at the front, dropped after
-//!   [`MAX_BATCH_RETRIES`] consecutive
-//!   failures, surfaced via [`ShardedStats::terminal_failures`]. No shard
-//!   is swapped unless every touched shard rebuilt: a flush is all-or-
-//!   nothing, so the shards never serve graphs from different batches.
+//!   components. Failed batches follow the one retry contract both
+//!   layers share — re-queued at the front, dropped after
+//!   [`MAX_BATCH_RETRIES`](super::MAX_BATCH_RETRIES) consecutive
+//!   failures, surfaced via [`ServiceStats::terminal_failures`]. No shard
+//!   is swapped unless every touched shard rebuilt, and the touched
+//!   shards swap together: a reader sees every shard of a flush or none,
+//!   so the shards never serve graphs from different batches.
 
-use super::admission::{AdmissionConfig, AdmissionController};
+use super::admission::AdmissionConfig;
+use super::service_core::{Generation, ServiceCore};
 use super::{
-    DeltaCounters, Epoch, Query, QueryResponse, QueryService, Served, SwapReport, MAX_BATCH_RETRIES,
+    DeltaCounters, Epoch, Query, QueryResponse, QueryService, Served, ServiceStats, SwapReport,
 };
 use crate::budget::{Anytime, QualityBound, QueryBudget};
 use crate::engine::{resolve_gamma, KimAnswer, Octopus, OctopusConfig, SeedInfo};
 use crate::kim::{KimResult, KimStats};
 use crate::paths::PathExploration;
-use crate::serve::EpochCell;
 use crate::{CoreError, Result};
 use octopus_graph::delta::{self, GraphDelta};
 use octopus_graph::subgraph::{induced, partition, Subgraph};
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::radar::RadarChart;
 use octopus_topics::{KeywordId, TopicModel};
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,18 +77,22 @@ use std::time::Instant;
 /// `i + 1` seeds).
 type ShardSelection = (KimResult, QualityBound, Vec<f64>);
 
-/// One shard: its stable member list (sub id → original id, ascending)
-/// plus the epoch cell its engine lives in. The member set never changes
-/// (no delta adds or removes nodes), so the mapping survives every
-/// rebuild; only the engine and its subgraph are replaced on swap.
-struct Shard {
-    to_original: Vec<NodeId>,
-    cell: EpochCell<Epoch>,
+/// What a routed query runs on and a flush replaces in one store: every
+/// shard's epoch plus the global graph they partition.
+struct Routed {
+    shards: Vec<Arc<Epoch>>,
+    /// Deltas arrive in global coordinates and are routed (and
+    /// footprint-checked) against this graph.
+    global: TopicGraph,
 }
 
-impl Shard {
-    fn lift(&self, local: NodeId) -> NodeId {
-        self.to_original[local.index()]
+impl Generation for Routed {
+    fn epochs(&self) -> Vec<u64> {
+        self.shards.iter().map(|e| e.id).collect()
+    }
+
+    fn stamp(&self) -> u64 {
+        self.shards.iter().map(|e| e.id).sum()
     }
 }
 
@@ -99,54 +105,16 @@ pub struct ShardSwap {
     pub report: SwapReport,
 }
 
-/// Aggregated counters of a [`ShardedService`], scraped via
-/// [`ShardedService::stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Per-shard current epoch ids (index = shard).
-    pub current_epochs: Vec<u64>,
-    /// Shard swaps performed across all flushes (one flush touching three
-    /// shards counts three).
-    pub epochs_swapped: u64,
-    /// Deltas successfully applied across all flushes.
-    pub deltas_applied: u64,
-    /// Flush attempts aborted by a failing delta or rebuild.
-    pub batches_failed: u64,
-    /// Batches dropped for good after exhausting their retries.
-    pub terminal_failures: u64,
-    /// Deltas currently queued (re-queued failed batches included).
-    pub pending_deltas: usize,
-    /// Queries served across all operators.
-    pub queries_served: u64,
-    /// Queries admitted by the admission controller (0 when admission is
-    /// off).
-    pub queries_admitted: u64,
-    /// Queries shed with [`CoreError::Overloaded`], total across classes.
-    pub queries_shed: u64,
-    /// Per-class shed counts, [`PriorityClass::ALL`](crate::PriorityClass::ALL) order.
-    pub shed_by_class: [u64; 3],
-}
-
-impl ShardedStats {
-    /// Sum of per-shard epoch ids — the service-level epoch stamp
-    /// ([`Served::epoch`] of a sharded answer; equals the engine epoch at
-    /// K = 1).
-    pub fn current_epoch(&self) -> u64 {
-        self.current_epochs.iter().sum()
-    }
-}
-
 /// The sharded serving layer — see the module docs.
 pub struct ShardedService {
-    shards: Vec<Shard>,
+    core: ServiceCore<Routed>,
+    /// `to_original[s]`: shard `s`'s members (sub id → original id,
+    /// ascending). No delta adds or removes nodes, so the mapping survives
+    /// every rebuild.
+    to_original: Vec<Vec<NodeId>>,
     /// `owner[node.index()] = shard index` (global coordinates).
     owner: Vec<u32>,
-    /// The current global graph — deltas arrive in global coordinates and
-    /// are routed (and footprint-checked) against this. Only flushes
-    /// touch it.
-    global: Mutex<TopicGraph>,
     model: TopicModel,
-    config: OctopusConfig,
     /// `Some(root)` gives shard `i` the cache directory `root/shard-NNN`
     /// — per-shard subdirectories, so each shard's prune budget and
     /// persisted epochs are its own and co-tenant eviction cannot happen
@@ -154,17 +122,6 @@ pub struct ShardedService {
     /// guards the shared-directory case for callers that want it).
     cache_root: Option<PathBuf>,
     mapped: bool,
-    pending: Mutex<Vec<GraphDelta>>,
-    flush: Mutex<()>,
-    epochs_swapped: AtomicU64,
-    deltas_applied: AtomicU64,
-    batches_failed: AtomicU64,
-    terminal_failures: AtomicU64,
-    flush_failures: AtomicU64,
-    queries_served: AtomicU64,
-    /// `Some` puts an admission controller in front of the router's
-    /// operators (see [`ShardedService::with_admission`]).
-    admission: Option<AdmissionController>,
 }
 
 impl ShardedService {
@@ -236,65 +193,43 @@ impl ShardedService {
         user_keywords: HashMap<NodeId, Vec<KeywordId>>,
     ) -> Result<Self> {
         let parts = partition(&graph, k)?;
-        let service = ShardedService {
-            shards: Vec::new(),
-            owner: parts.owner,
-            global: Mutex::new(graph),
-            model,
-            config,
-            cache_root,
-            mapped,
-            pending: Mutex::new(Vec::new()),
-            flush: Mutex::new(()),
-            epochs_swapped: AtomicU64::new(0),
-            deltas_applied: AtomicU64::new(0),
-            batches_failed: AtomicU64::new(0),
-            terminal_failures: AtomicU64::new(0),
-            flush_failures: AtomicU64::new(0),
-            queries_served: AtomicU64::new(0),
-            admission: None,
+        let open = |idx: usize, sub: &Subgraph| {
+            let (g, model, config) = (sub.graph.clone(), model.clone(), config.clone());
+            let engine = match &cache_root {
+                Some(root) if mapped => {
+                    Octopus::open_mapped(g, model, config, &shard_dir(root, idx))
+                }
+                Some(root) => Octopus::open_or_build(g, model, config, &shard_dir(root, idx)),
+                None => Octopus::new(g, model, config),
+            }?;
+            // keyword overrides projected into shard coordinates; rebuilds
+            // carry the projection forward
+            let projected: HashMap<NodeId, Vec<KeywordId>> = user_keywords
+                .iter()
+                .filter_map(|(node, words)| sub.to_sub.get(node).map(|&l| (l, words.clone())))
+                .collect();
+            Ok(Arc::new(Epoch {
+                id: 0,
+                engine: engine.with_user_keywords(projected),
+            }))
         };
         // initial engines build concurrently, like rebuilds do
-        let engines: Vec<Result<Octopus>> = (0..parts.shards.len())
+        let shards: Vec<Result<Arc<Epoch>>> = (0..parts.shards.len())
             .into_par_iter()
-            .map(|i| service.build_engine(i, &parts.shards[i], &user_keywords))
+            .map(|i| open(i, &parts.shards[i]))
             .collect();
-        let mut shards = Vec::with_capacity(parts.shards.len());
-        for (sub, engine) in parts.shards.into_iter().zip(engines) {
-            shards.push(Shard {
-                to_original: sub.to_original,
-                cell: EpochCell::new(Arc::new(Epoch {
-                    id: 0,
-                    engine: engine?,
-                })),
-            });
-        }
-        Ok(ShardedService { shards, ..service })
-    }
-
-    /// Build (or open from its shard cache) the epoch-0 engine serving
-    /// `sub`, with the `user_keywords` overrides projected into shard
-    /// coordinates (rebuilds carry the projection forward).
-    fn build_engine(
-        &self,
-        idx: usize,
-        sub: &Subgraph,
-        user_keywords: &HashMap<NodeId, Vec<KeywordId>>,
-    ) -> Result<Octopus> {
-        let (graph, model) = (sub.graph.clone(), self.model.clone());
-        let config = self.config.clone();
-        let engine = match &self.cache_root {
-            Some(root) if self.mapped => {
-                Octopus::open_mapped(graph, model, config, &shard_dir(root, idx))
-            }
-            Some(root) => Octopus::open_or_build(graph, model, config, &shard_dir(root, idx)),
-            None => Octopus::new(graph, model, config),
-        }?;
-        let projected: HashMap<NodeId, Vec<KeywordId>> = user_keywords
-            .iter()
-            .filter_map(|(node, words)| sub.to_sub.get(node).map(|&local| (local, words.clone())))
-            .collect();
-        Ok(engine.with_user_keywords(projected))
+        let shards = shards.into_iter().collect::<Result<_>>()?;
+        Ok(ShardedService {
+            core: ServiceCore::new(Routed {
+                shards,
+                global: graph,
+            }),
+            to_original: parts.shards.into_iter().map(|s| s.to_original).collect(),
+            owner: parts.owner,
+            model,
+            cache_root,
+            mapped,
+        })
     }
 
     /// Put an admission controller in front of the router: every
@@ -304,15 +239,17 @@ impl ShardedService {
     /// class's bounded queue is full. One controller guards the whole
     /// router — the scatter across shards happens inside one admitted
     /// slot, so a query is admitted or shed exactly once.
-    pub fn with_admission(mut self, cfg: AdmissionConfig) -> Self {
-        self.admission = Some(AdmissionController::new(cfg));
-        self
+    pub fn with_admission(self, cfg: AdmissionConfig) -> Self {
+        ShardedService {
+            core: self.core.with_admission(cfg),
+            ..self
+        }
     }
 
     /// Number of shards (≤ the requested K: capped by the graph's
     /// component count).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.to_original.len()
     }
 
     /// The shard owning global node `u`, if in range.
@@ -320,48 +257,41 @@ impl ShardedService {
         self.owner.get(u.index()).map(|&s| s as usize)
     }
 
-    /// Number of edges in the current global graph (the union of every
+    /// Number of edges in the served global graph (the union of every
     /// shard) — delta generators size their edge picks with this.
     pub fn edge_count(&self) -> usize {
-        self.global.lock().edge_count()
+        self.core.load().global.edge_count()
     }
 
-    /// Snapshot every shard's current epoch. Queries run entirely on one
-    /// such snapshot vector, so a swap mid-query is harmless — the query
-    /// finishes on the epochs it grabbed.
+    /// Snapshot every shard's current epoch, all from one flush: a flush
+    /// swaps its shards in one store, so a reader sees every shard of a
+    /// flush or none. Queries run entirely on one such snapshot, so a
+    /// swap mid-query is harmless.
     pub fn snapshots(&self) -> Vec<Arc<Epoch>> {
-        self.shards.iter().map(|s| s.cell.load()).collect()
+        self.core.load().shards.clone()
     }
 
     /// Queue a graph mutation (global coordinates) for the next flush.
     pub fn submit(&self, delta: GraphDelta) {
-        self.pending.lock().push(delta);
+        self.core.submit(delta);
     }
 
     /// Queue several mutations at once (kept in order).
     pub fn submit_all(&self, deltas: impl IntoIterator<Item = GraphDelta>) {
-        self.pending.lock().extend(deltas);
+        self.core.submit_all(deltas);
     }
 
     /// Aggregated service counters.
-    pub fn stats(&self) -> ShardedStats {
-        let (admitted, shed) = self
-            .admission
-            .as_ref()
-            .map(|a| a.counters())
-            .unwrap_or(([0; 3], [0; 3]));
-        ShardedStats {
-            current_epochs: self.shards.iter().map(|s| s.cell.load().id).collect(),
-            epochs_swapped: self.epochs_swapped.load(SeqCst),
-            deltas_applied: self.deltas_applied.load(SeqCst),
-            batches_failed: self.batches_failed.load(SeqCst),
-            terminal_failures: self.terminal_failures.load(SeqCst),
-            pending_deltas: self.pending.lock().len(),
-            queries_served: self.queries_served.load(SeqCst),
-            queries_admitted: admitted.iter().sum(),
-            queries_shed: shed.iter().sum(),
-            shed_by_class: shed,
-        }
+    pub fn stats(&self) -> ServiceStats {
+        self.core.stats()
+    }
+
+    /// Test-only fault injection: make the next `n` non-empty flushes fail
+    /// in place of their rebuild (see
+    /// [`OctopusService::fail_next_rebuilds`](super::OctopusService::fail_next_rebuilds)).
+    #[doc(hidden)]
+    pub fn fail_next_rebuilds(&self, n: u64) {
+        self.core.fail_next_rebuilds(n);
     }
 
     // ------------------------------------------------------------------
@@ -373,56 +303,30 @@ impl ShardedService {
     /// (concurrently) against the new global graph, and swap them.
     ///
     /// Returns one [`ShardSwap`] per touched shard (`Ok(vec![])` when
-    /// nothing was pending). Untouched shards keep their epoch — their
-    /// engines, caches, and id mappings are not even looked at. The flush
-    /// is all-or-nothing: no shard swaps unless every touched shard's
-    /// rebuild succeeded, so shards never serve graphs of different
-    /// batches. On `Err` the batch is re-queued at the front and retried
-    /// on later flushes, up to
-    /// [`MAX_BATCH_RETRIES`] consecutive
+    /// nothing was pending or no delta touched a shard). Untouched shards
+    /// keep their epoch — their engines, caches, and id mappings are not
+    /// even looked at. The flush is all-or-nothing: every touched shard
+    /// and the global graph swap in one store, so a reader sees all of a
+    /// flush or none of it. On `Err` the batch is re-queued at the front
+    /// and retried on later flushes, up to
+    /// [`MAX_BATCH_RETRIES`](super::MAX_BATCH_RETRIES) consecutive
     /// failures — then it is dropped and counted in
-    /// [`ShardedStats::terminal_failures`] (the same contract as the
+    /// [`ServiceStats::terminal_failures`] (the same contract as the
     /// unsharded [`super::OctopusService::apply_pending`]).
     pub fn apply_pending(&self) -> Result<Vec<ShardSwap>> {
-        let _exclusive = self.flush.lock();
-        let batch: Vec<GraphDelta> = std::mem::take(&mut *self.pending.lock());
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self.flush_batch(&batch) {
-            Ok(swaps) => {
-                self.flush_failures.store(0, SeqCst);
-                self.deltas_applied.fetch_add(batch.len() as u64, SeqCst);
-                self.epochs_swapped.fetch_add(swaps.len() as u64, SeqCst);
-                Ok(swaps)
-            }
-            Err(e) => {
-                self.batches_failed.fetch_add(1, SeqCst);
-                let failures = self.flush_failures.fetch_add(1, SeqCst) + 1;
-                if failures >= MAX_BATCH_RETRIES {
-                    self.flush_failures.store(0, SeqCst);
-                    self.terminal_failures.fetch_add(1, SeqCst);
-                } else {
-                    let mut pending = self.pending.lock();
-                    let mut requeued = batch;
-                    requeued.append(&mut pending);
-                    *pending = requeued;
-                }
-                Err(e)
-            }
-        }
+        self.core.flush(|base, batch| self.route(base, batch))
     }
 
     /// Apply `batch` to the global graph, computing the touched-shard set
-    /// along the way, rebuild those shards, and swap them in. Performs no
-    /// state mutation unless the whole batch routes and rebuilds cleanly.
-    fn flush_batch(&self, batch: &[GraphDelta]) -> Result<Vec<ShardSwap>> {
+    /// along the way, and rebuild those shards into the next router
+    /// snapshot (no swap; pure function of its inputs).
+    fn route(&self, base: &Routed, batch: &[GraphDelta]) -> Result<(Routed, Vec<ShardSwap>)> {
         let start = Instant::now();
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         let mut cross_shard: Option<CoreError> = None;
         // the apply pass reports each delta's endpoints on the graph it
         // applies to, so ids shifted by earlier deltas route correctly
-        let applied = delta::apply_all_visiting(&self.global.lock(), batch, |d, ends| {
+        let applied = delta::apply_all_visiting(&base.global, batch, |d, ends| {
             let shard = |u: &NodeId| self.owner[u.index()] as usize;
             touched.extend(ends.iter().map(shard));
             if let GraphDelta::InsertEdge { src, dst, .. } = d {
@@ -438,39 +342,31 @@ impl ShardedService {
         if let Some(e) = cross_shard {
             return Err(e);
         }
-        let new_global = applied?;
+        let global = applied?;
         let touched: Vec<usize> = touched.into_iter().collect();
         // rebuild every touched shard from its live epoch, concurrently
-        let rebuilt: Vec<Result<(usize, Octopus)>> = touched
+        let rebuilt: Vec<Result<(Epoch, SwapReport)>> = touched
             .par_iter()
             .map(|&s| {
-                let shard = &self.shards[s];
-                let sub = induced(&new_global, &shard.to_original)?;
+                let sub = induced(&global, &self.to_original[s])?;
                 let dir = self.cache_root.as_ref().map(|root| shard_dir(root, s));
-                let (live, dir) = (&shard.cell.load().engine, dir.as_deref());
-                let engine = live.rebuild(sub.graph, dir, self.mapped)?;
-                Ok((s, engine.with_user_keywords(live.user_keywords().clone())))
+                let live = &base.shards[s];
+                live.successor(sub.graph, dir.as_deref(), self.mapped, batch.len(), start)
             })
             .collect();
-        let rebuilt: Vec<(usize, Octopus)> = rebuilt.into_iter().collect::<Result<_>>()?;
-        // every rebuild succeeded — now (and only now) swap
-        let mut swaps = Vec::with_capacity(rebuilt.len());
-        for (s, engine) in rebuilt {
-            let shard = &self.shards[s];
-            let epoch = shard.cell.load().id + 1;
-            let report = SwapReport {
-                epoch,
-                deltas_applied: batch.len(),
-                rebuild_time: start.elapsed(),
-                cache_hit: engine.cache_hit(),
-                stage_reuse: engine.stage_reuse().to_vec(),
-                stage_timings: engine.stage_timings().to_vec(),
-            };
-            drop(shard.cell.swap(Arc::new(Epoch { id: epoch, engine })));
+        let mut shards = base.shards.clone();
+        let mut swaps = Vec::with_capacity(touched.len());
+        for (s, epoch) in touched.into_iter().zip(rebuilt) {
+            let (epoch, report) = epoch?;
+            shards[s] = Arc::new(epoch);
             swaps.push(ShardSwap { shard: s, report });
         }
-        *self.global.lock() = new_global;
-        Ok(swaps)
+        Ok((Routed { shards, global }, swaps))
+    }
+
+    /// Lift shard `s`'s local node id to global coordinates.
+    fn lift(&self, s: usize, local: NodeId) -> NodeId {
+        self.to_original[s][local.index()]
     }
 
     // ------------------------------------------------------------------
@@ -547,15 +443,15 @@ impl ShardedService {
                 let (bs, bi) = heads[best];
                 let (hs, hi) = heads[h];
                 let (gb, gh) = (gain(bs, bi), gain(hs, hi));
-                let idb = self.shards[bs].lift(per_shard[bs].0.seeds[bi]);
-                let idh = self.shards[hs].lift(per_shard[hs].0.seeds[hi]);
+                let idb = self.lift(bs, per_shard[bs].0.seeds[bi]);
+                let idh = self.lift(hs, per_shard[hs].0.seeds[hi]);
                 if gh > gb || (gh == gb && idh < idb) {
                     best = h;
                 }
             }
             let (s, i) = heads[best];
             let local = per_shard[s].0.seeds[i];
-            let node = self.shards[s].lift(local);
+            let node = self.lift(s, local);
             seeds.push(SeedInfo {
                 node,
                 name: snaps[s]
@@ -630,27 +526,25 @@ impl ShardedService {
     /// clusters, paths, the arborescence, and the re-rendered d3 document
     /// — back to global coordinates.
     fn lift_exploration(&self, s: usize, snap: &Epoch, exp: &mut PathExploration) {
-        let shard = &self.shards[s];
-        exp.root = shard.lift(exp.root);
+        exp.root = self.lift(s, exp.root);
         for c in &mut exp.clusters {
-            c.head = shard.lift(c.head);
+            c.head = self.lift(s, c.head);
             for m in &mut c.members {
-                *m = shard.lift(*m);
+                *m = self.lift(s, *m);
             }
         }
         for p in &mut exp.top_paths {
             for n in &mut p.nodes {
-                *n = shard.lift(*n);
+                *n = self.lift(s, *n);
             }
         }
-        exp.tree = exp.tree.remap(|u| shard.lift(u));
+        exp.tree = exp.tree.remap(|u| self.lift(s, u));
         // the d3 document embeds ids: re-render it from the lifted tree,
         // resolving names through the shard mapping (`to_original` is
         // ascending, so global → local is a binary search)
         let local_graph = snap.engine.graph();
         exp.d3_json = octopus_mia::json::arborescence_to_d3_with(&exp.tree, |u| {
-            shard
-                .to_original
+            self.to_original[s]
                 .binary_search(&u)
                 .ok()
                 .and_then(|i| local_graph.name(NodeId(i as u32)))
@@ -675,7 +569,7 @@ impl ShardedService {
                 snap.engine
                     .autocomplete(prefix, limit)
                     .into_iter()
-                    .map(|(id, name, score)| (self.shards[s].lift(id), name, score)),
+                    .map(|(id, name, score)| (self.lift(s, id), name, score)),
             );
         }
         merged.sort_by(|a, b| {
@@ -714,25 +608,22 @@ impl ShardedService {
         }
         Ok(merged)
     }
-}
-
-impl QueryService for ShardedService {
-    /// One controller guards the whole router: the query is admitted (or
-    /// shed) exactly once, before it snapshots or scatters, and
-    /// `Served::latency` includes the admission wait.
-    fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
-        let start = Instant::now();
-        let _permit = super::admit(&self.admission, query, budget)?;
-        let snaps = self.snapshots();
-        self.queries_served.fetch_add(1, SeqCst);
-        let value = match query {
+    /// Scatter `query` over one router snapshot's shards and gather the
+    /// answer.
+    fn answer(
+        &self,
+        snaps: &[Arc<Epoch>],
+        query: &Query,
+        budget: &QueryBudget,
+    ) -> Result<QueryResponse> {
+        Ok(match query {
             Query::FindInfluencers { query, k } => {
-                QueryResponse::Influencers(self.influencers(&snaps, query, *k, budget)?)
+                QueryResponse::Influencers(self.influencers(snaps, query, *k, budget)?)
             }
             Query::SuggestKeywords { user, k } => {
-                let (s, snap, local) = self.owner(&snaps, user)?;
+                let (s, snap, local) = self.owner(snaps, user)?;
                 let mut answer = snap.engine.suggestions(local, *k, budget)?;
-                answer.value.user = self.shards[s].lift(local);
+                answer.value.user = self.lift(s, local);
                 QueryResponse::Suggestions(answer)
             }
             Query::ExplorePaths {
@@ -740,7 +631,7 @@ impl QueryService for ShardedService {
                 direction,
                 query,
             } => {
-                let (s, snap, local) = self.owner(&snaps, user)?;
+                let (s, snap, local) = self.owner(snaps, user)?;
                 let mut answer = snap
                     .engine
                     .paths(local, *direction, query.as_deref(), budget)?;
@@ -748,17 +639,25 @@ impl QueryService for ShardedService {
                 QueryResponse::Paths(answer)
             }
             Query::Autocomplete { prefix, limit } => {
-                let hits = self.completions(&snaps, prefix, *limit);
+                let hits = self.completions(snaps, prefix, *limit);
                 let count = hits.len() as f64;
                 QueryResponse::Completions(Anytime::exact(hits, count))
             }
-            Query::KeywordRadar { word } => QueryResponse::Radar(self.radar(&snaps, word, budget)?),
-        };
-        Ok(Served {
-            value,
-            epoch: snaps.iter().map(|e| e.id).sum(),
-            latency: start.elapsed(),
+            Query::KeywordRadar { word } => QueryResponse::Radar(self.radar(snaps, word, budget)?),
         })
+    }
+}
+
+impl QueryService for ShardedService {
+    /// One controller guards the whole router: the query is admitted (or
+    /// shed) exactly once, before it snapshots or scatters, and
+    /// `Served::latency` includes the admission wait.
+    fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
+        self.core
+            .run(None, query, budget, |routed| {
+                self.answer(&routed.shards, query, budget)
+            })?
+            .transpose()
     }
 
     fn submit_delta(&self, delta: GraphDelta) {
@@ -782,13 +681,7 @@ impl QueryService for ShardedService {
     }
 
     fn delta_counters(&self) -> DeltaCounters {
-        let st = self.stats();
-        DeltaCounters {
-            deltas_applied: st.deltas_applied,
-            batches_failed: st.batches_failed,
-            terminal_failures: st.terminal_failures,
-            pending_deltas: st.pending_deltas,
-        }
+        self.core.delta_counters()
     }
 }
 

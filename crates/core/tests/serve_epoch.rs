@@ -170,7 +170,7 @@ fn epoch_zero_matches_a_fresh_engine() {
     assert_eq!(sig, probe(&fresh));
     assert!(epochs.iter().all(|&e| e == 0), "all served by epoch 0");
     let stats = service.stats();
-    assert_eq!(stats.current_epoch, 0);
+    assert_eq!(stats.current_epoch(), 0);
     assert_eq!(stats.epochs_swapped, 0);
     assert_eq!(stats.queries_served, 4);
 }
@@ -276,7 +276,7 @@ fn failed_batch_keeps_the_old_epoch_serving() {
     assert!(service.apply_pending().is_err(), "bad batch must fail");
 
     let stats = service.stats();
-    assert_eq!(stats.current_epoch, 0, "old epoch keeps serving");
+    assert_eq!(stats.current_epoch(), 0, "old epoch keeps serving");
     assert_eq!(stats.epochs_swapped, 0);
     assert_eq!(stats.batches_failed, 1);
     assert_eq!(
@@ -306,7 +306,7 @@ fn failed_batch_keeps_the_old_epoch_serving() {
         delta: 0.05,
     });
     assert!(service.apply_pending().unwrap().is_some());
-    assert_eq!(service.stats().current_epoch, 1);
+    assert_eq!(service.stats().current_epoch(), 1);
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn transiently_failing_batch_is_eventually_applied() {
         let stats = service.stats();
         assert_eq!(stats.pending_deltas, 1, "the batch stays queued");
         assert_eq!(stats.terminal_failures, 0);
-        assert_eq!(stats.current_epoch, 0);
+        assert_eq!(stats.current_epoch(), 0);
     }
 
     // deltas submitted during the outage queue BEHIND the re-queued
@@ -342,7 +342,7 @@ fn transiently_failing_batch_is_eventually_applied() {
     let report = service.apply_pending().unwrap().expect("pending deltas");
     assert_eq!(report.deltas_applied, 2, "retried batch + later delta");
     let stats = service.stats();
-    assert_eq!(stats.current_epoch, 1);
+    assert_eq!(stats.current_epoch(), 1);
     assert_eq!(stats.batches_failed, 2);
     assert_eq!(stats.terminal_failures, 0);
     assert_eq!(stats.deltas_applied, 2);
@@ -579,7 +579,7 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
     });
     let stats = service.stats();
     assert_eq!(stats.epochs_swapped, SWAPS as u64);
-    assert_eq!(stats.current_epoch, SWAPS as u64);
+    assert_eq!(stats.current_epoch(), SWAPS as u64);
     assert_eq!(stats.batches_failed, 0);
 }
 

@@ -19,7 +19,8 @@ use octopus_core::offline::PIKS_WORLD_SEED_XOR;
 use octopus_core::paths::{ExploreDirection, PathExploration};
 use octopus_core::piks::{InfluencerIndex, PiksReuse, PiksWorldsView};
 use octopus_core::serve::{
-    OctopusService, Query, QueryResponse, QueryService, ShardedService, MAX_BATCH_RETRIES,
+    DeltaCounters, OctopusService, Query, QueryResponse, QueryService, ServiceStats,
+    ShardedService, MAX_BATCH_RETRIES,
 };
 use octopus_core::{Anytime, CoreError, QueryBudget};
 use octopus_graph::delta::{self, GraphDelta};
@@ -770,4 +771,171 @@ fn sharded_admission_counts_sheds_in_stats() {
         assert!(!complete(&*sharded, "fan-", 5).is_empty());
     }
     assert_eq!(sharded.stats().queries_shed, observed_shed.load(Relaxed));
+}
+
+/// Regression pin: a flush used to swap its shards one cell at a time, so
+/// a reader could see one touched shard at the new epoch and the other at
+/// the old. A flush now swaps every touched shard in one store: in every
+/// snapshot the two shards each flush touches carry the same epoch, and
+/// every stamp (the sum of the four shard epochs) is even.
+#[test]
+fn readers_never_see_a_half_swapped_flush() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    const FLUSHES: u64 = 100;
+    let (g, model, config) = fixture();
+    let sharded = ShardedService::new(g, model, config, 4).unwrap();
+    let (a, b) = (
+        sharded.owner_of(NodeId(0)).unwrap(),
+        sharded.owner_of(NodeId(5)).unwrap(),
+    );
+    assert_ne!(a, b, "components A and B must live in different shards");
+    let (done, reads, half_swapped, odd_stamps) = (
+        AtomicBool::new(false),
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+        AtomicU64::new(0),
+    );
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let query = Query::Autocomplete {
+                    prefix: "fan-".into(),
+                    limit: 3,
+                };
+                for i in 0u64.. {
+                    if done.load(Relaxed) {
+                        break;
+                    }
+                    let snaps = sharded.snapshots();
+                    reads.fetch_add(1, Relaxed);
+                    if snaps[a].id() != snaps[b].id() {
+                        half_swapped.fetch_add(1, Relaxed);
+                    }
+                    // a query costs far more than a snapshot: interleave
+                    // one per 16 reads so the snapshot check stays dense
+                    if i % 16 == 0 {
+                        let served = sharded.execute(&query, &QueryBudget::unlimited());
+                        if !served.unwrap().epoch.is_multiple_of(2) {
+                            odd_stamps.fetch_add(1, Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+        for i in 0..FLUSHES {
+            sharded.submit_all(vec![
+                GraphDelta::RenameNode {
+                    node: NodeId(0),
+                    name: format!("ada db-{i}"),
+                },
+                GraphDelta::RenameNode {
+                    node: NodeId(5),
+                    name: format!("bea ml-{i}"),
+                },
+            ]);
+            assert_eq!(sharded.apply_pending().unwrap().len(), 2);
+        }
+        done.store(true, Relaxed);
+    });
+    let (reads, half_swapped) = (reads.into_inner(), half_swapped.into_inner());
+    assert!(reads > 0, "the readers must have raced the flushes");
+    assert_eq!(
+        half_swapped, 0,
+        "{half_swapped} of {reads} snapshots held the touched shards at different epochs"
+    );
+    assert_eq!(
+        odd_stamps.into_inner(),
+        0,
+        "a query stamped a half-swapped flush"
+    );
+    assert_eq!(sharded.stats().current_epoch(), 2 * FLUSHES);
+}
+
+/// The fault hook and the counters every layer has.
+trait Layer: QueryService {
+    fn fail_next_rebuilds(&self, n: u64);
+    fn stats(&self) -> ServiceStats;
+}
+
+impl Layer for OctopusService {
+    fn fail_next_rebuilds(&self, n: u64) {
+        OctopusService::fail_next_rebuilds(self, n);
+    }
+
+    fn stats(&self) -> ServiceStats {
+        OctopusService::stats(self)
+    }
+}
+
+impl Layer for ShardedService {
+    fn fail_next_rebuilds(&self, n: u64) {
+        ShardedService::fail_next_rebuilds(self, n);
+    }
+
+    fn stats(&self) -> ServiceStats {
+        ShardedService::stats(self)
+    }
+}
+
+/// One retry contract on either layer: `failures` transient rebuild
+/// failures hit a one-delta batch, and a second delta is submitted after
+/// the first failed attempt. Below [`MAX_BATCH_RETRIES`] the next flush
+/// lands both, in submission order; at it, the batch is dropped. No
+/// shard's epoch moves during a failed attempt.
+fn check_retry_contract(layer: &dyn Layer, failures: u64) {
+    let rename = |name: &str| GraphDelta::RenameNode {
+        node: NodeId(0),
+        name: name.into(),
+    };
+    let epochs = layer.stats().current_epochs;
+    layer.submit_delta(rename("ada db-first"));
+    layer.fail_next_rebuilds(failures);
+    for attempt in 1..=failures {
+        assert!(layer.flush_deltas().is_err(), "attempt {attempt} fails");
+        if attempt == 1 {
+            layer.submit_delta(rename("ada db-second"));
+        }
+        let stats = layer.stats();
+        assert_eq!(stats.current_epochs, epochs, "attempt {attempt} swapped");
+        assert_eq!(stats.batches_failed, attempt);
+    }
+    let landed = if failures < MAX_BATCH_RETRIES {
+        assert_eq!(layer.delta_counters().pending_deltas, 2, "both stay queued");
+        let swaps = layer.flush_deltas().unwrap();
+        assert!(!swaps.is_empty());
+        assert!(swaps.iter().all(|s| s.report.deltas_applied == 2));
+        2
+    } else {
+        0
+    };
+    assert_eq!(
+        layer.delta_counters(),
+        DeltaCounters {
+            deltas_applied: landed,
+            batches_failed: failures,
+            terminal_failures: u64::from(landed == 0),
+            pending_deltas: 0,
+        }
+    );
+    let names: Vec<String> = complete(layer, "ada db", 5)
+        .into_iter()
+        .map(|(_, name, _)| name)
+        .collect();
+    let want = if landed > 0 {
+        "ada db-second"
+    } else {
+        "ada db"
+    };
+    assert_eq!(names, vec![want.to_string()], "the later rename lands last");
+}
+
+#[test]
+fn one_retry_contract_on_both_layers() {
+    let (g, model, config) = fixture();
+    for failures in [2, MAX_BATCH_RETRIES] {
+        let whole = OctopusService::new(reference(&g, &model, &config));
+        check_retry_contract(&whole, failures);
+        let sharded = ShardedService::new(g.clone(), model.clone(), config.clone(), 2).unwrap();
+        check_retry_contract(&sharded, failures);
+    }
 }
