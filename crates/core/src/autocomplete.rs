@@ -10,7 +10,7 @@
 //! through the zero-copy [`TrieView`].
 
 use bytes::BufMut;
-use octopus_graph::wire::{Fnv64, WireError};
+use octopus_graph::wire::{self, WireError};
 use octopus_graph::{NodeId, TopicGraph};
 use std::collections::HashMap;
 
@@ -28,6 +28,10 @@ pub struct Autocomplete {
     size: usize,
 }
 
+/// Salt of [`Autocomplete::input_key`] (the ASCII bytes `octa:acp`,
+/// little-endian): no node id mixes to zero.
+const INPUT_KEY_SALT: u64 = u64::from_le_bytes(*b"octa:acp");
+
 fn normalize(s: &str) -> String {
     s.trim().to_lowercase()
 }
@@ -35,30 +39,23 @@ fn normalize(s: &str) -> String {
 impl Autocomplete {
     /// Hash of exactly what the engine's autocomplete stage reads from the
     /// graph: each node's display name and **out-degree** (the default
-    /// importance score), in node-id order.
+    /// importance score). The wrapping sum, over nodes `u`, of
+    /// `mix(mix(mix(u ^ SALT) ^ checksum(name_u)) ^ out_degree_u)` (an
+    /// unnamed node hashes the empty name, as the trie skips both), folded
+    /// with the node count — [`wire::mix`] terms, a few multiplies a node.
     ///
     /// This is the stage's incremental-rebuild key. Edge *weights* are
     /// deliberately absent — a probability nudge leaves the trie byte-for-
     /// byte identical, so the cached section stays valid — while a rename
     /// or any out-degree change (e.g. a new out-edge) moves the key.
     pub fn input_key(graph: &TopicGraph) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(b"octa:autocomplete");
-        h.write_u64(graph.node_count() as u64);
-        for u in graph.nodes() {
-            match graph.name(u) {
-                Some(name) => {
-                    h.write_u8(1);
-                    h.write_u32(name.len() as u32);
-                    h.write(name.as_bytes());
-                }
-                None => {
-                    h.write_u8(0);
-                }
-            }
-            h.write_u64(graph.out_degree(u) as u64);
-        }
-        h.finish()
+        let sum = graph.nodes().fold(0u64, |sum, u| {
+            let node = wire::mix(u.0 as u64 ^ INPUT_KEY_SALT);
+            let name = wire::checksum(graph.name(u).unwrap_or("").as_bytes());
+            let term = wire::mix(wire::mix(node ^ name) ^ graph.out_degree(u) as u64);
+            sum.wrapping_add(term)
+        });
+        wire::mix(wire::mix(graph.node_count() as u64 ^ INPUT_KEY_SALT) ^ sum)
     }
 
     /// Build from `(name, id, score)` triples. Later duplicates of the same
@@ -98,7 +95,7 @@ impl Autocomplete {
         self.size == 0
     }
 
-    /// Serialize the trie (the OCTA v7 `autocomplete` section payload;
+    /// Serialize the trie (the OCTA v8 `autocomplete` section payload;
     /// normative spec in `ARCHITECTURE.md`).
     ///
     /// ```text

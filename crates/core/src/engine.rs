@@ -208,7 +208,7 @@ pub struct SystemReport {
 /// construction and the query cache is internally synchronized, so one
 /// instance behind an `Arc` serves concurrent query threads.
 ///
-/// Every engine serves one validated OCTA v7 artifact through the
+/// Every engine serves one validated OCTA v8 artifact through the
 /// zero-copy views of [`crate::offline::view`]: heap bytes it encoded (or
 /// read from its cache directory), or a memory-mapped cache file
 /// ([`Octopus::open_mapped`]). The backing is operational only — startup
@@ -357,8 +357,11 @@ impl Octopus {
     /// keeps every edge id of this one, PIKS worlds are screened by the
     /// coin flips of the edges whose maximum moved
     /// ([`octopus_graph::delta::max_shifts`]), otherwise by footprint hash.
-    /// `cache_dir` is written; only a `mapped` flush reads it, to map an
-    /// exact file a replica already wrote.
+    /// (An open screens a donor file by coin flips too, from the maxima its
+    /// OCTA v8 PIKS section records, when that section recorded this
+    /// graph's topology: [`persist::lookup`].) `cache_dir` is written; only
+    /// a `mapped` flush reads it, to map an exact file a replica already
+    /// wrote.
     pub(crate) fn rebuild(
         &self,
         graph: TopicGraph,
@@ -442,7 +445,7 @@ impl Octopus {
     }
 
     /// Open the engine in **mapped mode**: serve queries zero-copy off a
-    /// memory-mapped OCTA v7 artifact instead of decoding it onto the heap.
+    /// memory-mapped OCTA v8 artifact instead of decoding it onto the heap.
     ///
     /// Fast path: when `cache_dir` holds a complete artifact whose combined
     /// fingerprint and every per-stage key match these exact inputs, the

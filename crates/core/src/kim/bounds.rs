@@ -309,7 +309,7 @@ impl BoundEstimator for PrecompBound {
 // v6 per-topic flat layout of the pb-bound units (zero-copy mapped read path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `pb-bound` OCTA v7 unit: `present u64` (0 or 1),
+/// Encode one topic's `pb-bound` OCTA v8 unit: `present u64` (0 or 1),
 /// then — when present — `safety f64 | n u64 | row n × f64` with `σ̂_z(u)`
 /// at byte `24 + u·8`. Every field is 8-aligned relative to the (8-aligned)
 /// section start, so a mapped reader serves `upper_bound` straight off the

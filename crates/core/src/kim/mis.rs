@@ -91,7 +91,7 @@ impl MisKim {
 // path)
 // ---------------------------------------------------------------------------
 
-/// Encode one topic's `mis-tables` OCTA v7 unit: `present u64` (0 or 1),
+/// Encode one topic's `mis-tables` OCTA v8 unit: `present u64` (0 or 1),
 /// then — when present —
 ///
 /// ```text

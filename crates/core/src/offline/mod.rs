@@ -70,7 +70,7 @@
 //!
 //! Determinism (above) is what makes the artifacts *cacheable*: each stage
 //! is a pure function of the inputs it reads, so [`persist`] serializes
-//! [`OfflineArtifacts`] into an **OCTA v7 sectioned container** — one
+//! [`OfflineArtifacts`] into an **OCTA v8 sectioned container** — one
 //! independently keyed, independently checksummed section per work unit,
 //! each unit's [`persist::StageKeys`] entry hashing only that unit's input
 //! slice. The three weight-dependent stages are **topic-granular**: the
@@ -101,7 +101,7 @@
 //! `tests/build_determinism.rs`, `tests/delta_invalidation.rs`, and the
 //! end-to-end restart tests.
 //!
-//! A unit travels as its encoded OCTA v7 payload from donor to disk: a
+//! A unit travels as its encoded OCTA v8 payload from donor to disk: a
 //! reused unit is the donor's bytes, copied once and never decoded, and a
 //! rebuilt unit is encoded by its stage as soon as it is built (the
 //! `topic-samples` stage reads the PB tables off their unit bytes, as the

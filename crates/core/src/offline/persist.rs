@@ -32,18 +32,23 @@
 //! superset coin bit — so a k-edge delta rebuilds only the worlds in which
 //! one of those edges flipped its bit (or shifted its id), and a weight
 //! nudge confined to topic-`z` edges rebuilds only topic `z`'s cap/PB/MIS
-//! units plus those worlds.
+//! units plus those worlds. The section also records its graph's topology
+//! key and per-edge maxima, so a donor over the live graph's edge ids
+//! screens its worlds by coin flips instead of footprints.
 //!
-//! ## File format (OCTA v7, little-endian)
+//! ## File format (OCTA v8, little-endian)
 //!
 //! The normative byte-level specification lives in `ARCHITECTURE.md`
-//! (§"The OCTA v7 artifact container") and is pinned against this codec by
-//! the `octa_format` integration test. v7 keeps v6's payload bytes: its
-//! section checksums are XXH64 ([`wire::checksum`]), and `graph_fp` and
-//! the unit keys derive from the one-pass [`GraphKeys`]. Summary:
+//! (§"The OCTA v8 artifact container") and is pinned against this codec by
+//! the `octa_format` integration test. v8 keeps v7's frame: its section
+//! checksums are XXH64 ([`wire::checksum`]), and `graph_fp` and the unit
+//! keys derive from the one-pass [`GraphKeys`]. It moves two payloads: the
+//! `piks-worlds` header records the graph (topology key, edge count,
+//! per-edge maxima), and world footprints and the autocomplete key are
+//! sums of [`wire::mix`] terms. Summary:
 //!
 //! ```text
-//! magic "OCTA" | version u16 = 7 | pad u16 = 0
+//! magic "OCTA" | version u16 = 8 | pad u16 = 0
 //! graph_fp u64 | config_fp u64 | seed u64      ← combined key (file name / diagnostics)
 //! write_seq u64                                ← per-directory write sequence (prune order)
 //! section_count u32 | pad u32 = 0              ← count = 3·Z + 3
@@ -70,12 +75,12 @@
 //! the damaged unit misses, the intact ones (including the other topics of
 //! the same stage) are still reused. A rebuild verifies a donor section's
 //! checksum before it parses the payload; the mapped path defers them per
-//! section to first touch ([`wire::section_range`] frames without hashing). A v1–v6
-//! file fails the version check and is migrated by rebuild — the v7 writer
-//! then writes the same inputs under their v7 cache-file name (the graph
-//! key moved, so the name did too). [`lookup`] drops such a file on its
-//! header alone, and [`prune`] evicts it first, its write sequence
-//! reading as 0.
+//! section to first touch ([`wire::section_range`] frames without
+//! hashing). A v1–v7 file fails the version check and is migrated by
+//! rebuild — the v8 writer then writes the same inputs under their
+//! cache-file name (a v6 file's name differs: v7 moved the graph key, so
+//! the name moved too). [`lookup`] drops such a file on its header alone,
+//! and [`prune`] evicts it first, its write sequence reading as 0.
 //!
 //! ## Lookup
 //!
@@ -111,7 +116,7 @@ use octopus_topics::TopicDistribution;
 use std::path::{Path, PathBuf};
 
 pub(crate) const MAGIC: &[u8; 4] = b"OCTA";
-pub(crate) const VERSION: u16 = 7;
+pub(crate) const VERSION: u16 = 8;
 /// Bytes before the section table: magic + version + pad + 3 fingerprint
 /// words + write sequence + section count + pad. 8-aligned by design so
 /// the table (40-byte entries) and the first payload stay 8-aligned.
@@ -354,6 +359,11 @@ pub struct StageKeys {
     pub piks: u64,
     /// `autocomplete` key.
     pub names: u64,
+    /// The live graph's [`GraphKeys::topology`]. No section is keyed on
+    /// it: a donor PIKS section that recorded it (and the live edge count)
+    /// was built over the live graph's edge ids, so the open screens its
+    /// worlds by coin flips ([`crate::piks::recorded_shifts`]).
+    pub topology: u64,
 }
 
 impl StageKeys {
@@ -399,6 +409,7 @@ impl StageKeys {
                 config.seed ^ super::PIKS_WORLD_SEED_XOR,
             ),
             names: Autocomplete::input_key(graph),
+            topology: keys.topology,
         }
     }
 
@@ -457,7 +468,7 @@ fn topic_samples_key(topology: u64, weights: u64, config: &OctopusConfig) -> u64
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Frame `artifacts` as an OCTA v7 sectioned container stamped with the
+/// Frame `artifacts` as an OCTA v8 sectioned container stamped with the
 /// combined key `fp`, the per-unit `keys`, and the cache directory's
 /// `write_seq` (see [`prune`]; callers outside a cache directory may pass
 /// any value — the sequence never gates reuse). The payloads are already
@@ -628,18 +639,17 @@ fn load_sections_into(
     timings: &mut LoadTimings,
 ) -> Result<bool, PersistError> {
     let t_validate = std::time::Instant::now();
-    let (entries, shifts) = match donor {
+    let entries = match donor {
         Donor::File(raw) => {
             let section_count = read_section_count(raw)?; // validates magic + version
             let mut table = &raw[HEADER_LEN..];
             let table_len = section_count.saturating_mul(wire::SECTION_ENTRY_LEN);
             wire::need(&table, table_len, "section table")?;
-            let entries = (0..section_count)
+            (0..section_count)
                 .map(|_| wire::read_section_entry(&mut table, "section entry"))
-                .collect::<Result<Vec<_>, _>>()?;
-            (entries, None)
+                .collect::<Result<Vec<_>, _>>()?
         }
-        Donor::Live(live, shifts) => (live.entries().cloned().collect(), shifts),
+        Donor::Live(live, _) => live.entries().cloned().collect(),
     };
     timings.validate += t_validate.elapsed();
 
@@ -677,6 +687,17 @@ fn load_sections_into(
         let t_decode = std::time::Instant::now();
         if tag_base(entry.tag) == SECTION_PIKS {
             let seed = config.seed ^ super::PIKS_WORLD_SEED_XOR;
+            // a donor file recorded its graph's maxima: over the live
+            // graph's edge ids its worlds screen by coin flips, as a flush
+            // screens the live epoch
+            let recorded;
+            let shifts = match donor {
+                Donor::File(_) => {
+                    recorded = crate::piks::recorded_shifts(payload, graph, keys.topology);
+                    recorded.as_deref()
+                }
+                Donor::Live(_, shifts) => shifts,
+            };
             let piks = slots.piks.get_or_insert_default();
             salvaged |= piks
                 .screen(payload, graph, seed, shifts)
@@ -905,8 +926,12 @@ pub struct CacheLookup {
 /// directory, its one donor is the epoch it replaces (`load_live`). Cost
 /// model: every visited file is read whole and its needed sections
 /// checksummed; a world an earlier donor supplied is skipped on its offset
-/// alone, and each missing world's footprint is hashed over the live graph
-/// once per distinct stored node list. A donor whose header is unreadable,
+/// alone. A donor whose PIKS section recorded the live topology key and
+/// edge count pays one `O(m)` compare of its maxima column with the live
+/// graph, then the coin screen a flush runs: about |moved maxima| × R coin
+/// hashes, none on an unchanged graph. Any other donor's missing worlds
+/// are footprint-hashed over the live graph once per distinct stored node
+/// list. A donor whose header is unreadable,
 /// foreign, or of another version is dropped on its header, never read
 /// whole; corrupt files are simply skipped: lookup degrades, it never
 /// fails.
@@ -1887,7 +1912,7 @@ mod tests {
             .unwrap();
     }
 
-    /// A header-only v7 container carrying `write_seq` (zero sections —
+    /// A header-only v8 container carrying `write_seq` (zero sections —
     /// structurally valid, enough for the prune ordering to read).
     fn write_header_only(path: &Path, write_seq: u64) {
         let mut raw = Vec::with_capacity(HEADER_LEN);
@@ -2049,8 +2074,9 @@ mod tests {
             .expect("a one-node world rooted elsewhere");
         let coins = octopus_cascade::EdgeCoins::new(view.world(j).coin_seed());
         let raw = forged(&art, &g, &cfg, SECTION_PIKS, |unit| {
-            let lo = u64::from_le_bytes(unit[16 + 8 * j..24 + 8 * j].try_into().unwrap());
-            let lo = lo as usize;
+            let lo = crate::piks::PiksWorldsView::parse(unit)
+                .unwrap()
+                .world_start(j);
             let footprint = crate::piks::footprint_hash(&g, &[0], coins);
             unit[lo..lo + 8].copy_from_slice(&footprint.to_le_bytes());
             unit[lo + 40..lo + 44].copy_from_slice(&0u32.to_le_bytes()); // node 0
@@ -2134,7 +2160,9 @@ mod tests {
                 SECTION_PIKS,
                 "piks-worlds",
                 Box::new(|u| {
-                    let lo = u64::from_le_bytes(u[16..24].try_into().unwrap()) as usize;
+                    let lo = crate::piks::PiksWorldsView::parse(u)
+                        .unwrap()
+                        .world_start(0);
                     let w = u64::from_le_bytes(u[lo + 24..lo + 32].try_into().unwrap()) as usize;
                     let offsets = lo + wire::align8(40 + 4 * w) + 8 * w;
                     u[offsets..offsets + 4].copy_from_slice(&1u32.to_le_bytes());

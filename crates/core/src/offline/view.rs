@@ -1,5 +1,5 @@
 //! Zero-copy artifacts: every engine serves queries straight off one
-//! validated OCTA v7 container — memory-mapped from its cache file, or held
+//! validated OCTA v8 container — memory-mapped from its cache file, or held
 //! on the heap — instead of decoding it into owned structures.
 //!
 //! ## Why
@@ -137,7 +137,7 @@ impl Drop for MapInner {
     }
 }
 
-/// A complete, validated OCTA v7 artifact served zero-copy — off a file
+/// A complete, validated OCTA v8 artifact served zero-copy — off a file
 /// mapping ([`open`]) or off heap bytes the engine encoded or read.
 ///
 /// Every engine holds one of these and reconstructs per-query views through
@@ -204,7 +204,7 @@ pub fn is_mapped(path: &Path) -> bool {
 // Open
 // ---------------------------------------------------------------------------
 
-/// Map `path` and validate it as a complete OCTA v7 artifact for exactly
+/// Map `path` and validate it as a complete OCTA v8 artifact for exactly
 /// these inputs (see the module docs for what "validate" touches; with
 /// `paranoid` every section checksum is verified up front).
 ///
@@ -229,7 +229,7 @@ pub fn open(
 }
 
 /// Validate heap bytes — encoded by this process, or read and checksummed
-/// by [`persist::lookup`] — as a complete OCTA v7 artifact for exactly these
+/// by [`persist::lookup`] — as a complete OCTA v8 artifact for exactly these
 /// inputs. Every section enters verified; the structural checks are
 /// [`open`]'s.
 pub(crate) fn from_bytes(

@@ -22,13 +22,14 @@
 //! the spread of a target `u` is then the classic RR estimate
 //! `n/R · #{j : u ∈ live_j}`.
 //!
-//! [`InfluencerIndex`] builds the serialized index — the OCTA v7
+//! [`InfluencerIndex`] builds the serialized index — the OCTA v8
 //! `piks-worlds` section — and queries read it through the zero-copy
 //! [`PiksWorldsView`] and its [`PiksSession`].
 
 use bytes::BufMut;
 use octopus_cascade::{stream_seed, EdgeCoins};
-use octopus_graph::delta::MaxShift;
+use octopus_graph::codec::GraphKeys;
+use octopus_graph::delta::{self, MaxShift};
 use octopus_graph::wire::{self, Fnv64, WireError};
 use octopus_graph::{EdgeId, NodeId, TopicGraph};
 use octopus_topics::TopicDistribution;
@@ -88,13 +89,14 @@ impl Sample {
 
 /// The influencer index: its serialized `piks-worlds` section.
 ///
-/// Layout (the OCTA v7 section payload; normative spec in
+/// Layout (the OCTA v8 section payload; normative spec in
 /// `ARCHITECTURE.md`). All fields little-endian; every world record starts
 /// 8-aligned and has a length that is a multiple of 8, so a memory-mapped
 /// file can serve queries straight off the bytes:
 ///
 /// ```text
-/// n u64 | world count R u64
+/// n u64 | world count R u64 | topology u64 | edge count m u64
+/// m × f32 per-edge maximum edge_prob_max, by edge id    [pad to 8]
 /// (R+1) × u64 world offsets (section-relative; world j occupies
 ///                            [off[j], off[j+1]); off[R] = section len)
 /// R × world:
@@ -107,7 +109,11 @@ impl Sample {
 /// ```
 ///
 /// Each world carries its own [`footprint_hash`] so a later build can
-/// reuse its record independently of every other world.
+/// reuse its record independently of every other world. The header records
+/// the graph the index was built on — its [`GraphKeys::topology`] key, edge
+/// count and per-edge maxima — so a reader holding a graph with the same
+/// edge ids screens the worlds by coin flips ([`recorded_shifts`]) without
+/// the old graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfluencerIndex {
     raw: Vec<u8>,
@@ -125,10 +131,10 @@ fn world_root(seed: u64, j: u64, n: usize) -> u32 {
 }
 
 /// The structural key of one world: everything its construction BFS reads
-/// from the graph. For every node of the world's sub-DAG, in BFS discovery
-/// order: the node's global id, then for each of its in-edges the source
-/// id, the [`EdgeId`] (the coin input) and the superset bit
-/// `coins.is_live(e, max_z pp^z_e)`.
+/// from the graph. The wrapping sum, over every in-edge `(u, e)` of every
+/// node `v` of the world's sub-DAG, of a [`wire::mix`] term binding the
+/// target `v`, the source `u`, the [`EdgeId`] `e` (the coin input) and the
+/// superset bit `coins.is_live(e, max_z pp^z_e)`.
 ///
 /// This is the world's incremental-rebuild key. The reverse BFS only ever
 /// expands through in-edges of nodes it has reached, and it reads an edge's
@@ -137,24 +143,27 @@ fn world_root(seed: u64, j: u64, n: usize) -> u32 {
 /// bit (the root and coins are keyed separately on `(seed, n, j)`). A new
 /// in-edge on a reached node, an edge-id shift or a flipped bit moves it; a
 /// weight change that flips no bit does not, since queries read `pp_e(γ)`
-/// from the live graph anyway.
+/// from the live graph anyway. Both sides of a screen sum over the world's
+/// one stored node list, and each term names its target, so the sum moves
+/// exactly when some stored node's in-edge list or bits do.
 pub fn footprint_hash(graph: &TopicGraph, nodes: &[u32], coins: EdgeCoins) -> u64 {
-    let mut key = footprint_key();
-    for &g in nodes {
-        key.write_u32(g);
-        for (u, e) in graph.in_edges(NodeId(g)) {
+    nodes.iter().fold(0u64, |key, &v| {
+        graph.in_edges(NodeId(v)).fold(key, |key, (u, e)| {
             let live = coins.is_live(e, graph.edge_prob_max(e) as f64);
-            key.write_u32(u.0).write_u32(e.0).write_u8(live as u8);
-        }
-    }
-    key.finish()
+            key.wrapping_add(footprint_term(v, u.0, e, live))
+        })
+    })
 }
 
-/// A [`footprint_hash`] before its first node.
-fn footprint_key() -> Fnv64 {
-    let mut key = Fnv64::new();
-    key.write(b"octa:piks-world");
-    key
+/// Salt of the footprint terms (the ASCII bytes `octa:pkw`, little-endian):
+/// no term mixes to zero by virtue of zero ids.
+const FOOTPRINT_SALT: u64 = u64::from_le_bytes(*b"octa:pkw");
+
+/// The [`footprint_hash`] term of the in-edge `e` from `source` into the
+/// stored node `target`, with its superset bit `live`.
+fn footprint_term(target: u32, source: u32, e: EdgeId, live: bool) -> u64 {
+    let ends = wire::mix(((target as u64) << 32 | source as u64) ^ FOOTPRINT_SALT);
+    wire::mix(ends ^ ((e.0 as u64) << 1 | live as u64))
 }
 
 /// Build one world: pick the root from the world's index-derived stream and
@@ -163,7 +172,7 @@ fn footprint_key() -> Fnv64 {
 fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sample {
     let root = world_root(seed, j, graph.node_count());
     let mut edges_examined = 0usize;
-    let mut key = footprint_key();
+    let mut key = 0u64;
     // reverse BFS in the max-probability world; membership is tracked in
     // the sorted `local_ids` list (no shared visited array — each world
     // builds independently, possibly on its own thread)
@@ -175,11 +184,10 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         let v = NodeId(nodes[head]);
         let v_local = head as u32;
         head += 1;
-        key.write_u32(v.0);
         for (u, e) in graph.in_edges(v) {
             edges_examined += 1;
             let live = coins.is_live(e, graph.edge_prob_max(e) as f64);
-            key.write_u32(u.0).write_u32(e.0).write_u8(live as u8);
+            key = key.wrapping_add(footprint_term(v.0, u.0, e, live));
             if !live {
                 continue;
             }
@@ -212,7 +220,7 @@ fn build_world(graph: &TopicGraph, j: u64, seed: u64, coins: EdgeCoins) -> Sampl
         local_of: local_ids,
         in_offsets,
         in_edges,
-        footprint: key.finish(),
+        footprint: key,
         edges_examined,
     }
 }
@@ -283,15 +291,17 @@ impl PiksReuse {
     /// section screened cleanly). A sound world must then have its ids
     /// inside `graph`, carry world `j`'s coin seed and root (the footprint
     /// covers neither), and then either — given `shifts`, the edges whose
-    /// maximum moved from the donor's graph to an id-stable `graph`
-    /// ([`octopus_graph::delta::max_shifts`]) — no shifted edge that both
-    /// flips its superset bit under the world's coins and targets a stored
-    /// node (nothing else the BFS reads changed, so the stored footprint is
-    /// already the live one and no hash is computed), or a stored
-    /// [`footprint_hash`] equal to the live one, computed at most once per
-    /// (world, stored node list) over the accumulator's lifetime (so every
-    /// `screen` into one accumulator must pass the same live graph and
-    /// seed). A world failing the screen is no error: it rebuilds.
+    /// maximum moved from the donor's graph to an id-stable `graph` (a
+    /// flush compares the two graphs, [`delta::max_shifts`]; an open reads
+    /// a donor file's recorded maxima, [`recorded_shifts`]) — no shifted
+    /// edge that both flips its superset bit under the world's coins and
+    /// targets a stored node (nothing else the BFS reads changed, so the
+    /// stored footprint is already the live one and no hash is computed),
+    /// or a stored [`footprint_hash`] equal to the live one, computed at
+    /// most once per (world, stored node list) over the accumulator's
+    /// lifetime (so every `screen` into one accumulator must pass the same
+    /// live graph and seed). A world failing the screen is no error: it
+    /// rebuilds.
     pub fn screen(
         &mut self,
         raw: &[u8],
@@ -416,7 +426,8 @@ impl InfluencerIndex {
     /// Build an index of `r` worlds, copying every world record whose slot
     /// in `reuse` is populated and building only the rest. `reuse` must
     /// have been screened with this `graph` and `seed`. Returns the index
-    /// and the number of worlds actually reused.
+    /// and the number of worlds actually reused. The header records
+    /// `graph`'s topology key, edge count and per-edge maxima.
     ///
     /// World `j`'s randomness derives from `(seed, j)` alone — never from
     /// `r` — so a reuse set persisted under a different index size
@@ -452,11 +463,18 @@ impl InfluencerIndex {
         let records: Vec<&[u8]> = (0..r)
             .map(|j| reused(j).or(built[j].as_deref()).expect("reused or built"))
             .collect();
-        let table_end = 16 + 8 * (r + 1);
+        let m = graph.edge_count();
+        let table_end = column_end(m) + 8 * (r + 1);
         let len = table_end + records.iter().map(|w| w.len()).sum::<usize>();
         let mut raw = Vec::with_capacity(len);
         raw.put_u64_le(n as u64);
         raw.put_u64_le(r as u64);
+        raw.put_u64_le(GraphKeys::topology_of(graph));
+        raw.put_u64_le(m as u64);
+        for e in graph.edges() {
+            raw.put_f32_le(graph.edge_prob_max(e));
+        }
+        raw.put_bytes(0, wire::pad8(4 * m));
         let mut off = table_end;
         for record in &records {
             raw.put_u64_le(off as u64);
@@ -525,6 +543,62 @@ impl InfluencerIndex {
     }
 }
 
+/// `n | R | topology | m`, the words before the maxima column.
+const HEADER_LEN: usize = 32;
+
+/// Where the world offset table of an index over `m` edges starts: after
+/// the header and the padded maxima column.
+fn column_end(m: usize) -> usize {
+    HEADER_LEN + wire::align8(4 * m)
+}
+
+/// The header of a `piks-worlds` payload, bounds-checked: the column it
+/// declares lies inside the payload.
+struct Header {
+    n: usize,
+    r: u64,
+    topology: u64,
+    m: usize,
+}
+
+impl Header {
+    fn read(raw: &[u8]) -> Result<Self, WireError> {
+        if raw.len() < HEADER_LEN {
+            return Err(WireError("piks section header truncated".into()));
+        }
+        let m = u64_at(raw, 24);
+        if m > (raw.len() / 4) as u64 || column_end(m as usize) > raw.len() {
+            return Err(WireError(format!(
+                "piks maxima column for {m} edges truncated"
+            )));
+        }
+        Ok(Header {
+            n: u64_at(raw, 0) as usize,
+            r: u64_at(raw, 8),
+            topology: u64_at(raw, 16),
+            m: m as usize,
+        })
+    }
+}
+
+/// The edges whose maximum moved from the graph a serialized index was
+/// built on to `graph`, from the index's recorded maxima column
+/// ([`delta::shifts_from_maxima`]). `Some` only when the recorded topology
+/// key equals `topology` (`graph`'s [`GraphKeys::topology`]) and the
+/// recorded edge count equals `graph`'s, so both graphs share every edge
+/// id; a malformed header gives `None` too, and the screen that follows
+/// reports it. Reads the header and the column, never a world: `O(1)` to
+/// refuse, `O(m)` to compare.
+pub fn recorded_shifts(raw: &[u8], graph: &TopicGraph, topology: u64) -> Option<Vec<MaxShift>> {
+    let header = Header::read(raw).ok()?;
+    if header.topology != topology || header.m != graph.edge_count() {
+        return None;
+    }
+    let (column, _) = raw[HEADER_LEN..HEADER_LEN + 4 * header.m].as_chunks::<4>();
+    let maxima = column.iter().map(|b| f32::from_le_bytes(*b));
+    Some(delta::shifts_from_maxima(maxima, graph))
+}
+
 fn u64_at(raw: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(raw[off..off + 8].try_into().expect("framed by parse"))
 }
@@ -533,13 +607,15 @@ fn u32_at(raw: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(raw[off..off + 4].try_into().expect("framed by parse"))
 }
 
-/// Zero-copy view over a v6 `piks-worlds` section payload.
+/// Zero-copy view over a v8 `piks-worlds` section payload.
 ///
-/// [`PiksWorldsView::parse`] validates the *framing* in `O(R)` — the world
-/// offset table (8-aligned, strictly monotone, exactly spanning the
-/// section) and every world's header against its slot length — without
-/// touching node or edge payload bytes, which is what keeps a mapped open
-/// proportional to pages touched. Payload integrity is the container
+/// [`PiksWorldsView::parse`] validates the *framing* in `O(R)` — the
+/// header, the maxima column's extent (skipped in `O(1)`: only an open's
+/// donor screen reads it, through [`recorded_shifts`]), the world offset
+/// table (8-aligned, strictly monotone, exactly spanning the section) and
+/// every world's header against its slot length — without touching node
+/// or edge payload bytes, which is what keeps a mapped open proportional
+/// to pages touched. Payload integrity is the container
 /// checksum's job (verified lazily by the artifact view layer); the graph
 /// fingerprint baked into the containing file is what entitles the view to
 /// skip the per-world footprint screening that [`PiksReuse::screen`]
@@ -549,6 +625,8 @@ pub struct PiksWorldsView<'a> {
     raw: &'a [u8],
     n: usize,
     r: usize,
+    /// Where the world offset table starts.
+    table: usize,
     stored_nodes: usize,
     stored_edges: usize,
 }
@@ -558,14 +636,12 @@ impl<'a> PiksWorldsView<'a> {
     /// the stored node count `n` is exposed via [`PiksWorldsView::n`] for
     /// the caller to check against its graph.
     pub fn parse(raw: &'a [u8]) -> Result<Self, WireError> {
-        if raw.len() < 16 {
-            return Err(WireError("piks section header truncated".into()));
-        }
-        let n = u64_at(raw, 0) as usize;
-        let r = u64_at(raw, 8);
-        let table_end = (r + 1)
-            .checked_mul(8)
-            .and_then(|t| t.checked_add(16))
+        let Header { n, r, m, .. } = Header::read(raw)?;
+        let table = column_end(m);
+        let table_end = r
+            .checked_add(1)
+            .and_then(|r| r.checked_mul(8))
+            .and_then(|t| t.checked_add(table as u64))
             .filter(|&t| t <= raw.len() as u64)
             .ok_or_else(|| WireError(format!("piks world table for {r} worlds truncated")))?
             as usize;
@@ -573,15 +649,15 @@ impl<'a> PiksWorldsView<'a> {
         let mut stored_nodes = 0usize;
         let mut stored_edges = 0usize;
         let mut prev = table_end as u64;
-        if u64_at(raw, 16) != prev {
+        if u64_at(raw, table) != prev {
             return Err(WireError(format!(
                 "piks world 0 offset {} != table end {prev}",
-                u64_at(raw, 16)
+                u64_at(raw, table)
             )));
         }
         for j in 0..r {
-            let lo = u64_at(raw, 16 + 8 * j);
-            let hi = u64_at(raw, 16 + 8 * (j + 1));
+            let lo = u64_at(raw, table + 8 * j);
+            let hi = u64_at(raw, table + 8 * (j + 1));
             if lo != prev || !lo.is_multiple_of(8) || hi <= lo || hi > raw.len() as u64 {
                 return Err(WireError(format!(
                     "piks world {j} offsets [{lo}, {hi}) malformed"
@@ -622,6 +698,7 @@ impl<'a> PiksWorldsView<'a> {
             raw,
             n,
             r,
+            table,
             stored_nodes,
             stored_edges,
         })
@@ -635,6 +712,7 @@ impl<'a> PiksWorldsView<'a> {
             raw,
             n: self.n,
             r: self.r,
+            table: self.table,
             stored_nodes: self.stored_nodes,
             stored_edges: self.stored_edges,
         }
@@ -668,11 +746,16 @@ impl<'a> PiksWorldsView<'a> {
 
     /// World `j`'s record.
     pub fn world(&self, j: usize) -> PiksWorldView<'a> {
-        let lo = u64_at(self.raw, 16 + 8 * j) as usize;
-        let hi = u64_at(self.raw, 16 + 8 * (j + 1)) as usize;
+        let (lo, hi) = (self.world_start(j), self.world_start(j + 1));
         PiksWorldView {
             raw: &self.raw[lo..hi],
         }
+    }
+
+    /// Where world `j`'s record starts in the payload (`j = R`: the
+    /// payload length).
+    pub(crate) fn world_start(&self, j: usize) -> usize {
+        u64_at(self.raw, self.table + 8 * j) as usize
     }
 
     /// Start a query session for `gamma`. Live sets materialize lazily.
@@ -1038,6 +1121,32 @@ mod tests {
         assert_eq!(fresh, InfluencerIndex::build(&g, 64, 99));
     }
 
+    #[test]
+    fn the_header_records_the_graph_and_its_maxima() {
+        let g = hub_graph();
+        let raw = InfluencerIndex::build(&g, 16, 19).to_bytes();
+        let topology = GraphKeys::topology_of(&g);
+        assert_eq!(u64_at(&raw, 16), topology);
+        assert_eq!(u64_at(&raw, 24) as usize, g.edge_count());
+        // the unchanged graph moved no maximum
+        assert_eq!(recorded_shifts(&raw, &g, topology), Some(Vec::new()));
+        // a nudge keeps every id: the column gives max_shifts' list
+        let victim = g.find_edge(NodeId(0), NodeId(4)).unwrap();
+        let nudged = octopus_graph::delta::nudge_weights(&g, &[victim], 0.2).unwrap();
+        let shifts = octopus_graph::delta::max_shifts(&g, &nudged).unwrap();
+        assert_eq!(shifts.len(), 1);
+        assert_eq!(recorded_shifts(&raw, &nudged, topology), Some(shifts));
+        // another topology, or the right key over another edge count,
+        // gives no list: the screen falls back to footprints
+        let grown =
+            octopus_graph::delta::insert_edge(&g, NodeId(2), NodeId(3), &[(0, 0.5)]).unwrap();
+        assert_eq!(
+            recorded_shifts(&raw, &grown, GraphKeys::topology_of(&grown)),
+            None
+        );
+        assert_eq!(recorded_shifts(&raw, &grown, topology), None);
+    }
+
     /// Per world of `idx` (built with master seed `seed`): whether some
     /// in-edge of a stored node reads a different superset bit on `after`
     /// than on `before`, from the coins themselves.
@@ -1152,8 +1261,7 @@ mod tests {
     /// the wrong local id: framing intact, the world structurally unsound.
     fn with_malformed_world(raw: &[u8], j: usize) -> Vec<u8> {
         let view = PiksWorldsView::parse(raw).unwrap();
-        let lo = u64_at(raw, 16 + 8 * j) as usize;
-        let pair = lo + wire::align8(40 + 4 * view.world(j).node_count());
+        let pair = view.world_start(j) + wire::align8(40 + 4 * view.world(j).node_count());
         let mut bad = raw.to_vec();
         bad[pair + 4] ^= 0x01;
         assert!(PiksWorldsView::parse(&bad).is_ok(), "framing untouched");
@@ -1214,23 +1322,38 @@ mod tests {
         let idx = InfluencerIndex::build(&g, 16, 29);
         let raw = idx.to_bytes();
         // truncation anywhere in the framing fails closed
-        for cut in [0, 8, 15, 16, 24, raw.len() - 8, raw.len() - 1] {
+        let table = column_end(g.edge_count());
+        for cut in [
+            0,
+            8,
+            24,
+            31,
+            32,
+            table,
+            table + 8,
+            raw.len() - 8,
+            raw.len() - 1,
+        ] {
             assert!(
                 PiksWorldsView::parse(&raw[..cut]).is_err(),
                 "cut at {cut} must not parse"
             );
         }
+        // an edge count whose column overruns the payload fails closed
+        let mut long = raw.to_vec();
+        long[24..32].copy_from_slice(&(raw.len() as u64).to_le_bytes());
+        assert!(PiksWorldsView::parse(&long).is_err());
+        assert_eq!(recorded_shifts(&long, &g, GraphKeys::topology_of(&g)), None);
         // a nudged world offset breaks the contiguity invariant
         let mut bent = raw.to_vec();
-        let off0 = u64::from_le_bytes(bent[16..24].try_into().unwrap());
-        bent[16..24].copy_from_slice(&(off0 + 8).to_le_bytes());
+        let off0 = u64_at(&bent, table);
+        bent[table..table + 8].copy_from_slice(&(off0 + 8).to_le_bytes());
         assert!(PiksWorldsView::parse(&bent).is_err());
         // ...and load_reusable surfaces the same structural error
         assert!(InfluencerIndex::load_reusable(&bent, &g, 29).is_err());
         // a corrupted local-lookup entry is structural damage on decode
         let view = PiksWorldsView::parse(&raw[..]).unwrap();
-        let table_end = 16 + 8 * (view.len() + 1);
-        let pairs_at = table_end + wire::align8(40 + 4 * view.world(0).node_count());
+        let pairs_at = view.world_start(0) + wire::align8(40 + 4 * view.world(0).node_count());
         let mut forged = raw.to_vec();
         forged[pairs_at + 4] ^= 0x01; // flip the local id of the first pair
         assert!(PiksWorldsView::parse(&forged).is_ok(), "framing untouched");

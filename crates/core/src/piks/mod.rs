@@ -21,7 +21,8 @@
 pub mod index;
 
 pub use index::{
-    footprint_hash, InfluencerIndex, PiksReuse, PiksSession, PiksWorldView, PiksWorldsView,
+    footprint_hash, recorded_shifts, InfluencerIndex, PiksReuse, PiksSession, PiksWorldView,
+    PiksWorldsView,
 };
 
 use crate::error::CoreError;

@@ -2,7 +2,7 @@
 //! topic footprint, feed them through any [`QueryService`], and track
 //! watermark/lag/reuse as the loop runs.
 //!
-//! The OCTA v7 artifact keys each weight-stage unit (`spread-cap`,
+//! The OCTA v8 artifact keys each weight-stage unit (`spread-cap`,
 //! `pb-bound`, `mis-tables`) per topic, so a flush whose batch touches
 //! `T` of `Z` topics rebuilds only those topics' units and reuses the
 //! other `Z − T` per stage. Learned deltas are weight-heavy and

@@ -22,7 +22,7 @@
 //!   replaces (reusing every per-topic unit and PIKS world the batch left
 //!   valid), and swaps the epoch in one store. A service built with
 //!   [`with_mapped_cache`](OctopusService::with_mapped_cache) goes one
-//!   step further: the flush writes the new epoch's OCTA v7 artifact and
+//!   step further: the flush writes the new epoch's OCTA v8 artifact and
 //!   **remaps** it, so the swapped-in engine serves zero-copy off the
 //!   page cache and rebuild writes never enter the read path.
 //!
@@ -230,7 +230,7 @@ pub struct OctopusService {
     /// `Some(dir)` persists every flushed epoch there.
     cache_dir: Option<PathBuf>,
     /// With a cache directory: rebuild engines in **mapped mode** — the
-    /// flush writes the new epoch's OCTA v7 artifact, then *remaps* it,
+    /// flush writes the new epoch's OCTA v8 artifact, then *remaps* it,
     /// so the swapped-in engine serves zero-copy off the page cache and
     /// replicas mapping the same file share it.
     mapped: bool,

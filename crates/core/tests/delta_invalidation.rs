@@ -23,18 +23,21 @@
 //! that keeps every edge id, screens PIKS worlds by the coin flips of the
 //! edges whose maximum moved instead of footprint hashes: that screen
 //! reuses exactly what the hash screen reuses, and the flushed engine
-//! still serves a fresh build. Every expected rebuild set here is computed
-//! from `EdgeCoins::coin` directly.
+//! still serves a fresh build. An open screens a donor file the same way
+//! when the file's PIKS section recorded the live graph's topology, from
+//! the per-edge maxima it recorded: it too reuses exactly what the hash
+//! screen reuses. Every expected rebuild set here is computed from
+//! `EdgeCoins::coin` directly.
 //!
 //! [`GraphDelta::touched_topics`]: octopus_graph::delta::GraphDelta::touched_topics
 
 use octopus_cascade::EdgeCoins;
 use octopus_core::engine::{KimEngineChoice, Octopus, OctopusConfig, SystemReport};
 use octopus_core::kim::BoundKind;
-use octopus_core::offline::persist::{StageKeys, SECTION_PIKS};
+use octopus_core::offline::persist::{self, section_order, Fingerprint, StageKeys, SECTION_PIKS};
 use octopus_core::offline::{self, PIKS_WORLD_SEED_XOR};
 use octopus_core::piks::{
-    footprint_hash, InfluencerIndex, PiksReuse, PiksWorldView, PiksWorldsView,
+    footprint_hash, recorded_shifts, InfluencerIndex, PiksReuse, PiksWorldView, PiksWorldsView,
 };
 use octopus_core::serve::OctopusService;
 use octopus_graph::delta::GraphDelta;
@@ -271,30 +274,9 @@ proptest! {
     ) {
         let (g, model) = citation_fixture();
         let cfg = config();
-        // ids below this stay valid after up to five emptied rows
-        let ids = g.edge_count() - 5;
-        let batch: Vec<GraphDelta> = ops
-            .iter()
-            .map(|&(kind, pick, p)| {
-                let edge = EdgeId((pick % ids) as u32);
-                match kind {
-                    0 => GraphDelta::NudgeWeights { edges: vec![edge], delta: p },
-                    1 => GraphDelta::SetWeights { edge, probs: vec![(pick % 2, p)] },
-                    // a no-op rewrite: it moves no maximum, so no world
-                    // rebuilds (the old node mask rebuilt its target's)
-                    2 => GraphDelta::SetWeights {
-                        edge,
-                        probs: g.edge_topic_probs(edge).map(|(z, p)| (z.index(), p as f64)).collect(),
-                    },
-                    // an emptied row: the builder drops the edge
-                    3 => GraphDelta::SetWeights { edge, probs: vec![(pick % 2, 0.0)] },
-                    _ => GraphDelta::RenameNode {
-                        node: NodeId((pick % g.node_count()) as u32),
-                        name: format!("renamed-{pick}"),
-                    },
-                }
-            })
-            .collect();
+        // kinds 0-4: nudges, row replacements, no-op rewrites, emptied
+        // rows and renames
+        let batch = decode_batch(&g, &ops);
         let live = Octopus::new(g.clone(), model.clone(), cfg.clone()).unwrap();
         let raw = piks_payload(&live);
         let view = PiksWorldsView::parse(&raw).unwrap();
@@ -352,6 +334,207 @@ proptest! {
         prop_assert_eq!(piks.reused, by_hash.available(), "id-stable: {}", id_stable);
         assert_identical_to_fresh(&g1, &cfg, service.snapshot().engine(), "reweighting flush");
     }
+}
+
+/// One generated delta: a kind, a pick and a probability, decoded against
+/// the graph it applies to by [`decode_batch`].
+type OpSpec = (usize, usize, f64);
+
+/// Deltas the open-path property draws from: a donor file per graph, then
+/// the live graph.
+fn arb_batches() -> impl Strategy<Value = Vec<Vec<OpSpec>>> {
+    let op = (0usize..7, 0usize..64, 0.01f64..0.4);
+    proptest::collection::vec(proptest::collection::vec(op, 1..4), 1..4)
+}
+
+/// `ops` as one batch over `g`: a nudge, a row replacement, a no-op
+/// rewrite, an emptied row, a rename, a remove plus an insert of an absent
+/// pair (the edge count stays, ids shift), or an insert.
+fn decode_batch(g: &TopicGraph, ops: &[OpSpec]) -> Vec<GraphDelta> {
+    // ids below this stay valid after every op before them drops an edge
+    let ids = g.edge_count() - ops.len();
+    let absent: Vec<(NodeId, NodeId)> = g
+        .nodes()
+        .flat_map(|u| g.nodes().map(move |v| (u, v)))
+        .filter(|&(u, v)| u != v && g.find_edge(u, v).is_none())
+        .collect();
+    let mut batch = Vec::new();
+    for &(kind, pick, p) in ops {
+        let edge = EdgeId((pick % ids) as u32);
+        let (src, dst) = absent[pick % absent.len()];
+        let insert = GraphDelta::InsertEdge {
+            src,
+            dst,
+            probs: vec![(pick % 2, p)],
+        };
+        match kind {
+            0 => batch.push(GraphDelta::NudgeWeights {
+                edges: vec![edge],
+                delta: p,
+            }),
+            1 => batch.push(GraphDelta::SetWeights {
+                edge,
+                probs: vec![(pick % 2, p)],
+            }),
+            // a no-op rewrite: it moves no maximum, so no world rebuilds
+            // (the old node mask rebuilt its target's)
+            2 => batch.push(GraphDelta::SetWeights {
+                edge,
+                probs: g
+                    .edge_topic_probs(edge)
+                    .map(|(z, p)| (z.index(), p as f64))
+                    .collect(),
+            }),
+            // an emptied row: the builder drops the edge
+            3 => batch.push(GraphDelta::SetWeights {
+                edge,
+                probs: vec![(pick % 2, 0.0)],
+            }),
+            4 => batch.push(GraphDelta::RenameNode {
+                node: NodeId((pick % g.node_count()) as u32),
+                name: format!("renamed-{pick}"),
+            }),
+            5 => batch.extend([GraphDelta::RemoveEdge { edge }, insert]),
+            _ => batch.push(insert),
+        }
+    }
+    batch
+}
+
+/// The `[start, end)` of the PIKS section's payload in an encoded artifact
+/// over `z_count` topics: the table row's `off` and `len` (header 48 B,
+/// rows 40 B).
+fn piks_range(raw: &[u8], z_count: usize) -> (usize, usize) {
+    let i = section_order(z_count)
+        .iter()
+        .position(|&tag| tag == SECTION_PIKS)
+        .unwrap();
+    let word = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap()) as usize;
+    let off = word(48 + 40 * i + 16);
+    (off, off + word(48 + 40 * i + 24))
+}
+
+/// Write one donor file per graph the batches walk through from the
+/// citation fixture (the last batch makes the live graph), then open the
+/// live graph from that directory: `persist::lookup` reuses exactly the
+/// worlds the footprint screen reuses from the donors, each donor's
+/// recorded maxima give `delta::max_shifts` of its graph and the live one,
+/// and the reopened engine serves a fresh build's bytes.
+fn open_screen_equals_the_footprint_screen(label: &str, batches: &[Vec<OpSpec>]) {
+    let (fixture, model) = citation_fixture();
+    let cfg = config();
+    let mut graphs = vec![fixture];
+    for ops in batches {
+        let g = graphs.last().unwrap();
+        let next = delta::apply_all(g, &decode_batch(g, ops)).unwrap();
+        graphs.push(next);
+    }
+    let live = graphs.pop().unwrap();
+    let dir = std::env::temp_dir().join(format!("octopus-open-{label}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for donor in &graphs {
+        drop(Octopus::open_or_build(donor.clone(), model.clone(), cfg.clone(), &dir).unwrap());
+    }
+
+    let seed = cfg.seed ^ PIKS_WORLD_SEED_XOR;
+    let keys = StageKeys::compute(&live, &cfg);
+    let fp = Fingerprint::compute(&live, &cfg);
+    let found = persist::lookup(&dir, &fp, &keys, &live, &cfg);
+    // the oracle: every donor footprint-screened alone; world j is the same
+    // derivation in every donor, so the donors union
+    let mut oracle = vec![false; cfg.piks_index_size];
+    for donor in &graphs {
+        let raw = std::fs::read(Fingerprint::compute(donor, &cfg).cache_path(&dir)).unwrap();
+        let (lo, hi) = piks_range(&raw, donor.num_topics());
+        let alone = InfluencerIndex::load_reusable(&raw[lo..hi], &live, seed).unwrap();
+        for (o, reused) in oracle.iter_mut().zip(alone.reusable_worlds()) {
+            *o |= reused;
+        }
+        // the recorded maxima give the flush's shift list, and no list
+        // once an id moved
+        assert_eq!(
+            recorded_shifts(&raw[lo..hi], &live, keys.topology),
+            delta::max_shifts(donor, &live),
+            "{label}: recorded maxima"
+        );
+    }
+    let screened = found.slots.piks.as_ref().map(PiksReuse::reusable_worlds);
+    assert_eq!(screened, Some(oracle.clone()), "{label}: open screen");
+
+    let engine = Octopus::open_or_build(live.clone(), model, cfg.clone(), &dir).unwrap();
+    let report = engine.system_report();
+    let piks = report
+        .stage_reuse
+        .iter()
+        .find(|s| s.stage == "piks-worlds")
+        .unwrap();
+    assert_eq!(
+        piks.reused,
+        oracle.iter().filter(|&&o| o).count(),
+        "{label}: {piks:?}"
+    );
+    assert_identical_to_fresh(&live, &cfg, &engine, label);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The open path reuses what the footprint screen reuses, over one to
+    /// three donor files written at successive random batches (id-stable
+    /// ones screen by recorded coin flips, the others by footprints).
+    #[test]
+    fn open_screen_equals_the_footprint_screen_over_donor_files(batches in arb_batches()) {
+        open_screen_equals_the_footprint_screen("prop", &batches);
+    }
+}
+
+/// A remove plus an insert keeps the edge count but not the ids (or the
+/// topology key): the donor's recorded maxima must not screen it.
+#[test]
+fn a_remove_and_insert_keeping_the_edge_count_takes_the_footprint_screen() {
+    let (g, _) = citation_fixture();
+    let ops = [(5, 0, 0.3)];
+    let live = delta::apply_all(&g, &decode_batch(&g, &ops)).unwrap();
+    assert_eq!(live.edge_count(), g.edge_count(), "the batch keeps m");
+    assert_eq!(delta::max_shifts(&g, &live), None, "the batch moves ids");
+    open_screen_equals_the_footprint_screen("remove-insert", &[ops.to_vec()]);
+}
+
+/// A byte flipped in a donor's recorded maxima fails the PIKS section's
+/// checksum: the donor gives no world, its intact sections still donate,
+/// and the worlds rebuild to a fresh build's bytes.
+#[test]
+fn a_damaged_maxima_column_gives_no_piks_world() {
+    let (g, model) = citation_fixture();
+    let cfg = config();
+    let dir = std::env::temp_dir().join(format!("octopus-open-column-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    drop(Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap());
+    let path = Fingerprint::compute(&g, &cfg).cache_path(&dir);
+    let mut raw = std::fs::read(&path).unwrap();
+    let (lo, _) = piks_range(&raw, g.num_topics());
+    raw[lo + 32] ^= 0x01; // the low byte of edge 0's recorded maximum
+    std::fs::write(&path, &raw).unwrap();
+
+    let live = delta::nudge_weights(&g, &[EdgeId(1)], 0.05).unwrap();
+    let keys = StageKeys::compute(&live, &cfg);
+    let found = persist::lookup(&dir, &Fingerprint::compute(&live, &cfg), &keys, &live, &cfg);
+    assert_eq!(found.slots.piks.as_ref().map_or(0, PiksReuse::available), 0);
+    assert!(
+        found.slots.names.is_some(),
+        "the intact sections still donate"
+    );
+    let engine = Octopus::open_or_build(live.clone(), model, cfg.clone(), &dir).unwrap();
+    let report = engine.system_report();
+    let piks = report
+        .stage_reuse
+        .iter()
+        .find(|s| s.stage == "piks-worlds")
+        .unwrap();
+    assert_eq!(piks.reused, 0, "{piks:?}");
+    assert_identical_to_fresh(&live, &cfg, &engine, "damaged column");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A stored world's node list, in BFS order.

@@ -1,12 +1,13 @@
-//! Pins the OCTA v7 container bytes to the normative specification in
-//! `ARCHITECTURE.md` (§"The OCTA v7 artifact container").
+//! Pins the OCTA v8 container bytes to the normative specification in
+//! `ARCHITECTURE.md` (§"The OCTA v8 artifact container").
 //!
 //! The parser below is written *independently* against the documented
 //! layout — it shares no framing helpers with the codec (it re-implements
 //! XXH64 and FNV-1a from the documented constants, hardcodes every offset,
 //! recomputes each PIKS world's structural key from the record and the
-//! coins, and each topic's weight-slice key from the graph, rather than
-//! calling the codec's key functions) — so if
+//! coins, the PIKS header's topology key and maxima column from the graph,
+//! and each topic's weight-slice key from the graph, rather than calling
+//! the codec's key functions) — so if
 //! the writer drifts from the spec, or the spec from the writer, this test
 //! fails. Keep all three in sync: `offline/persist.rs`, `ARCHITECTURE.md`,
 //! and this file.
@@ -116,6 +117,24 @@ fn fold(words: &[u64]) -> u64 {
     )
 }
 
+/// An edge's documented topology term `mix((src << 32 | dst) ^ EDGE_SALT)`.
+fn edge_term(u: NodeId, v: NodeId) -> u64 {
+    avalanche(((u.0 as u64) << 32 | v.0 as u64) ^ 0x6F63_7467_6564_6765)
+}
+
+/// The topology key by its documented definition: the wrapping sum of the
+/// edge terms, folded as `("octg:top", n, m, sum)`.
+fn topology_key(g: &TopicGraph) -> u64 {
+    let mut sum = 0u64;
+    for u in g.nodes() {
+        for (v, _) in g.out_edges(u) {
+            sum = sum.wrapping_add(edge_term(u, v));
+        }
+    }
+    let tag = u64::from_le_bytes(*b"octg:top");
+    fold(&[tag, g.node_count() as u64, g.edge_count() as u64, sum])
+}
+
 /// Topic `z`'s weight-slice key by its documented definition: the wrapping
 /// sum over the topic-`z` triples of `mix(mix((src << 32 | dst) ^
 /// EDGE_SALT) ^ bits(p) · ENTRY_MUL)`, folded as
@@ -124,7 +143,7 @@ fn slice_key(g: &TopicGraph, z: usize) -> u64 {
     let mut sum = 0u64;
     for u in g.nodes() {
         for (v, e) in g.out_edges(u) {
-            let edge = avalanche(((u.0 as u64) << 32 | v.0 as u64) ^ 0x6F63_7467_6564_6765);
+            let edge = edge_term(u, v);
             for (t, p) in g.edge_topic_probs(e) {
                 if t.index() == z {
                     let bits = (p.to_bits() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -219,9 +238,9 @@ fn container_bytes_follow_the_documented_layout() {
     let art = offline::build(&g, &cfg);
     let raw = persist::encode(&art, &fp, &keys, 0x5E0);
 
-    // ---- header: magic "OCTA" | version u16 = 7 | pad u16 = 0 ----------
+    // ---- header: magic "OCTA" | version u16 = 8 | pad u16 = 0 ----------
     assert_eq!(&raw[0..4], b"OCTA");
-    assert_eq!(u16_at(&raw, 4), 7, "container version");
+    assert_eq!(u16_at(&raw, 4), 8, "container version");
     assert_eq!(u16_at(&raw, 6), 0, "header pad word");
     // graph_fp u64 | config_fp u64 | seed u64 — all 8-aligned
     assert_eq!(u64_at(&raw, 8), fp.graph);
@@ -370,18 +389,50 @@ fn container_bytes_follow_the_documented_layout() {
     assert_eq!(samples.len, 4);
     assert_eq!(u32_at(&raw, samples.off), 0);
 
-    // piks-worlds: n u64 | R u64 | world offsets (R+1)×u64 (section-relative,
-    // last = section length) | R world records, each opening with
-    // footprint u64 | coin seed u64 | edges_examined u64 | w u64 | e u64
+    // piks-worlds: n u64 | R u64 | topology u64 | m u64 | m × f32 maxima
+    // (padded to 8) | world offsets (R+1)×u64 (section-relative, last =
+    // section length) | R world records, each opening with footprint u64 |
+    // coin seed u64 | edges_examined u64 | w u64 | e u64
     let piks = entries[3 * z_count + 1];
     assert_eq!(u64_at(&raw, piks.off) as usize, g.node_count());
     let r_worlds = u64_at(&raw, piks.off + 8) as usize;
     assert_eq!(r_worlds, cfg.piks_index_size);
-    let wtab = piks.off + 16;
+    // the topology key of the graph the worlds were built on, by its
+    // documented definition
+    assert_eq!(
+        u64_at(&raw, piks.off + 16),
+        topology_key(&g),
+        "piks topology"
+    );
+    let m = u64_at(&raw, piks.off + 24) as usize;
+    assert_eq!(m, g.edge_count(), "piks edge count");
+    // edge e's largest stored f32 probability, in edge-id order; ids
+    // number the edges source-major, targets ascending
+    let mut e = 0;
+    for u in g.nodes() {
+        for (_, id) in g.out_edges(u) {
+            assert_eq!(id.0 as usize, e, "edge ids are source-major");
+            let max = g
+                .edge_topic_probs(id)
+                .map(|(_, p)| p)
+                .fold(0.0f32, f32::max);
+            let stored = f32::from_le_bytes(raw[piks.off + 32 + 4 * e..][..4].try_into().unwrap());
+            assert_eq!(stored.to_bits(), max.to_bits(), "edge {e} maximum");
+            e += 1;
+        }
+    }
+    let column_end = 32 + align8(4 * m);
+    assert!(
+        raw[piks.off + 32 + 4 * m..piks.off + column_end]
+            .iter()
+            .all(|&b| b == 0),
+        "the column pads with zeros"
+    );
+    let wtab = piks.off + column_end;
     let first = u64_at(&raw, wtab) as usize;
     assert_eq!(
         first,
-        16 + 8 * (r_worlds + 1),
+        column_end + 8 * (r_worlds + 1),
         "first world starts right after the offset table"
     );
     assert_eq!(
@@ -410,24 +461,24 @@ fn container_bytes_follow_the_documented_layout() {
         // the coin seed is world i's derivation from the config seed
         let coin_seed = u64_at(&raw, world + 8);
         assert_eq!(coin_seed, derived.seed(), "world {i} coin seed");
-        // the stored footprint is the documented structural key: FNV-1a
-        // over "octa:piks-world", then per stored node in BFS order its id
-        // u32, then per in-edge of that node source u32 | edge id u32 |
-        // superset bit u8 (coin < max_z pp^z_e)
+        // the stored footprint is the documented structural key: the
+        // wrapping sum, over every in-edge (u, e) of every stored node v, of
+        // mix(mix((v << 32 | u) ^ "octa:pkw") ^ (e << 1 | bit)), where bit
+        // is the superset bit (coin < max_z pp^z_e)
         let coins = EdgeCoins::new(coin_seed);
-        let mut key = b"octa:piks-world".to_vec();
+        let salt = u64::from_le_bytes(*b"octa:pkw");
+        let mut key = 0u64;
         for j in 0..w {
             let v = u32_at(&raw, world + 40 + 4 * j);
-            key.extend(v.to_le_bytes());
             for (u, e) in g.in_edges(NodeId(v)) {
-                key.extend(u.0.to_le_bytes());
-                key.extend(e.0.to_le_bytes());
-                key.push(u8::from(coins.coin(e) < g.edge_prob_max(e) as f64));
+                let bit = u64::from(coins.coin(e) < g.edge_prob_max(e) as f64);
+                let ends = avalanche(((v as u64) << 32 | u.0 as u64) ^ salt);
+                key = key.wrapping_add(avalanche(ends ^ ((e.0 as u64) << 1 | bit)));
             }
         }
         assert_eq!(
             u64_at(&raw, world),
-            fnv1a(&key),
+            key,
             "world {i} key must be the documented structural footprint"
         );
     }
@@ -454,14 +505,15 @@ fn container_bytes_follow_the_documented_layout() {
 }
 
 #[test]
-fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
+fn v1_through_v7_containers_are_refused_for_migration_by_rebuild() {
     // earlier-version files must be refused wholesale
     // (PersistError::Version) so open_or_build rebuilds and overwrites
     // them — never misparse a v1 monolithic payload as sections, a v2
     // table as v3, a v3 packed table (28-byte rows, no offsets) as v4, a
     // v4 stage-granular table as v5's per-topic one, a v5 PIKS world's
-    // probability-row footprint as v6's structural key, nor a v6 FNV-1a
-    // section checksum or graph key as v7's
+    // probability-row footprint as v6's structural key, a v6 FNV-1a
+    // section checksum or graph key as v7's, nor a v7 PIKS section (no
+    // recorded graph, FNV-1a footprints) as v8's
     let g = tiny_graph();
     let cfg = OctopusConfig {
         kim: KimEngineChoice::Mis,
@@ -541,11 +593,12 @@ fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
         persist::read_write_seq(&v4),
         Err(persist::PersistError::Version(4))
     ));
-    // v5 and v6 files have v7's exact frame; only the version word tells
-    // them apart (v6 checksummed sections with FNV-1a and keyed the graph
-    // byte by byte; v5 also hashed PIKS footprints over raw probability
-    // rows). Under the exact cache name each is refused, rebuilt, and
-    // overwritten by the v7 writer
+    // v5, v6 and v7 files have v8's exact frame; only the version word
+    // tells them apart (v7's PIKS section recorded no graph and hashed
+    // footprints with FNV-1a; v6 also checksummed sections with FNV-1a and
+    // keyed the graph byte by byte; v5 also hashed PIKS footprints over raw
+    // probability rows). Under the exact cache name each is refused,
+    // rebuilt, and overwritten by the v8 writer
     let model = {
         let mut vocab = octopus_topics::Vocabulary::new();
         vocab.intern("alpha");
@@ -564,7 +617,7 @@ fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
         raw[4..6].copy_from_slice(&version.to_le_bytes());
         raw
     };
-    for version in [5u16, 6] {
+    for version in [5u16, 6, 7] {
         let raw = stale(version);
         assert!(matches!(
             persist::load_sections(&raw, &keys, &g, &cfg),
@@ -589,7 +642,7 @@ fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
         let rewritten = std::fs::read(&path).unwrap();
         assert_eq!(
             u16_at(&rewritten, 4),
-            7,
+            8,
             "the rebuild overwrote the v{version} file"
         );
         let again = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
@@ -597,22 +650,21 @@ fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // a v6 file under its own (older-fingerprint) name donates nothing:
-    // lookup drops it on its header. The v7 writer adds its file beside
-    // it, and the first prune that needs a slot evicts the v6 file, whose
-    // write sequence reads as 0
-    let dir = std::env::temp_dir().join("octa_v6_stale_donor");
+    // a v7 file under another name donates nothing: lookup drops it on its
+    // header. The v8 writer adds its file beside it, and the first prune
+    // that needs a slot evicts the v7 file, whose write sequence reads as 0
+    let dir = std::env::temp_dir().join("octa_v7_stale_donor");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let stale_path = dir.join("octopus-artifacts-v6.octa");
-    std::fs::write(&stale_path, stale(6)).unwrap();
+    let stale_path = dir.join("octopus-artifacts-v7.octa");
+    std::fs::write(&stale_path, stale(7)).unwrap();
     assert!(persist::lookup(&dir, &fp, &keys, &g, &cfg)
         .sources
         .is_empty());
     let engine = Octopus::open_or_build(g.clone(), model, cfg.clone(), &dir).unwrap();
-    assert!(!engine.cache_hit(), "a v6 donor must not serve");
+    assert!(!engine.cache_hit(), "a v7 donor must not serve");
     let written = std::fs::read(fp.cache_path(&dir)).unwrap();
-    assert_eq!(u16_at(&written, 4), 7);
+    assert_eq!(u16_at(&written, 4), 8);
     assert_eq!(
         u64_at(&written, 32),
         1,
@@ -633,7 +685,7 @@ fn v1_through_v6_containers_are_refused_for_migration_by_rebuild() {
         file.set_modified(stamp).unwrap();
     }
     persist::prune(&dir, &[]);
-    assert!(!stale_path.exists(), "prune evicts the v6 file first");
+    assert!(!stale_path.exists(), "prune evicts the v7 file first");
     assert!(fp.cache_path(&dir).exists());
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
@@ -801,14 +853,14 @@ const GOLDEN: [(KimEngineChoice, u64, u64); 4] = {
     [
         (
             KimEngineChoice::Naive,
-            0x0e1310146ca39b93,
-            0xc7d8657b4ecabb73,
+            0x1a5a23423b87a053,
+            0x1fc17bd8eafbec38,
         ),
-        (KimEngineChoice::Mis, 0xaf2388b599bc3f1b, 0xc4e744ebf90250fb),
+        (KimEngineChoice::Mis, 0x944f6979cdb8470b, 0x5cc19f13e7437240),
         (
             KimEngineChoice::BestEffort(Precomputation),
-            0x2a10fba5ac93b68a,
-            0xbe196c45f5848bba,
+            0xd301d7571a2ce9f6,
+            0x029fc22f2f520b45,
         ),
         (
             KimEngineChoice::TopicSample {
@@ -816,8 +868,8 @@ const GOLDEN: [(KimEngineChoice, u64, u64); 4] = {
                 extra_samples: 3,
                 direct_eps: 0.05,
             },
-            0xd0a23fa5619c438e,
-            0x22d35c5a5ee1b1d0,
+            0xbd1825725e39d612,
+            0x38d4d269ce89bb1b,
         ),
     ]
 };

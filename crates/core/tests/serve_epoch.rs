@@ -800,7 +800,10 @@ fn damaged_live_piks_section_donates_nothing() {
         .position(|&tag| tag == SECTION_PIKS)
         .unwrap();
     let off = u64_at(&raw, 48 + 40 * i + 16) as usize; // header 48 B, entries 40 B
-    let world0 = u64_at(&raw, off + 16) as usize;
+                                                       // the v8 world table follows n | R | topology | m and the padded
+                                                       // m × f32 maxima column
+    let m = u64_at(&raw, off + 24) as usize;
+    let world0 = u64_at(&raw, off + 32 + (4 * m).div_ceil(8) * 8) as usize;
     raw[off + world0 + 40] ^= 0x01;
     std::fs::write(&path, &raw).unwrap();
 

@@ -154,20 +154,20 @@ impl GraphKeys {
             let (lo, hi) = (out[0] as usize, out[1] as usize);
             let rows = g.prob_offsets[lo..=hi].windows(2);
             for (&dst, row) in g.fwd_targets[lo..hi].iter().zip(rows) {
-                let edge = wire::avalanche(((u as u64) << 32 | dst as u64) ^ EDGE_SALT);
+                let edge = edge_term(u, dst);
                 topology = topology.wrapping_add(edge);
                 let (plo, phi) = (row[0] as usize, row[1] as usize);
                 let entries = g.prob_topics[plo..phi].iter().zip(&g.prob_values[plo..phi]);
                 for (&z, &p) in entries {
                     let bits = (p.to_bits() as u64).wrapping_mul(ENTRY_MUL);
                     let sum = &mut sums[z as usize];
-                    *sum = sum.wrapping_add(wire::avalanche(edge ^ bits));
+                    *sum = sum.wrapping_add(wire::mix(edge ^ bits));
                 }
             }
         }
         let names = g.names.iter().enumerate().fold(0u64, |sum, (u, name)| {
-            let node = wire::avalanche(u as u64 ^ NODE_SALT);
-            sum.wrapping_add(wire::avalanche(node ^ wire::checksum(name.as_bytes())))
+            let node = wire::mix(u as u64 ^ NODE_SALT);
+            sum.wrapping_add(wire::mix(node ^ wire::checksum(name.as_bytes())))
         });
         let named = g.names.iter().any(|s| !s.is_empty());
         let (n, m, z) = (n as u64, m as u64, z_count as u64);
@@ -188,6 +188,30 @@ impl GraphKeys {
             graph,
         }
     }
+
+    /// [`GraphKeys::topology`] alone, from one walk over the edge
+    /// endpoints: the key a PIKS index records of the graph it was built
+    /// on.
+    pub fn topology_of(g: &TopicGraph) -> u64 {
+        let sum = g
+            .fwd_offsets
+            .windows(2)
+            .enumerate()
+            .fold(0u64, |sum, (u, out)| {
+                let targets = &g.fwd_targets[out[0] as usize..out[1] as usize];
+                targets
+                    .iter()
+                    .fold(sum, |sum, &dst| sum.wrapping_add(edge_term(u, dst)))
+            });
+        let (n, m) = (g.node_count() as u64, g.edge_count() as u64);
+        fold(&[TOPOLOGY_TAG, n, m, sum])
+    }
+}
+
+/// The term of edge `(u, dst)` in the topology sum; every weight entry of
+/// the edge mixes it in.
+fn edge_term(u: usize, dst: u32) -> u64 {
+    wire::mix(((u as u64) << 32 | dst as u64) ^ EDGE_SALT)
 }
 
 /// [`wire::checksum`] over the little-endian bytes of `words`.

@@ -263,16 +263,34 @@ pub fn max_shifts(old: &TopicGraph, new: &TopicGraph) -> Option<Vec<MaxShift>> {
     if old.fwd_offsets != new.fwd_offsets || old.fwd_targets != new.fwd_targets {
         return None;
     }
-    let shifts = old.edges().filter_map(|edge| {
-        let (was, now) = (old.edge_prob_max(edge), new.edge_prob_max(edge));
-        (was.to_bits() != now.to_bits()).then(|| MaxShift {
-            edge,
-            target: NodeId(new.fwd_targets[edge.index()]),
-            old: was,
-            new: now,
+    Some(shifts_from_maxima(
+        old.edges().map(|e| old.edge_prob_max(e)),
+        new,
+    ))
+}
+
+/// Every edge of `new` whose maximum topic probability differs, bit for bit,
+/// from `maxima`: the per-edge maxima, in id order, of a graph that shares
+/// every edge id of `new`. The caller vouches for the shared ids —
+/// [`max_shifts`] compares the graphs, and a PIKS index that recorded its
+/// graph's maxima compares its recorded topology key and edge count.
+/// `O(E)`.
+pub fn shifts_from_maxima(
+    maxima: impl IntoIterator<Item = f32>,
+    new: &TopicGraph,
+) -> Vec<MaxShift> {
+    let edges = maxima.into_iter().zip(new.edges());
+    edges
+        .filter_map(|(was, edge)| {
+            let now = new.edge_prob_max(edge);
+            (was.to_bits() != now.to_bits()).then(|| MaxShift {
+                edge,
+                target: NodeId(new.fwd_targets[edge.index()]),
+                old: was,
+                new: now,
+            })
         })
-    });
-    Some(shifts.collect())
+        .collect()
 }
 
 /// Apply `deltas` in submission order, each on the output of the one

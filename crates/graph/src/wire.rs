@@ -212,9 +212,12 @@ fn xxh_round(acc: u64, word: u64) -> u64 {
 }
 
 /// XXH64's final avalanche: a bijection on `u64` in which every input bit
-/// affects every output bit. [`crate::codec::GraphKeys`] uses it as the
-/// per-entry mix of its order-independent sums.
-pub(crate) fn avalanche(mut h: u64) -> u64 {
+/// affects every output bit. It is the per-term mix of every
+/// order-independent key: [`crate::codec::GraphKeys`], the PIKS world
+/// footprints and the autocomplete key each sum `mix` terms with wrapping
+/// adds, one term per entry, so a key costs a few multiplies per entry
+/// where byte-serial FNV-1a pays one per byte.
+pub fn mix(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(XXH_P2);
     h ^= h >> 29;
@@ -275,7 +278,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         h ^= (b as u64).wrapping_mul(XXH_P5);
         h = h.rotate_left(11).wrapping_mul(XXH_P1);
     }
-    avalanche(h)
+    mix(h)
 }
 
 /// FNV-1a offset basis (64-bit).
@@ -288,9 +291,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// persisted to disk and compared across builds and platforms.
 ///
 /// It is byte-serial (one multiply per byte), so it only composes small
-/// fixed-width unit keys from a few words, and the PIKS world footprints
-/// whose values the OCTA payload stores. Anything that hashes a whole
-/// graph or a whole payload uses [`checksum`].
+/// fixed-width unit keys from a few words. Anything that hashes a whole
+/// payload uses [`checksum`], and anything that walks a graph sums
+/// [`mix`] terms.
 #[derive(Debug, Clone)]
 pub struct Fnv64 {
     state: u64,

@@ -563,6 +563,9 @@ proptest! {
             before_keys.topology != after_keys.topology,
             edge_pairs(&g) != edge_pairs(&after)
         );
+        // the topology-only walk a PIKS index records agrees with the one pass
+        prop_assert_eq!(codec::GraphKeys::topology_of(&g), before_keys.topology);
+        prop_assert_eq!(codec::GraphKeys::topology_of(&after), after_keys.topology);
         let names = |g: &TopicGraph| -> Vec<String> {
             g.nodes().map(|u| g.name(u).unwrap_or("").to_string()).collect()
         };
