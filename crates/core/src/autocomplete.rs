@@ -172,7 +172,8 @@ impl Autocomplete {
     }
 }
 
-/// Zero-copy view over a v6 `autocomplete` section payload.
+/// Zero-copy view over the `autocomplete` section payload of an OCTA v8
+/// container (the payload layout has not changed since v6).
 ///
 /// [`TrieView::parse`] walks the whole node area once, enforcing the
 /// preorder-contiguous layout (each record starts exactly where the
@@ -404,7 +405,7 @@ mod tests {
         ])
     }
 
-    /// The trie's v6 section payload, as the artifact stores it.
+    /// The trie's OCTA v8 section payload, as the artifact stores it.
     fn encoded(ac: &Autocomplete) -> Vec<u8> {
         ac.to_bytes()
     }

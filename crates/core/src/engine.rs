@@ -22,11 +22,13 @@ use crate::paths::{explore, ExploreDirection, PathExploration};
 use crate::piks::{GreedyPiks, PiksConfig, PiksResult};
 use crate::Result;
 use octopus_graph::codec::GraphKeys;
+use octopus_graph::delta::Applied;
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::radar::{keyword_radar, RadarChart};
 use octopus_topics::{KeywordId, TopicDistribution, TopicModel};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which KIM engine answers influencer queries.
@@ -217,8 +219,13 @@ pub struct SystemReport {
 /// tests).
 pub struct Octopus {
     graph: TopicGraph,
-    model: TopicModel,
+    /// Shared with every engine a flush rebuilds from this one.
+    model: Arc<TopicModel>,
     config: OctopusConfig,
+    /// The graph's keys (with their unfolded sums) and the unit keys
+    /// derived from them: a flush re-keys from these in `O(Δ)`.
+    graph_keys: GraphKeys,
+    stage_keys: StageKeys,
     /// Everything the offline pipeline precomputed (see [`offline::build`]),
     /// as one validated artifact.
     art: MappedArtifacts,
@@ -229,7 +236,8 @@ pub struct Octopus {
     build_total: Duration,
     /// Whether the offline structures came from the on-disk artifact cache.
     cache_hit: bool,
-    user_keywords: HashMap<NodeId, Vec<KeywordId>>,
+    /// Shared with every engine a flush rebuilds from this one.
+    user_keywords: Arc<HashMap<NodeId, Vec<KeywordId>>>,
     cache: QueryCache,
 }
 
@@ -267,7 +275,7 @@ impl Octopus {
     /// whose BFS footprint missed the delta — reload from `cache_dir`
     /// while the invalidated ones rebuild. A topic-z-confined nudge
     /// therefore recomputes exactly topic z's cap/PB/MIS units. The lookup degrades,
-    /// never fails: missing, truncated, corrupted, stale-version (v1–v6), or
+    /// never fails: missing, truncated, corrupted, stale-version (v1–v7), or
     /// foreign files only reduce how much is reused, after which the merged
     /// artifacts are written back atomically (write failures are ignored —
     /// a read-only cache directory costs the speedup, not the engine).
@@ -349,52 +357,70 @@ impl Octopus {
         let alone = lookup.sources.as_slice() == [fp.cache_path(cache_dir)];
         let exact = lookup.exact.take().filter(|_| alone);
         let gathered = Gathered::Lookup(lookup.timings, exact);
-        Self::rebuild_tail(inputs, lookup.slots, gathered, Some(cache_dir), remap, t0)
+        let cache = (cache_dir, persist::next_write_seq(cache_dir));
+        Self::rebuild_tail(inputs, lookup.slots, gathered, Some(cache), remap, t0)
     }
 
-    /// The engine a flush swaps in for this one, over `graph` (this graph
-    /// with a batch applied): this artifact is the only donor. When `graph`
-    /// keeps every edge id of this one, PIKS worlds are screened by the
-    /// coin flips of the edges whose maximum moved
-    /// ([`octopus_graph::delta::max_shifts`]), otherwise by footprint hash.
-    /// (An open screens a donor file by coin flips too, from the maxima its
-    /// OCTA v8 PIKS section records, when that section recorded this
-    /// graph's topology: [`persist::lookup`].) `cache_dir` is written; only
-    /// a `mapped` flush reads it, to map an exact file a replica already
+    /// The engine a flush swaps in for this one, over `applied.graph` (this
+    /// graph with a batch applied), and how long re-keying it took: this
+    /// artifact is the only donor. A weight-only batch re-keys from the
+    /// entries it moved ([`GraphKeys::patched`]) and keeps this engine's
+    /// autocomplete key; any other batch walks the graph. When the batch
+    /// kept every edge id, PIKS worlds are screened by the coin flips of
+    /// the edges whose maximum moved (`applied.shifts`), otherwise by
+    /// footprint hash. (An open screens a donor file by coin flips too,
+    /// from the maxima its OCTA v8 PIKS section records, when that section
+    /// recorded this graph's topology: [`persist::lookup`].) `cache` is the
+    /// directory to write and the `write_seq` to stamp; only a `mapped`
+    /// flush reads the directory, to map an exact file a replica already
     /// wrote.
     pub(crate) fn rebuild(
         &self,
-        graph: TopicGraph,
-        cache_dir: Option<&Path>,
+        applied: Applied,
+        cache: Option<(&Path, u64)>,
         mapped: bool,
-    ) -> Result<Self> {
+    ) -> Result<(Self, Duration)> {
         let t0 = Instant::now();
-        let inputs = Inputs::new(graph, self.model.clone(), self.config.clone())?;
-        let mapped_dir = cache_dir.filter(|_| mapped);
+        let (model, config) = (Arc::clone(&self.model), self.config.clone());
+        let Applied {
+            graph,
+            shifts,
+            moved,
+        } = applied;
+        let graph_keys = match &moved {
+            Some(moved) => self.graph_keys.patched(&graph, moved),
+            None => GraphKeys::of(&graph),
+        };
+        let same_names = moved.is_some().then_some(&self.stage_keys);
+        let inputs = Inputs::keyed(graph, model, config, graph_keys, same_names)?;
+        let keys_time = t0.elapsed();
+        let mapped_dir = cache.map(|(dir, _)| dir).filter(|_| mapped);
         if let Some(art) = mapped_dir.and_then(|d| inputs.map(d, false)) {
-            return Ok(Self::assemble(inputs, art, true, t0));
+            return Ok((Self::assemble(inputs, art, true, t0), keys_time));
         }
         let t_screen = Instant::now();
         let (keys, graph, config) = (&inputs.keys, &inputs.graph, &inputs.config);
-        let shifts = octopus_graph::delta::max_shifts(&self.graph, graph);
         let slots = persist::load_live(&self.art, keys, graph, config, shifts.as_deref());
         let gathered = Gathered::Live(t_screen.elapsed());
         let remap = mapped.then_some(false);
-        Self::rebuild_tail(inputs, slots, gathered, cache_dir, remap, t0)
+        let engine = Self::rebuild_tail(inputs, slots, gathered, cache, remap, t0)?;
+        Ok((engine, keys_time))
     }
 
     /// The one rebuild tail of the cache open and a flush: build what
-    /// `slots` lack, encode once, write back and prune when `cache_dir` is
-    /// set, and serve off the heap — or, with `remap = Some(paranoid)`, off
-    /// the mapping of the file just written, when it maps.
+    /// `slots` lack, encode once, write back (stamped with the given
+    /// `write_seq`) and prune when `cache` names a directory, and serve off
+    /// the heap — or, with `remap = Some(paranoid)`, off the mapping of the
+    /// file just written, when it maps.
     fn rebuild_tail(
         inputs: Inputs,
         slots: ReuseSlots,
         gathered: Gathered,
-        cache_dir: Option<&Path>,
+        cache: Option<(&Path, u64)>,
         remap: Option<bool>,
         t0: Instant,
     ) -> Result<Self> {
+        let cache_dir = cache.map(|(dir, _)| dir);
         let mut offline = offline::build_with_reuse(&inputs.graph, &inputs.config, slots);
         let full = offline.fully_reused();
         let built = std::mem::take(&mut offline.timings);
@@ -417,9 +443,9 @@ impl Octopus {
                 // the next identical open fast-paths
                 let (fp, keys) = (&inputs.fp, &inputs.keys);
                 let t_store = Instant::now();
-                let bytes = match cache_dir {
-                    Some(dir) => {
-                        let (bytes, saved) = persist::save_and_prune(&offline, fp, keys, dir);
+                let bytes = match cache {
+                    Some((dir, seq)) => {
+                        let (bytes, saved) = persist::save_and_prune(&offline, fp, keys, dir, seq);
                         if saved.is_ok() && !full {
                             let stage = persist::STAGE_ARTIFACT_STORE;
                             let duration = t_store.elapsed();
@@ -512,12 +538,14 @@ impl Octopus {
             graph: inputs.graph,
             model: inputs.model,
             config,
+            graph_keys: inputs.graph_keys,
+            stage_keys: inputs.keys,
             timings: art.timings().to_vec(),
             reuse: art.reuse().to_vec(),
             build_total: t0.elapsed(),
             art,
             cache_hit,
-            user_keywords: HashMap::new(),
+            user_keywords: Arc::default(),
         }
     }
 
@@ -556,16 +584,28 @@ impl Octopus {
     /// extracted from paper titles of the researcher"). Without this, the
     /// suggestion service falls back to model-derived candidates.
     pub fn with_user_keywords(mut self, map: HashMap<NodeId, Vec<KeywordId>>) -> Self {
-        self.user_keywords = map;
+        self.user_keywords = Arc::new(map);
+        self
+    }
+
+    /// This engine with `from`'s keyword candidates, shared rather than
+    /// copied: how a flush carries them onto the next epoch.
+    pub(crate) fn sharing_user_keywords(mut self, from: &Octopus) -> Self {
+        self.user_keywords = Arc::clone(&from.user_keywords);
         self
     }
 
     /// The per-user keyword candidates attached via
-    /// [`Octopus::with_user_keywords`] (empty if none were). The serving
-    /// layer reads this to carry the overrides forward onto the rebuilt
-    /// engine of the next epoch.
+    /// [`Octopus::with_user_keywords`] (empty if none were).
     pub fn user_keywords(&self) -> &HashMap<NodeId, Vec<KeywordId>> {
         &self.user_keywords
+    }
+
+    /// The keys of this engine's graph, with the unfolded sums a flush
+    /// re-keys from: equal to [`GraphKeys::of`]`(self.graph())` however
+    /// many weight-only flushes patched them.
+    pub fn graph_keys(&self) -> &GraphKeys {
+        &self.graph_keys
     }
 
     /// The underlying graph.
@@ -1112,23 +1152,40 @@ pub(crate) fn resolve_gamma(
 }
 
 /// An engine's inputs, checked, with the cache keys every constructor needs,
-/// derived from one walk over the graph.
+/// derived from one walk over the graph (or a flush's update of its
+/// predecessor's keys).
 struct Inputs {
     graph: TopicGraph,
-    model: TopicModel,
+    model: Arc<TopicModel>,
     config: OctopusConfig,
+    graph_keys: GraphKeys,
     fp: Fingerprint,
     keys: StageKeys,
 }
 
 impl Inputs {
     fn new(graph: TopicGraph, model: TopicModel, config: OctopusConfig) -> Result<Self> {
+        let graph_keys = GraphKeys::of(&graph);
+        Self::keyed(graph, Arc::new(model), config, graph_keys, None)
+    }
+
+    /// The inputs over `graph` whose keys are `graph_keys`. `same_names`
+    /// holds the unit keys of a graph with this one's topology and names,
+    /// whose autocomplete key therefore carries over.
+    fn keyed(
+        graph: TopicGraph,
+        model: Arc<TopicModel>,
+        config: OctopusConfig,
+        graph_keys: GraphKeys,
+        same_names: Option<&StageKeys>,
+    ) -> Result<Self> {
         check_shapes(&graph, &model)?;
         check_config(&config)?;
-        let graph_keys = GraphKeys::of(&graph);
+        let names = same_names.map(|keys| keys.names);
         Ok(Inputs {
             fp: Fingerprint::from_keys(&graph_keys, &config),
-            keys: StageKeys::from_keys(&graph, &graph_keys, &config),
+            keys: StageKeys::from_keys(&graph, &graph_keys, &config, names),
+            graph_keys,
             graph,
             model,
             config,

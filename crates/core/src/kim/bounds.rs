@@ -306,7 +306,8 @@ impl BoundEstimator for PrecompBound {
 }
 
 // ---------------------------------------------------------------------------
-// v6 per-topic flat layout of the pb-bound units (zero-copy mapped read path)
+// per-topic flat layout of the pb-bound units of an OCTA v8 container,
+// unchanged since v6 (zero-copy mapped read path)
 // ---------------------------------------------------------------------------
 
 /// Encode one topic's `pb-bound` OCTA v8 unit: `present u64` (0 or 1),
@@ -343,8 +344,9 @@ pub struct PbTableView<'a> {
 }
 
 impl<'a> PbTableView<'a> {
-    /// Parse and structurally validate one topic's v6 `pb-bound` payload
-    /// into `Ok(None)` (persisted absent) or `Ok(Some((safety, row_bytes)))`.
+    /// Parse and structurally validate one topic's `pb-bound` payload of an
+    /// OCTA v8 container (the unit layout has not changed since v6) into
+    /// `Ok(None)` (persisted absent) or `Ok(Some((safety, row_bytes)))`.
     /// Validation is O(1): the row length must match the graph exactly,
     /// after which every read is in bounds by construction.
     pub fn parse_topic(
@@ -389,7 +391,7 @@ impl<'a> PbTableView<'a> {
         }
     }
 
-    /// Assemble the view from every topic's v6 unit payload (canonical
+    /// Assemble the view from every topic's OCTA v8 unit payload (canonical
     /// ascending topic order). Returns `Ok(None)` when all units are
     /// persisted-absent; mixed presence or a bitwise `safety` disagreement
     /// across units fails closed — a valid writer never produces either.

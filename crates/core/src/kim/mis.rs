@@ -87,8 +87,8 @@ impl MisKim {
 }
 
 // ---------------------------------------------------------------------------
-// v6 per-topic flat layout of the mis-tables units (zero-copy mapped read
-// path)
+// per-topic flat layout of the mis-tables units of an OCTA v8 container,
+// unchanged since v6 (zero-copy mapped read path)
 // ---------------------------------------------------------------------------
 
 /// Encode one topic's `mis-tables` OCTA v8 unit: `present u64` (0 or 1),
@@ -146,8 +146,9 @@ pub struct MisView<'a> {
 }
 
 impl<'a> MisView<'a> {
-    /// Parse and structurally validate one topic's v6 `mis-tables` payload
-    /// into `Ok(None)` (persisted absent) or the validated unit. Checks the
+    /// Parse and structurally validate one topic's `mis-tables` payload of
+    /// an OCTA v8 container (the unit layout has not changed since v6) into
+    /// `Ok(None)` (persisted absent) or the validated unit. Checks the
     /// exact unit length, strict id sortedness, and id bounds.
     fn parse_topic_inner(
         raw: &'a [u8],
@@ -199,7 +200,7 @@ impl<'a> MisView<'a> {
         }
     }
 
-    /// Assemble the view from every topic's v6 unit payload (canonical
+    /// Assemble the view from every topic's OCTA v8 unit payload (canonical
     /// ascending topic order). Returns `Ok(None)` when all units are
     /// persisted-absent; mixed presence fails closed — a valid writer
     /// never produces it.
@@ -317,7 +318,7 @@ mod tests {
             .collect()
     }
 
-    /// The tables' per-topic v6 units, as the artifact stores them.
+    /// The tables' per-topic OCTA v8 units, as the artifact stores them.
     fn units(tables: &[HashMap<NodeId, f64>]) -> Vec<Vec<u8>> {
         tables
             .iter()

@@ -207,6 +207,10 @@ pub struct ReuseSlots {
     pub piks: Option<PiksReuse>,
     /// The cached `autocomplete` payload.
     pub names: Option<Vec<u8>>,
+    /// The graph's [`GraphKeys::topology`](octopus_graph::codec::GraphKeys),
+    /// when the loader already holds it ([`StageKeys::topology`](persist::StageKeys)):
+    /// the PIKS section records it, and walks the graph for it otherwise.
+    pub topology: Option<u64>,
 }
 
 /// Everything the engine precomputes before serving its first query.
@@ -373,6 +377,7 @@ pub fn build_with_reuse(
         samples: samples_slot,
         piks: piks_slot,
         names: names_slot,
+        topology,
     } = slots;
     let ((left, mis_out), (piks_out, names_out)) = rayon::join(
         || {
@@ -431,7 +436,7 @@ pub fn build_with_reuse(
                         graph,
                         config.piks_index_size,
                         config.seed ^ PIKS_WORLD_SEED_XOR,
-                        &reuse,
+                        &reuse.with_topology(topology),
                     );
                     let total = if graph.node_count() == 0 {
                         0

@@ -369,11 +369,18 @@ pub struct StageKeys {
 impl StageKeys {
     /// Compute every unit key for building `graph` under `config`.
     pub fn compute(graph: &TopicGraph, config: &OctopusConfig) -> Self {
-        Self::from_keys(graph, &GraphKeys::of(graph), config)
+        Self::from_keys(graph, &GraphKeys::of(graph), config, None)
     }
 
-    /// Every unit key over `graph`'s already computed [`GraphKeys`].
-    pub(crate) fn from_keys(graph: &TopicGraph, keys: &GraphKeys, config: &OctopusConfig) -> Self {
+    /// Every unit key over `graph`'s already computed [`GraphKeys`], and
+    /// its autocomplete key when the caller knows it
+    /// ([`Autocomplete::input_key`] walks every node otherwise).
+    pub(crate) fn from_keys(
+        graph: &TopicGraph,
+        keys: &GraphKeys,
+        config: &OctopusConfig,
+        names: Option<u64>,
+    ) -> Self {
         let weights_topic = &keys.topics;
         StageKeys {
             cap: weights_topic
@@ -408,7 +415,7 @@ impl StageKeys {
                 graph.node_count(),
                 config.seed ^ super::PIKS_WORLD_SEED_XOR,
             ),
-            names: Autocomplete::input_key(graph),
+            names: names.unwrap_or_else(|| Autocomplete::input_key(graph)),
             topology: keys.topology,
         }
     }
@@ -608,6 +615,7 @@ pub(crate) fn load_live(
     shifts: Option<&[MaxShift]>,
 ) -> ReuseSlots {
     let (mut slots, mut timings) = (ReuseSlots::default(), LoadTimings::default());
+    slots.topology = Some(keys.topology);
     let donor = Donor::Live(live, shifts);
     // a validated artifact's table is sound: nothing here can fail
     load_sections_into(donor, keys, graph, config, &mut slots, &mut timings).ok();
@@ -956,6 +964,7 @@ pub fn lookup(
         candidates.extend(others.into_iter().map(|(_, p)| p));
     }
     let mut out = CacheLookup::default();
+    out.slots.topology = Some(keys.topology);
     for path in candidates {
         if complete(&out.slots, graph, config) {
             break;
@@ -1015,24 +1024,28 @@ pub fn save(
     keys: &StageKeys,
     path: &Path,
 ) -> std::io::Result<()> {
-    let files = path.parent().map(scan).unwrap_or_default();
-    write_atomically(&encode(artifacts, fp, keys, next_write_seq(&files)), path)
+    let write_seq = path.parent().map_or(1, next_write_seq);
+    write_atomically(&encode(artifacts, fp, keys, write_seq), path)
 }
 
-/// [`save`] into `cache_dir`, then [`prune`] after a successful write, off
-/// one directory scan; returns the encoded bytes, written or not.
+/// [`save`] into `cache_dir` stamped with `write_seq` — one past the
+/// newest sequence in the directory, which the caller carries
+/// ([`next_write_seq`] once, then one more per save) — then [`prune`]
+/// after a successful write; returns the encoded bytes, written or not.
+/// No donor header is read unless the prune cut falls inside a run of
+/// equal mtimes.
 pub(crate) fn save_and_prune(
     artifacts: &OfflineArtifacts,
     fp: &Fingerprint,
     keys: &StageKeys,
     cache_dir: &Path,
+    write_seq: u64,
 ) -> (Vec<u8>, std::io::Result<()>) {
     let path = fp.cache_path(cache_dir);
-    let files = scan(cache_dir);
-    let bytes = encode(artifacts, fp, keys, next_write_seq(&files));
+    let bytes = encode(artifacts, fp, keys, write_seq);
     let saved = write_atomically(&bytes, &path);
     if saved.is_ok() {
-        prune_scanned(files, &[&path]);
+        prune(cache_dir, &[&path]);
     }
     (bytes, saved)
 }
@@ -1057,28 +1070,26 @@ fn write_atomically(bytes: &[u8], path: &Path) -> std::io::Result<()> {
     result
 }
 
-/// Every `.octa` file in `dir` as `(mtime, header write_seq, path)`, the
-/// key [`prune`] evicts by (a file without a readable mtime is left out).
-fn scan(dir: &Path) -> Vec<(std::time::SystemTime, u64, PathBuf)> {
+/// Every `.octa` file in `dir` with its mtime (a file without a readable
+/// mtime is left out).
+fn scan(dir: &Path) -> Vec<(std::time::SystemTime, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
     entries
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "octa"))
-        .filter_map(|e| {
-            let mtime = e.metadata().and_then(|m| m.modified()).ok()?;
-            Some((mtime, file_write_seq(&e.path()).unwrap_or(0), e.path()))
-        })
+        .filter_map(|e| Some((e.metadata().and_then(|m| m.modified()).ok()?, e.path())))
         .collect()
 }
 
-/// One past the largest scanned write sequence. Unreadable or
-/// foreign-version files count as 0, so migrated v2 files restart it.
-fn next_write_seq(files: &[(std::time::SystemTime, u64, PathBuf)]) -> u64 {
-    files
+/// One past the largest header write sequence of the `.octa` files in
+/// `dir`, reading every header. Unreadable or foreign-version files count
+/// as 0, so migrated v2 files restart it.
+pub(crate) fn next_write_seq(dir: &Path) -> u64 {
+    scan(dir)
         .iter()
-        .map(|f| f.1)
+        .filter_map(|(_, path)| file_write_seq(path))
         .max()
         .map_or(1, |m| m.saturating_add(1))
 }
@@ -1127,14 +1138,9 @@ pub const MAX_CACHE_FILES: usize = 16;
 /// the file is skipped and becomes evictable once its last view drops.
 /// Errors are ignored — pruning is best-effort hygiene, not correctness.
 pub fn prune(cache_dir: &Path, keep: &[&Path]) {
-    prune_scanned(scan(cache_dir), keep);
-}
-
-/// [`prune`] over an already [`scan`]ned directory.
-fn prune_scanned(files: Vec<(std::time::SystemTime, u64, PathBuf)>, keep: &[&Path]) {
-    let mut files: Vec<_> = files
+    let mut files: Vec<_> = scan(cache_dir)
         .into_iter()
-        .filter(|(_, _, path)| !keep.iter().any(|k| path == *k) && !super::view::is_mapped(path))
+        .filter(|(_, path)| !keep.iter().any(|k| path == *k) && !super::view::is_mapped(path))
         .collect();
     // every keep path occupies one retained slot
     let excess = (files.len() + keep.len()).saturating_sub(MAX_CACHE_FILES);
@@ -1142,7 +1148,17 @@ fn prune_scanned(files: Vec<(std::time::SystemTime, u64, PathBuf)>, keep: &[&Pat
         return;
     }
     files.sort();
-    for (_, _, path) in files.into_iter().take(excess) {
+    // only the run of equal mtimes the cut falls inside needs the write
+    // sequence: every other run goes or stays whole
+    if let Some(cut) = files.get(excess).map(|f| f.0) {
+        if files[excess - 1].0 == cut {
+            let lo = files.partition_point(|f| f.0 < cut);
+            let hi = files.partition_point(|f| f.0 <= cut);
+            files[lo..hi]
+                .sort_by_cached_key(|(_, path)| (file_write_seq(path).unwrap_or(0), path.clone()));
+        }
+    }
+    for (_, path) in files.into_iter().take(excess) {
         std::fs::remove_file(path).ok();
     }
 }

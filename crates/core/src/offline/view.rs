@@ -4,7 +4,7 @@
 //!
 //! ## Why
 //!
-//! The v6 layout needs no decode step: sections are flat, fixed-width,
+//! The OCTA v8 layout (its units unchanged since v6) needs no decode step: sections are flat, fixed-width,
 //! 8-aligned, and offset-indexed, so the operators read `from_le_bytes`
 //! straight off the bytes. [`open`] maps a cache file and validates it —
 //! header, section table, and only the sections that are small or

@@ -246,9 +246,18 @@ pub struct PiksReuse {
     /// stored node list they were computed over (all a footprint reads
     /// besides world `j`'s coins, which the screen fixes).
     live_footprints: Vec<Vec<(Vec<u32>, u64)>>,
+    /// The live graph's topology key, when the caller knows it: the
+    /// section records it instead of walking the graph for it.
+    topology: Option<u64>,
 }
 
 impl PiksReuse {
+    /// These slots, building over a graph whose
+    /// [`GraphKeys::topology`] is `topology` when that is `Some`.
+    pub(crate) fn with_topology(self, topology: Option<u64>) -> Self {
+        PiksReuse { topology, ..self }
+    }
+
     /// Number of world slots (reusable or not): the world count of the
     /// largest donor index screened cleanly.
     pub fn len(&self) -> usize {
@@ -292,11 +301,12 @@ impl PiksReuse {
     /// inside `graph`, carry world `j`'s coin seed and root (the footprint
     /// covers neither), and then either — given `shifts`, the edges whose
     /// maximum moved from the donor's graph to an id-stable `graph` (a
-    /// flush compares the two graphs, [`delta::max_shifts`]; an open reads
-    /// a donor file's recorded maxima, [`recorded_shifts`]) — no shifted
-    /// edge that both flips its superset bit under the world's coins and
-    /// targets a stored node (nothing else the BFS reads changed, so the
-    /// stored footprint is already the live one and no hash is computed),
+    /// flush takes them from its apply pass, [`delta::Applied::shifts`];
+    /// an open reads a donor file's recorded maxima, [`recorded_shifts`])
+    /// — no shifted edge that both flips its superset bit under the
+    /// world's coins and targets a stored node (nothing else the BFS reads
+    /// changed, so the stored footprint is already the live one and no
+    /// hash is computed),
     /// or a stored [`footprint_hash`] equal to the live one, computed at
     /// most once per (world, stored node list) over the accumulator's
     /// lifetime (so every `screen` into one accumulator must pass the same
@@ -469,7 +479,11 @@ impl InfluencerIndex {
         let mut raw = Vec::with_capacity(len);
         raw.put_u64_le(n as u64);
         raw.put_u64_le(r as u64);
-        raw.put_u64_le(GraphKeys::topology_of(graph));
+        raw.put_u64_le(
+            reuse
+                .topology
+                .unwrap_or_else(|| GraphKeys::topology_of(graph)),
+        );
         raw.put_u64_le(m as u64);
         for e in graph.edges() {
             raw.put_f32_le(graph.edge_prob_max(e));

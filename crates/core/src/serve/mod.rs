@@ -73,10 +73,9 @@ pub use shard::{ShardSwap, ShardedService};
 
 use crate::budget::QueryBudget;
 use crate::engine::Octopus;
-use crate::offline::{StageReuse, StageTiming};
+use crate::offline::{persist, StageReuse, StageTiming};
 use crate::Result;
-use octopus_graph::delta::{self, GraphDelta};
-use octopus_graph::TopicGraph;
+use octopus_graph::delta::{self, Applied, GraphDelta};
 use service_core::{Generation, ServiceCore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -87,9 +86,29 @@ use std::time::{Duration, Instant};
 pub struct Epoch {
     id: u64,
     engine: Octopus,
+    /// The `write_seq` the next flush's artifact is stamped with in the
+    /// cache directory: unknown until the first flush reads the headers
+    /// there once, then one more per flush. Replicas sharing a directory
+    /// each count their own; the sequence only orders donors and breaks
+    /// prune ties, it never gates reuse.
+    next_write_seq: Option<u64>,
 }
 
+/// [`SwapReport::stage_timings`] name of a flush's apply pass.
+pub const STAGE_DELTA_APPLY: &str = "delta-apply";
+/// [`SwapReport::stage_timings`] name of a flush's re-keying of its graph.
+pub const STAGE_GRAPH_KEYS: &str = "graph-keys";
+
 impl Epoch {
+    /// Epoch 0, serving `engine`.
+    fn first(engine: Octopus) -> Self {
+        Epoch {
+            id: 0,
+            engine,
+            next_write_seq: None,
+        }
+    }
+
     /// The epoch id (0 for the engine the service started with, +1 per
     /// swap).
     pub fn id(&self) -> u64 {
@@ -101,35 +120,42 @@ impl Epoch {
         &self.engine
     }
 
-    /// The epoch after this one, serving `graph`: the engine rebuilt from
-    /// this epoch's (reusing every unit the change left valid, persisted
-    /// to `dir` if given), with this epoch's keyword overrides carried
-    /// forward, and the report of a flush of `deltas` that began at
-    /// `start`.
+    /// The epoch after this one, serving `applied.graph`: the engine
+    /// rebuilt from this epoch's (reusing every unit the change left valid,
+    /// persisted to `dir` if given), with this epoch's keyword overrides
+    /// shared forward, and the report of a flush of `deltas` that began at
+    /// `start` and spent `apply` in its apply pass.
     fn successor(
         &self,
-        graph: TopicGraph,
+        applied: Applied,
+        apply: Duration,
         dir: Option<&Path>,
         mapped: bool,
         deltas: usize,
         start: Instant,
     ) -> Result<(Epoch, SwapReport)> {
-        let engine = self
-            .engine
-            .rebuild(graph, dir, mapped)?
-            .with_user_keywords(self.engine.user_keywords().clone());
+        let next_seq = |d| {
+            self.next_write_seq
+                .unwrap_or_else(|| persist::next_write_seq(d))
+        };
+        let seq = dir.map(|d| (d, next_seq(d)));
+        let (engine, keys) = self.engine.rebuild(applied, seq, mapped)?;
+        let engine = engine.sharing_user_keywords(&self.engine);
+        let flush = [(STAGE_DELTA_APPLY, apply), (STAGE_GRAPH_KEYS, keys)];
+        let flush = flush.map(|(stage, duration)| StageTiming { stage, duration });
         let report = SwapReport {
             epoch: self.id + 1,
             deltas_applied: deltas,
             rebuild_time: start.elapsed(),
             cache_hit: engine.cache_hit(),
             stage_reuse: engine.stage_reuse().to_vec(),
-            stage_timings: engine.stage_timings().to_vec(),
+            stage_timings: [engine.stage_timings(), &flush].concat(),
         };
         Ok((
             Epoch {
                 id: self.id + 1,
                 engine,
+                next_write_seq: seq.map(|(_, seq)| seq + 1),
             },
             report,
         ))
@@ -166,8 +192,14 @@ pub struct SwapReport {
     /// world-granular for `piks-worlds`. A topic-`z`-confined nudge batch
     /// therefore reports `Z-1/Z` reused on each weight stage.
     pub stage_reuse: Vec<StageReuse>,
-    /// Where the rebuild's time went ([`Octopus::stage_timings`]): the
-    /// `live-screen`, the stages that rebuilt, the write-back, the remap.
+    /// Where the flush's time went: the rebuild's own timings
+    /// ([`Octopus::stage_timings`]: the `live-screen`, the stages that
+    /// rebuilt, the write-back, the remap), then the two passes before it —
+    /// [`STAGE_DELTA_APPLY`], the one apply pass over the batch, and
+    /// [`STAGE_GRAPH_KEYS`], the new graph's keys. Both cost `O(Δ)` on a
+    /// batch that moves weights only (the apply pass shares the topology
+    /// and the keys update from the moved entries) and a walk of the graph
+    /// otherwise.
     pub stage_timings: Vec<StageTiming>,
 }
 
@@ -259,7 +291,7 @@ impl OctopusService {
 
     fn with_options(engine: Octopus, cache_dir: Option<PathBuf>, mapped: bool) -> Self {
         OctopusService {
-            core: ServiceCore::new(Epoch { id: 0, engine }),
+            core: ServiceCore::new(Epoch::first(engine)),
             cache_dir,
             mapped,
         }
@@ -350,9 +382,10 @@ impl OctopusService {
     pub fn apply_pending(&self) -> Result<Option<SwapReport>> {
         let swaps = self.core.flush(|base, batch| {
             let start = Instant::now();
-            let graph = delta::apply_all(base.engine.graph(), batch)?;
-            let dir = self.cache_dir.as_deref();
-            let (next, report) = base.successor(graph, dir, self.mapped, batch.len(), start)?;
+            let applied = delta::apply_all_visiting(base.engine.graph(), batch, |_, _| {})?;
+            let (apply, dir) = (start.elapsed(), self.cache_dir.as_deref());
+            let (mapped, deltas) = (self.mapped, batch.len());
+            let (next, report) = base.successor(applied, apply, dir, mapped, deltas, start)?;
             Ok((next, vec![ShardSwap { shard: 0, report }]))
         })?;
         Ok(swaps.into_iter().next().map(|swap| swap.report))

@@ -60,7 +60,7 @@ use crate::engine::{resolve_gamma, KimAnswer, Octopus, OctopusConfig, SeedInfo};
 use crate::kim::{KimResult, KimStats};
 use crate::paths::PathExploration;
 use crate::{CoreError, Result};
-use octopus_graph::delta::{self, GraphDelta};
+use octopus_graph::delta::{self, Applied, GraphDelta};
 use octopus_graph::subgraph::{induced, partition, Subgraph};
 use octopus_graph::{NodeId, TopicGraph};
 use octopus_topics::radar::RadarChart;
@@ -208,10 +208,7 @@ impl ShardedService {
                 .iter()
                 .filter_map(|(node, words)| sub.to_sub.get(node).map(|&l| (l, words.clone())))
                 .collect();
-            Ok(Arc::new(Epoch {
-                id: 0,
-                engine: engine.with_user_keywords(projected),
-            }))
+            Ok(Arc::new(Epoch::first(engine.with_user_keywords(projected))))
         };
         // initial engines build concurrently, like rebuilds do
         let shards: Vec<Result<Arc<Epoch>>> = (0..parts.shards.len())
@@ -342,7 +339,8 @@ impl ShardedService {
         if let Some(e) = cross_shard {
             return Err(e);
         }
-        let global = applied?;
+        let global = applied?.graph;
+        let apply = start.elapsed();
         let touched: Vec<usize> = touched.into_iter().collect();
         // rebuild every touched shard from its live epoch, concurrently
         let rebuilt: Vec<Result<(Epoch, SwapReport)>> = touched
@@ -351,7 +349,9 @@ impl ShardedService {
                 let sub = induced(&global, &self.to_original[s])?;
                 let dir = self.cache_root.as_ref().map(|root| shard_dir(root, s));
                 let live = &base.shards[s];
-                live.successor(sub.graph, dir.as_deref(), self.mapped, batch.len(), start)
+                let applied = Applied::compared(live.engine.graph(), sub.graph);
+                let (dir, mapped, deltas) = (dir.as_deref(), self.mapped, batch.len());
+                live.successor(applied, apply, dir, mapped, deltas, start)
             })
             .collect();
         let mut shards = base.shards.clone();

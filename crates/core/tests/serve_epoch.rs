@@ -10,11 +10,15 @@
 
 use octopus_core::engine::{KimAnswer, KimEngineChoice, Octopus, OctopusConfig, SuggestAnswer};
 use octopus_core::offline::persist::{
-    section_order, Fingerprint, SECTION_PIKS, STAGE_ARTIFACT_STORE, STAGE_LIVE_SCREEN,
+    self, section_order, Fingerprint, SECTION_PIKS, STAGE_ARTIFACT_STORE, STAGE_LIVE_SCREEN,
 };
 use octopus_core::paths::{ExploreDirection, PathExploration};
-use octopus_core::serve::{OctopusService, Operator, Query, QueryResponse, Served, Session};
+use octopus_core::serve::{
+    OctopusService, Operator, Query, QueryResponse, Served, Session, STAGE_DELTA_APPLY,
+    STAGE_GRAPH_KEYS,
+};
 use octopus_core::{QueryBudget, Result};
+use octopus_graph::codec::GraphKeys;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
@@ -397,7 +401,13 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
     let stages: Vec<&str> = report.stage_timings.iter().map(|t| t.stage).collect();
     assert_eq!(
         stages,
-        vec![STAGE_LIVE_SCREEN, "autocomplete", STAGE_ARTIFACT_STORE]
+        vec![
+            STAGE_LIVE_SCREEN,
+            "autocomplete",
+            STAGE_ARTIFACT_STORE,
+            STAGE_DELTA_APPLY,
+            STAGE_GRAPH_KEYS
+        ]
     );
     let reused: Vec<&str> = report
         .stage_reuse
@@ -893,5 +903,60 @@ fn mapped_replicas_flushing_one_batch_share_the_written_file() {
         assert!(service.snapshot().engine().is_mapped());
         assert_eq!(probe_session(service).0, probe(&fresh));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fifty weight-only flushes — nudges, and row replacements that move a
+/// row's support — each re-key from the entries the batch moved, never
+/// walking the graph: the carried keys still equal a fresh walk's, the
+/// graph still shares epoch 0's topology, every flush stamps the next
+/// write sequence, and the last epoch answers like a fresh build.
+#[test]
+fn weight_only_flushes_carry_keys_that_match_a_fresh_walk() {
+    let (g, model, config) = fixture();
+    let dir =
+        std::env::temp_dir().join(format!("octopus-serve-carried-keys-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = Octopus::open_or_build(g.clone(), model.clone(), config.clone(), &dir).unwrap();
+    let service = OctopusService::with_cache_dir(engine, &dir);
+    let cross = g.find_edge(NodeId(0), NodeId(1)).unwrap();
+    let m = g.edge_count() as u32;
+    for i in 0..50u32 {
+        service.submit(GraphDelta::NudgeWeights {
+            edges: vec![EdgeId(i % m), EdgeId((7 * i + 3) % m)],
+            delta: if i % 3 == 0 { -0.02 } else { 0.03 },
+        });
+        if i % 5 == 0 {
+            let row = if i % 10 == 0 {
+                vec![(0, 0.25)]
+            } else {
+                vec![(0, 0.3), (1, 0.1)]
+            };
+            service.submit(GraphDelta::SetWeights {
+                edge: cross,
+                probs: row,
+            });
+        }
+        let report = service.apply_pending().unwrap().expect("pending deltas");
+        let stages: Vec<&str> = report.stage_timings.iter().map(|t| t.stage).collect();
+        assert!(
+            stages.ends_with(&[STAGE_DELTA_APPLY, STAGE_GRAPH_KEYS]),
+            "{stages:?}"
+        );
+    }
+    let snap = service.snapshot();
+    let engine = snap.engine();
+    assert_eq!(engine.graph_keys(), &GraphKeys::of(engine.graph()));
+    assert!(
+        engine.graph().shares_topology(&g),
+        "weight-only flushes share the topology"
+    );
+    assert_ne!(engine.graph(), &g);
+    // epoch 0's open wrote sequence 1; the flushes stamped 2..=51
+    let fp = Fingerprint::compute(engine.graph(), &config);
+    let raw = std::fs::read(fp.cache_path(&dir)).unwrap();
+    assert_eq!(persist::read_write_seq(&raw).unwrap(), 51);
+    let fresh = Octopus::new(engine.graph().clone(), model, config).unwrap();
+    assert_eq!(probe(engine), probe(&fresh));
     std::fs::remove_dir_all(&dir).ok();
 }

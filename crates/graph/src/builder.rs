@@ -5,6 +5,7 @@ use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::Result;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One edge's sparse `(topic, prob)` pairs, topic-sorted, no zero entry.
 pub(crate) type Row = Vec<(u16, f32)>;
@@ -125,7 +126,7 @@ impl GraphBuilder {
     /// entirely at [`GraphBuilder::build`] time.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, probs: &[(usize, f64)]) -> Result<()> {
         self.check_endpoints(u, v)?;
-        let row = self.sparse_row(probs)?;
+        let row = sparse_row(self.num_topics, probs)?;
         self.edges.push((u.0, v.0, row));
         Ok(())
     }
@@ -146,37 +147,6 @@ impl GraphBuilder {
             return Err(GraphError::NoSuchEdge { from: u.0, to: v.0 });
         }
         Ok(())
-    }
-
-    /// Validate `probs` into a stored row: topics in range, probabilities
-    /// finite in `[0, 1]`; zero entries dropped, topic-sorted, duplicates
-    /// merged by max.
-    pub(crate) fn sparse_row(&self, probs: &[(usize, f64)]) -> Result<Row> {
-        let mut sparse: Row = Vec::with_capacity(probs.len());
-        for &(z, p) in probs {
-            if z >= self.num_topics {
-                return Err(GraphError::TopicOutOfBounds {
-                    topic: z,
-                    num_topics: self.num_topics,
-                });
-            }
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(GraphError::InvalidProbability(p));
-            }
-            if p > 0.0 {
-                sparse.push((z as u16, p as f32));
-            }
-        }
-        sparse.sort_unstable_by_key(|&(z, _)| z);
-        sparse.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 = b.1.max(a.1);
-                true
-            } else {
-                false
-            }
-        });
-        Ok(sparse)
     }
 
     /// Finalize into CSR form.
@@ -240,18 +210,49 @@ impl GraphBuilder {
         };
         Ok(TopicGraph {
             num_topics: self.num_topics,
-            names,
-            name_index: self.name_index,
-            fwd_offsets,
-            fwd_targets,
-            rev_offsets,
-            rev_sources,
-            rev_edge_ids,
+            names: names.into(),
+            name_index: Arc::new(self.name_index),
+            fwd_offsets: fwd_offsets.into(),
+            fwd_targets: fwd_targets.into(),
+            rev_offsets: rev_offsets.into(),
+            rev_sources: rev_sources.into(),
+            rev_edge_ids: rev_edge_ids.into(),
             prob_offsets,
             prob_topics,
             prob_values,
         })
     }
+}
+
+/// Validate `probs` into a stored row: topics in range, probabilities
+/// finite in `[0, 1]`; zero entries dropped, topic-sorted, duplicates
+/// merged by max.
+pub(crate) fn sparse_row(num_topics: usize, probs: &[(usize, f64)]) -> Result<Row> {
+    let mut sparse: Row = Vec::with_capacity(probs.len());
+    for &(z, p) in probs {
+        if z >= num_topics {
+            return Err(GraphError::TopicOutOfBounds {
+                topic: z,
+                num_topics,
+            });
+        }
+        if !(0.0..=1.0).contains(&p) || !p.is_finite() {
+            return Err(GraphError::InvalidProbability(p));
+        }
+        if p > 0.0 {
+            sparse.push((z as u16, p as f32));
+        }
+    }
+    sparse.sort_unstable_by_key(|&(z, _)| z);
+    sparse.dedup_by(|a, b| {
+        if a.0 == b.0 {
+            b.1 = b.1.max(a.1);
+            true
+        } else {
+            false
+        }
+    });
+    Ok(sparse)
 }
 
 /// The union of two rows, keeping the maximum probability per topic — how

@@ -17,12 +17,14 @@
 //! load rather than stored, halving the on-disk footprint.
 
 use crate::csr::TopicGraph;
+use crate::delta::MovedEntry;
 use crate::error::GraphError;
 use crate::ids::NodeId;
 use crate::wire;
 use crate::Result;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"OCTG";
 const VERSION: u16 = 1;
@@ -57,14 +59,14 @@ pub fn encode(g: &TopicGraph) -> Bytes {
     buf.put_u32_le(m as u32);
     buf.put_u8(named as u8);
     if named {
-        for s in &g.names {
+        for s in g.names.iter() {
             wire::put_string(&mut buf, s);
         }
     }
-    for &x in &g.fwd_offsets {
+    for &x in g.fwd_offsets.iter() {
         buf.put_u32_le(x);
     }
-    for &x in &g.fwd_targets {
+    for &x in g.fwd_targets.iter() {
         buf.put_u32_le(x);
     }
     for &x in &g.prob_offsets {
@@ -93,9 +95,10 @@ pub fn encode(g: &TopicGraph) -> Bytes {
 ///
 /// A sum does not depend on the order its entries are visited in, so two
 /// builds of one edge set agree, and every term can be updated in
-/// O(changed entries). The whole pass reads each edge and each sparse
-/// entry once, where a byte-serial hash per slice would walk the graph
-/// `Z + 4` times.
+/// O(changed entries): the keys keep their unfolded sums, and
+/// [`GraphKeys::patched`] re-folds them after a weight-only batch. The
+/// whole pass reads each edge and each sparse entry once, where a
+/// byte-serial hash per slice would walk the graph `Z + 4` times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphKeys {
     /// The **topology slice**: node count, edge count and the `(src, dst)`
@@ -128,6 +131,20 @@ pub struct GraphKeys {
     /// The whole graph: topic, node and edge counts, topology, names and
     /// every slice key. Any change to the graph moves it.
     pub graph: u64,
+    /// The unfolded sums and dimensions the keys above fold.
+    sums: KeySums,
+}
+
+/// The wrapping sums behind [`GraphKeys`], before folding, with the
+/// dimensions they fold with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct KeySums {
+    nodes: u64,
+    edges: u64,
+    named: bool,
+    topology: u64,
+    names: u64,
+    topics: Vec<u64>,
 }
 
 /// Domain-separation tags, one per key: two different keys of one graph
@@ -147,9 +164,8 @@ const ENTRY_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 impl GraphKeys {
     /// Compute every key of `g` in one pass.
     pub fn of(g: &TopicGraph) -> Self {
-        let (n, m, z_count) = (g.node_count(), g.edge_count(), g.num_topics());
         let mut topology = 0u64;
-        let mut sums = vec![0u64; z_count];
+        let mut topics = vec![0u64; g.num_topics()];
         for (u, out) in g.fwd_offsets.windows(2).enumerate() {
             let (lo, hi) = (out[0] as usize, out[1] as usize);
             let rows = g.prob_offsets[lo..=hi].windows(2);
@@ -159,9 +175,8 @@ impl GraphKeys {
                 let (plo, phi) = (row[0] as usize, row[1] as usize);
                 let entries = g.prob_topics[plo..phi].iter().zip(&g.prob_values[plo..phi]);
                 for (&z, &p) in entries {
-                    let bits = (p.to_bits() as u64).wrapping_mul(ENTRY_MUL);
-                    let sum = &mut sums[z as usize];
-                    *sum = sum.wrapping_add(wire::mix(edge ^ bits));
+                    let sum = &mut topics[z as usize];
+                    *sum = sum.wrapping_add(entry_term(edge, p));
                 }
             }
         }
@@ -169,24 +184,37 @@ impl GraphKeys {
             let node = wire::mix(u as u64 ^ NODE_SALT);
             sum.wrapping_add(wire::mix(node ^ wire::checksum(name.as_bytes())))
         });
-        let named = g.names.iter().any(|s| !s.is_empty());
-        let (n, m, z) = (n as u64, m as u64, z_count as u64);
-        let topics: Vec<u64> = sums
-            .iter()
-            .enumerate()
-            .map(|(t, &sum)| fold(&[TOPIC_TAG, t as u64, z, n, sum]))
-            .collect();
-        let topology = fold(&[TOPOLOGY_TAG, n, m, topology]);
-        let names = fold(&[NAMES_TAG, named as u64, n, names]);
-        let weights = fold(&[&[WEIGHTS_TAG, z][..], &topics].concat());
-        let graph = fold(&[&[GRAPH_TAG, z, n, m, topology, names][..], &topics].concat());
-        GraphKeys {
+        KeySums {
+            nodes: g.node_count() as u64,
+            edges: g.edge_count() as u64,
+            named: g.names.iter().any(|s| !s.is_empty()),
             topology,
             names,
             topics,
-            weights,
-            graph,
         }
+        .fold()
+    }
+
+    /// The keys of `g`, the graph a weight-only batch made of the graph
+    /// these keys are of, from the entries the batch moved
+    /// ([`crate::delta::Applied::moved`]): each old term leaves its
+    /// topic's sum, each new one joins it, and the sums re-fold. `O(moved +
+    /// Z)`; equal to [`GraphKeys::of`]`(g)` (pinned by
+    /// `proptest_graph::weight_batches_patch_a_shared_topology`).
+    pub fn patched(&self, g: &TopicGraph, moved: &[MovedEntry]) -> Self {
+        let mut sums = self.sums.clone();
+        for entry in moved {
+            let (u, v) = g.edge_endpoints(entry.edge).expect("a moved edge of g");
+            let edge = edge_term(u.index(), v.0);
+            let sum = &mut sums.topics[entry.topic.index()];
+            if let Some(p) = entry.old {
+                *sum = sum.wrapping_sub(entry_term(edge, p));
+            }
+            if let Some(p) = entry.new {
+                *sum = sum.wrapping_add(entry_term(edge, p));
+            }
+        }
+        sums.fold()
     }
 
     /// [`GraphKeys::topology`] alone, from one walk over the edge
@@ -212,6 +240,37 @@ impl GraphKeys {
 /// the edge mixes it in.
 fn edge_term(u: usize, dst: u32) -> u64 {
     wire::mix(((u as u64) << 32 | dst as u64) ^ EDGE_SALT)
+}
+
+/// The term of one sparse entry `p` of the edge whose term is `edge` in
+/// its topic's sum.
+fn entry_term(edge: u64, p: f32) -> u64 {
+    wire::mix(edge ^ (p.to_bits() as u64).wrapping_mul(ENTRY_MUL))
+}
+
+impl KeySums {
+    /// Fold every sum with its dimensions and tag into the keys.
+    fn fold(self) -> GraphKeys {
+        let (n, m, z) = (self.nodes, self.edges, self.topics.len() as u64);
+        let topics: Vec<u64> = self
+            .topics
+            .iter()
+            .enumerate()
+            .map(|(t, &sum)| fold(&[TOPIC_TAG, t as u64, z, n, sum]))
+            .collect();
+        let topology = fold(&[TOPOLOGY_TAG, n, m, self.topology]);
+        let names = fold(&[NAMES_TAG, self.named as u64, n, self.names]);
+        let weights = fold(&[&[WEIGHTS_TAG, z][..], &topics].concat());
+        let graph = fold(&[&[GRAPH_TAG, z, n, m, topology, names][..], &topics].concat());
+        GraphKeys {
+            topology,
+            names,
+            topics,
+            weights,
+            graph,
+            sums: self,
+        }
+    }
 }
 
 /// [`wire::checksum`] over the little-endian bytes of `words`.
@@ -320,13 +379,13 @@ pub fn decode(mut buf: impl Buf) -> Result<TopicGraph> {
 
     Ok(TopicGraph {
         num_topics,
-        names,
-        name_index,
-        fwd_offsets,
-        fwd_targets,
-        rev_offsets,
-        rev_sources,
-        rev_edge_ids,
+        names: names.into(),
+        name_index: Arc::new(name_index),
+        fwd_offsets: fwd_offsets.into(),
+        fwd_targets: fwd_targets.into(),
+        rev_offsets: rev_offsets.into(),
+        rev_sources: rev_sources.into(),
+        rev_edge_ids: rev_edge_ids.into(),
         prob_offsets,
         prob_topics,
         prob_values,

@@ -4,6 +4,7 @@ use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId, TopicId};
 use crate::Result;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A directed social graph with per-edge, per-topic activation probabilities
 /// (the topic-aware IC model of OCTOPUS §II-B).
@@ -19,23 +20,30 @@ use std::collections::HashMap;
 ///
 /// [`EdgeId`]s are assigned in forward-CSR order (sorted by source, then
 /// target), so any `Vec` indexed by `EdgeId` is a valid per-edge side table.
+///
+/// The topology (both CSRs) and the names sit behind [`Arc`]s, and only the
+/// weight arena is owned: a batch that moves weights only
+/// ([`crate::delta::apply_all`]) shares the topology of the graph it
+/// applies to and copies just the three weight arrays. An `Arc<[u32]>` is a
+/// pointer and a length like a `Vec<u32>`, so reading it costs the kernels
+/// the same loads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopicGraph {
     pub(crate) num_topics: usize,
-    /// Node display names; empty vector when the graph is anonymous.
-    pub(crate) names: Vec<String>,
+    /// Node display names; all empty when the graph is anonymous.
+    pub(crate) names: Arc<[String]>,
     /// Name → node lookup (present only when names are).
-    pub(crate) name_index: HashMap<String, NodeId>,
+    pub(crate) name_index: Arc<HashMap<String, NodeId>>,
 
     // Forward CSR: out-edges of u are fwd_targets[fwd_offsets[u]..fwd_offsets[u+1]].
-    pub(crate) fwd_offsets: Vec<u32>,
-    pub(crate) fwd_targets: Vec<u32>,
+    pub(crate) fwd_offsets: Arc<[u32]>,
+    pub(crate) fwd_targets: Arc<[u32]>,
 
     // Reverse CSR: in-edges of v are rev_sources[rev_offsets[v]..rev_offsets[v+1]],
     // with rev_edge_ids mapping each slot back to the forward EdgeId.
-    pub(crate) rev_offsets: Vec<u32>,
-    pub(crate) rev_sources: Vec<u32>,
-    pub(crate) rev_edge_ids: Vec<u32>,
+    pub(crate) rev_offsets: Arc<[u32]>,
+    pub(crate) rev_sources: Arc<[u32]>,
+    pub(crate) rev_edge_ids: Arc<[u32]>,
 
     // Sparse per-edge topic probabilities.
     pub(crate) prob_offsets: Vec<u32>,
@@ -291,6 +299,19 @@ impl TopicGraph {
     /// Total number of stored (edge, topic) probability entries.
     pub fn prob_entries(&self) -> usize {
         self.prob_topics.len()
+    }
+
+    /// Whether `self` and `other` share one topology and one name table in
+    /// memory (not merely equal ones): true of a graph and the result of a
+    /// weight-only batch applied to it.
+    pub fn shares_topology(&self, other: &TopicGraph) -> bool {
+        Arc::ptr_eq(&self.fwd_offsets, &other.fwd_offsets)
+            && Arc::ptr_eq(&self.fwd_targets, &other.fwd_targets)
+            && Arc::ptr_eq(&self.rev_offsets, &other.rev_offsets)
+            && Arc::ptr_eq(&self.rev_sources, &other.rev_sources)
+            && Arc::ptr_eq(&self.rev_edge_ids, &other.rev_edge_ids)
+            && Arc::ptr_eq(&self.names, &other.names)
+            && Arc::ptr_eq(&self.name_index, &other.name_index)
     }
 }
 

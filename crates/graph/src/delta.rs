@@ -4,12 +4,13 @@
 //! follows appear, influence-probability estimates drift as the action log
 //! grows (`octopus-data::learn::fit_warm`), users rename themselves. The
 //! CSR graph is deliberately immutable, so a batch of [`GraphDelta`]s
-//! produces a *new* graph, and [`apply_all`] is the one way it does: it
-//! copies the graph into a [`GraphBuilder`] once, edits that builder's
-//! CSR-ordered edge list delta by delta in submission order, and builds
-//! once. The free helpers ([`nudge_weights`], [`set_weights`],
-//! [`insert_edge`], [`remove_edge`], [`rename_node`]) and
-//! [`GraphDelta::apply`] are one-delta calls of it.
+//! produces a *new* graph, and [`apply_all`] is the one way it does, in
+//! one pass over the batch in submission order. A batch that moves
+//! weights only edits the rows it names and shares the graph's topology;
+//! any other batch copies the graph into a [`GraphBuilder`] once, edits
+//! its CSR-ordered edge list, and builds once. The free helpers
+//! ([`nudge_weights`], [`set_weights`], [`insert_edge`], [`remove_edge`],
+//! [`rename_node`]) and [`GraphDelta::apply`] are one-delta calls of it.
 //!
 //! Node ids never change. Edge ids are dense in CSR order, so an insert, a
 //! remove, or a nudge or row replacement that leaves a row all zero (the
@@ -17,12 +18,13 @@
 //! consumer holding per-edge state must treat shifted edges as changed,
 //! and the per-stage artifact fingerprints do exactly that.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{sparse_row, GraphBuilder, Row};
 use crate::csr::TopicGraph;
 use crate::error::GraphError;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::{EdgeId, NodeId, TopicId};
 use crate::Result;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Copy `g` into a fresh [`GraphBuilder`] (same nodes, names, and edges).
 ///
@@ -293,39 +295,367 @@ pub fn shifts_from_maxima(
         .collect()
 }
 
-/// Apply `deltas` in submission order, each on the output of the one
-/// before, in one pass: copy `g` into a [`GraphBuilder`] ([`builder_from`]),
-/// edit its CSR-ordered edge list delta by delta, and build once. A nudge
-/// rewrites its rows in place (an edge listed twice in one nudge moves
-/// once; two nudges on one edge compound), a row replacement swaps the
-/// row, an insert merges into an existing `(src, dst)` by per-topic max or
-/// takes its sorted slot, a remove deletes the record, and a rename keeps
-/// the name index current. Rows a delta leaves empty are dropped before the
-/// next delta reads its ids, exactly as a rebuild after every delta would
-/// drop them; rows are validated by the builder's own row check, so the
-/// result — graph or error — is the one one-at-a-time rebuilds give
-/// (pinned by `proptest_graph::apply_all_equals_rebuild_per_delta`). The
-/// first failing delta aborts the batch; an empty batch returns a copy of
-/// `g`.
-pub fn apply_all(g: &TopicGraph, deltas: &[GraphDelta]) -> Result<TopicGraph> {
-    apply_all_visiting(g, deltas, |_, _| {})
+/// What one apply pass ([`apply_all_visiting`]) produced: the graph, and
+/// what the pass learned about how it differs from the graph it started
+/// from, so a consumer holding per-edge or per-entry state pays for the
+/// batch rather than for the graph.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Applied {
+    /// The graph after the batch.
+    pub graph: TopicGraph,
+    /// [`max_shifts`] of the old graph and [`Applied::graph`]: `Some` when
+    /// the batch kept every edge id.
+    pub shifts: Option<Vec<MaxShift>>,
+    /// `Some` when the batch moved weights only — no insert, remove,
+    /// emptied row or rename — so [`Applied::graph`] shares the old
+    /// graph's topology and names ([`TopicGraph::shares_topology`]): every
+    /// `(edge, topic)` entry whose stored value changed, in edge and then
+    /// topic order. [`crate::codec::GraphKeys::patched`] re-keys from it.
+    pub moved: Option<Vec<MovedEntry>>,
 }
 
-/// [`apply_all`], calling `visit(delta, endpoints)` for each delta once its
-/// ids resolve on the graph it applies to, before its rows or name are
-/// checked. The endpoints are the source and target of every edge it names
-/// (a nudge's edges deduplicated, in id order), the two endpoints of an
-/// insert, or the renamed node. The sharded router routes a batch by them.
+impl Applied {
+    /// The report of a pass that rebuilt `old` into `graph` (or of any
+    /// other way of getting from one to the other): the shifts come from
+    /// comparing the two graphs, `O(N + E)`, and no moved entries.
+    pub fn compared(old: &TopicGraph, graph: TopicGraph) -> Applied {
+        Applied {
+            shifts: max_shifts(old, &graph),
+            moved: None,
+            graph,
+        }
+    }
+}
+
+/// One sparse weight entry a weight-only batch changed. `None` is an
+/// entry absent on that side (stored entries are never dropped to a
+/// placeholder).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MovedEntry {
+    /// The edge, the same id before and after.
+    pub edge: EdgeId,
+    /// The topic of the entry.
+    pub topic: TopicId,
+    /// The stored value before the batch.
+    pub old: Option<f32>,
+    /// The stored value after the batch.
+    pub new: Option<f32>,
+}
+
+/// Apply `deltas` in submission order, each on the output of the one
+/// before, in one pass. A nudge rewrites its rows in place (an edge listed
+/// twice in one nudge moves once; two nudges on one edge compound), a row
+/// replacement swaps the row, an insert merges into an existing
+/// `(src, dst)` by per-topic max or takes its sorted slot, a remove
+/// deletes the record, and a rename keeps the name index current. Rows a
+/// delta leaves empty are dropped before the next delta reads its ids,
+/// exactly as a rebuild after every delta would drop them; rows are
+/// validated by the builder's own row check, so the result — graph or
+/// error — is the one one-at-a-time rebuilds give (pinned by
+/// `proptest_graph::apply_all_equals_rebuild_per_delta`). The first
+/// failing delta aborts the batch; an empty batch returns a copy of `g`.
+///
+/// A batch of nudges and row replacements edits only the rows it names,
+/// over `g`, and the result shares `g`'s topology and names, copying just
+/// the weight arrays. A batch that inserts, removes or renames copies `g`
+/// into a [`GraphBuilder`] ([`builder_from`]), edits its CSR-ordered edge
+/// list, and builds once; so does the rest of a weight batch once one of
+/// its deltas empties a row.
+pub fn apply_all(g: &TopicGraph, deltas: &[GraphDelta]) -> Result<TopicGraph> {
+    apply_all_visiting(g, deltas, |_, _| {}).map(|applied| applied.graph)
+}
+
+/// [`apply_all`], reporting what the pass learned ([`Applied`]) and
+/// calling `visit(delta, endpoints)` for each delta once its ids resolve
+/// on the graph it applies to, before its rows or name are checked. The
+/// endpoints are the source and target of every edge it names (a nudge's
+/// edges deduplicated, in id order), the two endpoints of an insert, or
+/// the renamed node. The sharded router routes a batch by them; a flush
+/// re-keys and screens by the report.
 pub fn apply_all_visiting(
     g: &TopicGraph,
     deltas: &[GraphDelta],
     mut visit: impl FnMut(&GraphDelta, &[NodeId]),
-) -> Result<TopicGraph> {
-    let mut b = builder_from(g);
-    for d in deltas {
+) -> Result<Applied> {
+    let weights_only = deltas.iter().all(|d| {
+        matches!(
+            d,
+            GraphDelta::NudgeWeights { .. } | GraphDelta::SetWeights { .. }
+        )
+    });
+    let (mut b, rest) = if weights_only {
+        let mut patch = Patch {
+            g,
+            rows: BTreeMap::new(),
+        };
+        let mut rest = deltas.iter();
+        loop {
+            let Some(d) = rest.next() else {
+                return Ok(patch.finish());
+            };
+            if edit_weights(&mut patch, d, &mut visit)? {
+                // the row's edge drops, and every later id with it
+                break (patch.into_builder(), rest);
+            }
+        }
+    } else {
+        (builder_from(g), deltas.iter())
+    };
+    for d in rest {
         b.apply_delta(d, &mut visit)?;
     }
-    b.build()
+    Ok(Applied::compared(g, b.build()?))
+}
+
+/// The edge rows a weight delta reads and rewrites: a builder copy of a
+/// graph, or a [`Patch`] over one.
+trait Rows {
+    fn num_topics(&self) -> usize;
+    fn edge_len(&self) -> usize;
+    fn endpoints(&self, e: EdgeId) -> [NodeId; 2];
+    /// Edge `e`'s current row.
+    fn row(&self, e: EdgeId) -> Row;
+    fn set(&mut self, e: EdgeId, row: Row);
+
+    fn check_edge(&self, e: EdgeId) -> Result<()> {
+        if e.index() < self.edge_len() {
+            Ok(())
+        } else {
+            Err(GraphError::EdgeOutOfBounds {
+                edge: e.0,
+                len: self.edge_len(),
+            })
+        }
+    }
+}
+
+/// Apply a nudge or a row replacement to `rows` (no other variant reaches
+/// here); whether some row came out empty.
+fn edit_weights(
+    rows: &mut impl Rows,
+    d: &GraphDelta,
+    visit: &mut impl FnMut(&GraphDelta, &[NodeId]),
+) -> Result<bool> {
+    let mut emptied = false;
+    match d {
+        GraphDelta::NudgeWeights { edges, delta } => {
+            for &e in edges {
+                rows.check_edge(e)?;
+            }
+            let mut edges = edges.clone();
+            edges.sort_unstable();
+            edges.dedup();
+            let ends: Vec<NodeId> = edges.iter().flat_map(|&e| rows.endpoints(e)).collect();
+            visit(d, &ends);
+            for e in edges {
+                let row: Vec<(usize, f64)> = rows
+                    .row(e)
+                    .iter()
+                    .map(|&(z, p)| {
+                        let p = p as f64;
+                        let moved = p + delta;
+                        let p = if moved <= 1.0 && moved > 0.0 {
+                            moved
+                        } else {
+                            p - delta
+                        };
+                        (z as usize, p)
+                    })
+                    .collect();
+                let row = sparse_row(rows.num_topics(), &row)?;
+                emptied |= row.is_empty();
+                rows.set(e, row);
+            }
+        }
+        GraphDelta::SetWeights { edge, probs } => {
+            rows.check_edge(*edge)?;
+            visit(d, &rows.endpoints(*edge));
+            let row = sparse_row(rows.num_topics(), probs)?;
+            emptied = row.is_empty();
+            rows.set(*edge, row);
+        }
+        _ => unreachable!("only weight deltas edit rows in place"),
+    }
+    Ok(emptied)
+}
+
+impl Rows for GraphBuilder {
+    fn num_topics(&self) -> usize {
+        GraphBuilder::num_topics(self)
+    }
+
+    fn edge_len(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn endpoints(&self, e: EdgeId) -> [NodeId; 2] {
+        let (u, v, _) = self.edges[e.index()];
+        [NodeId(u), NodeId(v)]
+    }
+
+    fn row(&self, e: EdgeId) -> Row {
+        self.edges[e.index()].2.clone()
+    }
+
+    fn set(&mut self, e: EdgeId, row: Row) {
+        self.edges[e.index()].2 = row;
+    }
+}
+
+/// A weight batch's edits over `g`: the rows it rewrote, by edge id. Every
+/// other row, and all of the topology, stays `g`'s.
+struct Patch<'g> {
+    g: &'g TopicGraph,
+    rows: BTreeMap<EdgeId, Row>,
+}
+
+impl Rows for Patch<'_> {
+    fn num_topics(&self) -> usize {
+        self.g.num_topics()
+    }
+
+    fn edge_len(&self) -> usize {
+        self.g.edge_count()
+    }
+
+    fn endpoints(&self, e: EdgeId) -> [NodeId; 2] {
+        let (u, v) = self.g.edge_endpoints(e).expect("a checked edge");
+        [u, v]
+    }
+
+    fn row(&self, e: EdgeId) -> Row {
+        match self.rows.get(&e) {
+            Some(row) => row.clone(),
+            None => self.g.edge_topic_probs(e).map(|(z, p)| (z.0, p)).collect(),
+        }
+    }
+
+    fn set(&mut self, e: EdgeId, row: Row) {
+        self.rows.insert(e, row);
+    }
+}
+
+impl Patch<'_> {
+    /// The builder copy of `g` with the patched rows in place and emptied
+    /// ones dropped: where a batch goes on once a row empties.
+    fn into_builder(self) -> GraphBuilder {
+        let mut b = builder_from(self.g);
+        for (e, row) in self.rows {
+            b.edges[e.index()].2 = row;
+        }
+        b.edges.retain(|r| !r.2.is_empty());
+        b
+    }
+
+    /// The patched graph — `g`'s topology and names shared, the weight
+    /// arrays copied with the rewritten rows spliced in — and its report.
+    fn finish(self) -> Applied {
+        let g = self.g;
+        let mut moved = Vec::new();
+        let mut shifts = Vec::new();
+        for (&edge, row) in &self.rows {
+            let old: Row = g.edge_topic_probs(edge).map(|(z, p)| (z.0, p)).collect();
+            diff_rows(edge, &old, row, &mut moved);
+            let was = g.edge_prob_max(edge);
+            let now = row.iter().map(|&(_, p)| p).fold(0.0, f32::max);
+            if was.to_bits() != now.to_bits() {
+                let target = NodeId(g.fwd_targets[edge.index()]);
+                shifts.push(MaxShift {
+                    edge,
+                    target,
+                    old: was,
+                    new: now,
+                });
+            }
+        }
+        let (prob_offsets, prob_topics, prob_values) = self.weights();
+        let graph = TopicGraph {
+            num_topics: g.num_topics,
+            names: Arc::clone(&g.names),
+            name_index: Arc::clone(&g.name_index),
+            fwd_offsets: Arc::clone(&g.fwd_offsets),
+            fwd_targets: Arc::clone(&g.fwd_targets),
+            rev_offsets: Arc::clone(&g.rev_offsets),
+            rev_sources: Arc::clone(&g.rev_sources),
+            rev_edge_ids: Arc::clone(&g.rev_edge_ids),
+            prob_offsets,
+            prob_topics,
+            prob_values,
+        };
+        Applied {
+            graph,
+            shifts: Some(shifts),
+            moved: Some(moved),
+        }
+    }
+
+    /// `g`'s weight arrays with the patched rows spliced in between bulk
+    /// copies of the untouched runs.
+    fn weights(&self) -> (Vec<u32>, Vec<u16>, Vec<f32>) {
+        let g = self.g;
+        let m = g.edge_count();
+        let extra: usize = self.rows.values().map(Vec::len).sum();
+        let mut out = (
+            Vec::with_capacity(m + 1),
+            Vec::with_capacity(g.prob_topics.len() + extra),
+            Vec::with_capacity(g.prob_values.len() + extra),
+        );
+        out.0.push(0u32);
+        let mut next = 0;
+        for (&e, row) in &self.rows {
+            copy_rows(g, next..e.index(), &mut out);
+            out.1.extend(row.iter().map(|&(z, _)| z));
+            out.2.extend(row.iter().map(|&(_, p)| p));
+            out.0.push(out.1.len() as u32);
+            next = e.index() + 1;
+        }
+        copy_rows(g, next..m, &mut out);
+        out
+    }
+}
+
+/// Append `g`'s rows of the edges in `edges` to the weight arrays `out`,
+/// their offsets re-based onto the arrays' current end.
+fn copy_rows(
+    g: &TopicGraph,
+    edges: std::ops::Range<usize>,
+    (offsets, topics, values): &mut (Vec<u32>, Vec<u16>, Vec<f32>),
+) {
+    let (lo, hi) = (g.prob_offsets[edges.start], g.prob_offsets[edges.end]);
+    let base = topics.len() as u32;
+    topics.extend_from_slice(&g.prob_topics[lo as usize..hi as usize]);
+    values.extend_from_slice(&g.prob_values[lo as usize..hi as usize]);
+    let ends = &g.prob_offsets[edges.start + 1..=edges.end];
+    offsets.extend(ends.iter().map(|&o| o - lo + base));
+}
+
+/// Push every entry that differs between `old` and `new`, two rows of one
+/// edge (each topic-sorted), onto `out`.
+fn diff_rows(edge: EdgeId, old: &[(u16, f32)], new: &[(u16, f32)], out: &mut Vec<MovedEntry>) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (topic, was, now) = match (old.get(i), new.get(j)) {
+            (None, None) => break,
+            (Some(&(z, p)), None) => (z, Some(p), None),
+            (None, Some(&(z, p))) => (z, None, Some(p)),
+            (Some(&(za, pa)), Some(&(zb, pb))) => match za.cmp(&zb) {
+                Less => (za, Some(pa), None),
+                Greater => (zb, None, Some(pb)),
+                Equal => (za, Some(pa), Some(pb)),
+            },
+        };
+        i += was.is_some() as usize;
+        j += now.is_some() as usize;
+        if was.map(f32::to_bits) != now.map(f32::to_bits) {
+            out.push(MovedEntry {
+                edge,
+                topic: TopicId(topic),
+                old: was,
+                new: now,
+            });
+        }
+    }
 }
 
 impl GraphBuilder {
@@ -338,42 +668,13 @@ impl GraphBuilder {
     ) -> Result<()> {
         let mut emptied = false;
         match d {
-            GraphDelta::NudgeWeights { edges, delta } => {
-                for &e in edges {
-                    self.check_edge(e)?;
-                }
-                let mut edges = edges.clone();
-                edges.sort_unstable();
-                edges.dedup();
-                let ends: Vec<NodeId> = edges.iter().flat_map(|&e| self.endpoints(e)).collect();
-                visit(d, &ends);
-                for e in edges {
-                    let row: Vec<(usize, f64)> = self.edges[e.index()]
-                        .2
-                        .iter()
-                        .map(|&(z, p)| {
-                            let p = p as f64;
-                            let moved = p + delta;
-                            let p = if moved <= 1.0 && moved > 0.0 {
-                                moved
-                            } else {
-                                p - delta
-                            };
-                            (z as usize, p)
-                        })
-                        .collect();
-                    emptied |= self.set_row(e, &row)?;
-                }
-            }
-            GraphDelta::SetWeights { edge, probs } => {
-                self.check_edge(*edge)?;
-                visit(d, &self.endpoints(*edge));
-                emptied = self.set_row(*edge, probs)?;
+            GraphDelta::NudgeWeights { .. } | GraphDelta::SetWeights { .. } => {
+                emptied = edit_weights(self, d, visit)?;
             }
             GraphDelta::InsertEdge { src, dst, probs } => {
                 self.check_endpoints(*src, *dst)?;
                 visit(d, &[*src, *dst]);
-                let row = self.sparse_row(probs)?;
+                let row = sparse_row(self.num_topics(), probs)?;
                 let key = (src.0, dst.0);
                 match self.edges.binary_search_by_key(&key, |r| (r.0, r.1)) {
                     Ok(i) => self.edges[i].2 = crate::builder::merge_max(&self.edges[i].2, &row),
@@ -404,30 +705,6 @@ impl GraphBuilder {
             self.edges.retain(|r| !r.2.is_empty());
         }
         Ok(())
-    }
-
-    fn check_edge(&self, e: EdgeId) -> Result<()> {
-        if e.index() < self.edges.len() {
-            Ok(())
-        } else {
-            Err(GraphError::EdgeOutOfBounds {
-                edge: e.0,
-                len: self.edges.len(),
-            })
-        }
-    }
-
-    fn endpoints(&self, e: EdgeId) -> [NodeId; 2] {
-        let (u, v, _) = self.edges[e.index()];
-        [NodeId(u), NodeId(v)]
-    }
-
-    /// Replace edge `e`'s row with `probs`; whether the row came out empty.
-    fn set_row(&mut self, e: EdgeId, probs: &[(usize, f64)]) -> Result<bool> {
-        let row = self.sparse_row(probs)?;
-        let empty = row.is_empty();
-        self.edges[e.index()].2 = row;
-        Ok(empty)
     }
 
     /// Rename `node`, keeping the name index what re-adding every node in

@@ -2,9 +2,10 @@
 //! round-trips, probability-evaluation laws that every upper layer relies
 //! on, and the delta apply pass against a rebuild-per-delta oracle.
 
-use octopus_graph::delta::{apply_all, apply_all_visiting, GraphDelta};
+use octopus_graph::delta::{apply_all, apply_all_visiting, max_shifts, GraphDelta};
 use octopus_graph::{codec, wire, EdgeId, GraphBuilder, GraphError, NodeId, TopicGraph};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 const MAX_NODES: usize = 24;
 const MAX_TOPICS: usize = 6;
@@ -437,8 +438,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// One pass over a batch equals rebuilding the graph after every
-    /// delta: both give the same graph, or both fail; and the pass
-    /// reports each delta's endpoints on the graph it applies to.
+    /// delta: both give the same graph, or both fail; the pass reports
+    /// each delta's endpoints on the graph it applies to, and the shifted
+    /// maxima `max_shifts` finds between the two graphs.
     #[test]
     fn apply_all_equals_rebuild_per_delta(
         (n, z, edges) in arb_graph_parts(),
@@ -459,12 +461,99 @@ proptest! {
         let got = apply_all_visiting(&g, &batch, |d, ends| got_ends.push((d.clone(), ends.to_vec())));
         match (got, oracle) {
             (Ok(got), Ok(want)) => {
-                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(&got.graph, &want);
                 prop_assert_eq!(got_ends, want_ends);
+                prop_assert_eq!(got.shifts, max_shifts(&g, &want));
                 prop_assert_eq!(apply_all(&g, &batch).unwrap(), want);
             }
             (Err(_), Err(_)) => {}
             (got, want) => panic!("pass {got:?} vs oracle {want:?}"),
+        }
+    }
+}
+
+/// [`arb_batch`], but three batches in four hold nudges and row
+/// replacements only, and half hold only rows and perturbations that can
+/// neither fail nor empty a row, so the weight-only pass gets exercised.
+fn arb_weight_batch() -> impl Strategy<Value = Vec<DeltaSpec>> {
+    (0u8..4, arb_batch()).prop_map(|(mix, mut specs)| {
+        for spec in specs.iter_mut().filter(|_| mix > 0) {
+            spec.0 %= 2;
+        }
+        for (_, _, _, row, d) in specs.iter_mut().filter(|_| mix > 1) {
+            // palette 1..=5 are valid non-zero probabilities, and nudges
+            // of ±0.05 and ±0.25 reflect within (0, 1] on every palette value
+            row.iter_mut().for_each(|(_, i)| *i = 1 + *i % 5);
+            if row.is_empty() {
+                row.push((0, 1));
+            }
+            *d %= 3;
+        }
+        specs
+    })
+}
+
+/// Cases of `weight_batches_patch_a_shared_topology` run so far, and how
+/// many of them took the weight-only pass.
+static WEIGHT_CASES: AtomicUsize = AtomicUsize::new(0);
+static WEIGHT_PATCHED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A batch with no insert, remove, emptied row or rename edits only
+    /// the rows it names: its graph equals the per-delta rebuild field by
+    /// field, shares the old topology and names in memory, and its report
+    /// gives `max_shifts` of the two graphs and entries that re-key the old
+    /// keys into `GraphKeys::of` the new graph. Every other batch builds
+    /// its own topology. At least a quarter of the cases take the
+    /// weight-only pass.
+    #[test]
+    fn weight_batches_patch_a_shared_topology(
+        (n, z, edges) in arb_graph_parts(),
+        specs in arb_weight_batch(),
+    ) {
+        let g = build_named(n, z, &edges);
+        let batch: Vec<GraphDelta> = specs.iter().map(|s| decode(&g, s)).collect();
+        let oracle = batch
+            .iter()
+            .try_fold(g.clone(), |cur, d| rebuild_with(&cur, d));
+        let got = apply_all_visiting(&g, &batch, |_, _| {});
+        let cases = WEIGHT_CASES.fetch_add(1, Relaxed) + 1;
+        if let (Ok(got), Ok(want)) = (&got, &oracle) {
+            prop_assert_eq!(got.graph.num_topics(), want.num_topics());
+            prop_assert_eq!(got.graph.names(), want.names());
+            prop_assert_eq!(got.graph.edge_count(), want.edge_count());
+            for e in want.edges() {
+                prop_assert_eq!(got.graph.edge_endpoints(e).unwrap(), want.edge_endpoints(e).unwrap());
+                let rows = |g: &TopicGraph| g.edge_topic_probs(e).map(|(z, p)| (z, p.to_bits())).collect::<Vec<_>>();
+                prop_assert_eq!(rows(&got.graph), rows(want));
+            }
+            for v in want.nodes() {
+                prop_assert!(got.graph.in_edges(v).eq(want.in_edges(v)));
+                if let Some(name) = want.name(v) {
+                    prop_assert_eq!(got.graph.node_by_name(name), want.node_by_name(name));
+                }
+            }
+            prop_assert_eq!(&got.graph, want);
+            let weights_only = batch.iter().all(|d| {
+                matches!(d, GraphDelta::NudgeWeights { .. } | GraphDelta::SetWeights { .. })
+            });
+            let patched = weights_only && want.edge_count() == g.edge_count();
+            prop_assert_eq!(got.graph.shares_topology(&g), patched);
+            prop_assert_eq!(got.moved.is_some(), patched);
+            prop_assert_eq!(&got.shifts, &max_shifts(&g, want));
+            if let Some(moved) = &got.moved {
+                let keys = codec::GraphKeys::of(&g).patched(&got.graph, moved);
+                prop_assert_eq!(keys, codec::GraphKeys::of(want));
+                WEIGHT_PATCHED.fetch_add(1, Relaxed);
+            }
+        } else {
+            prop_assert!(got.is_err() && oracle.is_err(), "pass {:?} vs oracle {:?}", got, oracle);
+        }
+        if cases >= 64 {
+            let patched = WEIGHT_PATCHED.load(Relaxed);
+            prop_assert!(4 * patched >= cases, "{} of {} cases patched", patched, cases);
         }
     }
 }
