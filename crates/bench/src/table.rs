@@ -36,7 +36,7 @@ impl Table {
     }
 
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -73,7 +73,7 @@ impl Table {
     }
 
     /// Render as CSV (RFC 4180 quoting), header first.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let quote = |cell: &str| -> String {
             if cell.contains([',', '"', '\n']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))

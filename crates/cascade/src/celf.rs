@@ -80,11 +80,7 @@ impl Ord for HeapEntry {
 }
 
 /// CELF lazy-greedy selection of `k` seeds from an explicit candidate pool.
-pub fn celf_select_from(
-    oracle: &mut dyn SpreadOracle,
-    k: usize,
-    candidates: &[NodeId],
-) -> CelfResult {
+fn celf_select_from(oracle: &mut dyn SpreadOracle, k: usize, candidates: &[NodeId]) -> CelfResult {
     let mut evaluations = 0usize;
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(candidates.len());
 
@@ -152,7 +148,7 @@ pub fn greedy_select(oracle: &mut dyn SpreadOracle, k: usize) -> CelfResult {
 }
 
 /// Plain greedy from an explicit candidate pool.
-pub fn greedy_select_from(
+fn greedy_select_from(
     oracle: &mut dyn SpreadOracle,
     k: usize,
     candidates: &[NodeId],

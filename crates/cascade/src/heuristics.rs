@@ -7,10 +7,9 @@
 //! * [`degree_discount`] — DegreeDiscount: after selecting a seed, its
 //!   neighbors' effective degrees are discounted to account for overlap.
 //!   Designed for uniform-probability IC; we use the mean edge probability
-//!   of the materialized query graph as its `p` parameter;
-//! * [`single_discount`] — the simpler discount (−1 per selected neighbor).
+//!   of the materialized query graph as its `p` parameter.
 //!
-//! All three are query-dependent only through the materialized
+//! Both are query-dependent only through the materialized
 //! probabilities, run in `O(m + n log n)`-ish time, and carry no
 //! approximation guarantee — they anchor the quality axis of experiment E4.
 
@@ -44,43 +43,6 @@ fn argmax_unselected(score: &[f64], selected: &[bool]) -> Option<usize> {
         }
     }
     best
-}
-
-/// SingleDiscount: when a seed is selected, every other potential seed that
-/// points at the seed's (probably activated) followers loses that overlap
-/// from its score.
-pub fn single_discount(g: &TopicGraph, probs: &EdgeProbs, k: usize) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut score: Vec<f64> = (0..n)
-        .map(|u| {
-            g.out_edges(NodeId(u as u32))
-                .map(|(_, e)| probs.get(e) as f64)
-                .sum()
-        })
-        .collect();
-    let mut selected = vec![false; n];
-    let mut discounted = vec![false; n]; // followers already claimed by a seed
-    let mut seeds = Vec::with_capacity(k);
-    while seeds.len() < k.min(n) {
-        let Some(best) = argmax_unselected(&score, &selected) else {
-            break;
-        };
-        selected[best] = true;
-        seeds.push(NodeId(best as u32));
-        for (f, _) in g.out_edges(NodeId(best as u32)) {
-            if discounted[f.index()] {
-                continue;
-            }
-            discounted[f.index()] = true;
-            // influence toward f is now redundant for every other candidate
-            for (u, e) in g.in_edges(f) {
-                if !selected[u.index()] {
-                    score[u.index()] -= probs.get(e) as f64;
-                }
-            }
-        }
-    }
-    seeds
 }
 
 /// DegreeDiscount (Chen et al., KDD'09, directed adaptation): track per
@@ -168,17 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn discounts_avoid_fully_overlapping_hubs() {
+    fn discount_avoids_fully_overlapping_hubs() {
         let (g, p) = overlapping_hubs();
-        for method in [single_discount, degree_discount] {
-            let seeds = method(&g, &p, 2);
-            assert_eq!(seeds[0], NodeId(0));
-            assert_eq!(
-                seeds[1],
-                NodeId(10),
-                "second seed must be the disjoint hub, got {seeds:?}"
-            );
-        }
+        let seeds = degree_discount(&g, &p, 2);
+        assert_eq!(seeds[0], NodeId(0));
+        assert_eq!(
+            seeds[1],
+            NodeId(10),
+            "second seed must be the disjoint hub, got {seeds:?}"
+        );
     }
 
     #[test]
@@ -197,7 +157,7 @@ mod tests {
         let (g, p) = overlapping_hubs();
         assert_eq!(top_degree(&g, &p, 0).len(), 0);
         assert_eq!(degree_discount(&g, &p, 100).len(), g.node_count());
-        let seeds = single_discount(&g, &p, 5);
+        let seeds = degree_discount(&g, &p, 5);
         let mut dedup = seeds.clone();
         dedup.sort();
         dedup.dedup();
@@ -210,6 +170,5 @@ mod tests {
         let p = g.materialize(&[1.0]).unwrap();
         assert!(top_degree(&g, &p, 3).is_empty());
         assert!(degree_discount(&g, &p, 3).is_empty());
-        assert!(single_discount(&g, &p, 3).is_empty());
     }
 }

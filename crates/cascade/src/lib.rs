@@ -13,9 +13,9 @@
 //! * [`rr`] — reverse-reachable (RR) set sampling in the style of
 //!   Borgs et al. / TIM / IMM \[8\], with coverage-based spread estimation
 //!   and greedy max-coverage seed selection;
-//! * [`celf`] — lazy-greedy (CELF) influence maximization over any
+//! * [`celf_select`] — lazy-greedy (CELF) influence maximization over any
 //!   [`SpreadOracle`], plus a plain greedy used as a test oracle;
-//! * [`opim`] — OPIM-C–style adaptive sampling that returns a seed set with
+//! * [`opim_select`] — OPIM-C–style adaptive sampling that returns a seed set with
 //!   a `(1 − 1/e − ε)` approximation guarantee with high probability;
 //! * [`coins`] — deterministic, storage-free edge coins (common random
 //!   numbers) shared across queries; the trick behind the PIKS influencer
@@ -27,16 +27,16 @@
 
 #![warn(missing_docs)]
 
-pub mod celf;
+mod celf;
 pub mod coins;
-pub mod heuristics;
+mod heuristics;
 pub mod mc;
-pub mod opim;
+mod opim;
 pub mod rr;
 
 pub use celf::{celf_select, greedy_select, CelfResult, SpreadOracle};
 pub use coins::{stream_seed, EdgeCoins};
-pub use heuristics::{degree_discount, single_discount, top_degree};
-pub use mc::{estimate_spread, estimate_spread_parallel, simulate_once, McOracle};
+pub use heuristics::{degree_discount, top_degree};
+pub use mc::{estimate_spread, estimate_spread_parallel, McOracle};
 pub use opim::{opim_select, opim_select_budgeted, OpimBudget, OpimOptions, OpimResult};
 pub use rr::{RrCollection, RrOracle};

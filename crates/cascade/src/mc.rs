@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 /// (including the seeds). `visited` and `queue` are caller-provided work
 /// buffers so tight estimation loops do not allocate (`visited` entries are
 /// reset on exit; it must be `node_count` long and all-false on entry).
-pub fn simulate_once_with_buffers(
+fn simulate_once_with_buffers(
     g: &TopicGraph,
     probs: &EdgeProbs,
     seeds: &[NodeId],
@@ -51,18 +51,6 @@ pub fn simulate_once_with_buffers(
         visited[u.index()] = false;
     }
     activated
-}
-
-/// Run one IC cascade from `seeds` and return the activated count.
-pub fn simulate_once(
-    g: &TopicGraph,
-    probs: &EdgeProbs,
-    seeds: &[NodeId],
-    rng: &mut SmallRng,
-) -> usize {
-    let mut visited = vec![false; g.node_count()];
-    let mut queue = Vec::new();
-    simulate_once_with_buffers(g, probs, seeds, rng, &mut visited, &mut queue)
 }
 
 /// Estimate the influence spread `σ(S)` of `seeds` as the mean activated
@@ -143,7 +131,6 @@ pub struct McOracle<'a> {
     probs: &'a EdgeProbs,
     runs: usize,
     seed: u64,
-    calls: usize,
 }
 
 impl<'a> McOracle<'a> {
@@ -154,20 +141,12 @@ impl<'a> McOracle<'a> {
             probs,
             runs,
             seed,
-            calls: 0,
         }
-    }
-
-    /// Number of spread evaluations performed (for pruning-effectiveness
-    /// metrics in the experiment harness).
-    pub fn calls(&self) -> usize {
-        self.calls
     }
 }
 
 impl SpreadOracle for McOracle<'_> {
     fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        self.calls += 1;
         estimate_spread(self.g, self.probs, seeds, self.runs, self.seed)
     }
 
@@ -257,12 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn oracle_counts_calls() {
+    fn oracle_reports_node_count() {
         let (g, p) = chain_certain();
         let mut o = McOracle::new(&g, &p, 3, 1);
         let _ = o.spread(&[NodeId(0)]);
         let _ = o.spread(&[NodeId(1)]);
-        assert_eq!(o.calls(), 2);
         assert_eq!(o.node_count(), 3);
     }
 

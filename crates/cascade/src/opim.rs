@@ -65,11 +65,6 @@ impl OpimBudget {
     pub fn unlimited() -> Self {
         OpimBudget::default()
     }
-
-    /// Whether neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_rr_sets.is_none() && self.deadline.is_none()
-    }
 }
 
 /// Result of an OPIM run.

@@ -53,7 +53,7 @@ fn with_visited<R>(n: usize, f: impl FnOnce(&mut [u64], u64) -> R) -> R {
 /// A collection of RR sets with an inverted node→sets index.
 ///
 /// Set `i` (counted across the collection's whole lifetime, including
-/// [`RrCollection::extend`] calls) is sampled from its own RNG stream
+/// `RrCollection::extend` calls) is sampled from its own RNG stream
 /// derived via [`stream_seed`]`(seed, i)`, so generation parallelizes
 /// across sets while staying bit-identical to a sequential build — and
 /// `generate(n)` followed by `extend(m)` equals `generate(n + m)`.
@@ -132,7 +132,7 @@ impl RrCollection {
     /// collection is independent of the thread count. Small batches stay
     /// on the calling thread — `extend` also sits on the online query
     /// path (naive/OPIM engines), where even one pool handoff is overhead.
-    pub fn extend(&mut self, g: &TopicGraph, probs: &EdgeProbs, additional: usize) {
+    pub(crate) fn extend(&mut self, g: &TopicGraph, probs: &EdgeProbs, additional: usize) {
         assert_eq!(g.node_count(), self.n, "graph changed under the collection");
         if self.n == 0 || additional == 0 {
             return;
@@ -183,13 +183,8 @@ impl RrCollection {
         self.edges_examined
     }
 
-    /// Members of RR set `j`.
-    pub fn set(&self, j: usize) -> &[u32] {
-        &self.sets[j]
-    }
-
     /// RR sets containing node `u`.
-    pub fn sets_containing(&self, u: NodeId) -> &[u32] {
+    fn sets_containing(&self, u: NodeId) -> &[u32] {
         &self.node_to_sets[u.index()]
     }
 
@@ -228,7 +223,7 @@ impl RrCollection {
     /// [`select_seeds`](Self::select_seeds) plus each seed's marginal
     /// coverage gain converted to spread units (`n · Δcov / R`) — the
     /// per-seed scores a scatter-gather merge ranks by.
-    pub fn select_seeds_with_gains(&self, k: usize) -> (Vec<NodeId>, usize, Vec<f64>) {
+    pub(crate) fn select_seeds_with_gains(&self, k: usize) -> (Vec<NodeId>, usize, Vec<f64>) {
         let mut cov_count: Vec<usize> = self.node_to_sets.iter().map(Vec::len).collect();
         let mut covered = vec![false; self.sets.len()];
         let mut chosen = vec![false; self.n];
@@ -285,7 +280,6 @@ impl RrCollection {
 #[derive(Debug, Clone)]
 pub struct RrOracle {
     rr: RrCollection,
-    calls: usize,
 }
 
 impl RrOracle {
@@ -293,18 +287,12 @@ impl RrOracle {
     pub fn new(g: &TopicGraph, probs: &EdgeProbs, count: usize, seed: u64) -> Self {
         RrOracle {
             rr: RrCollection::generate(g, probs, count, seed),
-            calls: 0,
         }
     }
 
     /// Wrap an existing collection.
     pub fn from_collection(rr: RrCollection) -> Self {
-        RrOracle { rr, calls: 0 }
-    }
-
-    /// Spread evaluations performed.
-    pub fn calls(&self) -> usize {
-        self.calls
+        RrOracle { rr }
     }
 
     /// Access the underlying collection.
@@ -315,7 +303,6 @@ impl RrOracle {
 
 impl SpreadOracle for RrOracle {
     fn spread(&mut self, seeds: &[NodeId]) -> f64 {
-        self.calls += 1;
         self.rr.estimate_spread(seeds)
     }
 
@@ -324,7 +311,6 @@ impl SpreadOracle for RrOracle {
     }
 
     fn marginal_gain(&mut self, base: &[NodeId], _base_spread: f64, candidate: NodeId) -> f64 {
-        self.calls += 1;
         if self.rr.is_empty() {
             return 0.0;
         }
@@ -500,8 +486,7 @@ mod tests {
         let (g, _) = star_half();
         let p = EdgeProbs::from_vec(vec![0.0; g.edge_count()]);
         let rr = RrCollection::generate(&g, &p, 100, 2);
-        for j in 0..rr.len() {
-            assert_eq!(rr.set(j).len(), 1);
-        }
+        let members: usize = g.nodes().map(|u| rr.sets_containing(u).len()).sum();
+        assert_eq!(members, rr.len(), "every set holds its root alone");
     }
 }

@@ -85,16 +85,6 @@ impl Autocomplete {
         self.size += 1;
     }
 
-    /// Number of inserted names (including overwritten duplicates).
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
-    }
-
     /// Serialize the trie (the OCTA v8 `autocomplete` section payload;
     /// normative spec in `ARCHITECTURE.md`).
     ///
@@ -491,7 +481,7 @@ mod tests {
             reversed.insert(name, id, score);
         }
         assert_eq!(encoded(&reversed), raw, "re-encode is canonical");
-        assert_eq!(view(&raw).len(), ac.len());
+        assert_eq!(view(&raw).len(), 5);
         assert_eq!(view(&raw).lookup("jian pei"), Some(NodeId(2)));
         // the empty trie encodes and parses too
         let raw = encoded(&Autocomplete::default());

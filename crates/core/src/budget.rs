@@ -102,21 +102,15 @@ impl QueryBudget {
         }
     }
 
-    /// Replace the priority class.
-    pub fn with_class(mut self, class: PriorityClass) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Whether neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.samples.is_none()
     }
 
     /// Split this budget across `shards` scattered sub-queries: the
     /// sample allowance divides evenly (each shard gets at least 1);
     /// the deadline and class are shared, since shards run in parallel.
-    pub fn split(&self, shards: usize) -> QueryBudget {
+    pub(crate) fn split(&self, shards: usize) -> QueryBudget {
         QueryBudget {
             samples: self.samples.map(|s| (s / shards.max(1)).max(1)),
             ..*self
@@ -124,7 +118,7 @@ impl QueryBudget {
     }
 
     /// The deadline as an absolute instant from `start`.
-    pub fn deadline_from(&self, start: Instant) -> Option<Instant> {
+    pub(crate) fn deadline_from(&self, start: Instant) -> Option<Instant> {
         self.deadline.map(|d| start + d)
     }
 }
@@ -162,24 +156,12 @@ impl QualityBound {
     }
 
     /// A degraded answer's bound.
-    pub fn degraded(lower: f64, upper: f64, samples_used: usize) -> Self {
+    pub(crate) fn degraded(lower: f64, upper: f64, samples_used: usize) -> Self {
         QualityBound {
             exact: false,
             lower: lower.min(upper),
             upper,
             samples_used,
-        }
-    }
-
-    /// Merge per-shard bounds of one scattered query over *disjoint*
-    /// components: values are additive, so bounds sum. The merge is
-    /// exact only if every part is.
-    pub fn merge(&self, other: &QualityBound) -> QualityBound {
-        QualityBound {
-            exact: self.exact && other.exact,
-            lower: self.lower + other.lower,
-            upper: self.upper + other.upper,
-            samples_used: self.samples_used + other.samples_used,
         }
     }
 
@@ -227,19 +209,6 @@ mod tests {
         assert_eq!(b.split(4).samples, Some(25));
         assert_eq!(QueryBudget::samples(2).split(8).samples, Some(1));
         assert_eq!(QueryBudget::unlimited().split(4).samples, None);
-    }
-
-    #[test]
-    fn bounds_merge_additively() {
-        let a = QualityBound::degraded(1.0, 3.0, 10);
-        let b = QualityBound::exact(2.0);
-        let m = a.merge(&b);
-        assert!(!m.exact);
-        assert_eq!(m.lower, 3.0);
-        assert_eq!(m.upper, 5.0);
-        assert_eq!(m.samples_used, 10);
-        assert!(m.contains(4.0));
-        assert!(!m.contains(6.0));
     }
 
     #[test]

@@ -67,16 +67,6 @@ impl QueryCache {
         }
     }
 
-    /// A cache that never matches (capacity 0) — the disabled state.
-    pub fn disabled() -> Self {
-        Self::new(0, 0.0)
-    }
-
-    /// Whether caching is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Look up a query; moves the hit to the MRU position.
     pub fn get(&self, gamma: &TopicDistribution, k: usize) -> Option<KimResult> {
         if self.capacity == 0 {
@@ -131,16 +121,6 @@ impl QueryCache {
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries (counters are preserved).
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
     }
 }
 
@@ -212,22 +192,10 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_stores() {
-        let cache = QueryCache::disabled();
+        let cache = QueryCache::new(0, 0.0);
         let g = TopicDistribution::uniform(2);
         cache.put(g.clone(), 1, result(1));
         assert!(cache.get(&g, 1).is_none());
-        assert!(!cache.is_enabled());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = QueryCache::new(2, 1e-9);
-        let g = TopicDistribution::uniform(2);
-        cache.put(g.clone(), 1, result(1));
-        let _ = cache.get(&g, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.len(), 0);
     }
 }

@@ -341,17 +341,12 @@ impl Octopus {
     ) -> Result<Self> {
         let t0 = Instant::now();
         let inputs = Inputs::new(graph, model, config)?;
-        Self::open_cached(inputs, cache_dir, None, t0)
+        Self::open_cached(inputs, cache_dir, false, t0)
     }
 
     /// [`Octopus::open_or_build`] with the inputs' keys already computed,
-    /// remapping the written file when `remap` says how (`Some(paranoid)`).
-    fn open_cached(
-        inputs: Inputs,
-        cache_dir: &Path,
-        remap: Option<bool>,
-        t0: Instant,
-    ) -> Result<Self> {
+    /// serving the written file mapped when `remap` is set.
+    fn open_cached(inputs: Inputs, cache_dir: &Path, remap: bool, t0: Instant) -> Result<Self> {
         let (fp, keys) = (&inputs.fp, &inputs.keys);
         let mut lookup = persist::lookup(cache_dir, fp, keys, &inputs.graph, &inputs.config);
         let alone = lookup.sources.as_slice() == [fp.cache_path(cache_dir)];
@@ -395,32 +390,30 @@ impl Octopus {
         let inputs = Inputs::keyed(graph, model, config, graph_keys, same_names)?;
         let keys_time = t0.elapsed();
         let mapped_dir = cache.map(|(dir, _)| dir).filter(|_| mapped);
-        if let Some(art) = mapped_dir.and_then(|d| inputs.map(d, false)) {
+        if let Some(art) = mapped_dir.and_then(|d| inputs.map(d)) {
             return Ok((Self::assemble(inputs, art, true, t0), keys_time));
         }
         let t_screen = Instant::now();
         let (keys, graph, config) = (&inputs.keys, &inputs.graph, &inputs.config);
         let slots = persist::load_live(&self.art, keys, graph, config, shifts.as_deref());
         let gathered = Gathered::Live(t_screen.elapsed());
-        let remap = mapped.then_some(false);
-        let engine = Self::rebuild_tail(inputs, slots, gathered, cache, remap, t0)?;
+        let engine = Self::rebuild_tail(inputs, slots, gathered, cache, mapped, t0)?;
         Ok((engine, keys_time))
     }
 
     /// The one rebuild tail of the cache open and a flush: build what
     /// `slots` lack, encode once, write back (stamped with the given
     /// `write_seq`) and prune when `cache` names a directory, and serve off
-    /// the heap — or, with `remap = Some(paranoid)`, off the mapping of the
-    /// file just written, when it maps.
+    /// the heap — or, with `remap`, off the mapping of the file just
+    /// written, validating the heap bytes only when that does not map.
     fn rebuild_tail(
         inputs: Inputs,
         slots: ReuseSlots,
         gathered: Gathered,
         cache: Option<(&Path, u64)>,
-        remap: Option<bool>,
+        remap: bool,
         t0: Instant,
     ) -> Result<Self> {
-        let cache_dir = cache.map(|(dir, _)| dir);
         let mut offline = offline::build_with_reuse(&inputs.graph, &inputs.config, slots);
         let full = offline.fully_reused();
         let built = std::mem::take(&mut offline.timings);
@@ -435,7 +428,7 @@ impl Octopus {
         };
         // a full hit the exact-fingerprint file served alone: serve the
         // bytes the lookup already read and checksummed
-        let mut art = match exact.and_then(|raw| inputs.serve(raw).ok()) {
+        let art = match exact.and_then(|raw| inputs.serve(raw).ok()) {
             Some(art) => art,
             None => {
                 // a full hit from donor epochs (or a damaged exact file)
@@ -455,14 +448,16 @@ impl Octopus {
                     }
                     None => persist::encode(&offline, fp, keys, 0),
                 };
-                inputs.serve(bytes)?
+                let remapped = cache.filter(|_| remap).and_then(|(dir, _)| inputs.map(dir));
+                match remapped {
+                    Some(mapped) => {
+                        timings.extend(mapped.timings().iter().cloned());
+                        mapped
+                    }
+                    None => inputs.serve(bytes)?,
+                }
             }
         };
-        let remapped = cache_dir.zip(remap).and_then(|(dir, p)| inputs.map(dir, p));
-        if let Some(mapped) = remapped {
-            timings.extend(mapped.timings().iter().cloned());
-            art = mapped;
-        }
         Ok(Octopus {
             timings,
             reuse: offline.reuse,
@@ -495,36 +490,14 @@ impl Octopus {
         config: OctopusConfig,
         cache_dir: &std::path::Path,
     ) -> Result<Self> {
-        Self::open_mapped_inner(graph, model, config, cache_dir, false)
-    }
-
-    /// [`Octopus::open_mapped`] with every section checksum verified up
-    /// front: damage anywhere in the file fails the mapped open instead of
-    /// the first query touching the damaged section.
-    pub fn open_mapped_paranoid(
-        graph: TopicGraph,
-        model: TopicModel,
-        config: OctopusConfig,
-        cache_dir: &std::path::Path,
-    ) -> Result<Self> {
-        Self::open_mapped_inner(graph, model, config, cache_dir, true)
-    }
-
-    fn open_mapped_inner(
-        graph: TopicGraph,
-        model: TopicModel,
-        config: OctopusConfig,
-        cache_dir: &Path,
-        paranoid: bool,
-    ) -> Result<Self> {
         let t0 = Instant::now();
         let inputs = Inputs::new(graph, model, config)?;
-        if let Some(art) = inputs.map(cache_dir, paranoid) {
+        if let Some(art) = inputs.map(cache_dir) {
             return Ok(Self::assemble(inputs, art, true, t0));
         }
         // No exact mappable file: salvage and rebuild, write back, and map
         // the freshly written file.
-        Self::open_cached(inputs, cache_dir, Some(paranoid), t0)
+        Self::open_cached(inputs, cache_dir, true, t0)
     }
 
     /// An engine serving `art`, reporting the artifact's own open
@@ -570,13 +543,13 @@ impl Octopus {
 
     /// Per-stage wall-clock timings of the offline phase (what
     /// [`SystemReport::stage_timings`] reports).
-    pub fn stage_timings(&self) -> &[StageTiming] {
+    pub(crate) fn stage_timings(&self) -> &[StageTiming] {
         &self.timings
     }
 
     /// Per-stage cache reuse counters of the offline phase (what
     /// [`SystemReport::stage_reuse`] reports).
-    pub fn stage_reuse(&self) -> &[StageReuse] {
+    pub(crate) fn stage_reuse(&self) -> &[StageReuse] {
         &self.reuse
     }
 
@@ -764,8 +737,7 @@ impl Octopus {
             } => {
                 // nearest-sample lookup against the stored samples (borrowed
                 // — the samples are immutable offline artifacts, so the
-                // query path never clones them); direct-answer rule shared
-                // with the TopicSampleKim engine via the topic_sample helpers
+                // query path never clones them), then the direct-answer rule
                 let samples = self.art.samples();
                 let nearest = topic_sample::nearest_sample(samples, gamma);
                 let direct = nearest.and_then(|(idx, dist)| {
@@ -1200,9 +1172,9 @@ impl Inputs {
     }
 
     /// Map these inputs' exact cache file under `dir`, if it validates.
-    fn map(&self, dir: &Path, paranoid: bool) -> Option<MappedArtifacts> {
+    fn map(&self, dir: &Path) -> Option<MappedArtifacts> {
         let (fp, keys, graph, config) = (&self.fp, &self.keys, &self.graph, &self.config);
-        view::open(&fp.cache_path(dir), fp, keys, graph, config, paranoid).ok()
+        view::open(&fp.cache_path(dir), fp, keys, graph, config, false).ok()
     }
 }
 

@@ -92,7 +92,12 @@ impl<'g, B: BoundEstimator> BestEffortKim<'g, B> {
     /// Run the selection with an optional warm-start candidate list whose
     /// members are exactly evaluated up front (used by the topic-sample
     /// engine to inject a strong lower bound before any pruning decisions).
-    pub fn select_warm(&self, gamma: &TopicDistribution, k: usize, warm: &[NodeId]) -> KimResult {
+    pub(crate) fn select_warm(
+        &self,
+        gamma: &TopicDistribution,
+        k: usize,
+        warm: &[NodeId],
+    ) -> KimResult {
         let probs = self
             .graph
             .materialize(gamma.as_slice())

@@ -13,7 +13,7 @@
 //!   offline MIA spreads. Exact when edges are topic-disjoint (the regime
 //!   real networks approximate); the safety factor absorbs mixed edges, and
 //!   experiment E4 measures the residual violation rate.
-//! * [`LocalGraphBound`] (LG) — depth-`d` truncated Dijkstra around `u`
+//! * `LocalGraphBound` (LG) — depth-`d` truncated Dijkstra around `u`
 //!   under the query `γ`, plus a `C`-capped tail for frontier mass; also
 //!   calibrated with a safety factor (long detour paths can re-enter the
 //!   ball with higher probability than any short path).
@@ -77,7 +77,7 @@ impl<B: BoundEstimator + ?Sized> BoundEstimator for &B {
 /// and nothing else: no names, no seed, no `theta` (the arrival cap is
 /// threshold-free), no other topics. A nudge confined to topic `z` moves
 /// only topic `z`'s key; a rename or reseed moves none.
-pub fn spread_cap_topic_key(weights_topic: u64) -> u64 {
+pub(crate) fn spread_cap_topic_key(weights_topic: u64) -> u64 {
     let mut h = octopus_graph::wire::Fnv64::new();
     h.write(b"octa:spread-cap-topic");
     h.write_u64(weights_topic);
@@ -92,7 +92,7 @@ pub fn spread_cap_topic_key(weights_topic: u64) -> u64 {
 /// path probability `pp_max(u, v)` is at most its final edge's probability,
 /// which is at most `max_z t_z(v)`; summing over destinations,
 /// `σ_maxgraph(u) ≤ 1 + Σ_v max_z t_z(v) ≤ 1 + Σ_z (cap_z − 1)` — so the
-/// per-topic units combine ([`combine_topic_caps`]) into a valid global cap
+/// per-topic units combine (`combine_topic_caps`) into a valid global cap
 /// `C ≥ max_u σ_MIA(u)` at any `theta`. It is looser than the exact
 /// [`global_spread_cap`] (NB/LG prune a little less), but each unit is a
 /// pure function of one topic's edge triples: a foreign-topic delta leaves
@@ -118,7 +118,7 @@ pub fn topic_arrival_cap(graph: &TopicGraph, z: usize) -> f64 {
 /// estimators consume: `C = 1 + Σ_z (cap_z − 1)`, summed in ascending
 /// topic order so the result is bit-identical no matter which topics were
 /// rebuilt and which were reused.
-pub fn combine_topic_caps(caps: &[f64]) -> f64 {
+pub(crate) fn combine_topic_caps(caps: &[f64]) -> f64 {
     let mut c = 1.0f64;
     for &cz in caps {
         c += cz - 1.0;
@@ -255,7 +255,7 @@ impl PrecompBound {
     /// never enter the walk), so the row is bit-identical across any
     /// foreign-topic delta, and a partial rebuild assembling reused and
     /// fresh rows equals a monolithic [`PrecompBound::build`] exactly.
-    pub fn build_topic(graph: &TopicGraph, z: usize, theta: f64) -> Vec<f64> {
+    pub(crate) fn build_topic(graph: &TopicGraph, z: usize, theta: f64) -> Vec<f64> {
         let gamma = TopicDistribution::pure(graph.num_topics(), z);
         let probs = graph.materialize(gamma.as_slice()).expect("valid corner");
         mioa_spreads(graph, &probs, theta)
@@ -277,7 +277,12 @@ impl PrecompBound {
     /// configured engine needs the tables at all: a unit persisted as
     /// "absent" must never satisfy a config that requires the tables, and
     /// vice versa.
-    pub fn input_key_topic(weights_topic: u64, theta: f64, safety: f64, enabled: bool) -> u64 {
+    pub(crate) fn input_key_topic(
+        weights_topic: u64,
+        theta: f64,
+        safety: f64,
+        enabled: bool,
+    ) -> u64 {
         let mut h = octopus_graph::wire::Fnv64::new();
         h.write(b"octa:pb-topic");
         h.write_u8(enabled as u8);
@@ -317,7 +322,7 @@ impl BoundEstimator for PrecompBound {
 /// file bytes. Each topic is its own container section with its own key and
 /// checksum; `safety` is repeated per unit and must agree bitwise across
 /// the assembled table.
-pub fn encode_pb_topic_section(row: Option<&[f64]>, safety: f64) -> Vec<u8> {
+pub(crate) fn encode_pb_topic_section(row: Option<&[f64]>, safety: f64) -> Vec<u8> {
     use bytes::BufMut;
     let Some(row) = row else {
         return 0u64.to_le_bytes().to_vec();
@@ -349,7 +354,7 @@ impl<'a> PbTableView<'a> {
     /// `Ok(None)` (persisted absent) or `Ok(Some((safety, row_bytes)))`.
     /// Validation is O(1): the row length must match the graph exactly,
     /// after which every read is in bounds by construction.
-    pub fn parse_topic(
+    pub(crate) fn parse_topic(
         raw: &'a [u8],
         node_count: usize,
     ) -> Result<Option<(f64, &'a [u8])>, octopus_graph::wire::WireError> {
@@ -437,7 +442,7 @@ impl<'a> PbTableView<'a> {
 
     /// The stored pure-topic spread `σ̂_z(u)`.
     #[inline]
-    pub fn topic_spread(&self, u: NodeId, z: usize) -> f64 {
+    pub(crate) fn topic_spread(&self, u: NodeId, z: usize) -> f64 {
         let at = u.index() * 8;
         f64::from_le_bytes(self.rows[z][at..at + 8].try_into().expect("validated len"))
     }
@@ -465,7 +470,7 @@ impl BoundEstimator for PbTableView<'_> {
 
 /// Depth-limited query-time Dijkstra plus capped frontier tail.
 #[derive(Debug, Clone)]
-pub struct LocalGraphBound<'g> {
+pub(crate) struct LocalGraphBound<'g> {
     graph: &'g TopicGraph,
     depth: u32,
     cap: f64,

@@ -8,30 +8,31 @@
 //!
 //! | engine | offline work | online work | section |
 //! |---|---|---|---|
-//! | [`NaiveKim`] | none | full IM per query (RR sampling + greedy) | the "very expensive" baseline |
-//! | [`MisKim`] | per-topic CELF | weighted gain aggregation | precomputation-heavy heuristic |
+//! | `NaiveKim` | none | full IM per query (RR sampling + greedy) | the "very expensive" baseline |
+//! | `MisKim` | per-topic CELF | weighted gain aggregation | precomputation-heavy heuristic |
 //! | [`BestEffortKim`] | bound tables | bound-pruned exact evaluations | the best-effort framework |
-//! | [`TopicSampleKim`] | seed sets for sampled `γ`s | nearest-sample reuse + pruned refinement | the topic-sample algorithm |
+//! | topic sample | seed sets for sampled `γ`s | nearest-sample reuse + pruned refinement | the topic-sample algorithm |
 //!
-//! All engines implement [`KimAlgorithm`] so the experiment harness can
-//! sweep them uniformly, and all report [`KimStats`] — the evaluation
-//! counters behind the pruning-effectiveness experiment (E4).
+//! The engine facade picks one per [`KimEngineChoice`](crate::engine::KimEngineChoice);
+//! the topic-sample algorithm runs there, over the samples the offline
+//! phase stored. The standalone engines implement [`KimAlgorithm`] so the
+//! experiment harness can sweep them uniformly, and all report
+//! [`KimStats`] — the evaluation counters behind the pruning-effectiveness
+//! experiment (E4).
 
-pub mod best_effort;
+mod best_effort;
 pub mod bounds;
-pub mod mis;
-pub mod naive;
-pub mod targeted;
-pub mod topic_sample;
+pub(crate) mod mis;
+mod naive;
+mod targeted;
+pub(crate) mod topic_sample;
 
 pub use best_effort::BestEffortKim;
-pub use bounds::{
-    BoundEstimator, BoundKind, LocalGraphBound, NeighborhoodBound, PrecompBound, TrivialBound,
-};
-pub use mis::MisKim;
-pub use naive::{McGreedyKim, NaiveKim};
+pub use bounds::{BoundEstimator, BoundKind, NeighborhoodBound, PrecompBound, TrivialBound};
+pub(crate) use mis::MisKim;
+pub use naive::McGreedyKim;
+pub(crate) use naive::NaiveKim;
 pub use targeted::{Audience, TargetedKim};
-pub use topic_sample::TopicSampleKim;
 
 use octopus_graph::NodeId;
 use octopus_topics::TopicDistribution;

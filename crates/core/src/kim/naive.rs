@@ -14,22 +14,12 @@ use octopus_topics::TopicDistribution;
 #[derive(Debug, Clone)]
 pub struct NaiveKim<'g> {
     graph: &'g TopicGraph,
-    opts: OpimOptions,
 }
 
 impl<'g> NaiveKim<'g> {
     /// Create the baseline with default OPIM parameters.
     pub fn new(graph: &'g TopicGraph) -> Self {
-        NaiveKim {
-            graph,
-            opts: OpimOptions::default(),
-        }
-    }
-
-    /// Override the OPIM parameters (ε/δ/sample schedule).
-    pub fn with_opim(mut self, opts: OpimOptions) -> Self {
-        self.opts = opts;
-        self
+        NaiveKim { graph }
     }
 }
 
@@ -39,8 +29,10 @@ impl KimAlgorithm for NaiveKim<'_> {
             .graph
             .materialize(gamma.as_slice())
             .expect("gamma dimension validated at facade entry");
-        let mut opts = self.opts.clone();
-        opts.k = k;
+        let opts = OpimOptions {
+            k,
+            ..OpimOptions::default()
+        };
         let res = opim_select(self.graph, &probs, &opts);
         KimResult {
             seeds: res.seeds,
@@ -61,7 +53,7 @@ impl KimAlgorithm for NaiveKim<'_> {
 /// The *classical* naive engine: CELF greedy with Monte-Carlo spread
 /// estimation (Kempe et al., KDD'03 — what "the traditional IM algorithms"
 /// meant when the topic-aware line of work began). Kept alongside
-/// [`NaiveKim`] so the harness can show both generations of baseline:
+/// `NaiveKim` so the harness can show both generations of baseline:
 /// MC-greedy is the one that is "extremely expensive" online.
 #[derive(Debug, Clone)]
 pub struct McGreedyKim<'g> {

@@ -12,14 +12,11 @@
 //! CELF queue and lets the upper bounds prune far more aggressively than a
 //! cold start.
 
-use super::best_effort::BestEffortKim;
-use super::bounds::BoundEstimator;
-use super::{KimAlgorithm, KimResult, KimStats};
+use super::{KimResult, KimStats};
 use octopus_graph::NodeId;
 use octopus_topics::TopicDistribution;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// One precomputed sample: a topic distribution and its seed set.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,123 +29,39 @@ pub struct TopicSample {
     pub spread: f64,
 }
 
-/// The topic-sample engine, wrapping a best-effort core.
-pub struct TopicSampleKim<'g, B: BoundEstimator> {
-    inner: BestEffortKim<'g, B>,
-    samples: Vec<TopicSample>,
-    /// Queries within this L1 distance of a sample are answered directly.
-    direct_eps: f64,
-}
-
-impl<'g, B: BoundEstimator> TopicSampleKim<'g, B> {
-    /// Precompute seed sets over `Z` corners + `extra` Dirichlet samples.
-    ///
-    /// `alpha` is the Dirichlet concentration of the extra samples (sparse
-    /// draws `< 1` mirror real query distributions, which concentrate on a
-    /// few topics); `k_max` bounds the query `k` a sample can answer
-    /// directly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        inner: BestEffortKim<'g, B>,
-        num_topics: usize,
-        extra: usize,
-        alpha: f64,
-        k_max: usize,
-        direct_eps: f64,
-        seed: u64,
-    ) -> Self
-    where
-        B: Sync,
-    {
-        let gammas = Self::sample_gammas(num_topics, extra, alpha, seed);
-        let samples = Self::solve_samples(&inner, gammas, k_max);
-        TopicSampleKim {
-            inner,
-            samples,
-            direct_eps,
-        }
-    }
-
-    /// Compute the seed set of every sampled distribution — the expensive
-    /// half of the offline phase. The per-gamma best-effort runs are
-    /// deterministic and independent, so they execute in parallel; results
-    /// come back in input order regardless of the thread count.
-    pub fn solve_samples(
-        inner: &BestEffortKim<'g, B>,
-        gammas: Vec<TopicDistribution>,
-        k_max: usize,
-    ) -> Vec<TopicSample>
-    where
-        B: Sync,
-    {
-        gammas
-            .par_iter()
-            .map(|gamma| {
-                let res = inner.select(gamma, k_max);
-                TopicSample {
-                    gamma: gamma.clone(),
-                    seeds: res.seeds,
-                    spread: res.spread,
-                }
+/// The sampled distributions: the `Z` simplex corners, then `extra`
+/// Dirichlet(`alpha`) draws (sparse draws, `alpha < 1`, mirror real query
+/// distributions, which concentrate on a few topics).
+pub(crate) fn sample_gammas(
+    num_topics: usize,
+    extra: usize,
+    alpha: f64,
+    seed: u64,
+) -> Vec<TopicDistribution> {
+    let mut gammas: Vec<TopicDistribution> = (0..num_topics)
+        .map(|z| TopicDistribution::pure(num_topics, z))
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..extra {
+        let draws: Vec<f64> = (0..num_topics)
+            .map(|_| {
+                let u: f64 = 1.0 - rng.random::<f64>();
+                u.powf(1.0 / alpha)
             })
-            .collect()
-    }
-
-    /// Precompute only the sample distributions (no seed sets) — exposed so
-    /// callers can own the offline state and re-wrap it per query.
-    pub fn sample_gammas(
-        num_topics: usize,
-        extra: usize,
-        alpha: f64,
-        seed: u64,
-    ) -> Vec<TopicDistribution> {
-        let mut gammas: Vec<TopicDistribution> = (0..num_topics)
-            .map(|z| TopicDistribution::pure(num_topics, z))
             .collect();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..extra {
-            let draws: Vec<f64> = (0..num_topics)
-                .map(|_| {
-                    let u: f64 = 1.0 - rng.random::<f64>();
-                    u.powf(1.0 / alpha)
-                })
-                .collect();
-            if let Ok(g) = TopicDistribution::from_weights(draws) {
-                gammas.push(g);
-            }
-        }
-        gammas
-    }
-
-    /// Wrap previously computed samples (the engine facade stores them
-    /// offline and reconstructs the cheap wrapper per query).
-    pub fn from_prebuilt(
-        inner: BestEffortKim<'g, B>,
-        samples: Vec<TopicSample>,
-        direct_eps: f64,
-    ) -> Self {
-        TopicSampleKim {
-            inner,
-            samples,
-            direct_eps,
+        if let Ok(g) = TopicDistribution::from_weights(draws) {
+            gammas.push(g);
         }
     }
-
-    /// The precomputed samples.
-    pub fn samples(&self) -> &[TopicSample] {
-        &self.samples
-    }
-
-    /// Index and L1 distance of the nearest sample.
-    pub fn nearest_sample(&self, gamma: &TopicDistribution) -> (usize, f64) {
-        nearest_sample(&self.samples, gamma).expect("samples checked non-empty by callers")
-    }
+    gammas
 }
 
 /// Index and L1 distance of the sample nearest to `gamma` (`None` for an
-/// empty slice). Shared by [`TopicSampleKim`] and the engine facade, which
-/// borrows the offline samples instead of wrapping them.
-pub fn nearest_sample(samples: &[TopicSample], gamma: &TopicDistribution) -> Option<(usize, f64)> {
+/// empty slice); the engine borrows the offline samples.
+pub(crate) fn nearest_sample(
+    samples: &[TopicSample],
+    gamma: &TopicDistribution,
+) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, s) in samples.iter().enumerate() {
         let d = s.gamma.l1_distance(gamma);
@@ -162,7 +75,7 @@ pub fn nearest_sample(samples: &[TopicSample], gamma: &TopicDistribution) -> Opt
 /// The direct-answer rule: if the nearest sample (`idx`) is within
 /// `direct_eps` and holds at least `k` seeds, answer from it — `k`-prefix
 /// seeds, full-sample spread, `answered_from_sample` set.
-pub fn direct_answer(
+pub(crate) fn direct_answer(
     samples: &[TopicSample],
     idx: usize,
     dist: f64,
@@ -180,46 +93,44 @@ pub fn direct_answer(
     })
 }
 
-impl<B: BoundEstimator> KimAlgorithm for TopicSampleKim<'_, B> {
-    fn select(&self, gamma: &TopicDistribution, k: usize) -> KimResult {
-        if self.samples.is_empty() {
-            return self.inner.select(gamma, k);
-        }
-        let (idx, dist) = self.nearest_sample(gamma);
-        if let Some(res) = direct_answer(&self.samples, idx, dist, self.direct_eps, k) {
-            return res;
-        }
-        // warm-start the best-effort run with the sample's seeds
-        let sample = &self.samples[idx];
-        let warm: Vec<NodeId> = sample.seeds.iter().copied().take(k.max(1)).collect();
-        self.inner.select_warm(gamma, k, &warm)
-    }
-
-    fn name(&self) -> &'static str {
-        "topic-sample"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kim::bounds::{global_spread_cap, NeighborhoodBound};
+    use crate::engine::{KimEngineChoice, Octopus, OctopusConfig};
     use crate::kim::testutil::two_topic_hubs;
-    use octopus_graph::TopicGraph;
+    use crate::kim::BoundKind;
+    use octopus_topics::{TopicModel, Vocabulary};
 
-    const THETA: f64 = 1.0 / 320.0;
-
-    fn engine(g: &TopicGraph, extra: usize, eps: f64) -> TopicSampleKim<'_, NeighborhoodBound<'_>> {
-        let cap = global_spread_cap(g, THETA);
-        let inner = BestEffortKim::new(g, NeighborhoodBound::new(g, cap), THETA);
-        TopicSampleKim::build(inner, g.num_topics(), extra, 0.3, 3, eps, 99)
+    /// The engine's topic-sample path over the two-hub fixture: `extra`
+    /// Dirichlet samples beyond the corners, direct radius `eps`, no query
+    /// cache (every query reaches the samples).
+    fn engine(extra: usize, eps: f64) -> Octopus {
+        let mut vocab = Vocabulary::new();
+        vocab.intern("databases");
+        vocab.intern("learning");
+        let rows = vec![vec![0.9, 0.1], vec![0.1, 0.9]];
+        let model = TopicModel::from_rows(vocab, rows, vec![0.5, 0.5]).unwrap();
+        let config = OctopusConfig {
+            kim: KimEngineChoice::TopicSample {
+                bound: BoundKind::Neighborhood,
+                extra_samples: extra,
+                direct_eps: eps,
+            },
+            k_max: 3,
+            mis_rr_per_topic: 64,
+            piks_index_size: 16,
+            cache_capacity: 0,
+            ..Default::default()
+        };
+        Octopus::new(two_topic_hubs(), model, config).unwrap()
     }
 
     #[test]
     fn corner_queries_answered_directly() {
-        let g = two_topic_hubs();
-        let ts = engine(&g, 0, 0.05);
-        let res = ts.select(&TopicDistribution::pure(2, 0), 1);
+        let ts = engine(0, 0.05);
+        let res = ts
+            .find_influencers_gamma(&TopicDistribution::pure(2, 0), 1)
+            .unwrap();
         assert!(res.stats.answered_from_sample);
         assert_eq!(res.seeds, vec![NodeId(0)]);
         assert_eq!(res.stats.exact_evaluations, 0, "no online work at all");
@@ -227,10 +138,9 @@ mod tests {
 
     #[test]
     fn near_corner_queries_reuse_samples() {
-        let g = two_topic_hubs();
-        let ts = engine(&g, 0, 0.1);
+        let ts = engine(0, 0.1);
         let near = TopicDistribution::new(vec![0.96, 0.04]).unwrap();
-        let res = ts.select(&near, 1);
+        let res = ts.find_influencers_gamma(&near, 1).unwrap();
         assert!(
             res.stats.answered_from_sample,
             "L1 distance 0.08 < 0.1 ⇒ direct"
@@ -240,10 +150,9 @@ mod tests {
 
     #[test]
     fn far_queries_fall_back_to_warm_started_exact() {
-        let g = two_topic_hubs();
-        let ts = engine(&g, 0, 0.05);
+        let ts = engine(0, 0.05);
         let mid = TopicDistribution::uniform(2);
-        let res = ts.select(&mid, 2);
+        let res = ts.find_influencers_gamma(&mid, 2).unwrap();
         assert!(!res.stats.answered_from_sample);
         let mut s = res.seeds.clone();
         s.sort();
@@ -253,16 +162,18 @@ mod tests {
 
     #[test]
     fn more_samples_cover_more_queries_directly() {
-        let g = two_topic_hubs();
-        let few = engine(&g, 0, 0.15);
-        let many = engine(&g, 64, 0.15);
+        let few = engine(0, 0.15);
+        let many = engine(64, 0.15);
         let queries: Vec<TopicDistribution> = (0..=10)
             .map(|i| TopicDistribution::new(vec![i as f64 / 10.0, 1.0 - i as f64 / 10.0]).unwrap())
             .collect();
-        let direct = |ts: &TopicSampleKim<'_, NeighborhoodBound<'_>>| {
+        let direct = |ts: &Octopus| {
             queries
                 .iter()
-                .filter(|q| ts.select(q, 1).stats.answered_from_sample)
+                .filter(|q| {
+                    let res = ts.find_influencers_gamma(q, 1).unwrap();
+                    res.stats.answered_from_sample
+                })
                 .count()
         };
         assert!(
@@ -273,9 +184,16 @@ mod tests {
 
     #[test]
     fn nearest_sample_distance_is_zero_on_corners() {
-        let g = two_topic_hubs();
-        let ts = engine(&g, 4, 0.05);
-        let (_, d) = ts.nearest_sample(&TopicDistribution::pure(2, 1));
+        let samples: Vec<TopicSample> = sample_gammas(2, 4, 0.3, 99)
+            .into_iter()
+            .map(|gamma| TopicSample {
+                gamma,
+                seeds: Vec::new(),
+                spread: 0.0,
+            })
+            .collect();
+        let (_, d) = nearest_sample(&samples, &TopicDistribution::pure(2, 1)).unwrap();
         assert!(d < 1e-12);
+        assert_eq!(nearest_sample(&[], &TopicDistribution::pure(2, 1)), None);
     }
 }

@@ -21,15 +21,15 @@
 //! * [`offline`] — the **staged offline-build pipeline**: every
 //!   precomputation the engines above need, as an explicit stage DAG with
 //!   per-stage telemetry and deterministic rayon parallelism;
-//! * [`autocomplete`] — the UI's name auto-completion (Scenario 2 "assisted
+//! * `autocomplete` — the UI's name auto-completion (Scenario 2 "assisted
 //!   by an auto-completion tool");
 //! * [`engine`] — the [`engine::Octopus`] facade tying everything to the
 //!   keyword interface ("allows users to employ simple and easy-to-use
 //!   keywords to perform influence analysis");
 //! * [`serve`] — the **concurrent serving layer**: an epoch-swapped
-//!   [`serve::OctopusService`] where sessions query immutable snapshots
-//!   while graph deltas coalesce and rebuild the next epoch in the
-//!   background.
+//!   [`serve::OctopusService`] where queries run on immutable snapshots
+//!   while graph deltas coalesce and rebuild the next epoch off to the
+//!   side.
 //!
 //! ```
 //! use octopus_core::engine::{Octopus, OctopusConfig};
@@ -53,9 +53,9 @@
 
 #![warn(missing_docs)]
 
-pub mod autocomplete;
-pub mod budget;
-pub mod cache;
+mod autocomplete;
+mod budget;
+mod cache;
 pub mod engine;
 pub mod error;
 pub mod kim;

@@ -121,7 +121,7 @@ use crate::kim::bounds::{
     LocalGraphBound, NeighborhoodBound, PbTableView, PrecompBound, TrivialBound,
 };
 use crate::kim::mis::encode_mis_topic_section;
-use crate::kim::topic_sample::{TopicSample, TopicSampleKim};
+use crate::kim::topic_sample::{self, TopicSample};
 use crate::kim::{BestEffortKim, KimResult, MisKim};
 use crate::piks::{InfluencerIndex, PiksReuse};
 use octopus_graph::{NodeId, TopicGraph};
@@ -195,11 +195,11 @@ pub struct ReuseSlots {
     pub cap: Vec<Option<Vec<u8>>>,
     /// Per-topic cached `pb-bound` unit payloads (a σ̂ row, or the absent
     /// marker of a configuration that needs no PB tables — keyed by the
-    /// `enabled` flag in [`PrecompBound::input_key_topic`], so a marker
+    /// `enabled` flag in `PrecompBound::input_key_topic`, so a marker
     /// never satisfies a config that needs the tables).
     pub pb: Vec<Option<Vec<u8>>>,
     /// Per-topic cached `mis-tables` unit payloads (same contract as `pb`,
-    /// keyed by [`MisKim::input_key_topic`]).
+    /// keyed by `MisKim::input_key_topic`).
     pub mis: Vec<Option<Vec<u8>>>,
     /// The cached `topic-samples` payload.
     pub samples: Option<Vec<u8>>,
@@ -501,12 +501,8 @@ fn build_topic_samples(
     else {
         return persist::encode_samples(&[]);
     };
-    let gammas = TopicSampleKim::<NeighborhoodBound>::sample_gammas(
-        graph.num_topics(),
-        extra_samples,
-        0.3,
-        config.seed ^ 0x7A11,
-    );
+    let gammas =
+        topic_sample::sample_gammas(graph.num_topics(), extra_samples, 0.3, config.seed ^ 0x7A11);
     let samples: Vec<TopicSample> = gammas
         .par_iter()
         .map(|gamma| {

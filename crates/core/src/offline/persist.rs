@@ -59,7 +59,7 @@
 //!
 //! A section's `tag` encodes both its stage and (for the topic-granular
 //! stages) its topic: `tag = base | (z << 8)` with the base in the low
-//! byte ([`tag_base`]) and the topic index above it ([`tag_topic`]) —
+//! byte (`tag_base`) and the topic index above it (`tag_topic`) —
 //! singleton sections use their bare base tag, and topic 0 of a
 //! topic-granular stage is byte-identical to the old bare tag. The
 //! canonical section order is all cap units ascending by topic, then all
@@ -123,17 +123,17 @@ pub(crate) const VERSION: u16 = 8;
 pub(crate) const HEADER_LEN: usize = 4 + 2 + 2 + 8 * 3 + 8 + 4 + 4;
 
 /// Base section tag: one per-topic arrival-cap unit (`f64`).
-pub const SECTION_CAP: u32 = 1;
+pub(crate) const SECTION_CAP: u32 = 1;
 /// Base section tag: one per-topic PB σ̂ row unit.
-pub const SECTION_PB: u32 = 2;
+pub(crate) const SECTION_PB: u32 = 2;
 /// Base section tag: one per-topic MIS gains-table unit.
 pub const SECTION_MIS: u32 = 3;
 /// Section tag: precomputed topic samples.
-pub const SECTION_SAMPLES: u32 = 4;
+pub(crate) const SECTION_SAMPLES: u32 = 4;
 /// Section tag: PIKS influencer-index worlds.
 pub const SECTION_PIKS: u32 = 5;
 /// Section tag: the autocomplete trie.
-pub const SECTION_NAMES: u32 = 6;
+pub(crate) const SECTION_NAMES: u32 = 6;
 
 /// The tag of one topic-granular section unit: base tag in the low byte,
 /// topic index above it. Topic 0's tag equals the bare base tag.
@@ -142,12 +142,12 @@ pub const fn topic_tag(base: u32, z: usize) -> u32 {
 }
 
 /// The stage a section tag belongs to (its low byte).
-pub const fn tag_base(tag: u32) -> u32 {
+const fn tag_base(tag: u32) -> u32 {
     tag & 0xFF
 }
 
 /// The topic index a section tag carries (0 for singleton sections).
-pub const fn tag_topic(tag: u32) -> usize {
+const fn tag_topic(tag: u32) -> usize {
     (tag >> 8) as usize
 }
 
@@ -260,7 +260,7 @@ impl Fingerprint {
     }
 
     /// The cache file name for this key.
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         format!("octopus-artifacts-{self}.octa")
     }
 
@@ -422,7 +422,7 @@ impl StageKeys {
 
     /// The expected key for a section tag (`None` for unknown tags or
     /// topic indices beyond this build's topic count).
-    pub fn for_tag(&self, tag: u32) -> Option<u64> {
+    pub(crate) fn for_tag(&self, tag: u32) -> Option<u64> {
         let z = tag_topic(tag);
         match tag_base(tag) {
             SECTION_CAP => self.cap.get(z).copied(),
@@ -534,7 +534,7 @@ pub fn encode(
 
 /// Read the combined fingerprint stamped in a container header
 /// (diagnostics; reuse is decided by section keys, not by this).
-pub fn read_fingerprint(raw: &[u8]) -> Result<Fingerprint, PersistError> {
+pub(crate) fn read_fingerprint(raw: &[u8]) -> Result<Fingerprint, PersistError> {
     let mut buf = raw;
     wire::need(&buf, HEADER_LEN, "artifact header")?;
     let mut magic = [0u8; 4];
@@ -885,7 +885,7 @@ pub struct LoadTimings {
 
 impl LoadTimings {
     /// The three artifact stages a full hit reports, in load order.
-    pub fn stages(&self) -> Vec<StageTiming> {
+    pub(crate) fn stages(&self) -> Vec<StageTiming> {
         [
             (STAGE_ARTIFACT_MAP, self.map),
             (STAGE_ARTIFACT_VALIDATE, self.validate),

@@ -39,9 +39,8 @@
 //! [`MappedArtifacts::piks_view`]), recorded in a sticky per-section state:
 //! a section that fails verification fails every subsequent touch with
 //! [`CoreError::Artifact`] — the engine fails closed rather than serving
-//! from damaged bytes. Opening with `paranoid = true`
-//! ([`crate::engine::Octopus::open_mapped_paranoid`]) verifies every
-//! checksum up front instead.
+//! from damaged bytes. Opening with `paranoid = true` ([`open`]) verifies
+//! every checksum up front instead.
 //!
 //! A mapped open serves only a **complete, exact** file: same combined
 //! fingerprint, every stage key equal. Merging donor sections across files
@@ -118,7 +117,6 @@ struct MapInner {
     num_topics: usize,
     node_count: usize,
     // eagerly decoded small sections
-    topic_caps: Vec<f64>,
     cap: f64,
     samples: Vec<TopicSample>,
     // the PIKS framing validated at open, detached from the bytes and
@@ -416,7 +414,6 @@ fn validate(
         sections,
         num_topics: graph.num_topics(),
         node_count: graph.node_count(),
-        topic_caps,
         cap,
         samples,
         piks,
@@ -501,11 +498,6 @@ impl MappedArtifacts {
         self.inner.cap
     }
 
-    /// The per-topic arrival-mass caps (eagerly decoded at open).
-    pub fn topic_caps(&self) -> &[f64] {
-        &self.inner.topic_caps
-    }
-
     /// The precomputed topic samples (eagerly decoded at open).
     pub fn samples(&self) -> &[TopicSample] {
         &self.inner.samples
@@ -552,7 +544,7 @@ impl MappedArtifacts {
     }
 
     /// Total nodes stored across all PIKS worlds.
-    pub fn piks_stored_nodes(&self) -> usize {
+    pub(crate) fn piks_stored_nodes(&self) -> usize {
         self.inner.piks.stored_nodes()
     }
 
@@ -641,7 +633,6 @@ mod tests {
             for served in [&mapped, &heap] {
                 assert!(served.payloads().eq(art.payloads()), "the saved bytes");
                 let caps: Vec<f64> = (0..2).map(|z| topic_arrival_cap(&g, z)).collect();
-                assert_eq!(served.topic_caps(), &caps[..]);
                 assert_eq!(served.cap().to_bits(), combine_topic_caps(&caps).to_bits());
                 assert!(served.samples().is_empty(), "MIS engine");
                 assert_eq!(served.piks_len(), cfg.piks_index_size);

@@ -280,7 +280,7 @@ impl PiksReuse {
     /// under a larger index size may have plenty of valid late worlds that
     /// an `r`-world build can never use; compare donors by this, not by
     /// [`PiksReuse::available`].
-    pub fn available_in(&self, r: usize) -> usize {
+    pub(crate) fn available_in(&self, r: usize) -> usize {
         self.slots.iter().take(r).filter(|s| s.is_some()).count()
     }
 
@@ -508,7 +508,7 @@ impl InfluencerIndex {
     /// which is what makes world-granular delta reuse possible. The index
     /// size is also absent: worlds are keyed by `(seed, j)`, so a resize
     /// reuses the shared prefix.
-    pub fn section_key(node_count: usize, seed: u64) -> u64 {
+    pub(crate) fn section_key(node_count: usize, seed: u64) -> u64 {
         let mut h = Fnv64::new();
         h.write(b"octa:piks-index");
         h.write_u64(node_count as u64);
@@ -540,7 +540,7 @@ impl InfluencerIndex {
     }
 
     /// [`InfluencerIndex::to_bytes`] without the copy.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.raw
     }
 
@@ -642,7 +642,6 @@ pub struct PiksWorldsView<'a> {
     /// Where the world offset table starts.
     table: usize,
     stored_nodes: usize,
-    stored_edges: usize,
 }
 
 impl<'a> PiksWorldsView<'a> {
@@ -661,7 +660,6 @@ impl<'a> PiksWorldsView<'a> {
             as usize;
         let r = r as usize;
         let mut stored_nodes = 0usize;
-        let mut stored_edges = 0usize;
         let mut prev = table_end as u64;
         if u64_at(raw, table) != prev {
             return Err(WireError(format!(
@@ -700,7 +698,6 @@ impl<'a> PiksWorldsView<'a> {
                 )));
             }
             stored_nodes += w as usize;
-            stored_edges += e as usize;
         }
         if prev != raw.len() as u64 {
             return Err(WireError(format!(
@@ -714,7 +711,6 @@ impl<'a> PiksWorldsView<'a> {
             r,
             table,
             stored_nodes,
-            stored_edges,
         })
     }
 
@@ -728,7 +724,6 @@ impl<'a> PiksWorldsView<'a> {
             r: self.r,
             table: self.table,
             stored_nodes: self.stored_nodes,
-            stored_edges: self.stored_edges,
         }
     }
 
@@ -749,13 +744,8 @@ impl<'a> PiksWorldsView<'a> {
     }
 
     /// Total nodes across stored sub-DAGs.
-    pub fn stored_nodes(&self) -> usize {
+    pub(crate) fn stored_nodes(&self) -> usize {
         self.stored_nodes
-    }
-
-    /// Total edges across stored sub-DAGs.
-    pub fn stored_edges(&self) -> usize {
-        self.stored_edges
     }
 
     /// World `j`'s record.
@@ -1383,10 +1373,8 @@ mod tests {
         let view = PiksWorldsView::parse(&raw).unwrap();
         assert_eq!((view.len(), view.n()), (500, 9));
         let worlds = (0..500).map(|j| view.world(j));
-        let (nodes, edges) =
-            worlds.fold((0, 0), |(n, e), w| (n + w.node_count(), e + w.edge_count()));
+        let nodes: usize = worlds.map(|w| w.node_count()).sum();
         assert_eq!(view.stored_nodes(), nodes);
-        assert_eq!(view.stored_edges(), edges);
         assert!(nodes >= 500, "every sample stores at least its root");
         assert!((0..500).any(|j| view.world(j).edges_examined() > 0));
     }

@@ -4,7 +4,7 @@
 //! The policy is a small pure state machine ([`AdmissionCore`]) so the
 //! invariants are directly testable (the proptests in
 //! `crates/core/tests/admission.rs` drive it synchronously), wrapped in a
-//! blocking [`AdmissionController`] the services call:
+//! blocking `AdmissionController` the services call:
 //!
 //! * at most `max_inflight` queries execute at once;
 //! * an arrival when a slot is free is admitted immediately (no queue can
@@ -110,15 +110,6 @@ impl AdmissionCore {
         None
     }
 
-    /// A waiter that stopped waiting without being dispatched (the
-    /// blocking wrapper never does this today; kept for completeness of
-    /// the state machine).
-    pub fn abandon(&mut self, class: PriorityClass) {
-        let c = class.index();
-        debug_assert!(self.waiting[c] > 0);
-        self.waiting[c] = self.waiting[c].saturating_sub(1);
-    }
-
     /// Queries currently executing.
     pub fn inflight(&self) -> usize {
         self.inflight
@@ -155,7 +146,8 @@ impl AdmissionCore {
     }
 }
 
-/// Configuration of an [`AdmissionController`].
+/// Configuration of the admission controller a service puts in front of
+/// its queries ([`OctopusService::with_admission`](super::OctopusService::with_admission)).
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Execution slots (queries running concurrently).
@@ -181,7 +173,7 @@ impl Default for AdmissionConfig {
 /// waiter under the same lock so a slot is never observably free while a
 /// queue is non-empty.
 #[derive(Debug)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     core: Mutex<AdmissionCore>,
     cv: Condvar,
     /// Lock-free mirrors of the cumulative counters, for stats snapshots.
@@ -255,7 +247,7 @@ impl AdmissionController {
 /// RAII execution slot: dropping it releases the slot and dispatches the
 /// next waiter.
 #[derive(Debug)]
-pub struct Permit<'a> {
+pub(crate) struct Permit<'a> {
     ctl: &'a AdmissionController,
 }
 

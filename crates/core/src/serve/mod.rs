@@ -8,23 +8,24 @@
 //! connection handlers:
 //!
 //! * **Readers** [`execute`](QueryService::execute) [`Query`] values —
-//!   one per online operator of the paper — on the service itself or on
-//!   a per-client [`Session`]; every query loads the current engine
-//!   snapshot from an [`EpochCell`] — one lock, never held across a
-//!   rebuild — and is answered entirely on that snapshot, stamped with
-//!   the epoch id and latency ([`Served`]).
+//!   one per online operator of the paper — on the service: the one read
+//!   path. Every query loads the current engine snapshot from an
+//!   [`EpochCell`] — one lock, never held across a rebuild — and is
+//!   answered entirely on that snapshot, stamped with the epoch id and
+//!   latency ([`Served`]). A caller that needs several answers from one
+//!   epoch holds [`snapshot`](OctopusService::snapshot) and asks its
+//!   engine ([`Octopus::execute`]).
 //! * **Writers** [`submit`](OctopusService::submit)
 //!   [`GraphDelta`] mutations. Deltas queue up; a flush —
-//!   [`apply_pending`](OctopusService::apply_pending), called directly or
-//!   by a [`spawn_rebuilder`](OctopusService::spawn_rebuilder) background
-//!   thread — drains and **coalesces** the whole batch into one new
-//!   graph, rebuilds the engine *off to the side* from the epoch it
-//!   replaces (reusing every per-topic unit and PIKS world the batch left
-//!   valid), and swaps the epoch in one store. A service built with
+//!   [`apply_pending`](OctopusService::apply_pending), called by the
+//!   writer's own thread — drains and **coalesces** the whole batch into
+//!   one new graph, rebuilds the engine *off to the side* from the epoch
+//!   it replaces (reusing every per-topic unit and PIKS world the batch
+//!   left valid), and swaps the epoch in one store. A service built with
 //!   [`with_mapped_cache`](OctopusService::with_mapped_cache) goes one
 //!   step further: the flush writes the new epoch's OCTA v8 artifact and
-//!   **remaps** it, so the swapped-in engine serves zero-copy off the
-//!   page cache and rebuild writes never enter the read path.
+//!   serves it **mapped**, so the swapped-in engine reads zero-copy off
+//!   the page cache and rebuild writes never enter the read path.
 //!
 //! ## The epoch lifecycle
 //!
@@ -34,7 +35,7 @@
 //!        │ submit(δ₁) submit(δ₂) …                       │ in-flight queries
 //!        ▼                                               │ finish on N; new
 //!   pending queue ──flush──▶ coalesce δ₁…δₖ              │ queries land on N+1
-//!                            rebuild engine (background) │
+//!                            rebuild engine (aside)      │
 //!                            swap ───────────────────────┘
 //! ```
 //!
@@ -61,24 +62,20 @@ mod epoch;
 pub mod ingest;
 mod query;
 mod service_core;
-mod session;
 pub mod shard;
 
-pub use admission::{AdmissionConfig, AdmissionController, Permit};
+pub use admission::AdmissionConfig;
 pub use epoch::EpochCell;
 pub use ingest::{DeltaBatch, IngestPipeline, IngestStats, TopicBatcher, WindowReport};
-pub use query::{DeltaCounters, Query, QueryResponse, QueryService};
-pub use session::{OpStats, Operator, Served, Session, SessionStats};
+pub use query::{DeltaCounters, Operator, Query, QueryResponse, QueryService, Served};
 pub use shard::{ShardSwap, ShardedService};
 
-use crate::budget::QueryBudget;
 use crate::engine::Octopus;
 use crate::offline::{persist, StageReuse, StageTiming};
 use crate::Result;
 use octopus_graph::delta::{self, Applied, GraphDelta};
 use service_core::{Generation, ServiceCore};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,9 +189,10 @@ pub struct SwapReport {
     /// world-granular for `piks-worlds`. A topic-`z`-confined nudge batch
     /// therefore reports `Z-1/Z` reused on each weight stage.
     pub stage_reuse: Vec<StageReuse>,
-    /// Where the flush's time went: the rebuild's own timings
-    /// ([`Octopus::stage_timings`]: the `live-screen`, the stages that
-    /// rebuilt, the write-back, the remap), then the two passes before it —
+    /// Where the flush's time went: the rebuild's own timings (the new
+    /// engine's [`SystemReport::stage_timings`](crate::engine::SystemReport::stage_timings):
+    /// the `live-screen`, the stages that rebuilt, the write-back, the
+    /// remap), then the two passes before it —
     /// [`STAGE_DELTA_APPLY`], the one apply pass over the batch, and
     /// [`STAGE_GRAPH_KEYS`], the new graph's keys. Both cost `O(Δ)` on a
     /// batch that moves weights only (the apply pass shares the topology
@@ -227,14 +225,15 @@ pub struct ServiceStats {
     /// Deltas currently queued and not yet flushed (re-queued failed
     /// batches included).
     pub pending_deltas: usize,
-    /// Queries served across all sessions.
+    /// Queries served (admitted and run, whether the operator succeeded
+    /// or not).
     pub queries_served: u64,
     /// Queries admitted by the admission controller (0 when admission is
     /// off — every query runs unconditionally then).
     pub queries_admitted: u64,
     /// Queries shed with [`CoreError::Overloaded`](crate::CoreError),
     /// total across classes. Always equals the number of `Overloaded`
-    /// errors sessions observed (pinned by `tests/admission.rs`).
+    /// errors callers observed (pinned by `tests/admission.rs`).
     pub queries_shed: u64,
     /// Per-class shed counts, [`PriorityClass::ALL`](crate::PriorityClass::ALL) order.
     pub shed_by_class: [u64; 3],
@@ -297,9 +296,9 @@ impl OctopusService {
         }
     }
 
-    /// Put an admission controller in front of every session query:
-    /// bounded per-class wait queues, at most `cfg.max_inflight` queries
-    /// executing, shed-on-overload with
+    /// Put an admission controller in front of every query but
+    /// autocomplete: bounded per-class wait queues, at most
+    /// `cfg.max_inflight` queries executing, shed-on-overload with
     /// [`CoreError::Overloaded`](crate::CoreError). Without this, every
     /// query runs unconditionally (the pre-admission behavior).
     pub fn with_admission(self, cfg: AdmissionConfig) -> Self {
@@ -309,37 +308,18 @@ impl OctopusService {
         }
     }
 
-    /// Serve `query` on `pinned` or the live epoch, through the shared
-    /// read path behind both [`Session::execute`] and this service's
-    /// [`QueryService::execute`]: a shed query is the outer `Err`; an
-    /// admitted one is stamped whether its operator (the inner `Result`)
-    /// succeeded or not.
-    pub(crate) fn run(
-        &self,
-        pinned: Option<&Arc<Epoch>>,
-        query: &Query,
-        budget: &QueryBudget,
-    ) -> Result<Served<Result<QueryResponse>>> {
-        self.core.run(pinned, query, budget, |epoch| {
-            epoch.engine.execute(query, budget)
-        })
-    }
-
     /// The currently serving epoch. The returned handle stays valid (and
     /// keeps answering identically) for as long as the caller holds it,
-    /// across any number of swaps.
+    /// across any number of swaps; holding it never delays a swap, it only
+    /// keeps that epoch's memory alive.
+    ///
+    /// This is how a caller gets several answers from one epoch (a UI
+    /// drilling into one answer): hold the snapshot and call
+    /// [`Octopus::execute`] on its [`engine`](Epoch::engine). Those
+    /// queries bypass admission and the [`ServiceStats`] counters; their
+    /// epoch is the snapshot's [`id`](Epoch::id).
     pub fn snapshot(&self) -> Arc<Epoch> {
         self.core.load()
-    }
-
-    /// Id of the currently serving epoch.
-    pub fn current_epoch(&self) -> u64 {
-        self.snapshot().id
-    }
-
-    /// Open a client session.
-    pub fn session(&self) -> Session<'_> {
-        Session::new(self)
     }
 
     /// Queue a graph mutation for the next flush. Never blocks readers and
@@ -400,61 +380,8 @@ impl OctopusService {
         self.core.fail_next_rebuilds(n);
     }
 
-    /// Spawn a background thread that flushes the pending queue whenever
-    /// it is non-empty, polling every `poll`. Failed batches are counted
-    /// in [`ServiceStats::batches_failed`] and serving continues on the
-    /// old epoch. Dropping (or [`stop`](RebuilderHandle::stop)ping) the
-    /// returned handle shuts the thread down after its current flush.
-    pub fn spawn_rebuilder(self: &Arc<Self>, poll: Duration) -> RebuilderHandle {
-        let service = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            while !stop_flag.load(SeqCst) {
-                if service.core.delta_counters().pending_deltas > 0 {
-                    // errors are reflected in batches_failed; the rebuilder
-                    // keeps serving the old epoch and keeps polling
-                    let _ = service.apply_pending();
-                }
-                std::thread::sleep(poll);
-            }
-        });
-        RebuilderHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-
     /// Current service-level counters.
     pub fn stats(&self) -> ServiceStats {
         self.core.stats()
-    }
-}
-
-/// Handle on a [`spawn_rebuilder`](OctopusService::spawn_rebuilder)
-/// thread; stops it on drop.
-pub struct RebuilderHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RebuilderHandle {
-    /// Stop the rebuilder and wait for it to exit (pending deltas stay
-    /// queued for a later manual flush).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for RebuilderHandle {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -1,8 +1,7 @@
 //! The query surface: one [`Query`] value in, one [`QueryResponse`] out,
 //! through the single [`execute`](QueryService::execute) entry point
-//! every layer implements — the engine ([`Octopus::execute`]), a
-//! [`Session`](super::Session), [`OctopusService`] and
-//! [`ShardedService`](super::ShardedService).
+//! every layer implements — the engine ([`Octopus::execute`]),
+//! [`OctopusService`] and [`ShardedService`](super::ShardedService).
 //!
 //! The query names the operator and its arguments, the [`QueryBudget`]
 //! carries the limits and the priority class, and the response is an
@@ -20,7 +19,7 @@
 //! [`DeltaCounters`] behind the trait are one implementation, not two.
 
 use super::shard::ShardSwap;
-use super::{OctopusService, Operator, Served};
+use super::OctopusService;
 use crate::budget::{Anytime, QueryBudget};
 use crate::engine::{KimAnswer, Octopus, SuggestAnswer};
 use crate::paths::{ExploreDirection, PathExploration};
@@ -28,6 +27,93 @@ use crate::Result;
 use octopus_graph::delta::GraphDelta;
 use octopus_graph::NodeId;
 use octopus_topics::radar::RadarChart;
+use std::time::Duration;
+
+/// The online operators, as stats and admission keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operator {
+    /// Scenario 1 — keyword-based influencer discovery.
+    FindInfluencers,
+    /// Scenario 2 — personalized keyword suggestion.
+    SuggestKeywords,
+    /// Scenario 3 — influential path exploration.
+    ExplorePaths,
+    /// Name auto-completion.
+    Autocomplete,
+    /// Keyword radar chart (UI keyword interpretation).
+    KeywordRadar,
+}
+
+impl Operator {
+    /// Every operator, in display order.
+    pub const ALL: [Operator; 5] = [
+        Operator::FindInfluencers,
+        Operator::SuggestKeywords,
+        Operator::ExplorePaths,
+        Operator::Autocomplete,
+        Operator::KeywordRadar,
+    ];
+
+    /// Stable display label (also the per-operator CSV column key).
+    pub fn label(self) -> &'static str {
+        match self {
+            Operator::FindInfluencers => "find-influencers",
+            Operator::SuggestKeywords => "suggest-keywords",
+            Operator::ExplorePaths => "explore-paths",
+            Operator::Autocomplete => "autocomplete",
+            Operator::KeywordRadar => "keyword-radar",
+        }
+    }
+
+    /// Position in [`Operator::ALL`] (stable stats-array index).
+    pub fn index(self) -> usize {
+        match self {
+            Operator::FindInfluencers => 0,
+            Operator::SuggestKeywords => 1,
+            Operator::ExplorePaths => 2,
+            Operator::Autocomplete => 3,
+            Operator::KeywordRadar => 4,
+        }
+    }
+}
+
+/// One served answer plus its query-level metadata.
+#[derive(Debug, Clone)]
+pub struct Served<T> {
+    /// The operator's answer.
+    pub value: T,
+    /// Id of the epoch that served the query.
+    pub epoch: u64,
+    /// Wall-clock latency the serving layer observed: admission wait,
+    /// snapshot load and the operator itself.
+    pub latency: Duration,
+}
+
+impl<T> Served<T> {
+    /// Transform the answer, keeping the epoch stamp and latency — e.g.
+    /// to unwrap a [`QueryResponse`] variant without forging either piece
+    /// of metadata.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Served<U> {
+        Served {
+            value: f(self.value),
+            epoch: self.epoch,
+            latency: self.latency,
+        }
+    }
+}
+
+impl<T> Served<Result<T>> {
+    /// An executed query's outcome with its stamp: the operator's error
+    /// surfaces, its answer keeps the epoch and latency.
+    pub(super) fn transpose(self) -> Result<Served<T>> {
+        let (epoch, latency) = (self.epoch, self.latency);
+        self.value.map(|value| Served {
+            value,
+            epoch,
+            latency,
+        })
+    }
+}
 
 /// One of the five online operators plus its arguments, as a value —
 /// the request half of the unified surface.
@@ -283,7 +369,9 @@ impl Octopus {
 
 impl QueryService for OctopusService {
     fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
-        self.run(None, query, budget)?.transpose()
+        self.core
+            .run(query, budget, |epoch| epoch.engine.execute(query, budget))?
+            .transpose()
     }
 
     fn submit_delta(&self, delta: GraphDelta) {

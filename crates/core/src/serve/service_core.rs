@@ -79,23 +79,21 @@ impl<S: Generation> ServiceCore<S> {
         self.cell.load()
     }
 
-    /// The one admit → load-or-pinned → run → stamp read path.
+    /// The one admit → load → run → stamp read path.
     ///
     /// Admission comes first: a shed query (the outer `Err`) never loads
-    /// a snapshot or runs. An admitted query runs `answer` on `pinned` if
-    /// given, else on the live snapshot, and is stamped with that
-    /// snapshot's [`Generation::stamp`] and the latency the client
-    /// observed, admission wait included.
+    /// a snapshot or runs. An admitted query runs `answer` on the live
+    /// snapshot and is stamped with that snapshot's [`Generation::stamp`]
+    /// and the latency the client observed, admission wait included.
     pub(crate) fn run<T>(
         &self,
-        pinned: Option<&Arc<S>>,
         query: &Query,
         budget: &QueryBudget,
         answer: impl FnOnce(&S) -> T,
     ) -> Result<Served<T>> {
         let start = Instant::now();
         let _permit = admit(&self.admission, query, budget)?;
-        let snapshot = pinned.map_or_else(|| self.load(), Arc::clone);
+        let snapshot = self.load();
         let value = answer(&snapshot);
         self.queries_served.fetch_add(1, Relaxed);
         Ok(Served {

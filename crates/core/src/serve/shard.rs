@@ -654,7 +654,7 @@ impl QueryService for ShardedService {
     /// `Served::latency` includes the admission wait.
     fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<Served<QueryResponse>> {
         self.core
-            .run(None, query, budget, |routed| {
+            .run(query, budget, |routed| {
                 self.answer(&routed.shards, query, budget)
             })?
             .transpose()

@@ -294,19 +294,6 @@ fn topic_confined_nudge_partial_rebuild_is_bit_identical_heap_and_mapped() {
     }
 }
 
-#[test]
-fn paranoid_mapped_open_answers_identically_too() {
-    let (g, model) = fixture();
-    let cfg = config(KimEngineChoice::Mis);
-    let dir = std::env::temp_dir().join("octopus_mapped_mode_paranoid");
-    std::fs::remove_dir_all(&dir).ok();
-    let heap = Octopus::open_or_build(g.clone(), model.clone(), cfg.clone(), &dir).unwrap();
-    let mapped = Octopus::open_mapped_paranoid(g, model, cfg, &dir).unwrap();
-    assert!(mapped.is_mapped() && mapped.cache_hit());
-    assert_all_five_operators_identical(&heap, &mapped, "paranoid");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// `Octopus::artifacts()` serves the one artifact shape whatever built the
 /// engine — `new`, `open_or_build` (miss and hit), `open_mapped`, and the
 /// engine a service swaps in after a flush — and every one of them holds

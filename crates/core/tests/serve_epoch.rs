@@ -10,12 +10,12 @@
 
 use octopus_core::engine::{KimAnswer, KimEngineChoice, Octopus, OctopusConfig, SuggestAnswer};
 use octopus_core::offline::persist::{
-    self, section_order, Fingerprint, SECTION_PIKS, STAGE_ARTIFACT_STORE, STAGE_LIVE_SCREEN,
+    self, section_order, Fingerprint, SECTION_PIKS, STAGE_ARTIFACT_MAP, STAGE_ARTIFACT_STORE,
+    STAGE_LIVE_SCREEN,
 };
 use octopus_core::paths::{ExploreDirection, PathExploration};
 use octopus_core::serve::{
-    OctopusService, Operator, Query, QueryResponse, Served, Session, STAGE_DELTA_APPLY,
-    STAGE_GRAPH_KEYS,
+    OctopusService, Query, QueryResponse, QueryService, Served, STAGE_DELTA_APPLY, STAGE_GRAPH_KEYS,
 };
 use octopus_core::{QueryBudget, Result};
 use octopus_graph::codec::GraphKeys;
@@ -23,7 +23,6 @@ use octopus_graph::delta::GraphDelta;
 use octopus_graph::{EdgeId, GraphBuilder, NodeId, TopicGraph};
 use octopus_topics::{TopicModel, Vocabulary};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Small two-topic network, cheap enough to rebuild several times per
@@ -98,39 +97,39 @@ fn probe(engine: &Octopus) -> ProbeSignature {
     }
 }
 
-fn run(session: &mut Session<'_>, query: Query) -> Result<Served<QueryResponse>> {
-    session.execute(&query, &QueryBudget::unlimited())
+fn run(service: &OctopusService, query: Query) -> Result<Served<QueryResponse>> {
+    service.execute(&query, &QueryBudget::unlimited())
 }
 
-fn find(session: &mut Session<'_>, query: &str, k: usize) -> Result<Served<KimAnswer>> {
+fn find(service: &OctopusService, query: &str, k: usize) -> Result<Served<KimAnswer>> {
     let query = Query::FindInfluencers {
         query: query.into(),
         k,
     };
-    Ok(run(session, query)?.map(|r| r.into_influencers().unwrap().value))
+    Ok(run(service, query)?.map(|r| r.into_influencers().unwrap().value))
 }
 
-fn suggest(session: &mut Session<'_>, user: &str, k: usize) -> Result<Served<SuggestAnswer>> {
+fn suggest(service: &OctopusService, user: &str, k: usize) -> Result<Served<SuggestAnswer>> {
     let query = Query::SuggestKeywords {
         user: user.into(),
         k,
     };
-    Ok(run(session, query)?.map(|r| r.into_suggestions().unwrap().value))
+    Ok(run(service, query)?.map(|r| r.into_suggestions().unwrap().value))
 }
 
-fn explore(session: &mut Session<'_>, user: &str, query: &str) -> Served<PathExploration> {
+fn explore(service: &OctopusService, user: &str, query: &str) -> Served<PathExploration> {
     let query = Query::ExplorePaths {
         user: user.into(),
         direction: ExploreDirection::Influences,
         query: Some(query.into()),
     };
-    run(session, query)
+    run(service, query)
         .unwrap()
         .map(|r| r.into_paths().unwrap().value)
 }
 
 fn complete(
-    session: &mut Session<'_>,
+    service: &OctopusService,
     prefix: &str,
     limit: usize,
 ) -> Served<Vec<(NodeId, String, f64)>> {
@@ -138,19 +137,17 @@ fn complete(
         prefix: prefix.into(),
         limit,
     };
-    run(session, query)
+    run(service, query)
         .expect("autocomplete is infallible")
         .map(|r| r.into_completions().unwrap().value)
 }
 
-/// Probe through a serve session, also returning the epochs that served.
-fn probe_session(service: &OctopusService) -> (ProbeSignature, Vec<u64>) {
-    let mut session = service.session();
-    let session = &mut session;
-    let kim = find(session, "data mining", 2).unwrap();
-    let sugg = suggest(session, "jiawei han", 2).unwrap();
-    let paths = explore(session, "jiawei han", "data mining");
-    let comp = complete(session, "db-", 10);
+/// Probe through the service, also returning the epochs that served.
+fn probe_service(service: &OctopusService) -> (ProbeSignature, Vec<u64>) {
+    let kim = find(service, "data mining", 2).unwrap();
+    let sugg = suggest(service, "jiawei han", 2).unwrap();
+    let paths = explore(service, "jiawei han", "data mining");
+    let comp = complete(service, "db-", 10);
     let epochs = vec![kim.epoch, sugg.epoch, paths.epoch, comp.epoch];
     (
         ProbeSignature {
@@ -170,13 +167,19 @@ fn epoch_zero_matches_a_fresh_engine() {
     let (g, model, config) = fixture();
     let fresh = Octopus::new(g.clone(), model.clone(), config.clone()).unwrap();
     let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
-    let (sig, epochs) = probe_session(&service);
+    let (sig, epochs) = probe_service(&service);
     assert_eq!(sig, probe(&fresh));
     assert!(epochs.iter().all(|&e| e == 0), "all served by epoch 0");
+    // an operator error surfaces to the caller and still counts as served
+    assert!(find(&service, "quantum blockchain", 2).is_err());
+    let radar = Query::KeywordRadar {
+        word: "em algorithm".into(),
+    };
+    assert_eq!(run(&service, radar).unwrap().epoch, 0);
     let stats = service.stats();
     assert_eq!(stats.current_epoch(), 0);
     assert_eq!(stats.epochs_swapped, 0);
-    assert_eq!(stats.queries_served, 4);
+    assert_eq!(stats.queries_served, 6);
 }
 
 #[test]
@@ -186,7 +189,7 @@ fn swapped_epochs_answer_bit_identically_to_fresh_engines() {
         OctopusService::new(Octopus::new(g0.clone(), model.clone(), config.clone()).unwrap());
 
     // pre-swap answers match a fresh engine on g0
-    let (before, _) = probe_session(&service);
+    let (before, _) = probe_service(&service);
     assert_eq!(
         before,
         probe(&Octopus::new(g0.clone(), model.clone(), config.clone()).unwrap())
@@ -211,11 +214,11 @@ fn swapped_epochs_answer_bit_identically_to_fresh_engines() {
     // post-swap answers match a fresh engine on the delta'd graph
     let g1 = octopus_graph::delta::apply_all(&g0, &batch).unwrap();
     let fresh1 = Octopus::new(g1, model, config).unwrap();
-    let (after, epochs) = probe_session(&service);
+    let (after, epochs) = probe_service(&service);
     assert_eq!(after, probe(&fresh1));
     assert!(epochs.iter().all(|&e| e == 1), "all served by epoch 1");
     // the rename is visible through the swapped trie
-    assert!(complete(&mut service.session(), "db-star", 1)
+    assert!(complete(&service, "db-star", 1)
         .value
         .iter()
         .any(|(_, name, _)| name == "db-star"));
@@ -261,14 +264,14 @@ fn coalesced_batch_is_equivalent_to_one_by_one_application() {
         coalesced.snapshot().engine().graph(),
         one_by_one.snapshot().engine().graph()
     );
-    assert_eq!(probe_session(&coalesced).0, probe_session(&one_by_one).0);
+    assert_eq!(probe_service(&coalesced).0, probe_service(&one_by_one).0);
 }
 
 #[test]
 fn failed_batch_keeps_the_old_epoch_serving() {
     let (g, model, config) = fixture();
     let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
-    let (before, _) = probe_session(&service);
+    let (before, _) = probe_service(&service);
 
     service.submit_all(vec![
         GraphDelta::RenameNode {
@@ -288,7 +291,7 @@ fn failed_batch_keeps_the_old_epoch_serving() {
         "the failed batch is re-queued for retry, not lost"
     );
     // answers unchanged — the partial rename never leaked
-    assert_eq!(probe_session(&service).0, before);
+    assert_eq!(probe_service(&service).0, before);
 
     // a deterministically bad batch fails every retry and is dropped
     // after MAX_BATCH_RETRIES consecutive attempts, surfacing as a
@@ -354,7 +357,7 @@ fn transiently_failing_batch_is_eventually_applied() {
 
     // the transiently failing batch really landed — and the final graph
     // is exactly base + rename + nudge
-    assert!(complete(&mut service.session(), "survived", 1)
+    assert!(complete(&service, "survived", 1)
         .value
         .iter()
         .any(|(_, name, _)| name == "survived-the-outage"));
@@ -435,7 +438,7 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
     )
     .unwrap();
     let fresh = Octopus::new(g1.clone(), model.clone(), config.clone()).unwrap();
-    let a = find(&mut service.session(), "data mining", 2).unwrap();
+    let a = find(&service, "data mining", 2).unwrap();
     let b = fresh.find_influencers("data mining", 2).unwrap();
     assert_eq!(
         a.value.seeds.iter().map(|s| s.node).collect::<Vec<_>>(),
@@ -483,7 +486,7 @@ fn rebuild_through_cache_dir_reuses_unaffected_stages() {
     // and the per-topic partial rebuild still answers like a fresh engine
     let g2 = nudge.apply(&g1).unwrap();
     let fresh = Octopus::new(g2, model, config).unwrap();
-    let a = find(&mut service.session(), "em algorithm", 2).unwrap();
+    let a = find(&service, "em algorithm", 2).unwrap();
     let b = fresh.find_influencers("em algorithm", 2).unwrap();
     assert_eq!(
         a.value.seeds.iter().map(|s| s.node).collect::<Vec<_>>(),
@@ -502,7 +505,7 @@ fn user_keyword_overrides_survive_the_swap() {
         .unwrap()
         .with_user_keywords(map);
     let service = OctopusService::new(engine);
-    let before = suggest(&mut service.session(), "jiawei han", 1).unwrap();
+    let before = suggest(&service, "jiawei han", 1).unwrap();
     assert_eq!(before.value.words, vec!["frequent patterns"]);
 
     service.submit(GraphDelta::NudgeWeights {
@@ -510,7 +513,7 @@ fn user_keyword_overrides_survive_the_swap() {
         delta: 0.05,
     });
     service.apply_pending().unwrap().expect("pending delta");
-    let after = suggest(&mut service.session(), "jiawei han", 1).unwrap();
+    let after = suggest(&service, "jiawei han", 1).unwrap();
     assert_eq!(
         after.value.words,
         vec!["frequent patterns"],
@@ -551,10 +554,9 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
         let mut readers = Vec::new();
         for _ in 0..READERS {
             readers.push(s.spawn(|| {
-                let mut session = service.session();
                 let mut checked = 0u64;
                 while !done.load(SeqCst) || checked == 0 {
-                    let kim = find(&mut session, "data mining", 2).unwrap();
+                    let kim = find(&service, "data mining", 2).unwrap();
                     let reference = &references[kim.epoch as usize];
                     assert_eq!(
                         kim.value.seeds.iter().map(|x| x.node).collect::<Vec<_>>(),
@@ -563,7 +565,7 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
                         kim.epoch
                     );
                     assert_eq!(kim.value.result.spread, reference.spread);
-                    let comp = complete(&mut session, "db-", 10);
+                    let comp = complete(&service, "db-", 10);
                     assert_eq!(
                         comp.value, references[comp.epoch as usize].completions,
                         "epoch {} trie must be the epoch's own",
@@ -593,96 +595,18 @@ fn readers_racing_swaps_observe_exactly_old_or_new() {
     assert_eq!(stats.batches_failed, 0);
 }
 
+/// Several answers from one epoch: a held [`OctopusService::snapshot`]
+/// keeps answering from — and reporting — the epoch it was taken on
+/// while a swap storm moves the service on, and a live query afterwards
+/// stamps the service's current epoch.
 #[test]
-fn background_rebuilder_applies_submitted_deltas() {
-    let (g, model, config) = fixture();
-    let service = Arc::new(OctopusService::new(Octopus::new(g, model, config).unwrap()));
-    let rebuilder = service.spawn_rebuilder(Duration::from_millis(5));
-    service.submit(GraphDelta::RenameNode {
-        node: NodeId(2),
-        name: "flushed-in-background".into(),
-    });
-    // poll until the swap lands (bounded)
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while service.current_epoch() == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "background rebuilder never flushed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    rebuilder.stop();
-    assert_eq!(service.current_epoch(), 1);
-    assert!(complete(&mut service.session(), "flushed", 1)
-        .value
-        .iter()
-        .any(|(_, name, _)| name == "flushed-in-background"));
-}
-
-#[test]
-fn session_stats_track_operators_epochs_and_errors() {
-    let (g, model, config) = fixture();
-    let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
-    let mut session = service.session();
-    find(&mut session, "data mining", 2).unwrap();
-    assert!(find(&mut session, "quantum blockchain", 2).is_err());
-    complete(&mut session, "db-", 3);
-    let radar = Query::KeywordRadar {
-        word: "em algorithm".into(),
-    };
-    assert!(run(&mut session, radar).is_ok());
-
-    service.submit(GraphDelta::NudgeWeights {
-        edges: vec![EdgeId(0)],
-        delta: 0.05,
-    });
-    service.apply_pending().unwrap().expect("pending delta");
-    find(&mut session, "data mining", 2).unwrap();
-
-    let stats = session.stats();
-    assert_eq!(stats.op(Operator::FindInfluencers).queries, 3);
-    assert_eq!(stats.op(Operator::FindInfluencers).errors, 1);
-    assert_eq!(stats.op(Operator::Autocomplete).queries, 1);
-    assert_eq!(stats.op(Operator::KeywordRadar).errors, 0);
-    assert_eq!(stats.op(Operator::SuggestKeywords).queries, 0);
-    assert_eq!(stats.total_queries(), 5);
-    assert_eq!(stats.total_errors(), 1);
-    assert_eq!(
-        stats.epochs_seen,
-        Some((0, 1)),
-        "the session spanned the swap"
-    );
-    assert!(stats.op(Operator::FindInfluencers).total_latency > Duration::ZERO);
-    // pinned snapshots freeze an epoch regardless of later swaps
-    let pin = session.pin();
-    service.submit(GraphDelta::NudgeWeights {
-        edges: vec![EdgeId(1)],
-        delta: 0.05,
-    });
-    service.apply_pending().unwrap().expect("pending delta");
-    assert_eq!(pin.id(), 1, "pin keeps the pre-swap epoch");
-    assert_eq!(service.current_epoch(), 2);
-    let _ = pin.engine().find_influencers("data mining", 2).unwrap();
-    // queries issued while pinned run on (and are stamped from) the pin
-    let pinned = find(&mut session, "data mining", 2).unwrap();
-    assert_eq!(pinned.epoch, 1, "stamp comes from the snapshot queried");
-    session.unpin();
-    let live = find(&mut session, "data mining", 2).unwrap();
-    assert_eq!(live.epoch, 2, "unpin resumes the current epoch");
-}
-
-/// Regression test for the pin/stamp race: the `Served::epoch` stamp must
-/// come from the snapshot that actually answered the query, never from
-/// the service's moved-on epoch counter. A pinned session racing a swap
-/// storm must keep answering from — and stamping — the pinned epoch.
-#[test]
-fn pinned_session_stamps_the_snapshot_actually_queried() {
+fn held_snapshot_answers_from_its_epoch_through_a_swap_storm() {
     let (g, model, config) = fixture();
     let reference = probe(&Octopus::new(g.clone(), model.clone(), config.clone()).unwrap());
     let service = OctopusService::new(Octopus::new(g, model, config).unwrap());
-    let mut session = service.session();
-    let pin = session.pin();
-    assert_eq!(pin.id(), 0);
+    let snapshot = service.snapshot();
+    assert_eq!(snapshot.id(), 0);
+    let budget = QueryBudget::unlimited();
 
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -699,42 +623,43 @@ fn pinned_session_stamps_the_snapshot_actually_queried() {
             swaps
         });
         // keep reading until at least one swap has really landed under
-        // the pin — a fixed round count can outrun the writer's first
-        // rebuild and leave nothing racing
+        // the held snapshot — a fixed round count can outrun the writer's
+        // first rebuild and leave nothing racing
         let mut rounds = 0;
-        while rounds < 4 || service.current_epoch() == 0 {
-            let kim = find(&mut session, "data mining", 2).unwrap();
-            assert_eq!(kim.epoch, 0, "pinned query must stamp the pinned epoch");
+        while rounds < 4 || service.stats().current_epoch() == 0 {
+            let query = Query::FindInfluencers {
+                query: "data mining".into(),
+                k: 2,
+            };
+            let kim = snapshot.engine().execute(&query, &budget).unwrap();
+            let kim = kim.into_influencers().unwrap().value;
             assert_eq!(
-                kim.value.seeds.iter().map(|x| x.node).collect::<Vec<_>>(),
+                kim.seeds.iter().map(|x| x.node).collect::<Vec<_>>(),
                 reference.seeds,
-                "pinned answers come from the pinned engine, not a swapped one"
+                "held answers come from the held engine, not a swapped one"
             );
-            assert_eq!(kim.value.result.spread, reference.spread);
-            let comp = complete(&mut session, "db-", 10);
-            assert_eq!(comp.epoch, 0);
-            assert_eq!(comp.value, reference.completions);
+            assert_eq!(kim.result.spread, reference.spread);
+            let query = Query::Autocomplete {
+                prefix: "db-".into(),
+                limit: 10,
+            };
+            let comp = snapshot.engine().execute(&query, &budget).unwrap();
+            assert_eq!(
+                comp.into_completions().unwrap().value,
+                reference.completions
+            );
+            assert_eq!(snapshot.id(), 0, "a held snapshot keeps its epoch");
             rounds += 1;
         }
         done.store(true, SeqCst);
         let swaps = writer.join().expect("writer must not panic");
-        assert!(swaps > 0, "at least one swap raced the pinned reads");
+        assert!(swaps > 0, "at least one swap raced the held snapshot");
     });
 
-    // releasing the pin resumes the live epoch
-    session.unpin();
-    let live = complete(&mut session, "db-", 10);
-    assert_eq!(live.epoch, service.current_epoch());
-    assert!(
-        live.epoch > 0,
-        "swaps really happened during the pin window"
-    );
-    let stats = session.stats();
-    assert_eq!(
-        stats.epochs_seen.map(|(first, _)| first),
-        Some(0),
-        "every pinned query was recorded against epoch 0"
-    );
+    // a live query lands on the epoch the service moved on to
+    let live = complete(&service, "db-", 10);
+    assert_eq!(live.epoch, service.stats().current_epoch());
+    assert!(live.epoch > 0, "swaps really happened while it was held");
 }
 
 #[test]
@@ -772,12 +697,17 @@ fn mapped_service_swaps_remap_and_answer_like_fresh_engines() {
         .stage_reuse
         .iter()
         .any(|s| s.stage == "spread-cap" || s.is_full()));
+    // the mapping's own open telemetry follows the write-back
+    let stages: Vec<&str> = report.stage_timings.iter().map(|t| t.stage).collect();
+    let store = stages.iter().position(|&s| s == STAGE_ARTIFACT_STORE);
+    let map = stages.iter().position(|&s| s == STAGE_ARTIFACT_MAP);
+    assert!(store.is_some() && store < map, "{stages:?}");
 
     // the remapped epoch answers bit-identically to a fresh owned engine
     // of the post-delta graph
     let g1 = octopus_graph::delta::apply_all(&g, &deltas).unwrap();
-    let fresh = Octopus::new(g1, model, config).unwrap();
-    let (served, epochs) = probe_session(&service);
+    let fresh = Octopus::new(g1, model.clone(), config.clone()).unwrap();
+    let (served, epochs) = probe_service(&service);
     let reference = probe(&fresh);
     assert_eq!(served, reference, "mapped epoch 1 must answer like fresh");
     assert!(epochs.iter().all(|&e| e == 1));
@@ -786,6 +716,18 @@ fn mapped_service_swaps_remap_and_answer_like_fresh_engines() {
     // the *current* epoch's backing file must survive any prune
     let stats = service.stats();
     assert_eq!(stats.epochs_swapped, 1);
+
+    // a flush whose file cannot be mapped (the cache path is a plain
+    // file, so nothing is written under it) serves the same answers off
+    // the heap
+    let blocked = dir.join("not-a-directory");
+    std::fs::write(&blocked, b"").unwrap();
+    let engine = Octopus::new(g.clone(), model, config).unwrap();
+    let heap = OctopusService::with_mapped_cache(engine, &blocked);
+    heap.submit_all(deltas);
+    heap.apply_pending().unwrap().expect("pending deltas");
+    assert!(!heap.snapshot().engine().is_mapped(), "nothing to map");
+    assert_eq!(probe_service(&heap).0, reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -841,7 +783,7 @@ fn damaged_live_piks_section_donates_nothing() {
         "the intact sections still donate"
     );
     let fresh = Octopus::new(nudge.apply(&g).unwrap(), model, config).unwrap();
-    assert_eq!(probe_session(&service).0, probe(&fresh));
+    assert_eq!(probe_service(&service).0, probe(&fresh));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -901,7 +843,7 @@ fn mapped_replicas_flushing_one_batch_share_the_written_file() {
     let fresh = Octopus::new(nudge.apply(&g).unwrap(), model, config).unwrap();
     for service in [&first, &second] {
         assert!(service.snapshot().engine().is_mapped());
-        assert_eq!(probe_session(service).0, probe(&fresh));
+        assert_eq!(probe_service(service).0, probe(&fresh));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -121,7 +121,7 @@ impl ActionLog {
 
     /// Distinct `(src, dst)` pairs appearing in trials — the candidate edge
     /// set for the learned graph.
-    pub fn edge_universe(&self) -> Vec<(NodeId, NodeId)> {
+    pub(crate) fn edge_universe(&self) -> Vec<(NodeId, NodeId)> {
         let mut pairs: Vec<(NodeId, NodeId)> = self.trials.iter().map(|t| (t.src, t.dst)).collect();
         pairs.sort_unstable();
         pairs.dedup();
@@ -135,12 +135,6 @@ impl ActionLog {
             return 0.0;
         }
         self.trials.iter().filter(|t| t.activated).count() as f64 / self.trials.len() as f64
-    }
-
-    /// Items originated by `u` (e.g., a researcher's papers) — the corpus
-    /// from which personalized keyword suggestion draws its candidates.
-    pub fn items_by_origin(&self, u: NodeId) -> Vec<&Item> {
-        self.items.iter().filter(|i| i.origin == u).collect()
     }
 }
 
@@ -190,15 +184,5 @@ mod tests {
         log.push_trial(a, NodeId(0), NodeId(1), true);
         log.push_trial(a, NodeId(0), NodeId(2), false);
         assert_eq!(log.activation_rate(), 0.5);
-    }
-
-    #[test]
-    fn items_by_origin_filters() {
-        let mut log = ActionLog::new();
-        log.push_item(NodeId(5), vec![kw(0)]);
-        log.push_item(NodeId(6), vec![kw(1)]);
-        log.push_item(NodeId(5), vec![kw(2)]);
-        assert_eq!(log.items_by_origin(NodeId(5)).len(), 2);
-        assert_eq!(log.items_by_origin(NodeId(7)).len(), 0);
     }
 }

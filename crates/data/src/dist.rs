@@ -9,7 +9,7 @@ use rand::Rng;
 
 /// Standard normal via Box–Muller (the polar-free form; two uniforms → one
 /// normal, the second is discarded for simplicity).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0,1] to avoid ln(0)
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
@@ -65,11 +65,6 @@ pub fn dirichlet<R: Rng + ?Sized>(rng: &mut R, alpha: &[f64]) -> Vec<f64> {
     draws
 }
 
-/// Symmetric Dirichlet draw of dimension `k`.
-pub fn dirichlet_sym<R: Rng + ?Sized>(rng: &mut R, k: usize, alpha: f64) -> Vec<f64> {
-    dirichlet(rng, &vec![alpha; k])
-}
-
 /// Zipf probability table over ranks `1..=n` with exponent `s`:
 /// `p(r) ∝ r^{-s}`. Returned normalized, rank 0 being the most likely.
 pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
@@ -113,16 +108,6 @@ impl Categorical {
         // force the last entry to exactly 1 so sampling can't fall off the end
         *cdf.last_mut().expect("non-empty") = 1.0;
         Categorical { cdf }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler has zero categories (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 
     /// Draw a category index.
@@ -235,7 +220,7 @@ mod tests {
         let mut dominated = 0;
         let n = 2000;
         for _ in 0..n {
-            let d = dirichlet_sym(&mut r, 5, 0.1);
+            let d = dirichlet(&mut r, &[0.1; 5]);
             if d.iter().any(|&x| x > 0.8) {
                 dominated += 1;
             }

@@ -112,7 +112,7 @@ const LAST_NAMES: &[&str] = &[
 
 /// Deterministic researcher name for index `i` (unique via numeric suffix
 /// when the pool wraps).
-pub fn researcher_name(i: usize) -> String {
+fn researcher_name(i: usize) -> String {
     let f = FIRST_NAMES[i % FIRST_NAMES.len()];
     let l = LAST_NAMES[(i / FIRST_NAMES.len()) % LAST_NAMES.len()];
     let wrap = i / (FIRST_NAMES.len() * LAST_NAMES.len());

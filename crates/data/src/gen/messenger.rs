@@ -71,7 +71,7 @@ const HANDLE_NOUN: &[&str] = &[
 ];
 
 /// Deterministic user handle for index `i`.
-pub fn user_handle(i: usize) -> String {
+fn user_handle(i: usize) -> String {
     let a = HANDLE_ADJ[i % HANDLE_ADJ.len()];
     let n = HANDLE_NOUN[(i / HANDLE_ADJ.len()) % HANDLE_NOUN.len()];
     format!("{a}_{n}_{i:05}")

@@ -19,7 +19,7 @@
 //! * [`learn::TicEm`] — the expectation–maximization learner of the
 //!   topic-aware IC model (Barbieri et al., ICDM'12 \[2\]), jointly fitting
 //!   `pp^z_{u,v}` and `p(w|z)` from an [`actions::ActionLog`];
-//! * [`dist`] — Gamma/Dirichlet/Zipf/categorical samplers implemented from
+//! * `dist` — Gamma/Dirichlet/Zipf/categorical samplers implemented from
 //!   scratch (the approved dependency set excludes `rand_distr`), with
 //!   statistical tests.
 //!
@@ -30,8 +30,8 @@
 #![warn(missing_docs)]
 
 pub mod actions;
-pub mod dist;
-pub mod gen;
+mod dist;
+mod gen;
 pub mod learn;
 pub mod loader;
 pub mod store;

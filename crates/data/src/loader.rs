@@ -143,7 +143,7 @@ const STOPWORDS: &[&str] = &[
 
 /// Extract normalized title keywords: lowercase alphanumeric tokens, minus
 /// stopwords and single characters.
-pub fn title_keywords(title: &str) -> Vec<String> {
+fn title_keywords(title: &str) -> Vec<String> {
     let mut out = Vec::new();
     for raw in title.split(|c: char| !c.is_alphanumeric()) {
         let t = raw.to_lowercase();

@@ -260,12 +260,6 @@ pub fn save(ds: &Dataset, path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, encode(ds))
 }
 
-/// Load a dataset from a file.
-pub fn load(path: &std::path::Path) -> Result<Dataset, StoreError> {
-    let raw = std::fs::read(path).map_err(|e| StoreError::Corrupt(e.to_string()))?;
-    decode(&raw[..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,7 +342,7 @@ mod tests {
         let ds = tiny();
         let path = std::env::temp_dir().join("octopus_store_test.octs");
         save(&ds, &path).unwrap();
-        let back = load(&path).unwrap();
+        let back = decode(&std::fs::read(&path).unwrap()[..]).unwrap();
         assert_eq!(ds.graph, back.graph);
         std::fs::remove_file(&path).ok();
     }

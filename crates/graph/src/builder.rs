@@ -83,7 +83,7 @@ impl GraphBuilder {
     }
 
     /// Add a named node; returns its dense id. Names must be unique — use
-    /// [`GraphBuilder::add_anonymous_node`] (or empty names) otherwise.
+    /// [`GraphBuilder::add_nodes`] (or empty names) otherwise.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let name = name.into();
         let id = NodeId(self.names.len() as u32);
@@ -95,25 +95,11 @@ impl GraphBuilder {
         id
     }
 
-    /// Add a node with a unique name, failing on duplicates.
-    pub fn try_add_node(&mut self, name: impl Into<String>) -> Result<NodeId> {
-        let name = name.into();
-        if !name.is_empty() && self.name_index.contains_key(&name) {
-            return Err(GraphError::DuplicateName(name));
-        }
-        Ok(self.add_node(name))
-    }
-
-    /// Add an unnamed node.
-    pub fn add_anonymous_node(&mut self) -> NodeId {
-        self.add_node(String::new())
-    }
-
     /// Add `n` unnamed nodes, returning the id of the first.
     pub fn add_nodes(&mut self, n: usize) -> NodeId {
         let first = NodeId(self.names.len() as u32);
         for _ in 0..n {
-            self.add_anonymous_node();
+            self.add_node(String::new());
         }
         first
     }
@@ -300,20 +286,6 @@ mod tests {
             b.add_edge(u, u, &[(0, 0.2)]).is_err(),
             "self loops rejected"
         );
-    }
-
-    #[test]
-    fn duplicate_names_detected_by_try_add() {
-        let mut b = GraphBuilder::new(1);
-        b.try_add_node("x").unwrap();
-        assert!(matches!(
-            b.try_add_node("x"),
-            Err(GraphError::DuplicateName(_))
-        ));
-        // anonymous duplicates fine
-        b.add_anonymous_node();
-        b.add_anonymous_node();
-        assert_eq!(b.node_count(), 3);
     }
 
     #[test]

@@ -245,15 +245,6 @@ impl TopicGraph {
         acc.min(1.0)
     }
 
-    /// Effective activation probability of the edge `(u, v)` under `γ`.
-    pub fn edge_prob_uv(&self, u: NodeId, v: NodeId, gamma: &[f64]) -> Result<f64> {
-        self.check_gamma(gamma)?;
-        let e = self
-            .find_edge(u, v)
-            .ok_or(GraphError::NoSuchEdge { from: u.0, to: v.0 })?;
-        Ok(self.edge_prob(e, gamma))
-    }
-
     /// Probability of `e` under the *pure* topic `z` (a corner of the
     /// simplex) — `pp^z_e`, or `0` if the edge has no mass on `z`.
     #[inline]
@@ -278,7 +269,7 @@ impl TopicGraph {
 
     /// Number of non-zero topic entries on edge `e`.
     #[inline]
-    pub fn edge_nnz(&self, e: EdgeId) -> usize {
+    pub(crate) fn edge_nnz(&self, e: EdgeId) -> usize {
         (self.prob_offsets[e.index() + 1] - self.prob_offsets[e.index()]) as usize
     }
 
@@ -294,11 +285,6 @@ impl TopicGraph {
             probs.push(self.edge_prob(EdgeId(e), gamma) as f32);
         }
         Ok(EdgeProbs { probs })
-    }
-
-    /// Total number of stored (edge, topic) probability entries.
-    pub fn prob_entries(&self) -> usize {
-        self.prob_topics.len()
     }
 
     /// Whether `self` and `other` share one topology and one name table in
@@ -378,7 +364,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.num_topics(), 3);
-        assert_eq!(g.prob_entries(), 6);
     }
 
     #[test]
@@ -454,7 +439,6 @@ mod tests {
     fn gamma_dimension_checked_at_entry() {
         let g = diamond();
         assert!(g.materialize(&[1.0]).is_err());
-        assert!(g.edge_prob_uv(NodeId(0), NodeId(1), &[1.0, 0.0]).is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! weights only edits the rows it names and shares the graph's topology;
 //! any other batch copies the graph into a [`GraphBuilder`] once, edits
 //! its CSR-ordered edge list, and builds once. The free helpers
-//! ([`nudge_weights`], [`set_weights`], [`insert_edge`], [`remove_edge`],
-//! [`rename_node`]) and [`GraphDelta::apply`] are one-delta calls of it.
+//! ([`nudge_weights`], [`set_weights`], [`insert_edge`], [`rename_node`])
+//! and [`GraphDelta::apply`] are one-delta calls of it.
 //!
 //! Node ids never change. Edge ids are dense in CSR order, so an insert, a
 //! remove, or a nudge or row replacement that leaves a row all zero (the
@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// The builder's edge list comes out in CSR order — record `e` is
 /// `EdgeId(e)` — and the round trip is exact: `builder_from(&g).build() ==
 /// g`, pinned by the `rebuild_is_identity` test.
-pub fn builder_from(g: &TopicGraph) -> GraphBuilder {
+pub(crate) fn builder_from(g: &TopicGraph) -> GraphBuilder {
     let mut b = GraphBuilder::new(g.num_topics()).with_capacity(g.node_count(), g.edge_count());
     for u in g.nodes() {
         b.add_node(g.name(u).unwrap_or(""));
@@ -100,12 +100,6 @@ pub fn insert_edge(
             probs,
         }],
     )
-}
-
-/// `g` without edge `edge`. Every edge with a larger id shifts down by one
-/// (ids stay dense in CSR order).
-pub fn remove_edge(g: &TopicGraph, edge: EdgeId) -> Result<TopicGraph> {
-    apply_all(g, &[GraphDelta::RemoveEdge { edge }])
 }
 
 /// `g` with node `node` renamed to `name`. Topology, weights, and all ids
@@ -358,7 +352,7 @@ pub struct MovedEntry {
 /// A batch of nudges and row replacements edits only the rows it names,
 /// over `g`, and the result shares `g`'s topology and names, copying just
 /// the weight arrays. A batch that inserts, removes or renames copies `g`
-/// into a [`GraphBuilder`] ([`builder_from`]), edits its CSR-ordered edge
+/// into a [`GraphBuilder`] (`builder_from`), edits its CSR-ordered edge
 /// list, and builds once; so does the rest of a weight batch once one of
 /// its deltas empties a row.
 pub fn apply_all(g: &TopicGraph, deltas: &[GraphDelta]) -> Result<TopicGraph> {
@@ -808,7 +802,9 @@ mod tests {
             bigger.edge_endpoints(EdgeId(2)).unwrap(),
             (NodeId(1), NodeId(2))
         );
-        let back = remove_edge(&bigger, EdgeId(1)).unwrap();
+        let back = GraphDelta::RemoveEdge { edge: EdgeId(1) }
+            .apply(&bigger)
+            .unwrap();
         assert_eq!(back, g, "insert then remove restores the original");
         assert!(insert_edge(&g, NodeId(0), NodeId(0), &[(0, 0.5)]).is_err());
     }
@@ -834,7 +830,8 @@ mod tests {
         // an insert, a remove, or an emptied row shifts ids
         let bigger = insert_edge(&g, NodeId(0), NodeId(3), &[(1, 0.4)]).unwrap();
         assert_eq!(max_shifts(&g, &bigger), None);
-        assert_eq!(max_shifts(&g, &remove_edge(&g, e).unwrap()), None);
+        let smaller = GraphDelta::RemoveEdge { edge: e }.apply(&g).unwrap();
+        assert_eq!(max_shifts(&g, &smaller), None);
         assert_eq!(
             max_shifts(&g, &set_weights(&g, e, &[(0, 0.0)]).unwrap()),
             None
@@ -863,10 +860,6 @@ mod tests {
             .apply(&g)
             .unwrap(),
             insert_edge(&g, NodeId(0), NodeId(3), &[(1, 0.4)]).unwrap()
-        );
-        assert_eq!(
-            GraphDelta::RemoveEdge { edge: e }.apply(&g).unwrap(),
-            remove_edge(&g, e).unwrap()
         );
         assert_eq!(
             GraphDelta::RenameNode {

@@ -21,7 +21,6 @@
 //!   deduplication and validation;
 //! * [`EdgeProbs`] — a dense per-edge probability materialization for a fixed
 //!   `γ` (what the paper's naive baseline computes per query);
-//! * [`algo`] — basic traversals and statistics used by the upper layers;
 //! * [`codec`] — a compact, versioned binary (de)serialization.
 //!
 //! # Example
@@ -35,15 +34,15 @@
 //! b.add_edge(u, v, &[(0, 0.8), (1, 0.1)]).unwrap();
 //! let g = b.build().unwrap();
 //!
+//! let e = g.find_edge(u, v).unwrap();
 //! // Item fully about topic 0:
-//! assert!((g.edge_prob_uv(u, v, &[1.0, 0.0]).unwrap() - 0.8).abs() < 1e-6);
+//! assert!((g.edge_prob(e, &[1.0, 0.0]) - 0.8).abs() < 1e-6);
 //! // Mixed item:
-//! assert!((g.edge_prob_uv(u, v, &[0.5, 0.5]).unwrap() - 0.45).abs() < 1e-6);
+//! assert!((g.edge_prob(e, &[0.5, 0.5]) - 0.45).abs() < 1e-6);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod algo;
 pub mod builder;
 pub mod codec;
 pub mod csr;

@@ -6,12 +6,11 @@
 //! subgraph spanned by a node set while preserving all per-topic edge
 //! probabilities, returning the id mapping in both directions.
 
-use crate::algo::weakly_connected_components;
 use crate::builder::GraphBuilder;
 use crate::csr::TopicGraph;
 use crate::ids::NodeId;
 use crate::Result;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A materialized induced subgraph with id mappings.
 #[derive(Debug, Clone)]
@@ -25,11 +24,6 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Map an original node id into the subgraph, if it is a member.
-    pub fn project(&self, u: NodeId) -> Option<NodeId> {
-        self.to_sub.get(&u).copied()
-    }
-
     /// Map a subgraph node id back to the original graph.
     pub fn lift(&self, u: NodeId) -> NodeId {
         self.to_original[u.index()]
@@ -165,10 +159,35 @@ pub fn partition(g: &TopicGraph, k: usize) -> Result<Partition> {
     Ok(Partition { shards, owner })
 }
 
+/// Weakly connected components; returns a component id per node and the
+/// number of components.
+fn weakly_connected_components(g: &TopicGraph) -> (Vec<u32>, usize) {
+    let n = g.node_count();
+    let mut comp = vec![u32::MAX; n];
+    let mut next_comp = 0u32;
+    let mut queue = VecDeque::new();
+    for s in 0..n {
+        if comp[s] != u32::MAX {
+            continue;
+        }
+        comp[s] = next_comp;
+        queue.push_back(NodeId(s as u32));
+        while let Some(u) = queue.pop_front() {
+            for (v, _) in g.out_edges(u).chain(g.in_edges(u)) {
+                if comp[v.index()] == u32::MAX {
+                    comp[v.index()] = next_comp;
+                    queue.push_back(v);
+                }
+            }
+        }
+        next_comp += 1;
+    }
+    (comp, next_comp as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{ball, Direction};
 
     fn sample() -> TopicGraph {
         let mut b = GraphBuilder::new(2);
@@ -191,15 +210,15 @@ mod tests {
         assert_eq!(sub.graph.node_count(), 3);
         assert_eq!(sub.graph.edge_count(), 2); // 0→1, 1→2; 2→3 and 0→5 cross the boundary
                                                // names preserved
-        assert_eq!(sub.graph.name(sub.project(NodeId(1)).unwrap()), Some("u1"));
+        assert_eq!(sub.graph.name(sub.to_sub[&NodeId(1)]), Some("u1"));
     }
 
     #[test]
     fn probabilities_survive_projection() {
         let g = sample();
         let sub = induced(&g, &[NodeId(0), NodeId(1)]).unwrap();
-        let su = sub.project(NodeId(0)).unwrap();
-        let sv = sub.project(NodeId(1)).unwrap();
+        let su = sub.to_sub[&NodeId(0)];
+        let sv = sub.to_sub[&NodeId(1)];
         let e = sub.graph.find_edge(su, sv).unwrap();
         assert_eq!(sub.graph.edge_prob_topic(e, crate::TopicId(0)), 0.5);
         assert_eq!(sub.graph.edge_prob_topic(e, crate::TopicId(1)), 0.2);
@@ -211,10 +230,10 @@ mod tests {
         let members = [NodeId(4), NodeId(2), NodeId(0)];
         let sub = induced(&g, &members).unwrap();
         for &m in &members {
-            let s = sub.project(m).unwrap();
+            let s = sub.to_sub[&m];
             assert_eq!(sub.lift(s), m);
         }
-        assert_eq!(sub.project(NodeId(5)), None);
+        assert_eq!(sub.to_sub.get(&NodeId(5)), None);
     }
 
     #[test]
@@ -296,7 +315,7 @@ mod tests {
             let u = NodeId(u as u32);
             let s = p.owner_of(u).unwrap();
             let sub = &p.shards[s];
-            assert_eq!(sub.lift(sub.project(u).unwrap()), u);
+            assert_eq!(sub.lift(sub.to_sub[&u]), u);
         }
     }
 
@@ -310,9 +329,10 @@ mod tests {
 
     #[test]
     fn ball_subgraph_matches_local_structure() {
-        // the LG-bound use case: subgraph of a radius-2 ball
+        // the LG-bound use case: subgraph of the radius-2 forward ball
+        // around node 0
         let g = sample();
-        let members = ball(&g, NodeId(0), 2, Direction::Forward);
+        let members = [0, 1, 5, 2].map(NodeId);
         let sub = induced(&g, &members).unwrap();
         assert!(sub.graph.node_count() >= 4); // 0,1,2,5 at least
                                               // every subgraph edge exists in the original with equal max prob
@@ -322,5 +342,22 @@ mod tests {
             let orig = g.find_edge(u, v).expect("edge must exist in original");
             assert_eq!(g.edge_prob_max(orig), sub.graph.edge_prob_max(e));
         }
+    }
+
+    #[test]
+    fn wcc_counts_components() {
+        // 0→1→2, 3→4
+        let mut b = GraphBuilder::new(1);
+        let _ = b.add_nodes(5);
+        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+            b.add_edge(NodeId(u), NodeId(v), &[(0, 0.5)]).unwrap();
+        }
+        let g = b.build().unwrap();
+        let (comp, k) = weakly_connected_components(&g);
+        assert_eq!(k, 2);
+        assert_eq!(comp[0], comp[1]);
+        assert_eq!(comp[1], comp[2]);
+        assert_eq!(comp[3], comp[4]);
+        assert_ne!(comp[0], comp[3]);
     }
 }

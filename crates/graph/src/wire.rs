@@ -56,7 +56,7 @@ pub fn read_string<B: Buf + ?Sized>(buf: &mut B, what: &str) -> Result<String, W
 }
 
 /// Read `count` little-endian `u32`s after a bounds check.
-pub fn read_u32s<B: Buf + ?Sized>(
+pub(crate) fn read_u32s<B: Buf + ?Sized>(
     buf: &mut B,
     count: usize,
     what: &str,
@@ -72,15 +72,15 @@ pub fn read_u32s<B: Buf + ?Sized>(
 /// The alignment every sectioned payload starts on (and the unit all
 /// fixed-width record layouts are padded to): 8 bytes, so `u64`/`f64`
 /// fields inside a section sit on natural boundaries of the mapped file.
-pub const SECTION_ALIGN: usize = 8;
+const SECTION_ALIGN: usize = 8;
 
-/// Round `n` up to the next multiple of [`SECTION_ALIGN`].
+/// Round `n` up to the next multiple of the 8-byte section alignment.
 pub const fn align8(n: usize) -> usize {
     (n + (SECTION_ALIGN - 1)) & !(SECTION_ALIGN - 1)
 }
 
-/// Zero bytes needed after `n` to reach the next multiple of
-/// [`SECTION_ALIGN`] (0 when already aligned).
+/// Zero bytes needed after `n` to reach the next multiple of the 8-byte
+/// section alignment (0 when already aligned).
 pub const fn pad8(n: usize) -> usize {
     align8(n) - n
 }
@@ -107,7 +107,7 @@ pub struct SectionEntry {
     /// Fingerprint of the inputs this section's content was computed from.
     pub key: u64,
     /// Absolute byte offset of the payload from the start of the file;
-    /// must be a multiple of [`SECTION_ALIGN`].
+    /// must be a multiple of the 8-byte section alignment.
     pub off: u64,
     /// Payload length in bytes (padding between sections is not counted).
     pub len: u64,
@@ -330,19 +330,9 @@ impl Fnv64 {
         self.write(&v.to_le_bytes())
     }
 
-    /// Absorb a `u16` in little-endian byte order.
-    pub fn write_u16(&mut self, v: u16) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
     /// Absorb a single byte.
     pub fn write_u8(&mut self, v: u8) -> &mut Self {
         self.write(&[v])
-    }
-
-    /// Absorb an `f32` by its exact bit pattern.
-    pub fn write_f32(&mut self, v: f32) -> &mut Self {
-        self.write(&v.to_bits().to_le_bytes())
     }
 
     /// Absorb an `f64` by its exact bit pattern (distinguishes `-0.0` from

@@ -208,56 +208,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Tarjan SCC agrees with brute-force mutual reachability: two nodes
-    /// share a component iff each reaches the other.
-    #[test]
-    fn scc_matches_mutual_reachability((n, z, edges) in arb_graph_parts()) {
-        use octopus_graph::algo::{reachable, strongly_connected_components, Direction};
-        let g = build(n, z, &edges);
-        let (comp, count) = strongly_connected_components(&g);
-        prop_assert!(count >= 1 || g.node_count() == 0);
-        // brute-force forward reachability sets
-        let reach: Vec<Vec<bool>> = g
-            .nodes()
-            .map(|u| {
-                let mut r = vec![false; g.node_count()];
-                for v in reachable(&g, u, Direction::Forward) {
-                    r[v.index()] = true;
-                }
-                r
-            })
-            .collect();
-        for u in 0..g.node_count() {
-            for v in 0..g.node_count() {
-                let mutually = reach[u][v] && reach[v][u];
-                prop_assert_eq!(
-                    comp[u] == comp[v],
-                    mutually,
-                    "nodes {} and {}: comp {:?}/{:?}, mutual {}",
-                    u, v, comp[u], comp[v], mutually
-                );
-            }
-        }
-    }
-
-    /// Component ids are dense: every id in 0..count is used.
-    #[test]
-    fn scc_ids_are_dense((n, z, edges) in arb_graph_parts()) {
-        use octopus_graph::algo::strongly_connected_components;
-        let g = build(n, z, &edges);
-        let (comp, count) = strongly_connected_components(&g);
-        let mut seen = vec![false; count];
-        for &c in &comp {
-            prop_assert!((c as usize) < count);
-            seen[c as usize] = true;
-        }
-        prop_assert!(seen.into_iter().all(|s| s));
-    }
-}
-
 /// One generated delta, decoded against the batch's base graph by
 /// [`decode`]: `(variant, a, b, row as (topic, palette index), delta
 /// palette index)`.

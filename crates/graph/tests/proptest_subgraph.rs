@@ -41,7 +41,7 @@ proptest! {
         distinct.dedup();
         prop_assert_eq!(sub.graph.node_count(), distinct.len());
         for &m in &distinct {
-            let s = sub.project(m).unwrap();
+            let s = sub.to_sub[&m];
             prop_assert_eq!(sub.lift(s), m);
             prop_assert_eq!(sub.graph.name(s), g.name(m));
         }

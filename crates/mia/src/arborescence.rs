@@ -220,7 +220,7 @@ impl Arborescence {
     /// The best path between the root and `u`, always listed **from the
     /// root outward** (for [`ArbDirection::In`] the actual influence flows
     /// along the reversed list).
-    pub fn path_to(&self, u: NodeId) -> Option<Vec<NodeId>> {
+    pub(crate) fn path_to(&self, u: NodeId) -> Option<Vec<NodeId>> {
         let mut idx = *self.index.get(&u)?;
         let mut path = vec![self.nodes[idx as usize].node];
         while let Some(p) = self.nodes[idx as usize].parent {
@@ -235,20 +235,6 @@ impl Arborescence {
     /// influence (σ_MIA includes the root itself with probability 1).
     pub fn total_influence(&self) -> f64 {
         self.nodes.iter().map(|n| n.path_prob).sum()
-    }
-
-    /// Number of nodes in the subtree of `u` (including `u`).
-    pub fn subtree_size(&self, u: NodeId) -> usize {
-        let Some(&start) = self.index.get(&u) else {
-            return 0;
-        };
-        let mut stack = vec![start];
-        let mut count = 0usize;
-        while let Some(i) = stack.pop() {
-            count += 1;
-            stack.extend(self.nodes[i as usize].children.iter().copied());
-        }
-        count
     }
 
     /// Rebuild the arborescence with every node id passed through `f`,
@@ -282,7 +268,7 @@ impl Arborescence {
     }
 
     /// Sum of `path_prob` over the subtree of `u`.
-    pub fn subtree_mass(&self, u: NodeId) -> f64 {
+    pub(crate) fn subtree_mass(&self, u: NodeId) -> f64 {
         let Some(&start) = self.index.get(&u) else {
             return 0.0;
         };
@@ -386,8 +372,6 @@ mod tests {
         let arb = Arborescence::build(&g, &p, NodeId(0), 0.01, ArbDirection::Out);
         // 1 + .8 + .64 + .512 + .576 (node 4 via 2: .64*.9)
         assert!((arb.total_influence() - (1.0 + 0.8 + 0.64 + 0.512 + 0.576)).abs() < 1e-6);
-        assert_eq!(arb.subtree_size(NodeId(1)), 4);
-        assert_eq!(arb.subtree_size(NodeId(4)), 1);
         assert!((arb.subtree_mass(NodeId(2)) - (0.64 + 0.512 + 0.576)).abs() < 1e-6);
     }
 

@@ -11,7 +11,7 @@ use crate::arborescence::Arborescence;
 use octopus_graph::TopicGraph;
 
 /// Escape a string per RFC 8259.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

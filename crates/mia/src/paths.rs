@@ -130,16 +130,6 @@ impl<'a> PathExplorer<'a> {
         out.sort_by(|a, b| b.mass.partial_cmp(&a.mass).expect("finite mass"));
         out
     }
-
-    /// Visualization node sizes: `(node, effect)` where effect is the MIA
-    /// subtree mass — hubs that relay influence get big glyphs.
-    pub fn node_sizes(&self) -> Vec<(NodeId, f64)> {
-        self.arb
-            .nodes()
-            .iter()
-            .map(|n| (n.node, self.arb.subtree_mass(n.node)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +216,5 @@ mod tests {
         assert_eq!(clusters[1].head, NodeId(4));
         assert!((clusters[0].mass - 2.25).abs() < 1e-6);
         assert!(clusters[0].members.contains(&NodeId(3)));
-    }
-
-    #[test]
-    fn node_sizes_decrease_down_the_tree() {
-        let a = arb();
-        let ex = PathExplorer::new(&a);
-        let sizes: std::collections::HashMap<NodeId, f64> = ex.node_sizes().into_iter().collect();
-        assert!(sizes[&NodeId(0)] > sizes[&NodeId(1)]);
-        assert!(sizes[&NodeId(1)] > sizes[&NodeId(2)]);
     }
 }

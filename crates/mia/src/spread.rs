@@ -196,7 +196,7 @@ pub fn mia_spread_set(g: &TopicGraph, probs: &EdgeProbs, seeds: &[NodeId], theta
 }
 
 /// `ap(v | S)` on `v`'s MIIA (bottom-up tree DP).
-pub fn activation_probability(
+fn activation_probability(
     g: &TopicGraph,
     probs: &EdgeProbs,
     v: NodeId,

@@ -130,7 +130,7 @@ impl TopicDistribution {
     }
 
     /// Consume into the underlying vector.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub(crate) fn into_vec(self) -> Vec<f64> {
         self.0
     }
 
@@ -192,19 +192,6 @@ impl TopicDistribution {
                 .map(|(x, y)| a * x + (1.0 - a) * y)
                 .collect(),
         )
-    }
-
-    /// Topics carrying at least `threshold` mass, sorted by descending mass.
-    pub fn support(&self, threshold: f64) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self
-            .0
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, p)| p >= threshold)
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v
     }
 }
 
@@ -289,13 +276,6 @@ mod tests {
         let s: f64 = m.iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert!((m[0] - (0.5 + 0.5 / 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn support_sorted() {
-        let d = TopicDistribution::new(vec![0.1, 0.6, 0.05, 0.25]).unwrap();
-        let s = d.support(0.1);
-        assert_eq!(s.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![1, 3, 0]);
     }
 
     #[test]

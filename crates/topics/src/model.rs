@@ -198,28 +198,6 @@ impl TopicModel {
         idx.truncate(n);
         idx
     }
-
-    /// Keywords whose dominant topic is `z`, with their `p(z|w)` mass —
-    /// candidate pool for personalized keyword suggestion.
-    pub fn keywords_dominated_by(&self, z: usize) -> Vec<(KeywordId, f64)> {
-        let mut out = Vec::new();
-        for (id, _) in self.vocab.iter() {
-            if let Ok(post) = self.keyword_topics(id) {
-                if post.dominant_topic() == z {
-                    out.push((id, post[z]));
-                }
-            }
-        }
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Marginal keyword probability `p(w) = Σ_z p(w|z)p(z)`.
-    pub fn keyword_marginal(&self, w: KeywordId) -> f64 {
-        (0..self.num_topics)
-            .map(|z| self.p_word_given_topic(w, z) * self.prior[z])
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -341,27 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn keywords_dominated_by_topic() {
-        let m = small_model();
-        let dom0 = m.keywords_dominated_by(0);
-        let words: Vec<_> = dom0
-            .iter()
-            .map(|&(w, _)| m.vocab().word(w).unwrap())
-            .collect();
-        assert!(words.contains(&"database"));
-        assert!(words.contains(&"index"));
-        assert!(!words.contains(&"neural"));
-    }
-
-    #[test]
-    fn labels_and_marginals() {
+    fn labels() {
         let m = small_model()
             .with_labels(vec!["DB".into(), "ML".into()])
             .unwrap();
         assert_eq!(m.label(0), "DB");
         assert_eq!(m.label(5), "topic-5");
-        let w = m.vocab().get("generic").unwrap();
-        assert!((m.keyword_marginal(w) - 0.2).abs() < 1e-12);
         assert!(small_model().with_labels(vec!["x".into()]).is_err());
     }
 

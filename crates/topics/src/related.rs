@@ -57,31 +57,6 @@ pub fn related_keywords(model: &TopicModel, w: KeywordId, k: usize) -> Result<Ve
     Ok(out)
 }
 
-/// Expand a query keyword set with its most related terms (deduplicated,
-/// original keywords first) — "did you also mean" support for the UI.
-pub fn expand_query(model: &TopicModel, ws: &[KeywordId], extra: usize) -> Result<Vec<KeywordId>> {
-    let mut result: Vec<KeywordId> = ws.to_vec();
-    let mut candidates: Vec<Related> = Vec::new();
-    for &w in ws {
-        candidates.extend(related_keywords(model, w, extra + ws.len())?);
-    }
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("finite scores")
-            .then(a.keyword.cmp(&b.keyword))
-    });
-    for c in candidates {
-        if result.len() >= ws.len() + extra {
-            break;
-        }
-        if !result.contains(&c.keyword) {
-            result.push(c.keyword);
-        }
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,18 +108,6 @@ mod tests {
             neuron_score < 1e-6,
             "orthogonal topics ⇒ ~0 score, got {neuron_score}"
         );
-    }
-
-    #[test]
-    fn expand_query_appends_related_without_duplicates() {
-        let m = model();
-        let sql = m.vocab().get("sql").unwrap();
-        let btree = m.vocab().get("btree").unwrap();
-        let expanded = expand_query(&m, &[sql, btree], 1).unwrap();
-        assert_eq!(expanded.len(), 3);
-        assert_eq!(expanded[0], sql);
-        assert_eq!(expanded[1], btree);
-        assert_eq!(word(&m, expanded[2]), "join");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub struct Vocabulary {
 impl Vocabulary {
     /// Longest keyword phrase (in whitespace tokens) considered by
     /// [`Vocabulary::resolve_query`].
-    pub const MAX_PHRASE_TOKENS: usize = 4;
+    const MAX_PHRASE_TOKENS: usize = 4;
 
     /// Empty vocabulary.
     pub fn new() -> Self {
@@ -54,7 +54,7 @@ impl Vocabulary {
     }
 
     /// Normalization applied to every keyword before interning/lookup.
-    pub fn normalize(word: &str) -> String {
+    pub(crate) fn normalize(word: &str) -> String {
         word.trim().to_lowercase()
     }
 
@@ -107,20 +107,10 @@ impl Vocabulary {
             .map(|(i, w)| (KeywordId(i as u32), w.as_str()))
     }
 
-    /// Ids of all keywords starting with `prefix` (normalized), in id order.
-    /// Backs the UI auto-completion for keyword inputs.
-    pub fn prefix_matches(&self, prefix: &str) -> Vec<KeywordId> {
-        let p = Self::normalize(prefix);
-        self.iter()
-            .filter(|(_, w)| w.starts_with(&p))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Resolve a keyword query string into ids with greedy longest-phrase
     /// matching (keywords may be multi-word phrases like `"data mining"`):
     /// at each token position the longest interned phrase of up to
-    /// [`Vocabulary::MAX_PHRASE_TOKENS`] tokens wins. Unmatched tokens are
+    /// four tokens wins. Unmatched tokens are
     /// returned in `unknown`. Duplicates are dropped.
     pub fn resolve_query(&self, query: &str) -> (Vec<KeywordId>, Vec<String>) {
         let tokens: Vec<&str> = query.split_whitespace().collect();
@@ -184,17 +174,6 @@ mod tests {
     fn word_of_unknown_id_errors() {
         let v = Vocabulary::new();
         assert!(v.word(KeywordId(4)).is_err());
-    }
-
-    #[test]
-    fn prefix_matching() {
-        let mut v = Vocabulary::new();
-        v.intern("data mining");
-        v.intern("data cleaning");
-        v.intern("machine learning");
-        let hits = v.prefix_matches("Data");
-        assert_eq!(hits.len(), 2);
-        assert!(v.prefix_matches("zzz").is_empty());
     }
 
     #[test]

@@ -72,15 +72,6 @@ proptest! {
         prop_assert!(more[zstar] >= once[zstar] - 1e-9);
     }
 
-    /// Keyword marginals sum to 1 across the vocabulary.
-    #[test]
-    fn marginals_sum_to_one(model in arb_model()) {
-        let total: f64 = (0..model.vocab_size())
-            .map(|w| model.keyword_marginal(KeywordId(w as u32)))
-            .sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
     /// Consistency scores stay in [0, 1].
     #[test]
     fn consistency_bounds(model in arb_model(), picks in proptest::collection::vec(0usize..6, 1..5)) {
